@@ -427,7 +427,13 @@ let submit_config t proposal =
     true
   end
 
-let persistent_state t = (t.term, t.voted_for, Dessim.Vec.to_list t.log)
+let hard_state t = (t.term, t.voted_for)
+let last_index = last_log_index
+let term_at = entry_term
+
+let entries_from t index =
+  List.init (max 0 (last_log_index t - index + 1)) (fun i ->
+      Dessim.Vec.get t.log (index - 1 + i))
 
 let restore t ~term ~voted_for ~log =
   if last_log_index t > 0 || t.term > 0 then

@@ -102,11 +102,25 @@ val leader_hint : t -> int option
     campaigning. The hint can be stale — callers use it for client
     redirects, not correctness. *)
 
-val persistent_state : t -> int * int option * Raft_types.entry list
-(** The durable Raft state [(current_term, voted_for, log)] — exactly
-    what the paper requires on stable storage before answering RPCs.
-    {!Replica.Storage} snapshots this for crash recovery and follower
-    catch-up. *)
+(** {2 Durable state}
+
+    What the paper requires on stable storage before answering RPCs:
+    the hard state and the log. Read in place, so a persister can diff
+    against what it already wrote without copying the log. *)
+
+val hard_state : t -> int * int option
+(** [(current_term, voted_for)]. *)
+
+val last_index : t -> int
+(** Index of the last log entry; 0 when the log is empty. *)
+
+val term_at : t -> int -> int
+(** Term of the entry at a 1-based index; 0 at index 0. Raises
+    [Invalid_argument] past {!last_index}. *)
+
+val entries_from : t -> int -> Raft_types.entry list
+(** The entries from a 1-based index through {!last_index}, in order;
+    [[]] when the index is past the end. *)
 
 val restore : t -> term:int -> voted_for:int option -> log:Raft_types.entry list -> unit
 (** Load persisted state into a freshly created node (before it has

@@ -13,7 +13,6 @@ type config = {
   wire_max : int;
   workers : int;
   chaos : Service.Chaos.plan option;
-  tick_seconds : float;
   staleness_budget_seconds : float;
   commit_timeout_seconds : float;
 }
@@ -29,7 +28,6 @@ let default_config ~id ~n ~base_port ~service_port =
     wire_max = Wire.protocol_version;
     workers = 2;
     chaos = None;
-    tick_seconds = 0.004;
     staleness_budget_seconds = 1.0;
     commit_timeout_seconds = 4.0;
   }
@@ -45,8 +43,12 @@ let link_port cfg ~src ~dst = cfg.base_port + cfg.n + (src * cfg.n) + dst
 let link_plan plan ~src ~dst =
   { plan with Service.Chaos.seed = plan.Service.Chaos.seed + (src * 97) + dst }
 
+(* One blocked submit. Only the pump resolves it: on apply, when the
+   leader is deposed, past its deadline, or when the pump exits. *)
 type waiter = {
   w_mu : Mutex.t;
+  w_done : Condition.t;
+  w_deadline : float;
   mutable w_result : (Obs.Json.t, Server.reply_error) result option;
 }
 
@@ -70,9 +72,17 @@ type t = {
   waiters : (int, waiter) Hashtbl.t; (* pump thread only *)
   submit_mu : Mutex.t;
   mutable submit_q : (Command.op * waiter option) list; (* newest first *)
+  mutable submit_closed : Server.reply_error option;
+      (* Set once the pump has exited: later submits get it at once. *)
   inbound_mu : Mutex.t;
   mutable inbound_q : (int * Raft_types.msg * (int * string) list) list;
-  outbox : outboxed list ref; (* pump thread only, filled during Engine.run *)
+  outbox : outboxed list ref; (* pump thread only, filled during Engine.advance *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  durable : Storage.log option; (* pump thread only *)
+  persisted_terms : int Dessim.Vec.t;
+      (* pump thread only: the term of every entry the segment holds *)
+  mutable persisted_hard : int * int option; (* pump thread only *)
   senders : Transport.Sender.t option array;
   mutable listener : Transport.Listener.t option;
   mutable proxies : Service.Chaos.t array;
@@ -85,13 +95,39 @@ type t = {
   start_wall : float;
   mutable next_seq : int;
   mutable leader_epoch : bool * int;
-  mutable persisted_mark : (int * int option * int * int) option;
 }
 
 let resolve waiter result =
   Mutex.lock waiter.w_mu;
-  if waiter.w_result = None then waiter.w_result <- Some result;
+  if Option.is_none waiter.w_result then (
+    waiter.w_result <- Some result;
+    Condition.signal waiter.w_done);
   Mutex.unlock waiter.w_mu
+
+let await waiter =
+  Mutex.lock waiter.w_mu;
+  while Option.is_none waiter.w_result do
+    Condition.wait waiter.w_done waiter.w_mu
+  done;
+  let result = Option.get waiter.w_result in
+  Mutex.unlock waiter.w_mu;
+  result
+
+(* One byte on the self-pipe wakes the pump from [select]; a full pipe
+   already holds a pending wake-up. *)
+let wake t =
+  try ignore (Unix.write_substring t.wake_w "w" 0 1)
+  with Unix.Unix_error _ -> ()
+
+let drain_wake t =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read t.wake_r buf 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
 
 let read_status t =
   Mutex.lock t.status_mu;
@@ -196,31 +232,63 @@ let handle_submit t (op, waiter) =
           Hashtbl.remove t.payloads seq;
           Option.iter (fun w -> resolve w (not_leader_error t)) waiter))
 
-let fail_waiters_if_deposed t =
-  if not (Raft_node.is_leader t.raft) && Hashtbl.length t.waiters > 0 then (
-    let err = not_leader_error t in
-    Hashtbl.iter (fun _ w -> resolve w err) t.waiters;
-    Hashtbl.reset t.waiters)
+let resolve_waiters t result =
+  Hashtbl.iter (fun _ w -> resolve w result) t.waiters;
+  Hashtbl.reset t.waiters
 
-let maybe_persist t =
-  match t.cfg.state_dir with
-  | None -> ()
-  | Some dir ->
-      let term, voted_for, log = Raft_node.persistent_state t.raft in
-      let mark =
-        match log with
-        | [] -> (term, voted_for, 0, 0)
-        | _ ->
-            let last = List.nth log (List.length log - 1) in
-            (term, voted_for, last.Raft_types.index, last.Raft_types.term)
-      in
-      if t.persisted_mark <> Some mark then (
-        let payloads =
-          Hashtbl.fold (fun seq bytes acc -> (seq, bytes) :: acc) t.payloads []
-          |> List.sort compare
-        in
-        Storage.save ~dir { Storage.term; voted_for; log; payloads };
-        t.persisted_mark <- Some mark)
+let fail_waiters_if_deposed t =
+  if not (Raft_node.is_leader t.raft) && Hashtbl.length t.waiters > 0 then
+    resolve_waiters t (not_leader_error t)
+
+let expire_waiters t ~now =
+  Hashtbl.filter_map_inplace
+    (fun _ w ->
+      if now < w.w_deadline then Some w
+      else (
+        resolve w
+          (Error
+             {
+               Server.code = Wire.Deadline_exceeded;
+               msg = "commit timed out";
+               hint = None;
+             });
+        None))
+    t.waiters
+
+let payload_of t (entry : Raft_types.entry) =
+  match entry.command with
+  | Data seq -> Hashtbl.find_opt t.payloads seq
+  | Config _ -> None
+
+(* Append what changed since the previous cycle, in one write and one
+   fsync: the hard state if it moved, a [Truncate] where the live log
+   left the persisted one, then the new entries. *)
+let persist t durable =
+  let term, voted_for = Raft_node.hard_state t.raft in
+  let persisted = Dessim.Vec.length t.persisted_terms in
+  (* Scan back from the tail for the last index whose term both logs
+     agree on; by Log Matching every earlier entry agrees too. *)
+  let rec common i =
+    if
+      i = 0
+      || Dessim.Vec.get t.persisted_terms (i - 1) = Raft_node.term_at t.raft i
+    then i
+    else common (i - 1)
+  in
+  let keep = common (min persisted (Raft_node.last_index t.raft)) in
+  let fresh = Raft_node.entries_from t.raft (keep + 1) in
+  Storage.append durable
+    ((if (term, voted_for) = t.persisted_hard then []
+      else [ Storage.Hard_state { term; voted_for } ])
+    @ (if keep = persisted then [] else [ Storage.Truncate { from = keep + 1 } ])
+    @ List.map
+        (fun entry -> Storage.Entry { entry; payload = payload_of t entry })
+        fresh);
+  t.persisted_hard <- (term, voted_for);
+  Dessim.Vec.truncate t.persisted_terms keep;
+  List.iter
+    (fun (e : Raft_types.entry) -> Dessim.Vec.push t.persisted_terms e.term)
+    fresh
 
 let update_status t ~now ~had_inbound =
   let is_leader = Raft_node.is_leader t.raft in
@@ -240,81 +308,124 @@ let update_status t ~now ~had_inbound =
     };
   Mutex.unlock t.status_mu
 
+let cycle t =
+  (* 1. Inject inbound raft traffic: payloads land in the table
+     before the message that references them is processed. *)
+  Mutex.lock t.inbound_mu;
+  let inbound = List.rev t.inbound_q in
+  t.inbound_q <- [];
+  Mutex.unlock t.inbound_mu;
+  List.iter
+    (fun (src, msg, payloads) ->
+      List.iter
+        (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
+        payloads;
+      if src >= 0 && src < t.cfg.n && src <> t.cfg.id then
+        Dessim.Network.send t.net ~src ~dst:t.cfg.id msg)
+    inbound;
+  (* 2. Drain client submissions onto the log. *)
+  Mutex.lock t.submit_mu;
+  let submits = List.rev t.submit_q in
+  t.submit_q <- [];
+  Mutex.unlock t.submit_mu;
+  List.iter (handle_submit t) submits;
+  (* 3. Advance the virtual clock to wall-clock elapsed ms, then settle
+     the waiters whose leader was deposed or whose deadline passed. *)
+  let now = Unix.gettimeofday () in
+  Dessim.Engine.advance t.engine ~until:((now -. t.start_wall) *. 1000.);
+  fail_waiters_if_deposed t;
+  expire_waiters t ~now;
+  (* 4. Persist dirty raft state BEFORE flushing outbound messages:
+     a reply acknowledging an append never leaves the process ahead
+     of the log bytes it promises. *)
+  Option.iter (persist t) t.durable;
+  (* 5. Flush the outbox to the per-peer senders. *)
+  let out = List.rev !(t.outbox) in
+  t.outbox := [];
+  List.iter
+    (fun { ob_dst; ob_line } ->
+      match t.senders.(ob_dst) with
+      | Some sender -> Transport.Sender.send sender ob_line
+      | None -> ())
+    out;
+  update_status t ~now ~had_inbound:(inbound <> [])
+
+(* Sleep until work is queued (a byte on the wake pipe), the engine's
+   next timer is due, or the earliest commit deadline passes. *)
+let idle t =
+  let timer =
+    match Dessim.Engine.next_event_time t.engine with
+    | Some ms -> t.start_wall +. (ms /. 1000.)
+    | None -> Float.infinity
+  in
+  let due =
+    Hashtbl.fold (fun _ w acc -> Float.min acc w.w_deadline) t.waiters timer
+  in
+  let timeout = due -. Unix.gettimeofday () in
+  if timeout > 0. then
+    match
+      Unix.select [ t.wake_r ] [] []
+        (if Float.is_finite timeout then timeout else -1.)
+    with
+    | [], _, _ -> ()
+    | _ -> drain_wake t
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Answer every queued and waiting submit, and every later one, with
+   [err]: once the pump is gone nothing else would. *)
+let release_blocked t err =
+  Mutex.lock t.submit_mu;
+  t.submit_closed <- Some err;
+  let queued = t.submit_q in
+  t.submit_q <- [];
+  Mutex.unlock t.submit_mu;
+  List.iter
+    (fun (_, waiter) -> Option.iter (fun w -> resolve w (Error err)) waiter)
+    queued;
+  resolve_waiters t (Error err)
+
 let pump t =
-  while not (Atomic.get t.stop_flag) do
-    (* 1. Inject inbound raft traffic: payloads land in the table
-       before the message that references them is processed. *)
-    Mutex.lock t.inbound_mu;
-    let inbound = List.rev t.inbound_q in
-    t.inbound_q <- [];
-    Mutex.unlock t.inbound_mu;
-    List.iter
-      (fun (src, msg, payloads) ->
-        List.iter
-          (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
-          payloads;
-        if src >= 0 && src < t.cfg.n && src <> t.cfg.id then
-          Dessim.Network.send t.net ~src ~dst:t.cfg.id msg)
-      inbound;
-    (* 2. Drain client submissions onto the log. *)
-    Mutex.lock t.submit_mu;
-    let submits = List.rev t.submit_q in
-    t.submit_q <- [];
-    Mutex.unlock t.submit_mu;
-    List.iter (handle_submit t) submits;
-    (* 3. Advance the virtual clock to wall-clock elapsed ms. *)
-    let now = Unix.gettimeofday () in
-    let until = (now -. t.start_wall) *. 1000. in
-    if until > Dessim.Engine.now t.engine then
-      Dessim.Engine.run ~until t.engine;
-    fail_waiters_if_deposed t;
-    (* 4. Persist dirty raft state BEFORE flushing outbound messages:
-       a reply acknowledging an append never leaves the process ahead
-       of the log bytes it promises. *)
-    maybe_persist t;
-    (* 5. Flush the outbox to the per-peer senders. *)
-    let out = List.rev !(t.outbox) in
-    t.outbox := [];
-    List.iter
-      (fun { ob_dst; ob_line } ->
-        match t.senders.(ob_dst) with
-        | Some sender -> Transport.Sender.send sender ob_line
-        | None -> ())
-      out;
-    update_status t ~now ~had_inbound:(inbound <> []);
-    Thread.delay t.cfg.tick_seconds
-  done
+  match
+    while not (Atomic.get t.stop_flag) do
+      cycle t;
+      idle t
+    done
+  with
+  | () ->
+      release_blocked t
+        { Server.code = Wire.Shutting_down; msg = "replica stopped"; hint = None }
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release_blocked t
+        {
+          Server.code = Wire.Internal;
+          msg = "replica pump failed: " ^ Printexc.to_string e;
+          hint = None;
+        };
+      Printexc.raise_with_backtrace e bt
 
 (* ---- worker-lane handler ------------------------------------------ *)
 
 let enqueue t op waiter =
   Mutex.lock t.submit_mu;
-  t.submit_q <- (op, waiter) :: t.submit_q;
-  Mutex.unlock t.submit_mu
+  let closed = t.submit_closed in
+  if Option.is_none closed then t.submit_q <- (op, waiter) :: t.submit_q;
+  Mutex.unlock t.submit_mu;
+  match closed with
+  | None -> wake t
+  | Some err -> Option.iter (fun w -> resolve w (Error err)) waiter
 
 let submit_and_wait t op =
-  let w = { w_mu = Mutex.create (); w_result = None } in
-  enqueue t op (Some w);
-  let deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds in
-  let rec wait () =
-    Mutex.lock w.w_mu;
-    let r = w.w_result in
-    Mutex.unlock w.w_mu;
-    match r with
-    | Some r -> r
-    | None ->
-        if Unix.gettimeofday () > deadline then
-          Error
-            {
-              Server.code = Wire.Deadline_exceeded;
-              msg = "commit timed out";
-              hint = None;
-            }
-        else (
-          Thread.delay 0.002;
-          wait ())
+  let w =
+    {
+      w_mu = Mutex.create ();
+      w_done = Condition.create ();
+      w_deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds;
+      w_result = None;
+    }
   in
-  wait ()
+  enqueue t op (Some w);
+  await w
 
 let staleness_ms s =
   Float.max 0. ((Unix.gettimeofday () -. s.s_last_contact) *. 1000.)
@@ -424,9 +535,21 @@ let start (cfg : config) =
   Option.iter
     (fun dir -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755)
     cfg.state_dir;
+  (* Crash recovery: read the durable log before any message or timer
+     has run; committed entries re-apply through the hook. *)
+  let durable, snapshot =
+    match cfg.state_dir with
+    | None -> (None, None)
+    | Some dir -> (
+        match Storage.open_log ~dir with
+        | Error msg -> failwith ("replica " ^ string_of_int cfg.id ^ ": " ^ msg)
+        | Ok (log, snapshot) -> (Some log, snapshot))
+  in
   let engine = Dessim.Engine.create ~seed:(cfg.seed + cfg.id) () in
+  (* The TCP hop between processes is the real message delay; a virtual
+     one on top would cost every hop another wake-up. *)
   let net =
-    Dessim.Network.create ~engine ~n:cfg.n ~latency:(Dessim.Network.Fixed 1.)
+    Dessim.Network.create ~engine ~n:cfg.n ~latency:(Dessim.Network.Fixed 0.)
       ()
   in
   let trace = Dessim.Trace.create () in
@@ -435,6 +558,9 @@ let start (cfg : config) =
       (Raft_node.default_config ~id:cfg.id ~n:cfg.n)
       ~engine ~net ~trace
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
       cfg;
@@ -446,9 +572,15 @@ let start (cfg : config) =
       waiters = Hashtbl.create 16;
       submit_mu = Mutex.create ();
       submit_q = [];
+      submit_closed = None;
       inbound_mu = Mutex.create ();
       inbound_q = [];
       outbox = ref [];
+      wake_r;
+      wake_w;
+      durable;
+      persisted_terms = Dessim.Vec.create ();
+      persisted_hard = (0, None);
       senders = Array.make cfg.n None;
       listener = None;
       proxies = [||];
@@ -468,24 +600,21 @@ let start (cfg : config) =
       start_wall = Unix.gettimeofday ();
       next_seq = 1;
       leader_epoch = (false, 0);
-      persisted_mark = None;
     }
   in
-  (* Crash recovery: load the durable snapshot before any message or
-     timer has run; committed entries re-apply through the hook. *)
-  (match cfg.state_dir with
-  | None -> ()
-  | Some dir -> (
-      match Storage.load ~dir with
-      | Error msg -> failwith ("replica " ^ string_of_int cfg.id ^ ": " ^ msg)
-      | Ok None -> ()
-      | Ok (Some snap) ->
-          Raft_node.restore raft ~term:snap.Storage.term
-            ~voted_for:snap.Storage.voted_for ~log:snap.Storage.log;
-          List.iter
-            (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
-            snap.Storage.payloads;
-          t.next_seq <- 1 + max_data_seq snap.Storage.log));
+  Option.iter
+    (fun (snap : Storage.snapshot) ->
+      Raft_node.restore raft ~term:snap.term ~voted_for:snap.voted_for
+        ~log:snap.log;
+      List.iter
+        (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
+        snap.payloads;
+      List.iter
+        (fun (e : Raft_types.entry) -> Dessim.Vec.push t.persisted_terms e.term)
+        snap.log;
+      t.persisted_hard <- (snap.term, snap.voted_for);
+      t.next_seq <- 1 + max_data_seq snap.log)
+    snapshot;
   Raft_node.set_apply_hook raft (on_apply t);
   (* Outbound raft messages: collect into the pump-local outbox with
      command payloads piggybacked for any Data entries. *)
@@ -549,7 +678,8 @@ let start (cfg : config) =
            if dst = cfg.id then (
              Mutex.lock t.inbound_mu;
              t.inbound_q <- (src, msg, payloads) :: t.inbound_q;
-             Mutex.unlock t.inbound_mu)));
+             Mutex.unlock t.inbound_mu;
+             wake t)));
   t.pump_thread <- Some (Thread.create pump t);
   t.server <-
     Some
@@ -569,18 +699,23 @@ let stop t =
       t.server <- None;
       Server.stop server
   | None -> ());
-  Atomic.set t.stop_flag true;
-  Option.iter Thread.join t.pump_thread;
-  t.pump_thread <- None;
-  Option.iter Transport.Listener.stop t.listener;
-  t.listener <- None;
-  Array.iteri
-    (fun i sender ->
-      Option.iter Transport.Sender.stop sender;
-      t.senders.(i) <- None)
-    t.senders;
-  Array.iter Service.Chaos.stop t.proxies;
-  t.proxies <- [||]
+  if not (Atomic.exchange t.stop_flag true) then (
+    wake t;
+    Option.iter Thread.join t.pump_thread;
+    t.pump_thread <- None;
+    Option.iter Transport.Listener.stop t.listener;
+    t.listener <- None;
+    Array.iteri
+      (fun i sender ->
+        Option.iter Transport.Sender.stop sender;
+        t.senders.(i) <- None)
+      t.senders;
+    Array.iter Service.Chaos.stop t.proxies;
+    t.proxies <- [||];
+    Option.iter Storage.close t.durable;
+    (* Every waker — server lanes, listener readers — is gone. *)
+    Unix.close t.wake_r;
+    Unix.close t.wake_w)
 
 let set_chaos_plan t plan =
   Array.iter (fun proxy -> Service.Chaos.set_plan proxy plan) t.proxies

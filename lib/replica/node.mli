@@ -20,13 +20,17 @@
     - [replica_status] reports role, term, hint, indices and state
       counters.
 
-    A single {e pump} thread owns all Raft interaction. Each cycle:
-    inject inbound envelopes (payload bytes land before their
-    messages), drain client submissions, advance the engine to
-    wall-clock elapsed time, persist dirty Raft state, {e then} flush
-    outbound messages — so no acknowledgement leaves the process ahead
-    of the log bytes that justify it. With a [state_dir], a SIGKILLed
-    replica restarts from its {!Storage} snapshot and re-applies
+    A single {e pump} thread owns all Raft interaction. It sleeps in
+    [select] on a self-pipe until work arrives — a client submit, an
+    inbound envelope, {!stop} — or until the engine's next timer or the
+    earliest commit deadline is due. Each cycle: inject inbound
+    envelopes (payload bytes land before their messages), drain client
+    submissions, advance the engine to wall-clock elapsed time, answer
+    writes whose leader was deposed or whose commit deadline passed,
+    append what changed to the {!Storage} segment (one fsync), {e then}
+    flush outbound messages — so no acknowledgement leaves the process
+    ahead of the log bytes that justify it. With a [state_dir], a
+    SIGKILLed replica restarts from its segment and re-applies
     committed entries idempotently. *)
 
 type config = {
@@ -44,19 +48,18 @@ type config = {
   chaos : Service.Chaos.plan option;
       (** When set, every outbound inter-replica link runs through a
           fault-injecting proxy with a per-link derived seed. *)
-  tick_seconds : float;  (** Pump period. *)
   staleness_budget_seconds : float;
       (** Follower plain-read freshness bound: reads are refused when
           the last leader contact is older than this. *)
   commit_timeout_seconds : float;
-      (** How long a write waits for its commit before answering
-          [deadline_exceeded] (safe to retry: apply is idempotent). *)
+      (** How long a write waits for its commit before the pump answers
+          it [deadline_exceeded] (safe to retry: apply is idempotent). *)
 }
 
 val default_config :
   id:int -> n:int -> base_port:int -> service_port:int -> config
-(** Seed 42, no persistence, no chaos, 2 workers, 4 ms tick, 1 s
-    staleness budget, 4 s commit timeout. *)
+(** Seed 42, no persistence, no chaos, 2 workers, 1 s staleness
+    budget, 4 s commit timeout. *)
 
 val raft_port : config -> int -> int
 val link_port : config -> src:int -> dst:int -> int
@@ -69,12 +72,14 @@ type t
 
 val start : config -> t
 (** Bind the raft listener and service port, restore persisted state
-    if present, spawn the pump. Raises on port conflicts, a corrupt
-    snapshot, or an out-of-range id. *)
+    if present, spawn the pump. Raises on port conflicts, a damaged
+    segment, or an out-of-range id. *)
 
 val stop : t -> unit
-(** Graceful: drain the service server, stop the pump (persisting on
-    the way out), close transport and proxies. Idempotent. *)
+(** Graceful: drain the service server, stop the pump, close
+    transport, proxies and the segment. Idempotent. Whenever the pump
+    exits — here, or on a failure such as a disk error — every write
+    still waiting is answered at once, [shutting_down] or [internal]. *)
 
 val set_chaos_plan : t -> Service.Chaos.plan -> unit
 (** Swap the plan on every outbound link proxy (live connections are
@@ -88,7 +93,8 @@ val id : t -> int
 val service_port : t -> int
 
 val is_leader : t -> bool
-(** From the last pump status snapshot (may lag one tick). *)
+(** From the status snapshot the pump publishes at the end of every
+    cycle. *)
 
 val term : t -> int
 val leader_hint : t -> int option

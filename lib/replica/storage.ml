@@ -1,108 +1,296 @@
-let schema = "probcons-replica-durable/1"
-let file = "durable.json"
+module Raft_types = Raft_sim.Raft_types
+
+let schema = "probcons-replica-durable/2"
+let file = "durable.log"
+let legacy_file = "durable.json"
 
 type snapshot = {
   term : int;
   voted_for : int option;
-  log : Raft_sim.Raft_types.entry list;
+  log : Raft_types.entry list;
   payloads : (int * string) list;
 }
 
+type record =
+  | Hard_state of { term : int; voted_for : int option }
+  | Entry of { entry : Raft_types.entry; payload : string option }
+  | Truncate of { from : int }
+
 let path ~dir = Filename.concat dir file
-
-let to_json s =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.String schema);
-      ("term", Obs.Json.Int s.term);
-      ( "voted_for",
-        match s.voted_for with
-        | None -> Obs.Json.Null
-        | Some v -> Obs.Json.Int v );
-      ("log", Obs.Json.List (List.map Raft_sim.Raft_codec.entry_to_json s.log));
-      ( "payloads",
-        Obs.Json.List
-          (List.map
-             (fun (seq, bytes) ->
-               Obs.Json.List [ Obs.Json.Int seq; Obs.Json.String bytes ])
-             s.payloads) );
-    ]
-
 let ( let* ) = Result.bind
 
-let of_json j =
-  match Obs.Json.member "schema" j with
-  | Some (Obs.Json.String s) when s = schema ->
-      let* term =
-        match Obs.Json.member "term" j with
-        | Some (Obs.Json.Int t) when t >= 0 -> Ok t
-        | _ -> Error "storage: missing term"
-      in
-      let* voted_for =
-        match Obs.Json.member "voted_for" j with
-        | Some Obs.Json.Null | None -> Ok None
-        | Some (Obs.Json.Int v) when v >= 0 -> Ok (Some v)
-        | _ -> Error "storage: bad voted_for"
-      in
-      let* log =
-        match Obs.Json.member "log" j with
-        | Some (Obs.Json.List entries) ->
-            List.fold_left
-              (fun acc ej ->
-                let* acc = acc in
-                let* e = Raft_sim.Raft_codec.entry_of_json ej in
-                Ok (e :: acc))
-              (Ok []) entries
-            |> Result.map List.rev
-        | _ -> Error "storage: missing log"
-      in
-      let* payloads =
-        match Obs.Json.member "payloads" j with
-        | Some (Obs.Json.List pairs) ->
-            List.fold_left
-              (fun acc pj ->
-                let* acc = acc in
-                match pj with
-                | Obs.Json.List [ Obs.Json.Int seq; Obs.Json.String bytes ]
-                  when seq >= 0 ->
-                    Ok ((seq, bytes) :: acc)
-                | _ -> Error "storage: bad payload pair")
-              (Ok []) pairs
-            |> Result.map List.rev
-        | _ -> Error "storage: missing payloads"
-      in
-      Ok { term; voted_for; log; payloads }
-  | _ -> Error "storage: wrong or missing schema"
+(* ---- frames --------------------------------------------------------- *)
 
-(* Durability contract: the bytes are complete on disk (fsync) before
-   the rename makes them visible, so a crash leaves either the old
-   snapshot or the new one, never a torn file. *)
-let save ~dir s =
-  let final = path ~dir in
-  let tmp = final ^ ".tmp" in
-  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+(* CRC-32 as in zlib and Ethernet: reflected polynomial 0xEDB88320. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32 s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c :=
+      crc_table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Records stay under 16 MiB, so the top byte of every length field is
+   zero. Canonical JSON never holds a NUL byte (it escapes control
+   characters), which lets [frame_at] tell a torn tail from a damaged
+   frame with more frames behind it. *)
+let max_record_bytes = (1 lsl 24) - 1
+let frame_header_bytes = 8
+
+let add_frame buf body =
+  let len = String.length body in
+  if len > max_record_bytes then invalid_arg "Storage: record over 16 MiB";
+  Buffer.add_int32_le buf (Int32.of_int len);
+  Buffer.add_int32_le buf (Int32.of_int (crc32 body ~pos:0 ~len));
+  Buffer.add_string buf body
+
+let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+
+type frame = Frame of string * int | End | Torn | Corrupt
+
+(* A frame that is incomplete or fails its checksum is a torn tail —
+   the unfinished last append of a crash — only when nothing can follow
+   it: it reaches the end of the file and the bytes after its header
+   hold no NUL, hence no later frame's length field. Anything else is
+   damage. *)
+let frame_at s pos =
+  let len = String.length s in
+  if pos = len then End
+  else if len - pos < frame_header_bytes then Torn
+  else
+    let size = u32 s pos and crc = u32 s (pos + 4) in
+    let body = pos + frame_header_bytes in
+    let stop = body + size in
+    let last () = not (String.contains_from s body '\000') in
+    if stop > len then if last () then Torn else Corrupt
+    else if crc32 s ~pos:body ~len:size = crc then
+      Frame (String.sub s body size, stop)
+    else if stop = len && last () then Torn
+    else Corrupt
+
+(* ---- records -------------------------------------------------------- *)
+
+let header =
+  Obs.Json.to_string (Obs.Json.Obj [ ("schema", Obs.Json.String schema) ])
+
+let record_to_json = function
+  | Hard_state { term; voted_for } ->
+      Obs.Json.Obj
+        [
+          ("type", Obs.Json.String "hard_state");
+          ("term", Obs.Json.Int term);
+          ( "voted_for",
+            match voted_for with
+            | None -> Obs.Json.Null
+            | Some v -> Obs.Json.Int v );
+        ]
+  | Entry { entry; payload } ->
+      Obs.Json.Obj
+        (("type", Obs.Json.String "entry")
+        :: ("entry", Raft_sim.Raft_codec.entry_to_json entry)
+        ::
+        (match payload with
+        | None -> []
+        | Some bytes -> [ ("payload", Obs.Json.String bytes) ]))
+  | Truncate { from } ->
+      Obs.Json.Obj
+        [ ("type", Obs.Json.String "truncate"); ("from", Obs.Json.Int from) ]
+
+let record_of_string body =
+  let* j = Obs.Json.of_string body in
+  let field name = Obs.Json.member name j in
+  match field "type" with
+  | Some (Obs.Json.String "hard_state") -> (
+      match (field "term", field "voted_for") with
+      | Some (Obs.Json.Int term), Some Obs.Json.Null when term >= 0 ->
+          Ok (Hard_state { term; voted_for = None })
+      | Some (Obs.Json.Int term), Some (Obs.Json.Int v) when term >= 0 && v >= 0
+        ->
+          Ok (Hard_state { term; voted_for = Some v })
+      | _ -> Error "bad hard_state record")
+  | Some (Obs.Json.String "entry") -> (
+      let* entry =
+        match field "entry" with
+        | Some e -> Raft_sim.Raft_codec.entry_of_json e
+        | None -> Error "entry record without an entry"
+      in
+      match field "payload" with
+      | None -> Ok (Entry { entry; payload = None })
+      | Some (Obs.Json.String bytes) -> Ok (Entry { entry; payload = Some bytes })
+      | Some _ -> Error "bad entry payload")
+  | Some (Obs.Json.String "truncate") -> (
+      match field "from" with
+      | Some (Obs.Json.Int from) when from >= 1 -> Ok (Truncate { from })
+      | _ -> Error "bad truncate record")
+  | _ -> Error "unknown record type"
+
+let add_record buf r = add_frame buf (Obs.Json.to_string (record_to_json r))
+
+let records_of_snapshot s =
+  let payloads = Hashtbl.of_seq (List.to_seq s.payloads) in
+  Hard_state { term = s.term; voted_for = s.voted_for }
+  :: List.map
+       (fun (entry : Raft_types.entry) ->
+         let payload =
+           match entry.command with
+           | Data seq -> Hashtbl.find_opt payloads seq
+           | Config _ -> None
+         in
+         Entry { entry; payload })
+       s.log
+
+(* ---- replay --------------------------------------------------------- *)
+
+type replay = {
+  mutable r_term : int;
+  mutable r_voted_for : int option;
+  r_log : (Raft_types.entry * string option) Dessim.Vec.t;
+}
+
+let apply st = function
+  | Hard_state { term; voted_for } ->
+      st.r_term <- term;
+      st.r_voted_for <- voted_for;
+      Ok ()
+  | Entry { entry; payload } ->
+      let next = Dessim.Vec.length st.r_log + 1 in
+      if entry.index <> next then
+        Error
+          (Printf.sprintf "entry at index %d where %d was due" entry.index next)
+      else (
+        Dessim.Vec.push st.r_log (entry, payload);
+        Ok ())
+  | Truncate { from } ->
+      let len = Dessim.Vec.length st.r_log in
+      if from > len + 1 then
+        Error (Printf.sprintf "truncate from %d past the end (%d)" from len)
+      else (
+        Dessim.Vec.truncate st.r_log (from - 1);
+        Ok ())
+
+let snapshot_of st =
+  let entries = Dessim.Vec.to_list st.r_log in
+  {
+    term = st.r_term;
+    voted_for = st.r_voted_for;
+    log = List.map fst entries;
+    payloads =
+      List.filter_map
+        (fun ((e : Raft_types.entry), payload) ->
+          match (e.command, payload) with
+          | Data seq, Some bytes -> Some (seq, bytes)
+          | _ -> None)
+        entries;
+  }
+
+(* The snapshot the file's good prefix describes, and where that prefix
+   ends. *)
+let scan contents =
+  let* start =
+    match frame_at contents 0 with
+    | Frame (body, stop) when body = header -> Ok stop
+    | Frame _ -> Error "wrong or missing schema"
+    | End | Torn | Corrupt -> Error "missing or damaged header"
+  in
+  let st = { r_term = 0; r_voted_for = None; r_log = Dessim.Vec.create () } in
+  let rec go pos =
+    match frame_at contents pos with
+    | End | Torn -> Ok pos
+    | Corrupt -> Error (Printf.sprintf "corrupt frame at byte %d" pos)
+    | Frame (body, stop) ->
+        let* () =
+          Result.map_error
+            (fun msg -> Printf.sprintf "record at byte %d: %s" pos msg)
+            (Result.bind (record_of_string body) (apply st))
+        in
+        go stop
+  in
+  let* good = go start in
+  Ok (snapshot_of st, good)
+
+(* ---- files ---------------------------------------------------------- *)
+
+let write_all fd s =
+  let n = String.length s in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write_substring fd s !written (n - !written)
+  done
+
+(* A new directory entry is durable only once the directory itself is
+   synced. Filesystems that cannot sync a directory say EINVAL. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ O_RDONLY; O_CLOEXEC ] 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let bytes = Bytes.of_string (Obs.Json.to_string (to_json s)) in
-      let n = Bytes.length bytes in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd bytes !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Unix.rename tmp final
+      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
 
-let load ~dir =
+(* Durability contract: the bytes are complete on disk (fsync) before
+   the rename makes them visible, and the rename is on disk before this
+   returns, so a crash leaves either the old file or the new one. *)
+let install ~dir records =
+  let buf = Buffer.create 4096 in
+  add_frame buf header;
+  List.iter (add_record buf) records;
+  let final = path ~dir in
+  let tmp = final ^ ".tmp" in
+  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      write_all fd (Buffer.contents buf);
+      Unix.fsync fd);
+  Unix.rename tmp final;
+  fsync_dir dir
+
+let save ~dir s = install ~dir (records_of_snapshot s)
+
+let read ~dir =
   let p = path ~dir in
-  if not (Sys.file_exists p) then Ok None
-  else
-    let ic = open_in_bin p in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.Json.of_string contents with
-    | Error msg -> Error ("storage: " ^ msg)
-    | Ok j -> Result.map Option.some (of_json j)
+  if Sys.file_exists p then
+    Result.map_error
+      (fun msg -> Printf.sprintf "storage: %s: %s" p msg)
+      (Result.map Option.some
+         (scan (In_channel.with_open_bin p In_channel.input_all)))
+  else if Sys.file_exists (Filename.concat dir legacy_file) then
+    Error
+      (Printf.sprintf
+         "storage: %s holds only a %s from an older format; refusing to boot \
+          empty over it"
+         dir legacy_file)
+  else Ok None
+
+let load ~dir = Result.map (Option.map fst) (read ~dir)
+
+type log = { fd : Unix.file_descr }
+
+let open_log ~dir =
+  let* found = read ~dir in
+  if Option.is_none found then install ~dir [];
+  let fd = Unix.openfile (path ~dir) [ O_WRONLY; O_APPEND; O_CLOEXEC ] 0o644 in
+  (match found with
+  | Some (_, good) when (Unix.fstat fd).Unix.st_size > good ->
+      (* Cut the torn tail so new frames follow the last good one. *)
+      Unix.ftruncate fd good;
+      Unix.fsync fd
+  | _ -> ());
+  Ok ({ fd }, Option.map fst found)
+
+let append log records =
+  if records <> [] then (
+    let buf = Buffer.create 1024 in
+    List.iter (add_record buf) records;
+    write_all log.fd (Buffer.contents buf);
+    Unix.fsync log.fd)
+
+let close log = try Unix.close log.fd with Unix.Unix_error _ -> ()

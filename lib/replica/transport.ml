@@ -163,18 +163,14 @@ module Listener = struct
   }
 
   let read_lines t fd deliver =
-    let buf = Buffer.create 4096 in
+    let lines = Service.Linebuf.create () in
     let chunk = Bytes.create 65536 in
     let rec drain () =
-      let contents = Buffer.contents buf in
-      match String.index_opt contents '\n' with
+      match Service.Linebuf.next lines with
       | None ->
-          if Buffer.length buf > max_line_bytes then raise Exit else ()
-      | Some i ->
-          let line = String.sub contents 0 i in
-          Buffer.clear buf;
-          Buffer.add_string buf
-            (String.sub contents (i + 1) (String.length contents - i - 1));
+          if Service.Linebuf.partial_length lines > max_line_bytes then
+            raise Exit
+      | Some line ->
           (match envelope_of_line line with
           | Ok (src, dst, msg, payloads) -> deliver ~src ~dst msg ~payloads
           | Error _ -> raise Exit);
@@ -185,7 +181,7 @@ module Listener = struct
         let n = Unix.read fd chunk 0 (Bytes.length chunk) in
         if n = 0 then ()
         else (
-          Buffer.add_subbytes buf chunk 0 n;
+          Service.Linebuf.feed lines chunk n;
           drain ();
           loop ())
       in

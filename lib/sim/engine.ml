@@ -56,6 +56,20 @@ let run ?(until = infinity) ?(max_events = 10_000_000) t =
   in
   loop ()
 
+let advance t ~until =
+  run ~until t;
+  match Event_queue.peek_time t.queue with
+  | Some time when time <= until -> () (* stopped early; events remain due *)
+  | _ -> t.clock <- Float.max t.clock until
+
+let rec next_event_time t =
+  match Event_queue.peek t.queue with
+  | Some (_, event) when event.cancelled ->
+      ignore (Event_queue.pop t.queue);
+      next_event_time t
+  | Some (time, _) -> Some time
+  | None -> None
+
 let events_executed t = t.executed
 
 let stop t = t.stopped <- true

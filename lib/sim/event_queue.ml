@@ -68,6 +68,9 @@ let pop t =
 
 let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
 
+let peek t =
+  if t.len = 0 then None else Some (t.heap.(0).time, t.heap.(0).payload)
+
 let clear t =
   t.len <- 0;
   t.heap <- [||]

@@ -18,4 +18,7 @@ val pop : 'a t -> (float * 'a) option
 
 val peek_time : 'a t -> float option
 
+val peek : 'a t -> (float * 'a) option
+(** Earliest event without removing it. *)
+
 val clear : 'a t -> unit

@@ -28,6 +28,11 @@ let tmp_dir prefix =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   dir
 
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let scenario_a = Probcons.Scenario.uniform ~protocol:"raft" ~n:3 ~p:0.01 ()
 let scenario_b = Probcons.Scenario.uniform ~protocol:"pbft" ~n:4 ~p:0.02 ()
 
@@ -183,7 +188,158 @@ let test_storage_roundtrip () =
   | Ok _ -> Alcotest.fail "corrupt snapshot accepted");
   Alcotest.(check bool)
     "absent dir loads None" true
-    (Storage.load ~dir:(tmp_dir "probcons-replica-empty") = Ok None)
+    (Storage.load ~dir:(tmp_dir "probcons-replica-empty") = Ok None);
+  (* A state directory from the older whole-file format must not boot
+     empty either. *)
+  let legacy = tmp_dir "probcons-replica-legacy" in
+  write_file
+    (Filename.concat legacy "durable.json")
+    {|{"schema":"probcons-replica-durable/1","term":3}|};
+  (match Storage.load ~dir:legacy with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a legacy durable.json loaded");
+  match Storage.open_log ~dir:legacy with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a legacy durable.json opened for appending"
+
+let open_log dir =
+  match Storage.open_log ~dir with
+  | Ok opened -> opened
+  | Error e -> Alcotest.fail e
+
+let size_of path = (Unix.stat path).Unix.st_size
+
+(* The segment file under crashes: a cut anywhere recovers exactly the
+   complete records before it, damage before the last frame is an
+   error rather than a silent truncation, and a torn file reopened for
+   appending continues from its good prefix. *)
+let test_storage_crash_cut () =
+  let entry ~term ~index command = { Raft_types.term; index; command } in
+  let data ~term ~index seq bytes =
+    Storage.Entry
+      { entry = entry ~term ~index (Raft_types.Data seq); payload = Some bytes }
+  in
+  let records =
+    [
+      Storage.Hard_state { term = 1; voted_for = Some 0 };
+      data ~term:1 ~index:1 1 {|{"op":"barrier"}|};
+      data ~term:1 ~index:2 2 "two";
+      Storage.Entry
+        {
+          entry = entry ~term:1 ~index:3 (Raft_types.Config [ 0; 1; 2 ]);
+          payload = None;
+        };
+      data ~term:1 ~index:4 3 "three";
+      data ~term:1 ~index:5 4 "four";
+      Storage.Hard_state { term = 2; voted_for = None };
+      Storage.Truncate { from = 4 };
+      (* Sequence number 3 again, with new bytes (control characters
+         included) from the new term's leader. *)
+      data ~term:2 ~index:4 3 "three, again\n\000";
+    ]
+  in
+  let dir = tmp_dir "probcons-replica-segment" in
+  let file = Storage.path ~dir in
+  let log, fresh = open_log dir in
+  Alcotest.(check bool) "a fresh directory opens empty" true (fresh = None);
+  let header = read_file file in
+  Alcotest.(check int)
+    "header frame: length, then CRC-32 of the schema record" 40
+    (Int32.to_int (String.get_int32_le header 0));
+  Alcotest.(check int32)
+    "header CRC-32, as zlib computes it" 0xe668c44dl
+    (String.get_int32_le header 4);
+  (* One record per append, noting where each ends and what the file
+     holds there. *)
+  let prefixes =
+    List.map
+      (fun r ->
+        Storage.append log [ r ];
+        match Storage.load ~dir with
+        | Ok (Some snap) -> (size_of file, snap)
+        | Ok None | Error _ -> Alcotest.fail "a clean segment did not load")
+      records
+  in
+  Storage.close log;
+  let full = read_file file in
+  let final =
+    {
+      Storage.term = 2;
+      voted_for = None;
+      log =
+        [
+          entry ~term:1 ~index:1 (Raft_types.Data 1);
+          entry ~term:1 ~index:2 (Raft_types.Data 2);
+          entry ~term:1 ~index:3 (Raft_types.Config [ 0; 1; 2 ]);
+          entry ~term:2 ~index:4 (Raft_types.Data 3);
+        ];
+      payloads =
+        [ (1, {|{"op":"barrier"}|}); (2, "two"); (3, "three, again\n\000") ];
+    }
+  in
+  Alcotest.(check bool)
+    "replay applies the truncate and the reused sequence number" true
+    (Storage.load ~dir = Ok (Some final));
+  (* Group commit writes the same bytes as one append per record. *)
+  let batch = tmp_dir "probcons-replica-segment-batch" in
+  let batch_log, _ = open_log batch in
+  Storage.append batch_log records;
+  Storage.close batch_log;
+  Alcotest.(check string)
+    "one append of the batch" full
+    (read_file (Storage.path ~dir:batch));
+  let probe = tmp_dir "probcons-replica-segment-probe" in
+  let load_bytes s =
+    write_file (Storage.path ~dir:probe) s;
+    Storage.load ~dir:probe
+  in
+  let empty = { Storage.term = 0; voted_for = None; log = []; payloads = [] } in
+  let header_end = String.length header in
+  for cut = 0 to String.length full do
+    let expected =
+      List.fold_left
+        (fun acc (stop, snap) -> if stop <= cut then snap else acc)
+        empty prefixes
+    in
+    match load_bytes (String.sub full 0 cut) with
+    | Error e ->
+        if cut >= header_end then Alcotest.failf "cut at byte %d: %s" cut e
+    | Ok got ->
+        if cut < header_end then
+          Alcotest.failf "cut at byte %d, inside the header, loaded" cut;
+        if got <> Some expected then
+          Alcotest.failf "cut at byte %d lost or invented a record" cut
+  done;
+  let last_start = fst (List.nth prefixes (List.length prefixes - 2)) in
+  for at = 0 to last_start - 1 do
+    let damaged = Bytes.of_string full in
+    Bytes.set damaged at (Char.chr (Char.code full.[at] lxor 0xff));
+    match load_bytes (Bytes.to_string damaged) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "a flipped byte at %d, before the last frame, loaded" at
+  done;
+  (* Reopen a file torn inside its last frame and keep appending. *)
+  let torn = tmp_dir "probcons-replica-segment-torn" in
+  write_file (Storage.path ~dir:torn) (String.sub full 0 (last_start + 5));
+  let good = snd (List.nth prefixes (List.length prefixes - 2)) in
+  let torn_log, recovered = open_log torn in
+  Alcotest.(check bool)
+    "the torn file opens as its good prefix" true
+    (recovered = Some good);
+  Storage.append torn_log
+    [ Storage.Hard_state { term = 3; voted_for = Some 2 }; data ~term:3 ~index:4 5 "five" ];
+  Storage.close torn_log;
+  Alcotest.(check bool)
+    "appends land after the good prefix" true
+    (Storage.load ~dir:torn
+    = Ok
+        (Some
+           {
+             Storage.term = 3;
+             voted_for = Some 2;
+             log = good.Storage.log @ [ entry ~term:3 ~index:4 (Raft_types.Data 5) ];
+             payloads = good.Storage.payloads @ [ (5, "five") ];
+           }))
 
 let test_wire_replica_kinds () =
   let roundtrip q =
@@ -219,20 +375,24 @@ let test_wire_replica_kinds () =
 
 (* ---- in-process clusters ------------------------------------------ *)
 
-let cluster_config ?chaos ?state_dir ?(wire_max = Wire.protocol_version) ~base
-    ~n i =
+let cluster_config ?chaos ?state_dir ?(wire_max = Wire.protocol_version)
+    ?commit_timeout ~base ~n i =
+  let cfg =
+    Node.default_config ~id:i ~n ~base_port:base
+      ~service_port:(Driver.service_port ~base_port:base ~replicas:n i)
+  in
   {
-    (Node.default_config ~id:i ~n ~base_port:base
-       ~service_port:(Driver.service_port ~base_port:base ~replicas:n i))
-    with
+    cfg with
     Node.chaos;
     wire_max;
     state_dir =
       (match state_dir with None -> None | Some root -> Some (Filename.concat root (string_of_int i)));
     workers = 2;
+    commit_timeout_seconds =
+      Option.value commit_timeout ~default:cfg.Node.commit_timeout_seconds;
   }
 
-let with_cluster ?chaos ?state_dir ?wire_max_of ~n f =
+let with_cluster ?chaos ?state_dir ?wire_max_of ?commit_timeout ~n f =
   let base = fresh_base () in
   let nodes =
     Array.init n (fun i ->
@@ -241,7 +401,9 @@ let with_cluster ?chaos ?state_dir ?wire_max_of ~n f =
         in
         ref
           (Some
-             (Node.start (cluster_config ?chaos ?state_dir ~wire_max ~base ~n i))))
+             (Node.start
+                (cluster_config ?chaos ?state_dir ~wire_max ?commit_timeout
+                   ~base ~n i))))
   in
   let stop_all () =
     Array.iter
@@ -392,6 +554,43 @@ let test_failover_and_restart () =
       Alcotest.(check bool)
         "write a survived the failover" true
         (Obs.Json.member "found" got = Some (Obs.Json.Bool true)))
+
+(* With both followers gone a write can never commit. The pump owns
+   commit deadlines, so the leader must still answer it
+   [deadline_exceeded] once the commit timeout passes. *)
+let test_commit_deadline () =
+  with_cluster ~commit_timeout:0.5 ~n:3 (fun ~base ~nodes ->
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      ignore
+        (expect_ok "put with a quorum"
+           (Client.Multi.call multi ~id:1
+              (Wire.Scenario_put { name = "a"; scenario = scenario_a; nonce = 0 })));
+      let leader = wait_leader nodes in
+      Array.iter
+        (fun slot ->
+          match !slot with
+          | Some node when Node.id node <> Node.id leader ->
+              slot := None;
+              Node.stop node
+          | _ -> ())
+        nodes;
+      let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port leader)) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let t0 = Unix.gettimeofday () in
+      let reply =
+        Client.call c ~id:2
+          (Wire.Scenario_put { name = "b"; scenario = scenario_b; nonce = 0 })
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      (match reply with
+      | Error (Wire.Deadline_exceeded, _) -> ()
+      | Error (code, msg) ->
+          Alcotest.failf "expected deadline_exceeded, got %s: %s"
+            (Wire.code_string code) msg
+      | Ok _ -> Alcotest.fail "a put committed without a quorum");
+      if elapsed >= 1.0 then
+        Alcotest.failf "deadline_exceeded took %.3f s (limit 1 s)" elapsed)
 
 (* Satellite: a seeded chaos plan black-holing every outbound link of
    the leader mid-append must cost leadership, not consistency — a new
@@ -568,10 +767,13 @@ let suite =
     Alcotest.test_case "transport envelope" `Quick test_transport_envelope;
     Alcotest.test_case "state machine dedup" `Quick test_state_dedup;
     Alcotest.test_case "durable storage round-trip" `Quick test_storage_roundtrip;
+    Alcotest.test_case "segment file crash cuts" `Quick test_storage_crash_cut;
     Alcotest.test_case "wire replica query kinds" `Quick test_wire_replica_kinds;
     Alcotest.test_case "cluster put/get/linearizable" `Slow test_e2e_put_get;
     Alcotest.test_case "leader failover and crash restart" `Slow
       test_failover_and_restart;
+    Alcotest.test_case "commit deadline without a quorum" `Slow
+      test_commit_deadline;
     Alcotest.test_case "chaos blackhole costs leadership not consistency" `Slow
       test_chaos_blackhole_leader;
     Alcotest.test_case "multi-endpoint mixed wire renegotiation" `Slow

@@ -93,6 +93,14 @@ let test_engine_until () =
   ignore (Engine.schedule engine ~delay:100. (fun () -> incr hits));
   Engine.run ~until:50. engine;
   Alcotest.(check int) "only early event" 1 !hits;
+  (* The next due event skips cancelled ones, and [advance] moves the
+     clock to its bound even when nothing falls due. *)
+  Engine.cancel (Engine.schedule engine ~delay:10. (fun () -> incr hits));
+  Alcotest.(check (option (float 0.)))
+    "next due event" (Some 100.) (Engine.next_event_time engine);
+  Engine.advance engine ~until:60.;
+  Alcotest.(check (float 0.)) "clock advanced" 60. (Engine.now engine);
+  Alcotest.(check int) "nothing else ran" 1 !hits;
   (* The late event still fires if we keep running. *)
   Engine.run engine;
   Alcotest.(check int) "late event after resume" 2 !hits
