@@ -39,10 +39,11 @@ let crc32 s ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF
 
-(* Records stay under 16 MiB, so the top byte of every length field is
-   zero. Canonical JSON never holds a NUL byte (it escapes control
-   characters), which lets [frame_at] tell a torn tail from a damaged
-   frame with more frames behind it. *)
+(* Records are never empty and stay under 16 MiB, so the top byte of
+   every length field is zero. Canonical JSON never holds a NUL byte (it
+   escapes control characters) and always ends in a bracket, which lets
+   [frame_at] tell a torn tail from a damaged frame with more frames
+   behind it. *)
 let max_record_bytes = (1 lsl 24) - 1
 let frame_header_bytes = 8
 
@@ -57,25 +58,31 @@ let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
 type frame = Frame of string * int | End | Torn | Corrupt
 
-(* A frame that is incomplete or fails its checksum is a torn tail —
-   the unfinished last append of a crash — only when nothing can follow
-   it: it reaches the end of the file and the bytes after its header
-   hold no NUL, hence no later frame's length field. Anything else is
-   damage. *)
+(* No byte in [from, until) is NUL. *)
+let nul_free s ~from ~until =
+  let rec go i = i >= until || (s.[i] <> '\000' && go (i + 1)) in
+  go from
+
+(* A frame that is cut, empty or fails its checksum is a torn tail —
+   the unfinished last append of a crash — only when no later frame can
+   follow it. A later frame ends in a JSON byte, so it lies before the
+   file's trailing run of NULs (the zero fill a crash can leave after
+   the last block written), and its length field holds a NUL. So the
+   frame is torn when the bytes from its body up to that run hold no
+   NUL; anything else is damage. *)
 let frame_at s pos =
   let len = String.length s in
+  let body = pos + frame_header_bytes in
+  let size = if body > len then 0 else u32 s pos in
   if pos = len then End
-  else if len - pos < frame_header_bytes then Torn
+  else if
+    size > 0 && size <= len - body && crc32 s ~pos:body ~len:size = u32 s (pos + 4)
+  then Frame (String.sub s body size, body + size)
   else
-    let size = u32 s pos and crc = u32 s (pos + 4) in
-    let body = pos + frame_header_bytes in
-    let stop = body + size in
-    let last () = not (String.contains_from s body '\000') in
-    if stop > len then if last () then Torn else Corrupt
-    else if crc32 s ~pos:body ~len:size = crc then
-      Frame (String.sub s body size, stop)
-    else if stop = len && last () then Torn
-    else Corrupt
+    let rec fill_start i =
+      if i > 0 && s.[i - 1] = '\000' then fill_start (i - 1) else i
+    in
+    if nul_free s ~from:body ~until:(fill_start len) then Torn else Corrupt
 
 (* ---- records -------------------------------------------------------- *)
 

@@ -23,9 +23,10 @@
     - no segment file is a fresh start, but a directory holding only a
       legacy [durable.json] is an error;
     - a missing, cut or damaged header is an error;
-    - the last frame may be torn by a crash mid-append (cut short, or
-      failing its checksum with no later frame inside it): loading
-      stops before it, and {!open_log} cuts it off before appending;
+    - the last frame may be torn by a crash mid-append (cut short,
+      empty, or failing its checksum with no later frame behind it,
+      perhaps followed by zero fill): loading stops before it, and
+      {!open_log} cuts it off before appending;
     - any other frame that fails its checksum, and any record that does
       not replay (an entry off the end of the log, a truncate past it),
       is an error. *)

@@ -33,7 +33,9 @@ let schedule t ~delay callback =
 
 let cancel event = event.cancelled <- true
 
-let run ?(until = infinity) ?(max_events = 10_000_000) t =
+let backstop = 10_000_000
+
+let run ?(until = infinity) ?(max_events = backstop) t =
   t.stopped <- false;
   let rec loop () =
     if (not t.stopped) && t.executed < max_events then begin
@@ -56,8 +58,11 @@ let run ?(until = infinity) ?(max_events = 10_000_000) t =
   in
   loop ()
 
+(* [run]'s backstop counts events over the engine's life; a caller that
+   advances one engine for as long as its process lives gets the same
+   budget afresh on every call. *)
 let advance t ~until =
-  run ~until t;
+  run ~until ~max_events:(t.executed + backstop) t;
   match Event_queue.peek_time t.queue with
   | Some time when time <= until -> () (* stopped early; events remain due *)
   | _ -> t.clock <- Float.max t.clock until

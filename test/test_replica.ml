@@ -295,20 +295,30 @@ let test_storage_crash_cut () =
   in
   let empty = { Storage.term = 0; voted_for = None; log = []; payloads = [] } in
   let header_end = String.length header in
+  (* A crash can also leave the file longer than the bytes that reached
+     the disk, the rest zero-filled; that fill belongs to the torn tail. *)
+  let zero_fill = String.make 64 '\000' in
   for cut = 0 to String.length full do
     let expected =
       List.fold_left
         (fun acc (stop, snap) -> if stop <= cut then snap else acc)
         empty prefixes
     in
-    match load_bytes (String.sub full 0 cut) with
-    | Error e ->
-        if cut >= header_end then Alcotest.failf "cut at byte %d: %s" cut e
-    | Ok got ->
-        if cut < header_end then
-          Alcotest.failf "cut at byte %d, inside the header, loaded" cut;
-        if got <> Some expected then
-          Alcotest.failf "cut at byte %d lost or invented a record" cut
+    List.iter
+      (fun fill ->
+        let what = if fill = "" then "" else " (zero-filled)" in
+        match load_bytes (String.sub full 0 cut ^ fill) with
+        | Error e ->
+            if cut >= header_end then
+              Alcotest.failf "cut at byte %d%s: %s" cut what e
+        | Ok got ->
+            if cut < header_end then
+              Alcotest.failf "cut at byte %d%s, inside the header, loaded" cut
+                what;
+            if got <> Some expected then
+              Alcotest.failf "cut at byte %d%s lost or invented a record" cut
+                what)
+      [ ""; zero_fill ]
   done;
   let last_start = fst (List.nth prefixes (List.length prefixes - 2)) in
   for at = 0 to last_start - 1 do
@@ -318,28 +328,49 @@ let test_storage_crash_cut () =
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "a flipped byte at %d, before the last frame, loaded" at
   done;
-  (* Reopen a file torn inside its last frame and keep appending. *)
-  let torn = tmp_dir "probcons-replica-segment-torn" in
-  write_file (Storage.path ~dir:torn) (String.sub full 0 (last_start + 5));
+  (* Zeros with real frames behind them are damage, not a torn tail. *)
+  List.iter
+    (fun (stop, _) ->
+      if stop < String.length full then
+        match
+          load_bytes
+            (String.sub full 0 stop ^ String.make 8 '\000'
+            ^ String.sub full stop (String.length full - stop))
+        with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "an empty frame at byte %d, before others, loaded" stop)
+    prefixes;
+  (* Reopen a file torn inside its last frame, with and without zero
+     fill, and keep appending. *)
   let good = snd (List.nth prefixes (List.length prefixes - 2)) in
-  let torn_log, recovered = open_log torn in
-  Alcotest.(check bool)
-    "the torn file opens as its good prefix" true
-    (recovered = Some good);
-  Storage.append torn_log
-    [ Storage.Hard_state { term = 3; voted_for = Some 2 }; data ~term:3 ~index:4 5 "five" ];
-  Storage.close torn_log;
-  Alcotest.(check bool)
-    "appends land after the good prefix" true
-    (Storage.load ~dir:torn
-    = Ok
-        (Some
-           {
-             Storage.term = 3;
-             voted_for = Some 2;
-             log = good.Storage.log @ [ entry ~term:3 ~index:4 (Raft_types.Data 5) ];
-             payloads = good.Storage.payloads @ [ (5, "five") ];
-           }))
+  List.iter
+    (fun fill ->
+      let torn = tmp_dir "probcons-replica-segment-torn" in
+      write_file (Storage.path ~dir:torn)
+        (String.sub full 0 (last_start + 5) ^ fill);
+      let torn_log, recovered = open_log torn in
+      Alcotest.(check bool)
+        "the torn file opens as its good prefix" true
+        (recovered = Some good);
+      Storage.append torn_log
+        [
+          Storage.Hard_state { term = 3; voted_for = Some 2 };
+          data ~term:3 ~index:4 5 "five";
+        ];
+      Storage.close torn_log;
+      Alcotest.(check bool)
+        "appends land after the good prefix" true
+        (Storage.load ~dir:torn
+        = Ok
+            (Some
+               {
+                 Storage.term = 3;
+                 voted_for = Some 2;
+                 log =
+                   good.Storage.log @ [ entry ~term:3 ~index:4 (Raft_types.Data 5) ];
+                 payloads = good.Storage.payloads @ [ (5, "five") ];
+               })))
+    [ ""; zero_fill ]
 
 let test_wire_replica_kinds () =
   let roundtrip q =

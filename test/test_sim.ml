@@ -142,6 +142,25 @@ let test_engine_max_events_backstop () =
   Engine.run ~max_events:1000 engine;
   Alcotest.(check int) "bounded" 1000 (Engine.events_executed engine)
 
+(* An engine slaved to the wall clock lives as long as its process, so
+   [advance] must still run due events and move the clock once the
+   engine has executed more events than [run]'s lifetime backstop. *)
+let test_engine_advance_past_backstop () =
+  let engine = Engine.create () in
+  let live = ref true in
+  let rec loop () = if !live then ignore (Engine.schedule engine ~delay:1. loop) in
+  loop ();
+  Engine.run engine;
+  Alcotest.(check int) "run stops at its backstop" 10_000_000
+    (Engine.events_executed engine);
+  live := false;
+  let hits = ref 0 in
+  ignore (Engine.schedule engine ~delay:5. (fun () -> incr hits));
+  let until = Engine.now engine +. 10. in
+  Engine.advance engine ~until;
+  Alcotest.(check int) "the due event ran" 1 !hits;
+  Alcotest.(check (float 0.)) "clock advanced" until (Engine.now engine)
+
 (* --- Network ---------------------------------------------------------------- *)
 
 let make_net ?latency ?drop_probability n =
@@ -402,6 +421,8 @@ let suite =
     Alcotest.test_case "engine validation" `Quick test_engine_negative_delay;
     Alcotest.test_case "engine determinism" `Quick test_engine_determinism;
     Alcotest.test_case "engine max events" `Quick test_engine_max_events_backstop;
+    Alcotest.test_case "engine advance past backstop" `Slow
+      test_engine_advance_past_backstop;
     Alcotest.test_case "network delivery" `Quick test_network_delivery;
     Alcotest.test_case "network latency bounds" `Quick test_network_latency_bounds;
     Alcotest.test_case "network down drops" `Quick test_network_down_node_drops;
