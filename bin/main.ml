@@ -673,7 +673,7 @@ let plan_cmd =
     (with_metrics
        Term.(const run $ target_nines_arg $ mix_arg $ seed_arg $ scenario_file_arg))
 
-(* --- serve / loadgen / version ----------------------------------------- *)
+(* --- serve / call / loadgen / version ---------------------------------- *)
 
 let socket_arg =
   Arg.(
@@ -740,18 +740,8 @@ let serve_cmd =
             "Outstanding requests allowed per connection before the reactor \
              stops reading it (backpressure, not an error).")
   in
-  let wire_arg =
-    Arg.(
-      value
-      & opt int Service.Wire.protocol_version
-      & info [ "wire" ] ~docv:"V"
-          ~doc:
-            "Highest wire framing accepted: 3 (default) auto-detects binary \
-             frames and legacy lines per connection; 2 restricts to \
-             newline-delimited framing.")
-  in
   let run socket port workers queue_depth cache_capacity deadline idle_timeout
-      max_connections max_pipeline wire () =
+      max_connections max_pipeline () =
     if socket = None && port = None then begin
       prerr_endline "probcons serve: set --socket PATH and/or --port PORT";
       exit 2
@@ -762,9 +752,8 @@ let serve_cmd =
     (match port with
     | Some port -> Format.printf "listening on 127.0.0.1:%d@." port
     | None -> ());
-    Format.printf "%s: %d workers, queue %d, cache %d, deadline %gs, wire <= %d@."
-      Service.Wire.protocol_name workers queue_depth cache_capacity deadline
-      wire;
+    Format.printf "%s: %d workers, queue %d, cache %d, deadline %gs@."
+      Service.Wire.protocol_name workers queue_depth cache_capacity deadline;
     Service.Server.run
       {
         Service.Server.socket_path = socket;
@@ -776,32 +765,62 @@ let serve_cmd =
         idle_timeout_seconds = idle_timeout;
         max_connections;
         max_pipeline;
-        max_wire = wire;
         handler = Service.Server.router_handler;
       }
   in
   Cmd.v
     (cmd_info "serve"
        ~doc:
-         "Serve reliability queries (binary wire/3 frames and legacy \
-          newline-delimited JSON, auto-detected per connection) over a \
-          Unix-domain socket and/or loopback TCP until SIGINT/SIGTERM.")
+         "Serve reliability queries (wire/3 frames) over a Unix-domain \
+          socket and/or loopback TCP until SIGINT/SIGTERM.")
     (with_metrics
        Term.(
          const run $ socket_arg $ port_arg $ workers_arg $ queue_arg $ cache_arg
          $ deadline_arg $ idle_timeout_arg $ max_connections_arg
-         $ max_pipeline_arg $ wire_arg))
+         $ max_pipeline_arg))
 
-(* Client-side wire selection, shared by loadgen / chaos / servebench. *)
-let client_wire_arg =
-  Arg.(
-    value
-    & opt int Service.Wire.protocol_version
-    & info [ "wire" ] ~docv:"V"
-        ~doc:
-          "Wire version the clients speak: 3 (default) uses binary frames, 2 \
-           or 1 the legacy newline framing with that version stamped on \
-           requests.")
+(* The client end of --socket/--port: the socket wins when both are set. *)
+let client_target ~cmd socket port =
+  match (socket, port) with
+  | Some path, _ -> Service.Client.Unix_path path
+  | None, Some port -> Service.Client.Tcp port
+  | None, None ->
+      prerr_endline ("probcons " ^ cmd ^ ": set --socket PATH or --port PORT");
+      exit 2
+
+let call_cmd =
+  let body_arg =
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"BODY"
+          ~doc:"The request body, a JSON object; read from stdin when omitted.")
+  in
+  let run socket port body =
+    let target = client_target ~cmd:"call" socket port in
+    let body =
+      String.trim (match body with Some b -> b | None -> In_channel.input_all stdin)
+    in
+    if body = "" || String.length body > Service.Frame.max_payload_bytes then
+      die "call: a request body is 1..%d bytes" Service.Frame.max_payload_bytes;
+    match
+      let c = Service.Client.connect target in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close c)
+        (fun () -> Service.Client.call_raw c body)
+    with
+    | Some reply -> print_endline reply
+    | None | (exception _) ->
+        (* Refused, reset mid-send or closed unanswered: no reply. *)
+        prerr_endline "probcons call: no reply";
+        exit 1
+  in
+  Cmd.v
+    (cmd_info "call"
+       ~doc:
+         "Send one request body to a running server as a wire/3 frame and \
+          print the reply body; exits 1 when no reply comes.")
+    Term.(const run $ socket_arg $ port_arg $ body_arg)
 
 let loadgen_pipeline_arg =
   Arg.(
@@ -859,18 +878,11 @@ let loadgen_cmd =
              errors instead of blocking. Default: no deadline.")
   in
   let run socket port clients requests distinct deadline duration warmup
-      pipeline wire json () =
-    let target =
-      match (socket, port) with
-      | Some path, _ -> Service.Client.Unix_path path
-      | None, Some port -> Service.Client.Tcp port
-      | None, None ->
-          prerr_endline "probcons loadgen: set --socket PATH or --port PORT";
-          exit 2
-    in
+      pipeline json () =
+    let target = client_target ~cmd:"loadgen" socket port in
     let r =
       Service.Loadgen.run ~clients ~requests ~distinct ?timeout:deadline
-        ?duration ~warmup ~pipeline ~wire ~target ()
+        ?duration ~warmup ~pipeline ~target ()
     in
     Service.Loadgen.print_report r;
     (match json with
@@ -887,16 +899,14 @@ let loadgen_cmd =
   Cmd.v
     (cmd_info "loadgen"
        ~doc:
-         "Generate closed-loop load against a running server (wire/3 binary \
-          frames or legacy lines, optionally pipelined and duration-bounded) \
-          and report throughput, latency percentiles and response \
-          byte-identity.")
+         "Generate closed-loop load against a running server (optionally \
+          pipelined and duration-bounded) and report throughput, latency \
+          percentiles and response byte-identity.")
     (with_metrics
        Term.(
          const run $ socket_arg $ port_arg $ clients_arg $ requests_arg
          $ distinct_arg $ call_deadline_arg $ loadgen_duration_arg
-         $ loadgen_warmup_arg $ loadgen_pipeline_arg $ client_wire_arg
-         $ json_arg))
+         $ loadgen_warmup_arg $ loadgen_pipeline_arg $ json_arg))
 
 (* --- chaos -------------------------------------------------------------- *)
 
@@ -971,7 +981,7 @@ let chaos_cmd =
             Printf.eprintf "probcons chaos: bad plan file %s: %s\n" file msg;
             exit 2)
   in
-  let run seed plan_file clients requests distinct deadline wire json () =
+  let run seed plan_file clients requests distinct deadline json () =
     let plan = read_plan plan_file seed in
     let server_sock = temp_socket "server" and proxy_sock = temp_socket "proxy" in
     let server =
@@ -987,11 +997,10 @@ let chaos_cmd =
         ~listen:(Service.Client.Unix_path proxy_sock)
         ~upstream:(Service.Client.Unix_path server_sock)
     in
-    Format.printf
-      "chaos soak: seed %d, %d clients x %d requests, %gs deadline, wire/%d@."
-      plan.Service.Chaos.seed clients requests deadline wire;
+    Format.printf "chaos soak: seed %d, %d clients x %d requests, %gs deadline@."
+      plan.Service.Chaos.seed clients requests deadline;
     let r =
-      Service.Loadgen.run ~clients ~requests ~distinct ~timeout:deadline ~wire
+      Service.Loadgen.run ~clients ~requests ~distinct ~timeout:deadline
         ~expected_from:(Service.Client.Unix_path server_sock)
         ~target:(Service.Client.Unix_path proxy_sock)
         ()
@@ -1072,7 +1081,7 @@ let chaos_cmd =
     (with_metrics
        Term.(
          const run $ seed_arg $ plan_arg $ clients_arg $ requests_arg
-         $ distinct_arg $ call_deadline_arg $ client_wire_arg $ json_arg))
+         $ distinct_arg $ call_deadline_arg $ json_arg))
 
 (* --- dst ----------------------------------------------------------------- *)
 
@@ -1167,7 +1176,7 @@ let dst_cmd =
             "With --expect-fail: fail unless the shrunk case has at most \
              $(docv) operations.")
   in
-  let run system seed episodes no_shrink repro_path wire seeded_bug expect_fail
+  let run system seed episodes no_shrink repro_path seeded_bug expect_fail
       max_faults max_ops () =
     let names =
       match Dst.Registry.expand system with
@@ -1180,7 +1189,7 @@ let dst_cmd =
       | [] -> None
       | name :: rest -> (
           let (Dst.Registry.Packed sys) =
-            match Dst.Registry.find ~wire ~seeded_bug name with
+            match Dst.Registry.find ~seeded_bug name with
             | Ok packed -> packed
             | Error msg -> die "%s" msg
           in
@@ -1245,122 +1254,8 @@ let dst_cmd =
     (with_metrics
        Term.(
          const run $ system_arg $ seed_arg $ episodes_arg $ no_shrink_arg
-         $ repro_arg $ client_wire_arg $ seeded_bug_arg $ expect_fail_arg
+         $ repro_arg $ seeded_bug_arg $ expect_fail_arg
          $ max_faults_arg $ max_ops_arg))
-
-(* --- servebench --------------------------------------------------------- *)
-
-let servebench_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 12 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent clients.")
-  in
-  let distinct_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "distinct" ] ~docv:"K" ~doc:"Distinct queries in the pool.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "duration" ] ~docv:"S" ~doc:"Measured window per wire row.")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "warmup" ] ~docv:"S" ~doc:"Unrecorded warmup per wire row.")
-  in
-  let pipeline_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "pipeline" ] ~docv:"N"
-          ~doc:"Outstanding requests per connection for the wire/3 row.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the probcons-service-bench/1 artifact to $(docv).")
-  in
-  let run clients distinct duration warmup pipeline json () =
-    let sock = Filename.temp_file "probcons-bench" ".sock" in
-    Sys.remove sock;
-    let server =
-      Service.Server.start
-        {
-          Service.Server.default_config with
-          socket_path = Some sock;
-          queue_depth = 256;
-          cache_capacity = 4096;
-        }
-    in
-    let target = Service.Client.Unix_path sock in
-    let row ~wire ~pipeline =
-      Format.printf "servebench: wire/%d, pipeline %d, %gs window...@." wire
-        pipeline duration;
-      let r =
-        Service.Loadgen.run ~clients ~distinct ~duration ~warmup ~pipeline
-          ~wire ~target ()
-      in
-      Service.Loadgen.print_report r;
-      r
-    in
-    (* wire/2 first: the legacy newline framing, one call at a time —
-       the committed baseline's discipline. Then wire/3: binary frames,
-       pipelined. Same server, same pool, same window. *)
-    let r2 = row ~wire:2 ~pipeline:1 in
-    let r3 = row ~wire:3 ~pipeline in
-    Service.Server.stop server;
-    let speedup =
-      if r2.Service.Loadgen.throughput_rps > 0. then
-        r3.Service.Loadgen.throughput_rps /. r2.Service.Loadgen.throughput_rps
-      else 0.
-    in
-    Format.printf "servebench: wire/3 is %.2fx wire/2 (%.0f vs %.0f req/s)@."
-      speedup r3.Service.Loadgen.throughput_rps
-      r2.Service.Loadgen.throughput_rps;
-    let artifact =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.String "probcons-service-bench/1");
-          ( "rows",
-            Obs.Json.List
-              [ Service.Loadgen.to_json r2; Service.Loadgen.to_json r3 ] );
-          ("speedup", Obs.Json.number speedup);
-        ]
-    in
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string artifact);
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "servebench artifact written to %s@." path);
-    let broken r =
-      r.Service.Loadgen.errors > 0 || r.Service.Loadgen.mismatches > 0
-    in
-    if broken r2 || broken r3 then exit 1;
-    if speedup <= 1.0 then begin
-      Printf.eprintf
-        "servebench: FAIL: wire/3 (%.0f req/s) is not faster than wire/2 \
-         (%.0f req/s)\n"
-        r3.Service.Loadgen.throughput_rps r2.Service.Loadgen.throughput_rps;
-      exit 1
-    end
-  in
-  Cmd.v
-    (cmd_info "servebench"
-       ~doc:
-         "Benchmark an in-process server over both wire framings (wire/2 \
-          serial lines, then wire/3 pipelined binary frames) on the clean \
-          cached path and emit a two-row comparison artifact; fails unless \
-          wire/3 beats wire/2.")
-    (with_metrics
-       Term.(
-         const run $ clients_arg $ distinct_arg $ duration_arg $ warmup_arg
-         $ pipeline_arg $ json_arg))
 
 (* --- fleet --------------------------------------------------------- *)
 
@@ -1394,7 +1289,7 @@ let fleet_cmd =
       & info [ "json" ]
           ~doc:
             "Emit the canonical fleet payload — byte-identical to what the \
-             server returns for the same parameters over wire/2 and wire/3.")
+             server returns for the same parameters.")
   in
   let bench_arg =
     Arg.(
@@ -1583,12 +1478,6 @@ let replica_node_cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR" ~doc:"Durable Raft state directory.")
   in
-  let wire_arg =
-    Arg.(
-      value
-      & opt int Service.Wire.protocol_version
-      & info [ "wire" ] ~docv:"V" ~doc:"Highest wire framing accepted.")
-  in
   let chaos_seed_arg =
     Arg.(
       value
@@ -1596,8 +1485,7 @@ let replica_node_cmd =
       & info [ "chaos-seed" ] ~docv:"SEED"
           ~doc:"Run inter-replica links through seeded chaos proxies.")
   in
-  let run id replicas base_port service_port seed state_dir wire chaos_seed ()
-      =
+  let run id replicas base_port service_port seed state_dir chaos_seed () =
     let chaos =
       Option.map (fun s -> Service.Chaos.passthrough_plan ~seed:s ()) chaos_seed
     in
@@ -1607,7 +1495,6 @@ let replica_node_cmd =
         with
         Replica.Node.seed;
         state_dir;
-        wire_max = wire;
         chaos;
       }
     in
@@ -1633,7 +1520,7 @@ let replica_node_cmd =
     (with_metrics
        Term.(
          const run $ id_arg $ replicas_arg $ base_port_arg $ service_port_arg
-         $ seed_arg $ state_dir_arg $ wire_arg $ chaos_seed_arg))
+         $ seed_arg $ state_dir_arg $ chaos_seed_arg))
 
 let replicate_cmd =
   let replicas_arg =
@@ -1734,7 +1621,7 @@ let replicate_cmd =
   in
   let run replicas base_port seed duration window probes hours_per_second
       fail_rate recover_rate static_p measure tolerance json state_dir
-      chaos_seed wire () =
+      chaos_seed () =
     if replicas < 1 || replicas > 9 then die "replicate: --replicas must be in 1..9";
     let process =
       match static_p with
@@ -1767,7 +1654,6 @@ let replicate_cmd =
              (Replica.Driver.service_port ~base_port ~replicas id);
            "--seed"; string_of_int seed;
            "--state-dir"; Filename.concat state_root (string_of_int id);
-           "--wire"; string_of_int wire;
          ]
         @
         match chaos_seed with
@@ -1790,7 +1676,6 @@ let replicate_cmd =
             Option.map
               (fun s -> Service.Chaos.passthrough_plan ~seed:s ())
               chaos_seed;
-          wire;
           state_root;
           child_argv;
           log = (fun msg -> Format.eprintf "replicate: %s@." msg);
@@ -1867,7 +1752,7 @@ let replicate_cmd =
          const run $ replicas_arg $ base_port_arg $ seed_arg $ duration_arg
          $ window_arg $ probes_arg $ hours_arg $ fail_rate_arg
          $ recover_rate_arg $ static_arg $ measure_arg $ tolerance_arg
-         $ json_arg $ state_dir_arg $ chaos_seed_arg $ client_wire_arg))
+         $ json_arg $ state_dir_arg $ chaos_seed_arg))
 
 let version_cmd =
   let run () =
@@ -1886,8 +1771,8 @@ let main_cmd =
     [
       analyze_cmd; protocols_cmd; tables_cmd; optimize_cmd; markov_cmd;
       simulate_cmd; committee_cmd; benor_cmd; mixed_cmd; endtoend_cmd;
-      bounds_cmd; plan_cmd; sweep_cmd; serve_cmd; loadgen_cmd; chaos_cmd;
-      dst_cmd; servebench_cmd; fleet_cmd; dynbench_cmd; replicate_cmd;
+      bounds_cmd; plan_cmd; sweep_cmd; serve_cmd; call_cmd; loadgen_cmd;
+      chaos_cmd; dst_cmd; fleet_cmd; dynbench_cmd; replicate_cmd;
       replica_node_cmd; version_cmd;
     ]
 

@@ -168,4 +168,4 @@ val analyze_json :
 (** [analyze] composed with {!payload} — what the service, the CLI
     [--json] mode and the bench all emit. A scenario carrying a
     [horizon] renders {!horizon_payload} instead; either way the bytes
-    are the same across CLI, wire/2 and wire/3 by construction. *)
+    are the same across the CLI and the wire by construction. *)

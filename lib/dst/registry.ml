@@ -19,9 +19,9 @@ let expand name =
   else if List.mem name names then Ok [ name ]
   else unknown name
 
-let find ?wire ?seeded_bug name =
+let find ?seeded_bug name =
   if name = Service_case.system_name then
-    Ok (Packed (Service_case.system ?wire ?seeded_bug ()))
+    Ok (Packed (Service_case.system ?seeded_bug ()))
   else if name = Fleet_case.system_name then Ok (Packed (Fleet_case.system ()))
   else if name = Replica_case.system_name then
     Ok (Packed (Replica_case.system ()))

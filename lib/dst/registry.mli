@@ -16,11 +16,11 @@ val expand : string -> (string list, string) result
 (** [expand "sim"] is every simulator system; a registered name maps
     to itself; anything else is an [Error] listing valid names. *)
 
-val find : ?wire:int -> ?seeded_bug:bool -> string -> (packed, string) result
-(** Look a system up by its registered name. [wire] and [seeded_bug]
-    parameterize the {e generator} of the ["service"] system only (sim
-    systems ignore them); replayed artifacts always carry their own
-    recorded values. *)
+val find : ?seeded_bug:bool -> string -> (packed, string) result
+(** Look a system up by its registered name. [seeded_bug]
+    parameterizes the {e generator} of the ["service"] system only
+    (other systems ignore it); replayed artifacts always carry their
+    own recorded value. *)
 
 val replay : Repro.t -> (string, string) result
 (** Dispatch on the artifact's recorded system name and re-execute it:

@@ -1,5 +1,4 @@
 type t = {
-  wire : int;
   deadline : float;
   seeded_bug : bool;
   distinct : int;
@@ -64,7 +63,7 @@ let run case =
              corrupt the reference. *)
           let expected =
             let c =
-              Service.Client.connect ~wire:case.wire ~retry_for:5.
+              Service.Client.connect ~retry_for:5.
                 (Service.Client.Unix_path server_sock)
             in
             Fun.protect
@@ -72,7 +71,7 @@ let run case =
               (fun () ->
                 Array.init case.distinct (fun k ->
                     let body =
-                      Service.Wire.encode_request ~v:case.wire
+                      Service.Wire.encode_request
                         { Service.Wire.id = k; query = pool.(k) }
                     in
                     match Service.Client.call_line c ~id:k body with
@@ -95,8 +94,7 @@ let run case =
               ~finally:(fun () -> Service.Chaos.stop proxy)
               (fun () ->
                 let c =
-                  Service.Client.connect ~wire:case.wire ~retry_for:5.
-                    ~timeout:case.deadline
+                  Service.Client.connect ~retry_for:5. ~timeout:case.deadline
                     ~backoff:
                       {
                         Service.Client.default_backoff with
@@ -111,7 +109,7 @@ let run case =
                       | [] -> Harness.Pass
                       | slot :: rest -> (
                           let body =
-                            Service.Wire.encode_request ~v:case.wire
+                            Service.Wire.encode_request
                               { Service.Wire.id = slot; query = pool.(slot) }
                           in
                           let t0 = Unix.gettimeofday () in
@@ -166,7 +164,7 @@ let run case =
 
 (* --- Generation -------------------------------------------------------- *)
 
-let generate ~wire ~seeded_bug rng =
+let generate ~seeded_bug rng =
   let channel p_max = if Prob.Rng.bool rng 0.55 then Prob.Rng.float rng *. p_max else 0. in
   let plan =
     {
@@ -184,7 +182,7 @@ let generate ~wire ~seeded_bug rng =
   let ops =
     List.init (2 + Prob.Rng.int rng 15) (fun _ -> Prob.Rng.int rng distinct)
   in
-  { wire; deadline = 0.6; seeded_bug; distinct; plan; ops }
+  { deadline = 0.6; seeded_bug; distinct; plan; ops }
 
 (* --- Size and shrinking ------------------------------------------------- *)
 
@@ -243,7 +241,6 @@ let encode case =
     Repro.scenario =
       Obs.Json.Obj
         [
-          ("wire", Obs.Json.Int case.wire);
           ("deadline", Obs.Json.number case.deadline);
           ("seeded_bug", Obs.Json.Bool case.seeded_bug);
           ("distinct", Obs.Json.Int case.distinct);
@@ -254,15 +251,6 @@ let encode case =
 
 let decode { Repro.scenario; plan; ops } =
   let ( let* ) = Result.bind in
-  let* wire =
-    match Obs.Json.member "wire" scenario with
-    | Some (Obs.Json.Int v)
-      when v >= Service.Wire.min_protocol_version
-           && v <= Service.Wire.protocol_version ->
-        Ok v
-    | Some (Obs.Json.Int v) -> Error (Printf.sprintf "wire %d out of range" v)
-    | _ -> Error "missing integer wire"
-  in
   let* deadline =
     match Option.bind (Obs.Json.member "deadline" scenario) Obs.Json.to_float with
     | Some v when Float.is_finite v && v > 0. && v <= 30. -> Ok v
@@ -298,12 +286,12 @@ let decode { Repro.scenario; plan; ops } =
         | _ -> Error "ops must be integers")
       (Ok []) op_docs
   in
-  Ok { wire; deadline; seeded_bug; distinct; plan; ops = List.rev ops }
+  Ok { deadline; seeded_bug; distinct; plan; ops = List.rev ops }
 
-let system ?(wire = Service.Wire.protocol_version) ?(seeded_bug = false) () =
+let system ?(seeded_bug = false) () =
   {
     Harness.name = system_name;
-    generate = generate ~wire ~seeded_bug;
+    generate = generate ~seeded_bug;
     run;
     candidates;
     size;

@@ -27,7 +27,6 @@
     shrinks to a ≤3-fault, ≤10-op artifact. *)
 
 type t = {
-  wire : int;  (** Client framing: 1..3. *)
   deadline : float;  (** Per-call budget, seconds. *)
   seeded_bug : bool;  (** Re-introduce the PR-5 [id: 0] placeholder. *)
   distinct : int;  (** Query-pool size; ops index into it. *)
@@ -44,7 +43,7 @@ val active_faults : Service.Chaos.plan -> int
 
 val run : t -> Harness.outcome
 
-val system : ?wire:int -> ?seeded_bug:bool -> unit -> t Harness.system
-(** [wire] (default {!Service.Wire.protocol_version}) and [seeded_bug]
-    (default false) parameterize the {e generator} only; decoding an
-    artifact always reconstructs the case's own recorded values. *)
+val system : ?seeded_bug:bool -> unit -> t Harness.system
+(** [seeded_bug] (default false) parameterizes the {e generator} only;
+    decoding an artifact always reconstructs the case's own recorded
+    value. *)

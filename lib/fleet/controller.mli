@@ -15,7 +15,7 @@
 
     Runs are pure functions of the config: same seed, same
     recommendations, bit for bit. {!payload} is the one canonical JSON
-    rendering, shared by the CLI and both wire framings. *)
+    rendering, shared by the CLI and the query service. *)
 
 type config = {
   nodes : int;
@@ -79,8 +79,8 @@ val run : config -> outcome
 
 val payload : outcome -> Obs.Json.t
 (** Canonical JSON rendering — the fleet analogue of
-    [Registry.payload]: CLI [--json], wire/2 and wire/3 all emit these
-    exact bytes. *)
+    [Registry.payload]: CLI [--json] and the served reply both emit
+    these exact bytes. *)
 
 val ingest_payload : outcome -> Obs.Json.t
 (** Telemetry-and-refit summary of the same run (no recommendations):

@@ -15,7 +15,6 @@ type config = {
   probes_per_window : int;
   tolerance : float;
   chaos : Service.Chaos.plan option;
-  wire : int;
   state_root : string;
   child_argv : id:int -> string array;
   log : string -> unit;
@@ -201,7 +200,7 @@ let run cfg =
       List.init n (fun i ->
           Service.Client.Tcp (service_port ~base_port:cfg.base_port ~replicas:n i))
     in
-    let multi = Service.Client.Multi.create ~wire:cfg.wire targets in
+    let multi = Service.Client.Multi.create targets in
     Fun.protect ~finally:(fun () -> Service.Client.Multi.close multi)
     @@ fun () ->
     if not (wait_for_leader multi ~deadline:(Unix.gettimeofday () +. 20.)) then

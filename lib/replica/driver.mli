@@ -32,7 +32,6 @@ type config = {
   probes_per_window : int;
   tolerance : float;  (** CI gate on |measured_mean - predicted_mean|. *)
   chaos : Service.Chaos.plan option;  (** Recorded in the artifact. *)
-  wire : int;
   state_root : string;
       (** Per-replica state dirs and logs live under here. *)
   child_argv : id:int -> string array;

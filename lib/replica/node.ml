@@ -10,7 +10,6 @@ type config = {
   service_port : int;
   seed : int;
   state_dir : string option;
-  wire_max : int;
   workers : int;
   chaos : Service.Chaos.plan option;
   staleness_budget_seconds : float;
@@ -25,7 +24,6 @@ let default_config ~id ~n ~base_port ~service_port =
     service_port;
     seed = 42;
     state_dir = None;
-    wire_max = Wire.protocol_version;
     workers = 2;
     chaos = None;
     staleness_budget_seconds = 1.0;
@@ -688,7 +686,6 @@ let start (cfg : config) =
            Server.default_config with
            tcp_port = Some cfg.service_port;
            workers = cfg.workers;
-           max_wire = cfg.wire_max;
            handler = handler t;
          });
   t

@@ -43,7 +43,6 @@ type config = {
   service_port : int;  (** Client-facing query service port. *)
   seed : int;
   state_dir : string option;  (** [None] disables persistence. *)
-  wire_max : int;  (** Highest wire framing accepted ([--wire 2] mode). *)
   workers : int;
   chaos : Service.Chaos.plan option;
       (** When set, every outbound inter-replica link runs through a

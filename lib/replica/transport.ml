@@ -1,4 +1,8 @@
-let max_line_bytes = 4_000_000
+module Frame = Service.Frame
+
+(* A catch-up AppendEntries carries every command payload it ships, so
+   the raft plane's frame bound is larger than the service plane's. *)
+let max_envelope_bytes = 4_000_000
 
 let envelope_to_line ~src ~dst msg ~payloads =
   Obs.Json.to_string
@@ -55,11 +59,11 @@ let envelope_of_line line =
   in
   Ok (src, dst, msg, payloads)
 
-let write_all fd bytes =
-  let n = Bytes.length bytes in
+let write_all fd s =
+  let n = String.length s in
   let written = ref 0 in
   while !written < n do
-    written := !written + Unix.write fd bytes !written (n - !written)
+    written := !written + Unix.write_substring fd s !written (n - !written)
   done
 
 (* One sender per peer link. Messages are fire-and-forget datagrams as
@@ -72,7 +76,8 @@ module Sender = struct
     port : int;
     mu : Mutex.t;
     cv : Condition.t;
-    mutable q : string list; (* newest first *)
+    mutable q : string list; (* frames, newest first *)
+    dropped : int Atomic.t;
     mutable stopping : bool;
     mutable fd : Unix.file_descr option;
     mutable thread : Thread.t option;
@@ -114,10 +119,7 @@ module Sender = struct
       (match ensure_connected t with
       | None -> () (* drop the batch; Raft retries *)
       | Some fd -> (
-          try
-            List.iter
-              (fun line -> write_all fd (Bytes.of_string (line ^ "\n")))
-              batch
+          try write_all fd (String.concat "" batch)
           with Unix.Unix_error _ | Sys_error _ -> close_fd t));
       loop t)
 
@@ -128,6 +130,7 @@ module Sender = struct
         mu = Mutex.create ();
         cv = Condition.create ();
         q = [];
+        dropped = Atomic.make 0;
         stopping = false;
         fd = None;
         thread = None;
@@ -136,11 +139,21 @@ module Sender = struct
     t.thread <- Some (Thread.create loop t);
     t
 
-  let send t line =
-    Mutex.lock t.mu;
-    t.q <- line :: t.q;
-    Condition.signal t.cv;
-    Mutex.unlock t.mu
+  (* Framed here, on the caller's thread, so an envelope the peer's
+     decoder would refuse is dropped and counted before it is queued:
+     nothing on the pump or the flush thread can raise over it. *)
+  let send t envelope =
+    let n = String.length envelope in
+    if n = 0 || n > max_envelope_bytes then Atomic.incr t.dropped
+    else begin
+      let frame = Frame.encode ~max_payload_bytes:max_envelope_bytes envelope in
+      Mutex.lock t.mu;
+      t.q <- frame :: t.q;
+      Condition.signal t.cv;
+      Mutex.unlock t.mu
+    end
+
+  let dropped t = Atomic.get t.dropped
 
   let stop t =
     Mutex.lock t.mu;
@@ -162,26 +175,25 @@ module Listener = struct
     mutable readers : Thread.t list;
   }
 
-  let read_lines t fd deliver =
-    let lines = Service.Linebuf.create () in
+  let read_frames t fd deliver =
+    let frames = Frame.create ~max_payload_bytes:max_envelope_bytes () in
     let chunk = Bytes.create 65536 in
     let rec drain () =
-      match Service.Linebuf.next lines with
-      | None ->
-          if Service.Linebuf.partial_length lines > max_line_bytes then
-            raise Exit
-      | Some line ->
-          (match envelope_of_line line with
+      match Frame.next frames with
+      | Ok None -> ()
+      | Ok (Some envelope) ->
+          (match envelope_of_line envelope with
           | Ok (src, dst, msg, payloads) -> deliver ~src ~dst msg ~payloads
           | Error _ -> raise Exit);
           drain ()
+      | Error _ -> raise Exit
     in
     try
       let rec loop () =
         let n = Unix.read fd chunk 0 (Bytes.length chunk) in
         if n = 0 then ()
         else (
-          Service.Linebuf.feed lines chunk n;
+          Frame.feed frames chunk n;
           drain ();
           loop ())
       in
@@ -203,7 +215,7 @@ module Listener = struct
         else (
           t.conns <- conn :: t.conns;
           t.readers <-
-            Thread.create (fun () -> read_lines t conn deliver) () :: t.readers;
+            Thread.create (fun () -> read_frames t conn deliver) () :: t.readers;
           Mutex.unlock t.mu)
       done
     with Unix.Unix_error _ -> ()

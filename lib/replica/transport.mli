@@ -1,7 +1,8 @@
 (** The inter-replica TCP plane.
 
-    Raft messages travel as newline-delimited JSON envelopes
-    [{"src", "dst", "msg", "payloads"}]: the [msg] is
+    Raft messages travel as JSON envelopes
+    [{"src", "dst", "msg", "payloads"}], one per {!Service.Frame} —
+    the framing clients and the reactor speak: the [msg] is
     {!Raft_sim.Raft_codec}'s encoding, and [payloads] piggybacks the
     canonical command bytes for any [Data seq] entries the message
     carries, keyed by sequence number — the Raft core replicates small
@@ -14,8 +15,9 @@
     which is the same message model the simulator's
     {!Dessim.Network} presents. *)
 
-val max_line_bytes : int
-(** Per-envelope byte bound on the reader side. *)
+val max_envelope_bytes : int
+(** The raft plane's frame bound (4 MB): a sender drops a larger
+    envelope, a reader closes a connection announcing one. *)
 
 val envelope_to_line :
   src:int ->
@@ -23,6 +25,7 @@ val envelope_to_line :
   Raft_sim.Raft_types.msg ->
   payloads:(int * string) list ->
   string
+(** The envelope's JSON body, unframed. *)
 
 val envelope_of_line :
   string ->
@@ -40,7 +43,13 @@ module Sender : sig
       {!send}. *)
 
   val send : t -> string -> unit
-  (** Enqueue one envelope line. Never blocks the caller. *)
+  (** Frame one envelope and enqueue it. Never blocks the caller and
+      never raises: an envelope over {!max_envelope_bytes} is dropped
+      and counted in {!dropped} instead — Raft re-sends what a
+      follower still lacks. *)
+
+  val dropped : t -> int
+  (** Envelopes dropped by {!send} for exceeding the bound. *)
 
   val stop : t -> unit
 end
@@ -59,8 +68,9 @@ module Listener : sig
       unit) ->
     t
   (** Bind [127.0.0.1:port] and deliver every decoded envelope from a
-      per-connection reader thread. A malformed or oversized line
-      closes its connection (peers reconnect). Raises
+      per-connection reader thread. A corrupt or oversized frame, or a
+      malformed envelope, closes its connection (peers reconnect).
+      Raises
       [Unix.Unix_error] when binding fails. *)
 
   val stop : t -> unit

@@ -4,13 +4,12 @@
 type node = {
   key : string;
   value : string;
-  (* Memo of the last fully rendered reply per framing: (id, bytes).
+  (* Memo of the last fully rendered reply frame: (id, bytes).
      Replies differ only by request id around an identical payload, so
      an id-stable client (the common case — loadgen and pipelining
      clients key ids by query) gets its whole reply as one slice.
      Reactor-thread only; see the .mli. *)
-  mutable line_reply : (int * string) option;
-  mutable frame_reply : (int * string) option;
+  mutable reply : (int * string) option;
   mutable prev : node option;
   mutable next : node option;
 }
@@ -91,14 +90,12 @@ let find t key =
 
 let payload (e : entry) = e.value
 
-let rendered (e : entry) ~binary ~id ~render =
-  let memo = if binary then e.frame_reply else e.line_reply in
-  match memo with
+let rendered (e : entry) ~id ~render =
+  match e.reply with
   | Some (memo_id, bytes) when memo_id = id -> bytes
   | _ ->
       let bytes = render () in
-      if binary then e.frame_reply <- Some (id, bytes)
-      else e.line_reply <- Some (id, bytes);
+      e.reply <- Some (id, bytes);
       bytes
 
 let add t key value =
@@ -120,10 +117,7 @@ let add t key value =
                   Obs.Metrics.incr t.m_evictions
               | None -> ()
             end;
-            let node =
-              { key; value; line_reply = None; frame_reply = None;
-                prev = None; next = None }
-            in
+            let node = { key; value; reply = None; prev = None; next = None } in
             Hashtbl.replace t.table key node;
             push_front t node);
         Obs.Metrics.set t.m_entries (Hashtbl.length t.table))

@@ -8,8 +8,8 @@
 
     A hit returns an {!entry} rather than the raw string: alongside the
     payload, each entry memoizes the most recent {e fully rendered}
-    reply per framing (the envelope — and frame header, for wire/3 —
-    around the payload, which depends only on the request id). A client
+    reply (the frame header and envelope around the payload, which
+    depend only on the request id). A client
     that reuses its ids, as the load generator and any pipelining
     client naturally do, therefore gets its whole reply as one
     preassembled slice: the reactor writes it with a single syscall and
@@ -20,7 +20,7 @@
     sections are pointer swaps). Two concurrent misses on the same key
     both compute and the second {!add} wins harmlessly — admission is
     idempotent because values for one key are identical by
-    construction. The rendered memos are {e not} locked: they must only
+    construction. The rendered memo is {e not} locked: it must only
     be touched from the single reactor thread (the only writer of
     replies). *)
 
@@ -42,10 +42,10 @@ val find : t -> string -> entry option
 val payload : entry -> string
 (** The rendered JSON payload this entry caches. *)
 
-val rendered : entry -> binary:bool -> id:int -> render:(unit -> string) -> string
-(** The full reply bytes for this payload under the given framing and
-    request id: the memoized string when [(binary, id)] matches the
-    last request, else [render ()], memoized. Reactor-thread only. *)
+val rendered : entry -> id:int -> render:(unit -> string) -> string
+(** The full reply frame for this payload and request id: the memoized
+    string when [id] matches the last request, else [render ()],
+    memoized. Reactor-thread only. *)
 
 val add : t -> string -> string -> unit
 (** Insert a payload, evicting the least-recently-used entry when full.

@@ -19,13 +19,10 @@ let m_retries = Obs.Metrics.counter ~family:"client" "call_retries"
 
 type t = {
   target : target;
-  wire : int;  (* 1 | 2 -> newline framing; 3 -> binary frames *)
-  binary : bool;
   backoff : backoff;
   rng : Prob.Rng.t;
   timeout : float option;  (* default per-call budget *)
   mutable fd : Unix.file_descr option;
-  lines : Linebuf.t;
   frames : Frame.decoder;
   chunk : Bytes.t;
 }
@@ -81,7 +78,6 @@ let disconnect t =
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
   t.fd <- None;
-  Linebuf.reset t.lines;
   Frame.reset t.frames
 
 let reconnect t ~deadline =
@@ -89,10 +85,7 @@ let reconnect t ~deadline =
   Obs.Metrics.incr m_reconnects;
   t.fd <- Some (connect_once t ~deadline)
 
-let connect ?(wire = Wire.protocol_version) ?(retry_for = 0.)
-    ?(backoff = default_backoff) ?timeout target =
-  if wire < Wire.min_protocol_version || wire > Wire.protocol_version then
-    invalid_arg (Printf.sprintf "Client.connect: unsupported wire version %d" wire);
+let connect ?(retry_for = 0.) ?(backoff = default_backoff) ?timeout target =
   (* Writes to a dead peer must surface as EPIPE, not kill the
      process: same audit as the server side. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -100,21 +93,16 @@ let connect ?(wire = Wire.protocol_version) ?(retry_for = 0.)
   let t =
     {
       target;
-      wire;
-      binary = wire >= 3;
       backoff;
       rng = Prob.Rng.create backoff.seed;
       timeout;
       fd = None;
-      lines = Linebuf.create ();
       frames = Frame.create ();
       chunk = Bytes.create 65536;
     }
   in
   t.fd <- Some (connect_once t ~deadline:(Unix.gettimeofday () +. retry_for));
   t
-
-let wire_version t = t.wire
 
 let fd_exn t =
   match t.fd with Some fd -> fd | None -> raise (Lost "not connected")
@@ -156,10 +144,8 @@ let send_bytes_deadline t ~deadline s =
   in
   go 0
 
-(* Send one request body under the connection's framing. *)
 let send_body_deadline t ~deadline body =
-  send_bytes_deadline t ~deadline
-    (if t.binary then Frame.encode body else body ^ "\n")
+  send_bytes_deadline t ~deadline (Frame.encode body)
 
 let read_chunk t ~deadline ~feed =
   let fd = fd_exn t in
@@ -170,35 +156,19 @@ let read_chunk t ~deadline ~feed =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       raise (Lost "connection reset by server")
 
-(* Receive one response body under the connection's framing. On a
-   binary connection a framing violation (bad magic, bad version,
-   oversized frame) means the stream can no longer be trusted — same
-   treatment as a torn line: [Lost], and the caller rebuilds the
-   connection. *)
+(* Receive one response body. A framing violation (bad magic, bad
+   version, oversized frame) means the stream can no longer be trusted:
+   [Lost], and the caller rebuilds the connection. *)
 let recv_body_deadline t ~deadline =
-  if t.binary then
-    let rec go () =
-      match Frame.next t.frames with
-      | Ok (Some body) -> body
-      | Ok None ->
-          read_chunk t ~deadline ~feed:(fun c k -> Frame.feed t.frames c k);
-          go ()
-      | Error e -> raise (Lost ("corrupted frame: " ^ Frame.error_message e))
-    in
-    go ()
-  else
-    let rec go () =
-      match Linebuf.next t.lines with
-      | Some line -> line
-      | None ->
-          if Linebuf.partial_length t.lines > Wire.max_line_bytes then
-            raise (Lost "reply line exceeds the wire limit")
-          else begin
-            read_chunk t ~deadline ~feed:(fun c k -> Linebuf.feed t.lines c k);
-            go ()
-          end
-    in
-    go ()
+  let rec go () =
+    match Frame.next t.frames with
+    | Ok (Some body) -> body
+    | Ok None ->
+        read_chunk t ~deadline ~feed:(fun c k -> Frame.feed t.frames c k);
+        go ()
+    | Error e -> raise (Lost ("corrupted frame: " ^ Frame.error_message e))
+  in
+  go ()
 
 (* --- Raw blocking framing (tests, pipelining, loadgen) ------------------ *)
 
@@ -213,14 +183,7 @@ let send_lines t bodies =
   | [ body ] -> send_line t body
   | _ ->
       let buf = Buffer.create 4096 in
-      List.iter
-        (fun body ->
-          if t.binary then Buffer.add_string buf (Frame.encode body)
-          else begin
-            Buffer.add_string buf body;
-            Buffer.add_char buf '\n'
-          end)
-        bodies;
+      List.iter (fun body -> Buffer.add_string buf (Frame.encode body)) bodies;
       send_bytes_deadline t ~deadline:None (Buffer.contents buf)
 
 let recv_line t =
@@ -228,8 +191,10 @@ let recv_line t =
   | body -> Some body
   | exception Lost _ -> None
 
+(* A peer may answer and close before reading the request — the
+   connection-cap goodbye — so a failed send still reads what came. *)
 let call_raw t body =
-  send_line t body;
+  (try send_line t body with Lost _ -> ());
   recv_line t
 
 let recv_line_timeout t ~timeout =
@@ -303,8 +268,7 @@ let call_line ?timeout ?(max_attempts = 3) t ~id body =
 
 let call ?timeout ?max_attempts t ~id query =
   match
-    call_line ?timeout ?max_attempts t ~id
-      (Wire.encode_request ~v:t.wire { Wire.id; query })
+    call_line ?timeout ?max_attempts t ~id (Wire.encode_request { Wire.id; query })
   with
   | Error e -> Error e
   | Ok reply -> (
@@ -321,16 +285,11 @@ let close t = disconnect t
 let m_failovers = Obs.Metrics.counter ~family:"client" "endpoint_failovers"
 let m_redirects = Obs.Metrics.counter ~family:"client" "leader_redirects"
 
-let m_wire_downgrades =
-  Obs.Metrics.counter ~family:"client" "wire_renegotiations"
-
 module Multi = struct
   type client = t
 
   type t = {
     targets : target array;
-    wires : int array;  (* negotiated framing, per endpoint *)
-    confirmed : bool array;  (* endpoint has answered at wires.(i) *)
     timeout : float option;
     backoff : backoff;
     rng : Prob.Rng.t;
@@ -339,17 +298,11 @@ module Multi = struct
     mutable conn : client option;  (* live connection to targets.(pinned) *)
   }
 
-  let create ?(wire = Wire.protocol_version) ?(backoff = default_backoff)
-      ?timeout ?max_attempts targets =
+  let create ?(backoff = default_backoff) ?timeout ?max_attempts targets =
     if targets = [] then invalid_arg "Client.Multi.create: no endpoints";
-    if wire < Wire.min_protocol_version || wire > Wire.protocol_version then
-      invalid_arg
-        (Printf.sprintf "Client.Multi.create: unsupported wire version %d" wire);
     let n = List.length targets in
     {
       targets = Array.of_list targets;
-      wires = Array.make n wire;
-      confirmed = Array.make n false;
       timeout;
       backoff;
       rng = Prob.Rng.create (backoff.seed + 0x6d75);
@@ -360,7 +313,6 @@ module Multi = struct
 
   let endpoints m = Array.length m.targets
   let current m = m.pinned
-  let negotiated_wire m i = m.wires.(i)
 
   let drop m =
     (match m.conn with Some c -> close c | None -> ());
@@ -376,18 +328,13 @@ module Multi = struct
     Obs.Metrics.incr m_failovers;
     pin m ((m.pinned + 1) mod Array.length m.targets)
 
-  (* Connect to the pinned endpoint at the framing {e that endpoint}
-     negotiated — never the previous endpoint's. A mixed deployment
-     (some replicas [--wire 2]) would otherwise see a failover from a
-     binary replica greet a newline-only replica with frame magic and
-     burn the whole retry budget on goodbyes. *)
   let ensure m =
     match m.conn with
     | Some c -> c
     | None ->
         let c =
-          connect ~wire:m.wires.(m.pinned) ~backoff:m.backoff ?timeout:m.timeout
-            ~retry_for:0.05 m.targets.(m.pinned)
+          connect ~backoff:m.backoff ?timeout:m.timeout ~retry_for:0.05
+            m.targets.(m.pinned)
         in
         m.conn <- Some c;
         c
@@ -428,9 +375,7 @@ module Multi = struct
             rotate m;
             attempt (k + 1) (Wire.Connection_lost, "endpoint unreachable")
         | c -> (
-            let body =
-              Wire.encode_request ~v:(wire_version c) { Wire.id; query }
-            in
+            let body = Wire.encode_request { Wire.id; query } in
             match call_line ?timeout:(remaining ()) ~max_attempts:1 c ~id body with
             | Error (Wire.Timeout, msg) ->
                 (* The budget is spent; the connection is poisoned (a
@@ -440,18 +385,7 @@ module Multi = struct
                 Error (Wire.Timeout, msg)
             | Error (_, msg) ->
                 drop m;
-                (* Satellite fix: before failing over, re-validate this
-                   endpoint's framing. A transport failure on an
-                   endpoint that has never answered at the preferred
-                   binary framing is indistinguishable from a
-                   [unsupported_version] goodbye (the newline goodbye
-                   reads as a corrupted frame), so renegotiate down and
-                   retry the {e same} endpoint once. *)
-                if (not m.confirmed.(m.pinned)) && m.wires.(m.pinned) >= 3 then begin
-                  Obs.Metrics.incr m_wire_downgrades;
-                  m.wires.(m.pinned) <- 2
-                end
-                else rotate m;
+                rotate m;
                 attempt (k + 1) (Wire.Connection_lost, msg)
             | Ok reply -> (
                 match Wire.parse_response reply with
@@ -460,7 +394,6 @@ module Multi = struct
                     rotate m;
                     attempt (k + 1) (Wire.Internal, msg)
                 | Ok { Wire.body; rhint; _ } -> (
-                    m.confirmed.(m.pinned) <- true;
                     match body with
                     | Ok payload -> Ok payload
                     | Error ((Wire.Not_leader, _) as e) ->

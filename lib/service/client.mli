@@ -1,10 +1,8 @@
 (** Resilient client for the reliability-query wire protocol.
 
-    One socket, one framing chosen at {!connect}: wire/3 length-prefixed
-    binary frames (the default) or newline-delimited wire/1–2 lines —
-    either way the {e body} bytes are identical, and the server detects
-    the client's framing from its first byte. Engineered for the fault
-    model the chaos proxy injects, not for healthy sockets only:
+    One socket carrying wire/3 {!Frame}s, one body per frame.
+    Engineered for the fault model the chaos proxy injects, not for
+    healthy sockets only:
 
     - {b Per-call deadlines.} {!call} and {!call_line} bound every
       socket operation with [select]; a stalled, black-holed or
@@ -17,18 +15,16 @@
       across a fleet retrying against a recovering server.
     - {b Safe automatic retry.} Every wire query is pure and the
       server's reply cache re-answers byte-identically, so when a
-      connection drops (reset, EOF, corrupted framing — torn line or
-      bad frame alike — foreign reply id) mid-call, the client
-      reconnects and re-sends — at-least-once delivery with
-      exactly-once-equivalent results. A timed-out call is {e not}
+      connection drops (reset, EOF, corrupted framing, foreign reply
+      id) mid-call, the client reconnects and re-sends — at-least-once
+      delivery with exactly-once-equivalent results. A timed-out call is {e not}
       retried: its budget is spent, and the poisoned connection is
       dropped so a late reply can never answer a later call.
 
     {!send_line}/{!recv_line} expose the raw blocking body transport
-    (framed or newline-terminated per the connection) so tests and the
-    load generator can pipeline many requests before collecting
-    replies, or send deliberately malformed bodies. Not thread-safe —
-    use one client per thread. *)
+    (one frame per body) so tests and the load generator can pipeline
+    many requests before collecting replies, or send deliberately
+    malformed bodies. Not thread-safe — use one client per thread. *)
 
 type target = Unix_path of string | Tcp of int
 (** [Tcp port] connects to 127.0.0.1. *)
@@ -49,18 +45,12 @@ val default_backoff : backoff
 type t
 
 val connect :
-  ?wire:int ->
   ?retry_for:float ->
   ?backoff:backoff ->
   ?timeout:float ->
   target ->
   t
-(** [wire] (default {!Wire.protocol_version}) selects the framing: 3
-    speaks binary frames, 1 and 2 speak newline-delimited lines and
-    stamp that version on encoded requests — the downlevel modes the
-    compatibility tests exercise. Raises [Invalid_argument] outside
-    [{!Wire.min_protocol_version}..{!Wire.protocol_version}].
-    [retry_for] (seconds, default 0): keep retrying refused/absent
+(** [retry_for] (seconds, default 0): keep retrying refused/absent
     endpoints for that long before re-raising — lets tests connect to
     a server that is still binding its socket. Retries sleep according
     to [backoff] (default {!default_backoff}). [timeout] sets the
@@ -68,25 +58,24 @@ val connect :
     block until the server answers or the connection dies. Ignores
     SIGPIPE process-wide (same audit as the server side). *)
 
-val wire_version : t -> int
-(** The wire version this connection speaks. *)
-
 val send_line : t -> string -> unit
-(** Send one request body under the connection's framing (a frame, or
-    [body ^ "\n"]). Blocking; raises on a dead connection. *)
+(** Send one request body as one frame. Blocking; raises on a dead
+    connection. *)
 
 val send_lines : t -> string list -> unit
-(** Send many request bodies as one framed batch with (usually) one
+(** Send many request bodies as one batch of frames with (usually) one
     syscall — the pipelined send path. Blocking; raises on a dead
     connection. *)
 
 val recv_line : t -> string option
-(** Next response body (frame payload or newline-stripped line), or
-    [None] on EOF/reset/corrupted framing. Blocking. *)
+(** Next response body (a frame payload), or [None] on
+    EOF/reset/corrupted framing. Blocking. *)
 
 val call_raw : t -> string -> string option
-(** [send_line] then [recv_line]. Blocking, no retries — the raw
-    transport for tests that pipeline or corrupt on purpose. *)
+(** [send_line] then [recv_line], reading even when the send fails,
+    so a reply sent before the server closed (the connection-cap
+    goodbye) still arrives. Blocking, no retries — the raw transport
+    for tests that pipeline or corrupt on purpose. *)
 
 val recv_line_timeout : t -> timeout:float -> string option
 (** {!recv_line} bounded by a deadline [timeout] seconds out: [None]
@@ -102,10 +91,9 @@ val call_line :
   (string, Wire.error_code * string) result
 (** [call_line t ~id body] sends [body] and returns the full validated
     response body for request [id] — the byte-identity unit the load
-    generator checks (identical across framings: a wire/3 frame
-    payload is the wire/2 line minus its newline). [timeout] (default:
-    the client's) bounds the whole call including reconnects and
-    retries ([max_attempts], default 3). Errors are always typed:
+    generator checks. [timeout] (default: the client's) bounds the
+    whole call including reconnects and retries ([max_attempts],
+    default 3). Errors are always typed:
     [Timeout] when the budget expires, [Connection_lost] when the link
     died and the retry budget ran out. Only send requests whose [id]
     matches: replies are validated against it and anything else
@@ -118,10 +106,9 @@ val call :
   id:int ->
   Wire.query ->
   (Obs.Json.t, Wire.error_code * string) result
-(** Encode (stamping the connection's wire version), {!call_line},
-    decode. Transport failures surface as [Error (Timeout, _)] /
-    [Error (Connection_lost, _)]; server-sent errors keep their own
-    codes. *)
+(** Encode, {!call_line}, decode. Transport failures surface as
+    [Error (Timeout, _)] / [Error (Connection_lost, _)]; server-sent
+    errors keep their own codes. *)
 
 val close : t -> unit
 
@@ -135,14 +122,6 @@ val close : t -> unit
     jittered-backoff pause schedule growing per full rotation, and the
     whole dance bounded by the per-call deadline plus an attempt cap.
 
-    Framing is negotiated {e per endpoint}: a failover to a replica
-    that has never confirmed the preferred binary framing re-validates
-    it (a goodbye from a [--wire 2] replica reads as corrupted
-    framing) by renegotiating that endpoint down to newline framing
-    and retrying it, instead of assuming the previous endpoint's
-    framing — so mixed [--wire 2]/[--wire 3] deployments serve every
-    client.
-
     Retrying writes is safe: a [Scenario_put] retried onto a new
     leader re-encodes to the same canonical bytes, which are the
     replicated command id, and replicas apply each command id at most
@@ -151,26 +130,19 @@ module Multi : sig
   type t
 
   val create :
-    ?wire:int ->
     ?backoff:backoff ->
     ?timeout:float ->
     ?max_attempts:int ->
     target list ->
     t
-  (** [wire] (default {!Wire.protocol_version}) is the {e preferred}
-      framing; endpoints negotiate down individually. [timeout] is the
-      default per-call budget. [max_attempts] caps attempts per call
-      (default [6 * endpoints]). Raises [Invalid_argument] on an empty
-      endpoint list or an unsupported wire version. Connections are
+  (** [timeout] is the default per-call budget. [max_attempts] caps
+      attempts per call (default [6 * endpoints]). Raises
+      [Invalid_argument] on an empty endpoint list. Connections are
       opened lazily on first call. *)
 
   val endpoints : t -> int
   val current : t -> int
   (** Index of the endpoint calls are currently pinned to. *)
-
-  val negotiated_wire : t -> int -> int
-  (** The framing endpoint [i] currently speaks (downgraded from the
-      preferred version once a goodbye is observed). *)
 
   val call :
     ?timeout:float ->

@@ -2,8 +2,7 @@ let magic = '\xFB'
 let version = 3
 let header_bytes = 6
 
-(* Same bound as the newline framing: the two wire versions must
-   reject a request of the same size the same way. *)
+(* The service plane's bound: the longest request body a server reads. *)
 let max_payload_bytes = 1 lsl 20
 
 type error =
@@ -17,24 +16,23 @@ let error_message = function
   | Bad_version v -> Printf.sprintf "unsupported frame version %d" v
   | Zero_length -> "zero-length frame"
   | Oversized n ->
-      Printf.sprintf "frame payload of %d bytes exceeds the %d-byte limit" n
-        max_payload_bytes
+      Printf.sprintf "frame payload of %d bytes exceeds the decoder's limit" n
 
-let check_length len =
-  if len < 1 || len > max_payload_bytes then
+let check_length ~limit len =
+  if len < 1 || len > limit then
     invalid_arg (Printf.sprintf "Frame: payload of %d bytes out of bounds" len)
 
 let header ~payload_bytes =
-  check_length payload_bytes;
+  check_length ~limit:max_payload_bytes payload_bytes;
   let h = Bytes.create header_bytes in
   Bytes.set h 0 magic;
   Bytes.set h 1 (Char.chr version);
   Bytes.set_int32_be h 2 (Int32.of_int payload_bytes);
   Bytes.unsafe_to_string h
 
-let encode payload =
+let encode ?(max_payload_bytes = max_payload_bytes) payload =
   let len = String.length payload in
-  check_length len;
+  check_length ~limit:max_payload_bytes len;
   let b = Bytes.create (header_bytes + len) in
   Bytes.set b 0 magic;
   Bytes.set b 1 (Char.chr version);
@@ -45,8 +43,9 @@ let encode payload =
 (* Incremental decoder: a flat grow-and-compact byte window plus a
    queue of completed payloads. [feed] cuts every complete frame it
    can, so the window only ever holds one partial frame — [buffered]
-   is bounded by header + max payload. *)
+   is bounded by header + the decoder's payload limit. *)
 type decoder = {
+  limit : int;
   mutable buf : Bytes.t;
   mutable start : int;  (* first live byte *)
   mutable len : int;  (* live byte count *)
@@ -54,8 +53,15 @@ type decoder = {
   mutable err : error option;
 }
 
-let create () =
-  { buf = Bytes.create 4096; start = 0; len = 0; frames = Queue.create (); err = None }
+let create ?(max_payload_bytes = max_payload_bytes) () =
+  {
+    limit = max_payload_bytes;
+    buf = Bytes.create 4096;
+    start = 0;
+    len = 0;
+    frames = Queue.create ();
+    err = None;
+  }
 
 let reset d =
   d.start <- 0;
@@ -99,7 +105,7 @@ let parse_header d =
     let len = Int32.to_int (Bytes.get_int32_be d.buf (d.start + 2)) in
     let len = len land 0xFFFFFFFF in
     if len = 0 then Error Zero_length
-    else if len > max_payload_bytes then Error (Oversized len)
+    else if len > d.limit then Error (Oversized len)
     else Ok (Some len)
 
 let rec cut d =

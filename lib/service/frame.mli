@@ -1,24 +1,22 @@
-(** The [probcons-wire/3] binary framing codec.
+(** The [probcons-wire/3] binary framing codec — the one framing on
+    every socket: clients and the reactor, and the inter-replica Raft
+    plane ([Replica.Transport]).
 
     A frame is a fixed 6-byte header followed by the payload bytes:
 
     {v
       offset 0   magic byte 0xFB   (never a valid first byte of JSON
-                                    or UTF-8 text, so a server can
-                                    distinguish a wire/3 connection
-                                    from a newline-JSON one on the
-                                    first byte it reads)
+                                    or UTF-8 text, so stray text on a
+                                    framed socket fails at once)
       offset 1   version byte      (0x03 for wire/3)
       offset 2   u32 payload length, big-endian
-      offset 6   payload           (the canonical JSON body — exactly
-                                    the bytes a wire/2 line carries,
-                                    minus the trailing newline)
+      offset 6   payload           (the canonical JSON body)
     v}
 
-    The payload stays the canonical JSON request/response body, so the
+    The payload is the canonical JSON request/response body, so the
     reply cache, [Registry.analyze_json] and the byte-identity
-    guarantee are untouched by the framing: the same query returns the
-    same payload bytes whether it arrives as a line or as a frame.
+    guarantee sit above the framing: the same query returns the same
+    payload bytes however it was split on the way.
 
     Decoding is total and incremental: bytes are fed in arbitrary
     splits (the chaos proxy's partial writes land here), the header is
@@ -26,7 +24,11 @@
     version, zero-length or oversized frame is a typed {!error} before
     any payload arrives — and a decoder that has errored stays errored:
     framing corruption is unrecoverable by design, the connection must
-    be torn down. *)
+    be torn down.
+
+    The payload bound is the caller's: {!max_payload_bytes} (1 MiB) on
+    the service plane, a larger one on the raft plane, where a
+    catch-up AppendEntries carries many command payloads. *)
 
 val magic : char
 (** [0xFB]. *)
@@ -38,8 +40,9 @@ val header_bytes : int
 (** [6]. *)
 
 val max_payload_bytes : int
-(** Largest accepted payload — {!Wire.max_line_bytes}, so the two
-    framings bound requests identically. *)
+(** The service plane's payload bound (1 MiB): the longest request
+    body a server reads, and the default of [?max_payload_bytes]
+    below. *)
 
 type error =
   | Bad_magic of int  (** First header byte, as a char code. *)
@@ -49,9 +52,10 @@ type error =
 
 val error_message : error -> string
 
-val encode : string -> string
+val encode : ?max_payload_bytes:int -> string -> string
 (** [encode payload] is the full frame, header included. Raises
-    [Invalid_argument] on an empty or oversized payload. *)
+    [Invalid_argument] on an empty payload or one longer than
+    [max_payload_bytes] (default {!max_payload_bytes}). *)
 
 val header : payload_bytes:int -> string
 (** Just the 6 header bytes for a payload of that length — lets a
@@ -61,12 +65,16 @@ val header : payload_bytes:int -> string
 
 type decoder
 
-val create : unit -> decoder
+val create : ?max_payload_bytes:int -> unit -> decoder
+(** A decoder that rejects frames declaring more than
+    [max_payload_bytes] (default {!max_payload_bytes}) as [Oversized],
+    from the header alone. *)
 
 val feed : decoder -> bytes -> int -> unit
 (** [feed d chunk len] consumes [chunk[0..len-1]]. Complete frames
     queue up for {!next}; a header violation latches the decoder into
-    its error state (subsequent feeds are ignored). *)
+    its error state (subsequent feeds are ignored). Amortized
+    O(len). *)
 
 val next : decoder -> (string option, error) result
 (** Pop the next complete payload. [Ok None] means more bytes are

@@ -1,6 +1,5 @@
 type result = {
   clients : int;
-  wire : int;
   pipeline : int;
   requests_total : int;
   ok : int;
@@ -21,9 +20,9 @@ type result = {
    every fleet slot: analyses are built from real scenarios and
    encoded through [Scenario.to_json], fleet slots run the controller
    closed loop (alternating recommend/ingest, distinct seeds), so the
-   generator — and with it the chaos soak, under both framings —
-   exercises the server's actual cache-key canonicalization across
-   every cacheable subsystem. *)
+   generator — and with it the chaos soak — exercises the server's
+   actual cache-key canonicalization across every cacheable
+   subsystem. *)
 let query_pool distinct =
   Array.init distinct (fun i ->
       if i mod 3 = 2 then
@@ -54,8 +53,7 @@ let json_field name = function
 type inflight = { slot : int; sent_at : float }
 
 let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
-    ?(warmup = 0.5) ?(pipeline = 1) ?(wire = Wire.protocol_version)
-    ?expected_from ~target () =
+    ?(warmup = 0.5) ?(pipeline = 1) ?expected_from ~target () =
   let clients = max 1 clients
   and requests = max 1 requests
   and distinct = max 1 distinct
@@ -64,7 +62,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
   let pool = query_pool distinct in
   let bodies =
     Array.init distinct (fun slot ->
-        Wire.encode_request ~v:wire { Wire.id = slot; query = pool.(slot) })
+        Wire.encode_request { Wire.id = slot; query = pool.(slot) })
   in
   let registry = Obs.Metrics.create ~enabled:true () in
   let m_latency =
@@ -80,9 +78,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
   let recording = Atomic.make (duration = None) in
   let stop = Atomic.make false in
   (* The reference response body for each pool slot; every reply for
-     that slot must match it byte for byte — replies carry the same
-     body bytes under every framing, so the baseline is framing-
-     independent. Seeded from a clean direct connection when
+     that slot must match it byte for byte. Seeded from a clean direct connection when
      [expected_from] is given (so a proxy between loadgen and server
      cannot corrupt the baseline itself), otherwise from the first
      full reply seen. Identity is checked during warmup too:
@@ -92,7 +88,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
   (match expected_from with
   | None -> ()
   | Some direct ->
-      let c = Client.connect ~wire ~retry_for:5. direct in
+      let c = Client.connect ~retry_for:5. direct in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
@@ -141,7 +137,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
      throughput. *)
   let serial_loop k =
     let backoff = { Client.default_backoff with seed = k } in
-    let c = Client.connect ~wire ~retry_for:5. ~backoff ?timeout target in
+    let c = Client.connect ~retry_for:5. ~backoff ?timeout target in
     Fun.protect
       ~finally:(fun () -> Client.close c)
       (fun () ->
@@ -169,7 +165,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
   let pipelined_loop k =
     let recv_budget = Option.value timeout ~default:30. in
     let backoff = { Client.default_backoff with seed = k } in
-    let connect () = Client.connect ~wire ~retry_for:5. ~backoff target in
+    let connect () = Client.connect ~retry_for:5. ~backoff target in
     let c = ref (connect ()) in
     let window = ref [] in
     (* FIFO, oldest first *)
@@ -310,7 +306,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
   let stats_target = Option.value expected_from ~default:target in
   let server_stats =
     match
-      let c = Client.connect ~wire ~retry_for:1. stats_target in
+      let c = Client.connect ~retry_for:1. stats_target in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () -> Client.call c ~id:0 Wire.Stats)
@@ -343,7 +339,6 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
   let requests_total = Atomic.get ok + Atomic.get errors in
   {
     clients;
-    wire;
     pipeline;
     requests_total;
     ok = Atomic.get ok;
@@ -361,9 +356,9 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
 
 let print_report r =
   Printf.printf
-    "loadgen: %d clients (wire/%d, pipeline %d), %d requests in %.3fs (%.0f \
+    "loadgen: %d clients (%s, pipeline %d), %d requests in %.3fs (%.0f \
      req/s)\n"
-    r.clients r.wire r.pipeline r.requests_total r.elapsed_seconds
+    r.clients Wire.protocol_name r.pipeline r.requests_total r.elapsed_seconds
     r.throughput_rps;
   Printf.printf "  ok %d, errors %d, byte-identity mismatches %d\n" r.ok
     r.errors r.mismatches;
@@ -385,8 +380,8 @@ let to_json r =
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "probcons-loadgen/3");
-      ("wire", Obs.Json.String (Printf.sprintf "probcons-wire/%d" r.wire));
-      ("wire_version", Obs.Json.Int r.wire);
+      ("wire", Obs.Json.String Wire.protocol_name);
+      ("wire_version", Obs.Json.Int Wire.protocol_version);
       ("pipeline", Obs.Json.Int r.pipeline);
       ("clients", Obs.Json.Int r.clients);
       ("requests_total", Obs.Json.Int r.requests_total);

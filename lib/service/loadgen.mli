@@ -1,12 +1,11 @@
 (** Closed-loop load generator for the query server.
 
-    Spawns [clients] threads, each with its own {!Client} connection
-    speaking a chosen wire version, issuing queries drawn round-robin
-    from a pool of [distinct] cheap analysis queries. Because every
-    request's id is its pool index, the full response body for a given
-    pool slot must be byte-identical across clients, repetitions, {e
-    and framings} — the generator verifies this on every reply and
-    counts violations.
+    Spawns [clients] threads, each with its own {!Client} connection,
+    issuing queries drawn round-robin from a pool of [distinct] cheap
+    analysis queries. Because every request's id is its pool index,
+    the full response body for a given pool slot must be
+    byte-identical across clients and repetitions — the generator
+    verifies this on every reply and counts violations.
 
     Two stopping rules. {b Fixed-request} (the default): each client
     issues [requests] calls and drains. {b Duration}: with
@@ -47,7 +46,6 @@ val query_pool : int -> Wire.query array
 
 type result = {
   clients : int;
-  wire : int;  (** Wire version the clients spoke. *)
   pipeline : int;  (** Outstanding-request window per connection. *)
   requests_total : int;  (** Completed outcomes ([ok + errors]). *)
   ok : int;
@@ -73,14 +71,13 @@ val run :
   ?duration:float ->
   ?warmup:float ->
   ?pipeline:int ->
-  ?wire:int ->
   ?expected_from:Client.target ->
   target:Client.target ->
   unit ->
   result
 (** Defaults: 4 clients, 200 requests per client, 8 distinct queries,
-    no per-call deadline, fixed-request mode, serial discipline, wire
-    version {!Wire.protocol_version}, baseline from first reply seen.
+    no per-call deadline, fixed-request mode, serial discipline,
+    baseline from first reply seen.
     [duration] switches to duration mode (then [requests] is ignored
     and [warmup] — default 0.5 s — precedes the measured window).
     When [expected_from] is given, the baseline fetch happens before
@@ -93,4 +90,6 @@ val print_report : result -> unit
 (** Human-readable summary on stdout. *)
 
 val to_json : result -> Obs.Json.t
-(** Schema ["probcons-loadgen/3"] — validated by [tools/validate_bench]. *)
+(** Schema ["probcons-loadgen/3"] — validated by [tools/validate_bench].
+    Its [wire] and [wire_version] fields name {!Wire.protocol_name} and
+    {!Wire.protocol_version}, the one framing clients speak. *)

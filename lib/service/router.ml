@@ -105,7 +105,7 @@ let plan ~target_nines ~groups =
 
 (* One config builder for both fleet kinds — and the same derivation
    the [probcons fleet] command uses, which is what makes the CLI's
-   [--json] output and both wire framings byte-identical. *)
+   [--json] output and the served payload byte-identical. *)
 let fleet_outcome (f : Wire.fleet_params) =
   let cfg =
     Fleetctl.Controller.default_config ~seed:f.Wire.seed ~ticks:f.Wire.ticks

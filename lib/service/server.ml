@@ -22,7 +22,6 @@ type config = {
   idle_timeout_seconds : float;
   max_connections : int;
   max_pipeline : int;
-  max_wire : int;
   handler : handler;
 }
 
@@ -37,7 +36,6 @@ let default_config =
     idle_timeout_seconds = 300.;
     max_connections = 1024;
     max_pipeline = 128;
-    max_wire = Wire.protocol_version;
     handler = router_handler;
   }
 
@@ -83,14 +81,6 @@ let m_write_stalls =
 
 (* --- Connections -------------------------------------------------------- *)
 
-(* Framing is detected per connection from the first byte received:
-   the wire/3 frame magic can never open a JSON body, so binary and
-   newline clients share one port and negotiate by just speaking. *)
-type framing =
-  | Undetected
-  | Lines of Linebuf.t
-  | Frames of Frame.decoder
-
 type slice = { buf : string; mutable off : int }
 
 (* Owned exclusively by the reactor thread — no locks. [key] is unique
@@ -99,7 +89,7 @@ type slice = { buf : string; mutable off : int }
 type conn = {
   fd : Unix.file_descr;
   key : int;
-  mutable framing : framing;
+  frames : Frame.decoder;
   out : slice Queue.t;
   mutable out_bytes : int;
   mutable outstanding : int;  (* jobs dispatched, replies not yet queued *)
@@ -110,7 +100,6 @@ type conn = {
 type job = {
   conn_key : int;
   id : int;
-  binary : bool;
   query : Wire.query;
   enqueued_at : float;
 }
@@ -138,14 +127,12 @@ type t = {
   mutable worker_host : Thread.t option;
   conns : (int, conn) Hashtbl.t;  (* reactor-thread only *)
   (* Raw-request fast path, reactor-thread only: exact request body
-     bytes -> full rendered reply bytes, one table per framing. A
-     byte-identical request names the same query and id, and cacheable
-     replies are deterministic, so the reply bytes can be replayed
-     without parsing anything. Filled from the cache-hit path (which
-     guarantees the entry is cacheable and already rendered); reset
-     wholesale when full. *)
-  raw_line : (string, string) Hashtbl.t;
-  raw_frame : (string, string) Hashtbl.t;
+     bytes -> full rendered reply frame. A byte-identical request names
+     the same query and id, and cacheable replies are deterministic, so
+     the reply bytes can be replayed without parsing anything. Filled
+     from the cache-hit path (which guarantees the entry is cacheable
+     and already rendered); reset wholesale when full. *)
+  raw : (string, string) Hashtbl.t;
   mutable next_conn : int;
   n_conns : int Atomic.t;
   started_at : float;
@@ -209,28 +196,24 @@ let close_queue q =
 
 (* --- Reply rendering ----------------------------------------------------- *)
 
-(* One string per reply: [prefix payload suffix], frame-headed when the
-   connection is binary. The cache memoizes the result per (framing,
-   id), so an id-stable client pays this assembly once per cache entry
-   and the write path gets a single preassembled slice afterwards. *)
-let render_ok ~binary ~id payload =
+(* One frame per reply: header, then [prefix payload suffix]. The
+   cache memoizes the result per id, so an id-stable client pays this
+   assembly once per cache entry and the write path gets a single
+   preassembled slice afterwards. *)
+let render_ok ~id payload =
   let prefix = Wire.ok_prefix ~id in
   let body_len =
     String.length prefix + String.length payload + String.length Wire.ok_suffix
   in
-  let b =
-    Buffer.create ((if binary then Frame.header_bytes else 1) + body_len)
-  in
-  if binary then Buffer.add_string b (Frame.header ~payload_bytes:body_len);
+  let b = Buffer.create (Frame.header_bytes + body_len) in
+  Buffer.add_string b (Frame.header ~payload_bytes:body_len);
   Buffer.add_string b prefix;
   Buffer.add_string b payload;
   Buffer.add_string b Wire.ok_suffix;
-  if not binary then Buffer.add_char b '\n';
   Buffer.contents b
 
-let render_error ?hint ~binary ~id code msg =
-  let body = Wire.encode_error ?hint ~id code msg in
-  if binary then Frame.encode body else body ^ "\n"
+let render_error ?hint ~id code msg =
+  Frame.encode (Wire.encode_error ?hint ~id code msg)
 
 (* --- Payloads ------------------------------------------------------------ *)
 
@@ -401,26 +384,24 @@ let count_error t code =
       Atomic.incr t.n_deadline
   | _ -> ()
 
-let reply_error t conn ~binary ~id code msg =
+let reply_error t conn ~id code msg =
   count_error t code;
-  enqueue_out conn (render_error ~binary ~id code msg)
+  enqueue_out conn (render_error ~id code msg)
 
-let reply_ok_json t conn ~binary ~id json =
+let reply_ok_json t conn ~id json =
   Obs.Metrics.incr m_ok;
   Atomic.incr t.n_ok;
-  enqueue_out conn
-    (render_ok ~binary ~id (Obs.Json.to_string json))
+  enqueue_out conn (render_ok ~id (Obs.Json.to_string json))
 
 (* One parsed request body. Errors, [ping], [stats] and cache hits are
    answered inline on the reactor thread; only cache misses are
    dispatched to the worker lanes. *)
 let raw_memo_capacity = 8192
 
-let handle_body t conn ~binary body =
+let handle_body t conn body =
   Obs.Metrics.incr m_requests;
   Atomic.incr t.n_requests;
-  let raw = if binary then t.raw_frame else t.raw_line in
-  match Hashtbl.find_opt raw body with
+  match Hashtbl.find_opt t.raw body with
   | Some reply ->
       Cache.count_hit t.cache;
       Obs.Metrics.incr m_ok;
@@ -428,16 +409,14 @@ let handle_body t conn ~binary body =
       enqueue_out conn reply
   | None ->
   match Wire.parse_request body with
-  | Error (id, code, msg) -> reply_error t conn ~binary ~id code msg
-  | Ok { Wire.id; query = Wire.Ping } ->
-      reply_ok_json t conn ~binary ~id (ping_payload t)
+  | Error (id, code, msg) -> reply_error t conn ~id code msg
+  | Ok { Wire.id; query = Wire.Ping } -> reply_ok_json t conn ~id (ping_payload t)
   | Ok { Wire.id; query = Wire.Stats } ->
-      reply_ok_json t conn ~binary ~id (stats_payload t)
+      reply_ok_json t conn ~id (stats_payload t)
   | Ok { Wire.id; query } -> (
       let dispatch () =
         let job =
-          { conn_key = conn.key; id; binary; query;
-            enqueued_at = Unix.gettimeofday () }
+          { conn_key = conn.key; id; query; enqueued_at = Unix.gettimeofday () }
         in
         match try_push t.queue job with
         | Ok () ->
@@ -454,10 +433,10 @@ let handle_body t conn ~binary body =
             in
             bump ()
         | Error Wire.Overloaded ->
-            reply_error t conn ~binary ~id:(Some id) Wire.Overloaded
+            reply_error t conn ~id:(Some id) Wire.Overloaded
               (Printf.sprintf "request queue full (%d deep)" t.queue.capacity)
         | Error code ->
-            reply_error t conn ~binary ~id:(Some id) code "server draining"
+            reply_error t conn ~id:(Some id) code "server draining"
       in
       if not (Wire.cacheable query) then dispatch ()
       else
@@ -471,72 +450,32 @@ let handle_body t conn ~binary body =
             Obs.Metrics.incr m_ok;
             Atomic.incr t.n_ok;
             let bytes =
-              Cache.rendered entry ~binary ~id ~render:(fun () ->
-                  render_ok ~binary ~id (Cache.payload entry))
+              Cache.rendered entry ~id ~render:(fun () ->
+                  render_ok ~id (Cache.payload entry))
             in
-            if Hashtbl.length raw >= raw_memo_capacity then
-              Hashtbl.reset raw;
-            Hashtbl.replace raw body bytes;
+            if Hashtbl.length t.raw >= raw_memo_capacity then
+              Hashtbl.reset t.raw;
+            Hashtbl.replace t.raw body bytes;
             enqueue_out conn bytes)
 
-(* Feed freshly read bytes through the connection's framing and handle
+(* Feed freshly read bytes through the connection's decoder and handle
    every complete body. Returns [false] when the connection must die
-   (framing violation or an over-long body — unrecoverable). *)
+   (a framing violation is unrecoverable). *)
 let ingest t conn chunk len =
-  if conn.framing = Undetected && Bytes.get chunk 0 = Frame.magic
-     && t.config.max_wire < 3
-  then begin
-    (* Binary framing gated off (--wire 2): a typed goodbye, then
-       close. *)
-    reply_error t conn ~binary:false ~id:None Wire.Unsupported_version
-      "binary framing (wire/3) not enabled on this server";
-    false
-  end
-  else begin
-  if conn.framing = Undetected then
-    conn.framing <-
-      (if Bytes.get chunk 0 = Frame.magic then Frames (Frame.create ())
-       else Lines (Linebuf.create ()));
-  match conn.framing with
-  | Undetected -> assert false
-  | Lines lines ->
-      Linebuf.feed lines chunk len;
-      let rec drain () =
-        match Linebuf.next lines with
-        | Some line ->
-            let line =
-              (* Tolerate CRLF framing. *)
-              let n = String.length line in
-              if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-              else line
-            in
-            if String.trim line <> "" then
-              handle_body t conn ~binary:false line;
-            drain ()
-        | None -> Linebuf.partial_length lines <= Wire.max_line_bytes
-      in
-      drain ()
-  | Frames frames ->
-      Frame.feed frames chunk len;
-      let rec drain () =
-        match Frame.next frames with
-        | Ok (Some body) ->
-            if String.length body > Wire.max_line_bytes then false
-            else begin
-              handle_body t conn ~binary:true body;
-              drain ()
-            end
-        | Ok None -> true
-        | Error e ->
-            (* Framing is unrecoverable: answer with an unattributable
-               typed error, flush what we can, and drop the
-               connection. *)
-            reply_error t conn ~binary:true ~id:None Wire.Parse_error
-              (Frame.error_message e);
-            false
-      in
-      drain ()
-  end
+  Frame.feed conn.frames chunk len;
+  let rec drain () =
+    match Frame.next conn.frames with
+    | Ok (Some body) ->
+        handle_body t conn body;
+        drain ()
+    | Ok None -> true
+    | Error e ->
+        (* Answer with an unattributable typed error, flush what we
+           can, and drop the connection. *)
+        reply_error t conn ~id:None Wire.Parse_error (Frame.error_message e);
+        false
+  in
+  drain ()
 
 (* --- Reactor: lifecycle -------------------------------------------------- *)
 
@@ -547,19 +486,15 @@ let close_conn t conn =
 
 let drop_conn t conn = close_conn t conn
 
-(* Over the cap: answer [overloaded] and close. The single small write
-   cannot block on a fresh socket's empty buffer. Sent as a newline
-   body — the legacy framing — because the client has not yet revealed
-   which framing it speaks. *)
+(* Over the cap: answer [overloaded] in one frame and close. The single
+   small write cannot block on a fresh socket's empty buffer. *)
 let reject_connection fd =
   Obs.Metrics.incr m_conn_rejected;
-  let line =
-    Wire.encode_error ~id:None Wire.Overloaded "connection limit reached" ^ "\n"
-  in
-  let len = String.length line in
+  let frame = render_error ~id:None Wire.Overloaded "connection limit reached" in
+  let len = String.length frame in
   (try
      let rec go off =
-       if off < len then go (off + Unix.write_substring fd line off (len - off))
+       if off < len then go (off + Unix.write_substring fd frame off (len - off))
      in
      go 0
    with _ -> ());
@@ -586,7 +521,7 @@ let accept_ready t listener =
             {
               fd;
               key;
-              framing = Undetected;
+              frames = Frame.create ();
               out = Queue.create ();
               out_bytes = 0;
               outstanding = 0;
@@ -800,11 +735,10 @@ let complete t ~conn_key bytes =
 let process t (job : job) =
   let now = Unix.gettimeofday () in
   Obs.Metrics.observe m_queue_wait (now -. job.enqueued_at);
-  let binary = job.binary in
   if now -. job.enqueued_at > t.config.deadline_seconds then begin
     count_error t Wire.Deadline_exceeded;
     complete t ~conn_key:job.conn_key
-      (render_error ~binary ~id:(Some job.id) Wire.Deadline_exceeded
+      (render_error ~id:(Some job.id) Wire.Deadline_exceeded
          (Printf.sprintf "queued longer than the %gs deadline"
             t.config.deadline_seconds))
   end
@@ -816,12 +750,11 @@ let process t (job : job) =
           Cache.add t.cache (Wire.canonical_key job.query) rendered;
         Obs.Metrics.incr m_ok;
         Atomic.incr t.n_ok;
-        complete t ~conn_key:job.conn_key
-          (render_ok ~binary ~id:job.id rendered)
+        complete t ~conn_key:job.conn_key (render_ok ~id:job.id rendered)
     | Error { code; msg; hint } ->
         count_error t code;
         complete t ~conn_key:job.conn_key
-          (render_error ?hint ~binary ~id:(Some job.id) code msg)
+          (render_error ?hint ~id:(Some job.id) code msg)
 
 let worker_loop t =
   let rec go () =
@@ -867,9 +800,6 @@ let start config =
       queue_depth = max 1 config.queue_depth;
       max_connections = max 1 config.max_connections;
       max_pipeline = max 1 config.max_pipeline;
-      max_wire =
-        (max Wire.min_protocol_version
-           (min Wire.protocol_version config.max_wire));
     }
   in
   if config.socket_path = None && config.tcp_port = None then
@@ -908,8 +838,7 @@ let start config =
       reactor_thread = None;
       worker_host = None;
       conns = Hashtbl.create 64;
-      raw_line = Hashtbl.create 1024;
-      raw_frame = Hashtbl.create 1024;
+      raw = Hashtbl.create 1024;
       next_conn = 0;
       n_conns = Atomic.make 0;
       started_at = Unix.gettimeofday ();

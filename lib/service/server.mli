@@ -5,7 +5,7 @@
 
     {v
       reactor thread (select loop, owns every socket)
-        ├─ accepts, reads, framing detection (wire/3 frames | lines)
+        ├─ accepts, reads, decodes wire/3 frames
         ├─ inline answers: errors, ping, stats, cache hits
         └─ cache misses ── bounded queue ── worker lanes
                                 (Parallel.Pool domains) ── Router
@@ -14,10 +14,10 @@
 
     - {b Reactor}: one thread owns all sockets. Listeners and
       connections are non-blocking; a [select] loop accepts, reads,
-      and writes. Each connection is a small state machine: framing is
-      detected from its first byte ({!Frame.magic} ⇒ wire/3 binary
-      frames, anything else ⇒ newline-delimited wire/1–2), then bodies
-      stream through the incremental decoder. There are {e no reader
+      and writes. Each connection is a small state machine: bytes
+      stream through its incremental {!Frame} decoder, and a framing
+      violation is answered [parse_error] and closes the connection.
+      There are {e no reader
       threads} — a thousand idle connections cost a thousand fds, not
       a thousand stacks.
     - {b Inline fast path}: parse errors, [ping], [stats] and reply
@@ -40,7 +40,8 @@
     - {b Self-protection}: a connection silent longer than
       [idle_timeout_seconds] (with nothing in flight) is closed.
       Accepts beyond [max_connections] are answered with a single
-      [overloaded] error and closed. SIGPIPE is ignored process-wide.
+      [overloaded] error frame and closed. SIGPIPE is ignored
+      process-wide.
     - {b Workers}: [workers] lanes hosted on one {!Parallel.Pool.map}
       call, so each lane is a real domain while nested analysis
       parallelism degrades to sequential per lane. Lanes never touch
@@ -48,7 +49,7 @@
       the reactor through a mutex-protected queue plus a wakeup pipe.
     - {b Cache}: replies for cacheable queries are memoized by
       canonical key ({!Cache}); identical requests get byte-identical
-      responses whether computed or replayed, under either framing.
+      responses whether computed or replayed.
     - {b Shutdown}: {!stop} (or SIGINT/SIGTERM under {!run}) closes
       listeners, drains queued work through the lanes, answers fresh
       requests [shutting_down], then flushes every connection's
@@ -94,13 +95,6 @@ type config = {
       (** Outstanding-request cap per connection; clamped to [1 ..].
           At the cap the reactor stops reading the connection until
           replies drain — backpressure, not an error. *)
-  max_wire : int;
-      (** Highest wire version whose {e framing} is accepted (clamped
-          to [{!Wire.min_protocol_version}..{!Wire.protocol_version}]).
-          Below 3, a connection opening with the binary frame magic is
-          answered [unsupported_version] and closed — the [--wire 2]
-          escape hatch. Body-level version negotiation (the ["v"]
-          field) is independent and always spans 1..3. *)
   handler : handler;
       (** Worker dispatch ({!router_handler} by default). The replica
           runtime ({!Replica.Node}) substitutes a handler that

@@ -44,9 +44,7 @@ type error_code =
   | Connection_lost
 
 let protocol_version = 3
-let min_protocol_version = 1
 let protocol_name = Printf.sprintf "probcons-wire/%d" protocol_version
-let max_line_bytes = 1 lsl 20
 
 let code_string = function
   | Parse_error -> "parse_error"
@@ -199,14 +197,11 @@ let cacheable = function
   | Stats | Ping | Scenario_put _ | Scenario_get _ | Replica_status -> false
   | _ -> true
 
-(* [v] lets a test or an old-style client encode at a downlevel
-   version; params are version-independent (the v1 shorthand is a
-   subset of the scenario encoding), so only the stamp changes. *)
-let encode_request ?(v = protocol_version) { id; query } =
+let encode_request { id; query } =
   Obs.Json.to_string
     (Obs.Json.Obj
        [
-         ("v", Obs.Json.Int v);
+         ("v", Obs.Json.Int protocol_version);
          ("id", Obs.Json.Int id);
          ("kind", Obs.Json.String (kind_string query));
          ("params", Obs.Json.Obj (query_params query));
@@ -476,11 +471,11 @@ let parse_query ~kind ~params =
   | "ping" -> Ping
   | _ -> raise Not_found
 
-let parse_request line =
-  if String.length line > max_line_bytes then
-    Error (None, Parse_error, "request line exceeds 1 MiB")
+let parse_request body =
+  if String.length body > Frame.max_payload_bytes then
+    Error (None, Parse_error, "request body exceeds 1 MiB")
   else
-    match Obs.Json.of_string line with
+    match Obs.Json.of_string body with
     | Error msg -> Error (None, Parse_error, msg)
     | Ok (Obs.Json.Obj _ as doc) -> (
         let id =
@@ -491,14 +486,7 @@ let parse_request line =
         in
         let id_hint = match id with Ok i -> Some i | Error _ -> None in
         match Obs.Json.member "v" doc with
-        (* wire/1 requests are accepted and internally upgraded: the
-           v1 analyze params (protocol + mix/n/p) are a subset of the
-           scenario encoding, so they parse to the same query — and
-           therefore the same cache entry and payload bytes — as their
-           wire/2 equivalent. Responses always carry the server's
-           version. *)
-        | Some (Obs.Json.Int v)
-          when v >= min_protocol_version && v <= protocol_version -> (
+        | Some (Obs.Json.Int v) when v = protocol_version -> (
             match id with
             | Error msg -> Error (None, Bad_request, msg)
             | Ok id -> (
@@ -538,9 +526,7 @@ let parse_request line =
    bytes, cached or not. The prefix/suffix split is what lets the
    reactor's writer emit [prefix][payload][suffix] as three slices
    (the payload straight from the LRU's rendered bytes, never
-   concatenated per request); [encode_ok] is the one-string form. The
-   body bytes are identical under both framings: a wire/3 frame's
-   payload is exactly a wire/2 response line minus its newline. *)
+   concatenated per request); [encode_ok] is the one-string form. *)
 let ok_prefix ~id =
   Printf.sprintf "{\"v\": %d, \"id\": %d, \"ok\": " protocol_version id
 
@@ -591,8 +577,8 @@ type response = {
           [not_leader] redirect's believed-leader replica id). *)
 }
 
-let parse_response line =
-  match Obs.Json.of_string line with
+let parse_response body =
+  match Obs.Json.of_string body with
   | Error msg -> Error (Printf.sprintf "bad response: %s" msg)
   | Ok doc -> (
       let rid =

@@ -1,5 +1,6 @@
 (** The reliability-query wire protocol: versioned JSON bodies over a
-    byte stream (Unix-domain or TCP socket), under one of two framings.
+    byte stream (Unix-domain or TCP socket), each body carried in one
+    {!Frame} (magic, version byte, u32 length).
 
     A request body is
 
@@ -11,39 +12,27 @@
     {v {"v": 3, "id": 7, "error": {"code": "overloaded", "msg": "..."}} v}
 
     [id] is an opaque client-chosen integer echoed back verbatim
-    (default 0 when omitted). [v] must be between
-    {!min_protocol_version} and {!protocol_version}; clients discover
-    the server's version with [probcons version] or the [stats]
-    request kind. Responses to identical requests are byte-identical —
-    the toolkit's determinism guarantee extends across the wire —
-    which is what makes the reply cache a pure win.
+    (default 0 when omitted). [v] must be {!protocol_version}: a body
+    stamped with any other version is answered [unsupported_version].
+    Clients discover the server's version with [probcons version] or
+    the [stats] request kind. Responses to identical requests are
+    byte-identical — the toolkit's determinism guarantee extends across
+    the wire — which is what makes the reply cache a pure win.
 
-    {b Framings.} wire/1 and wire/2 put one body per newline-terminated
-    line. wire/3 wraps the {e same} body bytes in the length-prefixed
-    binary framing of {!Frame} (magic, version byte, u32 length), which
-    removes newline scanning from the hot path and makes pipelining
-    explicit: a connection may keep many frames outstanding and the
-    server answers out of order, matching replies by [id]. The server
-    detects the framing per connection from the first byte it reads
-    (the frame magic can never open a JSON body), so a wire/2 client
-    connecting to a wire/3-default server negotiates down
-    transparently, and a wire/3 frame's payload is byte-identical to
-    the wire/2 response line minus its trailing newline.
+    Framing makes pipelining explicit: a connection may keep many
+    frames outstanding and the server answers out of order, matching
+    replies by [id].
 
-    Version 2 made [analyze] params a full {!Probcons.Scenario}
-    (protocol name dispatched through {!Probcons.Registry}, optional
-    [byz_fraction], [quorums], [stakes], [at], [seed]), so the server
-    answers every registered model. The compatibility rule: a downlevel
-    request is accepted and internally {e upgraded} — v1 analyze params
-    are a subset of the scenario encoding, so every version parses to
-    the same query, hits the same cache entry, and returns a payload
-    byte-identical to its wire/3 equivalent. Responses always carry the
-    server's own version.
+    [analyze] params are a full {!Probcons.Scenario} (protocol name
+    dispatched through {!Probcons.Registry}, optional [byz_fraction],
+    [quorums], [stakes], [at], [seed]), so the server answers every
+    registered model; the [n]/[p] shorthand parses to the same query,
+    cache entry and payload bytes as the equivalent one-group [mix].
 
     Parsing is total: any byte string maps to a request or to a
     structured {!error_code}; the JSON layer bounds nesting depth, and
-    {!max_line_bytes} bounds the body length the server will read
-    (under either framing). *)
+    {!Frame.max_payload_bytes} bounds the body length the server will
+    read. *)
 
 type system =
   | Majority of int
@@ -116,10 +105,8 @@ type query =
           cached. *)
 
 type error_code =
-  | Parse_error  (** The line is not valid JSON. *)
-  | Unsupported_version
-      (** [v] missing or outside
-          [{!min_protocol_version}..{!protocol_version}]. *)
+  | Parse_error  (** The body is not valid JSON. *)
+  | Unsupported_version  (** [v] missing or not {!protocol_version}. *)
   | Bad_request  (** Envelope or params malformed / out of bounds. *)
   | Unknown_kind
   | Overloaded
@@ -145,17 +132,11 @@ type error_code =
           server. *)
 
 val protocol_version : int
-(** 3 — the version the server speaks and stamps on responses. *)
-
-val min_protocol_version : int
-(** 1 — oldest request version still accepted (and upgraded). *)
+(** 3 — the one version requests must carry and responses are
+    stamped with. *)
 
 val protocol_name : string
-(** ["probcons-wire/3"] — the negotiable protocol identifier. *)
-
-val max_line_bytes : int
-(** Longest request body a server reads before rejecting (1 MiB),
-    under either framing. *)
+(** ["probcons-wire/3"] — the protocol identifier. *)
 
 val max_fleet_nodes : int
 (** Largest fleet any query may describe — re-exported from
@@ -173,10 +154,8 @@ val code_of_string : string -> error_code option
 
 type request = { id : int; query : query }
 
-val encode_request : ?v:int -> request -> string
-(** Canonical body encoding (no trailing newline, no frame header).
-    [v] (default {!protocol_version}) stamps a downlevel version for
-    compatibility testing; params are version-independent. *)
+val encode_request : request -> string
+(** Canonical body encoding (no frame header). *)
 
 val parse_request :
   string -> (request, int option * error_code * string) result
@@ -237,5 +216,5 @@ type response = {
 }
 
 val parse_response : string -> (response, string) result
-(** Client side: [Error] only when the line is not a valid response
+(** Client side: [Error] only when the body is not a valid response
     envelope at all (transport corruption). *)

@@ -1,4 +1,4 @@
-(* The chaos-hardening layer: Linebuf framing, the fault-injecting
+(* The chaos-hardening layer: frame reassembly cost, the fault-injecting
    proxy, the resilient client, and the server's self-protection
    (ping, idle timeout, connection cap). The headline property: no
    fault schedule may keep [Client.call_line] busy past its deadline
@@ -40,47 +40,35 @@ let json_field name = function
   | Obs.Json.Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-(* --- Linebuf ----------------------------------------------------------- *)
+(* --- Frame reassembly ------------------------------------------------- *)
 
-let feed_string buf s =
-  let b = Bytes.of_string s in
-  Linebuf.feed buf b (Bytes.length b)
-
-let test_linebuf_reassembly () =
-  let buf = Linebuf.create () in
-  (* One chunk carrying several lines plus a tail fragment. *)
-  feed_string buf "alpha\nbeta\ngam";
-  Alcotest.(check (option string)) "first" (Some "alpha") (Linebuf.next buf);
-  Alcotest.(check (option string)) "second" (Some "beta") (Linebuf.next buf);
-  Alcotest.(check (option string)) "tail buffered" None (Linebuf.next buf);
-  Alcotest.(check int) "partial length" 3 (Linebuf.partial_length buf);
-  (* Byte-at-a-time delivery completes the buffered line. *)
-  feed_string buf "m";
-  feed_string buf "a";
-  feed_string buf "\n";
-  Alcotest.(check (option string)) "reassembled" (Some "gamma")
-    (Linebuf.next buf);
-  (* Empty lines are real lines; reset drops everything. *)
-  feed_string buf "\n\npartial";
-  Alcotest.(check (option string)) "empty line" (Some "") (Linebuf.next buf);
-  Linebuf.reset buf;
-  Alcotest.(check (option string)) "reset drops queued" None (Linebuf.next buf);
-  Alcotest.(check int) "reset drops partial" 0 (Linebuf.partial_length buf)
-
-let test_linebuf_linear_cost () =
-  (* The O(n^2) [pending ^ chunk] bug this module replaced would take
-     minutes here: a 4 MB line fed in 512-byte chunks. *)
-  let buf = Linebuf.create () in
-  let chunk = Bytes.make 512 'x' in
+let test_frame_linear_cost () =
+  (* Reassembly must stay linear in bytes received however the stream
+     is split: a [pending ^ chunk] decoder would take minutes here — a
+     4 MB frame (the raft plane's bound) fed in 512-byte chunks. *)
+  let d = Frame.create ~max_payload_bytes:Replica.Transport.max_envelope_bytes () in
+  let frame =
+    Bytes.of_string
+      (Frame.encode ~max_payload_bytes:Replica.Transport.max_envelope_bytes
+         (String.make Replica.Transport.max_envelope_bytes 'x'))
+  in
   let t0 = Unix.gettimeofday () in
-  for _ = 1 to 8192 do
-    Linebuf.feed buf chunk 512
+  let off = ref 0 in
+  while !off < Bytes.length frame do
+    let k = min 512 (Bytes.length frame - !off) in
+    Frame.feed d (Bytes.sub frame !off k) k;
+    (if !off + k < Bytes.length frame then
+       match Frame.next d with
+       | Ok None -> ()
+       | _ -> Alcotest.fail "frame surfaced before its last byte");
+    off := !off + k
   done;
-  feed_string buf "\n";
-  (match Linebuf.next buf with
-  | Some line ->
-      Alcotest.(check int) "line length" (8192 * 512) (String.length line)
-  | None -> Alcotest.fail "line did not complete");
+  (match Frame.next d with
+  | Ok (Some body) ->
+      Alcotest.(check int) "payload length" Replica.Transport.max_envelope_bytes
+        (String.length body)
+  | _ -> Alcotest.fail "frame did not complete");
+  Alcotest.(check bool) "decoded once" true (Frame.next d = Ok None);
   Alcotest.(check bool) "linear-time assembly" true
     (Unix.gettimeofday () -. t0 < 5.)
 
@@ -277,7 +265,7 @@ let prop_no_call_outlives_deadline =
                       done))));
       true)
 
-(* Regression: a half-written request followed by an abrupt reset must
+(* Regression: half a request frame followed by an abrupt reset must
    not wedge the server or poison the reply cache for the request the
    fragment was a prefix of. *)
 let test_half_written_request_reset () =
@@ -285,8 +273,9 @@ let test_half_written_request_reset () =
       with_server (fun server socket ->
           let expected = baseline_lines socket 1 in
           let full = Wire.encode_request { Wire.id = 0; query = query 0 } in
-          let prefix = String.sub full 0 (String.length full / 2) in
-          (* Raw socket: write half a request, then reset hard. *)
+          let frame = Frame.encode full in
+          let prefix = String.sub frame 0 (String.length frame / 2) in
+          (* Raw socket: write half a frame, then reset hard. *)
           let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Unix.connect fd (Unix.ADDR_UNIX socket);
           let n =
@@ -385,6 +374,13 @@ let test_idle_timeout () =
               wait 100)))
 
 let test_max_connections () =
+  let expect_overloaded = function
+    | None -> Alcotest.fail "rejected connection got no error frame"
+    | Some body -> (
+        match Wire.parse_response body with
+        | Ok { Wire.body = Error (Wire.Overloaded, _); _ } -> ()
+        | _ -> Alcotest.failf "want overloaded, got %s" body)
+  in
   with_watchdog (fun () ->
       let config socket =
         { (quick_config socket) with Server.max_connections = 1 }
@@ -402,23 +398,25 @@ let test_max_connections () =
                     msg);
               Alcotest.(check int) "one live connection" 1
                 (Server.connection_count server);
-              (* The second accept is answered [overloaded] and closed —
-                 a structured rejection, not a hang or a silent drop. *)
-              (* A rejected connection never reveals its framing (no
-                 byte was sent), so the server's goodbye is a legacy
-                 line — read it with a wire/2 client. *)
-              let c2 =
-                Client.connect ~wire:2 ~retry_for:5. (Client.Unix_path socket)
-              in
+              (* The second accept is answered [overloaded] in one frame
+                 and closed — a structured rejection, not a hang or a
+                 silent drop, readable by any client. *)
+              let c2 = Client.connect ~retry_for:5. (Client.Unix_path socket) in
               Fun.protect
                 ~finally:(fun () -> Client.close c2)
                 (fun () ->
-                  match Client.recv_line c2 with
-                  | None -> Alcotest.fail "rejected connection got no error line"
-                  | Some line -> (
-                      match Wire.parse_response line with
-                      | Ok { Wire.body = Error (Wire.Overloaded, _); _ } -> ()
-                      | _ -> Alcotest.failf "want overloaded, got %s" line));
+                  expect_overloaded (Client.recv_line c2));
+              (* A client that sends first, as `probcons call` does,
+                 still reads the goodbye when the server has closed
+                 before the send (given time to, here). *)
+              let c3 = Client.connect ~retry_for:5. (Client.Unix_path socket) in
+              Fun.protect
+                ~finally:(fun () -> Client.close c3)
+                (fun () ->
+                  Thread.delay 0.1;
+                  expect_overloaded
+                    (Client.call_raw c3
+                       (Wire.encode_request { Wire.id = 2; query = Wire.Ping })));
               (* The first connection is untouched by the rejection. *)
               match Client.call c1 ~id:1 Wire.Ping with
               | Ok _ -> ()
@@ -428,8 +426,7 @@ let test_max_connections () =
 
 let suite =
   [
-    Alcotest.test_case "linebuf reassembly" `Quick test_linebuf_reassembly;
-    Alcotest.test_case "linebuf linear cost" `Quick test_linebuf_linear_cost;
+    Alcotest.test_case "frame linear cost" `Quick test_frame_linear_cost;
     Alcotest.test_case "fault plan json round-trip" `Quick test_plan_roundtrip;
     Alcotest.test_case "passthrough proxy is transparent" `Quick
       test_passthrough_transparent;

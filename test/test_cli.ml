@@ -179,15 +179,9 @@ let test_scenario_file () =
   Alcotest.(check bool) "diagnostic names the file" true
     (contains output "cli_scenario.json")
 
-let test_cross_layer_identity () =
-  (* The cross-layer contract: `analyze --json`, a wire/2 reply and a
-     legacy wire/1 reply carry byte-identical payloads, because all
-     three are Registry.analyze_json over the same scenario. *)
-  let status, cli =
-    run_capture "analyze --protocol raft -n 5 -p 0.01 --json"
-  in
-  Alcotest.(check int) "cli exits 0" 0 status;
-  let cli_payload = String.trim cli in
+(* An in-process server on a fresh Unix socket, for the tests that
+   compare CLI output with what the service sends. *)
+let with_server f =
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -203,38 +197,65 @@ let test_cross_layer_identity () =
         cache_capacity = 16;
       }
   in
-  Fun.protect
-    ~finally:(fun () -> Service.Server.stop server)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Service.Server.stop server) (fun () -> f socket)
+
+let analyze_body =
+  {|{"v": 3, "id": 7, "kind": "analyze", "params": {"protocol": "raft", "mix": [[5, 0.01]]}}|}
+
+let test_cross_layer_identity () =
+  (* The cross-layer contract: `analyze --json` and the served reply
+     carry byte-identical payloads, because both are
+     Registry.analyze_json over the same scenario. *)
+  let status, cli =
+    run_capture "analyze --protocol raft -n 5 -p 0.01 --json"
+  in
+  Alcotest.(check int) "cli exits 0" 0 status;
+  let cli_payload = String.trim cli in
+  with_server (fun socket ->
       let c =
         Service.Client.connect ~retry_for:5. (Service.Client.Unix_path socket)
       in
       Fun.protect
         ~finally:(fun () -> Service.Client.close c)
         (fun () ->
-          let call line =
-            match Service.Client.call_raw c line with
+          let reply =
+            match Service.Client.call_raw c analyze_body with
             | Some reply -> reply
-            | None -> Alcotest.failf "no reply to %s" line
+            | None -> Alcotest.failf "no reply to %s" analyze_body
           in
-          let v2 =
-            call
-              {|{"v": 2, "id": 7, "kind": "analyze", "params": {"protocol": "raft", "mix": [[5, 0.01]]}}|}
-          in
-          let v1 =
-            call {|{"v": 1, "id": 7, "kind": "analyze", "params": {"n": 5, "p": 0.01}}|}
-          in
-          (* Same id, same scenario: the full response bodies agree even
-             across request versions (responses always carry the
-             server's own version). *)
-          Alcotest.(check string) "wire/1 reply = wire/2 reply" v2 v1;
           let prefix = {|{"v": 3, "id": 7, "ok": |} in
           let plen = String.length prefix in
-          Alcotest.(check string) "ok envelope" prefix
-            (String.sub v2 0 plen);
-          let payload = String.sub v2 plen (String.length v2 - plen - 1) in
+          Alcotest.(check string) "ok envelope" prefix (String.sub reply 0 plen);
+          let payload = String.sub reply plen (String.length reply - plen - 1) in
           Alcotest.(check string) "CLI --json = service payload" cli_payload
             payload))
+
+let test_call () =
+  (* `probcons call` sends one body — the argument, or stdin — and
+     prints the reply body: the same bytes a library client receives. *)
+  with_server (fun socket ->
+      let call args = run_capture (Printf.sprintf "call --socket %s %s" socket args) in
+      let status, ping = call {|'{"v": 3, "id": 1, "kind": "ping"}'|} in
+      Alcotest.(check int) "ping exits 0" 0 status;
+      Alcotest.(check bool) "ping answered" true
+        (contains ping {|{"v": 3, "id": 1, "ok": |} && contains ping "uptime_seconds");
+      write_file "cli_call.json" analyze_body;
+      let status, from_stdin = call "< cli_call.json" in
+      Alcotest.(check int) "analyze exits 0" 0 status;
+      let c =
+        Service.Client.connect ~retry_for:5. (Service.Client.Unix_path socket)
+      in
+      let direct =
+        Fun.protect
+          ~finally:(fun () -> Service.Client.close c)
+          (fun () -> Service.Client.call_raw c analyze_body)
+      in
+      Alcotest.(check (option string)) "printed reply = served reply" direct
+        (Some (String.trim from_stdin)));
+  let status, _ =
+    run_capture {|call --socket /nonexistent/probcons.sock '{"v": 3, "kind": "ping"}'|}
+  in
+  Alcotest.(check int) "no reply exits 1" 1 status
 
 let suite =
   [
@@ -245,6 +266,7 @@ let suite =
     Alcotest.test_case "protocols" `Quick test_protocols;
     Alcotest.test_case "scenario file" `Quick test_scenario_file;
     Alcotest.test_case "cross-layer identity" `Quick test_cross_layer_identity;
+    Alcotest.test_case "call" `Quick test_call;
     Alcotest.test_case "markov" `Quick test_markov;
     Alcotest.test_case "simulate" `Quick test_simulate;
     Alcotest.test_case "sweep csv" `Quick test_sweep_csv;

@@ -286,7 +286,7 @@ let sim_decode_rejects () =
    Episode 9 of seed 42 is the known first failure; starting from its
    derived seed directly keeps the test to one failing episode. *)
 let seeded_bug_found_shrunk_replayed () =
-  let service = Dst.Service_case.system ~wire:2 ~seeded_bug:true () in
+  let service = Dst.Service_case.system ~seeded_bug:true () in
   let eseed = Dst.Harness.episode_seed ~seed:42 ~episode:9 in
   let case = service.Dst.Harness.generate (Prob.Rng.create eseed) in
   match service.Dst.Harness.run case with

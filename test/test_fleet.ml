@@ -347,7 +347,7 @@ let test_router_matches_controller () =
   Alcotest.(check string) "ingest payload matches too" ingest
     (router_payload (Service.Wire.Fleet_ingest (fleet_params 9)))
 
-let test_e2e_both_framings () =
+let test_e2e_served_bytes () =
   with_watchdog (fun () ->
       let socket = temp_socket () in
       let server =
@@ -363,31 +363,31 @@ let test_e2e_both_framings () =
       Fun.protect
         ~finally:(fun () -> Service.Server.stop server)
         (fun () ->
-          let fetch wire query =
-            let c =
-              Service.Client.connect ~wire ~retry_for:5.
-                (Service.Client.Unix_path socket)
-            in
-            Fun.protect
-              ~finally:(fun () -> Service.Client.close c)
-              (fun () ->
+          let c =
+            Service.Client.connect ~retry_for:5. (Service.Client.Unix_path socket)
+          in
+          Fun.protect
+            ~finally:(fun () -> Service.Client.close c)
+            (fun () ->
+              let q = Service.Wire.Fleet_recommend (fleet_params 9) in
+              let reply =
                 match
                   Service.Client.call_line c ~id:3
-                    (Service.Wire.encode_request ~v:wire
-                       { Service.Wire.id = 3; query })
+                    (Service.Wire.encode_request { Service.Wire.id = 3; query = q })
                 with
                 | Ok reply -> reply
                 | Error (code, msg) ->
-                    Alcotest.failf "wire/%d fleet call failed: %s (%s)" wire
-                      (Service.Wire.code_string code) msg)
-          in
-          let q = Service.Wire.Fleet_recommend (fleet_params 9) in
-          let r2 = fetch 2 q and r3 = fetch 3 q in
-          Alcotest.(check string) "wire/2 body == wire/3 body" r3 r2;
-          (* The served payload is byte-for-byte the CLI's --json
-             output for the same parameters. *)
-          let served = Service.Wire.encode_ok ~id:3 ~payload:(payload_bytes (Controller.run (tight_case ()))) in
-          Alcotest.(check string) "served bytes == canonical payload" served r3))
+                    Alcotest.failf "fleet call failed: %s (%s)"
+                      (Service.Wire.code_string code) msg
+              in
+              (* The served payload is byte-for-byte the CLI's --json
+                 output for the same parameters. *)
+              let served =
+                Service.Wire.encode_ok ~id:3
+                  ~payload:(payload_bytes (Controller.run (tight_case ())))
+              in
+              Alcotest.(check string) "served bytes == canonical payload" served
+                reply)))
 
 (* --- DST system ------------------------------------------------------ *)
 
@@ -506,8 +506,8 @@ let suite =
     Alcotest.test_case "wire bounds" `Quick test_wire_bounds;
     Alcotest.test_case "router matches controller" `Quick
       test_router_matches_controller;
-    Alcotest.test_case "e2e both framings byte-identical" `Quick
-      test_e2e_both_framings;
+    Alcotest.test_case "e2e served bytes equal the CLI payload" `Quick
+      test_e2e_served_bytes;
     Alcotest.test_case "dst fleet soak" `Quick test_dst_fleet_soak;
     Alcotest.test_case "dst fleet codec" `Quick test_dst_fleet_codec;
     Alcotest.test_case "dst fleet registered" `Quick test_dst_fleet_registered;

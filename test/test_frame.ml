@@ -1,6 +1,6 @@
 (* The wire/3 binary framing codec: encode/decode round-trips, fuzzed
-   incremental decoding at every split point, typed rejection of
-   malformed headers, and the cross-framing byte-identity contract. *)
+   incremental decoding at every split point, and typed rejection of
+   malformed headers. *)
 
 open Service
 
@@ -46,8 +46,8 @@ let test_header_layout () =
     lor (Char.code f.[4] lsl 8) lor Char.code f.[5]);
   Alcotest.(check string) "payload verbatim" "abc"
     (String.sub f Frame.header_bytes 3);
-  (* The magic can never open a JSON body — that is what makes
-     per-connection framing detection sound. *)
+  (* The magic can never open a JSON body, so stray text on a framed
+     socket fails on its first byte. *)
   Alcotest.(check bool) "magic is not printable JSON" true
     (Char.code Frame.magic > 0x7F)
 
@@ -152,29 +152,6 @@ let test_error_latches () =
   | Ok (Some "fine") -> ()
   | _ -> Alcotest.fail "reset decoder must decode again"
 
-(* Cross-framing contract: a wire/3 frame's payload is byte-identical
-   to the wire/2 line minus its trailing newline — for requests and
-   for rendered replies. *)
-let test_wire2_vs_wire3_bytes () =
-  let body =
-    Wire.encode_request
-      {
-        Wire.id = 11;
-        query =
-          Wire.Markov { n = 5; quorum = None; afr = 0.04; mttr_hours = 24. };
-      }
-  in
-  let line = body ^ "\n" in
-  let frame = Frame.encode body in
-  Alcotest.(check string) "frame payload == line minus newline"
-    (String.sub line 0 (String.length line - 1))
-    (String.sub frame Frame.header_bytes
-       (String.length frame - Frame.header_bytes));
-  let reply = Wire.encode_ok ~id:11 ~payload:{|{"x": 1}|} in
-  Alcotest.(check string) "reply assembles from prefix/suffix"
-    (Wire.ok_prefix ~id:11 ^ {|{"x": 1}|} ^ Wire.ok_suffix)
-    reply
-
 (* QCheck: decode ∘ encode = Ok for arbitrary payloads, across
    arbitrary chunk sizes. *)
 let prop_roundtrip =
@@ -202,7 +179,5 @@ let suite =
     Alcotest.test_case "zero length" `Quick test_zero_length;
     Alcotest.test_case "oversized" `Quick test_oversized;
     Alcotest.test_case "error latches until reset" `Quick test_error_latches;
-    Alcotest.test_case "wire/2 vs wire/3 byte identity" `Quick
-      test_wire2_vs_wire3_bytes;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]

@@ -135,6 +135,60 @@ let test_transport_envelope () =
   | Ok _ -> Alcotest.fail "wrong envelope fields"
   | Error e -> Alcotest.fail e
 
+(* An envelope over the raft plane's bound is dropped and counted where
+   it is framed, never raised; a peer announcing one loses only its own
+   connection. *)
+let test_transport_oversized () =
+  let port = fresh_base () in
+  let got = ref [] and mu = Mutex.create () in
+  let listener =
+    Replica.Transport.Listener.start ~port ~deliver:(fun ~src ~dst:_ _ ~payloads:_ ->
+        Mutex.lock mu;
+        got := src :: !got;
+        Mutex.unlock mu)
+  in
+  let sender = Replica.Transport.Sender.start ~port in
+  Fun.protect
+    ~finally:(fun () ->
+      Replica.Transport.Sender.stop sender;
+      Replica.Transport.Listener.stop listener)
+  @@ fun () ->
+  let envelope src =
+    Replica.Transport.envelope_to_line ~src ~dst:1
+      (Raft_types.Timeout_now { term = 1 }) ~payloads:[]
+  in
+  Replica.Transport.Sender.send sender
+    (String.make (Replica.Transport.max_envelope_bytes + 1) 'x');
+  Alcotest.(check int) "oversized envelope counted" 1
+    (Replica.Transport.Sender.dropped sender);
+  Replica.Transport.Sender.send sender (envelope 0);
+  let delivered src () =
+    Mutex.lock mu;
+    let seen = List.mem src !got in
+    Mutex.unlock mu;
+    seen
+  in
+  Alcotest.(check bool) "the link still carries envelopes" true
+    (poll (delivered 0));
+  (* A raw peer declaring a frame past the bound is cut off from the
+     header alone; the listener keeps serving everyone else. *)
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let header = Bytes.create Service.Frame.header_bytes in
+  Bytes.set header 0 Service.Frame.magic;
+  Bytes.set header 1 (Char.chr Service.Frame.version);
+  Bytes.set_int32_be header 2
+    (Int32.of_int (Replica.Transport.max_envelope_bytes + 1));
+  ignore (Unix.write fd header 0 (Bytes.length header));
+  (match Unix.select [ fd ] [] [] 5. with
+  | [], _, _ -> Alcotest.fail "listener kept an oversized frame's connection"
+  | _ ->
+      Alcotest.(check int) "announcing peer is closed" 0
+        (Unix.read fd (Bytes.create 1) 0 1));
+  Replica.Transport.Sender.send sender (envelope 2);
+  Alcotest.(check bool) "other links unaffected" true (poll (delivered 2))
+
 let test_state_dedup () =
   let st = State.create () in
   let op = Command.Put_scenario { name = "x"; scenario = scenario_a; nonce = 0 } in
@@ -406,8 +460,7 @@ let test_wire_replica_kinds () =
 
 (* ---- in-process clusters ------------------------------------------ *)
 
-let cluster_config ?chaos ?state_dir ?(wire_max = Wire.protocol_version)
-    ?commit_timeout ~base ~n i =
+let cluster_config ?chaos ?state_dir ?commit_timeout ~base ~n i =
   let cfg =
     Node.default_config ~id:i ~n ~base_port:base
       ~service_port:(Driver.service_port ~base_port:base ~replicas:n i)
@@ -415,7 +468,6 @@ let cluster_config ?chaos ?state_dir ?(wire_max = Wire.protocol_version)
   {
     cfg with
     Node.chaos;
-    wire_max;
     state_dir =
       (match state_dir with None -> None | Some root -> Some (Filename.concat root (string_of_int i)));
     workers = 2;
@@ -423,18 +475,14 @@ let cluster_config ?chaos ?state_dir ?(wire_max = Wire.protocol_version)
       Option.value commit_timeout ~default:cfg.Node.commit_timeout_seconds;
   }
 
-let with_cluster ?chaos ?state_dir ?wire_max_of ?commit_timeout ~n f =
+let with_cluster ?chaos ?state_dir ?commit_timeout ~n f =
   let base = fresh_base () in
   let nodes =
     Array.init n (fun i ->
-        let wire_max =
-          match wire_max_of with None -> Wire.protocol_version | Some g -> g i
-        in
         ref
           (Some
              (Node.start
-                (cluster_config ?chaos ?state_dir ~wire_max ?commit_timeout
-                   ~base ~n i))))
+                (cluster_config ?chaos ?state_dir ?commit_timeout ~base ~n i))))
   in
   let stop_all () =
     Array.iter
@@ -457,8 +505,8 @@ let wait_leader nodes =
     (poll (fun () -> List.exists Node.is_leader (live_nodes nodes)));
   List.find Node.is_leader (live_nodes nodes)
 
-let multi_of ?wire ~base ~n () =
-  Client.Multi.create ?wire ~timeout:8.
+let multi_of ~base ~n () =
+  Client.Multi.create ~timeout:8.
     (List.init n (fun i ->
          Client.Tcp (Driver.service_port ~base_port:base ~replicas:n i)))
 
@@ -566,8 +614,7 @@ let test_failover_and_restart () =
       nodes.(leader_id) :=
         Some
           (Node.start
-             (cluster_config ~state_dir:root ~wire_max:Wire.protocol_version
-                ~base ~n:3 leader_id));
+             (cluster_config ~state_dir:root ~base ~n:3 leader_id));
       Alcotest.(check bool)
         "restarted replica catches up" true
         (poll ~timeout:20. (fun () ->
@@ -668,36 +715,6 @@ let test_chaos_blackhole_leader () =
                       counts
              | [] -> false)))
 
-(* Satellite: failing over onto a replica that only speaks newline
-   framing must renegotiate that endpoint instead of assuming the
-   previous endpoint's binary framing. *)
-let test_multi_mixed_wire () =
-  with_cluster
-    ~wire_max_of:(fun i -> if i = 0 then 2 else Wire.protocol_version)
-    ~n:3
-    (fun ~base ~nodes ->
-      ignore (wait_leader nodes);
-      let multi = multi_of ~wire:3 ~base ~n:3 () in
-      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
-      (* The first call lands on endpoint 0 (a --wire 2 replica): the
-         binary-frame goodbye must downgrade that endpoint and retry it,
-         not poison the call. *)
-      let status =
-        expect_ok "status through a wire-2 replica"
-          (Client.Multi.call multi ~id:1 Wire.Replica_status)
-      in
-      Alcotest.(check bool)
-        "status answered" true
-        (Obs.Json.member "id" status <> None);
-      Alcotest.(check int)
-        "endpoint 0 renegotiated down to wire 2" 2
-        (Client.Multi.negotiated_wire multi 0);
-      (* Writes still reach the leader wherever it is. *)
-      ignore
-        (expect_ok "put through the mixed deployment"
-           (Client.Multi.call ~timeout:12. multi ~id:2
-              (Wire.Scenario_put { name = "mixed"; scenario = scenario_a; nonce = 0 }))))
-
 (* ---- measurement harness helpers ---------------------------------- *)
 
 let markov =
@@ -767,7 +784,6 @@ let test_driver_prediction_and_artifact () =
           probes_per_window = 6;
           tolerance = 0.25;
           chaos = None;
-          wire = Wire.protocol_version;
           state_root = "/tmp/unused";
           child_argv = (fun ~id:_ -> [||]);
           log = ignore;
@@ -796,6 +812,8 @@ let suite =
     Alcotest.test_case "command codec" `Quick test_command_codec;
     Alcotest.test_case "raft message codec" `Quick test_raft_codec;
     Alcotest.test_case "transport envelope" `Quick test_transport_envelope;
+    Alcotest.test_case "transport drops oversized envelopes" `Quick
+      test_transport_oversized;
     Alcotest.test_case "state machine dedup" `Quick test_state_dedup;
     Alcotest.test_case "durable storage round-trip" `Quick test_storage_roundtrip;
     Alcotest.test_case "segment file crash cuts" `Quick test_storage_crash_cut;
@@ -807,8 +825,6 @@ let suite =
       test_commit_deadline;
     Alcotest.test_case "chaos blackhole costs leadership not consistency" `Slow
       test_chaos_blackhole_leader;
-    Alcotest.test_case "multi-endpoint mixed wire renegotiation" `Slow
-      test_multi_mixed_wire;
     Alcotest.test_case "kill schedule determinism" `Quick test_driver_schedule;
     Alcotest.test_case "prediction and artifact shape" `Quick
       test_driver_prediction_and_artifact;

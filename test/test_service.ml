@@ -126,45 +126,50 @@ let test_wire_parse_errors () =
     ~id:(Some 3);
   expect_error {|{"v": 99, "id": 4, "kind": "stats"}|} Wire.Unsupported_version
     ~id:(Some 4);
-  expect_error {|{"v": 1, "id": 9, "kind": "frobnicate"}|} Wire.Unknown_kind
+  (* Downlevel bodies are answered, not upgraded. *)
+  expect_error {|{"v": 1, "id": 5, "kind": "analyze", "params": {"n": 5, "p": 0.01}}|}
+    Wire.Unsupported_version ~id:(Some 5);
+  expect_error {|{"v": 2, "kind": "stats"}|} Wire.Unsupported_version
+    ~id:(Some 0);
+  expect_error {|{"v": 3, "id": 9, "kind": "frobnicate"}|} Wire.Unknown_kind
     ~id:(Some 9);
-  expect_error {|{"v": 1, "id": 5, "kind": "analyze", "params": {"n": 0, "p": 0.5}}|}
+  expect_error {|{"v": 3, "id": 5, "kind": "analyze", "params": {"n": 0, "p": 0.5}}|}
     Wire.Bad_request ~id:(Some 5);
-  expect_error {|{"v": 1, "kind": "analyze", "params": {"n": 3, "p": 1.5}}|}
+  expect_error {|{"v": 3, "kind": "analyze", "params": {"n": 3, "p": 1.5}}|}
     Wire.Bad_request ~id:(Some 0);
   expect_error
-    {|{"v": 1, "kind": "analyze", "params": {"n": 201, "p": 0.01}}|}
+    {|{"v": 3, "kind": "analyze", "params": {"n": 201, "p": 0.01}}|}
     Wire.Bad_request ~id:(Some 0);
   expect_error
-    {|{"v": 1, "kind": "availability", "params": {"system": {"kind": "grid", "rows": 5, "cols": 5}, "p": 0.1}}|}
+    {|{"v": 3, "kind": "availability", "params": {"system": {"kind": "grid", "rows": 5, "cols": 5}, "p": 0.1}}|}
     Wire.Bad_request ~id:(Some 0);
   (* Huge group counts must be rejected per group: summing them first
      would wrap native ints negative and slip past the fleet bound. *)
   expect_error
-    {|{"v": 1, "kind": "analyze", "params": {"mix": [[4611686018427387903, 0.5], [2, 0.5]]}}|}
+    {|{"v": 3, "kind": "analyze", "params": {"mix": [[4611686018427387903, 0.5], [2, 0.5]]}}|}
     Wire.Bad_request ~id:(Some 0);
   expect_error
-    {|{"v": 1, "kind": "analyze", "params": {"mix": [[1e30, 0.5]]}}|}
+    {|{"v": 3, "kind": "analyze", "params": {"mix": [[1e30, 0.5]]}}|}
     Wire.Bad_request ~id:(Some 0);
   (* Grid dimensions are bounded individually so rows * cols cannot
      wrap past the enumeration limit. *)
   expect_error
-    {|{"v": 1, "kind": "availability", "params": {"system": {"kind": "grid", "rows": 3037000500, "cols": 3037000500}, "p": 0.1}}|}
+    {|{"v": 3, "kind": "availability", "params": {"system": {"kind": "grid", "rows": 3037000500, "cols": 3037000500}, "p": 0.1}}|}
     Wire.Bad_request ~id:(Some 0);
   (* Scenario-level rejections happen at parse time, before a worker
      sees the request: unknown protocols and unknown quorum keys are
-     bad_request under both wire versions. *)
+     bad_request. *)
   expect_error
-    {|{"v": 2, "id": 6, "kind": "analyze", "params": {"protocol": "paxos", "n": 3, "p": 0.01}}|}
+    {|{"v": 3, "id": 6, "kind": "analyze", "params": {"protocol": "paxos", "n": 3, "p": 0.01}}|}
     Wire.Bad_request ~id:(Some 6);
   expect_error
-    {|{"v": 2, "kind": "analyze", "params": {"n": 5, "p": 0.01, "quorums": {"bogus": 3}}}|}
+    {|{"v": 3, "kind": "analyze", "params": {"n": 5, "p": 0.01, "quorums": {"bogus": 3}}}|}
     Wire.Bad_request ~id:(Some 0);
   expect_error
-    {|{"v": 2, "kind": "analyze", "params": {"protocol": "stake", "n": 40, "p": 0.01}}|}
+    {|{"v": 3, "kind": "analyze", "params": {"protocol": "stake", "n": 40, "p": 0.01}}|}
     Wire.Bad_request ~id:(Some 0);
-  (* Over-long lines are rejected before JSON parsing. *)
-  let huge = "{\"v\": 1, \"pad\": \"" ^ String.make Wire.max_line_bytes 'x' ^ "\"}" in
+  (* Over-long bodies are rejected before JSON parsing. *)
+  let huge = "{\"v\": 3, \"pad\": \"" ^ String.make Frame.max_payload_bytes 'x' ^ "\"}" in
   expect_error huge Wire.Parse_error ~id:None
 
 let parse_ok line =
@@ -177,64 +182,22 @@ let test_wire_canonical_key () =
   (* The n/p shorthand and the equivalent one-group mix share a key,
      so semantically identical requests hit one cache entry. *)
   let a =
-    parse_ok {|{"v": 1, "kind": "analyze", "params": {"n": 5, "p": 0.01}}|}
+    parse_ok {|{"v": 3, "kind": "analyze", "params": {"n": 5, "p": 0.01}}|}
   in
   let b =
-    parse_ok {|{"v": 1, "id": 7, "kind": "analyze", "params": {"mix": [[5, 0.01]]}}|}
+    parse_ok {|{"v": 3, "id": 7, "kind": "analyze", "params": {"mix": [[5, 0.01]]}}|}
   in
   Alcotest.(check string)
     "shorthand and mix collapse" (Wire.canonical_key a.Wire.query)
     (Wire.canonical_key b.Wire.query);
   let c =
-    parse_ok {|{"v": 1, "kind": "analyze", "params": {"n": 5, "p": 0.02}}|}
+    parse_ok {|{"v": 3, "kind": "analyze", "params": {"n": 5, "p": 0.02}}|}
   in
   Alcotest.(check bool)
     "different p, different key" true
     (Wire.canonical_key a.Wire.query <> Wire.canonical_key c.Wire.query);
   Alcotest.(check bool) "stats not cacheable" false (Wire.cacheable Wire.Stats);
   Alcotest.(check bool) "analyze cacheable" true (Wire.cacheable a.Wire.query)
-
-let test_wire_version_upgrade () =
-  (* The compatibility rule: a wire/1 request parses to the same query
-     value as its wire/2 scenario equivalent — same cache key, so the
-     reply payload is byte-identical by construction. *)
-  let v1 =
-    parse_ok
-      {|{"v": 1, "id": 3, "kind": "analyze", "params": {"n": 5, "p": 0.01}}|}
-  in
-  let v2 =
-    parse_ok
-      {|{"v": 2, "id": 3, "kind": "analyze", "params": {"protocol": "raft", "mix": [[5, 0.01]]}}|}
-  in
-  Alcotest.(check bool) "same query value" true (v1.Wire.query = v2.Wire.query);
-  Alcotest.(check string) "same cache key"
-    (Wire.canonical_key v1.Wire.query)
-    (Wire.canonical_key v2.Wire.query);
-  (* Round-tripping a v1 request re-encodes it at the server version. *)
-  let line = Wire.encode_request v1 in
-  Alcotest.(check string) "re-encoded at v3" "{\"v\": 3,"
-    (String.sub line 0 8);
-  (* The compatibility stamp: [?v] encodes a downlevel request that
-     still parses to the same query. *)
-  let down = Wire.encode_request ~v:2 v1 in
-  Alcotest.(check string) "downlevel stamp" "{\"v\": 2," (String.sub down 0 8);
-  (match Wire.parse_request down with
-  | Ok { Wire.query; _ } ->
-      Alcotest.(check bool) "downlevel parses to same query" true
-        (query = v1.Wire.query)
-  | Error (_, c, msg) ->
-      Alcotest.failf "downlevel encode failed to parse: %s (%s)"
-        (Wire.code_string c) msg);
-  (* Non-analyze kinds are also accepted under both versions. *)
-  let m1 =
-    parse_ok
-      {|{"v": 1, "kind": "markov", "params": {"n": 5, "afr": 0.04, "mttr_hours": 24}}|}
-  in
-  let m2 =
-    parse_ok
-      {|{"v": 2, "kind": "markov", "params": {"n": 5, "afr": 0.04, "mttr_hours": 24}}|}
-  in
-  Alcotest.(check bool) "markov upgrades" true (m1.Wire.query = m2.Wire.query)
 
 let test_wire_responses () =
   let line = Wire.encode_ok ~id:7 ~payload:{|{"x": 1}|} in
@@ -247,7 +210,7 @@ let test_wire_responses () =
   (match Wire.parse_response line with
   | Ok { Wire.rid = Some 3; body = Error (Wire.Overloaded, "queue full"); _ } -> ()
   | _ -> Alcotest.failf "unexpected decode of %S" line);
-  match Wire.parse_response {|{"v": 1, "id": 1}|} with
+  match Wire.parse_response {|{"v": 3, "id": 1}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "neither ok nor error should not decode"
 
@@ -309,19 +272,17 @@ let test_cache_rendered_memo () =
     incr calls;
     "reply"
   in
-  Alcotest.(check string) "renders once" "reply"
-    (Cache.rendered e ~binary:false ~id:1 ~render);
-  Alcotest.(check string) "memo hit" "reply"
-    (Cache.rendered e ~binary:false ~id:1 ~render);
+  Alcotest.(check string) "renders once" "reply" (Cache.rendered e ~id:1 ~render);
+  Alcotest.(check string) "memo hit" "reply" (Cache.rendered e ~id:1 ~render);
   Alcotest.(check int) "one render" 1 !calls;
-  (* Each framing memoizes independently... *)
-  ignore (Cache.rendered e ~binary:true ~id:1 ~render);
-  Alcotest.(check int) "binary renders separately" 2 !calls;
-  ignore (Cache.rendered e ~binary:false ~id:1 ~render);
-  Alcotest.(check int) "line memo survives binary render" 2 !calls;
-  (* ...and an id change re-renders, replacing the memo. *)
-  ignore (Cache.rendered e ~binary:false ~id:2 ~render);
-  Alcotest.(check int) "id change re-renders" 3 !calls
+  (* An id change re-renders, replacing the memo... *)
+  ignore (Cache.rendered e ~id:2 ~render);
+  Alcotest.(check int) "id change re-renders" 2 !calls;
+  ignore (Cache.rendered e ~id:2 ~render);
+  Alcotest.(check int) "new memo hit" 2 !calls;
+  (* ...so going back to the old id renders again. *)
+  ignore (Cache.rendered e ~id:1 ~render);
+  Alcotest.(check int) "old id re-renders" 3 !calls
 
 let test_cache_readd () =
   let c = fresh_cache ~capacity:2 in
@@ -488,7 +449,7 @@ let test_e2e_server () =
           (match Atomic.get failure with
           | Some msg -> Alcotest.fail msg
           | None -> ());
-          (* A malformed line gets a structured parse_error on the same
+          (* A malformed body gets a structured parse_error on the same
              connection, which stays usable afterwards. *)
           let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
           Fun.protect
@@ -575,41 +536,6 @@ let test_e2e_overload () =
               Alcotest.(check bool) "load was shed" true (!overloaded >= 1);
               Alcotest.(check bool) "some work completed" true (!ok >= 1))))
 
-(* Cross-framing identity: the same query over wire/1 lines, wire/2
-   lines and wire/3 frames returns byte-identical response bodies (the
-   server always stamps its own version) — and a wire/2 client against
-   the wire/3-default server negotiates down transparently, since the
-   server detects framing from the first byte. *)
-let test_e2e_cross_framing () =
-  with_watchdog (fun () ->
-      let socket = temp_socket () in
-      let server = Server.start (base_config socket) in
-      Fun.protect
-        ~finally:(fun () -> Server.stop server)
-        (fun () ->
-          let q = analyze ~protocol:"raft" [ (5, 0.013) ] in
-          let fetch wire =
-            let c =
-              Client.connect ~wire ~retry_for:5. (Client.Unix_path socket)
-            in
-            Fun.protect
-              ~finally:(fun () -> Client.close c)
-              (fun () ->
-                match
-                  Client.call_line c ~id:9
-                    (Wire.encode_request ~v:wire { Wire.id = 9; query = q })
-                with
-                | Ok reply -> reply
-                | Error (code, msg) ->
-                    Alcotest.failf "wire/%d call failed: %s (%s)" wire
-                      (Wire.code_string code) msg)
-          in
-          let r1 = fetch 1 and r2 = fetch 2 and r3 = fetch 3 in
-          Alcotest.(check string) "wire/1 body == wire/2 body" r2 r1;
-          Alcotest.(check string) "wire/2 body == wire/3 body" r3 r2;
-          Alcotest.(check string) "server stamps v3" "{\"v\": 3,"
-            (String.sub r3 0 8)))
-
 (* Pipelining: many frames outstanding on one connection; every id is
    answered exactly once (completions may arrive out of order). *)
 let test_e2e_pipelining () =
@@ -659,39 +585,6 @@ let test_e2e_pipelining () =
                     1 k)
                 seen)))
 
-(* --wire 2 gate: binary framing refused with a typed goodbye while
-   line clients are untouched. *)
-let test_e2e_wire_gate () =
-  with_watchdog (fun () ->
-      let socket = temp_socket () in
-      let server =
-        Server.start { (base_config socket) with Server.max_wire = 2 }
-      in
-      Fun.protect
-        ~finally:(fun () -> Server.stop server)
-        (fun () ->
-          let c2 =
-            Client.connect ~wire:2 ~retry_for:5. (Client.Unix_path socket)
-          in
-          (match Client.call c2 ~id:0 Wire.Ping with
-          | Ok _ -> ()
-          | Error (c, m) ->
-              Alcotest.failf "wire/2 ping failed: %s (%s)" (Wire.code_string c)
-                m);
-          Client.close c2;
-          let c3 =
-            Client.connect ~wire:3 ~retry_for:5. (Client.Unix_path socket)
-          in
-          Fun.protect
-            ~finally:(fun () -> Client.close c3)
-            (fun () ->
-              match Client.call ~max_attempts:1 c3 ~id:0 Wire.Ping with
-              | Error ((Wire.Connection_lost | Wire.Timeout), _) -> ()
-              | Ok _ -> Alcotest.fail "binary framing should have been refused"
-              | Error (c, m) ->
-                  Alcotest.failf "unexpected error: %s (%s)"
-                    (Wire.code_string c) m)))
-
 let test_e2e_deadline () =
   with_watchdog (fun () ->
       let socket = temp_socket () in
@@ -730,7 +623,6 @@ let suite =
     Alcotest.test_case "wire error codes" `Quick test_wire_error_codes;
     Alcotest.test_case "wire parse errors" `Quick test_wire_parse_errors;
     Alcotest.test_case "wire canonical key" `Quick test_wire_canonical_key;
-    Alcotest.test_case "wire version upgrade" `Quick test_wire_version_upgrade;
     Alcotest.test_case "wire responses" `Quick test_wire_responses;
     Alcotest.test_case "cache eviction order" `Quick test_cache_eviction_order;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
@@ -747,9 +639,6 @@ let suite =
       test_router_markov_default_quorum;
     Alcotest.test_case "e2e server" `Quick test_e2e_server;
     Alcotest.test_case "e2e overload" `Quick test_e2e_overload;
-    Alcotest.test_case "e2e cross-framing identity" `Quick
-      test_e2e_cross_framing;
     Alcotest.test_case "e2e pipelining" `Quick test_e2e_pipelining;
-    Alcotest.test_case "e2e wire gate" `Quick test_e2e_wire_gate;
     Alcotest.test_case "e2e deadline" `Quick test_e2e_deadline;
   ]

@@ -2,18 +2,13 @@
    top-level schema tag:
 
    - probcons-bench/2    the bench harness's --json artifact
-   - probcons-loadgen/1  the service load generator's --json artifact
-     (legacy; current runs emit /3)
-   - probcons-loadgen/2  loadgen with a per-error-code breakdown
-   - probcons-loadgen/3  loadgen with wire version, pipeline depth and
-     a warmup/measured-window split; the measured window must be at
+   - probcons-loadgen/3  the service load generator's --json artifact:
+     a per-error-code breakdown, pipeline depth and a
+     warmup/measured-window split; the measured window must be at
      least one second, so a throughput number can never come from a
      sub-second burst
    - probcons-chaos/1    the chaos soak harness: fault plan + injection
      counts + the embedded loadgen report + the drain check
-   - probcons-service-bench/1  the servebench wire/2-vs-wire/3
-     comparison: two loadgen/3 rows on one server, wire/3 strictly
-     faster
    - probcons-repro/1    the DST harness's minimal-reproduction
      artifact: seeds, system tag, scenario, fault plan, op trace,
      violated invariant, expectation, shrink statistics
@@ -98,12 +93,12 @@ let validate_bench path doc =
             path (List.length rows) (List.length samples)
             (Hashtbl.length scenario_cache))
 
-(* --- probcons-loadgen/1 and /2 ----------------------------------------- *)
+(* --- probcons-loadgen/3 ------------------------------------------------ *)
 
-(* v2 adds errors_by_code: an object of non-negative per-code counts
-   that must sum to the errors total — the soak harness keys its
-   pass/fail decision on which codes appear, so a malformed breakdown
-   is a schema failure, not a cosmetic one. *)
+(* errors_by_code: an object of non-negative per-code counts that must
+   sum to the errors total — the soak harness keys its pass/fail
+   decision on which codes appear, so a malformed breakdown is a schema
+   failure, not a cosmetic one. *)
 let check_errors_by_code doc errors =
   match Obs.Json.member "errors_by_code" doc with
   | Some (Obs.Json.Obj fields) ->
@@ -122,7 +117,7 @@ let check_errors_by_code doc errors =
   | Some _ -> fail "errors_by_code must be an object"
   | None -> fail "missing errors_by_code"
 
-let validate_loadgen ?(version = 1) path doc =
+let validate_loadgen path doc =
   let require_int key =
     match int_field key doc with
     | Some i when i >= 0 -> i
@@ -142,26 +137,24 @@ let validate_loadgen ?(version = 1) path doc =
   if ok + errors <> total then
     fail "ok (%d) + errors (%d) does not account for requests_total (%d)" ok
       errors total;
-  if version >= 2 then check_errors_by_code doc errors;
-  if version >= 3 then begin
-    (match int_field "wire_version" doc with
-    | Some v when v >= 1 && v <= 3 -> ()
-    | Some v -> fail "wire_version must be 1..3, got %d" v
-    | None -> fail "missing integer wire_version");
-    (match int_field "pipeline" doc with
-    | Some p when p >= 1 -> ()
-    | Some p -> fail "pipeline must be positive, got %d" p
-    | None -> fail "missing integer pipeline");
-    (match num "warmup_seconds" doc with
-    | Some v when Float.is_finite v && v >= 0. -> ()
-    | Some v -> fail "warmup_seconds not finite and non-negative (%g)" v
-    | None -> fail "missing numeric warmup_seconds");
-    (* Throughput claims need a real measurement window behind them. *)
-    match num "elapsed_seconds" doc with
-    | Some v when Float.is_finite v && v >= 1.0 -> ()
-    | Some v -> fail "elapsed_seconds must be at least 1.0s, got %g" v
-    | None -> fail "missing numeric elapsed_seconds"
-  end;
+  check_errors_by_code doc errors;
+  (match int_field "wire_version" doc with
+  | Some 3 -> ()
+  | Some v -> fail "wire_version must be 3, got %d" v
+  | None -> fail "missing integer wire_version");
+  (match int_field "pipeline" doc with
+  | Some p when p >= 1 -> ()
+  | Some p -> fail "pipeline must be positive, got %d" p
+  | None -> fail "missing integer pipeline");
+  (match num "warmup_seconds" doc with
+  | Some v when Float.is_finite v && v >= 0. -> ()
+  | Some v -> fail "warmup_seconds not finite and non-negative (%g)" v
+  | None -> fail "missing numeric warmup_seconds");
+  (* Throughput claims need a real measurement window behind them. *)
+  (match num "elapsed_seconds" doc with
+  | Some v when Float.is_finite v && v >= 1.0 -> ()
+  | Some v -> fail "elapsed_seconds must be at least 1.0s, got %g" v
+  | None -> fail "missing numeric elapsed_seconds");
   (match num "throughput_rps" doc with
   | Some v when Float.is_finite v && v > 0. -> ()
   | Some v -> fail "throughput_rps not finite and positive (%g)" v
@@ -226,58 +219,10 @@ let validate_chaos path doc =
     | None -> fail "missing embedded loadgen report"
   in
   (match str "schema" loadgen with
-  | Some "probcons-loadgen/2" -> validate_loadgen ~version:2 (path ^ "#loadgen") loadgen
-  | Some "probcons-loadgen/3" -> validate_loadgen ~version:3 (path ^ "#loadgen") loadgen
-  | Some other ->
-      fail "embedded loadgen has schema %S, want probcons-loadgen/2 or /3" other
+  | Some "probcons-loadgen/3" -> validate_loadgen (path ^ "#loadgen") loadgen
+  | Some other -> fail "embedded loadgen has schema %S, want probcons-loadgen/3" other
   | None -> fail "embedded loadgen is missing its schema tag");
   Printf.printf "%s: OK (chaos soak, %d fault counters)\n" path fault_count
-
-(* --- probcons-service-bench/1 ------------------------------------------- *)
-
-(* Two loadgen/3 rows measured against the same in-process server:
-   wire/2 serial lines first, wire/3 pipelined frames second. The
-   artifact is a performance claim, so the claim is checked: both rows
-   clean (no errors, no byte-identity mismatches), and wire/3 strictly
-   faster than wire/2. *)
-let validate_service_bench path doc =
-  let rows =
-    match Option.bind (Obs.Json.member "rows" doc) Obs.Json.to_list with
-    | Some ([ _; _ ] as rows) -> rows
-    | Some rows -> fail "want exactly 2 rows (wire/2, wire/3), got %d" (List.length rows)
-    | None -> fail "missing rows list"
-  in
-  let check_row want_wire row =
-    (match str "schema" row with
-    | Some "probcons-loadgen/3" -> ()
-    | Some other -> fail "row has schema %S, want probcons-loadgen/3" other
-    | None -> fail "row is missing its schema tag");
-    (match int_field "wire_version" row with
-    | Some v when v = want_wire -> ()
-    | Some v -> fail "row has wire_version %d, want %d" v want_wire
-    | None -> fail "row is missing wire_version");
-    (match int_field "errors" row with
-    | Some 0 -> ()
-    | _ -> fail "wire/%d row is not clean (errors != 0)" want_wire);
-    (match int_field "mismatches" row with
-    | Some 0 -> ()
-    | _ -> fail "wire/%d row has byte-identity mismatches" want_wire);
-    validate_loadgen ~version:3
-      (Printf.sprintf "%s#wire%d" path want_wire)
-      row;
-    match num "throughput_rps" row with Some v -> v | None -> 0.
-  in
-  let r2, r3 =
-    match rows with [ a; b ] -> (check_row 2 a, check_row 3 b) | _ -> assert false
-  in
-  (match num "speedup" doc with
-  | Some v when Float.is_finite v && v > 0. -> ()
-  | Some v -> fail "speedup not finite and positive (%g)" v
-  | None -> fail "missing numeric speedup");
-  if not (r3 > r2) then
-    fail "wire/3 (%.0f req/s) is not strictly faster than wire/2 (%.0f req/s)" r3 r2;
-  Printf.printf "%s: OK (wire/3 %.0f req/s vs wire/2 %.0f req/s, %.2fx)\n" path
-    r3 r2 (r3 /. r2)
 
 (* --- probcons-repro/1 ---------------------------------------------------- *)
 
@@ -576,11 +521,8 @@ let () =
   in
   match str "schema" doc with
   | Some "probcons-bench/2" -> validate_bench path doc
-  | Some "probcons-loadgen/1" -> validate_loadgen ~version:1 path doc
-  | Some "probcons-loadgen/2" -> validate_loadgen ~version:2 path doc
-  | Some "probcons-loadgen/3" -> validate_loadgen ~version:3 path doc
+  | Some "probcons-loadgen/3" -> validate_loadgen path doc
   | Some "probcons-chaos/1" -> validate_chaos path doc
-  | Some "probcons-service-bench/1" -> validate_service_bench path doc
   | Some "probcons-repro/1" -> validate_repro path doc
   | Some "probcons-fleet-bench/1" -> validate_fleet_bench path doc
   | Some "probcons-dynamic-bench/1" -> validate_dynamic_bench path doc
