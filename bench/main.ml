@@ -1,97 +1,14 @@
 (* Reproduction harness: regenerates every table and quantitative claim
-   of "Real Life Is Uncertain. Consensus Should Be Too!" (HotOS 2025),
-   then micro-benchmarks the analysis kernels with Bechamel.
+   of "Real Life Is Uncertain. Consensus Should Be Too!" (HotOS 2025).
 
-   One section per experiment in DESIGN.md's index (T1, T2, E3-E10).
-   Absolute latencies are machine-dependent; the reproduced tables are
-   deterministic. *)
+   One section per experiment in DESIGN.md's index (T1, T2, E3–E20).
+   The reproduced tables are deterministic; only E20's engine timings
+   are machine-dependent. --quick skips the simulation sweeps. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let pct = Prob.Nines.percent_string
-
-(* ------------------------------------------------- JSON perf trail *)
-
-(* Rows for --json FILE: a machine-readable perf trajectory that future
-   changes can diff against. *)
-type json_row = {
-  kernel : string;
-  n : int;
-  engine : string;
-  domains : int;
-  ns_per_run : float;
-  scenario : string option;
-      (* Repo-relative path of the committed scenario file that drove
-         the kernel, when there is one — what makes the row
-         reproducible from the artifact alone. *)
-}
-
-let json_rows : json_row list ref = ref []
-
-let record_row ?scenario ~kernel ~n ~engine ~domains ~ns_per_run () =
-  json_rows := { kernel; n; engine; domains; ns_per_run; scenario } :: !json_rows
-
-(* ------------------------------------------------- scenario files *)
-
-(* The P1-P3 workloads are committed scenarios, not hardcoded
-   literals: the bench loads them through the same [Scenario.of_json]
-   parser as the CLI and the wire, and the artifact rows carry the
-   file path (validated by tools/validate_bench). *)
-let scenario_dir () =
-  match
-    List.find_opt
-      (fun d -> Sys.file_exists d && Sys.is_directory d)
-      [ "bench/scenarios"; "../bench/scenarios"; "../../bench/scenarios" ]
-  with
-  | Some d -> d
-  | None ->
-      failwith
-        "bench/scenarios not found: run the bench from the repository root"
-
-let load_scenario name =
-  let path = Filename.concat (scenario_dir ()) name in
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Probcons.Scenario.of_string contents with
-  | Ok s -> ("bench/scenarios/" ^ name, s)
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-
-(* Schema "probcons-bench/2": an object with perf rows plus the metrics
-   snapshot of the whole reproduction run, so CI can hold a line on both
-   timings and telemetry (tools/validate_bench checks the shape). *)
-let write_json path =
-  let row { kernel; n; engine; domains; ns_per_run; scenario } =
-    Obs.Json.Obj
-      ([
-         ("kernel", Obs.Json.String kernel);
-         ("n", Obs.Json.Int n);
-         ("engine", Obs.Json.String engine);
-         ("domains", Obs.Json.Int domains);
-         ("ns_per_run", Obs.Json.number (Float.round ns_per_run));
-       ]
-      @
-      match scenario with
-      | None -> []
-      | Some path -> [ ("scenario", Obs.Json.String path) ])
-  in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.String "probcons-bench/2");
-        ("rows", Obs.Json.List (List.rev_map row !json_rows));
-        ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "\nwrote %d benchmark rows to %s\n" (List.length !json_rows) path
 
 (* ---------------------------------------------------------------- T1 *)
 
@@ -798,301 +715,8 @@ let e20_engine_ablation () =
     (Probcons.Report.render
        (Probcons.Sweep.timeline aging ~times:[ 1_000.; 8_766.; 26_298.; 43_830.; 52_596. ]))
 
-(* ---------------------------------------------------------------- P1 *)
-
-let p1_parallel_engine ~quick =
-  section "P1. Parallel analysis engine: domains sweep, bit-stable results";
-  (* Identity-dependent predicate (stake weights) over an all-Byzantine
-     fleet: the 2^N binary enumeration hot path. --quick loads the
-     smaller committed scenario so the smoke run stays fast. The full
-     scenario exceeds the registry's interactive stake bound on
-     purpose — the bench drives the engine directly, with the fleet and
-     stakes still coming from the scenario file. *)
-  let scenario_path, scen =
-    load_scenario
-      (if quick then "p1_enumeration_quick.json" else "p1_enumeration.json")
-  in
-  let n = Probcons.Scenario.size scen in
-  let stakes =
-    Array.of_list (Option.get (Probcons.Scenario.stakes scen))
-  in
-  let proto = Probcons.Stake_model.protocol (Probcons.Stake_model.make stakes) in
-  let fleet =
-    Probcons.Scenario.fleet
-      ~byz_fraction:
-        (Option.value (Probcons.Scenario.byz_fraction scen) ~default:1.0)
-      scen
-  in
-  let timed ?strategy domains =
-    let started = Unix.gettimeofday () in
-    let r = Probcons.Analysis.run ?strategy ~domains proto fleet in
-    (r, (Unix.gettimeofday () -. started) *. 1e9)
-  in
-  Printf.printf "  machine: %d core(s) recommended by the runtime; pool default %d lane(s)\n"
-    (Domain.recommended_domain_count ())
-    (Parallel.Pool.default ());
-  let enum = Some Probcons.Analysis.Enumeration in
-  let baseline, base_ns = timed ?strategy:enum 1 in
-  Printf.printf "  enumeration 2^%d, domains=1: %8.0f ms  [%s]\n" n (base_ns /. 1e6)
-    baseline.Probcons.Analysis.engine;
-  record_row ~scenario:scenario_path ~kernel:"analysis/enumeration-2^N" ~n
-    ~engine:baseline.Probcons.Analysis.engine ~domains:1 ~ns_per_run:base_ns ();
-  List.iter
-    (fun domains ->
-      let r, ns = timed ?strategy:enum domains in
-      let identical =
-        Float.equal r.Probcons.Analysis.p_safe baseline.Probcons.Analysis.p_safe
-        && Float.equal r.Probcons.Analysis.p_live baseline.Probcons.Analysis.p_live
-        && Float.equal r.Probcons.Analysis.p_safe_live
-             baseline.Probcons.Analysis.p_safe_live
-      in
-      Printf.printf
-        "  enumeration 2^%d, domains=%d: %8.0f ms  %5.2fx  bit-identical: %b  [%s]\n" n
-        domains (ns /. 1e6) (base_ns /. ns) identical r.Probcons.Analysis.engine;
-      record_row ~scenario:scenario_path ~kernel:"analysis/enumeration-2^N" ~n
-        ~engine:r.Probcons.Analysis.engine ~domains ~ns_per_run:ns ())
-    [ 2; 4; 8 ];
-  (* Monte Carlo: per-chunk streams from (seed, chunk) keep the estimate
-     seed-reproducible whatever the lane count. *)
-  let trials = if quick then 100_000 else 1_000_000 in
-  let mc = Some (Probcons.Analysis.Monte_carlo trials) in
-  let mc1, mc1_ns = timed ?strategy:mc 1 in
-  let mc8, mc8_ns = timed ?strategy:mc 8 in
-  Printf.printf
-    "  monte-carlo %d trials, domains=1: %6.0f ms; domains=8: %6.0f ms  %5.2fx  identical: %b\n"
-    trials (mc1_ns /. 1e6) (mc8_ns /. 1e6) (mc1_ns /. mc8_ns)
-    (Float.equal mc1.Probcons.Analysis.p_safe_live mc8.Probcons.Analysis.p_safe_live);
-  record_row ~scenario:scenario_path ~kernel:"analysis/monte-carlo" ~n
-    ~engine:mc1.Probcons.Analysis.engine ~domains:1 ~ns_per_run:mc1_ns ();
-  record_row ~scenario:scenario_path ~kernel:"analysis/monte-carlo" ~n
-    ~engine:mc8.Probcons.Analysis.engine ~domains:8 ~ns_per_run:mc8_ns ();
-  (* Sweep grids fan cells out over the same pool. *)
-  let sweep_timed domains =
-    let started = Unix.gettimeofday () in
-    ignore
-      (Probcons.Sweep.pbft_grid ~domains ~ns:[ 4; 5; 7; 8; 10 ]
-         ~ps:[ 0.005; 0.01; 0.02; 0.04; 0.08 ] ()
-        : Probcons.Report.t);
-    (Unix.gettimeofday () -. started) *. 1e9
-  in
-  let sweep1 = sweep_timed 1 and sweep8 = sweep_timed 8 in
-  Printf.printf "  pbft sweep 5x5 grid, domains=1: %6.1f ms; domains=8: %6.1f ms  %5.2fx\n"
-    (sweep1 /. 1e6) (sweep8 /. 1e6) (sweep1 /. sweep8);
-  record_row ~kernel:"sweep/pbft-grid-5x5" ~n:10 ~engine:"count-dp-cells" ~domains:1
-    ~ns_per_run:sweep1 ();
-  record_row ~kernel:"sweep/pbft-grid-5x5" ~n:10 ~engine:"count-dp-cells" ~domains:8
-    ~ns_per_run:sweep8 ();
-  print_endline
-    "  (chunk boundaries and reduction order are fixed by the instance, so every\n\
-    \   domain count produces bit-identical exact results; wall-clock gains track\n\
-    \   the machine's core count - a single-core host shows parity, not speedup)"
-
-(* ---------------------------------------------------------------- P2 *)
-
-let p2_obs_overhead ~quick =
-  section "P2. Observability overhead: instrumented hot loops, sink off vs on";
-  (* The raft simulation exercises every instrumented layer (engine
-     events, network sends, protocol counters). With the registry
-     disabled each record site costs one atomic load and a branch; the
-     off/on rows land in the --json artifact so CI can watch the gap. *)
-  let scenario_path, scen = load_scenario "p2_sim.json" in
-  let sim_n = Probcons.Scenario.size scen in
-  let sim_seed = Option.value (Probcons.Scenario.seed scen) ~default:7 in
-  let run_sim () =
-    let cluster = Raft_sim.Raft_cluster.create ~n:sim_n ~seed:sim_seed () in
-    Raft_sim.Raft_cluster.submit_workload cluster
-      ~commands:(List.init 20 (fun i -> 100 + i))
-      ~start:500. ~interval:100.;
-    Raft_sim.Raft_cluster.run cluster ~until:60_000.
-  in
-  let time_reps reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      run_sim ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  in
-  let reps = if quick then 25 else 200 in
-  let prev = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled false;
-  ignore (time_reps 5);
-  let off_ns = time_reps reps in
-  Obs.Metrics.set_enabled true;
-  ignore (time_reps 5);
-  let on_ns = time_reps reps in
-  Obs.Metrics.set_enabled prev;
-  Printf.printf "  raft n=%d sim, metrics off: %8.0f us/run\n" sim_n (off_ns /. 1e3);
-  Printf.printf "  raft n=%d sim, metrics on:  %8.0f us/run  (%+.1f%%)\n" sim_n
-    (on_ns /. 1e3)
-    ((on_ns -. off_ns) /. off_ns *. 100.);
-  record_row ~scenario:scenario_path ~kernel:"obs/sim-raft-metrics-off" ~n:sim_n
-    ~engine:"dessim" ~domains:1 ~ns_per_run:off_ns ();
-  record_row ~scenario:scenario_path ~kernel:"obs/sim-raft-metrics-on" ~n:sim_n
-    ~engine:"dessim" ~domains:1 ~ns_per_run:on_ns ()
-
-(* ---------------------------------------------------------------- P3 *)
-
-let p3_service ~quick =
-  section "P3. Query service: wire parsing, reply cache, socket round-trips";
-  (* Hot-path costs of the serving layer, end to end: parse a request
-     line, derive its cache key, hit the LRU, and finally a full
-     client->server->client round-trip over a Unix socket (cached, so
-     the protocol overhead dominates, not the analysis). *)
-  let scenario_path, scen = load_scenario "p3_service.json" in
-  let svc_n = Probcons.Scenario.size scen in
-  let query = Service.Wire.Analyze { scenario = scen } in
-  let line = Service.Wire.encode_request { Service.Wire.id = 1; query } in
-  let time_ns reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  in
-  let reps = if quick then 20_000 else 200_000 in
-  let parse_ns = time_ns reps (fun () -> ignore (Service.Wire.parse_request line)) in
-  Printf.printf "  wire parse+validate:      %8.0f ns/req\n" parse_ns;
-  record_row ~scenario:scenario_path ~kernel:"service/wire-parse" ~n:svc_n
-    ~engine:"json" ~domains:1 ~ns_per_run:parse_ns ();
-  let key_ns = time_ns reps (fun () -> ignore (Service.Wire.canonical_key query)) in
-  Printf.printf "  canonical cache key:      %8.0f ns/req\n" key_ns;
-  record_row ~scenario:scenario_path ~kernel:"service/canonical-key" ~n:svc_n
-    ~engine:"json" ~domains:1 ~ns_per_run:key_ns ();
-  let cache = Service.Cache.create ~capacity:1024 () in
-  let key = Service.Wire.canonical_key query in
-  Service.Cache.add cache key "{\"payload\": true}";
-  let hit_ns = time_ns reps (fun () -> ignore (Service.Cache.find cache key)) in
-  Printf.printf "  LRU cache hit:            %8.0f ns/req\n" hit_ns;
-  record_row ~kernel:"service/cache-hit" ~n:1 ~engine:"lru" ~domains:1
-    ~ns_per_run:hit_ns ();
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "probcons-bench-%d.sock" (Unix.getpid ()))
-  in
-  let server =
-    Service.Server.start
-      { Service.Server.default_config with
-        Service.Server.socket_path = Some socket; workers = 2 }
-  in
-  Fun.protect
-    ~finally:(fun () -> Service.Server.stop server)
-    (fun () ->
-      let c = Service.Client.connect ~retry_for:5. (Service.Client.Unix_path socket) in
-      Fun.protect
-        ~finally:(fun () -> Service.Client.close c)
-        (fun () ->
-          ignore (Service.Client.call_raw c line);
-          let rt_reps = if quick then 2_000 else 20_000 in
-          let rt_ns = time_ns rt_reps (fun () -> ignore (Service.Client.call_raw c line)) in
-          Printf.printf "  unix-socket round-trip:   %8.0f ns/req (%.0f req/s, cached)\n"
-            rt_ns (1e9 /. rt_ns);
-          record_row ~scenario:scenario_path ~kernel:"service/roundtrip-unix"
-            ~n:svc_n ~engine:"unix-socket" ~domains:2 ~ns_per_run:rt_ns ()))
-
-(* ------------------------------------------------- Bechamel kernels *)
-
-let kernel_tests () =
-  let open Bechamel in
-  let raft9 = Probcons.Raft_model.protocol (Probcons.Raft_model.default 9) in
-  let fleet9 = Faultmodel.Fleet.uniform ~n:9 ~p:0.02 () in
-  let pbft7 = Probcons.Pbft_model.protocol (Probcons.Pbft_model.default 7) in
-  let byz7 = Faultmodel.Fleet.uniform ~byz_fraction:1.0 ~n:7 ~p:0.01 () in
-  let fleet15 = Faultmodel.Fleet.mixed [ (8, 0.08); (7, 0.01) ] in
-  let raft15 = Probcons.Raft_model.protocol (Probcons.Raft_model.default 15) in
-  let probs100 = Array.make 100 0.1 in
-  [
-    Test.make ~name:"analysis/raft-n9-count-dp"
-      (Staged.stage (fun () ->
-           Probcons.Analysis.run ~strategy:Probcons.Analysis.Count_dp raft9 fleet9));
-    Test.make ~name:"analysis/pbft-n7-count-dp"
-      (Staged.stage (fun () ->
-           Probcons.Analysis.run ~strategy:Probcons.Analysis.Count_dp pbft7 byz7));
-    Test.make ~name:"analysis/raft-n15-enumeration"
-      (Staged.stage (fun () ->
-           Probcons.Analysis.run ~strategy:Probcons.Analysis.Enumeration raft15 fleet15));
-    Test.make ~name:"prob/poisson-binomial-n100"
-      (Staged.stage (fun () -> Prob.Poisson_binomial.pmf probs100));
-    Test.make ~name:"markov/mttdl-n9"
-      (Staged.stage (fun () ->
-           Markov.Repair_model.mttdl
-             { Markov.Repair_model.n = 9; quorum = 5; lambda = 1e-5; mu = 0.04 }));
-    Test.make ~name:"sim/raft-n5-healthy-run"
-      (Staged.stage (fun () ->
-           let cluster = Raft_sim.Raft_cluster.create ~n:5 ~seed:1 () in
-           Raft_sim.Raft_cluster.submit_workload cluster ~commands:[ 1; 2; 3 ]
-             ~start:500. ~interval:100.;
-           Raft_sim.Raft_cluster.run cluster ~until:5000.));
-    Test.make ~name:"sim/pbft-n4-healthy-run"
-      (Staged.stage (fun () ->
-           let cluster = Pbft_sim.Pbft_cluster.create ~n:4 ~seed:1 () in
-           Pbft_sim.Pbft_cluster.submit_workload cluster ~commands:[ 1; 2; 3 ]
-             ~start:200. ~interval:150.;
-           Pbft_sim.Pbft_cluster.run cluster ~until:5000.));
-    Test.make ~name:"probnative/committee-search"
-      (Staged.stage (fun () ->
-           Probnative.Committee.reliability_ranked ~target:0.9999
-             (Faultmodel.Fleet.mixed [ (4, 0.005); (10, 0.02); (6, 0.08) ])));
-    Test.make ~name:"sim/benor-n5-split-run"
-      (Staged.stage (fun () ->
-           let cluster =
-             Benor_sim.Benor_cluster.create ~seed:1 ~initial_values:[ 0; 1; 0; 1; 1 ] ()
-           in
-           Benor_sim.Benor_cluster.run cluster ~until:1e7));
-    Test.make ~name:"sim/rabia-n5-3cmd-run"
-      (Staged.stage (fun () ->
-           let cluster = Rabia_sim.Rabia_cluster.create ~n:5 ~seed:1 () in
-           Rabia_sim.Rabia_cluster.submit_workload cluster ~commands:[ 1; 2; 3 ]
-             ~start:100. ~interval:50.;
-           Rabia_sim.Rabia_cluster.run cluster ~until:10_000.));
-  ]
-
-let run_kernels () =
-  section "Microbenchmarks (Bechamel, OLS estimate per run)";
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let tests = Test.make_grouped ~name:"kernels" ~fmt:"%s/%s" (kernel_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] ->
-          let unit, value =
-            if est > 1e9 then ("s ", est /. 1e9)
-            else if est > 1e6 then ("ms", est /. 1e6)
-            else if est > 1e3 then ("us", est /. 1e3)
-            else ("ns", est)
-          in
-          Printf.printf "  %-40s %10.2f %s/run\n" name value unit
-      | Some _ | None -> Printf.printf "  %-40s (no estimate)\n" name)
-    (List.sort compare rows)
-
-let json_target () =
-  let rec go i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "--json" then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
 let () =
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
-  (* Collect run telemetry for the whole reproduction; the final
-     snapshot is embedded in the --json artifact. P2 toggles the flag
-     locally to measure the disabled-path overhead. *)
-  Obs.Metrics.set_enabled true;
-  (* Fail fast on an unwritable --json target rather than after the
-     full run, which would lose every measurement. *)
-  (match json_target () with
-  | Some path -> (
-      try close_out (open_out path)
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write --json target: %s\n" msg;
-        exit 1)
-  | None -> ());
   table1 ();
   table2 ();
   e3_equivalence ();
@@ -1118,9 +742,4 @@ let () =
   if quick then print_endline "(E19 tail-latency comparison skipped: --quick)"
   else e19_tail_latency ();
   e20_engine_ablation ();
-  p1_parallel_engine ~quick;
-  p2_obs_overhead ~quick;
-  p3_service ~quick;
-  if quick then print_endline "(microbenchmarks skipped: --quick)" else run_kernels ();
-  (match json_target () with Some path -> write_json path | None -> ());
   print_newline ()

@@ -111,8 +111,8 @@ let scenario_file_arg =
     & info [ "scenario" ] ~docv:"FILE"
         ~doc:
           "Read the deployment scenario from $(docv) — the canonical JSON \
-           form shared with the wire protocol and the bench. Overrides the \
-           flag-built scenario.")
+           form shared with the wire protocol. Overrides the flag-built \
+           scenario.")
 
 let proto_name_arg =
   Arg.(
@@ -1291,51 +1291,6 @@ let fleet_cmd =
             "Emit the canonical fleet payload — byte-identical to what the \
              server returns for the same parameters.")
   in
-  let bench_arg =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Instead of the controller loop, benchmark incremental updates \
-             against full recomputes at each size in $(b,--sizes).")
-  in
-  let sizes_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1_000; 10_000 ]
-      & info [ "sizes" ] ~docv:"N1,N2,..."
-          ~doc:"Fleet sizes for $(b,--bench).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the probcons-fleet-bench/1 artifact to $(docv).")
-  in
-  let run_bench seed sizes out =
-    List.iter
-      (fun n -> if n <= 0 then die "fleet --bench: sizes must be positive")
-      sizes;
-    let rows = Fleetctl.Bench.run ~seed ~sizes () in
-    Format.printf "%10s  %-18s  %10s  %12s  %12s  %9s@." "n" "kernel" "ops"
-      "ns/op" "ops/s" "refreshes";
-    List.iter
-      (fun r ->
-        Format.printf "%10d  %-18s  %10d  %12.0f  %12.2f  %9d@."
-          r.Fleetctl.Bench.n r.Fleetctl.Bench.kernel r.Fleetctl.Bench.ops
-          r.Fleetctl.Bench.ns_per_op r.Fleetctl.Bench.ops_per_sec
-          r.Fleetctl.Bench.refreshes)
-      rows;
-    match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (Fleetctl.Bench.to_json ~seed rows));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "fleet bench artifact written to %s@." path
-  in
   let dynamic_arg =
     Arg.(
       value & flag
@@ -1345,32 +1300,29 @@ let fleet_cmd =
              Markov degradation processes (nodes worsen and heal) and the \
              swap policy weighs estimates by their confidence intervals.")
   in
-  let run nodes ticks seed quorum nines dynamic json bench sizes out () =
-    if bench then run_bench seed sizes out
-    else begin
-      if nodes <= 0 then die "fleet: --nodes must be positive";
-      if ticks < 0 then die "fleet: --ticks must be non-negative";
-      let cfg =
-        Fleetctl.Controller.default_config ~seed ~ticks ~dynamic ~nodes ()
-      in
-      let cfg =
-        {
-          cfg with
-          Fleetctl.Controller.quorum =
-            (match quorum with
-            | None -> cfg.Fleetctl.Controller.quorum
-            | Some q ->
-                if q < 1 || q > nodes then
-                  die "fleet: --quorum must be in [1, %d]" nodes
-                else q);
-          target_live = Prob.Nines.to_prob nines;
-        }
-      in
-      let outcome = Fleetctl.Controller.run cfg in
-      if json then
-        print_endline (Obs.Json.to_string (Fleetctl.Controller.payload outcome))
-      else Format.printf "%a@." Fleetctl.Controller.pp_outcome outcome
-    end
+  let run nodes ticks seed quorum nines dynamic json () =
+    if nodes <= 0 then die "fleet: --nodes must be positive";
+    if ticks < 0 then die "fleet: --ticks must be non-negative";
+    let cfg =
+      Fleetctl.Controller.default_config ~seed ~ticks ~dynamic ~nodes ()
+    in
+    let cfg =
+      {
+        cfg with
+        Fleetctl.Controller.quorum =
+          (match quorum with
+          | None -> cfg.Fleetctl.Controller.quorum
+          | Some q ->
+              if q < 1 || q > nodes then
+                die "fleet: --quorum must be in [1, %d]" nodes
+              else q);
+        target_live = Prob.Nines.to_prob nines;
+      }
+    in
+    let outcome = Fleetctl.Controller.run cfg in
+    if json then
+      print_endline (Obs.Json.to_string (Fleetctl.Controller.payload outcome))
+    else Format.printf "%a@." Fleetctl.Controller.pp_outcome outcome
   in
   Cmd.v
     (cmd_info "fleet"
@@ -1382,64 +1334,7 @@ let fleet_cmd =
     (with_metrics
        Term.(
          const run $ nodes_arg $ ticks_arg $ seed_arg $ quorum_arg
-         $ fleet_nines_arg $ dynamic_arg $ json_arg $ bench_arg $ sizes_arg
-         $ out_arg))
-
-(* --- dynbench ------------------------------------------------------ *)
-
-let dynbench_cmd =
-  let sizes_arg =
-    Arg.(
-      value
-      & opt (list int) [ 100; 400; 1_000 ]
-      & info [ "sizes" ] ~docv:"N1,N2,..." ~doc:"Fleet sizes to bench.")
-  in
-  let rounds_arg =
-    Arg.(
-      value
-      & opt int Fleetctl.Dynbench.default_rounds
-      & info [ "rounds" ] ~docv:"R" ~doc:"Trajectory rounds per run.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the probcons-dynamic-bench/1 artifact to $(docv).")
-  in
-  let run seed sizes rounds out () =
-    List.iter
-      (fun n -> if n <= 0 then die "dynbench: sizes must be positive")
-      sizes;
-    if rounds < 1 then die "dynbench: --rounds must be positive";
-    let rows = Fleetctl.Dynbench.run ~seed ~rounds ~sizes () in
-    Format.printf "%10s  %-20s  %7s  %12s  %12s  %10s@." "n" "kernel" "rounds"
-      "ms/round" "rounds/s" "max_diff";
-    List.iter
-      (fun r ->
-        Format.printf "%10d  %-20s  %7d  %12.3f  %12.2f  %10.2e@."
-          r.Fleetctl.Dynbench.n r.Fleetctl.Dynbench.kernel
-          r.Fleetctl.Dynbench.rounds r.Fleetctl.Dynbench.ms_per_round
-          r.Fleetctl.Dynbench.rounds_per_sec r.Fleetctl.Dynbench.max_diff)
-      rows;
-    match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Obs.Json.to_string (Fleetctl.Dynbench.to_json ~seed rows));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "dynamic bench artifact written to %s@." path
-  in
-  Cmd.v
-    (cmd_info "dynbench"
-       ~doc:
-         "Benchmark horizon-trajectory analysis: per-round exact recomputes \
-          vs the incremental Poisson-binomial engine over a mostly-static \
-          fleet with a Markov-process minority.")
-    (with_metrics
-       Term.(const run $ seed_arg $ sizes_arg $ rounds_arg $ out_arg))
+         $ fleet_nines_arg $ dynamic_arg $ json_arg))
 
 (* --- replicate / replica-node ------------------------------------------ *)
 
@@ -1772,7 +1667,7 @@ let main_cmd =
       analyze_cmd; protocols_cmd; tables_cmd; optimize_cmd; markov_cmd;
       simulate_cmd; committee_cmd; benor_cmd; mixed_cmd; endtoend_cmd;
       bounds_cmd; plan_cmd; sweep_cmd; serve_cmd; call_cmd; loadgen_cmd;
-      chaos_cmd; dst_cmd; fleet_cmd; dynbench_cmd; replicate_cmd;
+      chaos_cmd; dst_cmd; fleet_cmd; replicate_cmd;
       replica_node_cmd; version_cmd;
     ]
 

@@ -1,9 +1,9 @@
 (** Minimal JSON tree, printer and parser.
 
     The observability layer is zero-dependency by design, so it carries
-    its own JSON support: enough to write metric snapshots, embed them
-    in the bench's [--json] artifact, and parse them back for schema
-    validation and round-trip tests. Not a general-purpose JSON library
+    its own JSON support: enough to write metric snapshots and CI
+    artifacts, and parse them back for schema validation and
+    round-trip tests. Not a general-purpose JSON library
     — numbers are OCaml [int]/[float], strings are assumed UTF-8. *)
 
 type t =

@@ -27,8 +27,8 @@ val create : ?enabled:bool -> unit -> t
 
 val default : t
 (** The process-global registry every library-level metric lives in.
-    Disabled until {!set_enabled}; [bin/main.exe --metrics FILE] and
-    the bench harness switch it on. *)
+    Disabled until {!set_enabled}; [bin/main.exe --metrics FILE]
+    switches it on. *)
 
 val set_enabled : ?registry:t -> bool -> unit
 val enabled : ?registry:t -> unit -> bool

@@ -133,16 +133,6 @@ let test_analyze_horizon () =
   Alcotest.(check int) "file exit 0" 0 status;
   Alcotest.(check string) "identical horizon payloads" from_flags from_file
 
-let test_dynbench () =
-  let status, output = run_capture "dynbench --sizes 40 --rounds 4" in
-  Alcotest.(check int) "exits 0" 0 status;
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S in dynbench output" needle)
-        true (contains output needle))
-    [ "horizon-exact"; "horizon-incremental"; "max_diff" ]
-
 let test_bad_command_fails () =
   let status, _ = run_capture "no-such-command" in
   Alcotest.(check bool) "nonzero exit" true (status <> 0)
@@ -273,7 +263,6 @@ let suite =
     Alcotest.test_case "plan" `Quick test_plan;
     Alcotest.test_case "fleet" `Quick test_fleet;
     Alcotest.test_case "analyze horizon" `Quick test_analyze_horizon;
-    Alcotest.test_case "dynbench" `Quick test_dynbench;
     Alcotest.test_case "bad command fails" `Quick test_bad_command_fails;
     Alcotest.test_case "version" `Quick test_version;
     Alcotest.test_case "serve requires listener" `Quick test_serve_requires_listener;

@@ -454,6 +454,66 @@ let test_run_horizon_incremental_matches_exact () =
          p.result.Analysis.engine = "incremental-pb")
        auto)
 
+(* A mostly static fleet whose 1-in-16 minority (at least one node)
+   runs a Markov on/off process: only those marginals move between
+   rounds, so the incremental path updates a handful of factors where
+   the exact kernel redoes the whole O(n^2) DP. *)
+let markov_sixteenth_fleet ~seed n =
+  let rng = Prob.Rng.of_pair seed n in
+  let log_uniform lo hi =
+    exp (log lo +. (Prob.Rng.float rng *. (log hi -. log lo)))
+  in
+  let dynamic = max 1 (n / 16) in
+  Faultmodel.Fleet.of_nodes
+    (List.init n (fun id ->
+         let process =
+           if id < dynamic then
+             Faultmodel.Failure_process.Markov
+               {
+                 fail_rate = 1. /. log_uniform 2_000. 20_000.;
+                 recover_rate = 1. /. log_uniform 100. 1_000.;
+               }
+           else Faultmodel.Failure_process.Static (log_uniform 0.001 0.05)
+         in
+         Faultmodel.Node.make ~id (Faultmodel.Failure_process.to_curve process)))
+
+let test_horizon_incremental_speed () =
+  (* The speed claim behind the trajectory engine: on the fleet shape
+     where it matters, a 24-round one-year trajectory on the Auto path
+     is at least 5x faster than a Count_dp recompute every round, and
+     never deviates from it by more than 1e-9 in p_live. *)
+  let times = Analysis.horizon_times ~horizon:8766. ~rounds:24 in
+  List.iter
+    (fun n ->
+      let fleet = markov_sixteenth_fleet ~seed:42 n in
+      let proto = Raft_model.protocol (Raft_model.default n) in
+      let timed strategy =
+        let t0 = Unix.gettimeofday () in
+        let points =
+          Analysis.run_horizon ~strategy ~domains:1 ~times proto fleet
+        in
+        (points, Unix.gettimeofday () -. t0)
+      in
+      let exact, exact_s = timed Analysis.Count_dp in
+      let auto, auto_s = timed Analysis.Auto in
+      let max_diff =
+        List.fold_left2
+          (fun acc (e : Analysis.horizon_point) (a : Analysis.horizon_point) ->
+            Float.max acc
+              (Float.abs (e.result.Analysis.p_live -. a.result.Analysis.p_live)))
+          0. exact auto
+      in
+      if max_diff > 1e-9 then
+        Alcotest.failf "n=%d: p_live drifted %g from the exact trajectory" n
+          max_diff;
+      let ratio = exact_s /. auto_s in
+      if ratio < 5. then
+        Alcotest.failf
+          "n=%d: incremental horizon %.4f s vs exact %.4f s: only %.1fx, \
+           floor 5x"
+          n auto_s exact_s ratio)
+    [ 100; 400 ]
+
 let test_horizon_bathtub_dip_flips_recommendation () =
   (* E23: a fleet of bathtub curves (infant mortality 0.25 for the
      first 2000h, then 0.01) looks fine to a static analysis at mission
@@ -1103,4 +1163,6 @@ let suite =
     Alcotest.test_case "report csv" `Quick test_report_csv;
     Alcotest.test_case "paper Table 1 regression" `Quick test_paper_table1_regression;
     Alcotest.test_case "paper Table 2 regression" `Quick test_paper_table2_regression;
+    Alcotest.test_case "horizon incremental ≥5× exact, within 1e-9" `Slow
+      test_horizon_incremental_speed;
   ]

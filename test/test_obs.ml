@@ -67,6 +67,34 @@ let test_disabled_registry_records_nothing () =
   Alcotest.(check int) "records after enable" 1
     (counter_value (find_exn snap ~family:"t" ~name:"hits"))
 
+let test_disabled_registry_allocates_nothing () =
+  (* DESIGN 5b's "off means free": on a disabled registry each record
+     call is a flag load and a branch, so 100k calls of each allocate
+     no minor-heap words. The observed float is preallocated, so
+     passing it boxes nothing. *)
+  let r = Obs.Metrics.create ~enabled:false () in
+  let c = Obs.Metrics.counter ~registry:r ~family:"t" "hits" in
+  let g = Obs.Metrics.gauge ~registry:r ~family:"t" "depth" in
+  let h = Obs.Metrics.histogram ~registry:r ~family:"t" "lat" in
+  let x = 1.5 in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0.
+        (minor_words f))
+    [
+      ("incr", fun () -> Obs.Metrics.incr c);
+      ("add", fun () -> Obs.Metrics.add c 3);
+      ("set", fun () -> Obs.Metrics.set g 7);
+      ("observe", fun () -> Obs.Metrics.observe h x);
+    ]
+
 (* --- Histogram accuracy ---------------------------------------------------- *)
 
 let test_histogram_percentiles () =
@@ -352,4 +380,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sharded_counter_merge;
     Alcotest.test_case "analysis counters domain-invariant" `Quick
       test_analysis_counters_domain_invariant;
+    Alcotest.test_case "disabled registry allocates nothing" `Quick
+      test_disabled_registry_allocates_nothing;
   ]
