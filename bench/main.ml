@@ -3,7 +3,7 @@
 
    One section per experiment in DESIGN.md's index (T1, T2, E3–E20).
    The reproduced tables are deterministic; only E20's engine timings
-   are machine-dependent. --quick skips the simulation sweeps. *)
+   are machine-dependent. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -14,28 +14,7 @@ let pct = Prob.Nines.percent_string
 
 let table1 () =
   section "T1. Table 1: PBFT reliability, uniform p_u = 1%";
-  let t =
-    Probcons.Report.create
-      ~header:[ "N"; "|Qeq|"; "|Qper|"; "|Qvc|"; "|Qvc_t|"; "Safe"; "Live"; "Safe&Live" ]
-  in
-  List.iter
-    (fun n ->
-      let params = Probcons.Pbft_model.default n in
-      let fleet = Faultmodel.Fleet.uniform ~byz_fraction:1.0 ~n ~p:0.01 () in
-      let r = Probcons.Analysis.run (Probcons.Pbft_model.protocol params) fleet in
-      Probcons.Report.add_row t
-        [
-          string_of_int n;
-          string_of_int params.Probcons.Pbft_model.q_eq;
-          string_of_int params.Probcons.Pbft_model.q_per;
-          string_of_int params.Probcons.Pbft_model.q_vc;
-          string_of_int params.Probcons.Pbft_model.q_vc_t;
-          pct r.Probcons.Analysis.p_safe;
-          pct r.Probcons.Analysis.p_live;
-          pct r.Probcons.Analysis.p_safe_live;
-        ])
-    [ 4; 5; 7; 8 ];
-  print_string (Probcons.Report.render t);
+  print_string (Probcons.Report.render (Probcons.Sweep.table1 ()));
   print_endline
     "paper: safe 99.94/99.9990/99.997/99.99993, live 99.94/99.90/99.997/99.995"
 
@@ -43,24 +22,7 @@ let table1 () =
 
 let table2 () =
   section "T2. Table 2: Raft reliability for uniform node failure p_u";
-  let t =
-    Probcons.Report.create
-      ~header:[ "N"; "|Qper|"; "|Qvc|"; "S&L p=1%"; "S&L p=2%"; "S&L p=4%"; "S&L p=8%" ]
-  in
-  List.iter
-    (fun n ->
-      let params = Probcons.Raft_model.default n in
-      Probcons.Report.add_row t
-        ([
-           string_of_int n;
-           string_of_int params.Probcons.Raft_model.q_per;
-           string_of_int params.Probcons.Raft_model.q_vc;
-         ]
-        @ List.map
-            (fun p -> pct (Probcons.Raft_model.safe_and_live_uniform ~n ~p))
-            [ 0.01; 0.02; 0.04; 0.08 ]))
-    [ 3; 5; 7; 9 ];
-  print_string (Probcons.Report.render t);
+  print_string (Probcons.Report.render (Probcons.Sweep.table2 ()));
   print_endline
     "paper row N=3: 99.97 / 99.88 / 99.53 / 98.18 (all rows match to printed digits)"
 
@@ -716,7 +678,6 @@ let e20_engine_ablation () =
        (Probcons.Sweep.timeline aging ~times:[ 1_000.; 8_766.; 26_298.; 43_830.; 52_596. ]))
 
 let () =
-  let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   table1 ();
   table2 ();
   e3_equivalence ();
@@ -724,22 +685,17 @@ let () =
   e5_heterogeneous ();
   e6_tradeoff ();
   e7_large_cluster ();
-  if quick then print_endline "\n(E8 simulation sweep skipped: --quick)"
-  else e8_simulation ();
+  e8_simulation ();
   e9_probnative ();
   e10_markov ();
-  if quick then print_endline "(E11 Ben-Or sweep skipped: --quick)" else e11_benor ();
+  e11_benor ();
   e12_mixed_faults ();
   e13_bounds ();
   e14_end_to_end ();
-  if quick then print_endline "(E15 planner execution skipped: --quick)"
-  else e15_planner ();
-  if quick then print_endline "(E16 reconfiguration execution skipped: --quick)"
-  else e16_reconfig ();
-  if quick then print_endline "(E17 failure-detector calibration skipped: --quick)"
-  else e17_failure_detector ();
+  e15_planner ();
+  e16_reconfig ();
+  e17_failure_detector ();
   e18_stake ();
-  if quick then print_endline "(E19 tail-latency comparison skipped: --quick)"
-  else e19_tail_latency ();
+  e19_tail_latency ();
   e20_engine_ablation ();
   print_newline ()

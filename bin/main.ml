@@ -14,6 +14,16 @@ let die fmt =
       exit 2)
     fmt
 
+(* Write a JSON artifact to [path], when one was asked for. *)
+let write_artifact ~what path json =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Obs.Json.to_string json);
+          output_char oc '\n');
+      Format.printf "%s written to %s@." what path)
+    path
+
 (* Every subcommand gets [--version], reporting the package version
    (the wire-protocol version travels with it via [probcons version]). *)
 let cmd_info name ~doc = Cmd.info name ~version ~doc
@@ -91,18 +101,14 @@ let mix_arg =
 
 (* --- Scenario-driven commands -------------------------------------- *)
 
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> die "%s" msg
+
 let read_scenario_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> die "%s" msg
-  | contents -> (
-      match Probcons.Scenario.of_string contents with
-      | Ok s -> s
-      | Error msg -> die "%s: %s" path msg)
+  match Probcons.Scenario.of_string (read_file path) with
+  | Ok s -> s
+  | Error msg -> die "%s: %s" path msg
 
 let scenario_file_arg =
   Arg.(
@@ -306,49 +312,11 @@ let protocols_cmd =
 
 let tables_cmd =
   let run () =
-    let t1 = Probcons.Report.create
-        ~header:[ "N"; "|Qeq|"; "|Qper|"; "|Qvc|"; "|Qvc_t|"; "Safe"; "Live"; "Safe&Live" ]
-    in
-    List.iter
-      (fun n ->
-        let params = Probcons.Pbft_model.default n in
-        let fleet = Faultmodel.Fleet.uniform ~byz_fraction:1.0 ~n ~p:0.01 () in
-        let r = Probcons.Analysis.run (Probcons.Pbft_model.protocol params) fleet in
-        Probcons.Report.add_row t1
-          [
-            string_of_int n;
-            string_of_int params.Probcons.Pbft_model.q_eq;
-            string_of_int params.Probcons.Pbft_model.q_per;
-            string_of_int params.Probcons.Pbft_model.q_vc;
-            string_of_int params.Probcons.Pbft_model.q_vc_t;
-            Probcons.Report.cell_percent r.Probcons.Analysis.p_safe;
-            Probcons.Report.cell_percent r.Probcons.Analysis.p_live;
-            Probcons.Report.cell_percent r.Probcons.Analysis.p_safe_live;
-          ])
-      [ 4; 5; 7; 8 ];
-    Probcons.Report.print ~title:"Table 1: PBFT reliability, uniform p_u = 1%" t1;
+    Probcons.Report.print ~title:"Table 1: PBFT reliability, uniform p_u = 1%"
+      (Probcons.Sweep.table1 ());
     print_newline ();
-    let t2 = Probcons.Report.create
-        ~header:[ "N"; "|Qper|"; "|Qvc|"; "S&L p=1%"; "S&L p=2%"; "S&L p=4%"; "S&L p=8%" ]
-    in
-    List.iter
-      (fun n ->
-        let params = Probcons.Raft_model.default n in
-        let cells =
-          List.map
-            (fun p ->
-              Probcons.Report.cell_percent
-                (Probcons.Raft_model.safe_and_live_uniform ~n ~p))
-            [ 0.01; 0.02; 0.04; 0.08 ]
-        in
-        Probcons.Report.add_row t2
-          ([ string_of_int n;
-             string_of_int params.Probcons.Raft_model.q_per;
-             string_of_int params.Probcons.Raft_model.q_vc ]
-          @ cells))
-      [ 3; 5; 7; 9 ];
     Probcons.Report.print ~title:"Table 2: Raft reliability for uniform node failure"
-      t2
+      (Probcons.Sweep.table2 ())
   in
   Cmd.v (cmd_info "tables" ~doc:"Reproduce the paper's Tables 1 and 2.")
     (with_metrics (Term.const run))
@@ -779,6 +747,22 @@ let serve_cmd =
          $ deadline_arg $ idle_timeout_arg $ max_connections_arg
          $ max_pipeline_arg))
 
+let clients_arg =
+  Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent clients.")
+
+let requests_arg default =
+  Arg.(value & opt int default & info [ "requests" ] ~docv:"R" ~doc:"Requests per client.")
+
+let distinct_arg =
+  Arg.(
+    value & opt int 8 & info [ "distinct" ] ~docv:"K" ~doc:"Distinct queries in the pool.")
+
+let json_file_arg artifact =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:("Write the " ^ artifact ^ " to $(docv)."))
+
 (* The client end of --socket/--port: the socket wins when both are set. *)
 let client_target ~cmd socket port =
   match (socket, port) with
@@ -848,26 +832,6 @@ let loadgen_warmup_arg =
            --duration).")
 
 let loadgen_cmd =
-  let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent clients.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests per client.")
-  in
-  let distinct_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "distinct" ] ~docv:"K" ~doc:"Distinct queries in the pool.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the probcons-loadgen/3 result artifact to $(docv).")
-  in
   let call_deadline_arg =
     Arg.(
       value
@@ -885,14 +849,7 @@ let loadgen_cmd =
         ?duration ~warmup ~pipeline ~target ()
     in
     Service.Loadgen.print_report r;
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (Service.Loadgen.to_json r));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "loadgen artifact written to %s@." path);
+    write_artifact ~what:"loadgen artifact" json (Service.Loadgen.to_json r);
     if r.Service.Loadgen.errors > 0 || r.Service.Loadgen.mismatches > 0 then
       exit 1
   in
@@ -904,18 +861,12 @@ let loadgen_cmd =
           percentiles and response byte-identity.")
     (with_metrics
        Term.(
-         const run $ socket_arg $ port_arg $ clients_arg $ requests_arg
+         const run $ socket_arg $ port_arg $ clients_arg $ requests_arg 200
          $ distinct_arg $ call_deadline_arg $ loadgen_duration_arg
-         $ loadgen_warmup_arg $ loadgen_pipeline_arg $ json_arg))
+         $ loadgen_warmup_arg $ loadgen_pipeline_arg
+         $ json_file_arg "probcons-loadgen/3 result artifact"))
 
 (* --- chaos -------------------------------------------------------------- *)
-
-(* The soak invariant, as a predicate over the loadgen error histogram:
-   a fault-injecting proxy may cost a call its deadline or its
-   connection, and the server may shed load — but corruption must
-   never surface as a reply, and nothing may hang. *)
-let chaos_allowed_codes =
-  [ "timeout"; "connection_lost"; "overloaded"; "deadline_exceeded" ]
 
 let chaos_cmd =
   let seed_arg =
@@ -933,48 +884,17 @@ let chaos_cmd =
              a failing run's artifact) instead of the default plan; \
              overrides --seed.")
   in
-  let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent clients.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 150
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests per client.")
-  in
-  let distinct_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "distinct" ] ~docv:"K" ~doc:"Distinct queries in the pool.")
-  in
   let call_deadline_arg =
     Arg.(
       value & opt float 2.0
       & info [ "deadline" ] ~docv:"S" ~doc:"Per-call deadline in seconds.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the probcons-chaos/1 soak artifact to $(docv).")
-  in
-  let temp_socket tag =
-    let path = Filename.temp_file ("probcons-" ^ tag) ".sock" in
-    Sys.remove path;
-    path
-  in
   let read_plan path seed =
     match path with
     | None -> Service.Chaos.default_plan ~seed ()
     | Some file -> (
-        let contents =
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
         match
-          Result.bind (Obs.Json.of_string contents) Service.Chaos.plan_of_json
+          Result.bind (Obs.Json.of_string (read_file file)) Service.Chaos.plan_of_json
         with
         | Ok plan -> plan
         | Error msg ->
@@ -983,93 +903,18 @@ let chaos_cmd =
   in
   let run seed plan_file clients requests distinct deadline json () =
     let plan = read_plan plan_file seed in
-    let server_sock = temp_socket "server" and proxy_sock = temp_socket "proxy" in
-    let server =
-      Service.Server.start
-        {
-          Service.Server.default_config with
-          socket_path = Some server_sock;
-          idle_timeout_seconds = 30.;
-        }
-    in
-    let proxy =
-      Service.Chaos.start ~plan
-        ~listen:(Service.Client.Unix_path proxy_sock)
-        ~upstream:(Service.Client.Unix_path server_sock)
-    in
     Format.printf "chaos soak: seed %d, %d clients x %d requests, %gs deadline@."
       plan.Service.Chaos.seed clients requests deadline;
-    let r =
-      Service.Loadgen.run ~clients ~requests ~distinct ~timeout:deadline
-        ~expected_from:(Service.Client.Unix_path server_sock)
-        ~target:(Service.Client.Unix_path proxy_sock)
-        ()
-    in
-    Service.Chaos.stop proxy;
-    (* Leak check: once the proxy has torn every connection down, the
-       server's reader count must return to zero. *)
-    let rec drain tries =
-      let n = Service.Server.connection_count server in
-      if n = 0 then (true, 0)
-      else if tries = 0 then (false, n)
-      else begin
-        Unix.sleepf 0.1;
-        drain (tries - 1)
-      end
-    in
-    let drained, connections_after = drain 100 in
-    Service.Server.stop server;
-    Service.Loadgen.print_report r;
-    Format.printf "chaos faults:";
-    List.iter
-      (fun (name, n) -> Format.printf " %s=%d" name n)
-      (Service.Chaos.counts proxy);
-    Format.printf "@.";
-    let artifact =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.String "probcons-chaos/1");
-          ("chaos", Service.Chaos.report proxy);
-          ("loadgen", Service.Loadgen.to_json r);
-          ("drained", Obs.Json.Bool drained);
-          ("connections_after", Obs.Json.Int connections_after);
-        ]
-    in
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string artifact);
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "chaos artifact written to %s@." path);
-    let forbidden =
-      List.filter
-        (fun (code, _) -> not (List.mem code chaos_allowed_codes))
-        r.Service.Loadgen.errors_by_code
-    in
-    let failures =
-      (if r.Service.Loadgen.mismatches > 0 then
-         [ Printf.sprintf "%d byte-identity mismatches"
-             r.Service.Loadgen.mismatches ]
-       else [])
-      @ List.map
-          (fun (code, n) ->
-            Printf.sprintf "%d '%s' errors surfaced to the client" n code)
-          forbidden
-      @
-      if drained then []
-      else
-        [ Printf.sprintf "server still holds %d connections after the soak"
-            connections_after ]
-    in
-    if failures = [] then
-      Format.printf "chaos soak: PASS (every request ended in a byte-correct \
-                     reply or a typed error)@."
-    else begin
-      List.iter (fun msg -> Printf.eprintf "chaos soak: FAIL: %s\n" msg) failures;
-      exit 1
-    end
+    let r = Service.Soak.run ~plan ~clients ~requests ~distinct ~deadline in
+    Service.Soak.print_report r;
+    write_artifact ~what:"chaos artifact" json (Service.Soak.artifact r);
+    match r.Service.Soak.failures with
+    | [] ->
+        Format.printf "chaos soak: PASS (every request ended in a byte-correct \
+                       reply or a typed error)@."
+    | failures ->
+        List.iter (fun msg -> Printf.eprintf "chaos soak: FAIL: %s\n" msg) failures;
+        exit 1
   in
   Cmd.v
     (cmd_info "chaos"
@@ -1080,33 +925,11 @@ let chaos_cmd =
           hang, a corrupted payload, or a leaked server thread.")
     (with_metrics
        Term.(
-         const run $ seed_arg $ plan_arg $ clients_arg $ requests_arg
-         $ distinct_arg $ call_deadline_arg $ json_arg))
+         const run $ seed_arg $ plan_arg $ clients_arg $ requests_arg 150
+         $ distinct_arg $ call_deadline_arg
+         $ json_file_arg "probcons-chaos/1 soak artifact"))
 
 (* --- dst ----------------------------------------------------------------- *)
-
-(* Discrete fault count of a shrunk artifact, for the --max-shrunk-faults
-   acceptance bound: a simulator plan lists its faults, a chaos plan is
-   counted by active probability channels (the same accounting the
-   service system's shrink measure uses). *)
-let repro_fault_count (repro : Dst.Repro.t) =
-  let plan = repro.Dst.Repro.parts.Dst.Repro.plan in
-  match Option.bind (Obs.Json.member "faults" plan) Obs.Json.to_list with
-  | Some faults -> List.length faults
-  | None ->
-      List.length
-        (List.filter
-           (fun key ->
-             match Option.bind (Obs.Json.member key plan) Obs.Json.to_float with
-             | Some p -> p > 0.
-             | None -> false)
-           [ "delay_p"; "partial_write_p"; "truncate_p"; "garbage_p";
-             "reset_p"; "blackhole_p" ])
-
-let repro_op_count (repro : Dst.Repro.t) =
-  match Obs.Json.to_list repro.Dst.Repro.parts.Dst.Repro.ops with
-  | Some ops -> List.length ops
-  | None -> 0
 
 let dst_cmd =
   let system_arg =
@@ -1115,8 +938,10 @@ let dst_cmd =
       & info [ "system" ] ~docv:"SYSTEM"
           ~doc:
             "System under test: 'sim' (every simulator protocol), \
-             'sim-raft', 'sim-pbft', 'sim-benor', 'sim-rabia', or 'service' \
-             (the live reactor behind the chaos proxy).")
+             'sim-raft', 'sim-pbft', 'sim-benor', 'sim-rabia', 'service' \
+             (the live reactor behind the chaos proxy), 'fleet' (the fleet \
+             controller) or 'replica' (the replicated log under kill \
+             schedules).")
   in
   let episodes_arg =
     Arg.(
@@ -1158,56 +983,24 @@ let dst_cmd =
              (and within the --max-shrunk-* bounds). CI uses this to prove \
              the harness actually detects seeded bugs.")
   in
-  let max_faults_arg =
+  let max_shrunk_arg name what =
     Arg.(
       value
       & opt (some int) None
-      & info [ "max-shrunk-faults" ] ~docv:"K"
+      & info [ "max-shrunk-" ^ name ] ~docv:"K"
           ~doc:
-            "With --expect-fail: fail unless the shrunk case has at most \
-             $(docv) faults.")
-  in
-  let max_ops_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-shrunk-ops" ] ~docv:"K"
-          ~doc:
-            "With --expect-fail: fail unless the shrunk case has at most \
-             $(docv) operations.")
+            ("With --expect-fail: fail unless the shrunk case has at most \
+              $(docv) " ^ what ^ "."))
   in
   let run system seed episodes no_shrink repro_path seeded_bug expect_fail
       max_faults max_ops () =
-    let names =
-      match Dst.Registry.expand system with
-      | Ok names -> names
-      | Error msg -> die "%s" msg
-    in
-    let t0 = Unix.gettimeofday () in
-    let log msg = Format.printf "dst: %s@." msg in
-    let rec go = function
-      | [] -> None
-      | name :: rest -> (
-          let (Dst.Registry.Packed sys) =
-            match Dst.Registry.find ~seeded_bug name with
-            | Ok packed -> packed
-            | Error msg -> die "%s" msg
-          in
-          Format.printf "dst: %s: %d episodes from seed %d@." name episodes
-            seed;
-          match
-            Dst.Harness.soak ~shrink:(not no_shrink) ~log sys ~seed ~episodes
-          with
-          | Dst.Harness.All_passed { episodes } ->
-              Format.printf "dst: %s: all %d episodes passed@." name episodes;
-              go rest
-          | Dst.Harness.Found { failure; shrunk } ->
-              let elapsed = Unix.gettimeofday () -. t0 in
-              Some (Dst.Harness.to_repro sys ~seed ~elapsed_seconds:elapsed
-                      failure shrunk))
-    in
-    match go names with
-    | None ->
+    match
+      Dst.Registry.soak ~seeded_bug ~shrink:(not no_shrink)
+        ~log:(fun msg -> Format.printf "dst: %s@." msg)
+        system ~seed ~episodes
+    with
+    | Error msg -> die "%s" msg
+    | Ok None ->
         if expect_fail then begin
           prerr_endline
             "probcons dst: FAIL: expected a violation, but every episode \
@@ -1215,8 +1008,7 @@ let dst_cmd =
           exit 1
         end;
         Format.printf "dst: no invariant violated@."
-    | Some repro ->
-        let faults = repro_fault_count repro and ops = repro_op_count repro in
+    | Ok (Some ({ Dst.Registry.repro; faults; ops } as finding)) ->
         Format.printf
           "dst: %s violated invariant '%s' (episode %d); shrunk %d -> %d \
            units (%d faults, %d ops) in %d attempts@."
@@ -1231,18 +1023,11 @@ let dst_cmd =
             Dst.Repro.write ~path repro;
             Format.printf "dst: repro artifact written to %s@." path);
         if not expect_fail then exit 1;
-        let over_bound label count = function
-          | Some bound when count > bound ->
-              Printf.eprintf
-                "probcons dst: FAIL: shrunk case has %d %s, bound is %d\n"
-                count label bound;
-              true
-          | _ -> false
-        in
-        let bad_faults = over_bound "faults" faults max_faults in
-        let bad_ops = over_bound "ops" ops max_ops in
-        if bad_faults || bad_ops then exit 1;
-        Format.printf "dst: violation found and shrunk as expected@."
+        match Dst.Registry.over_bounds ?max_faults ?max_ops finding with
+        | [] -> Format.printf "dst: violation found and shrunk as expected@."
+        | over ->
+            List.iter (Printf.eprintf "probcons dst: FAIL: %s\n") over;
+            exit 1
   in
   Cmd.v
     (cmd_info "dst"
@@ -1255,7 +1040,7 @@ let dst_cmd =
        Term.(
          const run $ system_arg $ seed_arg $ episodes_arg $ no_shrink_arg
          $ repro_arg $ seeded_bug_arg $ expect_fail_arg
-         $ max_faults_arg $ max_ops_arg))
+         $ max_shrunk_arg "faults" "faults" $ max_shrunk_arg "ops" "operations"))
 
 (* --- fleet --------------------------------------------------------- *)
 
@@ -1343,30 +1128,13 @@ let fleet_cmd =
    Replica.Node.config so the parent's child_argv is a transcription,
    not a translation. *)
 let replica_node_cmd =
-  let id_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "id" ] ~docv:"I" ~doc:"Replica id in 0..n-1.")
+  let required_int name docv doc =
+    Arg.(required & opt (some int) None & info [ name ] ~docv ~doc)
   in
-  let replicas_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "replicas" ] ~docv:"N" ~doc:"Deployment size.")
-  in
-  let base_port_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "base-port" ] ~docv:"P" ~doc:"Raft-plane base port.")
-  in
-  let service_port_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "service-port" ] ~docv:"P" ~doc:"Client-facing port.")
-  in
+  let id_arg = required_int "id" "I" "Replica id in 0..n-1."
+  and replicas_arg = required_int "replicas" "N" "Deployment size."
+  and base_port_arg = required_int "base-port" "P" "Raft-plane base port."
+  and service_port_arg = required_int "service-port" "P" "Client-facing port." in
   let state_dir_arg =
     Arg.(
       value
@@ -1398,13 +1166,7 @@ let replica_node_cmd =
       (Replica.Node.raft_port cfg id)
       service_port
       (match state_dir with Some d -> ", state " ^ d | None -> "");
-    let stop = Atomic.make false in
-    let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-    Sys.set_signal Sys.sigterm on_signal;
-    Sys.set_signal Sys.sigint on_signal;
-    while not (Atomic.get stop) do
-      Thread.delay 0.05
-    done;
+    Service.Server.wait_for_signal ();
     Replica.Node.stop node
   in
   Cmd.v
@@ -1421,7 +1183,7 @@ let replicate_cmd =
   let replicas_arg =
     Arg.(
       value & opt int 3
-      & info [ "replicas" ] ~docv:"N" ~doc:"Deployment size (3-7).")
+      & info [ "replicas" ] ~docv:"N" ~doc:"Deployment size (1-9).")
   in
   let base_port_arg =
     Arg.(
@@ -1491,13 +1253,6 @@ let replicate_cmd =
       & info [ "tolerance" ] ~docv:"E"
           ~doc:"Gate on |measured_mean - predicted_mean| (with --measure).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the probcons-repl-avail/1 artifact to $(docv).")
-  in
   let state_dir_arg =
     Arg.(
       value
@@ -1529,14 +1284,11 @@ let replicate_cmd =
           | Error e -> die "replicate: %s" e)
     in
     let state_root =
-      match state_dir with
-      | Some d -> d
-      | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "probcons-replicate-%d" (Unix.getpid ()))
+      Option.value state_dir
+        ~default:
+          (Filename.concat (Filename.get_temp_dir_name ())
+             (Printf.sprintf "probcons-replicate-%d" (Unix.getpid ())))
     in
-    if not (Sys.file_exists state_root) then Unix.mkdir state_root 0o755;
     let child_argv ~id =
       Array.of_list
         ([
@@ -1555,27 +1307,31 @@ let replicate_cmd =
         | None -> []
         | Some s -> [ "--chaos-seed"; string_of_int s ])
     in
-    if measure then begin
-      let cfg =
-        {
-          Replica.Driver.replicas;
-          base_port;
-          seed;
-          process;
-          hours_per_second;
-          duration_seconds = duration;
-          window_seconds = window;
-          probes_per_window = probes;
-          tolerance;
-          chaos =
-            Option.map
-              (fun s -> Service.Chaos.passthrough_plan ~seed:s ())
-              chaos_seed;
-          state_root;
-          child_argv;
-          log = (fun msg -> Format.eprintf "replicate: %s@." msg);
-        }
-      in
+    let cfg =
+      {
+        Replica.Driver.replicas;
+        base_port;
+        seed;
+        process;
+        hours_per_second;
+        duration_seconds = duration;
+        window_seconds = window;
+        probes_per_window = probes;
+        tolerance;
+        chaos =
+          Option.map (fun s -> Service.Chaos.passthrough_plan ~seed:s ()) chaos_seed;
+        state_root;
+        child_argv;
+        log = (fun msg -> Format.eprintf "replicate: %s@." msg);
+      }
+    in
+    if not measure then
+      Replica.Driver.supervise cfg ~ready:(fun () ->
+          Format.printf "%d replicas up; service ports %d-%d; Ctrl-C to stop@."
+            replicas
+            (Replica.Driver.service_port ~base_port ~replicas 0)
+            (Replica.Driver.service_port ~base_port ~replicas (replicas - 1)))
+    else
       match Replica.Driver.run cfg with
       | Error e -> die "replicate: %s" e
       | Ok artifact ->
@@ -1592,47 +1348,11 @@ let replicate_cmd =
             (int_of_float (num "writes_lost"))
             (int_of_float (num "kills"))
             (int_of_float (num "restarts"));
-          (match json with
-          | None -> ()
-          | Some path ->
-              let oc = open_out path in
-              output_string oc (Obs.Json.to_string artifact);
-              output_char oc '\n';
-              close_out oc;
-              Format.printf "artifact written to %s@." path);
+          write_artifact ~what:"artifact" json artifact;
           if num "abs_error" > tolerance || num "writes_lost" > 0. then begin
             Format.printf "FAIL: outside tolerance or acked writes lost@.";
             exit 1
           end
-    end
-    else begin
-      (* Supervise a long-lived deployment: spawn, print the port
-         layout, forward SIGINT/SIGTERM as a clean shutdown. *)
-      let pids =
-        Array.init replicas (fun i ->
-            let argv = child_argv ~id:i in
-            Unix.create_process argv.(0) argv Unix.stdin Unix.stdout
-              Unix.stderr)
-      in
-      Format.printf "%d replicas up; service ports %d-%d; Ctrl-C to stop@."
-        replicas
-        (Replica.Driver.service_port ~base_port ~replicas 0)
-        (Replica.Driver.service_port ~base_port ~replicas (replicas - 1));
-      let stop = Atomic.make false in
-      let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-      Sys.set_signal Sys.sigterm on_signal;
-      Sys.set_signal Sys.sigint on_signal;
-      while not (Atomic.get stop) do
-        Thread.delay 0.1
-      done;
-      Array.iter
-        (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-        pids;
-      Array.iter
-        (fun pid ->
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        pids
-    end
   in
   Cmd.v
     (cmd_info "replicate"
@@ -1647,7 +1367,8 @@ let replicate_cmd =
          const run $ replicas_arg $ base_port_arg $ seed_arg $ duration_arg
          $ window_arg $ probes_arg $ hours_arg $ fail_rate_arg
          $ recover_rate_arg $ static_arg $ measure_arg $ tolerance_arg
-         $ json_arg $ state_dir_arg $ chaos_seed_arg))
+         $ json_file_arg "probcons-repl-avail/1 artifact" $ state_dir_arg
+         $ chaos_seed_arg))
 
 let version_cmd =
   let run () =

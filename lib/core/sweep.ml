@@ -84,6 +84,50 @@ let pbft_safety_liveness_grid ?domains ~ns ~p () =
   Array.iter (Report.add_row t) rows;
   t
 
+let table1 () =
+  let t =
+    Report.create
+      ~header:[ "N"; "|Qeq|"; "|Qper|"; "|Qvc|"; "|Qvc_t|"; "Safe"; "Live"; "Safe&Live" ]
+  in
+  List.iter
+    (fun n ->
+      let params = Pbft_model.default n in
+      let fleet = Faultmodel.Fleet.uniform ~byz_fraction:1.0 ~n ~p:0.01 () in
+      let r = Analysis.run (Pbft_model.protocol params) fleet in
+      Report.add_row t
+        [
+          string_of_int n;
+          string_of_int params.Pbft_model.q_eq;
+          string_of_int params.Pbft_model.q_per;
+          string_of_int params.Pbft_model.q_vc;
+          string_of_int params.Pbft_model.q_vc_t;
+          pct r.Analysis.p_safe;
+          pct r.Analysis.p_live;
+          pct r.Analysis.p_safe_live;
+        ])
+    [ 4; 5; 7; 8 ];
+  t
+
+let table2 () =
+  let t =
+    Report.create
+      ~header:[ "N"; "|Qper|"; "|Qvc|"; "S&L p=1%"; "S&L p=2%"; "S&L p=4%"; "S&L p=8%" ]
+  in
+  List.iter
+    (fun n ->
+      let params = Raft_model.default n in
+      Report.add_row t
+        ([
+           string_of_int n;
+           string_of_int params.Raft_model.q_per;
+           string_of_int params.Raft_model.q_vc;
+         ]
+        @ List.map
+            (fun p -> pct (Raft_model.safe_and_live_uniform ~n ~p))
+            [ 0.01; 0.02; 0.04; 0.08 ]))
+    [ 3; 5; 7; 9 ];
+  t
+
 let timeline ?domains fleet ~times =
   let n = Faultmodel.Fleet.size fleet in
   let proto = Raft_model.protocol (Raft_model.default n) in

@@ -48,6 +48,15 @@ val min_cluster_frontier :
     or "-" when unattainable within 99 nodes. The cost-planning grid
     behind the paper's E3. *)
 
+val table1 : unit -> Report.t
+(** The paper's Table 1: default-parameter PBFT at N = 4, 5, 7, 8 with
+    every fault Byzantine at p_u = 1% — quorum sizes, then safe, live
+    and safe-and-live percentages. *)
+
+val table2 : unit -> Report.t
+(** The paper's Table 2: majority Raft at N = 3, 5, 7, 9 — quorum
+    sizes, then safe-and-live at p_u = 1, 2, 4 and 8%. *)
+
 val timeline : ?domains:int -> Faultmodel.Fleet.t -> times:float list -> Report.t
 (** Raft safe-and-live probability of the fleet at each mission time —
     the operator's view of time-dependent fault curves (bathtubs,

@@ -176,6 +176,8 @@ let system () =
     run;
     candidates;
     size;
+    faults = (fun _ -> 0);
+    ops = (fun case -> case.ticks);
     encode;
     decode;
   }

@@ -14,6 +14,8 @@ type 'case system = {
   run : 'case -> outcome;
   candidates : 'case -> 'case list;
   size : 'case -> measure;
+  faults : 'case -> int;
+  ops : 'case -> int;
   encode : 'case -> Repro.parts;
   decode : Repro.parts -> ('case, string) result;
 }

@@ -49,6 +49,12 @@ type 'case system = {
           first. The harness re-checks {!smaller} itself, so a sloppy
           candidate list cannot break monotonicity. *)
   size : 'case -> measure;
+  faults : 'case -> int;
+      (** Discrete faults in the case — what [dst --max-shrunk-faults]
+          bounds. *)
+  ops : 'case -> int;
+      (** Operations in the case — what [dst --max-shrunk-ops]
+          bounds. *)
   encode : 'case -> Repro.parts;
   decode : Repro.parts -> ('case, string) result;
 }

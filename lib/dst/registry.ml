@@ -32,6 +32,48 @@ let find ?seeded_bug name =
     | Some p -> Ok (Packed (Sim_case.system p))
     | None -> unknown name
 
+type finding = { repro : Repro.t; faults : int; ops : int }
+
+let soak ?seeded_bug ?(shrink = true) ?(log = ignore) system ~seed ~episodes =
+  let t0 = Unix.gettimeofday () in
+  let rec go = function
+    | [] -> Ok None
+    | name :: rest -> (
+        match find ?seeded_bug name with
+        | Error _ as e -> e
+        | Ok (Packed sys) -> (
+            log (Printf.sprintf "%s: %d episodes from seed %d" name episodes seed);
+            match Harness.soak ~shrink ~log sys ~seed ~episodes with
+            | Harness.All_passed { episodes } ->
+                log (Printf.sprintf "%s: all %d episodes passed" name episodes);
+                go rest
+            | Harness.Found { failure; shrunk } ->
+                let final =
+                  match shrunk with
+                  | Some s -> s.Harness.final
+                  | None -> failure.Harness.case
+                in
+                let elapsed_seconds = Unix.gettimeofday () -. t0 in
+                Ok
+                  (Some
+                     {
+                       repro =
+                         Harness.to_repro sys ~seed ~elapsed_seconds failure shrunk;
+                       faults = sys.Harness.faults final;
+                       ops = sys.Harness.ops final;
+                     })))
+  in
+  Result.bind (expand system) go
+
+let over_bounds ?max_faults ?max_ops f =
+  List.filter_map
+    (fun (label, count, bound) ->
+      match bound with
+      | Some bound when count > bound ->
+          Some (Printf.sprintf "shrunk case has %d %s, bound is %d" count label bound)
+      | _ -> None)
+    [ ("faults", f.faults, max_faults); ("ops", f.ops, max_ops) ]
+
 let replay (repro : Repro.t) =
   match find repro.Repro.system with
   | Error _ ->

@@ -310,6 +310,8 @@ let system () =
     run;
     candidates;
     size;
+    faults = (fun t -> List.length t.kills);
+    ops = (fun t -> List.length t.ops);
     encode;
     decode;
   }

@@ -12,10 +12,6 @@ let system_name = "service"
    budget (reconnect backoff, scheduling). *)
 let deadline_grace = 0.75
 
-let allowed_codes =
-  [ Service.Wire.Timeout; Service.Wire.Connection_lost; Service.Wire.Overloaded;
-    Service.Wire.Deadline_exceeded ]
-
 let plan_probs (p : Service.Chaos.plan) =
   [
     p.Service.Chaos.delay_p; p.Service.Chaos.partial_write_p;
@@ -28,16 +24,10 @@ let active_faults plan =
 
 (* --- Execution --------------------------------------------------------- *)
 
-let temp_socket tag =
-  let path = Filename.temp_file ("probcons-dst-" ^ tag) ".sock" in
-  Sys.remove path;
-  path
-
-let quick_config socket =
+let quick_config =
   {
     Service.Server.default_config with
-    Service.Server.socket_path = Some socket;
-    workers = 1;
+    Service.Server.workers = 1;
     queue_depth = 16;
     cache_capacity = 64;
     idle_timeout_seconds = 30.;
@@ -48,119 +38,87 @@ let fail invariant fmt =
 
 let run case =
   let pool = Service.Loadgen.query_pool case.distinct in
+  let request slot =
+    Service.Wire.encode_request { Service.Wire.id = slot; query = pool.(slot) }
+  in
   let saved = !Service.Wire.seeded_bug_id0 in
   Service.Wire.seeded_bug_id0 := case.seeded_bug;
   Fun.protect
     ~finally:(fun () -> Service.Wire.seeded_bug_id0 := saved)
     (fun () ->
-      let server_sock = temp_socket "server" in
-      let server = Service.Server.start (quick_config server_sock) in
-      Fun.protect
-        ~finally:(fun () -> Service.Server.stop server)
-        (fun () ->
-          (* The byte-identity baseline comes from the clean direct
-             path, before any fault is injected — the proxy cannot
-             corrupt the reference. *)
-          let expected =
+      let outcome, _proxy, connections_after =
+        Service.Soak.through_proxy ~config:quick_config ~plan:case.plan
+          (fun ~direct ~proxied ->
+            (* The byte-identity baseline comes from the clean direct
+               path, before any request crosses the proxy — faults
+               cannot corrupt the reference. *)
+            let expected =
+              let c = Service.Client.connect ~retry_for:5. direct in
+              Fun.protect
+                ~finally:(fun () -> Service.Client.close c)
+                (fun () ->
+                  Array.init case.distinct (fun k ->
+                      match Service.Client.call_line c ~id:k (request k) with
+                      | Ok line -> line
+                      | Error (code, msg) ->
+                          failwith
+                            (Printf.sprintf "dst baseline call %d failed: %s (%s)" k
+                               (Service.Wire.code_string code)
+                               msg)))
+            in
             let c =
-              Service.Client.connect ~retry_for:5.
-                (Service.Client.Unix_path server_sock)
+              Service.Client.connect ~retry_for:5. ~timeout:case.deadline
+                ~backoff:
+                  {
+                    Service.Client.default_backoff with
+                    seed = case.plan.Service.Chaos.seed;
+                  }
+                proxied
             in
             Fun.protect
               ~finally:(fun () -> Service.Client.close c)
               (fun () ->
-                Array.init case.distinct (fun k ->
-                    let body =
-                      Service.Wire.encode_request
-                        { Service.Wire.id = k; query = pool.(k) }
-                    in
-                    match Service.Client.call_line c ~id:k body with
-                    | Ok line -> line
-                    | Error (code, msg) ->
-                        failwith
-                          (Printf.sprintf "dst baseline call %d failed: %s (%s)"
-                             k
-                             (Service.Wire.code_string code)
-                             msg)))
-          in
-          let proxy_sock = temp_socket "proxy" in
-          let proxy =
-            Service.Chaos.start ~plan:case.plan
-              ~listen:(Service.Client.Unix_path proxy_sock)
-              ~upstream:(Service.Client.Unix_path server_sock)
-          in
-          let soak_outcome =
-            Fun.protect
-              ~finally:(fun () -> Service.Chaos.stop proxy)
-              (fun () ->
-                let c =
-                  Service.Client.connect ~retry_for:5. ~timeout:case.deadline
-                    ~backoff:
-                      {
-                        Service.Client.default_backoff with
-                        seed = case.plan.Service.Chaos.seed;
-                      }
-                    (Service.Client.Unix_path proxy_sock)
+                let rec issue index = function
+                  | [] -> Harness.Pass
+                  | slot :: rest -> (
+                      let t0 = Unix.gettimeofday () in
+                      let outcome = Service.Client.call_line c ~id:slot (request slot) in
+                      let elapsed = Unix.gettimeofday () -. t0 in
+                      if elapsed > case.deadline +. deadline_grace then
+                        fail "call_outlives_deadline"
+                          "op %d (slot %d) took %.3fs against a %gs deadline" index
+                          slot elapsed case.deadline
+                      else
+                        match outcome with
+                        | Ok line when String.equal line expected.(slot) ->
+                            issue (index + 1) rest
+                        | Ok line ->
+                            fail "reply_integrity"
+                              "op %d (slot %d): corrupted bytes surfaced as Ok (%d \
+                               bytes, want %d)"
+                              index slot (String.length line)
+                              (String.length expected.(slot))
+                        | Error (code, _) when List.mem code Service.Soak.allowed_codes
+                          ->
+                            issue (index + 1) rest
+                        | Error (code, msg) ->
+                            fail "typed_errors_only"
+                              "op %d (slot %d): forbidden error %s (%s) reached the \
+                               client"
+                              index slot
+                              (Service.Wire.code_string code)
+                              msg)
                 in
-                Fun.protect
-                  ~finally:(fun () -> Service.Client.close c)
-                  (fun () ->
-                    let rec issue index = function
-                      | [] -> Harness.Pass
-                      | slot :: rest -> (
-                          let body =
-                            Service.Wire.encode_request
-                              { Service.Wire.id = slot; query = pool.(slot) }
-                          in
-                          let t0 = Unix.gettimeofday () in
-                          let outcome =
-                            Service.Client.call_line c ~id:slot body
-                          in
-                          let elapsed = Unix.gettimeofday () -. t0 in
-                          if elapsed > case.deadline +. deadline_grace then
-                            fail "call_outlives_deadline"
-                              "op %d (slot %d) took %.3fs against a %gs deadline"
-                              index slot elapsed case.deadline
-                          else
-                            match outcome with
-                            | Ok line when String.equal line expected.(slot) ->
-                                issue (index + 1) rest
-                            | Ok line ->
-                                fail "reply_integrity"
-                                  "op %d (slot %d): corrupted bytes surfaced \
-                                   as Ok (%d bytes, want %d)"
-                                  index slot (String.length line)
-                                  (String.length expected.(slot))
-                            | Error (code, _) when List.mem code allowed_codes
-                              ->
-                                issue (index + 1) rest
-                            | Error (code, msg) ->
-                                fail "typed_errors_only"
-                                  "op %d (slot %d): forbidden error %s (%s) \
-                                   reached the client"
-                                  index slot
-                                  (Service.Wire.code_string code)
-                                  msg)
-                    in
-                    issue 0 case.ops))
-          in
-          match soak_outcome with
-          | Harness.Fail _ as f -> f
-          | Harness.Pass ->
-              (* Leak check: with the proxy (and its upstream legs) torn
-                 down, the reactor's connection table must drain. *)
-              let rec drain tries =
-                let n = Service.Server.connection_count server in
-                if n = 0 then Harness.Pass
-                else if tries = 0 then
-                  fail "leak_free_drain"
-                    "server still holds %d connections after the proxy died" n
-                else begin
-                  Unix.sleepf 0.05;
-                  drain (tries - 1)
-                end
-              in
-              drain 100))
+                issue 0 case.ops))
+      in
+      (* Leak check: with the proxy (and its upstream legs) torn down,
+         the reactor's connection table must drain. *)
+      match outcome with
+      | Harness.Pass when connections_after > 0 ->
+          fail "leak_free_drain"
+            "server still holds %d connections after the proxy died"
+            connections_after
+      | outcome -> outcome)
 
 (* --- Generation -------------------------------------------------------- *)
 
@@ -295,6 +253,8 @@ let system ?(seeded_bug = false) () =
     run;
     candidates;
     size;
+    faults = (fun case -> active_faults case.plan);
+    ops = (fun case -> List.length case.ops);
     encode;
     decode;
   }

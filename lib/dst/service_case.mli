@@ -10,12 +10,13 @@
 
     - ["reply_integrity"]: every [Ok] is byte-identical to the clean
       direct-path reply for the same query;
-    - ["typed_errors_only"]: only timeout / connection_lost /
-      overloaded / deadline_exceeded may surface;
+    - ["typed_errors_only"]: only {!Service.Soak.allowed_codes} may
+      surface;
     - ["call_outlives_deadline"]: no call returns later than its
       deadline plus a fixed grace;
     - ["leak_free_drain"]: after the proxy tears every connection
-      down, the server's connection table returns to zero.
+      down, the server's connection table returns to zero
+      ({!Service.Soak.drain}).
 
     Replays are deterministic in practice because the proxy's fault
     draws depend only on [(plan.seed, connection index, direction)]

@@ -516,6 +516,8 @@ let system protocol =
     run;
     candidates;
     size;
+    faults = (fun t -> List.length t.faults);
+    ops = (fun t -> List.length t.ops);
     encode;
     decode;
   }

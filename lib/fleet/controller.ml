@@ -80,24 +80,15 @@ let estimate_fleet estimates =
             Faultmodel.Node.make ~id (Faultmodel.Fault_curve.constant p))
           estimates))
 
-let argmax_estimate estimates =
-  let best = ref 0 in
-  Array.iteri (fun i p -> if p > estimates.(!best) then best := i) estimates;
-  !best
-
-(* Dynamic-mode swap target: lowest reliability-weighted score
-   [(1 - estimate) / (1 + uncertainty)] — the same scoring
+(* Dynamic-mode swap ranking: the negated reliability-weighted score
+   [(1 - estimate) / (1 + uncertainty)], so the riskiest node is the
+   one with the lowest score — the same scoring
    {!Probnative.Committee.reliability_weighted} uses. A node that looks
    bad {e or} that we cannot trust ranks first; under time-varying
    ground truth a stale confident estimate is exactly as dangerous as a
    fresh bad one. *)
-let argmin_weighted estimates uncertainty =
-  let score i = (1. -. estimates.(i)) /. (1. +. uncertainty.(i)) in
-  let best = ref 0 in
-  Array.iteri
-    (fun i _ -> if score i < score !best then best := i)
-    estimates;
-  !best
+let weighted_risk estimates uncertainty =
+  Array.mapi (fun i p -> -.((1. -. p) /. (1. +. uncertainty.(i)))) estimates
 
 let run cfg =
   validate cfg;
@@ -173,30 +164,26 @@ let run cfg =
                   });
              quorum := params.Probcons.Raft_model.q_per
          | _ -> ());
-      (* Second lever: preemptively swap the riskiest node. Predicted
-         effect comes from the engine itself — update the factor, read
-         the distribution, and revert only if the swap would not
-         help. *)
-      let live = p_live () in
-      if live < cfg.target_live then begin
-        let riskiest =
-          if cfg.dynamic then argmin_weighted estimates uncertainty
-          else argmax_estimate estimates
-        in
-        let previous = estimates.(riskiest) in
-        if previous > replacement_p then begin
-          Prob.Incremental.update engine riskiest replacement_p;
-          let predicted = p_live () in
-          if predicted > live then begin
-            estimates.(riskiest) <- replacement_p;
-            uncertainty.(riskiest) <- 0.;
-            Stream.replace stream riskiest ~afr:cfg.replacement_afr;
-            recommend tick live
-              (Swap { node = riskiest; estimate = previous; predicted_live = predicted })
-          end
-          else Prob.Incremental.update engine riskiest previous
-        end
-      end
+      (* Second lever: preemptively swap the riskiest node, by the §4
+         swap rule on the engine itself. *)
+      let risks =
+        if cfg.dynamic then weighted_risk estimates uncertainty else estimates
+      in
+      Option.iter
+        (fun victim ->
+          match
+            Probnative.Preemptive_reconfig.decide engine
+              ~tolerated:(cfg.nodes - !quorum) ~target_live:cfg.target_live
+              ~victim ~replacement:replacement_p
+          with
+          | None -> ()
+          | Some { Probnative.Preemptive_reconfig.risk; live_before; live_after; _ } ->
+              estimates.(victim) <- replacement_p;
+              uncertainty.(victim) <- 0.;
+              Stream.replace stream victim ~afr:cfg.replacement_afr;
+              recommend tick live_before
+                (Swap { node = victim; estimate = risk; predicted_live = live_after }))
+        (Probnative.Preemptive_reconfig.riskiest risks)
     end;
     if cfg.verify then
       max_divergence :=

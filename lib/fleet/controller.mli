@@ -8,10 +8,10 @@
     probability against its target. When the guarantee slips it first
     tries a quorum resize ({!Probnative.Dynamic_quorum.best_raft});
     when no structurally safe sizing restores the target it recommends
-    — and applies — a preemptive swap of the riskiest node, the
-    replacement's predicted effect computed by temporarily updating
-    the incremental engine and reverting (two O(n) passes, no
-    recompute).
+    — and applies — a preemptive swap of the riskiest node under the
+    §4 swap rule {!Probnative.Preemptive_reconfig.decide}, which
+    predicts the replacement's effect on the incremental engine itself
+    (two O(n) passes, no recompute).
 
     Runs are pure functions of the config: same seed, same
     recommendations, bit for bit. {!payload} is the one canonical JSON

@@ -1,83 +1,38 @@
-type swap = {
-  time : float;
-  replaced : int;
-  predicted_window_risk : float;
-  cluster_live_before : float;
-  cluster_live_after : float;
-}
-
-type outcome = {
-  swaps : swap list;
-  final_fleet : Faultmodel.Fleet.t;
-  reviews : int;
-}
-
-let window_risks fleet ~start ~duration =
-  Array.map
-    (fun node ->
-      Faultmodel.Fault_curve.window_probability node.Faultmodel.Node.curve ~start
-        ~duration)
-    (Faultmodel.Fleet.nodes fleet)
-
 let window_liveness fleet ~quorum ~start ~duration =
-  let risks = window_risks fleet ~start ~duration in
-  let n = Array.length risks in
-  Prob.Poisson_binomial.cdf_le risks (n - quorum)
+  let risks =
+    Array.map
+      (fun node ->
+        Faultmodel.Fault_curve.window_probability node.Faultmodel.Node.curve ~start
+          ~duration)
+      (Faultmodel.Fleet.nodes fleet)
+  in
+  Prob.Poisson_binomial.cdf_le risks (Array.length risks - quorum)
 
-let riskiest risks =
-  let best = ref 0 in
-  Array.iteri (fun u r -> if r > risks.(!best) then best := u) risks;
+let riskiest ?(eligible = fun _ -> true) risks =
+  let best = ref None in
+  Array.iteri
+    (fun u r ->
+      if eligible u then
+        match !best with
+        | Some b when r <= risks.(b) -> ()
+        | _ -> best := Some u)
+    risks;
   !best
 
-let replace_node fleet ~id ~curve ~time =
-  let nodes = Array.copy (Faultmodel.Fleet.nodes fleet) in
-  nodes.(id) <-
-    Faultmodel.Node.make ~id
-      ~label:(Printf.sprintf "replacement-%d@%.0fh" id time)
-      (Faultmodel.Fault_curve.Shifted { offset = time; curve });
-  Faultmodel.Fleet.of_nodes (Array.to_list nodes)
+type decision = { victim : int; risk : float; live_before : float; live_after : float }
 
-let simulate_policy ~fleet ~replacement_curve ~target_live ~horizon ~review_interval =
-  if review_interval <= 0. then
-    invalid_arg "Preemptive_reconfig: review interval must be positive";
-  let n = Faultmodel.Fleet.size fleet in
-  let quorum = (n / 2) + 1 in
-  let current = ref fleet in
-  let swaps = ref [] in
-  let reviews = ref 0 in
-  let time = ref 0. in
-  while !time < horizon do
-    incr reviews;
-    (* Swap as long as the coming window misses the target and a swap
-       still helps (each node can be replaced at most once per review). *)
-    let budget = ref n in
-    let continue_swapping = ref true in
-    while !continue_swapping && !budget > 0 do
-      let live = window_liveness !current ~quorum ~start:!time ~duration:review_interval in
-      if live >= target_live then continue_swapping := false
-      else begin
-        let risks = window_risks !current ~start:!time ~duration:review_interval in
-        let victim = riskiest risks in
-        let updated = replace_node !current ~id:victim ~curve:replacement_curve ~time:!time in
-        let live_after =
-          window_liveness updated ~quorum ~start:!time ~duration:review_interval
-        in
-        if live_after > live then begin
-          swaps :=
-            {
-              time = !time;
-              replaced = victim;
-              predicted_window_risk = risks.(victim);
-              cluster_live_before = live;
-              cluster_live_after = live_after;
-            }
-            :: !swaps;
-          current := updated;
-          decr budget
-        end
-        else continue_swapping := false
-      end
-    done;
-    time := !time +. review_interval
-  done;
-  { swaps = List.rev !swaps; final_fleet = !current; reviews = !reviews }
+let decide engine ~tolerated ~target_live ~victim ~replacement =
+  let live_before = Prob.Incremental.cdf_le engine tolerated in
+  let risk = Prob.Incremental.prob engine victim in
+  if live_before >= target_live || risk <= replacement then None
+  else begin
+    (* Predict the swap with the engine itself: replace the factor,
+       read the distribution, and put it back if liveness did not rise. *)
+    Prob.Incremental.update engine victim replacement;
+    let live_after = Prob.Incremental.cdf_le engine tolerated in
+    if live_after > live_before then Some { victim; risk; live_before; live_after }
+    else begin
+      Prob.Incremental.update engine victim risk;
+      None
+    end
+  end

@@ -1,40 +1,41 @@
 (** Preemptive reconfiguration from predictive fault curves (paper §4).
 
     With time-dependent fault curves, the probability that the cluster
-    stays live over the next maintenance window is computable in
-    advance. This policy reviews the fleet periodically and swaps out
-    the node with the highest predicted window-failure probability
-    whenever the window guarantee would otherwise dip below target —
-    reconfiguring {e before} the failure instead of after. *)
-
-type swap = {
-  time : float;  (** Review time (hours) at which the swap happens. *)
-  replaced : int;  (** Node id swapped out. *)
-  predicted_window_risk : float;  (** Its window failure probability. *)
-  cluster_live_before : float;  (** Window liveness without the swap. *)
-  cluster_live_after : float;
-}
-
-type outcome = {
-  swaps : swap list;
-  final_fleet : Faultmodel.Fleet.t;
-  reviews : int;
-}
-
-val simulate_policy :
-  fleet:Faultmodel.Fleet.t ->
-  replacement_curve:Faultmodel.Fault_curve.t ->
-  target_live:float ->
-  horizon:float ->
-  review_interval:float ->
-  outcome
-(** Walk the mission in review steps. At each review, compute the
-    probability that a majority quorum survives the coming window
-    (Poisson-binomial over per-node window risks); while it is below
-    [target_live], replace the riskiest node with a fresh node on
-    [replacement_curve] (its age restarts at the swap time). *)
+    stays live over the next window is computable in advance, so a
+    node can be swapped out {e before} it fails. {!decide} is the one
+    swap rule: {!Reconfig_executor} applies it on the simulator at each
+    review, and [Fleetctl.Controller] applies it to the live fleet's
+    incremental failure distribution every tick. Callers pick the
+    victim and the replacement; the rule decides whether the swap
+    happens. *)
 
 val window_liveness :
   Faultmodel.Fleet.t -> quorum:int -> start:float -> duration:float -> float
 (** P(at least [quorum] nodes survive the window), from each node's
     conditional window failure probability. *)
+
+val riskiest : ?eligible:(int -> bool) -> float array -> int option
+(** Index of the largest risk among the [eligible] indices (default:
+    all), the first one on ties; [None] when no index is eligible. *)
+
+type decision = {
+  victim : int;  (** Factor index swapped out. *)
+  risk : float;  (** Its failure probability before the swap. *)
+  live_before : float;
+  live_after : float;  (** Liveness with the replacement in place. *)
+}
+
+val decide :
+  Prob.Incremental.t ->
+  tolerated:int ->
+  target_live:float ->
+  victim:int ->
+  replacement:float ->
+  decision option
+(** The §4 swap rule over an engine whose factors are per-node failure
+    probabilities, with liveness = P(failures <= [tolerated]). Swap
+    factor [victim] for a node of failure probability [replacement]
+    only when liveness is below [target_live], the victim is riskier
+    than the replacement, and the swap raises liveness. On [Some] the
+    engine keeps the replacement; on [None] it is left as it was (two
+    O(n) updates when the trial swap is reverted). *)

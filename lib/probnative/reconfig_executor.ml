@@ -26,11 +26,6 @@ let member_risk universe cluster ~now ~duration u =
       ~duration
   end
 
-let window_live risks =
-  let n = Array.length risks in
-  let majority = (n / 2) + 1 in
-  Prob.Poisson_binomial.cdf_le risks (n - majority)
-
 let evaluate_outcome cluster ~commands ~crashed ~swaps ~reviews =
   let final_members = Raft_sim.Raft_cluster.members_view cluster in
   let expected = List.init commands (fun i -> 9000 + i) in
@@ -97,47 +92,36 @@ let run ?(seed = 5) ~universe ~initial_members ~target_live ~review_interval ~ho
           ( Raft_sim.Raft_cluster.members_view cluster,
             Raft_sim.Raft_cluster.current_leader cluster )
         with
-        | Some members, Some leader ->
-            let risks =
+        | Some members, Some leader -> (
+            let members = Array.of_list members in
+            let risk_of = member_risk universe cluster ~now ~duration:review_interval in
+            let risks = Array.map risk_of members in
+            let spares_alive =
               Array.of_list
-                (List.map
-                   (member_risk universe cluster ~now ~duration:review_interval)
-                   members)
+                (List.filter
+                   (fun u -> Raft_sim.Raft_node.alive (Raft_sim.Raft_cluster.node cluster u))
+                   !spares)
             in
-            if window_live risks < target_live && !spares <> [] then begin
-              (* Victim: the riskiest non-leader member; spare: the
-                 healthiest alive spare. *)
-              let candidates = List.filter (fun u -> u <> leader) members in
-              let risk_of u = member_risk universe cluster ~now ~duration:review_interval u in
-              let victim =
-                List.fold_left
-                  (fun best u ->
-                    match best with
-                    | None -> Some u
-                    | Some b -> if risk_of u > risk_of b then Some u else best)
-                  None candidates
-              in
-              let alive_spares =
-                List.filter
-                  (fun u -> Raft_sim.Raft_node.alive (Raft_sim.Raft_cluster.node cluster u))
-                  !spares
-              in
-              let spare =
-                List.fold_left
-                  (fun best u ->
-                    match best with
-                    | None -> Some u
-                    | Some b -> if risk_of u < risk_of b then Some u else best)
-                  None alive_spares
-              in
-              match (victim, spare) with
-              | Some victim, Some spare ->
-                  if Raft_sim.Raft_cluster.add_server cluster spare then begin
+            (* Victim: the riskiest non-leader member; replacement: the
+               healthiest alive spare. The §4 rule decides the swap. *)
+            match
+              ( Preemptive_reconfig.riskiest ~eligible:(fun i -> members.(i) <> leader) risks,
+                Preemptive_reconfig.riskiest
+                  (Array.map (fun u -> -.risk_of u) spares_alive) )
+            with
+            | Some victim, Some best -> (
+                let spare = spares_alive.(best) in
+                let n = Array.length members in
+                match
+                  Preemptive_reconfig.decide (Prob.Incremental.create risks)
+                    ~tolerated:(n - ((n / 2) + 1)) ~target_live ~victim
+                    ~replacement:(risk_of spare)
+                with
+                | Some _ when Raft_sim.Raft_cluster.add_server cluster spare ->
                     spares := List.filter (fun u -> u <> spare) !spares;
-                    pending_removal := Some victim
-                  end
-              | _, _ -> ()
-            end
+                    pending_removal := Some members.(victim)
+                | _ -> ())
+            | _ -> ())
         | _, _ -> ())
   in
   let time = ref review_interval in

@@ -43,14 +43,14 @@ let kill_schedule ~seed ~replicas ~process ~hours_per_second ~duration_seconds =
 
 let predicted_windows ~replicas ~process ~hours_per_second ~midpoints_seconds =
   let ( let* ) = Result.bind in
-  let times =
-    List.map
-      (fun s -> Float.max 1e-9 (s *. hours_per_second))
-      midpoints_seconds
+  let* first, times =
+    match List.map (fun s -> Float.max 1e-9 (s *. hours_per_second)) midpoints_seconds with
+    | [] -> Error "no measurement window to predict"
+    | first :: _ as times -> Ok (first, times)
   in
   let* scenario =
     Probcons.Scenario.make ~protocol:"raft"
-      ~mix:[ (replicas, FP.marginal process (List.nth times 0)) ]
+      ~mix:[ (replicas, FP.marginal process first) ]
       ~processes:(List.init replicas (fun _ -> process))
       ()
   in
@@ -180,10 +180,35 @@ let wait_for_leader multi ~deadline =
   in
   go 1_000_000
 
-let run cfg =
+let make_state_root cfg =
+  if not (Sys.file_exists cfg.state_root) then Unix.mkdir cfg.state_root 0o755
+
+let supervise cfg ~ready =
+  make_state_root cfg;
+  let pids =
+    Array.init cfg.replicas (fun i ->
+        let argv = cfg.child_argv ~id:i in
+        Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr)
+  in
+  ready ();
+  Service.Server.wait_for_signal ();
+  Array.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) pids;
+  Array.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) pids
+
+let validate cfg =
   if cfg.replicas < 1 then Error "driver: need at least one replica"
-  else begin
-    if not (Sys.file_exists cfg.state_root) then Unix.mkdir cfg.state_root 0o755;
+  else if not (cfg.window_seconds > 0.) then Error "driver: the window must be positive"
+  else if cfg.probes_per_window < 1 then
+    Error "driver: a window needs at least one probe"
+  else if not (cfg.duration_seconds >= cfg.window_seconds) then
+    Error "driver: the duration must cover at least one window"
+  else Ok ()
+
+let run cfg =
+  match validate cfg with
+  | Error _ as e -> e
+  | Ok () -> begin
+    make_state_root cfg;
     let n = cfg.replicas in
     let pids = Array.make n None in
     let kills = ref 0 and restarts = ref 0 in

@@ -61,7 +61,8 @@ val predicted_windows :
   (float list, string) result
 (** The analytical per-window liveness prediction: majority-Raft over
     [replicas] copies of [process], evaluated at each window midpoint
-    (converted to mission hours) via {!Probcons.Analysis.run_horizon}. *)
+    (converted to mission hours) via {!Probcons.Analysis.run_horizon}.
+    [Error] when [midpoints_seconds] is empty. *)
 
 type window = {
   index : int;
@@ -88,4 +89,12 @@ val run : config -> (Obs.Json.t, string) result
 (** The full experiment: spawn, wait for a leader, kill/restart on
     schedule while probing windows, restart everyone, read back every
     acknowledged write, reap the children, return the artifact.
+    [Error] before anything is spawned when the window is not positive,
+    a window has no probe, or the duration is shorter than one window;
     [Error] on startup failure (no leader within 20 s). *)
+
+val supervise : config -> ready:(unit -> unit) -> unit
+(** Serve without measuring: spawn the [replicas] processes on this
+    process's stdio, call [ready], block until SIGINT or SIGTERM
+    ({!Service.Server.wait_for_signal}), then SIGTERM and reap every
+    child. Only [replicas], [state_root] and [child_argv] are used. *)

@@ -899,8 +899,7 @@ let stop t =
     try Unix.close t.wake_w with _ -> ()
   end
 
-let run config =
-  let t = start config in
+let wait_for_signal () =
   let stop_requested = Atomic.make false in
   let previous =
     List.map
@@ -911,8 +910,12 @@ let run config =
       [ Sys.sigint; Sys.sigterm ]
   in
   while not (Atomic.get stop_requested) do
-    try Unix.sleepf 0.2
+    try Unix.sleepf 0.05
     with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
-  stop t;
   List.iter (fun (s, h) -> try Sys.set_signal s h with _ -> ()) previous
+
+let run config =
+  let t = start config in
+  wait_for_signal ();
+  stop t

@@ -125,6 +125,10 @@ val connection_count : t -> int
     soak's leak check: after clients disconnect this must return to
     zero. *)
 
+val wait_for_signal : unit -> unit
+(** Block until SIGINT or SIGTERM arrives. The handlers are installed
+    for the duration and the previous ones restored on return — the
+    one foreground wait of [serve], [replica-node] and [replicate]. *)
+
 val run : config -> unit
-(** [start], then block until SIGINT or SIGTERM, then [stop]. Installs
-    the signal handlers (and ignores SIGPIPE) for the duration. *)
+(** [start], then {!wait_for_signal}, then [stop]. *)

@@ -297,17 +297,7 @@ let test_half_written_request_reset () =
                   Alcotest.failf "server wedged after reset: %s (%s)"
                     (Wire.code_string code) msg);
           (* The torn connection's reader is released. *)
-          let rec wait tries =
-            if Server.connection_count server = 0 then ()
-            else if tries = 0 then
-              Alcotest.failf "reader leaked: %d connections still live"
-                (Server.connection_count server)
-            else begin
-              Thread.delay 0.05;
-              wait (tries - 1)
-            end
-          in
-          wait 100))
+          Alcotest.(check int) "no reader leaked" 0 (Soak.drain server)))
 
 (* --- Server self-protection -------------------------------------------- *)
 
@@ -362,16 +352,8 @@ let test_idle_timeout () =
               (match Client.recv_line c with
               | None -> ()
               | Some line -> Alcotest.failf "unexpected line on idle: %s" line);
-              let rec wait tries =
-                if Server.connection_count server = 0 then ()
-                else if tries = 0 then
-                  Alcotest.fail "idle connection still held by the server"
-                else begin
-                  Thread.delay 0.05;
-                  wait (tries - 1)
-                end
-              in
-              wait 100)))
+              Alcotest.(check int) "idle connection released" 0
+                (Soak.drain server))))
 
 let test_max_connections () =
   let expect_overloaded = function
@@ -424,6 +406,26 @@ let test_max_connections () =
                   Alcotest.failf "survivor broken: %s (%s)"
                     (Wire.code_string code) msg)))
 
+(* --- The soak, in process ---------------------------------------------- *)
+
+let test_soak_in_process () =
+  with_watchdog (fun () ->
+      let r =
+        Soak.run ~plan:(Chaos.default_plan ~seed:42 ()) ~clients:2 ~requests:30
+          ~distinct:8 ~deadline:2.
+      in
+      Alcotest.(check (list string)) "no contract violation" [] r.Soak.failures;
+      Alcotest.(check int) "connections drained" 0 r.Soak.connections_after;
+      Alcotest.(check int) "every call answered or typed" 60
+        (r.Soak.loadgen.Loadgen.ok + r.Soak.loadgen.Loadgen.errors);
+      let counts = Chaos.counts r.Soak.proxy in
+      Alcotest.(check bool) "fault counts reported" true
+        (List.mem_assoc "resets" counts
+        && List.assoc "connections" counts > 0);
+      match Obs.Json.member "drained" (Soak.artifact r) with
+      | Some (Obs.Json.Bool true) -> ()
+      | _ -> Alcotest.fail "artifact does not record the drain")
+
 let suite =
   [
     Alcotest.test_case "frame linear cost" `Quick test_frame_linear_cost;
@@ -439,4 +441,6 @@ let suite =
     Alcotest.test_case "max connections rejects with overloaded" `Quick
       test_max_connections;
     QCheck_alcotest.to_alcotest prop_no_call_outlives_deadline;
+    Alcotest.test_case "soak in process passes and drains" `Quick
+      test_soak_in_process;
   ]

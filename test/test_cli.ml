@@ -247,6 +247,16 @@ let test_call () =
   in
   Alcotest.(check int) "no reply exits 1" 1 status
 
+let test_replicate_rejects_bad_measure () =
+  (* Rejected before any replica is spawned: no window, no probe, or a
+     run shorter than one window would measure nothing. *)
+  List.iter
+    (fun flags ->
+      let status, output = run_capture ("replicate --measure " ^ flags) in
+      Alcotest.(check int) (flags ^ " exits 2") 2 status;
+      Alcotest.(check bool) (flags ^ " says why") true (contains output "replicate:"))
+    [ "--window 0"; "--window=-1"; "--probes 0"; "--duration 2 --window 5" ]
+
 let suite =
   [
     Alcotest.test_case "tables" `Quick test_tables;
@@ -266,4 +276,6 @@ let suite =
     Alcotest.test_case "bad command fails" `Quick test_bad_command_fails;
     Alcotest.test_case "version" `Quick test_version;
     Alcotest.test_case "serve requires listener" `Quick test_serve_requires_listener;
+    Alcotest.test_case "replicate rejects bad measure flags" `Quick
+      test_replicate_rejects_bad_measure;
   ]

@@ -62,6 +62,8 @@ let syn_system : syn Dst.Harness.system =
     run = syn_run;
     candidates = syn_candidates;
     size = syn_size;
+    faults = (fun c -> List.length c.faults);
+    ops = (fun c -> List.length c.ops);
     encode =
       (fun c ->
         {
@@ -447,6 +449,47 @@ let corpus_validates () =
       | Error msg -> Alcotest.failf "%s: %s" path msg)
     (corpus_files ())
 
+(* --- Fault and op counts ------------------------------------------------ *)
+
+(* The [dst --max-shrunk-*] bounds count through each case's system. *)
+let counts_of (repro : Dst.Repro.t) =
+  match Dst.Registry.find repro.Dst.Repro.system with
+  | Error msg -> Alcotest.fail msg
+  | Ok (Dst.Registry.Packed sys) -> (
+      match sys.Dst.Harness.decode repro.Dst.Repro.parts with
+      | Error msg -> Alcotest.fail msg
+      | Ok case -> (sys.Dst.Harness.faults case, sys.Dst.Harness.ops case))
+
+let replica_counts_kills () =
+  (* A replica plan is a bare list of kills: every kill is a fault. *)
+  let sys = Dst.Replica_case.system () in
+  let case =
+    Seq.ints 0
+    |> Seq.map (fun seed -> sys.Dst.Harness.generate (Prob.Rng.create seed))
+    |> Seq.find (fun c -> List.length c.Dst.Replica_case.kills >= 2)
+    |> Option.get
+  in
+  let repro =
+    Dst.Harness.to_repro sys ~seed:0 ~elapsed_seconds:0.
+      { Dst.Harness.episode = 0; episode_seed = 0; case; invariant = "x"; detail = "" }
+      None
+  in
+  Alcotest.(check (pair int int))
+    "kills and ops"
+    (List.length case.Dst.Replica_case.kills, List.length case.Dst.Replica_case.ops)
+    (counts_of repro)
+
+let seeded_artifact_counts () =
+  let path =
+    List.find
+      (fun f -> Filename.basename f = "service_id0_seeded.json")
+      (corpus_files ())
+  in
+  match Dst.Repro.read ~path with
+  | Error msg -> Alcotest.fail msg
+  | Ok repro ->
+      Alcotest.(check (pair int int)) "2 faults, 4 ops" (2, 4) (counts_of repro)
+
 let suite =
   [
     qtest prop_steps_same_invariant;
@@ -469,6 +512,10 @@ let suite =
       process_repro_recovery_dependence;
     Alcotest.test_case "seeded id:0 bug: found, shrunk small, replays" `Slow
       seeded_bug_found_shrunk_replayed;
+    Alcotest.test_case "replica case counts its kills as faults" `Quick
+      replica_counts_kills;
+    Alcotest.test_case "seeded artifact counts 2 faults, 4 ops" `Quick
+      seeded_artifact_counts;
     Alcotest.test_case "corpus: every artifact validates" `Quick
       corpus_validates;
     Alcotest.test_case "corpus: every artifact meets its expectation" `Slow

@@ -244,11 +244,6 @@ let test_detector_bookkeeping () =
 
 (* --- Preemptive reconfiguration --------------------------------------------------------- *)
 
-let aging_curve = Faultmodel.Fault_curve.Weibull { shape = 3.; scale = 20_000. }
-
-let aging_fleet n =
-  Faultmodel.Fleet.of_nodes (List.init n (fun id -> Faultmodel.Node.make ~id aging_curve))
-
 let test_window_liveness_basics () =
   (* Exponential nodes with a 1% one-year AFR: the one-year window from
      t=0 must match the closed-form majority computation. (A Constant
@@ -268,48 +263,70 @@ let test_window_liveness_basics () =
   Alcotest.(check (float 1e-12)) "constant curve has no window risk" 1.
     (Preemptive_reconfig.window_liveness const_fleet ~quorum:3 ~start:0. ~duration:8766.)
 
-let test_policy_swaps_aging_nodes () =
-  let outcome =
-    Preemptive_reconfig.simulate_policy ~fleet:(aging_fleet 5)
-      ~replacement_curve:aging_curve ~target_live:0.99999 ~horizon:50_000.
-      ~review_interval:1000.
+let test_decide_swap_rule () =
+  let risks = [| 0.3; 0.05; 0.05; 0.05; 0.2 |] in
+  (* Five nodes, majority quorum: liveness = P(failures <= 2). *)
+  let tolerated = 2 in
+  let engine = Prob.Incremental.create risks in
+  let untouched label f =
+    let updates = Prob.Incremental.update_count engine
+    and probs = Prob.Incremental.probs engine
+    and pmf = Prob.Incremental.pmf engine in
+    Alcotest.(check bool) (label ^ ": no swap") true (f () = None);
+    Alcotest.(check int) (label ^ ": no update") updates
+      (Prob.Incremental.update_count engine);
+    Alcotest.(check (array (float 0.))) (label ^ ": same factors") probs
+      (Prob.Incremental.probs engine);
+    Alcotest.(check (array (float 0.))) (label ^ ": same pmf") pmf
+      (Prob.Incremental.pmf engine)
   in
-  Alcotest.(check bool) "swaps happened" true (List.length outcome.Preemptive_reconfig.swaps > 0);
-  Alcotest.(check int) "reviews" 50 outcome.Preemptive_reconfig.reviews;
-  (* Every swap must strictly improve the window guarantee. *)
-  List.iter
-    (fun (s : Preemptive_reconfig.swap) ->
-      Alcotest.(check bool) "swap improves" true
-        (s.cluster_live_after > s.cluster_live_before))
-    outcome.Preemptive_reconfig.swaps;
-  (* The managed fleet ends the mission with a better final window than
-     the unmanaged one. *)
-  let final_live =
-    Preemptive_reconfig.window_liveness outcome.Preemptive_reconfig.final_fleet ~quorum:3
-      ~start:49_000. ~duration:1000.
-  in
-  let unmanaged_live =
-    Preemptive_reconfig.window_liveness (aging_fleet 5) ~quorum:3 ~start:49_000.
-      ~duration:1000.
-  in
-  Alcotest.(check bool) "policy beats neglect" true (final_live > unmanaged_live)
+  let live = Prob.Incremental.cdf_le engine tolerated in
+  untouched "target met" (fun () ->
+      Preemptive_reconfig.decide engine ~tolerated ~target_live:live ~victim:0
+        ~replacement:0.01);
+  untouched "replacement as risky" (fun () ->
+      Preemptive_reconfig.decide engine ~tolerated ~target_live:0.9999 ~victim:0
+        ~replacement:0.3);
+  untouched "replacement riskier" (fun () ->
+      Preemptive_reconfig.decide engine ~tolerated ~target_live:0.9999 ~victim:1
+        ~replacement:0.2);
+  match
+    Preemptive_reconfig.decide engine ~tolerated ~target_live:0.9999
+      ~victim:(Option.get (Preemptive_reconfig.riskiest risks))
+      ~replacement:0.01
+  with
+  | None -> Alcotest.fail "a safer replacement below target must swap"
+  | Some d ->
+      Alcotest.(check int) "victim is the riskiest" 0 d.Preemptive_reconfig.victim;
+      Alcotest.(check (float 0.)) "victim risk" 0.3 d.Preemptive_reconfig.risk;
+      Alcotest.(check (float 0.)) "live before" live d.Preemptive_reconfig.live_before;
+      Alcotest.(check bool) "swap strictly raises liveness" true
+        (d.Preemptive_reconfig.live_after > live);
+      Alcotest.(check (float 0.)) "swap stays applied" 0.01
+        (Prob.Incremental.prob engine 0);
+      Alcotest.(check (float 0.)) "engine holds the predicted liveness"
+        d.Preemptive_reconfig.live_after
+        (Prob.Incremental.cdf_le engine tolerated)
 
-let test_policy_idle_when_target_met () =
-  let fresh = Faultmodel.Fleet.uniform ~n:5 ~p:0.0001 () in
-  let outcome =
-    Preemptive_reconfig.simulate_policy ~fleet:fresh
-      ~replacement_curve:(Faultmodel.Fault_curve.constant 0.0001) ~target_live:0.999
-      ~horizon:10_000. ~review_interval:1000.
-  in
-  Alcotest.(check int) "no swaps" 0 (List.length outcome.Preemptive_reconfig.swaps)
+let test_decide_reverts_useless_swap () =
+  (* Three certain failures already exceed the two tolerated: no swap
+     of a fourth node can restore liveness, so the trial is undone. *)
+  let engine = Prob.Incremental.create [| 1.; 1.; 1.; 0.5; 0.5 |] in
+  Alcotest.(check bool) "no swap" true
+    (Preemptive_reconfig.decide engine ~tolerated:2 ~target_live:0.9 ~victim:3
+       ~replacement:0.1
+    = None);
+  Alcotest.(check (float 0.)) "factor restored" 0.5 (Prob.Incremental.prob engine 3)
 
-let test_policy_validation () =
-  Alcotest.check_raises "bad interval"
-    (Invalid_argument "Preemptive_reconfig: review interval must be positive") (fun () ->
-      ignore
-        (Preemptive_reconfig.simulate_policy ~fleet:(aging_fleet 3)
-           ~replacement_curve:aging_curve ~target_live:0.9 ~horizon:10.
-           ~review_interval:0.))
+let test_riskiest () =
+  Alcotest.(check (option int)) "first maximum" (Some 1)
+    (Preemptive_reconfig.riskiest [| 0.1; 0.4; 0.4; 0.2 |]);
+  Alcotest.(check (option int)) "eligible only" (Some 3)
+    (Preemptive_reconfig.riskiest ~eligible:(fun i -> i <> 1 && i <> 2)
+       [| 0.1; 0.4; 0.4; 0.2 |]);
+  Alcotest.(check (option int)) "nothing eligible" None
+    (Preemptive_reconfig.riskiest ~eligible:(fun _ -> false) [| 0.1; 0.4 |]);
+  Alcotest.(check (option int)) "empty" None (Preemptive_reconfig.riskiest [||])
 
 (* --- Planner ----------------------------------------------------------------- *)
 
@@ -416,6 +433,28 @@ let test_reconfig_executor_idle_on_healthy_fleet () =
   Alcotest.(check int) "no swaps" 0 m.Reconfig_executor.swaps_completed;
   Alcotest.(check bool) "live" true m.Reconfig_executor.managed_live;
   Alcotest.(check int) "all commands" 10 m.Reconfig_executor.commands_committed
+
+let test_reconfig_executor_keeps_safer_members () =
+  (* Spares that wear out faster than the members: the window misses
+     the target, but no spare is less risky than its victim, so no
+     swap may happen. Seed 3 is left out: there member 0 dies at
+     5,506 h, and swapping a dead member out is correct. *)
+  let curve scale = Faultmodel.Fault_curve.Weibull { shape = 4.; scale } in
+  let universe =
+    Faultmodel.Fleet.of_nodes
+      (List.init 6 (fun id ->
+           Faultmodel.Node.make ~id (curve (if id < 3 then 15_000. else 9_000.))))
+  in
+  List.iter
+    (fun seed ->
+      let m =
+        Reconfig_executor.run ~seed ~universe ~initial_members:[ 0; 1; 2 ]
+          ~target_live:0.999 ~review_interval:1000. ~horizon:8000. ~commands:10 ()
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: no swap to a riskier spare" seed)
+        0 m.Reconfig_executor.swaps_completed)
+    [ 1; 2; 4; 5 ]
 
 let test_reconfig_executor_validation () =
   Alcotest.check_raises "bad interval"
@@ -739,13 +778,16 @@ let suite =
     Alcotest.test_case "phi tolerates jitter" `Quick test_phi_tolerates_jitter;
     Alcotest.test_case "detector bookkeeping" `Quick test_detector_bookkeeping;
     Alcotest.test_case "window liveness" `Quick test_window_liveness_basics;
-    Alcotest.test_case "policy swaps aging nodes" `Quick test_policy_swaps_aging_nodes;
-    Alcotest.test_case "policy idle when met" `Quick test_policy_idle_when_target_met;
-    Alcotest.test_case "policy validation" `Quick test_policy_validation;
+    Alcotest.test_case "decide: swap rule" `Quick test_decide_swap_rule;
+    Alcotest.test_case "decide: reverts a useless swap" `Quick
+      test_decide_reverts_useless_swap;
+    Alcotest.test_case "riskiest" `Quick test_riskiest;
     Alcotest.test_case "reconfig beats neglect" `Slow test_reconfig_executor_beats_neglect;
     Alcotest.test_case "reconfig idle when healthy" `Quick
       test_reconfig_executor_idle_on_healthy_fleet;
     Alcotest.test_case "reconfig validation" `Quick test_reconfig_executor_validation;
+    Alcotest.test_case "reconfig keeps safer members" `Quick
+      test_reconfig_executor_keeps_safer_members;
     Alcotest.test_case "planner consistent plan" `Quick test_planner_produces_consistent_plan;
     Alcotest.test_case "planner unattainable" `Quick test_planner_unattainable_target;
     Alcotest.test_case "planner execution healthy" `Slow test_planner_execution_healthy;

@@ -746,6 +746,14 @@ let test_driver_schedule () =
         (e.Driver.at_seconds >= 0. && e.Driver.at_seconds <= 60. /. 0.125 *. 8.))
     a
 
+let test_driver_prediction_needs_a_window () =
+  match
+    Driver.predicted_windows ~replicas:3 ~process:markov ~hours_per_second:0.125
+      ~midpoints_seconds:[]
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "no window has no prediction"
+
 let test_driver_prediction_and_artifact () =
   let midpoints = [ 2.5; 7.5; 12.5; 17.5 ] in
   match
@@ -826,6 +834,8 @@ let suite =
     Alcotest.test_case "chaos blackhole costs leadership not consistency" `Slow
       test_chaos_blackhole_leader;
     Alcotest.test_case "kill schedule determinism" `Quick test_driver_schedule;
+    Alcotest.test_case "prediction needs a window" `Quick
+      test_driver_prediction_needs_a_window;
     Alcotest.test_case "prediction and artifact shape" `Quick
       test_driver_prediction_and_artifact;
   ]
