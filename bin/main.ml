@@ -1141,24 +1141,13 @@ let replica_node_cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR" ~doc:"Durable Raft state directory.")
   in
-  let chaos_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ] ~docv:"SEED"
-          ~doc:"Run inter-replica links through seeded chaos proxies.")
-  in
-  let run id replicas base_port service_port seed state_dir chaos_seed () =
-    let chaos =
-      Option.map (fun s -> Service.Chaos.passthrough_plan ~seed:s ()) chaos_seed
-    in
+  let run id replicas base_port service_port seed state_dir () =
     let cfg =
       {
         (Replica.Node.default_config ~id ~n:replicas ~base_port ~service_port)
         with
         Replica.Node.seed;
         state_dir;
-        chaos;
       }
     in
     let node = Replica.Node.start cfg in
@@ -1177,7 +1166,7 @@ let replica_node_cmd =
     (with_metrics
        Term.(
          const run $ id_arg $ replicas_arg $ base_port_arg $ service_port_arg
-         $ seed_arg $ state_dir_arg $ chaos_seed_arg))
+         $ seed_arg $ state_dir_arg))
 
 let replicate_cmd =
   let replicas_arg =
@@ -1262,16 +1251,8 @@ let replicate_cmd =
             "Root for per-replica durable state and logs (default: a \
              fresh directory under the system temp dir).")
   in
-  let chaos_seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ] ~docv:"SEED"
-          ~doc:"Front inter-replica links with seeded chaos proxies.")
-  in
   let run replicas base_port seed duration window probes hours_per_second
-      fail_rate recover_rate static_p measure tolerance json state_dir
-      chaos_seed () =
+      fail_rate recover_rate static_p measure tolerance json state_dir () =
     if replicas < 1 || replicas > 9 then die "replicate: --replicas must be in 1..9";
     let process =
       match static_p with
@@ -1290,22 +1271,16 @@ let replicate_cmd =
              (Printf.sprintf "probcons-replicate-%d" (Unix.getpid ())))
     in
     let child_argv ~id =
-      Array.of_list
-        ([
-           Sys.executable_name; "replica-node";
-           "--id"; string_of_int id;
-           "--replicas"; string_of_int replicas;
-           "--base-port"; string_of_int base_port;
-           "--service-port";
-           string_of_int
-             (Replica.Driver.service_port ~base_port ~replicas id);
-           "--seed"; string_of_int seed;
-           "--state-dir"; Filename.concat state_root (string_of_int id);
-         ]
-        @
-        match chaos_seed with
-        | None -> []
-        | Some s -> [ "--chaos-seed"; string_of_int s ])
+      [|
+        Sys.executable_name; "replica-node";
+        "--id"; string_of_int id;
+        "--replicas"; string_of_int replicas;
+        "--base-port"; string_of_int base_port;
+        "--service-port";
+        string_of_int (Replica.Driver.service_port ~base_port ~replicas id);
+        "--seed"; string_of_int seed;
+        "--state-dir"; Filename.concat state_root (string_of_int id);
+      |]
     in
     let cfg =
       {
@@ -1318,8 +1293,6 @@ let replicate_cmd =
         window_seconds = window;
         probes_per_window = probes;
         tolerance;
-        chaos =
-          Option.map (fun s -> Service.Chaos.passthrough_plan ~seed:s ()) chaos_seed;
         state_root;
         child_argv;
         log = (fun msg -> Format.eprintf "replicate: %s@." msg);
@@ -1367,8 +1340,7 @@ let replicate_cmd =
          const run $ replicas_arg $ base_port_arg $ seed_arg $ duration_arg
          $ window_arg $ probes_arg $ hours_arg $ fail_rate_arg
          $ recover_rate_arg $ static_arg $ measure_arg $ tolerance_arg
-         $ json_file_arg "probcons-repl-avail/1 artifact" $ state_dir_arg
-         $ chaos_seed_arg))
+         $ json_file_arg "probcons-repl-avail/1 artifact" $ state_dir_arg))
 
 let version_cmd =
   let run () =

@@ -37,7 +37,7 @@ type t = {
   config : config;
   engine : Dessim.Engine.t;
   net : msg Dessim.Network.t;
-  trace : Dessim.Trace.t;
+  trace : Dessim.Trace.t option;
   rng : Prob.Rng.t;
   mutable role : role;
   mutable term : int;
@@ -89,9 +89,16 @@ let quorum_vote t =
 let quorum_replicate t =
   if dynamic t then (List.length t.members / 2) + 1 else t.config.q_replicate
 
-let record t tag detail =
-  Dessim.Trace.record t.trace ~time:(Dessim.Engine.now t.engine) ~node:t.config.id
-    ~tag ~detail
+(* Without a trace the detail is never formatted. *)
+let record t tag fmt =
+  match t.trace with
+  | None -> Printf.ikfprintf ignore () fmt
+  | Some trace ->
+      Printf.ksprintf
+        (fun detail ->
+          Dessim.Trace.record trace ~time:(Dessim.Engine.now t.engine)
+            ~node:t.config.id ~tag ~detail)
+        fmt
 
 let cancel_election_timer t =
   (match t.election_timer with Some c -> Dessim.Engine.cancel c | None -> ());
@@ -117,7 +124,7 @@ let recompute_members t =
     let fresh = List.sort_uniq compare (scan (last_log_index t)) in
     if fresh <> t.members then begin
       t.members <- fresh;
-      record t "membership"
+      record t "membership" "%s"
         (String.concat "," (List.map string_of_int fresh))
     end
   end
@@ -130,9 +137,9 @@ let apply_committed t =
     (match entry.command with
     | Data command ->
         Dessim.Vec.push t.applied command;
-        record t "apply" (Printf.sprintf "index=%d cmd=%d term=%d" index command entry.term)
+        record t "apply" "index=%d cmd=%d term=%d" index command entry.term
     | Config _ ->
-        record t "apply-config" (Printf.sprintf "index=%d term=%d" index entry.term));
+        record t "apply-config" "index=%d term=%d" index entry.term);
     t.applied_through <- index;
     match t.apply_hook with None -> () | Some hook -> hook entry
   done
@@ -160,7 +167,7 @@ and start_election t =
   t.voted_for <- Some t.config.id;
   t.votes <- [ t.config.id ];
   t.leader_hint <- None;
-  record t "candidate" (Printf.sprintf "term=%d" t.term);
+  record t "candidate" "term=%d" t.term;
   Obs.Metrics.incr m_elections;
   Dessim.Network.broadcast t.net ~src:t.config.id
     (Request_vote
@@ -182,7 +189,7 @@ and maybe_win_election t =
 
 and become_leader t =
   t.role <- Leader;
-  record t "become-leader" (Printf.sprintf "term=%d" t.term);
+  record t "become-leader" "term=%d" t.term;
   Obs.Metrics.incr m_leader_elections;
   cancel_election_timer t;
   Array.fill t.next_index 0 t.config.n (last_log_index t + 1);
@@ -240,7 +247,7 @@ and maybe_advance_commit t =
     end
   done;
   if !advanced then begin
-    record t "commit" (Printf.sprintf "index=%d term=%d" t.commit_index t.term);
+    record t "commit" "index=%d term=%d" t.commit_index t.term;
     Obs.Metrics.incr m_commits;
     apply_committed t
   end
@@ -251,7 +258,7 @@ let step_down t new_term =
     t.voted_for <- None
   end;
   if t.role <> Follower then begin
-    record t "step-down" (Printf.sprintf "term=%d" t.term);
+    record t "step-down" "term=%d" t.term;
     Obs.Metrics.incr m_step_downs
   end;
   t.role <- Follower;
@@ -385,7 +392,7 @@ let submit t command =
   if not (is_leader t) then false
   else begin
     let entry = append_as_leader t (Data command) in
-    record t "propose" (Printf.sprintf "index=%d cmd=%d" entry.index command);
+    record t "propose" "index=%d cmd=%d" entry.index command;
     true
   end
 
@@ -395,7 +402,7 @@ let transfer_leadership t target =
     && List.mem target t.members
     && t.match_index.(target) = last_log_index t
   then begin
-    record t "transfer-leadership" (Printf.sprintf "to=%d" target);
+    record t "transfer-leadership" "to=%d" target;
     Dessim.Network.send t.net ~src:t.config.id ~dst:target (Timeout_now { term = t.term });
     true
   end
@@ -417,9 +424,8 @@ let submit_config t proposal =
   else begin
     let proposal = List.sort_uniq compare proposal in
     let entry = append_as_leader t (Config proposal) in
-    record t "propose-config"
-      (Printf.sprintf "index=%d {%s}" entry.index
-         (String.concat "," (List.map string_of_int proposal)));
+    record t "propose-config" "index=%d {%s}" entry.index
+      (String.concat "," (List.map string_of_int proposal));
     recompute_members t;
     (* Start replicating to a newly added member right away. *)
     send_heartbeats t;
@@ -461,7 +467,7 @@ let set_down t down =
     reset_election_timer t
   end
 
-let create config ~engine ~net ~trace =
+let create ?trace config ~engine ~net =
   if config.n <= 0 then invalid_arg "Raft_node.create: n must be positive";
   if config.q_vote < 1 || config.q_vote > config.n then
     invalid_arg "Raft_node.create: q_vote out of range";

@@ -43,10 +43,12 @@ val default_config : id:int -> n:int -> config
 type t
 
 val create :
-  config -> engine:Dessim.Engine.t -> net:Raft_types.msg Dessim.Network.t ->
-  trace:Dessim.Trace.t -> t
+  ?trace:Dessim.Trace.t ->
+  config -> engine:Dessim.Engine.t -> net:Raft_types.msg Dessim.Network.t -> t
 (** Registers the node's network handler and starts its election
-    timer (members only, in dynamic mode). *)
+    timer (members only, in dynamic mode). Proposals, commits, applies
+    and role changes are recorded into [trace] when one is given; the
+    checkers read it. Without one nothing is recorded or formatted. *)
 
 val id : t -> int
 val current_term : t -> int

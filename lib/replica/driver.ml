@@ -14,7 +14,6 @@ type config = {
   window_seconds : float;
   probes_per_window : int;
   tolerance : float;
-  chaos : Service.Chaos.plan option;
   state_root : string;
   child_argv : id:int -> string array;
   log : string -> unit;
@@ -120,11 +119,7 @@ let artifact cfg ~windows ~writes_acked ~writes_lost ~kills ~restarts =
     :: ("writes_acked", Obs.Json.Int writes_acked)
     :: ("writes_lost", Obs.Json.Int writes_lost)
     :: ("kills", Obs.Json.Int kills)
-    :: ("restarts", Obs.Json.Int restarts)
-    ::
-    (match cfg.chaos with
-    | None -> []
-    | Some plan -> [ ("chaos", Service.Chaos.plan_to_json plan) ]))
+    :: [ ("restarts", Obs.Json.Int restarts) ])
 
 (* ---- process management ------------------------------------------- *)
 

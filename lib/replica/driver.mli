@@ -31,7 +31,6 @@ type config = {
   window_seconds : float;
   probes_per_window : int;
   tolerance : float;  (** CI gate on |measured_mean - predicted_mean|. *)
-  chaos : Service.Chaos.plan option;  (** Recorded in the artifact. *)
   state_root : string;
       (** Per-replica state dirs and logs live under here. *)
   child_argv : id:int -> string array;

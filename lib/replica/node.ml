@@ -41,14 +41,12 @@ let link_port cfg ~src ~dst = cfg.base_port + cfg.n + (src * cfg.n) + dst
 let link_plan plan ~src ~dst =
   { plan with Service.Chaos.seed = plan.Service.Chaos.seed + (src * 97) + dst }
 
-(* One blocked submit. Only the pump resolves it: on apply, when the
-   leader is deposed, past its deadline, or when the pump exits. *)
-type waiter = {
-  w_mu : Mutex.t;
-  w_done : Condition.t;
-  w_deadline : float;
-  mutable w_result : (Obs.Json.t, Server.reply_error) result option;
-}
+type outcome = (Obs.Json.t, Server.reply_error) result
+
+(* One write awaiting its commit. Only the pump answers it: on apply,
+   when the leader is deposed, past its deadline, or when the pump
+   exits. *)
+type waiter = { deadline : float; reply : outcome -> unit }
 
 type status = {
   s_role : string;
@@ -57,8 +55,6 @@ type status = {
   s_commit : int;
   s_last_contact : float;
 }
-
-type outboxed = { ob_dst : int; ob_line : string }
 
 type t = {
   cfg : config;
@@ -72,19 +68,17 @@ type t = {
   mutable submit_q : (Command.op * waiter option) list; (* newest first *)
   mutable submit_closed : Server.reply_error option;
       (* Set once the pump has exited: later submits get it at once. *)
-  inbound_mu : Mutex.t;
-  mutable inbound_q : (int * Raft_types.msg * (int * string) list) list;
-  outbox : outboxed list ref; (* pump thread only, filled during Engine.advance *)
+  mutable answers : (waiter * outcome) list;
+      (* pump thread only: held until the cycle's fsync, newest first *)
+  mutable had_inbound : bool; (* pump thread only *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  links : Transport.t; (* pump thread only *)
   durable : Storage.log option; (* pump thread only *)
   persisted_terms : int Dessim.Vec.t;
       (* pump thread only: the term of every entry the segment holds *)
   mutable persisted_hard : int * int option; (* pump thread only *)
-  senders : Transport.Sender.t option array;
-  mutable listener : Transport.Listener.t option;
-  mutable proxies : Service.Chaos.t array;
-  mutable proxy_ids : int array; (* proxies.(i) fronts the link to proxy_ids.(i) *)
+  proxies : Service.Chaos.t list;
   status_mu : Mutex.t;
   mutable status : status;
   mutable server : Server.t option;
@@ -95,55 +89,19 @@ type t = {
   mutable leader_epoch : bool * int;
 }
 
-let resolve waiter result =
-  Mutex.lock waiter.w_mu;
-  if Option.is_none waiter.w_result then (
-    waiter.w_result <- Some result;
-    Condition.signal waiter.w_done);
-  Mutex.unlock waiter.w_mu
-
-let await waiter =
-  Mutex.lock waiter.w_mu;
-  while Option.is_none waiter.w_result do
-    Condition.wait waiter.w_done waiter.w_mu
-  done;
-  let result = Option.get waiter.w_result in
-  Mutex.unlock waiter.w_mu;
-  result
-
-(* One byte on the self-pipe wakes the pump from [select]; a full pipe
-   already holds a pending wake-up. *)
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "w" 0 1)
-  with Unix.Unix_error _ -> ()
-
-let drain_wake t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
 let read_status t =
   Mutex.lock t.status_mu;
   let s = t.status in
   Mutex.unlock t.status_mu;
   s
 
-let not_leader_error t =
-  let s = read_status t in
+let not_leader_error ?(msg = "not the leader") t =
   let hint =
-    match s.s_leader with Some l when l <> t.cfg.id -> Some l | _ -> None
+    match (read_status t).s_leader with
+    | Some l when l <> t.cfg.id -> Some l
+    | _ -> None
   in
-  Error
-    {
-      Server.code = Wire.Not_leader;
-      msg = "not the leader";
-      hint;
-    }
+  Error { Server.code = Wire.Not_leader; msg; hint }
 
 (* ---- pump-thread internals ---------------------------------------- *)
 
@@ -180,6 +138,10 @@ let reply_for_op op ~seq ~duplicate =
   | Command.Barrier ->
       Ok (Obs.Json.Obj [ ("barrier", Obs.Json.Bool true) ])
 
+(* Replies wait for the end of the cycle: none leaves before the bytes
+   behind it are durable. *)
+let answer t w outcome = t.answers <- (w, outcome) :: t.answers
+
 let on_apply t (entry : Raft_types.entry) =
   match entry.command with
   | Config _ -> ()
@@ -195,12 +157,12 @@ let on_apply t (entry : Raft_types.entry) =
               let duplicate = outcome = `Duplicate in
               (match Hashtbl.find_opt t.waiters seq with
               | None -> ()
-              | Some w -> resolve w (reply_for_op op ~seq ~duplicate)));
+              | Some w -> answer t w (reply_for_op op ~seq ~duplicate)));
           Hashtbl.remove t.waiters seq))
 
 let handle_submit t (op, waiter) =
   if not (Raft_node.is_leader t.raft) then
-    Option.iter (fun w -> resolve w (not_leader_error t)) waiter
+    Option.iter (fun w -> answer t w (not_leader_error t)) waiter
   else (
     refresh_next_seq t;
     let bytes = Command.id op in
@@ -218,32 +180,32 @@ let handle_submit t (op, waiter) =
           | _ -> 0
         in
         Option.iter
-          (fun w -> resolve w (reply_for_op op ~seq ~duplicate:true))
+          (fun w -> answer t w (reply_for_op op ~seq ~duplicate:true))
           waiter
     | _ ->
         let seq = t.next_seq in
         Hashtbl.replace t.payloads seq bytes;
-        if Raft_node.submit t.raft seq then (
-          t.next_seq <- seq + 1;
-          Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter)
+        (* Registered first: a lone replica commits and applies the
+           entry inside [submit]. *)
+        Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter;
+        if Raft_node.submit t.raft seq then t.next_seq <- seq + 1
         else (
           Hashtbl.remove t.payloads seq;
-          Option.iter (fun w -> resolve w (not_leader_error t)) waiter))
-
-let resolve_waiters t result =
-  Hashtbl.iter (fun _ w -> resolve w result) t.waiters;
-  Hashtbl.reset t.waiters
+          Hashtbl.remove t.waiters seq;
+          Option.iter (fun w -> answer t w (not_leader_error t)) waiter))
 
 let fail_waiters_if_deposed t =
-  if not (Raft_node.is_leader t.raft) && Hashtbl.length t.waiters > 0 then
-    resolve_waiters t (not_leader_error t)
+  if not (Raft_node.is_leader t.raft) && Hashtbl.length t.waiters > 0 then (
+    let err = not_leader_error t in
+    Hashtbl.iter (fun _ w -> answer t w err) t.waiters;
+    Hashtbl.reset t.waiters)
 
 let expire_waiters t ~now =
   Hashtbl.filter_map_inplace
     (fun _ w ->
-      if now < w.w_deadline then Some w
+      if now < w.deadline then Some w
       else (
-        resolve w
+        answer t w
           (Error
              {
                Server.code = Wire.Deadline_exceeded;
@@ -288,14 +250,15 @@ let persist t durable =
     (fun (e : Raft_types.entry) -> Dessim.Vec.push t.persisted_terms e.term)
     fresh
 
-let update_status t ~now ~had_inbound =
+let update_status t ~now =
   let is_leader = Raft_node.is_leader t.raft in
   let hint = Raft_node.leader_hint t.raft in
   Mutex.lock t.status_mu;
   let last_contact =
-    if is_leader || (had_inbound && hint <> None) then now
+    if is_leader || (t.had_inbound && hint <> None) then now
     else t.status.s_last_contact
   in
+  t.had_inbound <- false;
   t.status <-
     {
       s_role = (if is_leader then "leader" else "follower");
@@ -306,87 +269,74 @@ let update_status t ~now ~had_inbound =
     };
   Mutex.unlock t.status_mu
 
+(* Inbound raft traffic: payloads land in the table before the message
+   that references them is processed. *)
+let deliver t ~src ~dst msg ~payloads =
+  if dst = t.cfg.id && src >= 0 && src < t.cfg.n && src <> t.cfg.id then (
+    List.iter (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes) payloads;
+    t.had_inbound <- true;
+    Dessim.Network.send t.net ~src ~dst msg)
+
 let cycle t =
-  (* 1. Inject inbound raft traffic: payloads land in the table
-     before the message that references them is processed. *)
-  Mutex.lock t.inbound_mu;
-  let inbound = List.rev t.inbound_q in
-  t.inbound_q <- [];
-  Mutex.unlock t.inbound_mu;
-  List.iter
-    (fun (src, msg, payloads) ->
-      List.iter
-        (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
-        payloads;
-      if src >= 0 && src < t.cfg.n && src <> t.cfg.id then
-        Dessim.Network.send t.net ~src ~dst:t.cfg.id msg)
-    inbound;
-  (* 2. Drain client submissions onto the log. *)
+  (* 1. Drain client submissions onto the log. *)
   Mutex.lock t.submit_mu;
   let submits = List.rev t.submit_q in
   t.submit_q <- [];
   Mutex.unlock t.submit_mu;
   List.iter (handle_submit t) submits;
-  (* 3. Advance the virtual clock to wall-clock elapsed ms, then settle
+  (* 2. Advance the virtual clock to wall-clock elapsed ms, then settle
      the waiters whose leader was deposed or whose deadline passed. *)
   let now = Unix.gettimeofday () in
   Dessim.Engine.advance t.engine ~until:((now -. t.start_wall) *. 1000.);
   fail_waiters_if_deposed t;
   expire_waiters t ~now;
-  (* 4. Persist dirty raft state BEFORE flushing outbound messages:
-     a reply acknowledging an append never leaves the process ahead
-     of the log bytes it promises. *)
+  (* 3. Persist dirty raft state BEFORE anything leaves: neither a
+     client reply nor a raft message acknowledging an append gets
+     ahead of the log bytes it promises. *)
   Option.iter (persist t) t.durable;
-  (* 5. Flush the outbox to the per-peer senders. *)
-  let out = List.rev !(t.outbox) in
-  t.outbox := [];
-  List.iter
-    (fun { ob_dst; ob_line } ->
-      match t.senders.(ob_dst) with
-      | Some sender -> Transport.Sender.send sender ob_line
-      | None -> ())
-    out;
-  update_status t ~now ~had_inbound:(inbound <> [])
+  (* 4. Answer, then write the frames queued during the cycle. *)
+  let answers = List.rev t.answers in
+  t.answers <- [];
+  List.iter (fun (w, outcome) -> w.reply outcome) answers;
+  Transport.flush t.links;
+  update_status t ~now
 
-(* Sleep until work is queued (a byte on the wake pipe), the engine's
-   next timer is due, or the earliest commit deadline passes. *)
-let idle t =
+(* Sleep until work is queued (a byte on the wake pipe), a socket is
+   ready, the engine's next timer is due, or the earliest commit
+   deadline passes; 0 when one of them already has. *)
+let timeout t =
   let timer =
     match Dessim.Engine.next_event_time t.engine with
     | Some ms -> t.start_wall +. (ms /. 1000.)
     | None -> Float.infinity
   in
   let due =
-    Hashtbl.fold (fun _ w acc -> Float.min acc w.w_deadline) t.waiters timer
+    Hashtbl.fold (fun _ w acc -> Float.min acc w.deadline) t.waiters timer
   in
-  let timeout = due -. Unix.gettimeofday () in
-  if timeout > 0. then
-    match
-      Unix.select [ t.wake_r ] [] []
-        (if Float.is_finite timeout then timeout else -1.)
-    with
-    | [], _, _ -> ()
-    | _ -> drain_wake t
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  if Float.is_finite due then Float.max 0. (due -. Unix.gettimeofday ())
+  else -1.
 
-(* Answer every queued and waiting submit, and every later one, with
-   [err]: once the pump is gone nothing else would. *)
+(* Answer every held, queued and waiting submit, and every later one,
+   with [err]: once the pump is gone nothing else would. A held answer
+   never reached its fsync, so it gets [err] too. *)
 let release_blocked t err =
   Mutex.lock t.submit_mu;
   t.submit_closed <- Some err;
   let queued = t.submit_q in
   t.submit_q <- [];
   Mutex.unlock t.submit_mu;
-  List.iter
-    (fun (_, waiter) -> Option.iter (fun w -> resolve w (Error err)) waiter)
-    queued;
-  resolve_waiters t (Error err)
+  List.iter (fun (w, _) -> w.reply (Error err)) t.answers;
+  t.answers <- [];
+  List.iter (fun (_, w) -> Option.iter (fun w -> w.reply (Error err)) w) queued;
+  Hashtbl.iter (fun _ w -> w.reply (Error err)) t.waiters;
+  Hashtbl.reset t.waiters
 
 let pump t =
   match
     while not (Atomic.get t.stop_flag) do
-      cycle t;
-      idle t
+      Transport.poll t.links ~wake:t.wake_r ~timeout:(timeout t)
+        ~deliver:(deliver t);
+      cycle t
     done
   with
   | () ->
@@ -410,20 +360,13 @@ let enqueue t op waiter =
   if Option.is_none closed then t.submit_q <- (op, waiter) :: t.submit_q;
   Mutex.unlock t.submit_mu;
   match closed with
-  | None -> wake t
-  | Some err -> Option.iter (fun w -> resolve w (Error err)) waiter
+  | None -> Service.Nonblock.wake t.wake_w
+  | Some err -> Option.iter (fun w -> w.reply (Error err)) waiter
 
-let submit_and_wait t op =
-  let w =
-    {
-      w_mu = Mutex.create ();
-      w_done = Condition.create ();
-      w_deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds;
-      w_result = None;
-    }
-  in
-  enqueue t op (Some w);
-  await w
+let submit t op ~reply =
+  enqueue t op
+    (Some
+       { deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds; reply })
 
 let staleness_ms s =
   Float.max 0. ((Unix.gettimeofday () -. s.s_last_contact) *. 1000.)
@@ -488,42 +431,37 @@ let plain_get t name =
   then
     (* Too stale for the read contract: refuse and point at the
        leader rather than serve an unbounded-lag answer. *)
-    match not_leader_error t with
-    | Error e -> Error { e with Server.msg = "replica too stale for reads" }
-    | Ok _ -> assert false
+    not_leader_error t ~msg:"replica too stale for reads"
   else read_reply t name ~staleness
 
-let handler t (query : Wire.query) :
-    (Obs.Json.t, Server.reply_error) result =
+let handler t (query : Wire.query) ~reply =
   match query with
-  | Wire.Replica_status -> Ok (status_json t)
+  | Wire.Replica_status -> reply (Ok (status_json t))
   | Wire.Scenario_put { name; scenario; nonce } ->
-      submit_and_wait t (Command.Put_scenario { name; scenario; nonce })
-  | Wire.Scenario_get { name; linearizable = false } -> plain_get t name
-  | Wire.Scenario_get { name; linearizable = true } -> (
-      match submit_and_wait t Command.Barrier with
-      | Error e -> Error e
-      | Ok _ -> read_reply t name ~staleness:0.)
+      submit t (Command.Put_scenario { name; scenario; nonce }) ~reply
+  | Wire.Scenario_get { name; linearizable = false } -> reply (plain_get t name)
+  | Wire.Scenario_get { name; linearizable = true } ->
+      submit t Command.Barrier ~reply:(function
+        | Error e -> reply (Error e)
+        | Ok _ -> reply (read_reply t name ~staleness:0.))
   | (Wire.Analyze _ | Wire.Fleet_ingest _) as q -> (
       let key = Wire.canonical_key q in
-      match State.warm_lookup t.state key with
-      | Some payload -> (
-          match Obs.Json.of_string payload with
-          | Ok j -> Ok j
-          | Error _ -> Server.router_handler q)
+      match Option.map Obs.Json.of_string (State.warm_lookup t.state key) with
+      | Some (Ok j) -> reply (Ok j)
+      | Some (Error _) -> Server.router_handler q ~reply
       | None ->
-          let r = Server.router_handler q in
-          (match r with
-          | Ok json when (read_status t).s_role = "leader" ->
-              (* Fire-and-forget: warming is an optimization, not a
-                 durability promise, so the reply does not wait for
-                 the commit. *)
-              enqueue t
-                (Command.Warm { key; payload = Obs.Json.to_string json })
-                None
-          | _ -> ());
-          r)
-  | q -> Server.router_handler q
+          Server.router_handler q ~reply:(fun r ->
+              (match r with
+              | Ok json when (read_status t).s_role = "leader" ->
+                  (* Fire-and-forget: warming is an optimization, not a
+                     durability promise, so the reply does not wait for
+                     the commit. *)
+                  enqueue t
+                    (Command.Warm { key; payload = Obs.Json.to_string json })
+                    None
+              | _ -> ());
+              reply r))
+  | q -> Server.router_handler q ~reply
 
 (* ---- lifecycle ---------------------------------------------------- *)
 
@@ -550,15 +488,36 @@ let start (cfg : config) =
     Dessim.Network.create ~engine ~n:cfg.n ~latency:(Dessim.Network.Fixed 0.)
       ()
   in
-  let trace = Dessim.Trace.create () in
+  (* No trace: nothing here reads one, and it would grow with every
+     write. *)
   let raft =
-    Raft_node.create
-      (Raft_node.default_config ~id:cfg.id ~n:cfg.n)
-      ~engine ~net ~trace
+    Raft_node.create (Raft_node.default_config ~id:cfg.id ~n:cfg.n) ~engine ~net
   in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
+  (* Chaos proxies sit on this replica's outbound links only, so each
+     ordered pair (src, dst) has exactly one fault-injecting hop owned
+     by the source process. *)
+  let peers = List.filter (fun peer -> peer <> cfg.id) (List.init cfg.n Fun.id) in
+  let proxies =
+    match cfg.chaos with
+    | None -> []
+    | Some plan ->
+        List.map
+          (fun peer ->
+            Service.Chaos.start
+              ~plan:(link_plan plan ~src:cfg.id ~dst:peer)
+              ~listen:(Service.Client.Tcp (link_port cfg ~src:cfg.id ~dst:peer))
+              ~upstream:(Service.Client.Tcp (raft_port cfg peer)))
+          peers
+  in
+  let links =
+    Transport.create ~port:(raft_port cfg cfg.id)
+      ~peers:
+        (Array.init cfg.n (fun peer ->
+             if peer = cfg.id then None
+             else if cfg.chaos = None then Some (raft_port cfg peer)
+             else Some (link_port cfg ~src:cfg.id ~dst:peer)))
+  in
+  let wake_r, wake_w = Service.Nonblock.pipe () in
   let t =
     {
       cfg;
@@ -571,18 +530,15 @@ let start (cfg : config) =
       submit_mu = Mutex.create ();
       submit_q = [];
       submit_closed = None;
-      inbound_mu = Mutex.create ();
-      inbound_q = [];
-      outbox = ref [];
+      answers = [];
+      had_inbound = false;
       wake_r;
       wake_w;
+      links;
       durable;
       persisted_terms = Dessim.Vec.create ();
       persisted_hard = (0, None);
-      senders = Array.make cfg.n None;
-      listener = None;
-      proxies = [||];
-      proxy_ids = [||];
+      proxies;
       status_mu = Mutex.create ();
       status =
         {
@@ -614,10 +570,11 @@ let start (cfg : config) =
       t.next_seq <- 1 + max_data_seq snap.log)
     snapshot;
   Raft_node.set_apply_hook raft (on_apply t);
-  (* Outbound raft messages: collect into the pump-local outbox with
-     command payloads piggybacked for any Data entries. *)
-  for peer = 0 to cfg.n - 1 do
-    if peer <> cfg.id then
+  (* Outbound raft messages queue on their peer's link, with command
+     payloads piggybacked for any Data entries; the cycle writes them
+     after its fsync. *)
+  List.iter
+    (fun peer ->
       Dessim.Network.set_handler net peer (fun ~src:_ msg ->
           let payloads =
             match msg with
@@ -633,52 +590,11 @@ let start (cfg : config) =
                   entries
             | _ -> []
           in
-          t.outbox :=
-            {
-              ob_dst = peer;
-              ob_line =
-                Transport.envelope_to_line ~src:cfg.id ~dst:peer msg ~payloads;
-            }
-            :: !(t.outbox))
-  done;
-  (* Chaos proxies sit on this replica's outbound links only, so each
-     ordered pair (src, dst) has exactly one fault-injecting hop owned
-     by the source process. *)
-  (match cfg.chaos with
-  | None -> ()
-  | Some plan ->
-      let ids = ref [] and proxies = ref [] in
-      for peer = 0 to cfg.n - 1 do
-        if peer <> cfg.id then (
-          let proxy =
-            Service.Chaos.start
-              ~plan:(link_plan plan ~src:cfg.id ~dst:peer)
-              ~listen:(Service.Client.Tcp (link_port cfg ~src:cfg.id ~dst:peer))
-              ~upstream:(Service.Client.Tcp (raft_port cfg peer))
-          in
-          ids := peer :: !ids;
-          proxies := proxy :: !proxies)
-      done;
-      t.proxy_ids <- Array.of_list (List.rev !ids);
-      t.proxies <- Array.of_list (List.rev !proxies));
-  for peer = 0 to cfg.n - 1 do
-    if peer <> cfg.id then
-      let port =
-        if cfg.chaos = None then raft_port cfg peer
-        else link_port cfg ~src:cfg.id ~dst:peer
-      in
-      t.senders.(peer) <- Some (Transport.Sender.start ~port)
-  done;
-  t.listener <-
-    Some
-      (Transport.Listener.start ~port:(raft_port cfg cfg.id)
-         ~deliver:(fun ~src ~dst msg ~payloads ->
-           if dst = cfg.id then (
-             Mutex.lock t.inbound_mu;
-             t.inbound_q <- (src, msg, payloads) :: t.inbound_q;
-             Mutex.unlock t.inbound_mu;
-             wake t)));
-  t.pump_thread <- Some (Thread.create pump t);
+          Transport.send links ~dst:peer
+            (Transport.envelope_to_line ~src:cfg.id ~dst:peer msg ~payloads)))
+    peers;
+  (* The server first: it ignores SIGPIPE before the pump writes to a
+     link, and submits queue until the pump drains them. *)
   t.server <-
     Some
       (Server.start
@@ -688,40 +604,27 @@ let start (cfg : config) =
            workers = cfg.workers;
            handler = handler t;
          });
+  t.pump_thread <- Some (Thread.create pump t);
   t
 
+(* The pump goes first and answers every pending write while the
+   server can still deliver the reply; the wake pipe closes last, once
+   the server's lanes, its only other writers, are gone. *)
 let stop t =
-  (match t.server with
-  | Some server ->
-      t.server <- None;
-      Server.stop server
-  | None -> ());
   if not (Atomic.exchange t.stop_flag true) then (
-    wake t;
+    Service.Nonblock.wake t.wake_w;
     Option.iter Thread.join t.pump_thread;
     t.pump_thread <- None;
-    Option.iter Transport.Listener.stop t.listener;
-    t.listener <- None;
-    Array.iteri
-      (fun i sender ->
-        Option.iter Transport.Sender.stop sender;
-        t.senders.(i) <- None)
-      t.senders;
-    Array.iter Service.Chaos.stop t.proxies;
-    t.proxies <- [||];
+    Option.iter Server.stop t.server;
+    t.server <- None;
+    Transport.close t.links;
+    List.iter Service.Chaos.stop t.proxies;
     Option.iter Storage.close t.durable;
-    (* Every waker — server lanes, listener readers — is gone. *)
     Unix.close t.wake_r;
     Unix.close t.wake_w)
 
 let set_chaos_plan t plan =
-  Array.iter (fun proxy -> Service.Chaos.set_plan proxy plan) t.proxies
-
-let set_chaos_plan_to t ~peer plan =
-  Array.iteri
-    (fun i p ->
-      if t.proxy_ids.(i) = peer then Service.Chaos.set_plan p plan)
-    t.proxies
+  List.iter (fun proxy -> Service.Chaos.set_plan proxy plan) t.proxies
 
 let id t = t.cfg.id
 let service_port t = t.cfg.service_port

@@ -3,7 +3,7 @@
     Hosts the simulator's {!Raft_sim.Raft_node} inside a private
     {!Dessim.Engine} whose virtual clock is slaved to the wall clock
     (virtual ms = wall ms since start), bridging it to other replicas
-    over real TCP ({!Transport}) and to clients through the PR-6
+    over real TCP ({!Transport}) and to clients through the
     reactor {!Service.Server} with a replica-aware handler:
 
     - [scenario_put] is sequenced through the Raft log and acknowledged
@@ -20,18 +20,26 @@
     - [replica_status] reports role, term, hint, indices and state
       counters.
 
-    A single {e pump} thread owns all Raft interaction. It sleeps in
-    [select] on a self-pipe until work arrives — a client submit, an
-    inbound envelope, {!stop} — or until the engine's next timer or the
-    earliest commit deadline is due. Each cycle: inject inbound
-    envelopes (payload bytes land before their messages), drain client
-    submissions, advance the engine to wall-clock elapsed time, answer
-    writes whose leader was deposed or whose commit deadline passed,
-    append what changed to the {!Storage} segment (one fsync), {e then}
-    flush outbound messages — so no acknowledgement leaves the process
-    ahead of the log bytes that justify it. With a [state_dir], a
-    SIGKILLed replica restarts from its segment and re-applies
-    committed entries idempotently. *)
+    One {e pump} thread owns the Raft and every raft-plane socket; it
+    is the only thread a replica starts besides its server's. It
+    sleeps in [select] on its wake pipe, the raft listener, the
+    connections it accepted and the outbound links holding queued
+    bytes ({!Transport.poll}), until one is ready or the engine's next
+    timer or the earliest commit deadline is due. Then it accepts,
+    reads and decodes inbound envelopes (payload bytes land before
+    their messages) and runs a cycle: drain client submissions,
+    advance the engine to wall-clock elapsed time, settle writes whose
+    leader was deposed or whose commit deadline passed, append what
+    changed to the {!Storage} segment (one fsync), {e then} call the
+    held replies and write the queued frames — so no acknowledgement
+    leaves the process ahead of the log bytes that justify it.
+
+    A write holds no worker lane: the handler hands it to the pump
+    with the server's [reply] callback, and the pump calls it on apply,
+    on deposition, at the deadline, or when it exits. With a
+    [state_dir], a SIGKILLed replica restarts from its segment and
+    re-applies committed entries idempotently. A replica's Raft keeps
+    no simulator trace. *)
 
 type config = {
   id : int;  (** Replica id in [0..n-1]. *)
@@ -45,8 +53,9 @@ type config = {
   state_dir : string option;  (** [None] disables persistence. *)
   workers : int;
   chaos : Service.Chaos.plan option;
-      (** When set, every outbound inter-replica link runs through a
-          fault-injecting proxy with a per-link derived seed. *)
+      (** When set, every outbound inter-replica link runs through an
+          in-process fault-injecting proxy with a per-link derived seed
+          — a fixture for the inter-replica chaos tests. *)
   staleness_budget_seconds : float;
       (** Follower plain-read freshness bound: reads are refused when
           the last leader contact is older than this. *)
@@ -61,11 +70,6 @@ val default_config :
     budget, 4 s commit timeout. *)
 
 val raft_port : config -> int -> int
-val link_port : config -> src:int -> dst:int -> int
-
-val link_plan : Service.Chaos.plan -> src:int -> dst:int -> Service.Chaos.plan
-(** The per-link chaos plan: the deployment seed offset
-    deterministically per ordered pair. *)
 
 type t
 
@@ -75,18 +79,17 @@ val start : config -> t
     segment, or an out-of-range id. *)
 
 val stop : t -> unit
-(** Graceful: drain the service server, stop the pump, close
-    transport, proxies and the segment. Idempotent. Whenever the pump
-    exits — here, or on a failure such as a disk error — every write
-    still waiting is answered at once, [shutting_down] or [internal]. *)
+(** Graceful: stop the pump, drain the service server, then close the
+    raft-plane sockets, proxies, segment and wake pipe. Idempotent.
+    Whenever the pump exits — here, or on a failure such as a disk
+    error — it answers every write still waiting, [shutting_down] or
+    [internal], while the server can still deliver the reply. *)
 
 val set_chaos_plan : t -> Service.Chaos.plan -> unit
 (** Swap the plan on every outbound link proxy (live connections are
     reset so accept-time faults like blackholes take effect) — the
     mid-append blackhole lever of the inter-replica chaos tests.
     No-op when chaos is disabled. *)
-
-val set_chaos_plan_to : t -> peer:int -> Service.Chaos.plan -> unit
 
 val id : t -> int
 val service_port : t -> int

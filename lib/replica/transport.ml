@@ -1,8 +1,15 @@
 module Frame = Service.Frame
+module Nonblock = Service.Nonblock
 
 (* A catch-up AppendEntries carries every command payload it ships, so
    the raft plane's frame bound is larger than the service plane's. *)
 let max_envelope_bytes = 4_000_000
+
+(* What one link may hold unwritten: two of the largest envelopes. *)
+let max_backlog_bytes = 2 * max_envelope_bytes
+
+(* How long a link whose connect or write failed takes no frames. *)
+let reconnect_delay = 0.05
 
 let envelope_to_line ~src ~dst msg ~payloads =
   Obs.Json.to_string
@@ -59,204 +66,149 @@ let envelope_of_line line =
   in
   Ok (src, dst, msg, payloads)
 
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
+(* One outbound link per peer. Links are lossy, like the simulator's
+   Network: a failed connect or write drops the queue, and Raft's
+   retries carry the state. *)
+type link = {
+  port : int;
+  mutable fd : Unix.file_descr option;  (* connecting or connected *)
+  out : Nonblock.queue;
+  mutable retry_at : float;
+}
 
-(* One sender per peer link. Messages are fire-and-forget datagrams as
-   far as Raft is concerned: when the peer (or its chaos proxy) is
-   unreachable the queued batch is dropped and the protocol's retries
-   carry the state — exactly the lossy-link model the simulator's
-   Network assumes. *)
-module Sender = struct
-  type t = {
-    port : int;
-    mu : Mutex.t;
-    cv : Condition.t;
-    mutable q : string list; (* frames, newest first *)
-    dropped : int Atomic.t;
-    mutable stopping : bool;
-    mutable fd : Unix.file_descr option;
-    mutable thread : Thread.t option;
+type conn = { fd : Unix.file_descr; frames : Frame.decoder }
+
+type t = {
+  listener : Unix.file_descr;
+  links : link option array;
+  mutable conns : conn list;
+  chunk : Bytes.t;
+  scratch : Bytes.t;
+  mutable dropped : int;
+}
+
+let create ~port ~peers =
+  {
+    listener = Nonblock.listen_tcp port;
+    links =
+      Array.map
+        (Option.map (fun port ->
+             { port; fd = None; out = Nonblock.queue (); retry_at = 0. }))
+        peers;
+    conns = [];
+    chunk = Bytes.create 65536;
+    scratch = Bytes.create 65536;
+    dropped = 0;
   }
 
-  let close_fd t =
-    match t.fd with
-    | None -> ()
-    | Some fd ->
-        t.fd <- None;
-        (try Unix.close fd with Unix.Unix_error _ -> ())
+let dropped t = t.dropped
 
-  let ensure_connected t =
-    match t.fd with
-    | Some fd -> Some fd
-    | None -> (
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        try
-          Unix.setsockopt fd TCP_NODELAY true;
-          Unix.connect fd
-            (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port));
-          t.fd <- Some fd;
-          Some fd
-        with Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Thread.delay 0.05;
-          None)
+let fail (link : link) =
+  Option.iter Nonblock.close link.fd;
+  link.fd <- None;
+  Nonblock.clear link.out;
+  link.retry_at <- Unix.gettimeofday () +. reconnect_delay
 
-  let rec loop t =
-    Mutex.lock t.mu;
-    while t.q = [] && not t.stopping do
-      Condition.wait t.cv t.mu
-    done;
-    let batch = List.rev t.q in
-    t.q <- [];
-    let stopping = t.stopping in
-    Mutex.unlock t.mu;
-    if not stopping then (
-      (match ensure_connected t with
-      | None -> () (* drop the batch; Raft retries *)
-      | Some fd -> (
-          try write_all fd (String.concat "" batch)
-          with Unix.Unix_error _ | Sys_error _ -> close_fd t));
-      loop t)
+let send t ~dst envelope =
+  match t.links.(dst) with
+  | None -> ()
+  | Some link ->
+      let n = String.length envelope in
+      if
+        n = 0 || n > max_envelope_bytes
+        || Nonblock.queued link.out + Frame.header_bytes + n > max_backlog_bytes
+      then t.dropped <- t.dropped + 1
+      else if link.fd <> None || Unix.gettimeofday () >= link.retry_at then
+        Nonblock.push link.out
+          (Frame.encode ~max_payload_bytes:max_envelope_bytes envelope)
 
-  let start ~port =
-    let t =
-      {
-        port;
-        mu = Mutex.create ();
-        cv = Condition.create ();
-        q = [];
-        dropped = Atomic.make 0;
-        stopping = false;
-        fd = None;
-        thread = None;
-      }
-    in
-    t.thread <- Some (Thread.create loop t);
-    t
+(* A connecting socket takes no bytes yet (EAGAIN); once the connect
+   fails, writing raises and the link fails. *)
+let write t (link : link) =
+  match link.fd with
+  | None -> ()
+  | Some fd -> (
+      try ignore (Nonblock.flush link.out fd ~scratch:t.scratch)
+      with Nonblock.Closed -> fail link)
 
-  (* Framed here, on the caller's thread, so an envelope the peer's
-     decoder would refuse is dropped and counted before it is queued:
-     nothing on the pump or the flush thread can raise over it. *)
-  let send t envelope =
-    let n = String.length envelope in
-    if n = 0 || n > max_envelope_bytes then Atomic.incr t.dropped
-    else begin
-      let frame = Frame.encode ~max_payload_bytes:max_envelope_bytes envelope in
-      Mutex.lock t.mu;
-      t.q <- frame :: t.q;
-      Condition.signal t.cv;
-      Mutex.unlock t.mu
-    end
+let connect (link : link) =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock fd;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  link.fd <- Some fd;
+  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, link.port)) with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()
+  | exception Unix.Unix_error _ -> fail link
 
-  let dropped t = Atomic.get t.dropped
+let flush t =
+  Array.iter
+    (Option.iter (fun (link : link) ->
+         if Nonblock.queued link.out > 0 then begin
+           if link.fd = None then connect link;
+           write t link
+         end))
+    t.links
 
-  let stop t =
-    Mutex.lock t.mu;
-    t.stopping <- true;
-    Condition.signal t.cv;
-    Mutex.unlock t.mu;
-    Option.iter Thread.join t.thread;
-    t.thread <- None;
-    close_fd t
-end
+exception Bad_envelope
 
-module Listener = struct
-  type t = {
-    fd : Unix.file_descr;
-    mu : Mutex.t;
-    mutable conns : Unix.file_descr list;
-    mutable stopping : bool;
-    mutable accept_thread : Thread.t option;
-    mutable readers : Thread.t list;
-  }
+let close_conn t (conn : conn) =
+  Nonblock.close conn.fd;
+  t.conns <- List.filter (fun c -> c != conn) t.conns
 
-  let read_frames t fd deliver =
-    let frames = Frame.create ~max_payload_bytes:max_envelope_bytes () in
-    let chunk = Bytes.create 65536 in
-    let rec drain () =
-      match Frame.next frames with
-      | Ok None -> ()
-      | Ok (Some envelope) ->
-          (match envelope_of_line envelope with
-          | Ok (src, dst, msg, payloads) -> deliver ~src ~dst msg ~payloads
-          | Error _ -> raise Exit);
-          drain ()
-      | Error _ -> raise Exit
-    in
-    try
-      let rec loop () =
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n = 0 then ()
-        else (
-          Frame.feed frames chunk n;
-          drain ();
-          loop ())
-      in
-      loop ()
-    with Unix.Unix_error _ | Sys_error _ | Exit -> (
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.lock t.mu;
-      t.conns <- List.filter (fun c -> c != fd) t.conns;
-      Mutex.unlock t.mu)
+let read t (conn : conn) ~deliver =
+  match
+    Nonblock.read_frames conn.fd ~chunk:t.chunk conn.frames (fun body ->
+        match envelope_of_line body with
+        | Ok (src, dst, msg, payloads) -> deliver ~src ~dst msg ~payloads
+        | Error _ -> raise Bad_envelope)
+  with
+  | `Again | `Read -> ()
+  | `Closed | `Bad _ -> close_conn t conn
+  | exception Bad_envelope -> close_conn t conn
 
-  let accept_loop t deliver =
-    try
-      while not t.stopping do
-        let conn, _ = Unix.accept t.fd in
-        Mutex.lock t.mu;
-        if t.stopping then (
-          Mutex.unlock t.mu;
-          try Unix.close conn with Unix.Unix_error _ -> ())
-        else (
-          t.conns <- conn :: t.conns;
-          t.readers <-
-            Thread.create (fun () -> read_frames t conn deliver) () :: t.readers;
-          Mutex.unlock t.mu)
-      done
-    with Unix.Unix_error _ -> ()
+let rec accept t =
+  match Nonblock.accept t.listener with
+  | None -> ()
+  | Some fd ->
+      t.conns <-
+        { fd; frames = Frame.create ~max_payload_bytes:max_envelope_bytes () }
+        :: t.conns;
+      accept t
 
-  let start ~port ~deliver =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-       Unix.listen fd 64
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    let t =
-      {
-        fd;
-        mu = Mutex.create ();
-        conns = [];
-        stopping = false;
-        accept_thread = None;
-        readers = [];
-      }
-    in
-    t.accept_thread <- Some (Thread.create (fun () -> accept_loop t deliver) ());
-    t
+let poll t ~wake ~timeout ~deliver =
+  let writing =
+    Array.fold_left
+      (fun acc -> function
+        | Some ({ fd = Some fd; _ } as link : link)
+          when Nonblock.queued link.out > 0 ->
+            (fd, link) :: acc
+        | _ -> acc)
+      [] t.links
+  in
+  let conns = t.conns in
+  match
+    Unix.select
+      (wake :: t.listener :: List.map (fun (c : conn) -> c.fd) conns)
+      (List.map fst writing) [] timeout
+  with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | readable, writable, _ ->
+      if List.mem wake readable then Nonblock.drain wake;
+      if List.mem t.listener readable then accept t;
+      List.iter
+        (fun (c : conn) -> if List.mem c.fd readable then read t c ~deliver)
+        conns;
+      List.iter
+        (fun (fd, link) -> if List.mem fd writable then write t link)
+        writing
 
-  let stop t =
-    Mutex.lock t.mu;
-    t.stopping <- true;
-    let conns = t.conns in
-    t.conns <- [];
-    Mutex.unlock t.mu;
-    (* Closing the listening socket makes the blocked accept fail. *)
-    (try Unix.shutdown t.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.fd with Unix.Unix_error _ -> ());
-    List.iter
-      (fun c ->
-        try Unix.shutdown c SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
-    Option.iter Thread.join t.accept_thread;
-    t.accept_thread <- None;
-    List.iter Thread.join t.readers;
-    t.readers <- []
-end
+let close t =
+  Nonblock.close t.listener;
+  List.iter (fun (c : conn) -> Nonblock.close c.fd) t.conns;
+  t.conns <- [];
+  Array.iter
+    (Option.iter (fun (link : link) ->
+         Option.iter Nonblock.close link.fd;
+         link.fd <- None))
+    t.links

@@ -9,15 +9,22 @@
     integers while the real command bodies ride alongside and land in
     each replica's payload table before the message is processed.
 
-    Links are deliberately lossy: a sender that cannot connect (or
-    whose connection dies mid-write, e.g. reset by a chaos proxy)
-    drops the queued batch and lets Raft's retries re-carry the state,
-    which is the same message model the simulator's
-    {!Dessim.Network} presents. *)
+    A replica's raft-plane sockets — its listener, the connections it
+    accepted, and one outbound link per peer — belong to one thread,
+    the replica's pump ({!Node}). There are no sender or reader
+    threads: the pump selects on every socket ({!poll}), decodes
+    inbound envelopes itself, and writes outbound frames without
+    blocking ({!flush}) after the cycle's append and fsync.
+
+    Links are deliberately lossy, the message model the simulator's
+    {!Dessim.Network} presents: a link whose connect or write fails
+    (say, reset by a chaos proxy) drops its queue and takes nothing
+    for 50 ms, and Raft's retries re-carry the state. A frame is never
+    cut short on a connection that stays open. *)
 
 val max_envelope_bytes : int
-(** The raft plane's frame bound (4 MB): a sender drops a larger
-    envelope, a reader closes a connection announcing one. *)
+(** The raft plane's frame bound (4 MB): {!send} refuses a larger
+    envelope, and a connection announcing one is closed. *)
 
 val envelope_to_line :
   src:int ->
@@ -32,47 +39,46 @@ val envelope_of_line :
   (int * int * Raft_sim.Raft_types.msg * (int * string) list, string) result
 (** Total decoder: [(src, dst, msg, payloads)]. *)
 
-(** One outbound link to a peer (or to the chaos proxy in front of
-    it). Owns a connect-on-demand socket and a dedicated flush
-    thread. *)
-module Sender : sig
-  type t
+type t
 
-  val start : port:int -> t
-  (** Target is [127.0.0.1:port]; nothing is connected until the first
-      {!send}. *)
+val create : port:int -> peers:int option array -> t
+(** Bind a non-blocking listener on [127.0.0.1:port]. [peers.(i)] is
+    the port the link to peer [i] dials (its listener, or the chaos
+    proxy in front of it); [None] for the replica itself. Nothing
+    connects until a link holds queued bytes. Raises [Unix.Unix_error]
+    when binding fails. *)
 
-  val send : t -> string -> unit
-  (** Frame one envelope and enqueue it. Never blocks the caller and
-      never raises: an envelope over {!max_envelope_bytes} is dropped
-      and counted in {!dropped} instead — Raft re-sends what a
-      follower still lacks. *)
+val poll :
+  t ->
+  wake:Unix.file_descr ->
+  timeout:float ->
+  deliver:
+    (src:int ->
+    dst:int ->
+    Raft_sim.Raft_types.msg ->
+    payloads:(int * string) list ->
+    unit) ->
+  unit
+(** One [select] on [wake], the listener, the accepted connections and
+    the links holding queued bytes, for at most [timeout] seconds (no
+    bound when negative). Then drain [wake], accept, read and
+    [deliver] every decoded envelope, and write to the links that can
+    take bytes. A bad frame or envelope closes only its own
+    connection. *)
 
-  val dropped : t -> int
-  (** Envelopes dropped by {!send} for exceeding the bound. *)
+val send : t -> dst:int -> string -> unit
+(** Frame one envelope onto [dst]'s link; nothing is written until
+    {!flush} or {!poll}. Refused and counted in {!dropped} when it is
+    empty, over {!max_envelope_bytes}, or would grow the link's backlog
+    past two such envelopes; dropped when the link failed under 50 ms
+    ago. *)
 
-  val stop : t -> unit
-end
+val flush : t -> unit
+(** Connect every idle link that holds queued bytes, and write what
+    the kernel takes. *)
 
-(** The replica's inbound raft-plane listener. *)
-module Listener : sig
-  type t
+val dropped : t -> int
+(** Envelopes {!send} refused. *)
 
-  val start :
-    port:int ->
-    deliver:
-      (src:int ->
-      dst:int ->
-      Raft_sim.Raft_types.msg ->
-      payloads:(int * string) list ->
-      unit) ->
-    t
-  (** Bind [127.0.0.1:port] and deliver every decoded envelope from a
-      per-connection reader thread. A corrupt or oversized frame, or a
-      malformed envelope, closes its connection (peers reconnect).
-      Raises
-      [Unix.Unix_error] when binding fails. *)
-
-  val stop : t -> unit
-  (** Close listener and live connections, join all threads. *)
-end
+val close : t -> unit
+(** Close the listener, the accepted connections and the links. *)

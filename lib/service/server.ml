@@ -4,13 +4,15 @@ type reply_error = {
   hint : int option;
 }
 
-type handler = Wire.query -> (Obs.Json.t, reply_error) result
+type handler =
+  Wire.query -> reply:((Obs.Json.t, reply_error) result -> unit) -> unit
 
 (* The default worker dispatch: the pure router, no redirect hints. *)
-let router_handler query =
-  match Router.handle query with
-  | Ok json -> Ok json
-  | Error (code, msg) -> Error { code; msg; hint = None }
+let router_handler query ~reply =
+  reply
+    (match Router.handle query with
+    | Ok json -> Ok json
+    | Error (code, msg) -> Error { code; msg; hint = None })
 
 type config = {
   socket_path : string option;
@@ -44,13 +46,6 @@ let default_config =
    bound that keeps a slow consumer from buffering the world. *)
 let out_high_watermark = 256 * 1024
 
-(* Reply slices below this size are coalesced into the reactor's
-   scratch buffer so one syscall carries many small replies; larger
-   slices (big payloads) are written directly from their own bytes. *)
-let direct_write_threshold = 4096
-
-let scratch_bytes = 64 * 1024
-
 (* --- Metrics ----------------------------------------------------------- *)
 
 let m_connections = Obs.Metrics.counter ~family:"service" "connections_total"
@@ -81,8 +76,6 @@ let m_write_stalls =
 
 (* --- Connections -------------------------------------------------------- *)
 
-type slice = { buf : string; mutable off : int }
-
 (* Owned exclusively by the reactor thread — no locks. [key] is unique
    for the server's lifetime (never reused), so a completion arriving
    after the connection died looks up nothing and is dropped. *)
@@ -90,8 +83,7 @@ type conn = {
   fd : Unix.file_descr;
   key : int;
   frames : Frame.decoder;
-  out : slice Queue.t;
-  mutable out_bytes : int;
+  out : Nonblock.queue;
   mutable outstanding : int;  (* jobs dispatched, replies not yet queued *)
   mutable last_read : float;
   mutable throttled : bool;  (* read-throttle edge, for the stall count *)
@@ -117,12 +109,11 @@ type t = {
   listeners : Unix.file_descr list;
   queue : queue;
   cache : Cache.t;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   completions : (int * string) Queue.t;  (* conn key, reply bytes *)
   completions_mutex : Mutex.t;
+  mutable wake_open : bool;  (* under [completions_mutex] *)
   mutable reactor_thread : Thread.t option;
   mutable worker_host : Thread.t option;
   conns : (int, conn) Hashtbl.t;  (* reactor-thread only *)
@@ -297,78 +288,15 @@ let ping_payload t =
 
 (* --- Reactor: write side ------------------------------------------------- *)
 
-let enqueue_out conn bytes =
-  Queue.push { buf = bytes; off = 0 } conn.out;
-  conn.out_bytes <- conn.out_bytes + String.length bytes
-
-(* Consume [n] written bytes off the front of the slice queue. *)
-let consume_out conn n =
-  conn.out_bytes <- conn.out_bytes - n;
-  let remaining = ref n in
-  while !remaining > 0 do
-    let s = Queue.peek conn.out in
-    let rem = String.length s.buf - s.off in
-    if !remaining >= rem then begin
-      ignore (Queue.pop conn.out);
-      remaining := !remaining - rem
-    end
-    else begin
-      s.off <- s.off + !remaining;
-      remaining := 0
-    end
-  done
-
-exception Conn_dead
-
-(* Flush as much of [conn.out] as the kernel will take. Small slices
-   are coalesced through the scratch buffer (one syscall carries many
-   replies — the pipelining win); slices at or above the threshold are
-   written directly from their own string, zero-copy from the reply
-   cache. Raises [Conn_dead] when the peer is gone; returns when the
-   queue is empty or the kernel pushes back. *)
+(* Flush as much of [conn.out] as the kernel will take, coalescing
+   small replies (the pipelining win) and writing large ones zero-copy
+   from the reply cache. Raises [Nonblock.Closed] when the peer is
+   gone. *)
 let flush_conn t conn =
-  let stalled () =
+  if not (Nonblock.flush conn.out conn.fd ~scratch:t.scratch) then begin
     Obs.Metrics.incr m_write_stalls;
     Atomic.incr t.n_write_stalls
-  in
-  let rec go () =
-    if not (Queue.is_empty conn.out) then begin
-      let front = Queue.peek conn.out in
-      let front_rem = String.length front.buf - front.off in
-      if front_rem >= direct_write_threshold then (
-        match Unix.write_substring conn.fd front.buf front.off front_rem with
-        | k ->
-            consume_out conn k;
-            if k = front_rem then go () else stalled ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            stalled ()
-        | exception Unix.Unix_error _ -> raise Conn_dead)
-      else begin
-        (* Coalesce consecutive small slices into scratch. *)
-        let filled = ref 0 in
-        (try
-           Queue.iter
-             (fun s ->
-               let rem = String.length s.buf - s.off in
-               if
-                 rem >= direct_write_threshold
-                 || !filled + rem > scratch_bytes
-               then raise Exit;
-               Bytes.blit_string s.buf s.off t.scratch !filled rem;
-               filled := !filled + rem)
-             conn.out
-         with Exit -> ());
-        match Unix.write conn.fd t.scratch 0 !filled with
-        | k ->
-            consume_out conn k;
-            if k = !filled then go () else stalled ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            stalled ()
-        | exception Unix.Unix_error _ -> raise Conn_dead
-      end
-    end
-  in
-  go ()
+  end
 
 (* --- Reactor: request handling ------------------------------------------ *)
 
@@ -386,12 +314,12 @@ let count_error t code =
 
 let reply_error t conn ~id code msg =
   count_error t code;
-  enqueue_out conn (render_error ~id code msg)
+  Nonblock.push conn.out (render_error ~id code msg)
 
 let reply_ok_json t conn ~id json =
   Obs.Metrics.incr m_ok;
   Atomic.incr t.n_ok;
-  enqueue_out conn (render_ok ~id (Obs.Json.to_string json))
+  Nonblock.push conn.out (render_ok ~id (Obs.Json.to_string json))
 
 (* One parsed request body. Errors, [ping], [stats] and cache hits are
    answered inline on the reactor thread; only cache misses are
@@ -406,7 +334,7 @@ let handle_body t conn body =
       Cache.count_hit t.cache;
       Obs.Metrics.incr m_ok;
       Atomic.incr t.n_ok;
-      enqueue_out conn reply
+      Nonblock.push conn.out reply
   | None ->
   match Wire.parse_request body with
   | Error (id, code, msg) -> reply_error t conn ~id code msg
@@ -456,26 +384,7 @@ let handle_body t conn body =
             if Hashtbl.length t.raw >= raw_memo_capacity then
               Hashtbl.reset t.raw;
             Hashtbl.replace t.raw body bytes;
-            enqueue_out conn bytes)
-
-(* Feed freshly read bytes through the connection's decoder and handle
-   every complete body. Returns [false] when the connection must die
-   (a framing violation is unrecoverable). *)
-let ingest t conn chunk len =
-  Frame.feed conn.frames chunk len;
-  let rec drain () =
-    match Frame.next conn.frames with
-    | Ok (Some body) ->
-        handle_body t conn body;
-        drain ()
-    | Ok None -> true
-    | Error e ->
-        (* Answer with an unattributable typed error, flush what we
-           can, and drop the connection. *)
-        reply_error t conn ~id:None Wire.Parse_error (Frame.error_message e);
-        false
-  in
-  drain ()
+            Nonblock.push conn.out bytes)
 
 (* --- Reactor: lifecycle -------------------------------------------------- *)
 
@@ -484,37 +393,26 @@ let close_conn t conn =
   Atomic.decr t.n_conns;
   try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-let drop_conn t conn = close_conn t conn
-
 (* Over the cap: answer [overloaded] in one frame and close. The single
-   small write cannot block on a fresh socket's empty buffer. *)
+   small write fits a fresh socket's empty buffer whole. *)
 let reject_connection fd =
   Obs.Metrics.incr m_conn_rejected;
   let frame = render_error ~id:None Wire.Overloaded "connection limit reached" in
-  let len = String.length frame in
-  (try
-     let rec go off =
-       if off < len then go (off + Unix.write_substring fd frame off (len - off))
-     in
-     go 0
-   with _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (try ignore (Unix.write_substring fd frame 0 (String.length frame))
+   with Unix.Unix_error _ -> ());
+  Nonblock.close fd
 
 let accept_ready t listener =
   let rec go () =
-    match Unix.accept ~cloexec:true listener with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-    | fd, _ ->
+    match Nonblock.accept listener with
+    | None -> ()
+    | Some fd ->
         if connection_count t >= t.config.max_connections then begin
           reject_connection fd;
           go ()
         end
         else begin
           Obs.Metrics.incr m_connections;
-          Unix.set_nonblock fd;
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
           let key = t.next_conn in
           t.next_conn <- key + 1;
           let conn =
@@ -522,8 +420,7 @@ let accept_ready t listener =
               fd;
               key;
               frames = Frame.create ();
-              out = Queue.create ();
-              out_bytes = 0;
+              out = Nonblock.queue ();
               outstanding = 0;
               last_read = Unix.gettimeofday ();
               throttled = false;
@@ -533,17 +430,6 @@ let accept_ready t listener =
           Atomic.incr t.n_conns;
           go ()
         end
-  in
-  go ()
-
-let drain_pipe fd =
-  let b = Bytes.create 64 in
-  let rec go () =
-    match Unix.read fd b 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
   in
   go ()
 
@@ -563,34 +449,35 @@ let deliver_completions t =
       | None -> ()
       | Some conn ->
           conn.outstanding <- conn.outstanding - 1;
-          enqueue_out conn bytes)
+          Nonblock.push conn.out bytes)
     batch
 
 let read_conn t conn =
-  match Unix.read conn.fd t.read_chunk 0 (Bytes.length t.read_chunk) with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ -> drop_conn t conn
-  | 0 -> drop_conn t conn
-  | k -> (
+  match
+    Nonblock.read_frames conn.fd ~chunk:t.read_chunk conn.frames
+      (handle_body t conn)
+  with
+  | `Again -> ()
+  | `Closed -> close_conn t conn
+  | `Read -> (
       conn.last_read <- Unix.gettimeofday ();
-      match ingest t conn t.read_chunk k with
-      | true -> (
-          (* Opportunistic flush: inline replies (hits, errors, pings)
-             go out without waiting for another select round. *)
-          try flush_conn t conn with Conn_dead -> drop_conn t conn)
-      | false ->
-          (* Unrecoverable framing: push out any last error bytes,
-             then close. *)
-          (try flush_conn t conn with Conn_dead -> ());
-          if Hashtbl.mem t.conns conn.key then drop_conn t conn
-      | exception _ -> drop_conn t conn)
+      (* Opportunistic flush: inline replies (hits, errors, pings)
+         go out without waiting for another select round. *)
+      try flush_conn t conn with Nonblock.Closed -> close_conn t conn)
+  | `Bad e ->
+      (* Unrecoverable framing: answer with an unattributable typed
+         error, push out what we can, then close. *)
+      reply_error t conn ~id:None Wire.Parse_error (Frame.error_message e);
+      (try flush_conn t conn with Nonblock.Closed -> ());
+      close_conn t conn
+  | exception _ -> close_conn t conn
 
 (* Whether the reactor would read from this connection right now; the
    [throttled] edge counts transitions into backpressure. *)
 let want_read t conn =
   let throttle =
     conn.outstanding >= t.config.max_pipeline
-    || conn.out_bytes >= out_high_watermark
+    || Nonblock.queued conn.out >= out_high_watermark
   in
   if throttle && not conn.throttled then begin
     conn.throttled <- true;
@@ -620,7 +507,7 @@ let reactor_loop t =
     end;
     let done_finishing () =
       finishing
-      && (Hashtbl.fold (fun _ c acc -> acc && Queue.is_empty c.out) t.conns true
+      && (Hashtbl.fold (fun _ c acc -> acc && Nonblock.queued c.out = 0) t.conns true
          || (match !flush_deadline with
             | Some d -> Unix.gettimeofday () > d
             | None -> false))
@@ -641,7 +528,7 @@ let reactor_loop t =
               if
                 now -. c.last_read > idle
                 && c.outstanding = 0
-                && Queue.is_empty c.out
+                && Nonblock.queued c.out = 0
               then c :: acc
               else acc)
             t.conns []
@@ -649,10 +536,10 @@ let reactor_loop t =
         List.iter
           (fun c ->
             Obs.Metrics.incr m_idle_closed;
-            drop_conn t c)
+            close_conn t c)
           stale
       end;
-      let reads = ref [ t.stop_r; t.wake_r ] in
+      let reads = ref [ t.wake_r ] in
       if not (draining || !listeners_closed) then
         reads := t.listeners @ !reads;
       let ready_conns = ref [] in
@@ -663,7 +550,7 @@ let reactor_loop t =
             reads := c.fd :: !reads;
             ready_conns := c :: !ready_conns
           end;
-          if not (Queue.is_empty c.out) then writes := c :: !writes)
+          if Nonblock.queued c.out > 0 then writes := c :: !writes)
         t.conns;
       let timeout =
         if finishing then 0.05
@@ -684,9 +571,7 @@ let reactor_loop t =
       | readable, writable, _ ->
           Obs.Metrics.observe m_ready_fds
             (float_of_int (List.length readable + List.length writable));
-          let stop_hit = List.mem t.stop_r readable in
-          if stop_hit then drain_pipe t.stop_r;
-          if List.mem t.wake_r readable then drain_pipe t.wake_r;
+          if List.mem t.wake_r readable then Nonblock.drain t.wake_r;
           deliver_completions t;
           if not (draining || !listeners_closed) then
             List.iter
@@ -700,7 +585,7 @@ let reactor_loop t =
           List.iter
             (fun c ->
               if Hashtbl.mem t.conns c.key && List.mem c.fd writable then
-                try flush_conn t c with Conn_dead -> drop_conn t c)
+                try flush_conn t c with Nonblock.Closed -> close_conn t c)
             !writes;
           loop ()
     end
@@ -714,24 +599,20 @@ let reactor_loop t =
 
 (* --- Workers ------------------------------------------------------------- *)
 
-let wake t =
-  Mutex.lock t.completions_mutex;
-  let first = Queue.is_empty t.completions in
-  Mutex.unlock t.completions_mutex;
-  ignore first;
-  match Unix.write_substring t.wake_w "w" 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      (* Pipe full: a wakeup is already pending. *)
-      ()
-  | exception Unix.Unix_error _ -> ()
-
+(* The wake byte is written under the mutex that [stop] holds while it
+   closes the pipe, so a late reply is dropped, never written to a
+   closed (or reused) descriptor. *)
 let complete t ~conn_key bytes =
   Mutex.lock t.completions_mutex;
-  Queue.push (conn_key, bytes) t.completions;
-  Mutex.unlock t.completions_mutex;
-  wake t
+  if t.wake_open then begin
+    Queue.push (conn_key, bytes) t.completions;
+    Nonblock.wake t.wake_w
+  end;
+  Mutex.unlock t.completions_mutex
 
+(* The handler answers through [reply], on this lane or later on
+   another thread (a replica answers a write once it commits); only the
+   first answer counts. *)
 let process t (job : job) =
   let now = Unix.gettimeofday () in
   Obs.Metrics.observe m_queue_wait (now -. job.enqueued_at);
@@ -742,19 +623,26 @@ let process t (job : job) =
          (Printf.sprintf "queued longer than the %gs deadline"
             t.config.deadline_seconds))
   end
-  else
-    match Obs.Span.time m_handle (fun () -> t.config.handler job.query) with
-    | Ok json ->
-        let rendered = Obs.Json.to_string json in
-        if Wire.cacheable job.query then
-          Cache.add t.cache (Wire.canonical_key job.query) rendered;
-        Obs.Metrics.incr m_ok;
-        Atomic.incr t.n_ok;
-        complete t ~conn_key:job.conn_key (render_ok ~id:job.id rendered)
-    | Error { code; msg; hint } ->
-        count_error t code;
-        complete t ~conn_key:job.conn_key
-          (render_error ?hint ~id:(Some job.id) code msg)
+  else begin
+    let span = Obs.Span.start m_handle in
+    let answered = Atomic.make false in
+    t.config.handler job.query ~reply:(fun result ->
+        if Atomic.compare_and_set answered false true then begin
+          Obs.Span.stop span;
+          match result with
+          | Ok json ->
+              let rendered = Obs.Json.to_string json in
+              if Wire.cacheable job.query then
+                Cache.add t.cache (Wire.canonical_key job.query) rendered;
+              Obs.Metrics.incr m_ok;
+              Atomic.incr t.n_ok;
+              complete t ~conn_key:job.conn_key (render_ok ~id:job.id rendered)
+          | Error { code; msg; hint } ->
+              count_error t code;
+              complete t ~conn_key:job.conn_key
+                (render_error ?hint ~id:(Some job.id) code msg)
+        end)
+  end
 
 let worker_loop t =
   let rec go () =
@@ -781,17 +669,6 @@ let listen_unix path =
   Unix.listen fd 64;
   fd
 
-let listen_tcp port =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-   with e ->
-     Unix.close fd;
-     raise e);
-  Unix.listen fd 64;
-  fd
-
 let start config =
   let config =
     {
@@ -808,14 +685,10 @@ let start config =
    with Invalid_argument _ | Sys_error _ -> ());
   let listeners =
     (match config.socket_path with Some p -> [ listen_unix p ] | None -> [])
-    @ (match config.tcp_port with Some p -> [ listen_tcp p ] | None -> [])
+    @ (match config.tcp_port with Some p -> [ Nonblock.listen_tcp p ] | None -> [])
   in
   List.iter Unix.set_nonblock listeners;
-  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  Unix.set_nonblock stop_r;
+  let wake_r, wake_w = Nonblock.pipe () in
   let t =
     {
       config;
@@ -829,12 +702,11 @@ let start config =
           accepting = true;
         };
       cache = Cache.create ~capacity:config.cache_capacity ();
-      stop_r;
-      stop_w;
       wake_r;
       wake_w;
       completions = Queue.create ();
       completions_mutex = Mutex.create ();
+      wake_open = true;
       reactor_thread = None;
       worker_host = None;
       conns = Hashtbl.create 64;
@@ -845,7 +717,7 @@ let start config =
       stopped = Atomic.make false;
       draining = Atomic.make false;
       finishing = Atomic.make false;
-      scratch = Bytes.create scratch_bytes;
+      scratch = Bytes.create (64 * 1024);
       read_chunk = Bytes.create (64 * 1024);
       n_requests = Atomic.make 0;
       n_ok = Atomic.make 0;
@@ -881,22 +753,23 @@ let stop t =
        reactor closes the listeners; queued jobs keep flowing to the
        worker lanes; fresh requests are answered [shutting_down]. *)
     Atomic.set t.draining true;
-    (try ignore (Unix.write_substring t.stop_w "x" 0 1) with _ -> ());
+    Nonblock.wake t.wake_w;
     close_queue t.queue;
     Option.iter Thread.join t.worker_host;
     (* 2. Finish phase: every completion is in the queue; the reactor
        delivers them, flushes every connection (bounded), closes all
        sockets and exits. *)
     Atomic.set t.finishing true;
-    (try ignore (Unix.write_substring t.stop_w "x" 0 1) with _ -> ());
+    Nonblock.wake t.wake_w;
     Option.iter Thread.join t.reactor_thread;
     (match t.config.socket_path with
     | Some path -> ( try Unix.unlink path with _ -> ())
     | None -> ());
-    (try Unix.close t.stop_r with _ -> ());
-    (try Unix.close t.stop_w with _ -> ());
-    (try Unix.close t.wake_r with _ -> ());
-    try Unix.close t.wake_w with _ -> ()
+    Mutex.lock t.completions_mutex;
+    t.wake_open <- false;
+    Nonblock.close t.wake_r;
+    Nonblock.close t.wake_w;
+    Mutex.unlock t.completions_mutex
   end
 
 let wait_for_signal () =

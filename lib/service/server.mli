@@ -44,16 +44,20 @@
       process-wide.
     - {b Workers}: [workers] lanes hosted on one {!Parallel.Pool.map}
       call, so each lane is a real domain while nested analysis
-      parallelism degrades to sequential per lane. Lanes never touch
-      sockets: they compute, render, and push completed reply bytes to
-      the reactor through a mutex-protected queue plus a wakeup pipe.
+      parallelism degrades to sequential per lane. A lane runs the
+      {!handler}, which answers through a [reply] callback — at once,
+      or later from another thread, so a replicated write does not
+      hold a lane until it commits. The reply renders the bytes and
+      pushes them to the reactor through a mutex-protected queue plus
+      a wakeup pipe ({!Nonblock.wake}); lanes never touch sockets.
     - {b Cache}: replies for cacheable queries are memoized by
       canonical key ({!Cache}); identical requests get byte-identical
       responses whether computed or replayed.
     - {b Shutdown}: {!stop} (or SIGINT/SIGTERM under {!run}) closes
       listeners, drains queued work through the lanes, answers fresh
       requests [shutting_down], then flushes every connection's
-      pending replies (bounded) and closes them — a graceful drain.
+      pending replies (bounded) and closes them — a graceful drain. A
+      reply that arrives after {!stop} is dropped.
 
     Everything is instrumented under the ["service"] metrics family,
     including the reactor itself: loop iterations, a ready-fd
@@ -69,14 +73,19 @@ type reply_error = {
           believed-leader replica id on [not_leader] replies. *)
 }
 
-type handler = Wire.query -> (Obs.Json.t, reply_error) result
+type handler =
+  Wire.query -> reply:((Obs.Json.t, reply_error) result -> unit) -> unit
 (** What the worker lanes run for queries that miss the fast paths.
-    Must be thread-safe (lanes are domains) and deterministic for
-    cacheable queries — its [Ok] payloads are cached and replayed
+    It answers by calling [reply], from the lane or later from any
+    thread; the first call counts and later ones are ignored.
+    [handle_seconds] runs from the call to the reply. Must be
+    thread-safe (lanes are domains) and deterministic for cacheable
+    queries — its [Ok] payloads are cached and replayed
     byte-identically. *)
 
 val router_handler : handler
-(** The default: {!Router.handle} with no redirect hints. *)
+(** The default: {!Router.handle} with no redirect hints, answered at
+    once. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listener path. *)

@@ -257,6 +257,18 @@ let test_replicate_rejects_bad_measure () =
       Alcotest.(check bool) (flags ^ " says why") true (contains output "replicate:"))
     [ "--window 0"; "--window=-1"; "--probes 0"; "--duration 2 --window 5" ]
 
+(* A short soak's artifact validates: its embedded report counts a
+   fixed number of requests and claims no throughput, so the one-second
+   window rule for loadgen artifacts does not apply to it. *)
+let test_chaos_artifact_validates () =
+  check_contains
+    "chaos --seed 42 --clients 1 --requests 5 --deadline 2 --json cli_chaos.json"
+    [ "PASS" ];
+  let status =
+    Sys.command "../tools/validate_bench.exe cli_chaos.json > cli_output.txt 2>&1"
+  in
+  Alcotest.(check int) "validate_bench accepts the artifact" 0 status
+
 let suite =
   [
     Alcotest.test_case "tables" `Quick test_tables;
@@ -278,4 +290,6 @@ let suite =
     Alcotest.test_case "serve requires listener" `Quick test_serve_requires_listener;
     Alcotest.test_case "replicate rejects bad measure flags" `Quick
       test_replicate_rejects_bad_measure;
+    Alcotest.test_case "chaos soak artifact validates" `Quick
+      test_chaos_artifact_validates;
   ]

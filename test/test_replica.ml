@@ -15,9 +15,12 @@ module Raft_types = Raft_sim.Raft_types
 
 let port_counter = ref 0
 
+(* Blocks of 30 ports below the kernel's ephemeral range (32768 and
+   up), so no client socket an earlier test left in TIME_WAIT holds one
+   of them. *)
 let fresh_base () =
   incr port_counter;
-  44000 + (Unix.getpid () mod 100 * 400) + (!port_counter * 30)
+  20000 + (((Unix.getpid () mod 40 * 300) + (!port_counter * 30)) mod 12000)
 
 let tmp_dir prefix =
   let dir =
@@ -135,39 +138,43 @@ let test_transport_envelope () =
   | Ok _ -> Alcotest.fail "wrong envelope fields"
   | Error e -> Alcotest.fail e
 
-(* An envelope over the raft plane's bound is dropped and counted where
+(* An envelope over the raft plane's bound is refused and counted where
    it is framed, never raised; a peer announcing one loses only its own
-   connection. *)
+   connection. This thread drives both ends, as a pump drives its
+   links. *)
 let test_transport_oversized () =
+  let module Transport = Replica.Transport in
   let port = fresh_base () in
-  let got = ref [] and mu = Mutex.create () in
-  let listener =
-    Replica.Transport.Listener.start ~port ~deliver:(fun ~src ~dst:_ _ ~payloads:_ ->
-        Mutex.lock mu;
-        got := src :: !got;
-        Mutex.unlock mu)
-  in
-  let sender = Replica.Transport.Sender.start ~port in
+  let receiver = Transport.create ~port ~peers:[| None; None |] in
+  let sender = Transport.create ~port:(port + 1) ~peers:[| Some port; None |] in
+  let wake_r, wake_w = Service.Nonblock.pipe () in
   Fun.protect
     ~finally:(fun () ->
-      Replica.Transport.Sender.stop sender;
-      Replica.Transport.Listener.stop listener)
+      Transport.close sender;
+      Transport.close receiver;
+      Unix.close wake_r;
+      Unix.close wake_w)
   @@ fun () ->
+  let got = ref [] in
+  let turn () =
+    Transport.flush sender;
+    Transport.poll sender ~wake:wake_r ~timeout:0.01
+      ~deliver:(fun ~src:_ ~dst:_ _ ~payloads:_ -> ());
+    Transport.poll receiver ~wake:wake_r ~timeout:0.01
+      ~deliver:(fun ~src ~dst:_ _ ~payloads:_ -> got := src :: !got)
+  in
+  let delivered src () =
+    turn ();
+    List.mem src !got
+  in
   let envelope src =
-    Replica.Transport.envelope_to_line ~src ~dst:1
+    Transport.envelope_to_line ~src ~dst:1
       (Raft_types.Timeout_now { term = 1 }) ~payloads:[]
   in
-  Replica.Transport.Sender.send sender
-    (String.make (Replica.Transport.max_envelope_bytes + 1) 'x');
-  Alcotest.(check int) "oversized envelope counted" 1
-    (Replica.Transport.Sender.dropped sender);
-  Replica.Transport.Sender.send sender (envelope 0);
-  let delivered src () =
-    Mutex.lock mu;
-    let seen = List.mem src !got in
-    Mutex.unlock mu;
-    seen
-  in
+  Transport.send sender ~dst:0
+    (String.make (Transport.max_envelope_bytes + 1) 'x');
+  Alcotest.(check int) "oversized envelope counted" 1 (Transport.dropped sender);
+  Transport.send sender ~dst:0 (envelope 0);
   Alcotest.(check bool) "the link still carries envelopes" true
     (poll (delivered 0));
   (* A raw peer declaring a frame past the bound is cut off from the
@@ -179,14 +186,15 @@ let test_transport_oversized () =
   Bytes.set header 0 Service.Frame.magic;
   Bytes.set header 1 (Char.chr Service.Frame.version);
   Bytes.set_int32_be header 2
-    (Int32.of_int (Replica.Transport.max_envelope_bytes + 1));
+    (Int32.of_int (Transport.max_envelope_bytes + 1));
   ignore (Unix.write fd header 0 (Bytes.length header));
-  (match Unix.select [ fd ] [] [] 5. with
-  | [], _, _ -> Alcotest.fail "listener kept an oversized frame's connection"
-  | _ ->
-      Alcotest.(check int) "announcing peer is closed" 0
-        (Unix.read fd (Bytes.create 1) 0 1));
-  Replica.Transport.Sender.send sender (envelope 2);
+  Alcotest.(check bool) "the announcing peer's connection ends" true
+    (poll ~timeout:5. (fun () ->
+         turn ();
+         match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true));
+  Alcotest.(check int) "announcing peer is closed" 0
+    (Unix.read fd (Bytes.create 1) 0 1);
+  Transport.send sender ~dst:0 (envelope 2);
   Alcotest.(check bool) "other links unaffected" true (poll (delivered 2))
 
 let test_state_dedup () =
@@ -460,7 +468,7 @@ let test_wire_replica_kinds () =
 
 (* ---- in-process clusters ------------------------------------------ *)
 
-let cluster_config ?chaos ?state_dir ?commit_timeout ~base ~n i =
+let cluster_config ?chaos ?state_dir ?commit_timeout ?(workers = 2) ~base ~n i =
   let cfg =
     Node.default_config ~id:i ~n ~base_port:base
       ~service_port:(Driver.service_port ~base_port:base ~replicas:n i)
@@ -470,19 +478,20 @@ let cluster_config ?chaos ?state_dir ?commit_timeout ~base ~n i =
     Node.chaos;
     state_dir =
       (match state_dir with None -> None | Some root -> Some (Filename.concat root (string_of_int i)));
-    workers = 2;
+    workers;
     commit_timeout_seconds =
       Option.value commit_timeout ~default:cfg.Node.commit_timeout_seconds;
   }
 
-let with_cluster ?chaos ?state_dir ?commit_timeout ~n f =
+let with_cluster ?chaos ?state_dir ?commit_timeout ?workers ~n f =
   let base = fresh_base () in
   let nodes =
     Array.init n (fun i ->
         ref
           (Some
              (Node.start
-                (cluster_config ?chaos ?state_dir ?commit_timeout ~base ~n i))))
+                (cluster_config ?chaos ?state_dir ?commit_timeout ?workers ~base
+                   ~n i))))
   in
   let stop_all () =
     Array.iter
@@ -670,6 +679,133 @@ let test_commit_deadline () =
       if elapsed >= 1.0 then
         Alcotest.failf "deadline_exceeded took %.3f s (limit 1 s)" elapsed)
 
+(* A write waiting for its commit holds no worker lane: with one lane
+   and no quorum, the leader still answers [replica_status] at once,
+   and the write still ends [deadline_exceeded]. *)
+let test_pending_write_frees_lane () =
+  with_cluster ~workers:1 ~commit_timeout:2. ~n:3 (fun ~base ~nodes ->
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      ignore
+        (expect_ok "put with a quorum"
+           (Client.Multi.call multi ~id:1
+              (Wire.Scenario_put { name = "a"; scenario = scenario_a; nonce = 0 })));
+      let leader = wait_leader nodes in
+      Array.iter
+        (fun slot ->
+          match !slot with
+          | Some node when Node.id node <> Node.id leader ->
+              slot := None;
+              Node.stop node
+          | _ -> ())
+        nodes;
+      let connect () =
+        Client.connect ~timeout:5. (Client.Tcp (Node.service_port leader))
+      in
+      let put_reply = ref None in
+      let writer =
+        Thread.create
+          (fun () ->
+            let c = connect () in
+            put_reply :=
+              Some
+                (Client.call c ~id:2
+                   (Wire.Scenario_put
+                      { name = "b"; scenario = scenario_b; nonce = 0 }));
+            Client.close c)
+          ()
+      in
+      Thread.delay 0.3;
+      let c = connect () in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let t0 = Unix.gettimeofday () in
+      ignore (expect_ok "status" (Client.call c ~id:3 Wire.Replica_status));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Thread.join writer;
+      if elapsed >= 0.5 then
+        Alcotest.failf "replica_status took %.3f s behind a pending write" elapsed;
+      match !put_reply with
+      | Some (Error (Wire.Deadline_exceeded, _)) -> ()
+      | Some (Error (code, msg)) ->
+          Alcotest.failf "expected deadline_exceeded, got %s: %s"
+            (Wire.code_string code) msg
+      | Some (Ok _) -> Alcotest.fail "a put committed without a quorum"
+      | None -> Alcotest.fail "the put never returned")
+
+(* A lone replica is its own quorum: it commits and applies a write
+   inside the submit, and must still answer it. *)
+let test_single_replica () =
+  with_cluster ~n:1 (fun ~base:_ ~nodes ->
+      let node = wait_leader nodes in
+      let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port node)) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let timed what query =
+        let t0 = Unix.gettimeofday () in
+        let j = expect_ok what (Client.call c ~id:1 query) in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        if elapsed >= 0.5 then Alcotest.failf "%s took %.3f s" what elapsed;
+        j
+      in
+      ignore
+        (timed "put"
+           (Wire.Scenario_put { name = "solo"; scenario = scenario_a; nonce = 0 }));
+      let got =
+        timed "linearizable get"
+          (Wire.Scenario_get { name = "solo"; linearizable = true })
+      in
+      Alcotest.(check bool)
+        "the get finds the put" true
+        (Obs.Json.member "found" got = Some (Obs.Json.Bool true)))
+
+(* A replica keeps no simulator trace, so its heap grows only by what
+   each write must keep: the log entry and its payload. *)
+let test_heap_per_write () =
+  with_cluster ~n:1 (fun ~base:_ ~nodes ->
+      let node = wait_leader nodes in
+      let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port node)) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let gets k =
+        for id = 1 to k do
+          ignore
+            (expect_ok "linearizable get"
+               (Client.call c ~id
+                  (Wire.Scenario_get { name = "x"; linearizable = true })))
+        done
+      in
+      let live_bytes () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+      in
+      gets 1_000;
+      let before = live_bytes () in
+      let writes = 10_000 in
+      gets writes;
+      let per_write =
+        float_of_int (live_bytes () - before) /. float_of_int writes
+      in
+      if per_write >= 250. then
+        Alcotest.failf "live heap grew %.1f B per write (limit 250 B)" per_write)
+
+let os_threads () = Array.length (Sys.readdir "/proc/self/task")
+
+(* A replica starts one thread of its own, the pump, besides its
+   server's reactor and lanes. *)
+let test_thread_count () =
+  if Sys.file_exists "/proc/self/task" then begin
+    let before = os_threads () in
+    with_cluster ~n:3 (fun ~base ~nodes ->
+        ignore (wait_leader nodes);
+        let multi = multi_of ~base ~n:3 () in
+        Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+        ignore
+          (expect_ok "put"
+             (Client.Multi.call multi ~id:1
+                (Wire.Scenario_put { name = "t"; scenario = scenario_a; nonce = 0 })));
+        let added = os_threads () - before in
+        if added > 13 then
+          Alcotest.failf "three replicas added %d OS threads (limit 13)" added)
+  end
+
 (* Satellite: a seeded chaos plan black-holing every outbound link of
    the leader mid-append must cost leadership, not consistency — a new
    leader emerges, the retried write lands exactly once, and after the
@@ -791,7 +927,6 @@ let test_driver_prediction_and_artifact () =
           window_seconds = 5.;
           probes_per_window = 6;
           tolerance = 0.25;
-          chaos = None;
           state_root = "/tmp/unused";
           child_argv = (fun ~id:_ -> [||]);
           log = ignore;
@@ -833,6 +968,11 @@ let suite =
       test_commit_deadline;
     Alcotest.test_case "chaos blackhole costs leadership not consistency" `Slow
       test_chaos_blackhole_leader;
+    Alcotest.test_case "a pending write holds no worker lane" `Slow
+      test_pending_write_frees_lane;
+    Alcotest.test_case "a lone replica answers writes" `Slow test_single_replica;
+    Alcotest.test_case "live heap per write" `Slow test_heap_per_write;
+    Alcotest.test_case "three replicas, few threads" `Slow test_thread_count;
     Alcotest.test_case "kill schedule determinism" `Quick test_driver_schedule;
     Alcotest.test_case "prediction needs a window" `Quick
       test_driver_prediction_needs_a_window;

@@ -7,7 +7,9 @@
      least one second, so a throughput number can never come from a
      sub-second burst
    - probcons-chaos/1       the chaos soak harness: fault plan +
-     injection counts + the embedded loadgen report + the drain check
+     injection counts + the embedded loadgen report + the drain check;
+     a soak sends a fixed request count and claims no throughput, so
+     its report may be shorter than a second
    - probcons-repro/1       the DST harness's minimal-reproduction
      artifact: seeds, system tag, scenario, fault plan, op trace,
      violated invariant, expectation, shrink statistics
@@ -55,7 +57,7 @@ let check_errors_by_code doc errors =
   | Some _ -> fail "errors_by_code must be an object"
   | None -> fail "missing errors_by_code"
 
-let validate_loadgen path doc =
+let validate_loadgen ~min_elapsed path doc =
   let require_int key =
     match int_field key doc with
     | Some i when i >= 0 -> i
@@ -88,10 +90,9 @@ let validate_loadgen path doc =
   | Some v when Float.is_finite v && v >= 0. -> ()
   | Some v -> fail "warmup_seconds not finite and non-negative (%g)" v
   | None -> fail "missing numeric warmup_seconds");
-  (* Throughput claims need a real measurement window behind them. *)
   (match num "elapsed_seconds" doc with
-  | Some v when Float.is_finite v && v >= 1.0 -> ()
-  | Some v -> fail "elapsed_seconds must be at least 1.0s, got %g" v
+  | Some v when Float.is_finite v && v >= min_elapsed -> ()
+  | Some v -> fail "elapsed_seconds must be at least %gs, got %g" min_elapsed v
   | None -> fail "missing numeric elapsed_seconds");
   (match num "throughput_rps" doc with
   | Some v when Float.is_finite v && v > 0. -> ()
@@ -157,7 +158,8 @@ let validate_chaos path doc =
     | None -> fail "missing embedded loadgen report"
   in
   (match str "schema" loadgen with
-  | Some "probcons-loadgen/3" -> validate_loadgen (path ^ "#loadgen") loadgen
+  | Some "probcons-loadgen/3" ->
+      validate_loadgen ~min_elapsed:0. (path ^ "#loadgen") loadgen
   | Some other -> fail "embedded loadgen has schema %S, want probcons-loadgen/3" other
   | None -> fail "embedded loadgen is missing its schema tag");
   Printf.printf "%s: OK (chaos soak, %d fault counters)\n" path fault_count
@@ -276,7 +278,9 @@ let () =
     | Error msg -> fail "%s: %s" path msg
   in
   match str "schema" doc with
-  | Some "probcons-loadgen/3" -> validate_loadgen path doc
+  | Some "probcons-loadgen/3" ->
+      (* Throughput claims need a real measurement window behind them. *)
+      validate_loadgen ~min_elapsed:1.0 path doc
   | Some "probcons-chaos/1" -> validate_chaos path doc
   | Some "probcons-repro/1" -> validate_repro path doc
   | Some "probcons-repl-avail/1" -> validate_repl_avail path doc
