@@ -43,9 +43,9 @@ let link_plan plan ~src ~dst =
 
 type outcome = (Obs.Json.t, Server.reply_error) result
 
-(* One write awaiting its commit. Only the pump answers it: on apply,
-   when the leader is deposed, past its deadline, or when the pump
-   exits. *)
+(* One write awaiting its commit. Only the loop thread answers it: on
+   apply, when the leader is deposed, past its deadline, or when the
+   plane stops. *)
 type waiter = { deadline : float; reply : outcome -> unit }
 
 type status = {
@@ -56,34 +56,32 @@ type status = {
   s_last_contact : float;
 }
 
+(* Every mutable field without a lock belongs to the server's loop
+   thread. Worker lanes read [status] under [status_mu], [state] under
+   its own lock, and [server]. *)
 type t = {
   cfg : config;
   engine : Dessim.Engine.t;
   net : Raft_types.msg Dessim.Network.t;
   raft : Raft_node.t;
   state : State.t;
-  payloads : (int, string) Hashtbl.t; (* pump thread only *)
-  waiters : (int, waiter) Hashtbl.t; (* pump thread only *)
-  submit_mu : Mutex.t;
-  mutable submit_q : (Command.op * waiter option) list; (* newest first *)
-  mutable submit_closed : Server.reply_error option;
-      (* Set once the pump has exited: later submits get it at once. *)
+  payloads : (int, string) Hashtbl.t;
+  waiters : (int, waiter) Hashtbl.t;
+  mutable closed : Server.reply_error option;
+      (* Set once the plane has stopped: later submits get it at once. *)
   mutable answers : (waiter * outcome) list;
-      (* pump thread only: held until the cycle's fsync, newest first *)
-  mutable had_inbound : bool; (* pump thread only *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  links : Transport.t; (* pump thread only *)
-  durable : Storage.log option; (* pump thread only *)
+      (* held until the cycle's fsync, newest first *)
+  mutable had_inbound : bool;
+  heard : float array;  (* when each peer's last envelope arrived *)
+  links : Transport.t;
+  durable : Storage.log option;
   persisted_terms : int Dessim.Vec.t;
-      (* pump thread only: the term of every entry the segment holds *)
-  mutable persisted_hard : int * int option; (* pump thread only *)
+      (* the term of every entry the segment holds *)
+  mutable persisted_hard : int * int option;
   proxies : Service.Chaos.t list;
   status_mu : Mutex.t;
   mutable status : status;
-  mutable server : Server.t option;
-  stop_flag : bool Atomic.t;
-  mutable pump_thread : Thread.t option;
+  server : Server.t option Atomic.t;  (* [None] again once stopped *)
   start_wall : float;
   mutable next_seq : int;
   mutable leader_epoch : bool * int;
@@ -103,7 +101,7 @@ let not_leader_error ?(msg = "not the leader") t =
   in
   Error { Server.code = Wire.Not_leader; msg; hint }
 
-(* ---- pump-thread internals ---------------------------------------- *)
+(* ---- the plane, on the server's loop thread ------------------------ *)
 
 let max_data_seq log =
   List.fold_left
@@ -160,39 +158,41 @@ let on_apply t (entry : Raft_types.entry) =
               | Some w -> answer t w (reply_for_op op ~seq ~duplicate)));
           Hashtbl.remove t.waiters seq))
 
-let handle_submit t (op, waiter) =
-  if not (Raft_node.is_leader t.raft) then
-    Option.iter (fun w -> answer t w (not_leader_error t)) waiter
-  else (
-    refresh_next_seq t;
-    let bytes = Command.id op in
-    match op with
-    | (Command.Put_scenario _ | Command.Warm _) when State.seen t.state bytes
-      ->
-        (* Already applied: answer from the state machine, no log
-           traffic — the idempotency fast path for client retries. *)
-        let seq =
-          match op with
-          | Command.Put_scenario { name; _ } -> (
-              match State.get t.state name with
-              | Some e -> e.State.seq
-              | None -> 0)
-          | _ -> 0
-        in
-        Option.iter
-          (fun w -> answer t w (reply_for_op op ~seq ~duplicate:true))
-          waiter
-    | _ ->
-        let seq = t.next_seq in
-        Hashtbl.replace t.payloads seq bytes;
-        (* Registered first: a lone replica commits and applies the
-           entry inside [submit]. *)
-        Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter;
-        if Raft_node.submit t.raft seq then t.next_seq <- seq + 1
-        else (
-          Hashtbl.remove t.payloads seq;
-          Hashtbl.remove t.waiters seq;
-          Option.iter (fun w -> answer t w (not_leader_error t)) waiter))
+let handle_submit t op waiter =
+  match t.closed with
+  | Some err -> Option.iter (fun w -> w.reply (Error err)) waiter
+  | None when not (Raft_node.is_leader t.raft) ->
+      Option.iter (fun w -> answer t w (not_leader_error t)) waiter
+  | None -> (
+      refresh_next_seq t;
+      let bytes = Command.id op in
+      match op with
+      | (Command.Put_scenario _ | Command.Warm _) when State.seen t.state bytes
+        ->
+          (* Already applied: answer from the state machine, no log
+             traffic — the idempotency fast path for client retries. *)
+          let seq =
+            match op with
+            | Command.Put_scenario { name; _ } -> (
+                match State.get t.state name with
+                | Some e -> e.State.seq
+                | None -> 0)
+            | _ -> 0
+          in
+          Option.iter
+            (fun w -> answer t w (reply_for_op op ~seq ~duplicate:true))
+            waiter
+      | _ ->
+          let seq = t.next_seq in
+          Hashtbl.replace t.payloads seq bytes;
+          (* Registered first: a lone replica commits and applies the
+             entry inside [submit]. *)
+          Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter;
+          if Raft_node.submit t.raft seq then t.next_seq <- seq + 1
+          else (
+            Hashtbl.remove t.payloads seq;
+            Hashtbl.remove t.waiters seq;
+            Option.iter (fun w -> answer t w (not_leader_error t)) waiter))
 
 let fail_waiters_if_deposed t =
   if not (Raft_node.is_leader t.raft) && Hashtbl.length t.waiters > 0 then (
@@ -220,14 +220,10 @@ let payload_of t (entry : Raft_types.entry) =
   | Data seq -> Hashtbl.find_opt t.payloads seq
   | Config _ -> None
 
-(* Append what changed since the previous cycle, in one write and one
-   fsync: the hard state if it moved, a [Truncate] where the live log
-   left the persisted one, then the new entries. *)
-let persist t durable =
-  let term, voted_for = Raft_node.hard_state t.raft in
-  let persisted = Dessim.Vec.length t.persisted_terms in
-  (* Scan back from the tail for the last index whose term both logs
-     agree on; by Log Matching every earlier entry agrees too. *)
+(* How many entries the segment and the live log agree on: scan back
+   from the tail for the last index whose term both hold; by Log
+   Matching every earlier entry agrees too. *)
+let kept_prefix t =
   let rec common i =
     if
       i = 0
@@ -235,27 +231,48 @@ let persist t durable =
     then i
     else common (i - 1)
   in
-  let keep = common (min persisted (Raft_node.last_index t.raft)) in
+  common
+    (min (Dessim.Vec.length t.persisted_terms) (Raft_node.last_index t.raft))
+
+(* Append what changed since the previous cycle, in one write and one
+   fsync: the hard state if it moved, a [Truncate] where the live log
+   left the persisted one, then the new entries. *)
+let persist t durable ~hard ~keep =
+  let term, voted_for = hard in
   let fresh = Raft_node.entries_from t.raft (keep + 1) in
   Storage.append durable
-    ((if (term, voted_for) = t.persisted_hard then []
+    ((if hard = t.persisted_hard then []
       else [ Storage.Hard_state { term; voted_for } ])
-    @ (if keep = persisted then [] else [ Storage.Truncate { from = keep + 1 } ])
+    @ (if keep = Dessim.Vec.length t.persisted_terms then []
+       else [ Storage.Truncate { from = keep + 1 } ])
     @ List.map
         (fun entry -> Storage.Entry { entry; payload = payload_of t entry })
         fresh);
-  t.persisted_hard <- (term, voted_for);
+  t.persisted_hard <- hard;
   Dessim.Vec.truncate t.persisted_terms keep;
   List.iter
     (fun (e : Raft_types.entry) -> Dessim.Vec.push t.persisted_terms e.term)
     fresh
+
+(* The latest time by which this replica had heard from enough peers to
+   make a majority with itself; always now for a lone replica. *)
+let quorum_contact t ~now =
+  let need = t.cfg.n / 2 in
+  if need = 0 then now
+  else begin
+    let heard = Array.copy t.heard in
+    heard.(t.cfg.id) <- Float.neg_infinity;
+    Array.sort (fun a b -> Float.compare b a) heard;
+    heard.(need - 1)
+  end
 
 let update_status t ~now =
   let is_leader = Raft_node.is_leader t.raft in
   let hint = Raft_node.leader_hint t.raft in
   Mutex.lock t.status_mu;
   let last_contact =
-    if is_leader || (t.had_inbound && hint <> None) then now
+    if is_leader then quorum_contact t ~now
+    else if t.had_inbound && hint <> None then now
     else t.status.s_last_contact
   in
   t.had_inbound <- false;
@@ -275,35 +292,51 @@ let deliver t ~src ~dst msg ~payloads =
   if dst = t.cfg.id && src >= 0 && src < t.cfg.n && src <> t.cfg.id then (
     List.iter (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes) payloads;
     t.had_inbound <- true;
+    t.heard.(src) <- Unix.gettimeofday ();
     Dessim.Network.send t.net ~src ~dst msg)
 
 let cycle t =
-  (* 1. Drain client submissions onto the log. *)
-  Mutex.lock t.submit_mu;
-  let submits = List.rev t.submit_q in
-  t.submit_q <- [];
-  Mutex.unlock t.submit_mu;
-  List.iter (handle_submit t) submits;
-  (* 2. Advance the virtual clock to wall-clock elapsed ms, then settle
+  (* 1. Client submissions went onto the log as the loop read them.
+     Advance the virtual clock to wall-clock elapsed ms, then settle
      the waiters whose leader was deposed or whose deadline passed. *)
   let now = Unix.gettimeofday () in
   Dessim.Engine.advance t.engine ~until:((now -. t.start_wall) *. 1000.);
   fail_waiters_if_deposed t;
   expire_waiters t ~now;
-  (* 3. Persist dirty raft state BEFORE anything leaves: neither a
-     client reply nor a raft message acknowledging an append gets
-     ahead of the log bytes it promises. *)
-  Option.iter (persist t) t.durable;
-  (* 4. Answer, then write the frames queued during the cycle. *)
+  (* 2. Persist dirty raft state BEFORE any acknowledgement leaves:
+     neither a client reply, nor a vote, nor a raft message
+     acknowledging an append gets ahead of the log bytes it promises. *)
+  (match t.durable with
+  | None -> ()
+  | Some durable ->
+      let hard = Raft_node.hard_state t.raft in
+      let keep = kept_prefix t in
+      (* Replicate while syncing (Raft dissertation, §10.2.1): a leader
+         whose term and vote are already durable, and whose log only
+         grows, sends its frames before its own fsync, so the
+         followers' fsyncs overlap it. Those frames promise nothing: a
+         leader's AppendEntries acknowledge nothing, and followers still
+         fsync before they ack. The leader counts its own copy of an
+         entry only when it processes a follower's ack, in a later
+         cycle, after this fsync has returned; a lone replica commits
+         inside its submit, but the reply below still waits for the
+         fsync. A replica whose term or vote moved writes nothing
+         early. *)
+      if
+        Raft_node.is_leader t.raft
+        && hard = t.persisted_hard
+        && keep = Dessim.Vec.length t.persisted_terms
+      then Transport.flush t.links;
+      persist t durable ~hard ~keep);
+  (* 3. Answer, then write the frames queued during the cycle. *)
   let answers = List.rev t.answers in
   t.answers <- [];
   List.iter (fun (w, outcome) -> w.reply outcome) answers;
   Transport.flush t.links;
   update_status t ~now
 
-(* Sleep until work is queued (a byte on the wake pipe), a socket is
-   ready, the engine's next timer is due, or the earliest commit
-   deadline passes; 0 when one of them already has. *)
+(* How long the loop may sleep: until the engine's next timer is due or
+   the earliest commit deadline passes; 0 when one of them already has. *)
 let timeout t =
   let timer =
     match Dessim.Engine.next_event_time t.engine with
@@ -316,55 +349,18 @@ let timeout t =
   if Float.is_finite due then Float.max 0. (due -. Unix.gettimeofday ())
   else -1.
 
-(* Answer every held, queued and waiting submit, and every later one,
-   with [err]: once the pump is gone nothing else would. A held answer
+(* Answer every held and waiting write, and every later one, with
+   [err]: once the plane has stopped nothing else would. A held answer
    never reached its fsync, so it gets [err] too. *)
-let release_blocked t err =
-  Mutex.lock t.submit_mu;
-  t.submit_closed <- Some err;
-  let queued = t.submit_q in
-  t.submit_q <- [];
-  Mutex.unlock t.submit_mu;
-  List.iter (fun (w, _) -> w.reply (Error err)) t.answers;
+let close_plane t err =
+  t.closed <- Some err;
+  List.iter (fun (w, _) -> w.reply (Error err)) (List.rev t.answers);
   t.answers <- [];
-  List.iter (fun (_, w) -> Option.iter (fun w -> w.reply (Error err)) w) queued;
   Hashtbl.iter (fun _ w -> w.reply (Error err)) t.waiters;
   Hashtbl.reset t.waiters
 
-let pump t =
-  match
-    while not (Atomic.get t.stop_flag) do
-      Transport.poll t.links ~wake:t.wake_r ~timeout:(timeout t)
-        ~deliver:(deliver t);
-      cycle t
-    done
-  with
-  | () ->
-      release_blocked t
-        { Server.code = Wire.Shutting_down; msg = "replica stopped"; hint = None }
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      release_blocked t
-        {
-          Server.code = Wire.Internal;
-          msg = "replica pump failed: " ^ Printexc.to_string e;
-          hint = None;
-        };
-      Printexc.raise_with_backtrace e bt
-
-(* ---- worker-lane handler ------------------------------------------ *)
-
-let enqueue t op waiter =
-  Mutex.lock t.submit_mu;
-  let closed = t.submit_closed in
-  if Option.is_none closed then t.submit_q <- (op, waiter) :: t.submit_q;
-  Mutex.unlock t.submit_mu;
-  match closed with
-  | None -> Service.Nonblock.wake t.wake_w
-  | Some err -> Option.iter (fun w -> w.reply (Error err)) waiter
-
 let submit t op ~reply =
-  enqueue t op
+  handle_submit t op
     (Some
        { deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds; reply })
 
@@ -425,16 +421,20 @@ let status_json t =
 let plain_get t name =
   let s = read_status t in
   let staleness = staleness_ms s in
-  if
-    s.s_role <> "leader"
-    && staleness > t.cfg.staleness_budget_seconds *. 1000.
-  then
+  if staleness > t.cfg.staleness_budget_seconds *. 1000. then
     (* Too stale for the read contract: refuse and point at the
        leader rather than serve an unbounded-lag answer. *)
     not_leader_error t ~msg:"replica too stale for reads"
   else read_reply t name ~staleness
 
-let handler t (query : Wire.query) ~reply =
+(* The replica-plane queries, answered on the loop thread: writes and
+   linearizable reads go onto the log at once, the rest answer at
+   once. *)
+let owns = function
+  | Wire.Replica_status | Wire.Scenario_put _ | Wire.Scenario_get _ -> true
+  | _ -> false
+
+let handle_query t (query : Wire.query) ~reply =
   match query with
   | Wire.Replica_status -> reply (Ok (status_json t))
   | Wire.Scenario_put { name; scenario; nonce } ->
@@ -444,6 +444,12 @@ let handler t (query : Wire.query) ~reply =
       submit t Command.Barrier ~reply:(function
         | Error e -> reply (Error e)
         | Ok _ -> reply (read_reply t name ~staleness:0.))
+  | q -> Server.router_handler q ~reply
+
+(* The worker lanes' handler: deterministic computes, served from the
+   replicated warm cache when it holds the key. *)
+let handler t (query : Wire.query) ~reply =
+  match query with
   | (Wire.Analyze _ | Wire.Fleet_ingest _) as q -> (
       let key = Wire.canonical_key q in
       match Option.map Obs.Json.of_string (State.warm_lookup t.state key) with
@@ -451,14 +457,15 @@ let handler t (query : Wire.query) ~reply =
       | Some (Error _) -> Server.router_handler q ~reply
       | None ->
           Server.router_handler q ~reply:(fun r ->
-              (match r with
-              | Ok json when (read_status t).s_role = "leader" ->
+              (match (r, Atomic.get t.server) with
+              | Ok json, Some server when (read_status t).s_role = "leader" ->
                   (* Fire-and-forget: warming is an optimization, not a
                      durability promise, so the reply does not wait for
                      the commit. *)
-                  enqueue t
-                    (Command.Warm { key; payload = Obs.Json.to_string json })
-                    None
+                  let op =
+                    Command.Warm { key; payload = Obs.Json.to_string json }
+                  in
+                  Server.post server (fun () -> handle_submit t op None)
               | _ -> ());
               reply r))
   | q -> Server.router_handler q ~reply
@@ -517,7 +524,6 @@ let start (cfg : config) =
              else if cfg.chaos = None then Some (raft_port cfg peer)
              else Some (link_port cfg ~src:cfg.id ~dst:peer)))
   in
-  let wake_r, wake_w = Service.Nonblock.pipe () in
   let t =
     {
       cfg;
@@ -527,13 +533,10 @@ let start (cfg : config) =
       state = State.create ();
       payloads = Hashtbl.create 256;
       waiters = Hashtbl.create 16;
-      submit_mu = Mutex.create ();
-      submit_q = [];
-      submit_closed = None;
+      closed = None;
       answers = [];
       had_inbound = false;
-      wake_r;
-      wake_w;
+      heard = Array.make cfg.n (Unix.gettimeofday ());
       links;
       durable;
       persisted_terms = Dessim.Vec.create ();
@@ -548,9 +551,7 @@ let start (cfg : config) =
           s_commit = 0;
           s_last_contact = Unix.gettimeofday ();
         };
-      server = None;
-      stop_flag = Atomic.make false;
-      pump_thread = None;
+      server = Atomic.make None;
       start_wall = Unix.gettimeofday ();
       next_seq = 1;
       leader_epoch = (false, 0);
@@ -572,7 +573,7 @@ let start (cfg : config) =
   Raft_node.set_apply_hook raft (on_apply t);
   (* Outbound raft messages queue on their peer's link, with command
      payloads piggybacked for any Data entries; the cycle writes them
-     after its fsync. *)
+     when its fsync allows. *)
   List.iter
     (fun peer ->
       Dessim.Network.set_handler net peer (fun ~src:_ msg ->
@@ -593,35 +594,44 @@ let start (cfg : config) =
           Transport.send links ~dst:peer
             (Transport.envelope_to_line ~src:cfg.id ~dst:peer msg ~payloads)))
     peers;
-  (* The server first: it ignores SIGPIPE before the pump writes to a
-     link, and submits queue until the pump drains them. *)
-  t.server <-
-    Some
-      (Server.start
-         {
-           Server.default_config with
-           tcp_port = Some cfg.service_port;
-           workers = cfg.workers;
-           handler = handler t;
-         });
-  t.pump_thread <- Some (Thread.create pump t);
+  (* The server's loop runs the plane: it selects on the raft-plane
+     sockets beside its own, runs the cycle after every select, and
+     answers the replica-plane queries itself. *)
+  Atomic.set t.server
+    (Some
+       (Server.start
+          ~plane:
+            {
+              Server.fds = (fun () -> Transport.fds links);
+              timeout = (fun () -> timeout t);
+              step =
+                (fun ~readable ->
+                  Transport.service links ~readable ~deliver:(deliver t);
+                  cycle t);
+              owns;
+              handle = handle_query t;
+              stop = close_plane t;
+            }
+          {
+            Server.default_config with
+            tcp_port = Some cfg.service_port;
+            workers = cfg.workers;
+            handler = handler t;
+          }));
   t
 
-(* The pump goes first and answers every pending write while the
-   server can still deliver the reply; the wake pipe closes last, once
-   the server's lanes, its only other writers, are gone. *)
+(* The server stops the plane on its loop, which answers every pending
+   write while the connections can still carry the reply; the
+   raft-plane sockets, proxies and segment close after that loop has
+   exited. *)
 let stop t =
-  if not (Atomic.exchange t.stop_flag true) then (
-    Service.Nonblock.wake t.wake_w;
-    Option.iter Thread.join t.pump_thread;
-    t.pump_thread <- None;
-    Option.iter Server.stop t.server;
-    t.server <- None;
-    Transport.close t.links;
-    List.iter Service.Chaos.stop t.proxies;
-    Option.iter Storage.close t.durable;
-    Unix.close t.wake_r;
-    Unix.close t.wake_w)
+  match Atomic.exchange t.server None with
+  | None -> ()
+  | Some server ->
+      Server.stop server;
+      Transport.close t.links;
+      List.iter Service.Chaos.stop t.proxies;
+      Option.iter Storage.close t.durable
 
 let set_chaos_plan t plan =
   List.iter (fun proxy -> Service.Chaos.set_plan proxy plan) t.proxies

@@ -20,26 +20,31 @@
     - [replica_status] reports role, term, hint, indices and state
       counters.
 
-    One {e pump} thread owns the Raft and every raft-plane socket; it
-    is the only thread a replica starts besides its server's. It
-    sleeps in [select] on its wake pipe, the raft listener, the
-    connections it accepted and the outbound links holding queued
-    bytes ({!Transport.poll}), until one is ready or the engine's next
-    timer or the earliest commit deadline is due. Then it accepts,
-    reads and decodes inbound envelopes (payload bytes land before
-    their messages) and runs a cycle: drain client submissions,
-    advance the engine to wall-clock elapsed time, settle writes whose
-    leader was deposed or whose commit deadline passed, append what
-    changed to the {!Storage} segment (one fsync), {e then} call the
-    held replies and write the queued frames — so no acknowledgement
-    leaves the process ahead of the log bytes that justify it.
+    A replica starts no thread of its own. Its Raft and every
+    raft-plane socket belong to its server's reactor loop, as a
+    {!Service.Server.plane}: the loop adds the raft listener, the
+    connections it accepted and the links holding queued bytes
+    ({!Transport.fds}) to its [select], and sleeps no longer than the
+    engine's next timer or the earliest commit deadline. After every
+    [select] it reads the client connections — a put or a
+    linearizable get goes onto the log at once — then accepts, reads
+    and decodes inbound envelopes (payload bytes land before their
+    messages) and runs a cycle: advance the engine to wall-clock
+    elapsed time, settle writes whose leader was deposed or whose
+    commit deadline passed, append what changed to the {!Storage}
+    segment (one fsync), {e then} call the held replies and write the
+    queued frames — so no acknowledgement leaves the process ahead of
+    the log bytes that justify it. A leader whose term and vote are
+    already durable, and whose log only grows, writes its frames
+    before its own fsync instead: they acknowledge nothing, and the
+    followers' fsyncs overlap its own.
 
-    A write holds no worker lane: the handler hands it to the pump
-    with the server's [reply] callback, and the pump calls it on apply,
-    on deposition, at the deadline, or when it exits. With a
-    [state_dir], a SIGKILLed replica restarts from its segment and
-    re-applies committed entries idempotently. A replica's Raft keeps
-    no simulator trace. *)
+    Replica-plane queries never enter the worker lanes' queue; the
+    lanes keep the computes. A write holds the server's [reply]
+    callback until it applies, its leader is deposed, its deadline
+    passes, or the server stops. With a [state_dir], a SIGKILLed
+    replica restarts from its segment and re-applies committed entries
+    idempotently. A replica's Raft keeps no simulator trace. *)
 
 type config = {
   id : int;  (** Replica id in [0..n-1]. *)
@@ -57,11 +62,14 @@ type config = {
           in-process fault-injecting proxy with a per-link derived seed
           — a fixture for the inter-replica chaos tests. *)
   staleness_budget_seconds : float;
-      (** Follower plain-read freshness bound: reads are refused when
-          the last leader contact is older than this. *)
+      (** Plain-read freshness bound: reads are refused when the
+          replica's last contact is older than this. A follower's last
+          contact is its last message while it knew a leader; a
+          leader's is the latest time by which it had heard from
+          enough peers to make a majority with itself. *)
   commit_timeout_seconds : float;
-      (** How long a write waits for its commit before the pump answers
-          it [deadline_exceeded] (safe to retry: apply is idempotent). *)
+      (** How long a write waits for its commit before it is answered
+          [deadline_exceeded] (safe to retry: apply is idempotent). *)
 }
 
 val default_config :
@@ -75,15 +83,18 @@ type t
 
 val start : config -> t
 (** Bind the raft listener and service port, restore persisted state
-    if present, spawn the pump. Raises on port conflicts, a damaged
-    segment, or an out-of-range id. *)
+    if present, and start the server with the Raft as its plane.
+    Raises on port conflicts, a damaged segment, or an out-of-range
+    id. *)
 
 val stop : t -> unit
-(** Graceful: stop the pump, drain the service server, then close the
-    raft-plane sockets, proxies, segment and wake pipe. Idempotent.
-    Whenever the pump exits — here, or on a failure such as a disk
-    error — it answers every write still waiting, [shutting_down] or
-    [internal], while the server can still deliver the reply. *)
+(** Graceful: {!Service.Server.stop}, whose drain answers new writes
+    [shutting_down] and whose loop, before it closes the connections,
+    answers every write still waiting [shutting_down]; then close the
+    raft-plane sockets, proxies and segment. Idempotent. A cycle that
+    raises — a disk error, say — answers every waiting write
+    [internal] and shuts the loop down the same way, closing the
+    listeners and connections so clients fail over. *)
 
 val set_chaos_plan : t -> Service.Chaos.plan -> unit
 (** Swap the plan on every outbound link proxy (live connections are
@@ -95,8 +106,7 @@ val id : t -> int
 val service_port : t -> int
 
 val is_leader : t -> bool
-(** From the status snapshot the pump publishes at the end of every
-    cycle. *)
+(** From the status snapshot published at the end of every cycle. *)
 
 val term : t -> int
 val leader_hint : t -> int option

@@ -4,7 +4,7 @@
     is a recorded no-op ([dedup_skips]), which is what makes safe
     client retry and crash-recovery re-apply (commit index restarts at
     0 after {!Raft_node.restore}) correct without distributed
-    coordination. Thread-safe: the pump thread applies, server worker
+    coordination. Thread-safe: the server's loop thread applies, worker
     lanes read. *)
 
 type t

@@ -10,7 +10,7 @@
       little-endian u32 CRC-32 (the zlib polynomial) of the record
       bytes, then the record as canonical JSON.
 
-    The {!Node} pump appends what each cycle changed — the hard state,
+    The {!Node} cycle appends what changed — the hard state,
     a [Truncate] where the log diverged, the new entries — in one write
     and one fsync, {e before} flushing outbound replies, so a
     follower's success reply never leaves the process ahead of the log

@@ -176,32 +176,22 @@ let rec accept t =
         :: t.conns;
       accept t
 
-let poll t ~wake ~timeout ~deliver =
-  let writing =
+let fds t =
+  ( t.listener :: List.map (fun (c : conn) -> c.fd) t.conns,
     Array.fold_left
       (fun acc -> function
         | Some ({ fd = Some fd; _ } as link : link)
           when Nonblock.queued link.out > 0 ->
-            (fd, link) :: acc
+            fd :: acc
         | _ -> acc)
-      [] t.links
-  in
+      [] t.links )
+
+let service t ~readable ~deliver =
   let conns = t.conns in
-  match
-    Unix.select
-      (wake :: t.listener :: List.map (fun (c : conn) -> c.fd) conns)
-      (List.map fst writing) [] timeout
-  with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | readable, writable, _ ->
-      if List.mem wake readable then Nonblock.drain wake;
-      if List.mem t.listener readable then accept t;
-      List.iter
-        (fun (c : conn) -> if List.mem c.fd readable then read t c ~deliver)
-        conns;
-      List.iter
-        (fun (fd, link) -> if List.mem fd writable then write t link)
-        writing
+  if List.mem t.listener readable then accept t;
+  List.iter
+    (fun (c : conn) -> if List.mem c.fd readable then read t c ~deliver)
+    conns
 
 let close t =
   Nonblock.close t.listener;

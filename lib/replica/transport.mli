@@ -11,10 +11,10 @@
 
     A replica's raft-plane sockets — its listener, the connections it
     accepted, and one outbound link per peer — belong to one thread,
-    the replica's pump ({!Node}). There are no sender or reader
-    threads: the pump selects on every socket ({!poll}), decodes
-    inbound envelopes itself, and writes outbound frames without
-    blocking ({!flush}) after the cycle's append and fsync.
+    the replica's server loop ({!Node}). There are no sender or reader
+    threads: the loop adds every socket to its [select] ({!fds}),
+    decodes inbound envelopes ({!service}), and writes outbound frames
+    without blocking ({!flush}) when its cycle allows.
 
     Links are deliberately lossy, the message model the simulator's
     {!Dessim.Network} presents: a link whose connect or write fails
@@ -48,10 +48,13 @@ val create : port:int -> peers:int option array -> t
     connects until a link holds queued bytes. Raises [Unix.Unix_error]
     when binding fails. *)
 
-val poll :
+val fds : t -> Unix.file_descr list * Unix.file_descr list
+(** What to [select] on: the listener and the accepted connections for
+    reading, the links holding queued bytes for writing. *)
+
+val service :
   t ->
-  wake:Unix.file_descr ->
-  timeout:float ->
+  readable:Unix.file_descr list ->
   deliver:
     (src:int ->
     dst:int ->
@@ -59,16 +62,14 @@ val poll :
     payloads:(int * string) list ->
     unit) ->
   unit
-(** One [select] on [wake], the listener, the accepted connections and
-    the links holding queued bytes, for at most [timeout] seconds (no
-    bound when negative). Then drain [wake], accept, read and
-    [deliver] every decoded envelope, and write to the links that can
-    take bytes. A bad frame or envelope closes only its own
-    connection. *)
+(** After a [select]: accept on a readable listener, then read every
+    readable connection and [deliver] each decoded envelope. A bad
+    frame or envelope closes only its own connection. Links are
+    written by {!flush}. *)
 
 val send : t -> dst:int -> string -> unit
 (** Frame one envelope onto [dst]'s link; nothing is written until
-    {!flush} or {!poll}. Refused and counted in {!dropped} when it is
+    {!flush}. Refused and counted in {!dropped} when it is
     empty, over {!max_envelope_bytes}, or would grow the link's backlog
     past two such envelopes; dropped when the link failed under 50 ms
     ago. *)

@@ -1,8 +1,8 @@
-(** Non-blocking socket plumbing shared by the two select loops: the
-    service reactor ({!Server}) and the replica pump
-    ([Replica.Node] through [Replica.Transport]).
+(** Non-blocking socket plumbing shared by the service reactor
+    ({!Server}) and the replica's raft plane ([Replica.Transport]),
+    which runs on that reactor's loop.
 
-    Each loop owns its descriptors and calls these from its own thread
+    The loop owns its descriptors and calls these from its own thread
     only; nothing here takes a lock. *)
 
 (** {1 Self-pipe} *)

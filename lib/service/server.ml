@@ -41,6 +41,15 @@ let default_config =
     handler = router_handler;
   }
 
+type plane = {
+  fds : unit -> Unix.file_descr list * Unix.file_descr list;
+  timeout : unit -> float;
+  step : readable:Unix.file_descr list -> unit;
+  owns : Wire.query -> bool;
+  handle : handler;
+  stop : reply_error -> unit;
+}
+
 (* A connection whose reply backlog exceeds this many bytes stops
    being read until the kernel drains it — the write-side backpressure
    bound that keeps a slow consumer from buffering the world. *)
@@ -84,9 +93,10 @@ type conn = {
   key : int;
   frames : Frame.decoder;
   out : Nonblock.queue;
-  mutable outstanding : int;  (* jobs dispatched, replies not yet queued *)
+  mutable outstanding : int;  (* requests taken, replies not yet queued *)
   mutable last_read : float;
   mutable throttled : bool;  (* read-throttle edge, for the stall count *)
+  mutable dirty : bool;  (* given bytes this iteration: in [t.to_flush] *)
 }
 
 type job = {
@@ -106,17 +116,19 @@ type queue = {
 
 type t = {
   config : config;
+  plane : plane option;
   listeners : Unix.file_descr list;
   queue : queue;
   cache : Cache.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  completions : (int * string) Queue.t;  (* conn key, reply bytes *)
+  completions : (unit -> unit) Queue.t;  (* run on the reactor thread *)
   completions_mutex : Mutex.t;
   mutable wake_open : bool;  (* under [completions_mutex] *)
   mutable reactor_thread : Thread.t option;
   mutable worker_host : Thread.t option;
   conns : (int, conn) Hashtbl.t;  (* reactor-thread only *)
+  mutable to_flush : conn list;  (* reactor-thread only: the dirty conns *)
   (* Raw-request fast path, reactor-thread only: exact request body
      bytes -> full rendered reply frame. A byte-identical request names
      the same query and id, and cacheable replies are deterministic, so
@@ -298,6 +310,18 @@ let flush_conn t conn =
     Atomic.incr t.n_write_stalls
   end
 
+let mark_dirty t conn =
+  if not conn.dirty then begin
+    conn.dirty <- true;
+    t.to_flush <- conn :: t.to_flush
+  end
+
+(* Every reply goes through here, and the iteration that queues it
+   writes it ([flush_dirty]): no reply waits for another [select]. *)
+let push t conn bytes =
+  Nonblock.push conn.out bytes;
+  mark_dirty t conn
+
 (* --- Reactor: request handling ------------------------------------------ *)
 
 let count_error t code =
@@ -314,16 +338,62 @@ let count_error t code =
 
 let reply_error t conn ~id code msg =
   count_error t code;
-  Nonblock.push conn.out (render_error ~id code msg)
+  push t conn (render_error ~id code msg)
 
 let reply_ok_json t conn ~id json =
   Obs.Metrics.incr m_ok;
   Atomic.incr t.n_ok;
-  Nonblock.push conn.out (render_ok ~id (Obs.Json.to_string json))
+  push t conn (render_ok ~id (Obs.Json.to_string json))
 
-(* One parsed request body. Errors, [ping], [stats] and cache hits are
-   answered inline on the reactor thread; only cache misses are
-   dispatched to the worker lanes. *)
+(* A handler's answer as reply bytes, counted, and cached when the
+   query is cacheable. *)
+let render_result t ~id query = function
+  | Ok json ->
+      let rendered = Obs.Json.to_string json in
+      if Wire.cacheable query then
+        Cache.add t.cache (Wire.canonical_key query) rendered;
+      Obs.Metrics.incr m_ok;
+      Atomic.incr t.n_ok;
+      render_ok ~id rendered
+  | Error { code; msg; hint } ->
+      count_error t code;
+      render_error ?hint ~id:(Some id) code msg
+
+let track_outstanding t conn =
+  conn.outstanding <- conn.outstanding + 1;
+  Obs.Metrics.observe m_pipeline_depth (float_of_int conn.outstanding);
+  let rec bump () =
+    let seen = Atomic.get t.max_pipeline_seen in
+    if
+      conn.outstanding > seen
+      && not (Atomic.compare_and_set t.max_pipeline_seen seen conn.outstanding)
+    then bump ()
+  in
+  bump ()
+
+(* A plane query runs on this thread. The plane answers it now or from
+   a later step, always on this thread, so the reply goes straight onto
+   the connection. *)
+let answer_on_loop t plane conn ~id query =
+  if Atomic.get t.draining then
+    reply_error t conn ~id:(Some id) Wire.Shutting_down "server draining"
+  else begin
+    track_outstanding t conn;
+    let span = Obs.Span.start m_handle in
+    let answered = ref false in
+    plane.handle query ~reply:(fun result ->
+        if not !answered then begin
+          answered := true;
+          Obs.Span.stop span;
+          conn.outstanding <- conn.outstanding - 1;
+          let bytes = render_result t ~id query result in
+          if Hashtbl.mem t.conns conn.key then push t conn bytes
+        end)
+  end
+
+(* One parsed request body. Errors, [ping], [stats], cache hits and the
+   plane's queries are answered on the reactor thread; only cache
+   misses are dispatched to the worker lanes. *)
 let raw_memo_capacity = 8192
 
 let handle_body t conn body =
@@ -334,7 +404,7 @@ let handle_body t conn body =
       Cache.count_hit t.cache;
       Obs.Metrics.incr m_ok;
       Atomic.incr t.n_ok;
-      Nonblock.push conn.out reply
+      push t conn reply
   | None ->
   match Wire.parse_request body with
   | Error (id, code, msg) -> reply_error t conn ~id code msg
@@ -347,25 +417,16 @@ let handle_body t conn body =
           { conn_key = conn.key; id; query; enqueued_at = Unix.gettimeofday () }
         in
         match try_push t.queue job with
-        | Ok () ->
-            conn.outstanding <- conn.outstanding + 1;
-            Obs.Metrics.observe m_pipeline_depth (float_of_int conn.outstanding);
-            let rec bump () =
-              let seen = Atomic.get t.max_pipeline_seen in
-              if
-                conn.outstanding > seen
-                && not
-                     (Atomic.compare_and_set t.max_pipeline_seen seen
-                        conn.outstanding)
-              then bump ()
-            in
-            bump ()
+        | Ok () -> track_outstanding t conn
         | Error Wire.Overloaded ->
             reply_error t conn ~id:(Some id) Wire.Overloaded
               (Printf.sprintf "request queue full (%d deep)" t.queue.capacity)
         | Error code ->
             reply_error t conn ~id:(Some id) code "server draining"
       in
+      match t.plane with
+      | Some plane when plane.owns query -> answer_on_loop t plane conn ~id query
+      | _ ->
       if not (Wire.cacheable query) then dispatch ()
       else
         match Cache.find t.cache (Wire.canonical_key query) with
@@ -384,7 +445,7 @@ let handle_body t conn body =
             if Hashtbl.length t.raw >= raw_memo_capacity then
               Hashtbl.reset t.raw;
             Hashtbl.replace t.raw body bytes;
-            Nonblock.push conn.out bytes)
+            push t conn bytes)
 
 (* --- Reactor: lifecycle -------------------------------------------------- *)
 
@@ -424,6 +485,7 @@ let accept_ready t listener =
               outstanding = 0;
               last_read = Unix.gettimeofday ();
               throttled = false;
+              dirty = false;
             }
           in
           Hashtbl.replace t.conns key conn;
@@ -433,8 +495,7 @@ let accept_ready t listener =
   in
   go ()
 
-(* Deliver every queued worker completion to its connection (dropped
-   silently when the connection died first). *)
+(* Run every closure the lanes posted, in order. *)
 let deliver_completions t =
   let batch =
     Mutex.lock t.completions_mutex;
@@ -443,14 +504,19 @@ let deliver_completions t =
     Mutex.unlock t.completions_mutex;
     q
   in
-  Queue.iter
-    (fun (key, bytes) ->
-      match Hashtbl.find_opt t.conns key with
-      | None -> ()
-      | Some conn ->
-          conn.outstanding <- conn.outstanding - 1;
-          Nonblock.push conn.out bytes)
-    batch
+  Queue.iter (fun f -> f ()) batch
+
+(* Write every connection given bytes this iteration or reported
+   writable, once each. *)
+let flush_dirty t =
+  let conns = t.to_flush in
+  t.to_flush <- [];
+  List.iter
+    (fun c ->
+      c.dirty <- false;
+      if Hashtbl.mem t.conns c.key then
+        try flush_conn t c with Nonblock.Closed -> close_conn t c)
+    conns
 
 let read_conn t conn =
   match
@@ -459,11 +525,7 @@ let read_conn t conn =
   with
   | `Again -> ()
   | `Closed -> close_conn t conn
-  | `Read -> (
-      conn.last_read <- Unix.gettimeofday ();
-      (* Opportunistic flush: inline replies (hits, errors, pings)
-         go out without waiting for another select round. *)
-      try flush_conn t conn with Nonblock.Closed -> close_conn t conn)
+  | `Read -> conn.last_read <- Unix.gettimeofday ()
   | `Bad e ->
       (* Unrecoverable framing: answer with an unattributable typed
          error, push out what we can, then close. *)
@@ -487,24 +549,38 @@ let want_read t conn =
   else if not throttle then conn.throttled <- false;
   not throttle
 
+(* The earlier of two [select] timeouts; a negative one is no bound. *)
+let earliest a b = if a < 0. then b else if b < 0. then a else Float.min a b
+
 let reactor_loop t =
   let listeners_closed = ref false in
-  let flush_deadline = ref None in
-  let rec loop () =
-    Obs.Metrics.incr m_loops;
-    Atomic.incr t.n_loops;
-    let draining = Atomic.get t.draining in
-    let finishing = Atomic.get t.finishing in
-    if draining && not !listeners_closed then begin
+  let close_listeners () =
+    if not !listeners_closed then begin
       listeners_closed := true;
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         t.listeners
-    end;
-    if finishing && !flush_deadline = None then begin
-      deliver_completions t;
-      flush_deadline := Some (Unix.gettimeofday () +. 2.)
-    end;
+    end
+  in
+  let flush_deadline = ref None in
+  let failure = ref None in
+  (* The plane stops before any connection closes: it answers every
+     write it still holds with [err], and the flush below carries those
+     replies out. *)
+  let finish err =
+    deliver_completions t;
+    Option.iter (fun plane -> plane.stop err) t.plane;
+    flush_deadline := Some (Unix.gettimeofday () +. 2.)
+  in
+  let rec loop () =
+    Obs.Metrics.incr m_loops;
+    Atomic.incr t.n_loops;
+    let draining = Atomic.get t.draining in
+    if draining then close_listeners ();
+    if Atomic.get t.finishing && !flush_deadline = None then
+      finish
+        { code = Wire.Shutting_down; msg = "server stopped"; hint = None };
+    let finishing = !flush_deadline <> None in
     let done_finishing () =
       finishing
       && (Hashtbl.fold (fun _ c acc -> acc && Nonblock.queued c.out = 0) t.conns true
@@ -539,9 +615,12 @@ let reactor_loop t =
             close_conn t c)
           stale
       end;
-      let reads = ref [ t.wake_r ] in
-      if not (draining || !listeners_closed) then
-        reads := t.listeners @ !reads;
+      let plane = if finishing then None else t.plane in
+      let plane_reads, plane_writes =
+        match plane with Some p -> p.fds () | None -> ([], [])
+      in
+      let reads = ref (t.wake_r :: plane_reads) in
+      if not !listeners_closed then reads := t.listeners @ !reads;
       let ready_conns = ref [] in
       let writes = ref [] in
       Hashtbl.iter
@@ -560,8 +639,13 @@ let reactor_loop t =
           Float.max 0.05 (Float.min 30. (idle /. 4.))
         else -1.
       in
+      let timeout =
+        match plane with Some p -> earliest timeout (p.timeout ()) | None -> timeout
+      in
       match
-        Unix.select !reads (List.map (fun c -> c.fd) !writes) [] timeout
+        Unix.select !reads
+          (List.rev_append (List.map (fun c -> c.fd) !writes) plane_writes)
+          [] timeout
       with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) ->
@@ -573,7 +657,7 @@ let reactor_loop t =
             (float_of_int (List.length readable + List.length writable));
           if List.mem t.wake_r readable then Nonblock.drain t.wake_r;
           deliver_completions t;
-          if not (draining || !listeners_closed) then
+          if not !listeners_closed then
             List.iter
               (fun l -> if List.mem l readable then accept_ready t l)
               t.listeners;
@@ -582,11 +666,26 @@ let reactor_loop t =
               if Hashtbl.mem t.conns c.key && List.mem c.fd readable then
                 read_conn t c)
             !ready_conns;
+          (match plane with
+          | None -> ()
+          | Some p -> (
+              try p.step ~readable
+              with e ->
+                (* A failed plane takes the server down with it, so its
+                   clients fail over instead of waiting on sockets no
+                   thread serves. *)
+                failure := Some (e, Printexc.get_raw_backtrace ());
+                close_listeners ();
+                finish
+                  {
+                    code = Wire.Internal;
+                    msg = "plane failed: " ^ Printexc.to_string e;
+                    hint = None;
+                  }));
           List.iter
-            (fun c ->
-              if Hashtbl.mem t.conns c.key && List.mem c.fd writable then
-                try flush_conn t c with Nonblock.Closed -> close_conn t c)
+            (fun c -> if List.mem c.fd writable then mark_dirty t c)
             !writes;
+          flush_dirty t;
           loop ()
     end
   in
@@ -595,33 +694,43 @@ let reactor_loop t =
      remain. *)
   Mutex.lock t.completions_mutex;
   Queue.clear t.completions;
-  Mutex.unlock t.completions_mutex
+  Mutex.unlock t.completions_mutex;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
 
 (* --- Workers ------------------------------------------------------------- *)
 
 (* The wake byte is written under the mutex that [stop] holds while it
-   closes the pipe, so a late reply is dropped, never written to a
+   closes the pipe, so a late closure is dropped, never announced on a
    closed (or reused) descriptor. *)
-let complete t ~conn_key bytes =
+let post t f =
   Mutex.lock t.completions_mutex;
   if t.wake_open then begin
-    Queue.push (conn_key, bytes) t.completions;
+    Queue.push f t.completions;
     Nonblock.wake t.wake_w
   end;
   Mutex.unlock t.completions_mutex
 
+(* Posted by a lane: hand reply bytes to their connection, unless it
+   died first. *)
+let deliver t ~conn_key bytes () =
+  match Hashtbl.find_opt t.conns conn_key with
+  | None -> ()
+  | Some conn ->
+      conn.outstanding <- conn.outstanding - 1;
+      push t conn bytes
+
 (* The handler answers through [reply], on this lane or later on
-   another thread (a replica answers a write once it commits); only the
-   first answer counts. *)
+   another thread; only the first answer counts. *)
 let process t (job : job) =
   let now = Unix.gettimeofday () in
   Obs.Metrics.observe m_queue_wait (now -. job.enqueued_at);
   if now -. job.enqueued_at > t.config.deadline_seconds then begin
     count_error t Wire.Deadline_exceeded;
-    complete t ~conn_key:job.conn_key
-      (render_error ~id:(Some job.id) Wire.Deadline_exceeded
-         (Printf.sprintf "queued longer than the %gs deadline"
-            t.config.deadline_seconds))
+    post t
+      (deliver t ~conn_key:job.conn_key
+         (render_error ~id:(Some job.id) Wire.Deadline_exceeded
+            (Printf.sprintf "queued longer than the %gs deadline"
+               t.config.deadline_seconds)))
   end
   else begin
     let span = Obs.Span.start m_handle in
@@ -629,18 +738,9 @@ let process t (job : job) =
     t.config.handler job.query ~reply:(fun result ->
         if Atomic.compare_and_set answered false true then begin
           Obs.Span.stop span;
-          match result with
-          | Ok json ->
-              let rendered = Obs.Json.to_string json in
-              if Wire.cacheable job.query then
-                Cache.add t.cache (Wire.canonical_key job.query) rendered;
-              Obs.Metrics.incr m_ok;
-              Atomic.incr t.n_ok;
-              complete t ~conn_key:job.conn_key (render_ok ~id:job.id rendered)
-          | Error { code; msg; hint } ->
-              count_error t code;
-              complete t ~conn_key:job.conn_key
-                (render_error ?hint ~id:(Some job.id) code msg)
+          post t
+            (deliver t ~conn_key:job.conn_key
+               (render_result t ~id:job.id job.query result))
         end)
   end
 
@@ -669,7 +769,7 @@ let listen_unix path =
   Unix.listen fd 64;
   fd
 
-let start config =
+let start ?plane config =
   let config =
     {
       config with
@@ -692,6 +792,7 @@ let start config =
   let t =
     {
       config;
+      plane;
       listeners;
       queue =
         {
@@ -710,6 +811,7 @@ let start config =
       reactor_thread = None;
       worker_host = None;
       conns = Hashtbl.create 64;
+      to_flush = [];
       raw = Hashtbl.create 1024;
       next_conn = 0;
       n_conns = Atomic.make 0;
@@ -757,8 +859,8 @@ let stop t =
     close_queue t.queue;
     Option.iter Thread.join t.worker_host;
     (* 2. Finish phase: every completion is in the queue; the reactor
-       delivers them, flushes every connection (bounded), closes all
-       sockets and exits. *)
+       delivers them, stops the plane, flushes every connection
+       (bounded), closes all sockets and exits. *)
     Atomic.set t.finishing true;
     Nonblock.wake t.wake_w;
     Option.iter Thread.join t.reactor_thread;

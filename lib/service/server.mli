@@ -1,5 +1,6 @@
 (** The long-running reliability-query server: a single-threaded
-    [select] reactor in front of domain worker lanes.
+    [select] reactor in front of domain worker lanes, optionally
+    hosting one more I/O {e plane} on its loop.
 
     Architecture (one box per module):
 
@@ -7,6 +8,7 @@
       reactor thread (select loop, owns every socket)
         ├─ accepts, reads, decodes wire/3 frames
         ├─ inline answers: errors, ping, stats, cache hits
+        ├─ plane queries and the plane's step (a replica's Raft)
         └─ cache misses ── bounded queue ── worker lanes
                                 (Parallel.Pool domains) ── Router
                                     └─ completions ── wakeup pipe ──▶ reactor
@@ -19,7 +21,9 @@
       violation is answered [parse_error] and closes the connection.
       There are {e no reader
       threads} — a thousand idle connections cost a thousand fds, not
-      a thousand stacks.
+      a thousand stacks. Every reply queued during an iteration is
+      written at the end of that iteration, so none waits for another
+      [select].
     - {b Inline fast path}: parse errors, [ping], [stats] and reply
       cache hits are answered directly on the reactor thread. Only
       cache misses — actual analyses — are dispatched to the worker
@@ -27,6 +31,11 @@
       Replies are written from preassembled cached bytes (see
       {!Cache.rendered}) and small replies are coalesced so one
       syscall can carry many pipelined responses.
+    - {b Plane}: {!start} may host a {!plane} — a replica's Raft — on
+      the same loop. Its sockets join every [select], its timeout
+      bounds the wait, its step runs after each [select], and the
+      queries it owns are answered on the loop thread, never queued
+      for a lane.
     - {b Pipelining}: a connection may keep up to [max_pipeline]
       requests outstanding; workers complete out of order and clients
       match replies by id. Past the cap — or past a bounded
@@ -45,19 +54,18 @@
     - {b Workers}: [workers] lanes hosted on one {!Parallel.Pool.map}
       call, so each lane is a real domain while nested analysis
       parallelism degrades to sequential per lane. A lane runs the
-      {!handler}, which answers through a [reply] callback — at once,
-      or later from another thread, so a replicated write does not
-      hold a lane until it commits. The reply renders the bytes and
-      pushes them to the reactor through a mutex-protected queue plus
-      a wakeup pipe ({!Nonblock.wake}); lanes never touch sockets.
+      {!handler}, which answers through a [reply] callback. The reply
+      renders the bytes and {!post}s their delivery to the reactor
+      through a mutex-protected queue of closures plus a wakeup pipe
+      ({!Nonblock.wake}); lanes never touch sockets.
     - {b Cache}: replies for cacheable queries are memoized by
       canonical key ({!Cache}); identical requests get byte-identical
       responses whether computed or replayed.
     - {b Shutdown}: {!stop} (or SIGINT/SIGTERM under {!run}) closes
       listeners, drains queued work through the lanes, answers fresh
-      requests [shutting_down], then flushes every connection's
-      pending replies (bounded) and closes them — a graceful drain. A
-      reply that arrives after {!stop} is dropped.
+      requests [shutting_down], stops the plane, then flushes every
+      connection's pending replies (bounded) and closes them — a
+      graceful drain. A reply that arrives after {!stop} is dropped.
 
     Everything is instrumented under the ["service"] metrics family,
     including the reactor itself: loop iterations, a ready-fd
@@ -106,9 +114,8 @@ type config = {
           replies drain — backpressure, not an error. *)
   handler : handler;
       (** Worker dispatch ({!router_handler} by default). The replica
-          runtime ({!Replica.Node}) substitutes a handler that
-          sequences state-mutating queries through the Raft log and
-          answers replica-plane queries; everything else should
+          runtime ({!Replica.Node}) substitutes a handler that warms
+          follower caches through its Raft log; everything else should
           delegate to {!router_handler}. *)
 }
 
@@ -118,9 +125,36 @@ val default_config : config
     entries, 5 s deadline, 300 s idle timeout, 1024 connections,
     pipeline depth 128. *)
 
+type plane = {
+  fds : unit -> Unix.file_descr list * Unix.file_descr list;
+      (** The sockets to add to the next [select]: read set, write set. *)
+  timeout : unit -> float;
+      (** Seconds until the plane's next deadline, [0.] when one is
+          due, negative for none. The loop waits no longer. *)
+  step : readable:Unix.file_descr list -> unit;
+      (** Runs after every [select], with what it reported readable,
+          after client requests are read. *)
+  owns : Wire.query -> bool;
+      (** The queries {!field-handle} answers on the loop thread. *)
+  handle : handler;
+      (** Runs on the loop thread and must call [reply] only there, at
+          once or from a later {!field-step} or {!field-stop}. The
+          reply goes straight onto its connection. *)
+  stop : reply_error -> unit;
+      (** Runs once on the loop thread, before connections close:
+          answer every query still held with the error. Nothing of the
+          plane runs afterwards. *)
+}
+(** A second I/O plane hosted on the reactor's loop thread — a
+    replica's Raft and its sockets. During {!stop}'s drain the loop
+    answers owned queries [shutting_down]. A step that raises stops
+    the plane with an [internal] error, then the loop closes its
+    listeners, flushes and closes every connection and exits,
+    re-raising. *)
+
 type t
 
-val start : config -> t
+val start : ?plane:plane -> config -> t
 (** Bind listeners, spawn the reactor thread and worker lanes, and
     return immediately. Raises [Invalid_argument] when no listener is
     configured; [Unix.Unix_error] when binding fails. *)
@@ -128,6 +162,10 @@ val start : config -> t
 val stop : t -> unit
 (** Graceful drain as described above. Idempotent; blocks until the
     reactor thread and every worker domain has joined. *)
+
+val post : t -> (unit -> unit) -> unit
+(** Run a closure on the loop thread at its next iteration, from any
+    thread. Dropped once {!stop} has finished. *)
 
 val connection_count : t -> int
 (** Live connections in the reactor's connection table. The chaos

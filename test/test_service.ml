@@ -617,6 +617,87 @@ let test_e2e_deadline () =
                   Alcotest.failf "expected deadline_exceeded, got %s (%s)"
                     (Wire.code_string c) msg)))
 
+(* A lane's reply leaves in the iteration that queues it: an uncached
+   request costs one reactor iteration to read and dispatch, and one to
+   take the completion and write the reply. *)
+let test_lane_reply_iterations () =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let server = Server.start { (base_config socket) with Server.workers = 1 } in
+      Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+      let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let iterations () =
+        match Client.call c ~id:0 Wire.Stats with
+        | Ok stats -> (
+            match
+              Option.bind (json_field "reactor" stats)
+                (json_field "loop_iterations")
+            with
+            | Some (Obs.Json.Int n) -> n
+            | _ -> Alcotest.fail "stats payload lacks reactor.loop_iterations")
+        | Error (c, msg) ->
+            Alcotest.failf "stats failed: %s (%s)" (Wire.code_string c) msg
+      in
+      let queries = 200 in
+      let before = iterations () in
+      for i = 1 to queries do
+        match
+          Client.call c ~id:i
+            (Wire.Availability
+               {
+                 system = Wire.Majority 5;
+                 probs = Wire.Uniform (float_of_int i *. 1e-4);
+               })
+        with
+        | Ok _ -> ()
+        | Error (c, msg) ->
+            Alcotest.failf "query %d failed: %s (%s)" i (Wire.code_string c) msg
+      done;
+      (* The closing stats request takes one iteration of its own. *)
+      let per_request =
+        float_of_int (iterations () - before - 1) /. float_of_int queries
+      in
+      if per_request > 2. then
+        Alcotest.failf "a lane-answered request cost %.2f reactor iterations (limit 2)"
+          per_request)
+
+(* A plane whose step raises answers the query it holds [internal],
+   and the server then closes its listener and connections rather than
+   leave clients waiting on sockets no thread serves. *)
+let test_plane_failure () =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let held = ref None in
+      let plane =
+        {
+          Server.fds = (fun () -> ([], []));
+          timeout = (fun () -> -1.);
+          step =
+            (fun ~readable:_ -> if Option.is_some !held then failwith "disk gone");
+          owns = (fun q -> q = Wire.Replica_status);
+          handle = (fun _ ~reply -> held := Some reply);
+          stop = (fun err -> Option.iter (fun reply -> reply (Error err)) !held);
+        }
+      in
+      let server = Server.start ~plane (base_config socket) in
+      Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+      let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      (match Client.call c ~id:1 Wire.Replica_status with
+      | Error (Wire.Internal, _) -> ()
+      | Error (code, msg) ->
+          Alcotest.failf "expected internal, got %s (%s)" (Wire.code_string code) msg
+      | Ok _ -> Alcotest.fail "a held query was answered ok");
+      Alcotest.(check bool)
+        "the connection is closed" true
+        (Client.recv_line_timeout c ~timeout:5. = None);
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX socket) with
+      | () -> Alcotest.fail "the listener still accepts"
+      | exception Unix.Unix_error _ -> ())
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -641,4 +722,8 @@ let suite =
     Alcotest.test_case "e2e overload" `Quick test_e2e_overload;
     Alcotest.test_case "e2e pipelining" `Quick test_e2e_pipelining;
     Alcotest.test_case "e2e deadline" `Quick test_e2e_deadline;
+    Alcotest.test_case "a lane reply leaves in its own iteration" `Quick
+      test_lane_reply_iterations;
+    Alcotest.test_case "a failed plane closes the server" `Quick
+      test_plane_failure;
   ]
