@@ -1,10 +1,12 @@
 type kill = { node : int; at : float; back_at : float option }
+type partition = { isolated : int; from : float; until : float }
 
 type t = {
   n : int;
   cluster_seed : int;
   drop_probability : float;
   kills : kill list;
+  partition : partition option;
   ops : int list;
   horizon : float;
 }
@@ -25,6 +27,10 @@ let max_horizon = 1e6
 let failover_bound = 8000.
 let probe_every = 100.
 
+(* The workload offers op [i] at [submit_start + i * submit_every]. *)
+let submit_start = 500.
+let submit_every = 100.
+
 (* --- Execution --------------------------------------------------------- *)
 
 let injector_plan t =
@@ -36,8 +42,9 @@ let injector_plan t =
           (k.node, Dessim.Fault_injector.Crash_restart { at = k.at; back_at }))
     t.kills
 
-(* Is [node] up at [time] under the kill schedule? Restarts count as up
-   the moment they fire — a rebooted replica can vote immediately. *)
+(* Is [node] up at [time] under the kill schedule, and not cut off by
+   the partition? Restarts count as up the moment they fire — a
+   rebooted replica can vote immediately. *)
 let up_at t node time =
   List.for_all
     (fun k ->
@@ -47,6 +54,10 @@ let up_at t node time =
       | None -> time < k.at
       | Some back -> time < k.at || time >= back)
     t.kills
+  &&
+  match t.partition with
+  | Some p when p.isolated = node -> time < p.from || time >= p.until
+  | _ -> true
 
 let rec is_prefix shorter longer =
   match (shorter, longer) with
@@ -65,8 +76,14 @@ let run t =
       ~drop_probability:t.drop_probability ~n:t.n ()
   in
   Raft_sim.Raft_cluster.inject cluster (injector_plan t);
-  Raft_sim.Raft_cluster.submit_workload cluster ~commands:t.ops ~start:500.
-    ~interval:100.;
+  Option.iter
+    (fun p ->
+      Raft_sim.Raft_cluster.partition_at cluster ~time:p.from [ p.isolated ]
+        (List.filter (fun i -> i <> p.isolated) (List.init t.n Fun.id));
+      Raft_sim.Raft_cluster.heal_at cluster ~time:p.until)
+    t.partition;
+  Raft_sim.Raft_cluster.submit_workload cluster ~commands:t.ops
+    ~start:submit_start ~interval:submit_every;
   (* Stepped run: advance the simulator probe by probe, checking
      invariants against the committed state at every probe instead of
      only at the end. *)
@@ -74,7 +91,35 @@ let run t =
   let leaderless_since = ref None in
   let worst_stretch = ref 0. in
   let committed i = Raft_sim.Raft_cluster.committed cluster i in
+  let node i = Raft_sim.Raft_cluster.node cluster i in
+  (* Read-index linearizability: at every probe each node that believes
+     it leads starts a read; a read it confirms must cover the highest
+     commit index any replica had when the read began. The callbacks
+     run inside the simulator, so the first violation waits here for
+     the next probe. *)
+  let stale_read = ref None in
+  let start_reads now =
+    let highest =
+      List.fold_left
+        (fun acc i -> max acc (Raft_sim.Raft_node.commit_index (node i)))
+        0 (List.init t.n Fun.id)
+    in
+    for i = 0 to t.n - 1 do
+      if Raft_sim.Raft_node.is_leader (node i) then
+        ignore
+          (Raft_sim.Raft_node.read_index (node i) (function
+            | Some index when index < highest && !stale_read = None ->
+                stale_read :=
+                  Some
+                    (fail "read_index_linearizable"
+                       "node %d confirmed a read issued at t=%.0f at index %d, \
+                        but index %d was committed then"
+                       i now index highest)
+            | _ -> ()))
+    done
+  in
   let check_probe now =
+    Option.iter (fun outcome -> raise (Violated outcome)) !stale_read;
     (* Committed-prefix agreement: any two applied sequences must be
        prefix-comparable at every probe. *)
     for i = 0 to t.n - 1 do
@@ -97,7 +142,9 @@ let run t =
        past the bound. *)
     let up = List.length (List.filter (fun i -> up_at t i now) (List.init t.n Fun.id)) in
     let quorum_up = up >= (t.n / 2) + 1 in
-    let has_leader = Raft_sim.Raft_cluster.leader_ids cluster <> [] in
+    let has_leader =
+      List.exists (fun i -> up_at t i now) (Raft_sim.Raft_cluster.leader_ids cluster)
+    in
     if quorum_up && not has_leader then begin
       (match !leaderless_since with
       | None -> leaderless_since := Some now
@@ -119,6 +166,7 @@ let run t =
     while !time <= t.horizon do
       Raft_sim.Raft_cluster.run cluster ~until:!time;
       check_probe !time;
+      start_reads !time;
       time := !time +. probe_every
     done;
     (* No acked write lost: everything any replica ever applied must
@@ -170,14 +218,32 @@ let generate rng =
         { node; at; back_at })
   in
   let ops = List.init (1 + Prob.Rng.int rng 8) (fun i -> i + 1) in
-  { n; cluster_seed; drop_probability; kills; ops; horizon }
+  (* About half the episodes cut one replica off for 1-4 s, starting
+     while the writes are still being submitted: a leader cut off that
+     way keeps believing it leads. *)
+  let partition =
+    if Prob.Rng.bool rng 0.5 then
+      let isolated = Prob.Rng.int rng n in
+      let from =
+        submit_start
+        +. (Prob.Rng.float rng *. submit_every *. float_of_int (List.length ops))
+      in
+      Some { isolated; from; until = from +. 1000. +. (Prob.Rng.float rng *. 3000.) }
+    else None
+  in
+  { n; cluster_seed; drop_probability; kills; partition; ops; horizon }
 
 (* --- Size and shrinking ------------------------------------------------- *)
 
+let partitions t = if t.partition = None then 0 else 1
+
 let size t =
   {
-    Harness.units = List.length t.kills + List.length t.ops;
-    weight = t.drop_probability +. List.fold_left (fun acc k -> acc +. k.at) 0. t.kills;
+    Harness.units = List.length t.kills + partitions t + List.length t.ops;
+    weight =
+      t.drop_probability
+      +. List.fold_left (fun acc k -> acc +. k.at) 0. t.kills
+      +. Option.fold ~none:0. ~some:(fun p -> p.until -. p.from) t.partition;
   }
 
 let candidates t =
@@ -197,10 +263,13 @@ let candidates t =
       [ { t with ops = List.filteri (fun i _ -> i < List.length t.ops - 1) t.ops } ]
     else []
   in
+  let drop_partition =
+    if t.partition = None then [] else [ { t with partition = None } ]
+  in
   let undrop =
     if t.drop_probability > 0. then [ { t with drop_probability = 0. } ] else []
   in
-  drop_kill @ halve_ops @ undrop @ drop_op
+  drop_kill @ drop_partition @ halve_ops @ undrop @ drop_op
 
 (* --- JSON codec --------------------------------------------------------- *)
 
@@ -208,12 +277,24 @@ let encode t =
   {
     Repro.scenario =
       Obs.Json.Obj
-        [
-          ("n", Obs.Json.Int t.n);
-          ("cluster_seed", Obs.Json.Int t.cluster_seed);
-          ("drop_probability", Obs.Json.number t.drop_probability);
-          ("horizon", Obs.Json.number t.horizon);
-        ];
+        ([
+           ("n", Obs.Json.Int t.n);
+           ("cluster_seed", Obs.Json.Int t.cluster_seed);
+           ("drop_probability", Obs.Json.number t.drop_probability);
+           ("horizon", Obs.Json.number t.horizon);
+         ]
+        @ Option.fold ~none:[]
+            ~some:(fun p ->
+              [
+                ( "partition",
+                  Obs.Json.Obj
+                    [
+                      ("node", Obs.Json.Int p.isolated);
+                      ("from", Obs.Json.number p.from);
+                      ("until", Obs.Json.number p.until);
+                    ] );
+              ])
+            t.partition);
     plan =
       Obs.Json.List
         (List.map
@@ -254,6 +335,22 @@ let decode { Repro.scenario; plan; ops } =
     | Some v when Float.is_finite v && v > 0. && v <= max_horizon -> Ok v
     | Some _ -> Error (Printf.sprintf "horizon must be in (0, %g]" max_horizon)
     | None -> Error "missing numeric horizon"
+  in
+  let* partition =
+    match Obs.Json.member "partition" scenario with
+    | None -> Ok None
+    | Some j -> (
+        let time name = Option.bind (Obs.Json.member name j) Obs.Json.to_float in
+        match (Obs.Json.member "node" j, time "from", time "until") with
+        | Some (Obs.Json.Int isolated), Some from, Some until
+          when isolated >= 0 && isolated < n && Float.is_finite from
+               && Float.is_finite until && from >= 0. && from <= until
+               && until <= horizon ->
+            Ok (Some { isolated; from; until })
+        | _ ->
+            Error
+              "partition must be {node in [0, n), from, until} with 0 <= from \
+               <= until <= horizon")
   in
   let* kill_list =
     match Obs.Json.to_list plan with
@@ -301,7 +398,7 @@ let decode { Repro.scenario; plan; ops } =
     | Some _ -> Error (Printf.sprintf "at most %d ops" max_ops)
     | None -> Error "ops must be a list"
   in
-  Ok { n; cluster_seed; drop_probability; kills; ops; horizon }
+  Ok { n; cluster_seed; drop_probability; kills; partition; ops; horizon }
 
 let system () =
   {
@@ -310,7 +407,7 @@ let system () =
     run;
     candidates;
     size;
-    faults = (fun t -> List.length t.kills);
+    faults = (fun t -> List.length t.kills + partitions t);
     ops = (fun t -> List.length t.ops);
     encode;
     decode;

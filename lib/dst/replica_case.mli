@@ -3,13 +3,20 @@
 
     Runs a {!Raft_sim.Raft_cluster} under generated kill/restart
     schedules (the in-sim analogue of the SIGKILL schedule
-    [Replica.Driver] executes against real processes) with a stepped
-    probe loop, asserting at every probe:
+    [Replica.Driver] executes against real processes), in about half
+    the episodes with one replica cut off for 1-4 s while writes are
+    still being submitted, and with a stepped probe loop. At every
+    probe each node that believes it leads starts a
+    {!Raft_sim.Raft_node.read_index} read, and the loop asserts:
 
     - {b committed_prefix_agreement}: any two replicas' applied
       command sequences are prefix-comparable;
     - {b failover_latency_bounded}: a schedule-up majority never sits
-      leaderless longer than the bound;
+      leaderless longer than the bound (a cut-off replica counts as
+      down, and so does a leader that is cut off);
+    - {b read_index_linearizable}: a confirmed read's index is at
+      least the highest commit index any replica had when the read
+      began;
 
     and at the end of the horizon:
 
@@ -18,11 +25,17 @@
 
 type kill = { node : int; at : float; back_at : float option }
 
+type partition = { isolated : int; from : float; until : float }
+(** [isolated] loses every link to the others from [from] until
+    [until] (sim milliseconds). *)
+
 type t = {
   n : int;  (** Replicas, in [3, 7]. *)
   cluster_seed : int;
   drop_probability : float;
   kills : kill list;
+  partition : partition option;
+      (** Carried in the scenario's JSON; counts as one fault. *)
   ops : int list;
   horizon : float;  (** Sim milliseconds. *)
 }

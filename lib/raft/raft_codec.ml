@@ -106,6 +106,22 @@ let msg_to_json = function
   | Timeout_now { term } ->
       Obs.Json.Obj
         [ ("type", Obs.Json.String "timeout_now"); ("term", Obs.Json.Int term) ]
+  | Read_probe { term; leader_id; round } ->
+      Obs.Json.Obj
+        [
+          ("type", Obs.Json.String "read_probe");
+          ("term", Obs.Json.Int term);
+          ("leader_id", Obs.Json.Int leader_id);
+          ("round", Obs.Json.Int round);
+        ]
+  | Read_probe_reply { term; follower_id; round } ->
+      Obs.Json.Obj
+        [
+          ("type", Obs.Json.String "read_probe_reply");
+          ("term", Obs.Json.Int term);
+          ("follower_id", Obs.Json.Int follower_id);
+          ("round", Obs.Json.Int round);
+        ]
 
 let msg_of_json doc =
   match Option.bind (Obs.Json.member "type" doc) Obs.Json.to_string_opt with
@@ -143,5 +159,15 @@ let msg_of_json doc =
   | Some "timeout_now" ->
       let* term = int_of "term" doc in
       Ok (Timeout_now { term })
+  | Some "read_probe" ->
+      let* term = int_of "term" doc in
+      let* leader_id = int_of "leader_id" doc in
+      let* round = int_of "round" doc in
+      Ok (Read_probe { term; leader_id; round })
+  | Some "read_probe_reply" ->
+      let* term = int_of "term" doc in
+      let* follower_id = int_of "follower_id" doc in
+      let* round = int_of "round" doc in
+      Ok (Read_probe_reply { term; follower_id; round })
   | Some other -> Error (Printf.sprintf "unknown raft message type %S" other)
   | None -> Error "raft message missing type"

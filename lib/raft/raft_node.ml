@@ -57,6 +57,11 @@ type t = {
   mutable down : bool;
   mutable apply_hook : (entry -> unit) option;
   mutable leader_hint : int option;
+  mutable read_round : int;
+  read_acked : int array;
+      (** Highest read-probe round each peer has echoed in this term. *)
+  pending_reads : (int * int * (int option -> unit)) Queue.t;
+      (** [(round, read index, callback)], in round order. *)
 }
 
 let id t = t.config.id
@@ -195,6 +200,7 @@ and become_leader t =
   Array.fill t.next_index 0 t.config.n (last_log_index t + 1);
   Array.fill t.match_index 0 t.config.n 0;
   t.match_index.(t.config.id) <- last_log_index t;
+  Array.fill t.read_acked 0 t.config.n 0;
   maybe_advance_commit t;
   send_heartbeats t;
   schedule_heartbeat t
@@ -252,6 +258,37 @@ and maybe_advance_commit t =
     apply_committed t
   end
 
+(* Read-index (Raft dissertation, §6.4). A read registered at round
+   [r] is released with the commit index it saw once the leader and the
+   members that echoed round [r] or a later one make a replication
+   quorum: every echo left its member after the read arrived, so no
+   other leader had been elected by then. Rounds grow in registration
+   order, so the released reads are always a prefix of the queue. *)
+let release_reads t =
+  let confirmed round =
+    1
+    + List.length
+        (List.filter
+           (fun m -> m <> t.config.id && t.read_acked.(m) >= round)
+           t.members)
+    >= quorum_replicate t
+  in
+  let rec go () =
+    match Queue.peek_opt t.pending_reads with
+    | Some (round, index, k) when confirmed round ->
+        ignore (Queue.pop t.pending_reads);
+        k (Some index);
+        go ()
+    | _ -> ()
+  in
+  go ()
+
+(* A deposed or crashed leader can confirm nothing it has pending. *)
+let fail_reads t =
+  let pending = List.of_seq (Queue.to_seq t.pending_reads) in
+  Queue.clear t.pending_reads;
+  List.iter (fun (_, _, k) -> k None) pending
+
 let step_down t new_term =
   if new_term > t.term then begin
     t.term <- new_term;
@@ -263,7 +300,8 @@ let step_down t new_term =
   end;
   t.role <- Follower;
   cancel_heartbeat_timer t;
-  reset_election_timer t
+  reset_election_timer t;
+  fail_reads t
 
 let candidate_log_up_to_date t ~last_log_index:cand_index ~last_log_term:cand_term =
   cand_term > last_log_term t
@@ -360,6 +398,27 @@ let handle_append_entries_reply t ~term ~follower_id ~success ~match_index =
     end
   end
 
+(* A probe from a current or newer term is a heartbeat; every probe is
+   echoed with this node's term, so a stale leader learns it was
+   deposed. *)
+let handle_read_probe t ~term ~leader_id ~round =
+  if term >= t.term then begin
+    if term > t.term || t.role <> Follower then step_down t term
+    else reset_election_timer t;
+    t.leader_hint <- Some leader_id
+  end;
+  Dessim.Network.send t.net ~src:t.config.id ~dst:leader_id
+    (Read_probe_reply { term = t.term; follower_id = t.config.id; round })
+
+let handle_read_probe_reply t ~term ~follower_id ~round =
+  if term > t.term then step_down t term
+  else if
+    t.role = Leader && term = t.term && follower_id >= 0 && follower_id < t.config.n
+  then begin
+    if round > t.read_acked.(follower_id) then t.read_acked.(follower_id) <- round;
+    release_reads t
+  end
+
 let handle_timeout_now t ~term =
   (* Campaign immediately, skipping the randomized wait. *)
   if term >= t.term && t.role <> Leader && is_member t then start_election t
@@ -378,6 +437,10 @@ let handle_message t ~src:_ msg =
     | Append_entries_reply { term; follower_id; success; match_index } ->
         handle_append_entries_reply t ~term ~follower_id ~success ~match_index
     | Timeout_now { term } -> handle_timeout_now t ~term
+    | Read_probe { term; leader_id; round } ->
+        handle_read_probe t ~term ~leader_id ~round
+    | Read_probe_reply { term; follower_id; round } ->
+        handle_read_probe_reply t ~term ~follower_id ~round
   end
 
 let append_as_leader t command =
@@ -393,6 +456,22 @@ let submit t command =
   else begin
     let entry = append_as_leader t (Data command) in
     record t "propose" "index=%d cmd=%d" entry.index command;
+    true
+  end
+
+let read_index t k =
+  if not (is_leader t) || entry_term t t.commit_index <> t.term then false
+  else begin
+    t.read_round <- t.read_round + 1;
+    let round = t.read_round in
+    Queue.push (round, t.commit_index, k) t.pending_reads;
+    List.iter
+      (fun peer ->
+        if peer <> t.config.id then
+          Dessim.Network.send t.net ~src:t.config.id ~dst:peer
+            (Read_probe { term = t.term; leader_id = t.config.id; round }))
+      t.members;
+    release_reads t;
     true
   end
 
@@ -456,6 +535,7 @@ let set_down t down =
     Dessim.Network.set_down t.net t.config.id true;
     cancel_election_timer t;
     cancel_heartbeat_timer t;
+    fail_reads t;
     record t "crash" ""
   end
   else if (not down) && t.down then begin
@@ -506,6 +586,9 @@ let create ?trace config ~engine ~net =
       down = false;
       apply_hook = None;
       leader_hint = None;
+      read_round = 0;
+      read_acked = Array.make config.n 0;
+      pending_reads = Queue.create ();
     }
   in
   Dessim.Network.set_handler net config.id (fun ~src msg -> handle_message t ~src msg);

@@ -64,6 +64,20 @@ val submit : t -> int -> bool
 (** Offer a client command; accepted (and replicated) only if this node
     currently believes it is the leader. *)
 
+val read_index : t -> (int option -> unit) -> bool
+(** Linearizable read without a log entry (read-index, Raft
+    dissertation §6.4). Returns [false], registering nothing, unless
+    this node leads and an entry of its current term has committed
+    (then its commit index covers every write acknowledged before the
+    call). Otherwise it probes every other member with a fresh round
+    and calls the callback once: [Some index] — the commit index at
+    the call — when the members that echoed that round or a later one,
+    plus the leader, reach the replication quorum ({e inside} this
+    call when the leader alone is a quorum); [None] when the node
+    steps down or crashes first. The leader applies synchronously on
+    commit, so its state machine is at or beyond [index] by then. The
+    callback must not call back into the node. *)
+
 val transfer_leadership : t -> int -> bool
 (** Raft leadership transfer: ask a caught-up member to campaign
     immediately. Returns [false] unless this node is the leader, the

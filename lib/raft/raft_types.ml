@@ -25,6 +25,8 @@ type msg =
       match_index : int;
     }
   | Timeout_now of { term : int }
+  | Read_probe of { term : int; leader_id : int; round : int }
+  | Read_probe_reply of { term : int; follower_id : int; round : int }
 
 let pp_command fmt = function
   | Data c -> Format.fprintf fmt "data(%d)" c
@@ -43,3 +45,8 @@ let pp_msg fmt = function
   | Append_entries_reply { term; follower_id; success; _ } ->
       Format.fprintf fmt "AppendReply(t=%d, from=%d, %b)" term follower_id success
   | Timeout_now { term } -> Format.fprintf fmt "TimeoutNow(t=%d)" term
+  | Read_probe { term; leader_id; round } ->
+      Format.fprintf fmt "ReadProbe(t=%d, leader=%d, round=%d)" term leader_id round
+  | Read_probe_reply { term; follower_id; round } ->
+      Format.fprintf fmt "ReadProbeReply(t=%d, from=%d, round=%d)" term follower_id
+        round

@@ -42,6 +42,14 @@ type msg =
       (** Leadership transfer (Raft §3.10): the leader tells a caught-up
           follower to start an election immediately, without waiting for
           its randomized timeout. *)
+  | Read_probe of { term : int; leader_id : int; round : int }
+      (** Read-index confirmation (Raft dissertation §6.4): the leader
+          asks every member to echo [round], so that a quorum's echoes
+          prove nobody had deposed it when the round began. A follower
+          treats it like a heartbeat. *)
+  | Read_probe_reply of { term : int; follower_id : int; round : int }
+      (** The echo, carrying the follower's term: a newer term deposes
+          a stale leader. *)
 
 val pp_msg : Format.formatter -> msg -> unit
 val pp_command : Format.formatter -> command -> unit

@@ -29,9 +29,10 @@ type op =
           followers can answer the same query without recomputing. *)
   | Barrier
       (** A no-op sequenced through the log — the read barrier behind
-          linearizable gets: once the barrier commits, the leader's
-          applied state is at least as fresh as every write
-          acknowledged before the read began. *)
+          a linearizable get on a leader that has not yet committed an
+          entry of its term, so cannot serve it by read-index: once the
+          barrier commits, the leader's applied state is at least as
+          fresh as every write acknowledged before the read began. *)
 
 val to_json : op -> Obs.Json.t
 (** Canonical: fixed field order, [nonce] omitted when 0. *)

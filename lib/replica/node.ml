@@ -43,9 +43,10 @@ let link_plan plan ~src ~dst =
 
 type outcome = (Obs.Json.t, Server.reply_error) result
 
-(* One write awaiting its commit. Only the loop thread answers it: on
-   apply, when the leader is deposed, past its deadline, or when the
-   plane stops. *)
+(* One write awaiting its commit, or one linearizable read awaiting its
+   read-index confirmation. Only the loop thread answers it: on apply
+   or confirmation, when the leader is deposed, past its deadline, or
+   when the plane stops. *)
 type waiter = { deadline : float; reply : outcome -> unit }
 
 type status = {
@@ -66,7 +67,9 @@ type t = {
   raft : Raft_node.t;
   state : State.t;
   payloads : (int, string) Hashtbl.t;
-  waiters : (int, waiter) Hashtbl.t;
+  waiters : (int, waiter) Hashtbl.t;  (* writes, by sequence number *)
+  reads : (int, waiter) Hashtbl.t;  (* linearizable reads, by read id *)
+  mutable next_read : int;
   mutable closed : Server.reply_error option;
       (* Set once the plane has stopped: later submits get it at once. *)
   mutable answers : (waiter * outcome) list;
@@ -194,6 +197,8 @@ let handle_submit t op waiter =
             Hashtbl.remove t.waiters seq;
             Option.iter (fun w -> answer t w (not_leader_error t)) waiter))
 
+(* Pending reads need no such sweep: [Raft_node.step_down] fails them
+   through their callbacks. *)
 let fail_waiters_if_deposed t =
   if not (Raft_node.is_leader t.raft) && Hashtbl.length t.waiters > 0 then (
     let err = not_leader_error t in
@@ -201,19 +206,17 @@ let fail_waiters_if_deposed t =
     Hashtbl.reset t.waiters)
 
 let expire_waiters t ~now =
-  Hashtbl.filter_map_inplace
-    (fun _ w ->
-      if now < w.deadline then Some w
-      else (
-        answer t w
-          (Error
-             {
-               Server.code = Wire.Deadline_exceeded;
-               msg = "commit timed out";
-               hint = None;
-             });
-        None))
-    t.waiters
+  List.iter
+    (fun (table, msg) ->
+      Hashtbl.filter_map_inplace
+        (fun _ w ->
+          if now < w.deadline then Some w
+          else (
+            answer t w
+              (Error { Server.code = Wire.Deadline_exceeded; msg; hint = None });
+            None))
+        table)
+    [ (t.waiters, "commit timed out"); (t.reads, "read not confirmed in time") ]
 
 let payload_of t (entry : Raft_types.entry) =
   match entry.command with
@@ -344,7 +347,10 @@ let timeout t =
     | None -> Float.infinity
   in
   let due =
-    Hashtbl.fold (fun _ w acc -> Float.min acc w.deadline) t.waiters timer
+    List.fold_left
+      (fun acc table ->
+        Hashtbl.fold (fun _ w acc -> Float.min acc w.deadline) table acc)
+      timer [ t.waiters; t.reads ]
   in
   if Float.is_finite due then Float.max 0. (due -. Unix.gettimeofday ())
   else -1.
@@ -356,13 +362,16 @@ let close_plane t err =
   t.closed <- Some err;
   List.iter (fun (w, _) -> w.reply (Error err)) (List.rev t.answers);
   t.answers <- [];
-  Hashtbl.iter (fun _ w -> w.reply (Error err)) t.waiters;
-  Hashtbl.reset t.waiters
+  List.iter
+    (fun table ->
+      Hashtbl.iter (fun _ w -> w.reply (Error err)) table;
+      Hashtbl.reset table)
+    [ t.waiters; t.reads ]
 
-let submit t op ~reply =
-  handle_submit t op
-    (Some
-       { deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds; reply })
+let waiter t reply =
+  { deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds; reply }
+
+let submit t op ~reply = handle_submit t op (Some (waiter t reply))
 
 let staleness_ms s =
   Float.max 0. ((Unix.gettimeofday () -. s.s_last_contact) *. 1000.)
@@ -427,9 +436,38 @@ let plain_get t name =
     not_leader_error t ~msg:"replica too stale for reads"
   else read_reply t name ~staleness
 
-(* The replica-plane queries, answered on the loop thread: writes and
-   linearizable reads go onto the log at once, the rest answer at
-   once. *)
+(* A linearizable get is a read-index read (Raft_node.read_index): no
+   log entry and no fsync. The waiter is registered before the call,
+   since a lone replica confirms the read inside it; the answer is held
+   to the end of the cycle like a write's. A leader that has not yet
+   committed an entry of its term sequences a [Barrier] instead, and
+   answers once that applies. *)
+let linearizable_get t name ~reply =
+  match t.closed with
+  | Some err -> reply (Error err)
+  | None ->
+      let rid = t.next_read in
+      t.next_read <- rid + 1;
+      Hashtbl.replace t.reads rid (waiter t reply);
+      let released result =
+        match Hashtbl.find_opt t.reads rid with
+        | None -> () (* already answered: expired, or failed with the leader *)
+        | Some w ->
+            Hashtbl.remove t.reads rid;
+            answer t w
+              (match result with
+              | Some _ -> read_reply t name ~staleness:0.
+              | None -> not_leader_error t)
+      in
+      if not (Raft_node.read_index t.raft released) then (
+        Hashtbl.remove t.reads rid;
+        submit t Command.Barrier ~reply:(function
+          | Error e -> reply (Error e)
+          | Ok _ -> reply (read_reply t name ~staleness:0.)))
+
+(* The replica-plane queries, answered on the loop thread: writes go
+   onto the log and linearizable reads start their confirmation at
+   once, the rest answer at once. *)
 let owns = function
   | Wire.Replica_status | Wire.Scenario_put _ | Wire.Scenario_get _ -> true
   | _ -> false
@@ -441,9 +479,7 @@ let handle_query t (query : Wire.query) ~reply =
       submit t (Command.Put_scenario { name; scenario; nonce }) ~reply
   | Wire.Scenario_get { name; linearizable = false } -> reply (plain_get t name)
   | Wire.Scenario_get { name; linearizable = true } ->
-      submit t Command.Barrier ~reply:(function
-        | Error e -> reply (Error e)
-        | Ok _ -> reply (read_reply t name ~staleness:0.))
+      linearizable_get t name ~reply
   | q -> Server.router_handler q ~reply
 
 (* The worker lanes' handler: deterministic computes, served from the
@@ -533,6 +569,8 @@ let start (cfg : config) =
       state = State.create ();
       payloads = Hashtbl.create 256;
       waiters = Hashtbl.create 16;
+      reads = Hashtbl.create 16;
+      next_read = 0;
       closed = None;
       answers = [];
       had_inbound = false;

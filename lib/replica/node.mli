@@ -12,8 +12,11 @@
     - plain [scenario_get] is served from local applied state when the
       replica has heard from a leader within the staleness budget,
       refused with [not_leader] otherwise; [linearizable] gets are
-      leader-only behind a {!Command.Barrier} sequenced through the
-      log.
+      leader-only read-index reads ({!Raft_sim.Raft_node.read_index}):
+      no log entry and no fsync, answered once a quorum has echoed a
+      probe sent after the read arrived. A leader that has not yet
+      committed an entry of its term sequences a {!Command.Barrier}
+      instead.
     - deterministic computes ([analyze], [fleet_ingest]) are served
       locally, with the leader replicating rendered payloads as
       {!Command.Warm} records so follower caches warm through the log.
@@ -26,23 +29,24 @@
     connections it accepted and the links holding queued bytes
     ({!Transport.fds}) to its [select], and sleeps no longer than the
     engine's next timer or the earliest commit deadline. After every
-    [select] it reads the client connections — a put or a
-    linearizable get goes onto the log at once — then accepts, reads
-    and decodes inbound envelopes (payload bytes land before their
-    messages) and runs a cycle: advance the engine to wall-clock
-    elapsed time, settle writes whose leader was deposed or whose
-    commit deadline passed, append what changed to the {!Storage}
-    segment (one fsync), {e then} call the held replies and write the
-    queued frames — so no acknowledgement leaves the process ahead of
-    the log bytes that justify it. A leader whose term and vote are
+    [select] it reads the client connections — a put goes onto the
+    log and a linearizable get sends its probes at once — then
+    accepts, reads and decodes inbound envelopes (payload bytes land
+    before their messages) and runs a cycle: advance the engine to
+    wall-clock elapsed time, settle the writes and reads whose leader
+    was deposed or whose deadline passed, append what changed to the
+    {!Storage} segment (one fsync), {e then} call the held replies and
+    write the queued frames — so no acknowledgement leaves the process
+    ahead of the log bytes that justify it. A leader whose term and vote are
     already durable, and whose log only grows, writes its frames
     before its own fsync instead: they acknowledge nothing, and the
     followers' fsyncs overlap its own.
 
     Replica-plane queries never enter the worker lanes' queue; the
     lanes keep the computes. A write holds the server's [reply]
-    callback until it applies, its leader is deposed, its deadline
-    passes, or the server stops. With a [state_dir], a SIGKILLed
+    callback until it applies, and a linearizable read until it is
+    confirmed, or until the leader is deposed, the deadline passes, or
+    the server stops. With a [state_dir], a SIGKILLed
     replica restarts from its segment and re-applies committed entries
     idempotently. A replica's Raft keeps no simulator trace. *)
 
@@ -68,7 +72,8 @@ type config = {
           leader's is the latest time by which it had heard from
           enough peers to make a majority with itself. *)
   commit_timeout_seconds : float;
-      (** How long a write waits for its commit before it is answered
+      (** How long a write waits for its commit, and a linearizable
+          read for its confirmation, before it is answered
           [deadline_exceeded] (safe to retry: apply is idempotent). *)
 }
 

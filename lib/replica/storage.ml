@@ -279,25 +279,55 @@ let read ~dir =
 
 let load ~dir = Result.map (Option.map fst) (read ~dir)
 
-type log = { fd : Unix.file_descr }
+(* The segment is preallocated: zero-filled in whole chunks ahead of
+   the last frame, so an append overwrites allocated bytes and its fsync
+   leaves the file size alone. To [load] the fill is a torn tail. *)
+let chunk_bytes = 256 * 1024
+let zeros = Bytes.make 65536 '\000'
+
+(* Between calls the file offset is [stop], where the next frame goes. *)
+type log = {
+  fd : Unix.file_descr;
+  mutable stop : int;  (* the end of the last frame *)
+  mutable allocated : int;  (* the file size, a whole number of chunks *)
+}
+
+(* Zero-fill the file from [log.allocated] through the first chunk
+   boundary at or past [until], sync, and seek back to [log.stop]. *)
+let extend log ~until =
+  let target = (until + chunk_bytes - 1) / chunk_bytes * chunk_bytes in
+  ignore (Unix.lseek log.fd log.allocated Unix.SEEK_SET);
+  while log.allocated < target do
+    let n = min (Bytes.length zeros) (target - log.allocated) in
+    log.allocated <- log.allocated + Unix.write log.fd zeros 0 n
+  done;
+  Unix.fsync log.fd;
+  ignore (Unix.lseek log.fd log.stop Unix.SEEK_SET)
 
 let open_log ~dir =
   let* found = read ~dir in
   if Option.is_none found then install ~dir [];
-  let fd = Unix.openfile (path ~dir) [ O_WRONLY; O_APPEND; O_CLOEXEC ] 0o644 in
-  (match found with
-  | Some (_, good) when (Unix.fstat fd).Unix.st_size > good ->
-      (* Cut the torn tail so new frames follow the last good one. *)
-      Unix.ftruncate fd good;
-      Unix.fsync fd
-  | _ -> ());
-  Ok ({ fd }, Option.map fst found)
+  let fd = Unix.openfile (path ~dir) [ O_WRONLY; O_CLOEXEC ] 0o644 in
+  let stop =
+    match found with
+    | Some (_, good) -> good
+    | None -> (Unix.fstat fd).Unix.st_size
+  in
+  (* Cut the torn tail, and any fill behind it, so new frames follow
+     the last good one; then preallocate past it. *)
+  Unix.ftruncate fd stop;
+  let log = { fd; stop; allocated = stop } in
+  extend log ~until:(stop + 1);
+  Ok (log, Option.map fst found)
 
 let append log records =
   if records <> [] then (
     let buf = Buffer.create 1024 in
     List.iter (add_record buf) records;
+    let stop = log.stop + Buffer.length buf in
+    if stop > log.allocated then extend log ~until:stop;
     write_all log.fd (Buffer.contents buf);
+    log.stop <- stop;
     Unix.fsync log.fd)
 
 let close log = try Unix.close log.fd with Unix.Unix_error _ -> ()

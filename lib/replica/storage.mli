@@ -8,7 +8,10 @@
       [{"schema":"probcons-replica-durable/2"}];
     - then one frame per {!record}: a little-endian u32 length, a
       little-endian u32 CRC-32 (the zlib polynomial) of the record
-      bytes, then the record as canonical JSON.
+      bytes, then the record as canonical JSON;
+    - then zeros: the writer preallocates the file in 256 KiB chunks,
+      so an append overwrites zeros and its fsync leaves the file size
+      alone. Loading reads the fill as a torn tail, as below.
 
     The {!Node} cycle appends what changed — the hard state,
     a [Truncate] where the log diverged, the new entries — in one write
@@ -50,6 +53,11 @@ type record =
   | Truncate of { from : int }
       (** Drops the entries at index [from] and beyond. *)
 
+val crc32 : string -> pos:int -> len:int -> int
+(** CRC-32 as zlib computes it (reflected polynomial 0xEDB88320) of
+    [len] bytes from [pos]: the frame checksum, shared with
+    {!Transport}'s envelopes. *)
+
 val path : dir:string -> string
 (** The segment file inside a replica's state directory. *)
 
@@ -67,13 +75,16 @@ type log
 (** A segment open for appending, by one writer at a time. *)
 
 val open_log : dir:string -> (log * snapshot option, string) result
-(** {!load}, then open the segment for appending. A torn tail is cut
-    back to the last good frame and synced; a missing segment is
-    created holding only its header, and the directory synced. *)
+(** {!load}, then open the segment for appending. A missing segment is
+    created holding only its header, and the directory synced. A torn
+    tail, fill included, is cut back to the last good frame; then the
+    file is zero-filled to the next 256 KiB boundary and synced. *)
 
 val append : log -> record list -> unit
-(** Append the records with one write and one fsync; nothing for
-    [[]]. Raises [Unix.Unix_error] on I/O failure and
+(** Write the records after the last frame with one write and one
+    fsync; nothing for [[]]. A batch that would cross the file's end
+    first extends it by whole 256 KiB chunks of zeros (a write and an
+    fsync). Raises [Unix.Unix_error] on I/O failure and
     [Invalid_argument] for a record over 16 MiB. *)
 
 val close : log -> unit

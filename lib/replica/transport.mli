@@ -1,13 +1,18 @@
 (** The inter-replica TCP plane.
 
-    Raft messages travel as JSON envelopes
-    [{"src", "dst", "msg", "payloads"}], one per {!Service.Frame} —
-    the framing clients and the reactor speak: the [msg] is
-    {!Raft_sim.Raft_codec}'s encoding, and [payloads] piggybacks the
-    canonical command bytes for any [Data seq] entries the message
-    carries, keyed by sequence number — the Raft core replicates small
-    integers while the real command bodies ride alongside and land in
-    each replica's payload table before the message is processed.
+    Raft messages travel as binary envelopes, one per {!Service.Frame}
+    — the framing clients and the reactor speak. An envelope is a
+    little-endian u32 CRC-32 ({!Storage.crc32}) of the bytes after it,
+    then little-endian int64 words: source, destination, the message's
+    tag and its fields in declaration order, then the payloads. The
+    payloads piggyback the canonical command bytes of the message's
+    [Data seq] entries, keyed by sequence number: the Raft core
+    replicates small integers while the real command bodies ride
+    alongside and land in each replica's payload table before the
+    message is processed. The checksum keeps bytes spliced into a
+    stream (the chaos proxy does this) from decoding as shifted
+    fields. A replica of this format cannot talk to one that sends the
+    older JSON envelopes.
 
     A replica's raft-plane sockets — its listener, the connections it
     accepted, and one outbound link per peer — belong to one thread,
@@ -32,12 +37,15 @@ val envelope_to_line :
   Raft_sim.Raft_types.msg ->
   payloads:(int * string) list ->
   string
-(** The envelope's JSON body, unframed. *)
+(** The binary envelope, unframed. *)
 
 val envelope_of_line :
   string ->
   (int * int * Raft_sim.Raft_types.msg * (int * string) list, string) result
-(** Total decoder: [(src, dst, msg, payloads)]. *)
+(** Total decoder: [(src, dst, msg, payloads)]. It checks the CRC
+    first; then every read is bounds-checked, tags must be known,
+    counts non-negative and no larger than the bytes left, booleans 0
+    or 1, and the envelope must end where the decoder stops. *)
 
 type t
 

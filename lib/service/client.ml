@@ -210,22 +210,24 @@ let recv_line_timeout t ~timeout =
    carrying our id. Anything else on the stream — garbage bytes, a
    broken envelope, a foreign id — means the connection's framing can
    no longer be trusted, so the attempt dies as [Lost] and the retry
-   path rebuilds it from a fresh socket. *)
+   path rebuilds it from a fresh socket. The reply comes back with its
+   parse, so no caller parses it twice. *)
 let attempt_call t ~deadline ~id body =
   send_body_deadline t ~deadline body;
   let reply = recv_body_deadline t ~deadline in
   match Wire.parse_response reply with
   | Error msg -> raise (Lost ("corrupted response: " ^ msg))
-  | Ok { Wire.rid; _ } ->
+  | Ok ({ Wire.rid; _ } as response) ->
       if rid <> Some id then
         raise
           (Lost
              (Printf.sprintf "response id %s does not match request id %d"
                 (match rid with Some i -> string_of_int i | None -> "<none>")
                 id))
-      else reply
+      else (reply, response)
 
-let call_line ?timeout ?(max_attempts = 3) t ~id body =
+(* [call_line]'s retry loop, answering the reply and its parse. *)
+let call_parsed ?timeout ?(max_attempts = 3) t ~id body =
   let timeout = match timeout with Some _ as s -> s | None -> t.timeout in
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
   let time_left () =
@@ -266,17 +268,16 @@ let call_line ?timeout ?(max_attempts = 3) t ~id body =
   in
   attempt 0
 
+let call_line ?timeout ?max_attempts t ~id body =
+  Result.map fst (call_parsed ?timeout ?max_attempts t ~id body)
+
 let call ?timeout ?max_attempts t ~id query =
   match
-    call_line ?timeout ?max_attempts t ~id (Wire.encode_request { Wire.id; query })
+    call_parsed ?timeout ?max_attempts t ~id
+      (Wire.encode_request { Wire.id; query })
   with
   | Error e -> Error e
-  | Ok reply -> (
-      (* [call_line] validated the envelope, so this parse cannot
-         fail; re-parsing just extracts the body. *)
-      match Wire.parse_response reply with
-      | Ok { Wire.body; _ } -> body
-      | Error msg -> Error (Wire.Internal, "malformed response: " ^ msg))
+  | Ok (_, { Wire.body; _ }) -> body
 
 let close t = disconnect t
 
@@ -376,7 +377,9 @@ module Multi = struct
             attempt (k + 1) (Wire.Connection_lost, "endpoint unreachable")
         | c -> (
             let body = Wire.encode_request { Wire.id; query } in
-            match call_line ?timeout:(remaining ()) ~max_attempts:1 c ~id body with
+            match
+              call_parsed ?timeout:(remaining ()) ~max_attempts:1 c ~id body
+            with
             | Error (Wire.Timeout, msg) ->
                 (* The budget is spent; the connection is poisoned (a
                    late reply could answer a later call) — both reasons
@@ -387,38 +390,31 @@ module Multi = struct
                 drop m;
                 rotate m;
                 attempt (k + 1) (Wire.Connection_lost, msg)
-            | Ok reply -> (
-                match Wire.parse_response reply with
-                | Error msg ->
-                    drop m;
+            | Ok (_, { Wire.body; rhint; _ }) -> (
+                match body with
+                | Ok payload -> Ok payload
+                | Error ((Wire.Not_leader, _) as e) ->
+                    Obs.Metrics.incr m_redirects;
+                    (match rhint with
+                    | Some h
+                      when h >= 0 && h < Array.length m.targets && h <> m.pinned
+                      ->
+                        pin m h
+                    | _ -> rotate m);
+                    attempt (k + 1) e
+                | Error
+                    ((( Wire.Overloaded | Wire.Shutting_down
+                      | Wire.Deadline_exceeded ),
+                      _) as e) ->
+                    (* Per-replica pressure: another replica can serve
+                       the read (and a write retry is safe — the
+                       command id dedups). *)
                     rotate m;
-                    attempt (k + 1) (Wire.Internal, msg)
-                | Ok { Wire.body; rhint; _ } -> (
-                    match body with
-                    | Ok payload -> Ok payload
-                    | Error ((Wire.Not_leader, _) as e) ->
-                        Obs.Metrics.incr m_redirects;
-                        (match rhint with
-                        | Some h
-                          when h >= 0
-                               && h < Array.length m.targets
-                               && h <> m.pinned ->
-                            pin m h
-                        | _ -> rotate m);
-                        attempt (k + 1) e
-                    | Error
-                        ((( Wire.Overloaded | Wire.Shutting_down
-                          | Wire.Deadline_exceeded ),
-                          _) as e) ->
-                        (* Per-replica pressure: another replica can
-                           serve the read (and a write retry is safe —
-                           the command id dedups). *)
-                        rotate m;
-                        attempt (k + 1) e
-                    | Error e ->
-                        (* Semantic rejection; every replica answers
-                           the same. *)
-                        Error e)))
+                    attempt (k + 1) e
+                | Error e ->
+                    (* Semantic rejection; every replica answers the
+                       same. *)
+                    Error e))
       end
     in
     attempt 0 (Wire.Connection_lost, "no endpoint reachable")

@@ -106,7 +106,8 @@ val call :
   id:int ->
   Wire.query ->
   (Obs.Json.t, Wire.error_code * string) result
-(** Encode, {!call_line}, decode. Transport failures surface as
+(** Encode, then {!call_line}'s exchange; the body comes from the same
+    parse that checked the reply's id. Transport failures surface as
     [Error (Timeout, _)] / [Error (Connection_lost, _)]; server-sent
     errors keep their own codes. *)
 

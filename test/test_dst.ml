@@ -461,7 +461,8 @@ let counts_of (repro : Dst.Repro.t) =
       | Ok case -> (sys.Dst.Harness.faults case, sys.Dst.Harness.ops case))
 
 let replica_counts_kills () =
-  (* A replica plan is a bare list of kills: every kill is a fault. *)
+  (* A replica plan is a bare list of kills: every kill is a fault, and
+     so is the partition the scenario may carry. *)
   let sys = Dst.Replica_case.system () in
   let case =
     Seq.ints 0
@@ -474,10 +475,69 @@ let replica_counts_kills () =
       { Dst.Harness.episode = 0; episode_seed = 0; case; invariant = "x"; detail = "" }
       None
   in
+  let partitions = if case.Dst.Replica_case.partition = None then 0 else 1 in
   Alcotest.(check (pair int int))
-    "kills and ops"
-    (List.length case.Dst.Replica_case.kills, List.length case.Dst.Replica_case.ops)
+    "kills, partition and ops"
+    ( List.length case.Dst.Replica_case.kills + partitions,
+      List.length case.Dst.Replica_case.ops )
     (counts_of repro)
+
+(* A partition travels in the scenario's JSON, the shrinker can drop
+   it, and the decoder refuses one outside the run. *)
+let replica_partition_roundtrip () =
+  let sys = Dst.Replica_case.system () in
+  let case =
+    Seq.ints 0
+    |> Seq.map (fun seed -> sys.Dst.Harness.generate (Prob.Rng.create seed))
+    |> Seq.find (fun c -> c.Dst.Replica_case.partition <> None)
+    |> Option.get
+  in
+  let parts = sys.Dst.Harness.encode case in
+  (match sys.Dst.Harness.decode parts with
+  | Ok back -> Alcotest.(check bool) "the case round-trips" true (back = case)
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check bool)
+    "a candidate drops only the partition" true
+    (List.mem { case with Dst.Replica_case.partition = None } (sys.Dst.Harness.candidates case));
+  let with_partition p =
+    match parts.Dst.Repro.scenario with
+    | Obs.Json.Obj fields ->
+        {
+          parts with
+          Dst.Repro.scenario =
+            Obs.Json.Obj
+              (List.filter (fun (k, _) -> k <> "partition") fields @ [ ("partition", p) ]);
+        }
+    | _ -> Alcotest.fail "scenario is not an object"
+  in
+  List.iter
+    (fun (what, p) ->
+      match sys.Dst.Harness.decode (with_partition p) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" what)
+    [
+      ( "a partition past the horizon",
+        Obs.Json.Obj
+          [
+            ("node", Obs.Json.Int 0);
+            ("from", Obs.Json.number 100.);
+            ("until", Obs.Json.number (case.Dst.Replica_case.horizon +. 1.));
+          ] );
+      ( "a partition ending before it starts",
+        Obs.Json.Obj
+          [
+            ("node", Obs.Json.Int 0);
+            ("from", Obs.Json.number 900.);
+            ("until", Obs.Json.number 800.);
+          ] );
+      ( "a partition of a node outside the cluster",
+        Obs.Json.Obj
+          [
+            ("node", Obs.Json.Int case.Dst.Replica_case.n);
+            ("from", Obs.Json.number 100.);
+            ("until", Obs.Json.number 200.);
+          ] );
+    ]
 
 let seeded_artifact_counts () =
   let path =
@@ -514,6 +574,8 @@ let suite =
       seeded_bug_found_shrunk_replayed;
     Alcotest.test_case "replica case counts its kills as faults" `Quick
       replica_counts_kills;
+    Alcotest.test_case "replica case carries its partition" `Quick
+      replica_partition_roundtrip;
     Alcotest.test_case "seeded artifact counts 2 faults, 4 ops" `Quick
       seeded_artifact_counts;
     Alcotest.test_case "corpus: every artifact validates" `Quick

@@ -168,6 +168,80 @@ let test_terms_monotone_under_churn () =
   let terms = List.map (fun i -> Raft_node.current_term (Raft_cluster.node cluster i)) (all 3) in
   List.iter (fun t -> Alcotest.(check bool) "term nonnegative" true (t >= 0)) terms
 
+let only_leader cluster ~except =
+  match List.filter (fun i -> i <> except) (Raft_cluster.leader_ids cluster) with
+  | [ leader ] -> leader
+  | _ -> Alcotest.fail "expected exactly one leader"
+
+(* Read-index: refused by followers and by a leader with nothing of its
+   term committed; confirmed at the commit index once a quorum echoes,
+   and inside the call when the leader alone is a quorum. *)
+let test_read_index_contract () =
+  let cluster = Raft_cluster.create ~n:3 ~seed:21 () in
+  Raft_cluster.run cluster ~until:5000.;
+  let node = Raft_cluster.node cluster in
+  let leader = only_leader cluster ~except:(-1) in
+  let follower = if leader = 0 then 1 else 0 in
+  Alcotest.(check bool) "a follower refuses" false
+    (Raft_node.read_index (node follower) ignore);
+  Alcotest.(check bool) "a leader with nothing of its term committed refuses" false
+    (Raft_node.read_index (node leader) ignore);
+  Alcotest.(check bool) "the put is accepted" true (Raft_node.submit (node leader) 7);
+  Raft_cluster.run cluster ~until:6000.;
+  let got = ref None in
+  Alcotest.(check bool) "the leader starts the read" true
+    (Raft_node.read_index (node leader) (fun r -> got := Some r));
+  Alcotest.(check (option (option int))) "nothing before the echoes" None !got;
+  Raft_cluster.run cluster ~until:6100.;
+  Alcotest.(check (option (option int))) "confirmed at the commit index"
+    (Some (Some 1)) !got;
+  let solo = Raft_cluster.create ~n:1 ~seed:3 () in
+  Raft_cluster.run solo ~until:2000.;
+  let lone = Raft_cluster.node solo 0 in
+  Alcotest.(check bool) "the lone node commits its put" true (Raft_node.submit lone 1);
+  let got = ref None in
+  Alcotest.(check bool) "the lone leader starts the read" true
+    (Raft_node.read_index lone (fun r -> got := Some r));
+  Alcotest.(check (option (option int))) "a lone leader confirms inside the call"
+    (Some (Some 1)) !got
+
+(* A leader cut off from the majority keeps believing it leads while
+   the others elect a new leader and commit past its commit index. Its
+   read must never confirm; after the heal it steps down and the read
+   fails. *)
+let test_read_index_stale_leader () =
+  let n = 5 in
+  let cluster = Raft_cluster.create ~n ~seed:31 () in
+  Raft_cluster.submit_workload cluster ~commands:[ 1; 2; 3 ] ~start:500. ~interval:100.;
+  Raft_cluster.run cluster ~until:2000.;
+  let old = only_leader cluster ~except:(-1) in
+  let old_node = Raft_cluster.node cluster old in
+  let warm = ref None in
+  ignore (Raft_node.read_index old_node (fun r -> warm := Some r));
+  Raft_cluster.run cluster ~until:2100.;
+  Alcotest.(check (option (option int))) "a read before the partition confirms"
+    (Some (Some 3)) !warm;
+  Raft_cluster.partition_at cluster ~time:2100. [ old ]
+    (List.filter (fun i -> i <> old) (all n));
+  Raft_cluster.run cluster ~until:2101.;
+  let read = ref None in
+  Alcotest.(check bool) "the cut-off leader starts a read" true
+    (Raft_node.read_index old_node (fun r -> read := Some r));
+  let read_at = Raft_node.commit_index old_node in
+  Raft_cluster.run cluster ~until:4000.;
+  let fresh = Raft_cluster.node cluster (only_leader cluster ~except:old) in
+  List.iter (fun c -> ignore (Raft_node.submit fresh c)) [ 4; 5; 6 ];
+  Raft_cluster.run cluster ~until:6000.;
+  Alcotest.(check bool) "the majority commits past the read's index" true
+    (Raft_node.commit_index fresh > read_at);
+  Alcotest.(check bool) "the old leader still believes it leads" true
+    (Raft_node.is_leader old_node);
+  Alcotest.(check (option (option int))) "the cut-off read never confirms" None !read;
+  Raft_cluster.heal_at cluster ~time:6000.;
+  Raft_cluster.run cluster ~until:8000.;
+  Alcotest.(check bool) "the old leader steps down" false (Raft_node.is_leader old_node);
+  Alcotest.(check (option (option int))) "its read fails" (Some None) !read
+
 let prop_random_minority_crashes_keep_raft_safe_and_live =
   QCheck.Test.make ~count:8 ~name:"random minority crash sets: safe and live"
     QCheck.(int_range 0 10_000)
@@ -206,6 +280,9 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
     Alcotest.test_case "submit routing" `Quick test_submit_rejected_by_followers;
     Alcotest.test_case "terms under churn" `Quick test_terms_monotone_under_churn;
+    Alcotest.test_case "read index contract" `Quick test_read_index_contract;
+    Alcotest.test_case "read index on a cut-off leader" `Quick
+      test_read_index_stale_leader;
     QCheck_alcotest.to_alcotest prop_random_minority_crashes_keep_raft_safe_and_live;
     QCheck_alcotest.to_alcotest prop_any_crash_set_is_safe;
   ]

@@ -102,6 +102,8 @@ let test_raft_codec () =
       Raft_types.Append_entries_reply
         { term = 4; follower_id = 0; success = false; match_index = 3 };
       Raft_types.Timeout_now { term = 4 };
+      Raft_types.Read_probe { term = 4; leader_id = 1; round = 9 };
+      Raft_types.Read_probe_reply { term = 5; follower_id = 2; round = 9 };
     ]
   in
   List.iter
@@ -115,28 +117,127 @@ let test_raft_codec () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown msg type accepted")
 
+(* Every message kind, with and without payloads, survives the binary
+   envelope. *)
 let test_transport_envelope () =
-  let msg =
-    Raft_types.Append_entries
-      {
-        term = 1;
-        leader_id = 0;
-        prev_log_index = 0;
-        prev_log_term = 0;
-        entries = [ { Raft_types.term = 1; index = 1; command = Data 1 } ];
-        leader_commit = 0;
-      }
+  let module Transport = Replica.Transport in
+  let entries =
+    [
+      { Raft_types.term = 1; index = 1; command = Raft_types.Data 1 };
+      { Raft_types.term = 2; index = 2; command = Raft_types.Config [ 0; 1; 2 ] };
+      { Raft_types.term = 2; index = 3; command = Raft_types.Config [] };
+    ]
   in
+  let msgs =
+    [
+      Raft_types.Request_vote
+        { term = 4; candidate_id = 1; last_log_index = 6; last_log_term = 3 };
+      Raft_types.Request_vote_reply { term = 4; voter_id = 2; granted = true };
+      Raft_types.Request_vote_reply { term = 4; voter_id = 2; granted = false };
+      Raft_types.Append_entries
+        {
+          term = 2;
+          leader_id = 0;
+          prev_log_index = 0;
+          prev_log_term = 0;
+          entries;
+          leader_commit = max_int;
+        };
+      Raft_types.Append_entries
+        {
+          term = 2;
+          leader_id = 0;
+          prev_log_index = 3;
+          prev_log_term = 2;
+          entries = [];
+          leader_commit = 3;
+        };
+      Raft_types.Append_entries_reply
+        { term = 4; follower_id = 0; success = true; match_index = 3 };
+      Raft_types.Timeout_now { term = min_int };
+      Raft_types.Read_probe { term = 4; leader_id = 1; round = 9 };
+      Raft_types.Read_probe_reply { term = 5; follower_id = 2; round = 9 };
+    ]
+  in
+  List.iter
+    (fun payloads ->
+      List.iter
+        (fun msg ->
+          match
+            Transport.envelope_of_line
+              (Transport.envelope_to_line ~src:0 ~dst:2 msg ~payloads)
+          with
+          | Ok (0, 2, decoded, got) ->
+              Alcotest.(check bool) "msg survives" true (decoded = msg);
+              Alcotest.(check (list (pair int string))) "payloads survive" payloads got
+          | Ok _ -> Alcotest.fail "wrong envelope fields"
+          | Error e -> Alcotest.fail e)
+        msgs)
+    [ []; [ (1, {|{"op":"barrier"}|}); (7, ""); (8, "\000\n\255") ] ]
+
+(* The decoder is total and strict: a checksum guards every byte, and
+   an envelope whose checksum holds must still be well formed. *)
+let test_transport_envelope_rejects () =
+  let module Transport = Replica.Transport in
   let line =
-    Replica.Transport.envelope_to_line ~src:0 ~dst:2 msg
-      ~payloads:[ (1, {|{"op":"barrier"}|}) ]
+    Transport.envelope_to_line ~src:1 ~dst:0
+      (Raft_types.Append_entries
+         {
+           term = 3;
+           leader_id = 1;
+           prev_log_index = 0;
+           prev_log_term = 0;
+           entries = [ { Raft_types.term = 3; index = 1; command = Raft_types.Data 5 } ];
+           leader_commit = 0;
+         })
+      ~payloads:[ (5, "five") ]
   in
-  match Replica.Transport.envelope_of_line line with
-  | Ok (0, 2, decoded, [ (1, bytes) ]) ->
-      Alcotest.(check bool) "msg survives" true (decoded = msg);
-      Alcotest.(check string) "payload survives" {|{"op":"barrier"}|} bytes
-  | Ok _ -> Alcotest.fail "wrong envelope fields"
-  | Error e -> Alcotest.fail e
+  let rejected what s =
+    match Transport.envelope_of_line s with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s decoded" what
+  in
+  for cut = 0 to String.length line - 1 do
+    rejected (Printf.sprintf "a cut at byte %d" cut) (String.sub line 0 cut)
+  done;
+  String.iteri
+    (fun at c ->
+      let flipped = Bytes.of_string line in
+      Bytes.set flipped at (Char.chr (Char.code c lxor 0x01));
+      rejected (Printf.sprintf "a flipped bit in byte %d" at) (Bytes.to_string flipped))
+    line;
+  (* Re-checksummed bodies: what the checksum cannot catch. *)
+  let sealed words tail =
+    let buf = Buffer.create 64 in
+    List.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) words;
+    Buffer.add_string buf tail;
+    let body = Buffer.contents buf in
+    let crc = Bytes.create 4 in
+    Bytes.set_int32_le crc 0
+      (Int32.of_int (Storage.crc32 body ~pos:0 ~len:(String.length body)));
+    Bytes.to_string crc ^ body
+  in
+  (match Transport.envelope_of_line (sealed [ 1; 0; 4; 7; 0 ] "") with
+  | Ok (1, 0, Raft_types.Timeout_now { term = 7 }, []) -> ()
+  | _ -> Alcotest.fail "a hand-sealed envelope did not decode");
+  List.iter
+    (fun (what, words, tail) -> rejected what (sealed words tail))
+    [
+      ("an unknown message tag", [ 1; 0; 7; 7; 0 ], "");
+      ("a negative message tag", [ 1; 0; -1; 7; 0 ], "");
+      ("a boolean of 2", [ 1; 0; 1; 7; 2; 2; 0 ], "");
+      ("a trailing byte", [ 1; 0; 4; 7; 0 ], "x");
+      ("a trailing word", [ 1; 0; 4; 7; 0; 0 ], "");
+      ("a missing payload count", [ 1; 0; 4; 7 ], "");
+      ("a negative payload count", [ 1; 0; 4; 7; -1 ], "");
+      ("a payload count past the end", [ 1; 0; 4; 7; 3 ], "");
+      ("a payload length past the end", [ 1; 0; 4; 7; 1; 5; 9 ], "abc");
+      ("a negative payload seq", [ 1; 0; 4; 7; 1; -5; 0 ], "");
+      ("an entry count past the end", [ 1; 0; 2; 3; 1; 0; 0; 1000 ], "");
+      ("an unknown command tag", [ 1; 0; 2; 3; 1; 0; 0; 1; 3; 1; 2; 5; 0; 0 ], "");
+      ("an entry at index 0", [ 1; 0; 2; 3; 1; 0; 0; 1; 3; 0; 0; 5; 0; 0 ], "");
+      ("a negative member count", [ 1; 0; 2; 3; 1; 0; 0; 1; 3; 1; 1; -1; 0; 0 ], "");
+    ]
 
 (* An envelope over the raft plane's bound is refused and counted where
    it is framed, never raised; a peer announcing one loses only its own
@@ -271,10 +372,21 @@ let open_log dir =
 
 let size_of path = (Unix.stat path).Unix.st_size
 
+(* The bytes a segment's appends wrote: everything before the zero fill
+   the segment is preallocated with. A frame ends in a JSON bracket. *)
+let written path =
+  let s = read_file path in
+  let rec stop i = if i > 0 && s.[i - 1] = '\000' then stop (i - 1) else i in
+  String.sub s 0 (stop (String.length s))
+
+let chunk_bytes = 256 * 1024
+
 (* The segment file under crashes: a cut anywhere recovers exactly the
    complete records before it, damage before the last frame is an
    error rather than a silent truncation, and a torn file reopened for
-   appending continues from its good prefix. *)
+   appending continues from its good prefix. The segment is
+   preallocated in 256 KiB chunks of zeros, so each prefix ends where
+   its written bytes end, not at the file size. *)
 let test_storage_crash_cut () =
   let entry ~term ~index command = { Raft_types.term; index; command } in
   let data ~term ~index seq bytes =
@@ -304,7 +416,9 @@ let test_storage_crash_cut () =
   let file = Storage.path ~dir in
   let log, fresh = open_log dir in
   Alcotest.(check bool) "a fresh directory opens empty" true (fresh = None);
-  let header = read_file file in
+  Alcotest.(check int) "a fresh segment is one zero-filled chunk" chunk_bytes
+    (size_of file);
+  let header = written file in
   Alcotest.(check int)
     "header frame: length, then CRC-32 of the schema record" 40
     (Int32.to_int (String.get_int32_le header 0));
@@ -318,12 +432,12 @@ let test_storage_crash_cut () =
       (fun r ->
         Storage.append log [ r ];
         match Storage.load ~dir with
-        | Ok (Some snap) -> (size_of file, snap)
+        | Ok (Some snap) -> (String.length (written file), snap)
         | Ok None | Error _ -> Alcotest.fail "a clean segment did not load")
       records
   in
   Storage.close log;
-  let full = read_file file in
+  let full = written file in
   let final =
     {
       Storage.term = 2;
@@ -348,7 +462,7 @@ let test_storage_crash_cut () =
   Storage.append batch_log records;
   Storage.close batch_log;
   Alcotest.(check string)
-    "one append of the batch" full
+    "one append of the batch" (read_file file)
     (read_file (Storage.path ~dir:batch));
   let probe = tmp_dir "probcons-replica-segment-probe" in
   let load_bytes s =
@@ -357,6 +471,15 @@ let test_storage_crash_cut () =
   in
   let empty = { Storage.term = 0; voted_for = None; log = []; payloads = [] } in
   let header_end = String.length header in
+  (* The preallocated file as the appends left it, fill and all, loads
+     the same records; so does a fresh segment, header and fill. *)
+  Alcotest.(check bool)
+    "the segment with its full fill loads the same records" true
+    (load_bytes (read_file file) = Ok (Some final));
+  Alcotest.(check bool)
+    "a header and its fill load as an empty log" true
+    (load_bytes (header ^ String.make (chunk_bytes - header_end) '\000')
+    = Ok (Some empty));
   (* A crash can also leave the file longer than the bytes that reached
      the disk, the rest zero-filled; that fill belongs to the torn tail. *)
   let zero_fill = String.make 64 '\000' in
@@ -432,7 +555,29 @@ let test_storage_crash_cut () =
                    good.Storage.log @ [ entry ~term:3 ~index:4 (Raft_types.Data 5) ];
                  payloads = good.Storage.payloads @ [ (5, "five") ];
                })))
-    [ ""; zero_fill ]
+    [ ""; zero_fill ];
+  (* Reopened with its full fill, the segment appends after its last
+     frame; a record crossing the allocated end extends the file by
+     whole chunks. *)
+  let log, recovered = open_log dir in
+  Alcotest.(check bool)
+    "the filled segment reopens as its records" true (recovered = Some final);
+  Alcotest.(check int) "reopening keeps one chunk" chunk_bytes (size_of file);
+  let big = String.make (chunk_bytes + 1000) 'x' in
+  Storage.append log [ data ~term:2 ~index:5 6 big ];
+  Storage.close log;
+  Alcotest.(check int) "a crossing record extends by whole chunks"
+    (2 * chunk_bytes) (size_of file);
+  Alcotest.(check bool)
+    "the record after the reopen loads" true
+    (Storage.load ~dir
+    = Ok
+        (Some
+           {
+             final with
+             Storage.log = final.Storage.log @ [ entry ~term:2 ~index:5 (Raft_types.Data 6) ];
+             payloads = final.Storage.payloads @ [ (6, big) ];
+           }))
 
 let test_wire_replica_kinds () =
   let roundtrip q =
@@ -754,7 +899,9 @@ let test_single_replica () =
         (Obs.Json.member "found" got = Some (Obs.Json.Bool true)))
 
 (* A replica keeps no simulator trace, so its heap grows only by what
-   each write must keep: the log entry and its payload. *)
+   each operation must keep. The first linearizable get commits a
+   barrier (nothing of the leader's term has committed yet); every later
+   one is a read-index read, which keeps nothing once answered. *)
 let test_heap_per_write () =
   with_cluster ~n:1 (fun ~base:_ ~nodes ->
       let node = wait_leader nodes in
@@ -838,6 +985,94 @@ let test_stop_answers_pending_write () =
       | None -> Alcotest.fail "the pending put was never answered");
       if elapsed >= 1. then
         Alcotest.failf "the stop answered the put after %.3f s (limit 1 s)" elapsed)
+
+let commit_index node =
+  match Obs.Json.member "commit_index" (Node.status_json node) with
+  | Some (Obs.Json.Int i) -> i
+  | _ -> Alcotest.fail "status carries no commit_index"
+
+let put_a multi =
+  ignore
+    (expect_ok "put"
+       (Client.Multi.call multi ~id:1
+          (Wire.Scenario_put { name = "a"; scenario = scenario_a; nonce = 0 })))
+
+let found reply =
+  Obs.Json.member "found" reply = Some (Obs.Json.Bool true)
+
+(* Linearizable gets are read-index reads: twenty of them leave every
+   replica's commit index where it was, where a barrier per get would
+   have added twenty entries. *)
+let test_lin_gets_append_nothing () =
+  with_cluster ~n:3 (fun ~base ~nodes ->
+      ignore (wait_leader nodes);
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      put_a multi;
+      let indices () = List.map commit_index (live_nodes nodes) in
+      Alcotest.(check bool)
+        "every replica learns the put's commit" true
+        (poll (fun () -> List.for_all (fun i -> i = 1) (indices ())));
+      for id = 2 to 21 do
+        Alcotest.(check bool)
+          "the get finds the put" true
+          (found
+             (expect_ok "linearizable get"
+                (Client.Multi.call multi ~id
+                   (Wire.Scenario_get { name = "a"; linearizable = true }))))
+      done;
+      (* Heartbeats would carry any new commit to the followers. *)
+      Thread.delay 0.3;
+      Alcotest.(check (list int)) "commit indices unchanged" [ 1; 1; 1 ] (indices ()))
+
+(* A leader that cannot hear from a quorum cannot confirm a read: with
+   both followers stopped, its linearizable get is never served. *)
+let test_lin_get_without_quorum () =
+  with_cluster ~commit_timeout:0.5 ~n:3 (fun ~base ~nodes ->
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      put_a multi;
+      let leader = wait_leader nodes in
+      stop_followers nodes leader;
+      let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port leader)) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      match
+        Client.call c ~id:2 (Wire.Scenario_get { name = "a"; linearizable = true })
+      with
+      | Error (Wire.Deadline_exceeded, _) -> ()
+      | Error (code, msg) ->
+          Alcotest.failf "expected deadline_exceeded, got %s: %s"
+            (Wire.code_string code) msg
+      | Ok j ->
+          Alcotest.failf "a leader without a quorum answered a linearizable get: %s"
+            (Obs.Json.to_string j))
+
+(* A new leader has committed nothing of its term, so it cannot serve a
+   read-index read yet: its first linearizable get commits a barrier,
+   which also commits the old leader's entries, and finds the last
+   acknowledged put. *)
+let test_lin_get_after_failover () =
+  with_cluster ~n:3 (fun ~base ~nodes ->
+      let leader = wait_leader nodes in
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      put_a multi;
+      let old = Node.id leader in
+      (match !(nodes.(old)) with
+      | Some node ->
+          nodes.(old) := None;
+          Node.stop node
+      | None -> Alcotest.fail "leader slot empty");
+      let fresh = wait_leader nodes in
+      let c = Client.connect ~timeout:8. (Client.Tcp (Node.service_port fresh)) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Alcotest.(check bool)
+        "the new leader's first get finds the put" true
+        (found
+           (expect_ok "linearizable get"
+              (Client.call c ~id:2
+                 (Wire.Scenario_get { name = "a"; linearizable = true }))));
+      Alcotest.(check int) "the get went through a barrier" 2 (commit_index fresh))
 
 (* A leader may send an entry before its own fsync, so followers can
    hold an entry its disk never got. Cut the last entry from the old
@@ -1121,6 +1356,8 @@ let suite =
     Alcotest.test_case "command codec" `Quick test_command_codec;
     Alcotest.test_case "raft message codec" `Quick test_raft_codec;
     Alcotest.test_case "transport envelope" `Quick test_transport_envelope;
+    Alcotest.test_case "transport envelope rejects bad bytes" `Quick
+      test_transport_envelope_rejects;
     Alcotest.test_case "transport drops oversized envelopes" `Quick
       test_transport_oversized;
     Alcotest.test_case "state machine dedup" `Quick test_state_dedup;
@@ -1147,6 +1384,12 @@ let suite =
       test_leader_missing_last_entry_rejoins;
     Alcotest.test_case "replica writes skip a full compute queue" `Slow
       test_writes_skip_full_queue;
+    Alcotest.test_case "linearizable gets append nothing" `Slow
+      test_lin_gets_append_nothing;
+    Alcotest.test_case "no linearizable get without a quorum" `Slow
+      test_lin_get_without_quorum;
+    Alcotest.test_case "a new leader's linearizable get finds the last put" `Slow
+      test_lin_get_after_failover;
     Alcotest.test_case "kill schedule determinism" `Quick test_driver_schedule;
     Alcotest.test_case "prediction needs a window" `Quick
       test_driver_prediction_needs_a_window;
