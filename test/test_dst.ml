@@ -574,12 +574,12 @@ let suite =
       seeded_bug_found_shrunk_replayed;
     Alcotest.test_case "replica case counts its kills as faults" `Quick
       replica_counts_kills;
-    Alcotest.test_case "replica case carries its partition" `Quick
-      replica_partition_roundtrip;
     Alcotest.test_case "seeded artifact counts 2 faults, 4 ops" `Quick
       seeded_artifact_counts;
     Alcotest.test_case "corpus: every artifact validates" `Quick
       corpus_validates;
     Alcotest.test_case "corpus: every artifact meets its expectation" `Slow
       corpus_replays;
+    Alcotest.test_case "replica case carries its partition" `Quick
+      replica_partition_roundtrip;
   ]

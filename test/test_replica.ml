@@ -1077,7 +1077,11 @@ let test_lin_get_after_failover () =
 (* A leader may send an entry before its own fsync, so followers can
    hold an entry its disk never got. Cut the last entry from the old
    leader's segment: on restart it must take the entry back from the
-   others, and every acknowledged put must survive. *)
+   others, and every acknowledged put must survive. The put's commit
+   needs only one follower, so the cluster stops once both followers
+   hold every put: were the last one on one follower alone, cutting it
+   from the leader would leave it on a minority, which Raft does not
+   promise to keep. *)
 let test_leader_missing_last_entry_rejoins () =
   let root = tmp_dir "probcons-replica-early" in
   let names = List.init 5 (Printf.sprintf "p%d") in
@@ -1093,6 +1097,16 @@ let test_leader_missing_last_entry_rejoins () =
                  (Client.Multi.call multi ~id:(i + 1)
                     (Wire.Scenario_put { name; scenario = scenario_a; nonce = 0 }))))
           names;
+        (* A replica applies an entry in or after the cycle that logs
+           it; that cycle ends with its fsync, and stopping the replica
+           waits for the cycle in progress. *)
+        Alcotest.(check bool)
+          "every replica applies every put" true
+          (poll (fun () ->
+               List.for_all
+                 (fun node ->
+                   (Node.state_counts node).State.store_size = List.length names)
+                 (live_nodes nodes)));
         Node.id leader)
   in
   let dir = Filename.concat root (string_of_int leader_id) in
