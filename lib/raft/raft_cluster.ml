@@ -2,6 +2,7 @@ type t = {
   engine : Dessim.Engine.t;
   net : Raft_types.msg Dessim.Network.t;
   nodes : Raft_node.t array;
+  applied : int Dessim.Vec.t array;  (* each node's applied commands *)
   trace : Dessim.Trace.t;
 }
 
@@ -10,6 +11,8 @@ let create ?(seed = 7) ?latency ?drop_probability ?q_vote ?q_replicate
   let engine = Dessim.Engine.create ~seed () in
   let net = Dessim.Network.create ~engine ~n ?latency ?drop_probability () in
   let trace = Dessim.Trace.create () in
+  (* Each node's stream is split off the root after the network's, in
+     id order: a seeded run depends on that order. *)
   let nodes =
     Array.init n (fun id ->
         let base = Raft_node.default_config ~id ~n in
@@ -25,9 +28,27 @@ let create ?(seed = 7) ?latency ?drop_probability ?q_vote ?q_replicate
             initial_members;
           }
         in
-        Raft_node.create config ~engine ~net ~trace)
+        Raft_node.create config ~trace
+          ~rng:(Prob.Rng.split (Dessim.Engine.rng engine))
+          ~io:
+            {
+              now = (fun () -> Dessim.Engine.now engine);
+              after =
+                (fun delay f ->
+                  let event = Dessim.Engine.schedule engine ~delay f in
+                  fun () -> Dessim.Engine.cancel event);
+              send = (fun dst msg -> Dessim.Network.send net ~src:id ~dst msg);
+            })
   in
-  { engine; net; nodes; trace }
+  let applied = Array.init n (fun _ -> Dessim.Vec.create ()) in
+  Array.iteri
+    (fun id node ->
+      Dessim.Network.set_handler net id (fun ~src:_ -> Raft_node.handle_message node);
+      Raft_node.set_apply_hook node (function
+        | { command = Data command; _ } -> Dessim.Vec.push applied.(id) command
+        | { command = Config _; _ } -> ()))
+    nodes;
+  { engine; net; nodes; applied; trace }
 
 let engine t = t.engine
 let trace t = t.trace
@@ -50,9 +71,13 @@ let submit_workload t ~commands ~start ~interval =
            attempt))
     commands
 
+(* A down node neither sends nor takes messages. *)
+let set_down t id down =
+  Raft_node.set_down t.nodes.(id) down;
+  Dessim.Network.set_down t.net id down
+
 let inject t plan =
-  Dessim.Fault_injector.apply ~engine:t.engine
-    ~set_down:(fun id down -> Raft_node.set_down t.nodes.(id) down)
+  Dessim.Fault_injector.apply ~engine:t.engine ~set_down:(set_down t)
     ~set_byzantine:(fun _ _ ->
       invalid_arg "Raft is crash-fault-tolerant only; use the PBFT cluster for Byzantine plans")
     plan
@@ -68,7 +93,7 @@ let heal_at t ~time =
 
 let run t ~until = Dessim.Engine.run ~until t.engine
 
-let committed t i = Raft_node.committed_commands t.nodes.(i)
+let committed t i = Dessim.Vec.to_list t.applied.(i)
 
 let leader_ids t =
   Array.to_list t.nodes
@@ -112,8 +137,7 @@ let transfer_leadership t target =
 
 let retire_at t ~time server =
   ignore
-    (Dessim.Engine.schedule_at t.engine ~time (fun () ->
-         Raft_node.set_down t.nodes.(server) true))
+    (Dessim.Engine.schedule_at t.engine ~time (fun () -> set_down t server true))
 
 let message_stats t =
   (Dessim.Network.messages_sent t.net, Dessim.Network.messages_delivered t.net)

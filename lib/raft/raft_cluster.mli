@@ -43,7 +43,7 @@ val heal_at : t -> time:float -> unit
 val run : t -> until:float -> unit
 
 val committed : t -> int -> int list
-(** Node [i]'s applied command sequence. *)
+(** Node [i]'s applied command sequence, collected by its apply hook. *)
 
 val leader_ids : t -> int list
 (** Nodes currently claiming leadership (normally zero or one). *)

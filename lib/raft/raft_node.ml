@@ -33,10 +33,15 @@ let default_config ~id ~n =
 
 type role = Follower | Candidate | Leader
 
+type io = {
+  now : unit -> float;
+  after : float -> (unit -> unit) -> unit -> unit;
+  send : int -> msg -> unit;
+}
+
 type t = {
   config : config;
-  engine : Dessim.Engine.t;
-  net : msg Dessim.Network.t;
+  io : io;
   trace : Dessim.Trace.t option;
   rng : Prob.Rng.t;
   mutable role : role;
@@ -44,16 +49,14 @@ type t = {
   mutable voted_for : int option;
   log : entry Dessim.Vec.t;
   mutable commit_index : int;
-  applied : int Dessim.Vec.t;
   mutable applied_through : int;
-      (** Log index up to which entries have been applied (data entries
-          feed [applied]; config entries only affect membership). *)
+      (** Log index up to which entries have been applied. *)
   mutable votes : int list;
   next_index : int array;
   match_index : int array;
   mutable members : int list;
-  mutable election_timer : Dessim.Engine.cancel option;
-  mutable heartbeat_timer : Dessim.Engine.cancel option;
+  mutable election_timer : (unit -> unit) option;  (* its cancel *)
+  mutable heartbeat_timer : (unit -> unit) option;
   mutable down : bool;
   mutable apply_hook : (entry -> unit) option;
   mutable leader_hint : int option;
@@ -70,7 +73,6 @@ let leader_hint t = if t.role = Leader && not t.down then Some t.config.id else 
 let current_term t = t.term
 let is_leader t = t.role = Leader && not t.down
 let alive t = not t.down
-let committed_commands t = Dessim.Vec.to_list t.applied
 let log_entries t = Dessim.Vec.to_list t.log
 let commit_index t = t.commit_index
 let members t = t.members
@@ -101,16 +103,16 @@ let record t tag fmt =
   | Some trace ->
       Printf.ksprintf
         (fun detail ->
-          Dessim.Trace.record trace ~time:(Dessim.Engine.now t.engine)
+          Dessim.Trace.record trace ~time:(t.io.now ())
             ~node:t.config.id ~tag ~detail)
         fmt
 
 let cancel_election_timer t =
-  (match t.election_timer with Some c -> Dessim.Engine.cancel c | None -> ());
+  Option.iter (fun cancel -> cancel ()) t.election_timer;
   t.election_timer <- None
 
 let cancel_heartbeat_timer t =
-  (match t.heartbeat_timer with Some c -> Dessim.Engine.cancel c | None -> ());
+  Option.iter (fun cancel -> cancel ()) t.heartbeat_timer;
   t.heartbeat_timer <- None
 
 (* Membership is defined by the last Config entry in the log (appended,
@@ -141,7 +143,6 @@ let apply_committed t =
     let entry = Dessim.Vec.get t.log (index - 1) in
     (match entry.command with
     | Data command ->
-        Dessim.Vec.push t.applied command;
         record t "apply" "index=%d cmd=%d term=%d" index command entry.term
     | Config _ ->
         record t "apply-config" "index=%d term=%d" index entry.term);
@@ -158,8 +159,7 @@ let rec reset_election_timer t =
          *. (t.config.election_timeout_max -. t.config.election_timeout_min))
     in
     let timeout = base *. t.config.timeout_multiplier in
-    t.election_timer <-
-      Some (Dessim.Engine.schedule t.engine ~delay:timeout (fun () -> on_election_timeout t))
+    t.election_timer <- Some (t.io.after timeout (fun () -> on_election_timeout t))
   end
 
 and on_election_timeout t =
@@ -174,14 +174,18 @@ and start_election t =
   t.leader_hint <- None;
   record t "candidate" "term=%d" t.term;
   Obs.Metrics.incr m_elections;
-  Dessim.Network.broadcast t.net ~src:t.config.id
-    (Request_vote
-       {
-         term = t.term;
-         candidate_id = t.config.id;
-         last_log_index = last_log_index t;
-         last_log_term = last_log_term t;
-       });
+  (* Every universe id, members or not, in id order. *)
+  for peer = 0 to t.config.n - 1 do
+    if peer <> t.config.id then
+      t.io.send peer
+        (Request_vote
+           {
+             term = t.term;
+             candidate_id = t.config.id;
+             last_log_index = last_log_index t;
+             last_log_term = last_log_term t;
+           })
+  done;
   reset_election_timer t;
   maybe_win_election t
 
@@ -209,7 +213,7 @@ and schedule_heartbeat t =
   cancel_heartbeat_timer t;
   t.heartbeat_timer <-
     Some
-      (Dessim.Engine.schedule t.engine ~delay:t.config.heartbeat_interval (fun () ->
+      (t.io.after t.config.heartbeat_interval (fun () ->
            if is_leader t then begin
              send_heartbeats t;
              schedule_heartbeat t
@@ -227,7 +231,7 @@ and send_append_entries t peer =
   for i = last_log_index t downto next do
     entries := Dessim.Vec.get t.log (i - 1) :: !entries
   done;
-  Dessim.Network.send t.net ~src:t.config.id ~dst:peer
+  t.io.send peer
     (Append_entries
        {
          term = t.term;
@@ -318,7 +322,7 @@ let handle_request_vote t ~term ~candidate_id ~last_log_index:cli ~last_log_term
     t.voted_for <- Some candidate_id;
     reset_election_timer t
   end;
-  Dessim.Network.send t.net ~src:t.config.id ~dst:candidate_id
+  t.io.send candidate_id
     (Request_vote_reply { term = t.term; voter_id = t.config.id; granted })
 
 let handle_request_vote_reply t ~term ~voter_id ~granted =
@@ -336,7 +340,7 @@ let truncate_from t index =
 let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~entries
     ~leader_commit =
   if term < t.term then
-    Dessim.Network.send t.net ~src:t.config.id ~dst:leader_id
+    t.io.send leader_id
       (Append_entries_reply
          { term = t.term; follower_id = t.config.id; success = false; match_index = 0 })
   else begin
@@ -347,7 +351,7 @@ let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~ent
       prev_log_index <= last_log_index t && entry_term t prev_log_index = prev_log_term
     in
     if not consistent then
-      Dessim.Network.send t.net ~src:t.config.id ~dst:leader_id
+      t.io.send leader_id
         (Append_entries_reply
            { term = t.term; follower_id = t.config.id; success = false; match_index = 0 })
     else begin
@@ -378,7 +382,7 @@ let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~ent
         t.commit_index <- min leader_commit (last_log_index t);
         apply_committed t
       end;
-      Dessim.Network.send t.net ~src:t.config.id ~dst:leader_id
+      t.io.send leader_id
         (Append_entries_reply
            { term = t.term; follower_id = t.config.id; success = true; match_index })
     end
@@ -387,12 +391,13 @@ let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~ent
 let handle_append_entries_reply t ~term ~follower_id ~success ~match_index =
   if term > t.term then step_down t term
   else if t.role = Leader && term = t.term then begin
-    if success then begin
+    (* No follower holds more than this leader has sent it. *)
+    if success && match_index <= last_log_index t then begin
       t.match_index.(follower_id) <- max t.match_index.(follower_id) match_index;
       t.next_index.(follower_id) <- t.match_index.(follower_id) + 1;
       maybe_advance_commit t
     end
-    else begin
+    else if not success then begin
       t.next_index.(follower_id) <- max 1 (t.next_index.(follower_id) - 1);
       send_append_entries t follower_id
     end
@@ -407,7 +412,7 @@ let handle_read_probe t ~term ~leader_id ~round =
     else reset_election_timer t;
     t.leader_hint <- Some leader_id
   end;
-  Dessim.Network.send t.net ~src:t.config.id ~dst:leader_id
+  t.io.send leader_id
     (Read_probe_reply { term = t.term; follower_id = t.config.id; round })
 
 let handle_read_probe_reply t ~term ~follower_id ~round =
@@ -423,7 +428,7 @@ let handle_timeout_now t ~term =
   (* Campaign immediately, skipping the randomized wait. *)
   if term >= t.term && t.role <> Leader && is_member t then start_election t
 
-let handle_message t ~src:_ msg =
+let handle_message t msg =
   if not t.down then begin
     match msg with
     | Request_vote { term; candidate_id; last_log_index; last_log_term } ->
@@ -468,8 +473,7 @@ let read_index t k =
     List.iter
       (fun peer ->
         if peer <> t.config.id then
-          Dessim.Network.send t.net ~src:t.config.id ~dst:peer
-            (Read_probe { term = t.term; leader_id = t.config.id; round }))
+          t.io.send peer (Read_probe { term = t.term; leader_id = t.config.id; round }))
       t.members;
     release_reads t;
     true
@@ -482,7 +486,7 @@ let transfer_leadership t target =
     && t.match_index.(target) = last_log_index t
   then begin
     record t "transfer-leadership" "to=%d" target;
-    Dessim.Network.send t.net ~src:t.config.id ~dst:target (Timeout_now { term = t.term });
+    t.io.send target (Timeout_now { term = t.term });
     true
   end
   else false
@@ -532,7 +536,6 @@ let restore t ~term ~voted_for ~log =
 let set_down t down =
   if down && not t.down then begin
     t.down <- true;
-    Dessim.Network.set_down t.net t.config.id true;
     cancel_election_timer t;
     cancel_heartbeat_timer t;
     fail_reads t;
@@ -540,14 +543,13 @@ let set_down t down =
   end
   else if (not down) && t.down then begin
     t.down <- false;
-    Dessim.Network.set_down t.net t.config.id false;
     t.role <- Follower;
     t.votes <- [];
     record t "restart" "";
     reset_election_timer t
   end
 
-let create ?trace config ~engine ~net =
+let create ?trace config ~rng ~io =
   if config.n <= 0 then invalid_arg "Raft_node.create: n must be positive";
   if config.q_vote < 1 || config.q_vote > config.n then
     invalid_arg "Raft_node.create: q_vote out of range";
@@ -566,16 +568,14 @@ let create ?trace config ~engine ~net =
   let t =
     {
       config;
-      engine;
-      net;
+      io;
       trace;
-      rng = Prob.Rng.split (Dessim.Engine.rng engine);
+      rng;
       role = Follower;
       term = 0;
       voted_for = None;
       log = Dessim.Vec.create ();
       commit_index = 0;
-      applied = Dessim.Vec.create ();
       applied_through = 0;
       votes = [];
       next_index = Array.make config.n 1;
@@ -591,6 +591,5 @@ let create ?trace config ~engine ~net =
       pending_reads = Queue.create ();
     }
   in
-  Dessim.Network.set_handler net config.id (fun ~src msg -> handle_message t ~src msg);
   reset_election_timer t;
   t

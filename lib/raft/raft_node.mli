@@ -1,4 +1,4 @@
-(** A single Raft replica running on the discrete-event simulator.
+(** A single Raft replica, on whatever host gives it an {!io}.
 
     Full Raft: randomized leader election, log replication, commitment,
     follower log repair — with {e flexible} quorum sizes: the vote
@@ -17,7 +17,7 @@
       and spare universe nodes idle until a configuration adopts them.
       This is the substrate for executing preemptive reconfiguration.
 
-    Time units are milliseconds of virtual time. *)
+    Time units are milliseconds of the host's clock. *)
 
 type config = {
   id : int;
@@ -40,15 +40,27 @@ val default_config : id:int -> n:int -> config
 (** Majority quorums, timeouts 150-300ms, heartbeat 50ms, static
     membership. *)
 
+type io = {
+  now : unit -> float;  (** Stamps trace records. *)
+  after : float -> (unit -> unit) -> unit -> unit;
+      (** [after delay f] runs [f] in [delay] ms unless the returned
+          function cancels it first. *)
+  send : int -> Raft_types.msg -> unit;  (** To a peer's {!handle_message}, or lost. *)
+}
+(** The host's clock, timers and sends; none may call back into the
+    node. *)
+
 type t
 
-val create :
-  ?trace:Dessim.Trace.t ->
-  config -> engine:Dessim.Engine.t -> net:Raft_types.msg Dessim.Network.t -> t
-(** Registers the node's network handler and starts its election
-    timer (members only, in dynamic mode). Proposals, commits, applies
-    and role changes are recorded into [trace] when one is given; the
-    checkers read it. Without one nothing is recorded or formatted. *)
+val create : ?trace:Dessim.Trace.t -> config -> rng:Prob.Rng.t -> io:io -> t
+(** Starts the node's election timer (members only, in dynamic mode),
+    drawing its randomized timeouts from [rng]. Proposals, commits,
+    applies and role changes are recorded into [trace] when one is
+    given; the checkers read it. Without one nothing is recorded or
+    formatted. *)
+
+val handle_message : t -> Raft_types.msg -> unit
+(** Process one message from a peer. A down node ignores it. *)
 
 val id : t -> int
 val current_term : t -> int
@@ -90,10 +102,6 @@ val submit_config : t -> int list -> bool
     [false] if this node is not the leader, the mode is static, the
     proposal removes the leader itself, changes more than one server at
     a time, or leaves the cluster empty. *)
-
-val committed_commands : t -> int list
-(** Data commands applied to the state machine, in order (configuration
-    entries are applied to membership, not to the state machine). *)
 
 val log_entries : t -> Raft_types.entry list
 

@@ -62,9 +62,8 @@ type status = {
    its own lock, and [server]. *)
 type t = {
   cfg : config;
-  engine : Dessim.Engine.t;
-  net : Raft_types.msg Dessim.Network.t;
   raft : Raft_node.t;
+  timers : (float * (unit -> unit)) list ref;  (* Raft's armed timers, by deadline *)
   state : State.t;
   payloads : (int, string) Hashtbl.t;
   waiters : (int, waiter) Hashtbl.t;  (* writes, by sequence number *)
@@ -85,7 +84,6 @@ type t = {
   status_mu : Mutex.t;
   mutable status : status;
   server : Server.t option Atomic.t;  (* [None] again once stopped *)
-  start_wall : float;
   mutable next_seq : int;
   mutable leader_epoch : bool * int;
 }
@@ -296,14 +294,28 @@ let deliver t ~src ~dst msg ~payloads =
     List.iter (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes) payloads;
     t.had_inbound <- true;
     t.heard.(src) <- Unix.gettimeofday ();
-    Dessim.Network.send t.net ~src ~dst msg)
+    Raft_node.handle_message t.raft msg)
+
+(* Fire the due timers, earliest first. One that fires may cancel
+   another, or arm one that is due in a later cycle. *)
+let rec fire_timers t ~now =
+  match
+    List.sort (fun (a, _) (b, _) -> Float.compare a b)
+      (List.filter (fun (due, _) -> due <= now) !(t.timers))
+  with
+  | [] -> ()
+  | ((_, fire) as first) :: _ ->
+      t.timers := List.filter (( != ) first) !(t.timers);
+      fire ();
+      fire_timers t ~now
 
 let cycle t =
-  (* 1. Client submissions went onto the log as the loop read them.
-     Advance the virtual clock to wall-clock elapsed ms, then settle
-     the waiters whose leader was deposed or whose deadline passed. *)
+  (* 1. Client submissions went onto the log as the loop read them, and
+     inbound messages went to Raft as they were decoded. Fire Raft's
+     due timers, then settle the waiters whose leader was deposed or
+     whose deadline passed. *)
   let now = Unix.gettimeofday () in
-  Dessim.Engine.advance t.engine ~until:((now -. t.start_wall) *. 1000.);
+  fire_timers t ~now;
   fail_waiters_if_deposed t;
   expire_waiters t ~now;
   (* 2. Persist dirty raft state BEFORE any acknowledgement leaves:
@@ -338,13 +350,11 @@ let cycle t =
   Transport.flush t.links;
   update_status t ~now
 
-(* How long the loop may sleep: until the engine's next timer is due or
-   the earliest commit deadline passes; 0 when one of them already has. *)
+(* How long the loop may sleep: until Raft's next timer is due or the
+   earliest commit deadline passes; 0 when one of them already has. *)
 let timeout t =
   let timer =
-    match Dessim.Engine.next_event_time t.engine with
-    | Some ms -> t.start_wall +. (ms /. 1000.)
-    | None -> Float.infinity
+    List.fold_left (fun acc (due, _) -> Float.min acc due) Float.infinity !(t.timers)
   in
   let due =
     List.fold_left
@@ -524,18 +534,6 @@ let start (cfg : config) =
         | Error msg -> failwith ("replica " ^ string_of_int cfg.id ^ ": " ^ msg)
         | Ok (log, snapshot) -> (Some log, snapshot))
   in
-  let engine = Dessim.Engine.create ~seed:(cfg.seed + cfg.id) () in
-  (* The TCP hop between processes is the real message delay; a virtual
-     one on top would cost every hop another wake-up. *)
-  let net =
-    Dessim.Network.create ~engine ~n:cfg.n ~latency:(Dessim.Network.Fixed 0.)
-      ()
-  in
-  (* No trace: nothing here reads one, and it would grow with every
-     write. *)
-  let raft =
-    Raft_node.create (Raft_node.default_config ~id:cfg.id ~n:cfg.n) ~engine ~net
-  in
   (* Chaos proxies sit on this replica's outbound links only, so each
      ordered pair (src, dst) has exactly one fault-injecting hop owned
      by the source process. *)
@@ -560,14 +558,48 @@ let start (cfg : config) =
              else if cfg.chaos = None then Some (raft_port cfg peer)
              else Some (link_port cfg ~src:cfg.id ~dst:peer)))
   in
+  let payloads = Hashtbl.create 256 in
+  let timers = ref [] in
+  (* Outbound raft messages queue on their peer's link, with command
+     payloads piggybacked for any Data entries; the cycle writes them
+     when its fsync allows. *)
+  let send dst (msg : Raft_types.msg) =
+    let carried (e : Raft_types.entry) =
+      match e.command with
+      | Data seq -> Option.map (fun b -> (seq, b)) (Hashtbl.find_opt payloads seq)
+      | Config _ -> None
+    in
+    let payloads =
+      match msg with
+      | Append_entries { entries; _ } -> List.filter_map carried entries
+      | _ -> []
+    in
+    Transport.send links ~dst (Transport.envelope_to_line ~src:cfg.id ~dst msg ~payloads)
+  in
+  let after delay fire =
+    let timer = (Unix.gettimeofday () +. (delay /. 1000.), fire) in
+    timers := timer :: !timers;
+    fun () -> timers := List.filter (( != ) timer) !timers
+  in
+  (* Election draws come from the second split of the seed's stream:
+     perfbench pins the seed whose draws there win the first election
+     in one round. *)
+  let rng = Prob.Rng.create (cfg.seed + cfg.id) in
+  ignore (Prob.Rng.split rng);
+  (* No trace: nothing here reads one, and it would grow with every
+     write. *)
+  let raft =
+    Raft_node.create (Raft_node.default_config ~id:cfg.id ~n:cfg.n)
+      ~rng:(Prob.Rng.split rng)
+      ~io:{ now = (fun () -> Unix.gettimeofday () *. 1000.); after; send }
+  in
   let t =
     {
       cfg;
-      engine;
-      net;
       raft;
+      timers;
       state = State.create ();
-      payloads = Hashtbl.create 256;
+      payloads;
       waiters = Hashtbl.create 16;
       reads = Hashtbl.create 16;
       next_read = 0;
@@ -590,7 +622,6 @@ let start (cfg : config) =
           s_last_contact = Unix.gettimeofday ();
         };
       server = Atomic.make None;
-      start_wall = Unix.gettimeofday ();
       next_seq = 1;
       leader_epoch = (false, 0);
     }
@@ -609,29 +640,6 @@ let start (cfg : config) =
       t.next_seq <- 1 + max_data_seq snap.log)
     snapshot;
   Raft_node.set_apply_hook raft (on_apply t);
-  (* Outbound raft messages queue on their peer's link, with command
-     payloads piggybacked for any Data entries; the cycle writes them
-     when its fsync allows. *)
-  List.iter
-    (fun peer ->
-      Dessim.Network.set_handler net peer (fun ~src:_ msg ->
-          let payloads =
-            match msg with
-            | Raft_types.Append_entries { entries; _ } ->
-                List.filter_map
-                  (fun (e : Raft_types.entry) ->
-                    match e.command with
-                    | Data seq ->
-                        Option.map
-                          (fun bytes -> (seq, bytes))
-                          (Hashtbl.find_opt t.payloads seq)
-                    | Config _ -> None)
-                  entries
-            | _ -> []
-          in
-          Transport.send links ~dst:peer
-            (Transport.envelope_to_line ~src:cfg.id ~dst:peer msg ~payloads)))
-    peers;
   (* The server's loop runs the plane: it selects on the raft-plane
      sockets beside its own, runs the cycle after every select, and
      answers the replica-plane queries itself. *)

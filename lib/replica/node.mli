@@ -1,9 +1,8 @@
 (** One replica process of the replicated reliability-query service.
 
-    Hosts the simulator's {!Raft_sim.Raft_node} inside a private
-    {!Dessim.Engine} whose virtual clock is slaved to the wall clock
-    (virtual ms = wall ms since start), bridging it to other replicas
-    over real TCP ({!Transport}) and to clients through the
+    Hosts {!Raft_sim.Raft_node} on the wall clock: Raft's timers are
+    deadlines the server loop fires, its messages go to other replicas
+    over real TCP ({!Transport}), and clients reach it through the
     reactor {!Service.Server} with a replica-aware handler:
 
     - [scenario_put] is sequenced through the Raft log and acknowledged
@@ -27,20 +26,20 @@
     raft-plane socket belong to its server's reactor loop, as a
     {!Service.Server.plane}: the loop adds the raft listener, the
     connections it accepted and the links holding queued bytes
-    ({!Transport.fds}) to its [select], and sleeps no longer than the
-    engine's next timer or the earliest commit deadline. After every
+    ({!Transport.fds}) to its [select], and sleeps no longer than
+    Raft's next timer or the earliest commit deadline. After every
     [select] it reads the client connections — a put goes onto the
     log and a linearizable get sends its probes at once — then
-    accepts, reads and decodes inbound envelopes (payload bytes land
-    before their messages) and runs a cycle: advance the engine to
-    wall-clock elapsed time, settle the writes and reads whose leader
-    was deposed or whose deadline passed, append what changed to the
-    {!Storage} segment (one fsync), {e then} call the held replies and
-    write the queued frames — so no acknowledgement leaves the process
-    ahead of the log bytes that justify it. A leader whose term and vote are
-    already durable, and whose log only grows, writes its frames
-    before its own fsync instead: they acknowledge nothing, and the
-    followers' fsyncs overlap its own.
+    accepts, reads and decodes inbound envelopes, handing each message
+    to Raft (payload bytes land before their messages), and runs a
+    cycle: fire Raft's due timers, settle the writes and reads whose
+    leader was deposed or whose deadline passed, append what changed
+    to the {!Storage} segment (one fsync), {e then} call the held
+    replies and write the queued frames — so no acknowledgement leaves
+    the process ahead of the log bytes that justify it. A leader whose
+    term and vote are already durable, and whose log only grows,
+    writes its frames before its own fsync instead: they acknowledge
+    nothing, and the followers' fsyncs overlap its own.
 
     Replica-plane queries never enter the worker lanes' queue; the
     lanes keep the computes. A write holds the server's [reply]

@@ -129,6 +129,15 @@ let msg c : Raft_types.msg =
       let prev_log_term = int c in
       let entries = list c entry in
       let leader_commit = int c in
+      (* A follower pushes each entry at the end of its log once the
+         ones before it match, so the indices must run on from
+         [prev_log_index]. *)
+      if prev_log_index < 0 then raise (Malformed "negative prev_log_index");
+      List.iteri
+        (fun i (e : Raft_types.entry) ->
+          if e.index <> prev_log_index + 1 + i then
+            raise (Malformed "entries out of sequence"))
+        entries;
       Append_entries
         { term; leader_id; prev_log_index; prev_log_term; entries; leader_commit }
   | 3 ->
@@ -149,6 +158,17 @@ let msg c : Raft_types.msg =
       let round = int c in
       Read_probe_reply { term; follower_id; round }
   | _ -> raise (Malformed "bad message tag")
+
+(* The id a message names as its sender, which Raft answers. *)
+let sender : Raft_types.msg -> int option = function
+  | Request_vote { candidate_id = id; _ }
+  | Request_vote_reply { voter_id = id; _ }
+  | Append_entries { leader_id = id; _ }
+  | Append_entries_reply { follower_id = id; _ }
+  | Read_probe { leader_id = id; _ }
+  | Read_probe_reply { follower_id = id; _ } ->
+      Some id
+  | Timeout_now _ -> None
 
 let payload c =
   let seq = int c in
@@ -171,6 +191,9 @@ let envelope_of_line s =
       let src = int c in
       let dst = int c in
       let msg = msg c in
+      (match sender msg with
+      | Some id when id <> src -> raise (Malformed "sender is not src")
+      | _ -> ());
       let payloads = list c payload in
       if c.pos <> n then raise (Malformed "trailing bytes");
       (src, dst, msg, payloads)

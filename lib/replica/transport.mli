@@ -22,7 +22,7 @@
     without blocking ({!flush}) when its cycle allows.
 
     Links are deliberately lossy, the message model the simulator's
-    {!Dessim.Network} presents: a link whose connect or write fails
+    network presents: a link whose connect or write fails
     (say, reset by a chaos proxy) drops its queue and takes nothing
     for 50 ms, and Raft's retries re-carry the state. A frame is never
     cut short on a connection that stays open. *)
@@ -45,7 +45,11 @@ val envelope_of_line :
 (** Total decoder: [(src, dst, msg, payloads)]. It checks the CRC
     first; then every read is bounds-checked, tags must be known,
     counts non-negative and no larger than the bytes left, booleans 0
-    or 1, and the envelope must end where the decoder stops. *)
+    or 1, and the envelope must end where the decoder stops. The
+    message's sender field ([candidate_id], [voter_id], [leader_id] or
+    [follower_id]) must be [src], an [Append_entries]'
+    [prev_log_index] must not be negative, and its entries' indices
+    must run [prev_log_index + 1], [+ 2], and so on. *)
 
 type t
 

@@ -33,9 +33,7 @@ let schedule t ~delay callback =
 
 let cancel event = event.cancelled <- true
 
-let backstop = 10_000_000
-
-let run ?(until = infinity) ?(max_events = backstop) t =
+let run ?(until = infinity) ?(max_events = 10_000_000) t =
   t.stopped <- false;
   let rec loop () =
     if (not t.stopped) && t.executed < max_events then begin
@@ -57,23 +55,6 @@ let run ?(until = infinity) ?(max_events = backstop) t =
     end
   in
   loop ()
-
-(* [run]'s backstop counts events over the engine's life; a caller that
-   advances one engine for as long as its process lives gets the same
-   budget afresh on every call. *)
-let advance t ~until =
-  run ~until ~max_events:(t.executed + backstop) t;
-  match Event_queue.peek_time t.queue with
-  | Some time when time <= until -> () (* stopped early; events remain due *)
-  | _ -> t.clock <- Float.max t.clock until
-
-let rec next_event_time t =
-  match Event_queue.peek t.queue with
-  | Some (_, event) when event.cancelled ->
-      ignore (Event_queue.pop t.queue);
-      next_event_time t
-  | Some (time, _) -> Some time
-  | None -> None
 
 let events_executed t = t.executed
 

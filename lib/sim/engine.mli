@@ -33,20 +33,6 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     backstop), or when no events remain. Events scheduled during the
     run are processed too. *)
 
-val advance : t -> until:float -> unit
-(** [run ~until], then move the clock to [until] even when no event
-    fell due there. For a caller slaving virtual time to a wall clock:
-    work it schedules next is stamped with the present, not with the
-    time of the last event. The 10-million-event backstop applies to
-    each call, not to the engine's lifetime, so a process can advance
-    one engine indefinitely. *)
-
-val next_event_time : t -> float option
-(** Virtual time of the earliest event still due to run, [None] when
-    nothing is queued. Cancelled events at the head of the queue are
-    discarded on the way; nothing runs. A caller slaving the clock to
-    wall time sleeps until this instant. *)
-
 val events_executed : t -> int
 
 val stop : t -> unit

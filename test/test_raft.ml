@@ -242,6 +242,117 @@ let test_read_index_stale_leader () =
   Alcotest.(check bool) "the old leader steps down" false (Raft_node.is_leader old_node);
   Alcotest.(check (option (option int))) "its read fails" (Some None) !read
 
+(* Raft_node on a host written here, with no simulator: a ms clock the
+   test moves, a list of timers, and one outbox the test delivers from
+   by hand. Each timer remembers which node armed it. *)
+type timer = { owner : int; due : float; fire : unit -> unit; mutable armed : bool }
+
+type host = {
+  mutable clock : float;
+  mutable timers : timer list;
+  outbox : (int * Raft_types.msg) Queue.t;
+}
+
+let hosted host ~n =
+  Array.init n (fun id ->
+      Raft_node.create (Raft_node.default_config ~id ~n)
+        ~rng:(Prob.Rng.create (100 + id))
+        ~io:
+          {
+            now = (fun () -> host.clock);
+            after =
+              (fun delay fire ->
+                let tm = { owner = id; due = host.clock +. delay; fire; armed = true } in
+                host.timers <- tm :: host.timers;
+                fun () -> tm.armed <- false);
+            send = (fun dst msg -> Queue.push (dst, msg) host.outbox);
+          })
+
+let deliver_all host nodes =
+  while not (Queue.is_empty host.outbox) do
+    let dst, msg = Queue.pop host.outbox in
+    Raft_node.handle_message nodes.(dst) msg
+  done
+
+(* Move the clock to the earliest armed timer and fire it; a cancelled
+   timer is dropped, never fired. *)
+let fire_next host =
+  host.timers <- List.filter (fun tm -> tm.armed) host.timers;
+  match List.sort (fun a b -> Float.compare a.due b.due) host.timers with
+  | [] -> Alcotest.fail "no timer armed"
+  | tm :: _ ->
+      host.clock <- tm.due;
+      tm.armed <- false;
+      tm.fire ()
+
+let armed_by host id = List.filter (fun tm -> tm.armed && tm.owner = id) host.timers
+
+let test_raft_on_a_plain_host () =
+  let applied nodes =
+    Array.map
+      (fun node ->
+        let got = ref [] in
+        Raft_node.set_apply_hook node (fun (e : Raft_types.entry) ->
+            match e.command with Data c -> got := c :: !got | Config _ -> ());
+        got)
+      nodes
+  in
+  (* A lone node elects itself when its timer fires, and commits. *)
+  let host = { clock = 0.; timers = []; outbox = Queue.create () } in
+  let lone = hosted host ~n:1 in
+  let lone_applied = applied lone in
+  Alcotest.(check bool) "no leader before the timer" false (Raft_node.is_leader lone.(0));
+  fire_next host;
+  Alcotest.(check bool) "the lone node leads" true (Raft_node.is_leader lone.(0));
+  Alcotest.(check bool) "its put is accepted" true (Raft_node.submit lone.(0) 7);
+  Alcotest.(check (list int)) "and applied" [ 7 ] !(lone_applied.(0));
+  Alcotest.(check int) "nothing sent" 0 (Queue.length host.outbox);
+  (* Three nodes: one leader, and every node applies its put. *)
+  let host = { clock = 0.; timers = []; outbox = Queue.create () } in
+  let nodes = hosted host ~n:3 in
+  let got = applied nodes in
+  let leaders () = List.filter (fun i -> Raft_node.is_leader nodes.(i)) (all 3) in
+  let rounds = ref 0 in
+  while leaders () = [] && !rounds < 50 do
+    incr rounds;
+    fire_next host;
+    deliver_all host nodes
+  done;
+  let leader = match leaders () with [ l ] -> l | _ -> Alcotest.fail "no leader" in
+  let follower = (leader + 1) mod 3 in
+  let term = Raft_node.current_term nodes.(leader) in
+  Alcotest.(check bool) "the leader's put is accepted" true
+    (Raft_node.submit nodes.(leader) 42);
+  deliver_all host nodes;
+  (* An ack claiming more than the leader holds is ignored: kept, it
+     would send the next heartbeat past the end of the leader's log. *)
+  Raft_node.handle_message nodes.(leader)
+    (Append_entries_reply
+       { term; follower_id = follower; success = true; match_index = 99 });
+  (* Followers learn the commit from the next heartbeat; a few seconds
+     of them change nothing else. *)
+  for _ = 1 to 100 do
+    fire_next host;
+    deliver_all host nodes
+  done;
+  Alcotest.(check (list int)) "one leader, same term" [ leader ] (leaders ());
+  Array.iteri
+    (fun i node ->
+      Alcotest.(check int) (Printf.sprintf "node %d's term" i) term
+        (Raft_node.current_term node);
+      Alcotest.(check (list int)) (Printf.sprintf "node %d applied" i) [ 42 ] !(got.(i)))
+    nodes;
+  (* Each node keeps one timer armed; every one it replaced was
+     cancelled, so no stale election timer fired above. *)
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "node %d's timers" i) 1
+        (List.length (armed_by host i)))
+    (all 3);
+  Raft_node.set_down nodes.(leader) true;
+  Alcotest.(check int) "a crashed node's timer is cancelled" 0
+    (List.length (armed_by host leader))
+
 let prop_random_minority_crashes_keep_raft_safe_and_live =
   QCheck.Test.make ~count:8 ~name:"random minority crash sets: safe and live"
     QCheck.(int_range 0 10_000)
@@ -285,4 +396,5 @@ let suite =
       test_read_index_stale_leader;
     QCheck_alcotest.to_alcotest prop_random_minority_crashes_keep_raft_safe_and_live;
     QCheck_alcotest.to_alcotest prop_any_crash_set_is_safe;
+    Alcotest.test_case "raft on a host with no simulator" `Quick test_raft_on_a_plain_host;
   ]

@@ -118,7 +118,7 @@ let test_raft_codec () =
   | Ok _ -> Alcotest.fail "unknown msg type accepted")
 
 (* Every message kind, with and without payloads, survives the binary
-   envelope. *)
+   envelope. Each one travels from the node its sender field names. *)
 let test_transport_envelope () =
   let module Transport = Replica.Transport in
   let entries =
@@ -130,44 +130,48 @@ let test_transport_envelope () =
   in
   let msgs =
     [
-      Raft_types.Request_vote
-        { term = 4; candidate_id = 1; last_log_index = 6; last_log_term = 3 };
-      Raft_types.Request_vote_reply { term = 4; voter_id = 2; granted = true };
-      Raft_types.Request_vote_reply { term = 4; voter_id = 2; granted = false };
-      Raft_types.Append_entries
-        {
-          term = 2;
-          leader_id = 0;
-          prev_log_index = 0;
-          prev_log_term = 0;
-          entries;
-          leader_commit = max_int;
-        };
-      Raft_types.Append_entries
-        {
-          term = 2;
-          leader_id = 0;
-          prev_log_index = 3;
-          prev_log_term = 2;
-          entries = [];
-          leader_commit = 3;
-        };
-      Raft_types.Append_entries_reply
-        { term = 4; follower_id = 0; success = true; match_index = 3 };
-      Raft_types.Timeout_now { term = min_int };
-      Raft_types.Read_probe { term = 4; leader_id = 1; round = 9 };
-      Raft_types.Read_probe_reply { term = 5; follower_id = 2; round = 9 };
+      ( 1,
+        Raft_types.Request_vote
+          { term = 4; candidate_id = 1; last_log_index = 6; last_log_term = 3 } );
+      (2, Raft_types.Request_vote_reply { term = 4; voter_id = 2; granted = true });
+      (2, Raft_types.Request_vote_reply { term = 4; voter_id = 2; granted = false });
+      ( 0,
+        Raft_types.Append_entries
+          {
+            term = 2;
+            leader_id = 0;
+            prev_log_index = 0;
+            prev_log_term = 0;
+            entries;
+            leader_commit = max_int;
+          } );
+      ( 0,
+        Raft_types.Append_entries
+          {
+            term = 2;
+            leader_id = 0;
+            prev_log_index = 3;
+            prev_log_term = 2;
+            entries = [];
+            leader_commit = 3;
+          } );
+      ( 0,
+        Raft_types.Append_entries_reply
+          { term = 4; follower_id = 0; success = true; match_index = 3 } );
+      (0, Raft_types.Timeout_now { term = min_int });
+      (1, Raft_types.Read_probe { term = 4; leader_id = 1; round = 9 });
+      (2, Raft_types.Read_probe_reply { term = 5; follower_id = 2; round = 9 });
     ]
   in
   List.iter
     (fun payloads ->
       List.iter
-        (fun msg ->
+        (fun (src, msg) ->
           match
             Transport.envelope_of_line
-              (Transport.envelope_to_line ~src:0 ~dst:2 msg ~payloads)
+              (Transport.envelope_to_line ~src ~dst:3 msg ~payloads)
           with
-          | Ok (0, 2, decoded, got) ->
+          | Ok (s, 3, decoded, got) when s = src ->
               Alcotest.(check bool) "msg survives" true (decoded = msg);
               Alcotest.(check (list (pair int string))) "payloads survive" payloads got
           | Ok _ -> Alcotest.fail "wrong envelope fields"
@@ -237,6 +241,11 @@ let test_transport_envelope_rejects () =
       ("an unknown command tag", [ 1; 0; 2; 3; 1; 0; 0; 1; 3; 1; 2; 5; 0; 0 ], "");
       ("an entry at index 0", [ 1; 0; 2; 3; 1; 0; 0; 1; 3; 0; 0; 5; 0; 0 ], "");
       ("a negative member count", [ 1; 0; 2; 3; 1; 0; 0; 1; 3; 1; 1; -1; 0; 0 ], "");
+      ("a follower_id that is not src", [ 1; 0; 3; 3; 7; 1; 0; 0 ], "");
+      ("a negative prev_log_index", [ 1; 0; 2; 3; 1; -1; 0; 0; 0; 0 ], "");
+      ( "entries with a gap",
+        [ 1; 0; 2; 3; 1; 0; 0; 2; 3; 1; 0; 5; 3; 3; 0; 6; 0; 0 ],
+        "" );
     ]
 
 (* An envelope over the raft plane's bound is refused and counted where
