@@ -6,21 +6,6 @@ let command_to_json = function
       Obs.Json.Obj
         [ ("config", Obs.Json.List (List.map (fun m -> Obs.Json.Int m) members)) ]
 
-let command_of_json doc =
-  match (Obs.Json.member "data" doc, Obs.Json.member "config" doc) with
-  | Some (Obs.Json.Int c), None -> Ok (Data c)
-  | None, Some members -> (
-      match Obs.Json.to_list members with
-      | Some docs ->
-          let rec ints acc = function
-            | [] -> Ok (Config (List.rev acc))
-            | Obs.Json.Int m :: rest -> ints (m :: acc) rest
-            | _ -> Error "config members must be integers"
-          in
-          ints [] docs
-      | None -> Error "config must be a list")
-  | _ -> Error "command must carry exactly one of data/config"
-
 let entry_to_json (e : entry) =
   Obs.Json.Obj
     [
@@ -28,41 +13,6 @@ let entry_to_json (e : entry) =
       ("index", Obs.Json.Int e.index);
       ("cmd", command_to_json e.command);
     ]
-
-let ( let* ) = Result.bind
-
-let int_of name doc =
-  match Option.bind (Obs.Json.member name doc) Obs.Json.to_int with
-  | Some i -> Ok i
-  | None -> Error ("missing integer " ^ name)
-
-let bool_of name doc =
-  match Obs.Json.member name doc with
-  | Some (Obs.Json.Bool b) -> Ok b
-  | _ -> Error ("missing boolean " ^ name)
-
-let entry_of_json doc =
-  let* term = int_of "term" doc in
-  let* index = int_of "index" doc in
-  let* cmd =
-    match Obs.Json.member "cmd" doc with
-    | Some c -> command_of_json c
-    | None -> Error "entry missing cmd"
-  in
-  if term < 0 || index < 1 then Error "entry term/index out of range"
-  else Ok { term; index; command = cmd }
-
-let entries_of_json doc =
-  match Obs.Json.to_list doc with
-  | None -> Error "entries must be a list"
-  | Some docs ->
-      List.fold_left
-        (fun acc d ->
-          let* acc = acc in
-          let* e = entry_of_json d in
-          Ok (e :: acc))
-        (Ok []) docs
-      |> Result.map List.rev
 
 let msg_to_json = function
   | Request_vote { term; candidate_id; last_log_index; last_log_term } ->
@@ -123,51 +73,179 @@ let msg_to_json = function
           ("round", Obs.Json.Int round);
         ]
 
-let msg_of_json doc =
-  match Option.bind (Obs.Json.member "type" doc) Obs.Json.to_string_opt with
-  | Some "request_vote" ->
-      let* term = int_of "term" doc in
-      let* candidate_id = int_of "candidate_id" doc in
-      let* last_log_index = int_of "last_log_index" doc in
-      let* last_log_term = int_of "last_log_term" doc in
-      Ok (Request_vote { term; candidate_id; last_log_index; last_log_term })
-  | Some "request_vote_reply" ->
-      let* term = int_of "term" doc in
-      let* voter_id = int_of "voter_id" doc in
-      let* granted = bool_of "granted" doc in
-      Ok (Request_vote_reply { term; voter_id; granted })
-  | Some "append_entries" ->
-      let* term = int_of "term" doc in
-      let* leader_id = int_of "leader_id" doc in
-      let* prev_log_index = int_of "prev_log_index" doc in
-      let* prev_log_term = int_of "prev_log_term" doc in
-      let* entries =
-        match Obs.Json.member "entries" doc with
-        | Some e -> entries_of_json e
-        | None -> Error "append_entries missing entries"
-      in
-      let* leader_commit = int_of "leader_commit" doc in
-      Ok
-        (Append_entries
-           { term; leader_id; prev_log_index; prev_log_term; entries; leader_commit })
-  | Some "append_entries_reply" ->
-      let* term = int_of "term" doc in
-      let* follower_id = int_of "follower_id" doc in
-      let* success = bool_of "success" doc in
-      let* match_index = int_of "match_index" doc in
-      Ok (Append_entries_reply { term; follower_id; success; match_index })
-  | Some "timeout_now" ->
-      let* term = int_of "term" doc in
-      Ok (Timeout_now { term })
-  | Some "read_probe" ->
-      let* term = int_of "term" doc in
-      let* leader_id = int_of "leader_id" doc in
-      let* round = int_of "round" doc in
-      Ok (Read_probe { term; leader_id; round })
-  | Some "read_probe_reply" ->
-      let* term = int_of "term" doc in
-      let* follower_id = int_of "follower_id" doc in
-      let* round = int_of "round" doc in
-      Ok (Read_probe_reply { term; follower_id; round })
-  | Some other -> Error (Printf.sprintf "unknown raft message type %S" other)
-  | None -> Error "raft message missing type"
+(* ---- writing -------------------------------------------------------- *)
+
+let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+let add_ints buf = List.iter (add_int buf)
+let add_bool buf b = add_int buf (if b then 1 else 0)
+
+let add_string buf s =
+  add_int buf (String.length s);
+  Buffer.add_string buf s
+
+let add_entry buf e =
+  add_ints buf [ e.term; e.index ];
+  match e.command with
+  | Data c -> add_ints buf [ 0; c ]
+  | Config members -> add_ints buf (1 :: List.length members :: members)
+
+let add_msg buf = function
+  | Request_vote { term; candidate_id; last_log_index; last_log_term } ->
+      add_ints buf [ 0; term; candidate_id; last_log_index; last_log_term ]
+  | Request_vote_reply { term; voter_id; granted } ->
+      add_ints buf [ 1; term; voter_id ];
+      add_bool buf granted
+  | Append_entries
+      { term; leader_id; prev_log_index; prev_log_term; entries; leader_commit }
+    ->
+      add_ints buf
+        [ 2; term; leader_id; prev_log_index; prev_log_term; List.length entries ];
+      List.iter (add_entry buf) entries;
+      add_int buf leader_commit
+  | Append_entries_reply { term; follower_id; success; match_index } ->
+      add_ints buf [ 3; term; follower_id ];
+      add_bool buf success;
+      add_int buf match_index
+  | Timeout_now { term } -> add_ints buf [ 4; term ]
+  | Read_probe { term; leader_id; round } -> add_ints buf [ 5; term; leader_id; round ]
+  | Read_probe_reply { term; follower_id; round } ->
+      add_ints buf [ 6; term; follower_id; round ]
+
+(* ---- reading -------------------------------------------------------- *)
+
+(* Fields are read in sequence with [let]: the order in which a
+   record's fields are evaluated is unspecified. *)
+exception Malformed of string
+
+type cursor = { s : string; mutable pos : int; stop : int }
+
+let int c =
+  if c.pos + 8 > c.stop then raise (Malformed "cut short");
+  let v = Int64.to_int (String.get_int64_le c.s c.pos) in
+  c.pos <- c.pos + 8;
+  v
+
+let bool c =
+  match int c with 0 -> false | 1 -> true | _ -> raise (Malformed "bad boolean")
+
+let take c len =
+  if len < 0 || len > c.stop - c.pos then raise (Malformed "bad length");
+  let bytes = String.sub c.s c.pos len in
+  c.pos <- c.pos + len;
+  bytes
+
+let string c = take c (int c)
+
+let list c item =
+  let k = int c in
+  if k < 0 || k > c.stop - c.pos then raise (Malformed "bad count");
+  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (item c :: acc) in
+  go k []
+
+let entry c =
+  let term = int c in
+  let index = int c in
+  let command =
+    match int c with
+    | 0 -> Data (int c)
+    | 1 -> Config (list c int)
+    | _ -> raise (Malformed "bad command tag")
+  in
+  if term < 0 || index < 1 then raise (Malformed "entry term/index out of range");
+  { term; index; command }
+
+let msg c =
+  match int c with
+  | 0 ->
+      let term = int c in
+      let candidate_id = int c in
+      let last_log_index = int c in
+      let last_log_term = int c in
+      Request_vote { term; candidate_id; last_log_index; last_log_term }
+  | 1 ->
+      let term = int c in
+      let voter_id = int c in
+      let granted = bool c in
+      Request_vote_reply { term; voter_id; granted }
+  | 2 ->
+      let term = int c in
+      let leader_id = int c in
+      let prev_log_index = int c in
+      let prev_log_term = int c in
+      let entries = list c entry in
+      let leader_commit = int c in
+      (* A follower pushes each entry at the end of its log once the
+         ones before it match, so the indices must run on from
+         [prev_log_index]. *)
+      if prev_log_index < 0 then raise (Malformed "negative prev_log_index");
+      List.iteri
+        (fun i (e : entry) ->
+          if e.index <> prev_log_index + 1 + i then
+            raise (Malformed "entries out of sequence"))
+        entries;
+      Append_entries
+        { term; leader_id; prev_log_index; prev_log_term; entries; leader_commit }
+  | 3 ->
+      let term = int c in
+      let follower_id = int c in
+      let success = bool c in
+      let match_index = int c in
+      Append_entries_reply { term; follower_id; success; match_index }
+  | 4 -> Timeout_now { term = int c }
+  | 5 ->
+      let term = int c in
+      let leader_id = int c in
+      let round = int c in
+      Read_probe { term; leader_id; round }
+  | 6 ->
+      let term = int c in
+      let follower_id = int c in
+      let round = int c in
+      Read_probe_reply { term; follower_id; round }
+  | _ -> raise (Malformed "bad message tag")
+
+let read c reader =
+  match reader c with
+  | v -> if c.pos = c.stop then Ok v else Error "trailing bytes"
+  | exception Malformed why -> Error why
+
+(* ---- the seal ------------------------------------------------------- *)
+
+(* CRC-32 as in zlib and Ethernet: reflected polynomial 0xEDB88320. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc_of_bytes b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c :=
+      crc_table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc32 s ~pos ~len = crc_of_bytes (Bytes.unsafe_of_string s) ~pos ~len
+let crc_bytes = 4
+
+let seal write =
+  let buf = Buffer.create 256 in
+  Buffer.add_int32_le buf 0l;
+  write buf;
+  let b = Buffer.to_bytes buf in
+  Bytes.set_int32_le b 0
+    (Int32.of_int (crc_of_bytes b ~pos:crc_bytes ~len:(Bytes.length b - crc_bytes)));
+  Bytes.unsafe_to_string b
+
+let unseal s ~pos ~len =
+  let body = pos + crc_bytes in
+  if
+    len >= crc_bytes
+    && Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+       = crc32 s ~pos:body ~len:(len - crc_bytes)
+  then Some { s; pos = body; stop = pos + len }
+  else None

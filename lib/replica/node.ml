@@ -288,10 +288,16 @@ let update_status t ~now =
   Mutex.unlock t.status_mu
 
 (* Inbound raft traffic: payloads land in the table before the message
-   that references them is processed. *)
+   that references them is processed. Sequence numbers are reused across
+   terms, so only an AppendEntries Raft will not reject for its term may
+   store payloads: an older leader's bytes would overwrite those of the
+   entry now at that sequence number. *)
 let deliver t ~src ~dst msg ~payloads =
   if dst = t.cfg.id && src >= 0 && src < t.cfg.n && src <> t.cfg.id then (
-    List.iter (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes) payloads;
+    (match msg with
+    | Raft_types.Append_entries { term; _ } when term >= Raft_node.current_term t.raft ->
+        List.iter (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes) payloads
+    | _ -> ());
     t.had_inbound <- true;
     t.heard.(src) <- Unix.gettimeofday ();
     Raft_node.handle_message t.raft msg)

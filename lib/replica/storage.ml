@@ -1,6 +1,8 @@
+module Frame = Service.Frame
+module Raft_codec = Raft_sim.Raft_codec
 module Raft_types = Raft_sim.Raft_types
 
-let schema = "probcons-replica-durable/2"
+let schema = "probcons-replica-durable/3"
 let file = "durable.log"
 let legacy_file = "durable.json"
 
@@ -19,128 +21,42 @@ type record =
 let path ~dir = Filename.concat dir file
 let ( let* ) = Result.bind
 
-(* ---- frames --------------------------------------------------------- *)
-
-(* CRC-32 as in zlib and Ethernet: reflected polynomial 0xEDB88320. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 1 to 8 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-let crc32 s ~pos ~len =
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c :=
-      crc_table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-(* Records are never empty and stay under 16 MiB, so the top byte of
-   every length field is zero. Canonical JSON never holds a NUL byte (it
-   escapes control characters) and always ends in a bracket, which lets
-   [frame_at] tell a torn tail from a damaged frame with more frames
-   behind it. *)
-let max_record_bytes = (1 lsl 24) - 1
-let frame_header_bytes = 8
-
-let add_frame buf body =
-  let len = String.length body in
-  if len > max_record_bytes then invalid_arg "Storage: record over 16 MiB";
-  Buffer.add_int32_le buf (Int32.of_int len);
-  Buffer.add_int32_le buf (Int32.of_int (crc32 body ~pos:0 ~len));
-  Buffer.add_string buf body
-
-let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
-
-type frame = Frame of string * int | End | Torn | Corrupt
-
-(* No byte in [from, until) is NUL. *)
-let nul_free s ~from ~until =
-  let rec go i = i >= until || (s.[i] <> '\000' && go (i + 1)) in
-  go from
-
-(* A frame that is cut, empty or fails its checksum is a torn tail —
-   the unfinished last append of a crash — only when no later frame can
-   follow it. A later frame ends in a JSON byte, so it lies before the
-   file's trailing run of NULs (the zero fill a crash can leave after
-   the last block written), and its length field holds a NUL. So the
-   frame is torn when the bytes from its body up to that run hold no
-   NUL; anything else is damage. *)
-let frame_at s pos =
-  let len = String.length s in
-  let body = pos + frame_header_bytes in
-  let size = if body > len then 0 else u32 s pos in
-  if pos = len then End
-  else if
-    size > 0 && size <= len - body && crc32 s ~pos:body ~len:size = u32 s (pos + 4)
-  then Frame (String.sub s body size, body + size)
-  else
-    let rec fill_start i =
-      if i > 0 && s.[i - 1] = '\000' then fill_start (i - 1) else i
-    in
-    if nul_free s ~from:body ~until:(fill_start len) then Torn else Corrupt
-
 (* ---- records -------------------------------------------------------- *)
 
-let header =
-  Obs.Json.to_string (Obs.Json.Obj [ ("schema", Obs.Json.String schema) ])
-
-let record_to_json = function
+(* A record is a tag word, then its fields: a hard state's term and
+   vote (-1 for none); an entry in the envelope's layout, then its
+   payload's length (-1 for none) and bytes; a truncate's first
+   index. *)
+let add_record buf = function
   | Hard_state { term; voted_for } ->
-      Obs.Json.Obj
-        [
-          ("type", Obs.Json.String "hard_state");
-          ("term", Obs.Json.Int term);
-          ( "voted_for",
-            match voted_for with
-            | None -> Obs.Json.Null
-            | Some v -> Obs.Json.Int v );
-        ]
-  | Entry { entry; payload } ->
-      Obs.Json.Obj
-        (("type", Obs.Json.String "entry")
-        :: ("entry", Raft_sim.Raft_codec.entry_to_json entry)
-        ::
-        (match payload with
-        | None -> []
-        | Some bytes -> [ ("payload", Obs.Json.String bytes) ]))
-  | Truncate { from } ->
-      Obs.Json.Obj
-        [ ("type", Obs.Json.String "truncate"); ("from", Obs.Json.Int from) ]
+      List.iter (Raft_codec.add_int buf)
+        [ 0; term; Option.value voted_for ~default:(-1) ]
+  | Entry { entry; payload } -> (
+      Raft_codec.add_int buf 1;
+      Raft_codec.add_entry buf entry;
+      match payload with
+      | None -> Raft_codec.add_int buf (-1)
+      | Some bytes -> Raft_codec.add_string buf bytes)
+  | Truncate { from } -> List.iter (Raft_codec.add_int buf) [ 2; from ]
 
-let record_of_string body =
-  let* j = Obs.Json.of_string body in
-  let field name = Obs.Json.member name j in
-  match field "type" with
-  | Some (Obs.Json.String "hard_state") -> (
-      match (field "term", field "voted_for") with
-      | Some (Obs.Json.Int term), Some Obs.Json.Null when term >= 0 ->
-          Ok (Hard_state { term; voted_for = None })
-      | Some (Obs.Json.Int term), Some (Obs.Json.Int v) when term >= 0 && v >= 0
-        ->
-          Ok (Hard_state { term; voted_for = Some v })
-      | _ -> Error "bad hard_state record")
-  | Some (Obs.Json.String "entry") -> (
-      let* entry =
-        match field "entry" with
-        | Some e -> Raft_sim.Raft_codec.entry_of_json e
-        | None -> Error "entry record without an entry"
+let record c =
+  match Raft_codec.int c with
+  | 0 ->
+      let term = Raft_codec.int c in
+      let vote = Raft_codec.int c in
+      if term < 0 || vote < -1 then raise (Raft_codec.Malformed "bad hard state");
+      Hard_state { term; voted_for = (if vote = -1 then None else Some vote) }
+  | 1 ->
+      let entry = Raft_codec.entry c in
+      let payload =
+        match Raft_codec.int c with -1 -> None | len -> Some (Raft_codec.take c len)
       in
-      match field "payload" with
-      | None -> Ok (Entry { entry; payload = None })
-      | Some (Obs.Json.String bytes) -> Ok (Entry { entry; payload = Some bytes })
-      | Some _ -> Error "bad entry payload")
-  | Some (Obs.Json.String "truncate") -> (
-      match field "from" with
-      | Some (Obs.Json.Int from) when from >= 1 -> Ok (Truncate { from })
-      | _ -> Error "bad truncate record")
-  | _ -> Error "unknown record type"
-
-let add_record buf r = add_frame buf (Obs.Json.to_string (record_to_json r))
+      Entry { entry; payload }
+  | 2 ->
+      let from = Raft_codec.int c in
+      if from < 1 then raise (Raft_codec.Malformed "bad truncate");
+      Truncate { from }
+  | _ -> raise (Raft_codec.Malformed "unknown record tag")
 
 let records_of_snapshot s =
   let payloads = Hashtbl.of_seq (List.to_seq s.payloads) in
@@ -154,6 +70,52 @@ let records_of_snapshot s =
          in
          Entry { entry; payload })
        s.log
+
+(* ---- frames --------------------------------------------------------- *)
+
+(* Each record is sealed and framed as the raft plane frames an
+   envelope, so the frame's version byte is the wire's: a wire/4 means
+   a durable/4. *)
+let max_record_bytes = 1 lsl 24
+
+let frame write =
+  Frame.encode ~max_payload_bytes:max_record_bytes (Raft_codec.seal write)
+
+let header = frame (fun buf -> Buffer.add_string buf schema)
+let add_frame buf r = Buffer.add_string buf (frame (fun b -> add_record b r))
+
+(* The format before this one opened with a u32 length, a u32 CRC-32,
+   then this record. *)
+let older_header = {|{"schema":"probcons-replica-durable/2"}|}
+
+(* A well-formed frame at [pos] whose checksum holds: a cursor over its
+   body, and where the frame ends. *)
+let frame_at s pos =
+  match Frame.header_at ~max_payload_bytes:max_record_bytes s ~pos with
+  | Ok (Some len) when len <= String.length s - pos - Frame.header_bytes ->
+      let body = pos + Frame.header_bytes in
+      Option.map (fun c -> (c, body + len)) (Raft_codec.unseal s ~pos:body ~len)
+  | Ok _ | Error _ -> None
+
+(* A bad frame at [pos] is a torn tail — a crash's unfinished last
+   append — only when no good frame starts after it before the file's
+   trailing zeros (the fill a crash can leave, or the preallocation).
+   Binary records hold NULs and may end in them, so the rule looks for
+   a later frame, not for a NUL. A frame starts with the magic byte,
+   which command bytes never hold, so few offsets get checksummed. The
+   bad frame's length field is not trusted: one flipped bit in it could
+   otherwise swallow every frame behind it. *)
+let torn s pos =
+  let rec fill_start i = if i > 0 && s.[i - 1] = '\000' then fill_start (i - 1) else i in
+  let until = fill_start (String.length s) in
+  let rec clean from =
+    from >= until
+    ||
+    match String.index_from_opt s from Frame.magic with
+    | Some q when q < until -> frame_at s q = None && clean (q + 1)
+    | Some _ | None -> true
+  in
+  clean (pos + 1)
 
 (* ---- replay --------------------------------------------------------- *)
 
@@ -203,23 +165,28 @@ let snapshot_of st =
    ends. *)
 let scan contents =
   let* start =
-    match frame_at contents 0 with
-    | Frame (body, stop) when body = header -> Ok stop
-    | Frame _ -> Error "wrong or missing schema"
-    | End | Torn | Corrupt -> Error "missing or damaged header"
+    if String.starts_with ~prefix:header contents then Ok (String.length header)
+    else if
+      String.length contents >= 8 + String.length older_header
+      && String.sub contents 8 (String.length older_header) = older_header
+    then
+      Error
+        "a probcons-replica-durable/2 segment, from an older format; refusing \
+         to boot empty over it"
+    else Error "missing or damaged header"
   in
   let st = { r_term = 0; r_voted_for = None; r_log = Dessim.Vec.create () } in
   let rec go pos =
     match frame_at contents pos with
-    | End | Torn -> Ok pos
-    | Corrupt -> Error (Printf.sprintf "corrupt frame at byte %d" pos)
-    | Frame (body, stop) ->
+    | Some (c, stop) ->
         let* () =
           Result.map_error
             (fun msg -> Printf.sprintf "record at byte %d: %s" pos msg)
-            (Result.bind (record_of_string body) (apply st))
+            (Result.bind (Raft_codec.read c record) (apply st))
         in
         go stop
+    | None when torn contents pos -> Ok pos
+    | None -> Error (Printf.sprintf "corrupt frame at byte %d" pos)
   in
   let* good = go start in
   Ok (snapshot_of st, good)
@@ -247,8 +214,8 @@ let fsync_dir dir =
    returns, so a crash leaves either the old file or the new one. *)
 let install ~dir records =
   let buf = Buffer.create 4096 in
-  add_frame buf header;
-  List.iter (add_record buf) records;
+  Buffer.add_string buf header;
+  List.iter (add_frame buf) records;
   let final = path ~dir in
   let tmp = final ^ ".tmp" in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
@@ -323,7 +290,7 @@ let open_log ~dir =
 let append log records =
   if records <> [] then (
     let buf = Buffer.create 1024 in
-    List.iter (add_record buf) records;
+    List.iter (add_frame buf) records;
     let stop = log.stop + Buffer.length buf in
     if stop > log.allocated then extend log ~until:stop;
     write_all log.fd (Buffer.contents buf);

@@ -2,13 +2,17 @@
 
     Exactly what the Raft paper puts on stable storage — current term,
     vote, and the log — plus the command bytes of each [Data] entry. A
-    state directory holds one append-only segment file, [durable.log]:
+    state directory holds one append-only segment file, [durable.log],
+    of frames laid end to end, each a {!Service.Frame} around a body
+    sealed by {!Raft_sim.Raft_codec.seal}, as the raft plane frames an
+    envelope:
 
-    - a header frame whose record is
-      [{"schema":"probcons-replica-durable/2"}];
-    - then one frame per {!record}: a little-endian u32 length, a
-      little-endian u32 CRC-32 (the zlib polynomial) of the record
-      bytes, then the record as canonical JSON;
+    - a header frame whose body is the schema string;
+    - then one frame per {!record}: a tag word (0 hard state, 1 entry,
+      2 truncate), then a hard state's term and vote (-1 for none), an
+      entry in {!Raft_sim.Raft_codec}'s layout followed by its
+      payload's length (-1 for none) and bytes, or a truncate's first
+      index;
     - then zeros: the writer preallocates the file in 256 KiB chunks,
       so an append overwrites zeros and its fsync leaves the file size
       alone. Loading reads the fill as a torn tail, as below.
@@ -24,18 +28,22 @@
     Recovery contract, so a replica never boots empty or short over
     damaged state:
     - no segment file is a fresh start, but a directory holding only a
-      legacy [durable.json] is an error;
+      legacy [durable.json], or a segment of the older
+      [probcons-replica-durable/2] format, is an error;
     - a missing, cut or damaged header is an error;
-    - the last frame may be torn by a crash mid-append (cut short,
-      empty, or failing its checksum with no later frame behind it,
-      perhaps followed by zero fill): loading stops before it, and
-      {!open_log} cuts it off before appending;
-    - any other frame that fails its checksum, and any record that does
-      not replay (an entry off the end of the log, a truncate past it),
-      is an error. *)
+    - the last frame may be torn by a crash mid-append (cut short or
+      failing its checksum, perhaps followed by zero fill): a bad frame
+      after which no good frame starts before the file's trailing
+      zeros ends the replay, and {!open_log} cuts it off before
+      appending. Zero fill can also complete a frame whose last bytes
+      were zeros; that frame is the bytes a complete write leaves, and
+      it loads;
+    - any other bad frame, and any checksum-valid record that is
+      malformed or does not replay (an entry off the end of the log, a
+      truncate past it), is an error. *)
 
 val schema : string
-(** ["probcons-replica-durable/2"]. *)
+(** ["probcons-replica-durable/3"]. *)
 
 type snapshot = {
   term : int;
@@ -52,11 +60,6 @@ type record =
           the log. [payload] carries a [Data] entry's command bytes. *)
   | Truncate of { from : int }
       (** Drops the entries at index [from] and beyond. *)
-
-val crc32 : string -> pos:int -> len:int -> int
-(** CRC-32 as zlib computes it (reflected polynomial 0xEDB88320) of
-    [len] bytes from [pos]: the frame checksum, shared with
-    {!Transport}'s envelopes. *)
 
 val path : dir:string -> string
 (** The segment file inside a replica's state directory. *)

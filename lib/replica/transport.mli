@@ -1,18 +1,17 @@
 (** The inter-replica TCP plane.
 
     Raft messages travel as binary envelopes, one per {!Service.Frame}
-    — the framing clients and the reactor speak. An envelope is a
-    little-endian u32 CRC-32 ({!Storage.crc32}) of the bytes after it,
-    then little-endian int64 words: source, destination, the message's
-    tag and its fields in declaration order, then the payloads. The
-    payloads piggyback the canonical command bytes of the message's
-    [Data seq] entries, keyed by sequence number: the Raft core
-    replicates small integers while the real command bodies ride
+    — the framing clients and the reactor speak, and the segment file
+    ({!Storage}) writes. An envelope is {!Raft_sim.Raft_codec}'s
+    layout under its CRC-32 seal: source, destination, the message,
+    then the payloads, a count and then each one's seq, length and
+    bytes. The payloads piggyback the canonical command bytes of the
+    message's [Data seq] entries, keyed by sequence number: the Raft
+    core replicates small integers while the real command bodies ride
     alongside and land in each replica's payload table before the
     message is processed. The checksum keeps bytes spliced into a
     stream (the chaos proxy does this) from decoding as shifted
-    fields. A replica of this format cannot talk to one that sends the
-    older JSON envelopes.
+    fields.
 
     A replica's raft-plane sockets — its listener, the connections it
     accepted, and one outbound link per peer — belong to one thread,
@@ -43,13 +42,10 @@ val envelope_of_line :
   string ->
   (int * int * Raft_sim.Raft_types.msg * (int * string) list, string) result
 (** Total decoder: [(src, dst, msg, payloads)]. It checks the CRC
-    first; then every read is bounds-checked, tags must be known,
-    counts non-negative and no larger than the bytes left, booleans 0
-    or 1, and the envelope must end where the decoder stops. The
-    message's sender field ([candidate_id], [voter_id], [leader_id] or
-    [follower_id]) must be [src], an [Append_entries]'
-    [prev_log_index] must not be negative, and its entries' indices
-    must run [prev_log_index + 1], [+ 2], and so on. *)
+    first; then it reads as {!Raft_sim.Raft_codec.msg} does, payload
+    seqs must not be negative, and the envelope must end where the
+    decoder stops. The message's sender field ([candidate_id],
+    [voter_id], [leader_id] or [follower_id]) must be [src]. *)
 
 type t
 

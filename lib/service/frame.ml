@@ -94,23 +94,27 @@ let ensure_room d extra =
    reported as soon as it is visible — before waiting for the rest of
    the header, let alone the (possibly huge, possibly never-arriving)
    payload. Returns the declared payload length once all 6 bytes are
-   in. *)
-let parse_header d =
-  let at i = Bytes.get d.buf (d.start + i) in
-  if d.len >= 1 && at 0 <> magic then Error (Bad_magic (Char.code (at 0)))
-  else if d.len >= 2 && Char.code (at 1) <> version then
+   in; [avail] header bytes from [pos] are present. *)
+let check_header ~limit b ~pos ~avail =
+  let at i = Bytes.get b (pos + i) in
+  if avail >= 1 && at 0 <> magic then Error (Bad_magic (Char.code (at 0)))
+  else if avail >= 2 && Char.code (at 1) <> version then
     Error (Bad_version (Char.code (at 1)))
-  else if d.len < header_bytes then Ok None
+  else if avail < header_bytes then Ok None
   else
-    let len = Int32.to_int (Bytes.get_int32_be d.buf (d.start + 2)) in
+    let len = Int32.to_int (Bytes.get_int32_be b (pos + 2)) in
     let len = len land 0xFFFFFFFF in
     if len = 0 then Error Zero_length
-    else if len > d.limit then Error (Oversized len)
+    else if len > limit then Error (Oversized len)
     else Ok (Some len)
+
+let header_at ?(max_payload_bytes = max_payload_bytes) s ~pos =
+  check_header ~limit:max_payload_bytes (Bytes.unsafe_of_string s) ~pos
+    ~avail:(String.length s - pos)
 
 let rec cut d =
   if d.err = None && d.len > 0 then
-    match parse_header d with
+    match check_header ~limit:d.limit d.buf ~pos:d.start ~avail:d.len with
     | Error e -> d.err <- Some e
     | Ok None -> ()  (* incomplete header, all bytes valid so far *)
     | Ok (Some payload_len) ->

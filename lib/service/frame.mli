@@ -1,6 +1,7 @@
 (** The [probcons-wire/3] binary framing codec — the one framing on
     every socket: clients and the reactor, and the inter-replica Raft
-    plane ([Replica.Transport]).
+    plane ([Replica.Transport]); each replica's segment file
+    ([Replica.Storage]) frames its records the same way.
 
     A frame is a fixed 6-byte header followed by the payload bytes:
 
@@ -10,13 +11,15 @@
                                     framed socket fails at once)
       offset 1   version byte      (0x03 for wire/3)
       offset 2   u32 payload length, big-endian
-      offset 6   payload           (the canonical JSON body)
+      offset 6   payload
     v}
 
-    The payload is the canonical JSON request/response body, so the
-    reply cache, [Registry.analyze_json] and the byte-identity
-    guarantee sit above the framing: the same query returns the same
-    payload bytes however it was split on the way.
+    On the service plane the payload is the canonical JSON
+    request/response body, so the reply cache, [Registry.analyze_json]
+    and the byte-identity guarantee sit above the framing: the same
+    query returns the same payload bytes however it was split on the
+    way. The raft plane and the segment carry CRC-sealed binary bodies
+    ([Raft_sim.Raft_codec.seal]).
 
     Decoding is total and incremental: bytes are fed in arbitrary
     splits (the chaos proxy's partial writes land here), the header is
@@ -62,6 +65,14 @@ val header : payload_bytes:int -> string
     writer emit the header and splice the payload from the reply cache
     without concatenating them. Raises [Invalid_argument] outside
     [1 .. max_payload_bytes]. *)
+
+val header_at :
+  ?max_payload_bytes:int -> string -> pos:int -> (int option, error) result
+(** The header at [pos] of [s], checked as the decoder checks it:
+    [Ok (Some len)] for a valid header declaring [len] payload bytes,
+    [Ok None] when [s] ends inside a header that is valid so far.
+    Whether the payload is all there is the caller's to check. Lets a
+    reader walk frames laid end to end in a file. *)
 
 type decoder
 

@@ -34,6 +34,11 @@ let tmp_dir prefix =
 let write_file path contents =
   Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let scenario_a = Probcons.Scenario.uniform ~protocol:"raft" ~n:3 ~p:0.01 ()
@@ -78,11 +83,14 @@ let test_command_codec () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "invalid store name accepted")
 
+(* Every message and entry kind survives the binary codec, through its
+   seal; an unknown tag does not decode. *)
 let test_raft_codec () =
   let entries =
     [
       { Raft_types.term = 2; index = 5; command = Raft_types.Data 17 };
       { Raft_types.term = 3; index = 6; command = Raft_types.Config [ 0; 1; 2 ] };
+      { Raft_types.term = 3; index = 7; command = Raft_types.Config [] };
     ]
   in
   let msgs =
@@ -106,16 +114,29 @@ let test_raft_codec () =
       Raft_types.Read_probe_reply { term = 5; follower_id = 2; round = 9 };
     ]
   in
+  let decode write reader =
+    let sealed = Raft_codec.seal write in
+    match Raft_codec.unseal sealed ~pos:0 ~len:(String.length sealed) with
+    | Some c -> Raft_codec.read c reader
+    | None -> Alcotest.fail "a sealed body failed its checksum"
+  in
   List.iter
     (fun msg ->
-      match Raft_codec.msg_of_json (Raft_codec.msg_to_json msg) with
+      match decode (fun buf -> Raft_codec.add_msg buf msg) Raft_codec.msg with
       | Ok decoded ->
           Alcotest.(check bool) "msg round-trips" true (decoded = msg)
       | Error e -> Alcotest.fail ("codec: " ^ e))
     msgs;
-  (match Raft_codec.msg_of_json (Obs.Json.Obj [ ("type", Obs.Json.String "nope") ]) with
+  List.iter
+    (fun entry ->
+      match decode (fun buf -> Raft_codec.add_entry buf entry) Raft_codec.entry with
+      | Ok decoded ->
+          Alcotest.(check bool) "entry round-trips" true (decoded = entry)
+      | Error e -> Alcotest.fail ("codec: " ^ e))
+    entries;
+  (match decode (fun buf -> List.iter (Raft_codec.add_int buf) [ 7; 4 ]) Raft_codec.msg with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown msg type accepted")
+  | Ok _ -> Alcotest.fail "unknown msg tag accepted")
 
 (* Every message kind, with and without payloads, survives the binary
    envelope. Each one travels from the node its sender field names. *)
@@ -218,7 +239,7 @@ let test_transport_envelope_rejects () =
     let body = Buffer.contents buf in
     let crc = Bytes.create 4 in
     Bytes.set_int32_le crc 0
-      (Int32.of_int (Storage.crc32 body ~pos:0 ~len:(String.length body)));
+      (Int32.of_int (Raft_codec.crc32 body ~pos:0 ~len:(String.length body)));
     Bytes.to_string crc ^ body
   in
   (match Transport.envelope_of_line (sealed [ 1; 0; 4; 7; 0 ] "") with
@@ -370,9 +391,27 @@ let test_storage_roundtrip () =
   (match Storage.load ~dir:legacy with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a legacy durable.json loaded");
-  match Storage.open_log ~dir:legacy with
+  (match Storage.open_log ~dir:legacy with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a legacy durable.json opened for appending"
+  | Ok _ -> Alcotest.fail "a legacy durable.json opened for appending");
+  (* Nor a segment of the JSON-record format: its header frame is a u32
+     length, a u32 CRC-32, then the schema record. The error names it. *)
+  let older = tmp_dir "probcons-replica-durable2" in
+  let frame = Bytes.create 8 in
+  Bytes.set_int32_le frame 0 40l;
+  Bytes.set_int32_le frame 4 0xe668c44dl;
+  write_file (Storage.path ~dir:older)
+    (Bytes.to_string frame ^ {|{"schema":"probcons-replica-durable/2"}|});
+  let names_v2 = function
+    | Error e -> contains e "probcons-replica-durable/2"
+    | Ok _ -> false
+  in
+  Alcotest.(check bool)
+    "a /2 segment does not load, by name" true
+    (names_v2 (Storage.load ~dir:older));
+  Alcotest.(check bool)
+    "a /2 segment does not open for appending, by name" true
+    (names_v2 (Storage.open_log ~dir:older))
 
 let open_log dir =
   match Storage.open_log ~dir with
@@ -381,12 +420,16 @@ let open_log dir =
 
 let size_of path = (Unix.stat path).Unix.st_size
 
-(* The bytes a segment's appends wrote: everything before the zero fill
-   the segment is preallocated with. A frame ends in a JSON bracket. *)
+(* The bytes a segment's appends wrote: its frames, walked by their
+   headers up to the zero fill the segment is preallocated with. *)
 let written path =
   let s = read_file path in
-  let rec stop i = if i > 0 && s.[i - 1] = '\000' then stop (i - 1) else i in
-  String.sub s 0 (stop (String.length s))
+  let rec stop pos =
+    match Service.Frame.header_at ~max_payload_bytes:max_int s ~pos with
+    | Ok (Some len) -> stop (pos + Service.Frame.header_bytes + len)
+    | Ok None | Error _ -> pos
+  in
+  String.sub s 0 (stop 0)
 
 let chunk_bytes = 256 * 1024
 
@@ -428,12 +471,13 @@ let test_storage_crash_cut () =
   Alcotest.(check int) "a fresh segment is one zero-filled chunk" chunk_bytes
     (size_of file);
   let header = written file in
-  Alcotest.(check int)
-    "header frame: length, then CRC-32 of the schema record" 40
-    (Int32.to_int (String.get_int32_le header 0));
+  Alcotest.(check string)
+    "header frame: a wire/3 frame header, a CRC-32, then the schema string"
+    ("\xFB\x03\x00\x00\x00\x1E" ^ String.sub header 6 4 ^ Storage.schema)
+    header;
   Alcotest.(check int32)
-    "header CRC-32, as zlib computes it" 0xe668c44dl
-    (String.get_int32_le header 4);
+    "header CRC-32, as zlib computes it" 0xc97c3428l
+    (String.get_int32_le header 6);
   (* One record per append, noting where each ends and what the file
      holds there. *)
   let prefixes =
@@ -490,16 +534,26 @@ let test_storage_crash_cut () =
     (load_bytes (header ^ String.make (chunk_bytes - header_end) '\000')
     = Ok (Some empty));
   (* A crash can also leave the file longer than the bytes that reached
-     the disk, the rest zero-filled; that fill belongs to the torn tail. *)
+     the disk, the rest zero-filled; that fill belongs to the torn tail,
+     unless it rebuilds a record whose bytes past the cut are zeros. *)
   let zero_fill = String.make 64 '\000' in
+  let zeros_in ~from ~until =
+    String.for_all (fun c -> c = '\000') (String.sub full from (until - from))
+  in
   for cut = 0 to String.length full do
-    let expected =
-      List.fold_left
-        (fun acc (stop, snap) -> if stop <= cut then snap else acc)
-        empty prefixes
-    in
     List.iter
       (fun fill ->
+        let intact stop =
+          stop <= cut
+          || fill <> ""
+             && stop <= cut + String.length fill
+             && zeros_in ~from:cut ~until:stop
+        in
+        let expected =
+          List.fold_left
+            (fun acc (stop, snap) -> if intact stop then snap else acc)
+            empty prefixes
+        in
         let what = if fill = "" then "" else " (zero-filled)" in
         match load_bytes (String.sub full 0 cut ^ fill) with
         | Error e ->
@@ -1374,6 +1428,135 @@ let test_driver_prediction_and_artifact () =
           "restarts";
         ]
 
+(* Sequence numbers are reused across terms, so the payloads of an
+   AppendEntries from an older term, which Raft rejects, must not
+   replace the bytes of the entry now at their sequence number. Each
+   follower gets a checksum-valid term-0 AppendEntries, from the other
+   follower's id, carrying other bytes for the acknowledged put's seq 2.
+   Then the leader restarts empty: the new leader applies seq 2, and
+   the restarted replica takes its bytes from the new leader. *)
+let test_stale_payloads_dropped () =
+  with_cluster ~n:3 (fun ~base ~nodes ->
+      let leader = wait_leader nodes in
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      let put id name =
+        expect_ok ("put " ^ name)
+          (Client.Multi.call multi ~id
+             (Wire.Scenario_put { name; scenario = scenario_a; nonce = 0 }))
+      in
+      ignore (put 1 "pre");
+      Alcotest.(check bool)
+        "the put goes in at seq 2" true
+        (Obs.Json.member "command_seq" (put 2 "key") = Some (Obs.Json.Int 2));
+      let stale =
+        Command.to_string
+          (Command.Put_scenario { name = "key"; scenario = scenario_b; nonce = 0 })
+      in
+      let old = Node.id leader in
+      let followers = List.filter (( <> ) old) [ 0; 1; 2 ] in
+      let sockets =
+        List.map
+          (fun dst ->
+            let src = List.find (( <> ) dst) followers in
+            let envelope =
+              Replica.Transport.envelope_to_line ~src ~dst
+                (Raft_types.Append_entries
+                   {
+                     term = 0;
+                     leader_id = src;
+                     prev_log_index = 1;
+                     prev_log_term = 0;
+                     entries =
+                       [ { Raft_types.term = 0; index = 2; command = Raft_types.Data 2 } ];
+                     leader_commit = 0;
+                   })
+                ~payloads:[ (2, stale) ]
+            in
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd
+              (Unix.ADDR_INET
+                 (Unix.inet_addr_loopback, Node.raft_port (cluster_config ~base ~n:3 dst) dst));
+            let frame =
+              Service.Frame.encode
+                ~max_payload_bytes:Replica.Transport.max_envelope_bytes envelope
+            in
+            ignore (Unix.write_substring fd frame 0 (String.length frame));
+            fd)
+          followers
+      in
+      Thread.delay 0.3;
+      List.iter Unix.close sockets;
+      (match !(nodes.(old)) with
+      | Some node ->
+          nodes.(old) := None;
+          Node.stop node
+      | None -> Alcotest.fail "leader slot empty");
+      nodes.(old) := Some (Node.start (cluster_config ~base ~n:3 old));
+      let got =
+        expect_ok "linearizable get"
+          (Client.Multi.call ~timeout:12. multi ~id:3
+             (Wire.Scenario_get { name = "key"; linearizable = true }))
+      in
+      Alcotest.(check bool)
+        "the new leader reads the acknowledged put" true
+        (Option.map Probcons.Scenario.of_json (Obs.Json.member "scenario" got)
+        = Some (Ok scenario_a));
+      Alcotest.(check bool)
+        "replicas converge" true
+        (poll ~timeout:20. (fun () ->
+             match List.map Node.state_counts (live_nodes nodes) with
+             | [ first; _; _ ] as counts ->
+                 List.for_all
+                   (fun (c : State.counts) ->
+                     c.State.digest = first.State.digest
+                     && c.State.applied = first.State.applied)
+                   counts
+                 && first.State.store_size = 2
+             | _ -> false)))
+
+(* Records that pass their checksum but are malformed do not load: the
+   checksum guards against damage, the decoder against the rest. *)
+let test_storage_record_decoder () =
+  let dir = tmp_dir "probcons-replica-records" in
+  let frame words tail =
+    Service.Frame.encode
+      (Raft_codec.seal (fun buf ->
+           List.iter (Raft_codec.add_int buf) words;
+           Buffer.add_string buf tail))
+  in
+  let load words tail =
+    write_file (Storage.path ~dir) (frame [] Storage.schema ^ frame words tail);
+    Storage.load ~dir
+  in
+  Alcotest.(check bool)
+    "a well-formed entry loads" true
+    (load [ 1; 1; 1; 0; 5; 3 ] "abc"
+    = Ok
+        (Some
+           {
+             Storage.term = 0;
+             voted_for = None;
+             log = [ { Raft_types.term = 1; index = 1; command = Raft_types.Data 5 } ];
+             payloads = [ (5, "abc") ];
+           }));
+  List.iter
+    (fun (what, words, tail) ->
+      match load words tail with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s loaded" what)
+    [
+      ("an unknown record tag", [ 3 ], "");
+      ("a negative term", [ 0; -1; -1 ], "");
+      ("a vote below -1", [ 0; 1; -2 ], "");
+      ("an entry at index 0", [ 1; 1; 0; 0; 5; -1 ], "");
+      ("an unknown command tag", [ 1; 1; 1; 2; 5; -1 ], "");
+      ("a payload length below -1", [ 1; 1; 1; 0; 5; -2 ], "");
+      ("a payload length past the end of the frame", [ 1; 1; 1; 0; 5; 4 ], "abc");
+      ("a truncate from 0", [ 2; 0 ], "");
+      ("trailing bytes", [ 2; 1 ], "x");
+    ]
+
 let suite =
   [
     Alcotest.test_case "command codec" `Quick test_command_codec;
@@ -1418,4 +1601,8 @@ let suite =
       test_driver_prediction_needs_a_window;
     Alcotest.test_case "prediction and artifact shape" `Quick
       test_driver_prediction_and_artifact;
+    Alcotest.test_case "a stale leader's payloads are dropped" `Slow
+      test_stale_payloads_dropped;
+    Alcotest.test_case "malformed segment records do not load" `Quick
+      test_storage_record_decoder;
   ]
