@@ -733,7 +733,6 @@ let serve_cmd =
         idle_timeout_seconds = idle_timeout;
         max_connections;
         max_pipeline;
-        handler = Service.Server.router_handler;
       }
   in
   Cmd.v

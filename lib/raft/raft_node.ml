@@ -337,55 +337,54 @@ let truncate_from t index =
   Dessim.Vec.truncate t.log (index - 1);
   recompute_members t
 
+let accepts_append t ~term ~prev_log_index ~prev_log_term =
+  term >= t.term
+  && prev_log_index <= last_log_index t
+  && entry_term t prev_log_index = prev_log_term
+
 let handle_append_entries t ~term ~leader_id ~prev_log_index ~prev_log_term ~entries
     ~leader_commit =
-  if term < t.term then
+  let accepted = accepts_append t ~term ~prev_log_index ~prev_log_term in
+  if term >= t.term then begin
+    if term > t.term || t.role <> Follower then step_down t term
+    else reset_election_timer t;
+    t.leader_hint <- Some leader_id
+  end;
+  if not accepted then
     t.io.send leader_id
       (Append_entries_reply
          { term = t.term; follower_id = t.config.id; success = false; match_index = 0 })
   else begin
-    if term > t.term || t.role <> Follower then step_down t term
-    else reset_election_timer t;
-    t.leader_hint <- Some leader_id;
-    let consistent =
-      prev_log_index <= last_log_index t && entry_term t prev_log_index = prev_log_term
-    in
-    if not consistent then
-      t.io.send leader_id
-        (Append_entries_reply
-           { term = t.term; follower_id = t.config.id; success = false; match_index = 0 })
-    else begin
-      (* Append, resolving conflicts in favour of the leader. *)
-      let membership_touched = ref false in
-      List.iter
-        (fun (entry : entry) ->
-          let is_config = match entry.command with Config _ -> true | Data _ -> false in
-          if entry.index <= last_log_index t then begin
-            if entry_term t entry.index <> entry.term then begin
-              truncate_from t entry.index;
-              Dessim.Vec.push t.log entry;
-              if is_config then membership_touched := true
-            end
-          end
-          else begin
+    (* Append, resolving conflicts in favour of the leader. *)
+    let membership_touched = ref false in
+    List.iter
+      (fun (entry : entry) ->
+        let is_config = match entry.command with Config _ -> true | Data _ -> false in
+        if entry.index <= last_log_index t then begin
+          if entry_term t entry.index <> entry.term then begin
+            truncate_from t entry.index;
             Dessim.Vec.push t.log entry;
             if is_config then membership_touched := true
-          end)
-        entries;
-      if !membership_touched then begin
-        recompute_members t;
-        (* Becoming a member arms the election timer; leaving disarms. *)
-        reset_election_timer t
-      end;
-      let match_index = prev_log_index + List.length entries in
-      if leader_commit > t.commit_index then begin
-        t.commit_index <- min leader_commit (last_log_index t);
-        apply_committed t
-      end;
-      t.io.send leader_id
-        (Append_entries_reply
-           { term = t.term; follower_id = t.config.id; success = true; match_index })
-    end
+          end
+        end
+        else begin
+          Dessim.Vec.push t.log entry;
+          if is_config then membership_touched := true
+        end)
+      entries;
+    if !membership_touched then begin
+      recompute_members t;
+      (* Becoming a member arms the election timer; leaving disarms. *)
+      reset_election_timer t
+    end;
+    let match_index = prev_log_index + List.length entries in
+    if leader_commit > t.commit_index then begin
+      t.commit_index <- min leader_commit (last_log_index t);
+      apply_committed t
+    end;
+    t.io.send leader_id
+      (Append_entries_reply
+         { term = t.term; follower_id = t.config.id; success = true; match_index })
   end
 
 let handle_append_entries_reply t ~term ~follower_id ~success ~match_index =

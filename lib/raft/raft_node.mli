@@ -62,6 +62,15 @@ val create : ?trace:Dessim.Trace.t -> config -> rng:Prob.Rng.t -> io:io -> t
 val handle_message : t -> Raft_types.msg -> unit
 (** Process one message from a peer. A down node ignores it. *)
 
+val accepts_append :
+  t -> term:int -> prev_log_index:int -> prev_log_term:int -> bool
+(** Whether {!handle_message} would take an [Append_entries] with
+    these fields rather than reject it: its term is at least this
+    node's, and the log holds an entry at [prev_log_index] of
+    [prev_log_term] (index 0 matches term 0). A host that keeps data
+    beside the log, such as command payloads, stores it only from an
+    append this accepts. *)
+
 val id : t -> int
 val current_term : t -> int
 val is_leader : t -> bool

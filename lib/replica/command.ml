@@ -4,7 +4,6 @@ type op =
       scenario : Probcons.Scenario.t;
       nonce : int;
     }
-  | Warm of { key : string; payload : string }
   | Barrier
 
 let to_json = function
@@ -14,13 +13,6 @@ let to_json = function
         :: ("name", Obs.Json.String name)
         :: ("scenario", Probcons.Scenario.to_json scenario)
         :: (if nonce = 0 then [] else [ ("nonce", Obs.Json.Int nonce) ]))
-  | Warm { key; payload } ->
-      Obs.Json.Obj
-        [
-          ("op", Obs.Json.String "warm");
-          ("key", Obs.Json.String key);
-          ("payload", Obs.Json.String payload);
-        ]
   | Barrier -> Obs.Json.Obj [ ("op", Obs.Json.String "barrier") ]
 
 let to_string op = Obs.Json.to_string (to_json op)
@@ -61,11 +53,12 @@ let of_json j =
           | _ -> 0
         in
         Ok (Put_scenario { name; scenario; nonce })
-  | "warm" ->
-      let* key = string_of j "key" in
-      let* payload = string_of j "payload" in
-      Ok (Warm { key; payload })
   | "barrier" -> Ok Barrier
+  (* Segments written before computes left the log may hold cache
+     warming records. They changed nothing a client reads, so they
+     replay as no-ops; refused, each would count as a missing
+     payload. *)
+  | "warm" -> Ok Barrier
   | k -> Error (Printf.sprintf "command: unknown op %S" k)
 
 let of_string s =

@@ -1,7 +1,8 @@
 (** Replicated command records.
 
     Everything a replica deployment mutates travels through the Raft
-    log as one of these ops, encoded as canonical JSON. The {e command
+    log as one of two ops, a [scenario_put] or a read barrier, encoded
+    as canonical JSON; computes never do. The {e command
     id} is that canonical byte string ({!id}): a client retrying a
     [scenario_put] onto a new leader re-encodes to the same bytes, and
     the state machine ({!State}) applies each id at most once — so
@@ -22,11 +23,6 @@ type op =
       (** Store a named scenario. [nonce] distinguishes deliberate
           re-puts of identical content (0 = unset, omitted from the
           encoding). *)
-  | Warm of { key : string; payload : string }
-      (** Cache warming: the leader replicates the rendered payload
-          bytes of a deterministic compute query ([analyze],
-          [fleet_ingest]) under its {!Service.Wire.canonical_key}, so
-          followers can answer the same query without recomputing. *)
   | Barrier
       (** A no-op sequenced through the log — the read barrier behind
           a linearizable get on a leader that has not yet committed an
@@ -45,6 +41,7 @@ val id : op -> string
 
 val of_json : Obs.Json.t -> (op, string) result
 (** Total decoder; validates store names (1..64 bytes of
-    [[A-Za-z0-9._-]]) and scenario contents. *)
+    [[A-Za-z0-9._-]]) and scenario contents. A ["warm"] record, the
+    cache-warming op of older segments, decodes as [Barrier]. *)
 
 val of_string : string -> (op, string) result

@@ -12,7 +12,6 @@ type config = {
   state_dir : string option;
   workers : int;
   chaos : Service.Chaos.plan option;
-  staleness_budget_seconds : float;
   commit_timeout_seconds : float;
 }
 
@@ -26,9 +25,15 @@ let default_config ~id ~n ~base_port ~service_port =
     state_dir = None;
     workers = 2;
     chaos = None;
-    staleness_budget_seconds = 1.0;
     commit_timeout_seconds = 4.0;
   }
+
+(* Plain-read freshness bound: a plain read is refused once the
+   replica's last contact is older than this. A follower's last contact
+   is its last message while it knew a leader; a leader's is the latest
+   time by which it had heard from enough peers to make a majority with
+   itself. *)
+let staleness_budget_seconds = 1.0
 
 let raft_port cfg peer = cfg.base_port + peer
 
@@ -55,11 +60,12 @@ type status = {
   s_leader : int option;
   s_commit : int;
   s_last_contact : float;
+  s_counts : State.counts;
 }
 
-(* Every mutable field without a lock belongs to the server's loop
-   thread. Worker lanes read [status] under [status_mu], [state] under
-   its own lock, and [server]. *)
+(* Every mutable field without a lock, and [state], belong to the
+   server's loop thread. Other threads read only [status], under
+   [status_mu], and [server]. *)
 type t = {
   cfg : config;
   raft : Raft_node.t;
@@ -132,8 +138,6 @@ let put_reply ~name ~seq ~duplicate =
 let reply_for_op op ~seq ~duplicate =
   match op with
   | Command.Put_scenario { name; _ } -> put_reply ~name ~seq ~duplicate
-  | Command.Warm _ ->
-      Ok (Obs.Json.Obj [ ("warmed", Obs.Json.Bool true) ])
   | Command.Barrier ->
       Ok (Obs.Json.Obj [ ("barrier", Obs.Json.Bool true) ])
 
@@ -159,41 +163,32 @@ let on_apply t (entry : Raft_types.entry) =
               | Some w -> answer t w (reply_for_op op ~seq ~duplicate)));
           Hashtbl.remove t.waiters seq))
 
-let handle_submit t op waiter =
+let handle_submit t op w =
   match t.closed with
-  | Some err -> Option.iter (fun w -> w.reply (Error err)) waiter
-  | None when not (Raft_node.is_leader t.raft) ->
-      Option.iter (fun w -> answer t w (not_leader_error t)) waiter
+  | Some err -> w.reply (Error err)
+  | None when not (Raft_node.is_leader t.raft) -> answer t w (not_leader_error t)
   | None -> (
       refresh_next_seq t;
       let bytes = Command.id op in
       match op with
-      | (Command.Put_scenario _ | Command.Warm _) when State.seen t.state bytes
-        ->
+      | Command.Put_scenario { name; _ } when State.seen t.state bytes ->
           (* Already applied: answer from the state machine, no log
              traffic — the idempotency fast path for client retries. *)
           let seq =
-            match op with
-            | Command.Put_scenario { name; _ } -> (
-                match State.get t.state name with
-                | Some e -> e.State.seq
-                | None -> 0)
-            | _ -> 0
+            match State.get t.state name with Some e -> e.State.seq | None -> 0
           in
-          Option.iter
-            (fun w -> answer t w (reply_for_op op ~seq ~duplicate:true))
-            waiter
+          answer t w (put_reply ~name ~seq ~duplicate:true)
       | _ ->
           let seq = t.next_seq in
           Hashtbl.replace t.payloads seq bytes;
           (* Registered first: a lone replica commits and applies the
              entry inside [submit]. *)
-          Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter;
+          Hashtbl.replace t.waiters seq w;
           if Raft_node.submit t.raft seq then t.next_seq <- seq + 1
           else (
             Hashtbl.remove t.payloads seq;
             Hashtbl.remove t.waiters seq;
-            Option.iter (fun w -> answer t w (not_leader_error t)) waiter))
+            answer t w (not_leader_error t)))
 
 (* Pending reads need no such sweep: [Raft_node.step_down] fails them
    through their callbacks. *)
@@ -284,18 +279,21 @@ let update_status t ~now =
       s_leader = hint;
       s_commit = Raft_node.commit_index t.raft;
       s_last_contact = last_contact;
+      s_counts = State.counts t.state;
     };
   Mutex.unlock t.status_mu
 
 (* Inbound raft traffic: payloads land in the table before the message
    that references them is processed. Sequence numbers are reused across
-   terms, so only an AppendEntries Raft will not reject for its term may
-   store payloads: an older leader's bytes would overwrite those of the
-   entry now at that sequence number. *)
+   terms, so only an AppendEntries Raft accepts may store payloads: the
+   bytes of one it rejects, for its term or for a log that does not
+   match, would overwrite those of the entry now at that sequence
+   number. *)
 let deliver t ~src ~dst msg ~payloads =
   if dst = t.cfg.id && src >= 0 && src < t.cfg.n && src <> t.cfg.id then (
     (match msg with
-    | Raft_types.Append_entries { term; _ } when term >= Raft_node.current_term t.raft ->
+    | Raft_types.Append_entries { term; prev_log_index; prev_log_term; _ }
+      when Raft_node.accepts_append t.raft ~term ~prev_log_index ~prev_log_term ->
         List.iter (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes) payloads
     | _ -> ());
     t.had_inbound <- true;
@@ -387,7 +385,7 @@ let close_plane t err =
 let waiter t reply =
   { deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds; reply }
 
-let submit t op ~reply = handle_submit t op (Some (waiter t reply))
+let submit t op ~reply = handle_submit t op (waiter t reply)
 
 let staleness_ms s =
   Float.max 0. ((Unix.gettimeofday () -. s.s_last_contact) *. 1000.)
@@ -421,7 +419,7 @@ let read_reply t name ~staleness =
 
 let status_json t =
   let s = read_status t in
-  let c = State.counts t.state in
+  let c = s.s_counts in
   Obs.Json.Obj
     [
       ("schema", Obs.Json.String "probcons-replica-status/1");
@@ -436,7 +434,6 @@ let status_json t =
       ("commit_index", Obs.Json.Int s.s_commit);
       ("applied", Obs.Json.Int c.State.applied);
       ("store_size", Obs.Json.Int c.State.store_size);
-      ("warm_size", Obs.Json.Int c.State.warm_size);
       ("dedup_skips", Obs.Json.Int c.State.dedup_skips);
       ("missing_payloads", Obs.Json.Int c.State.missing_payloads);
       ("digest", Obs.Json.Int c.State.digest);
@@ -446,7 +443,7 @@ let status_json t =
 let plain_get t name =
   let s = read_status t in
   let staleness = staleness_ms s in
-  if staleness > t.cfg.staleness_budget_seconds *. 1000. then
+  if staleness > staleness_budget_seconds *. 1000. then
     (* Too stale for the read contract: refuse and point at the
        leader rather than serve an unbounded-lag answer. *)
     not_leader_error t ~msg:"replica too stale for reads"
@@ -496,31 +493,10 @@ let handle_query t (query : Wire.query) ~reply =
   | Wire.Scenario_get { name; linearizable = false } -> reply (plain_get t name)
   | Wire.Scenario_get { name; linearizable = true } ->
       linearizable_get t name ~reply
-  | q -> Server.router_handler q ~reply
-
-(* The worker lanes' handler: deterministic computes, served from the
-   replicated warm cache when it holds the key. *)
-let handler t (query : Wire.query) ~reply =
-  match query with
-  | (Wire.Analyze _ | Wire.Fleet_ingest _) as q -> (
-      let key = Wire.canonical_key q in
-      match Option.map Obs.Json.of_string (State.warm_lookup t.state key) with
-      | Some (Ok j) -> reply (Ok j)
-      | Some (Error _) -> Server.router_handler q ~reply
-      | None ->
-          Server.router_handler q ~reply:(fun r ->
-              (match (r, Atomic.get t.server) with
-              | Ok json, Some server when (read_status t).s_role = "leader" ->
-                  (* Fire-and-forget: warming is an optimization, not a
-                     durability promise, so the reply does not wait for
-                     the commit. *)
-                  let op =
-                    Command.Warm { key; payload = Obs.Json.to_string json }
-                  in
-                  Server.post server (fun () -> handle_submit t op None)
-              | _ -> ());
-              reply r))
-  | q -> Server.router_handler q ~reply
+  | _ ->
+      (* [owns] keeps every other query on the worker lanes. *)
+      reply
+        (Error { Server.code = Wire.Internal; msg = "not a replica query"; hint = None })
 
 (* ---- lifecycle ---------------------------------------------------- *)
 
@@ -599,12 +575,13 @@ let start (cfg : config) =
       ~rng:(Prob.Rng.split rng)
       ~io:{ now = (fun () -> Unix.gettimeofday () *. 1000.); after; send }
   in
+  let state = State.create () in
   let t =
     {
       cfg;
       raft;
       timers;
-      state = State.create ();
+      state;
       payloads;
       waiters = Hashtbl.create 16;
       reads = Hashtbl.create 16;
@@ -626,6 +603,7 @@ let start (cfg : config) =
           s_leader = None;
           s_commit = 0;
           s_last_contact = Unix.gettimeofday ();
+          s_counts = State.counts state;
         };
       server = Atomic.make None;
       next_seq = 1;
@@ -668,7 +646,6 @@ let start (cfg : config) =
             Server.default_config with
             tcp_port = Some cfg.service_port;
             workers = cfg.workers;
-            handler = handler t;
           }));
   t
 
@@ -693,4 +670,4 @@ let service_port t = t.cfg.service_port
 let is_leader t = (read_status t).s_role = "leader"
 let term t = (read_status t).s_term
 let leader_hint t = (read_status t).s_leader
-let state_counts t = State.counts t.state
+let state_counts t = (read_status t).s_counts

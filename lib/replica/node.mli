@@ -3,22 +3,26 @@
     Hosts {!Raft_sim.Raft_node} on the wall clock: Raft's timers are
     deadlines the server loop fires, its messages go to other replicas
     over real TCP ({!Transport}), and clients reach it through the
-    reactor {!Service.Server} with a replica-aware handler:
+    reactor {!Service.Server}, whose plane answers the replica
+    queries:
 
     - [scenario_put] is sequenced through the Raft log and acknowledged
       only after commit and apply; followers answer [not_leader] with a
       leader hint.
     - plain [scenario_get] is served from local applied state when the
-      replica has heard from a leader within the staleness budget,
-      refused with [not_leader] otherwise; [linearizable] gets are
+      replica's last contact is within the staleness budget of 1 s,
+      refused with [not_leader] otherwise. A follower's last contact
+      is its last message while it knew a leader; a leader's is the
+      latest time by which it had heard from enough peers to make a
+      majority with itself. [linearizable] gets are
       leader-only read-index reads ({!Raft_sim.Raft_node.read_index}):
       no log entry and no fsync, answered once a quorum has echoed a
       probe sent after the read arrived. A leader that has not yet
       committed an entry of its term sequences a {!Command.Barrier}
       instead.
-    - deterministic computes ([analyze], [fleet_ingest]) are served
-      locally, with the leader replicating rendered payloads as
-      {!Command.Warm} records so follower caches warm through the log.
+    - deterministic computes ([analyze], [fleet_ingest]) are answered
+      as [serve] answers them, from the reply cache or on a worker
+      lane, and never reach the log: only puts and barriers do.
     - [replica_status] reports role, term, hint, indices and state
       counters.
 
@@ -64,12 +68,6 @@ type config = {
       (** When set, every outbound inter-replica link runs through an
           in-process fault-injecting proxy with a per-link derived seed
           — a fixture for the inter-replica chaos tests. *)
-  staleness_budget_seconds : float;
-      (** Plain-read freshness bound: reads are refused when the
-          replica's last contact is older than this. A follower's last
-          contact is its last message while it knew a leader; a
-          leader's is the latest time by which it had heard from
-          enough peers to make a majority with itself. *)
   commit_timeout_seconds : float;
       (** How long a write waits for its commit, and a linearizable
           read for its confirmation, before it is answered
@@ -78,8 +76,8 @@ type config = {
 
 val default_config :
   id:int -> n:int -> base_port:int -> service_port:int -> config
-(** Seed 42, no persistence, no chaos, 2 workers, 1 s staleness
-    budget, 4 s commit timeout. *)
+(** Seed 42, no persistence, no chaos, 2 workers, 4 s commit
+    timeout. *)
 
 val raft_port : config -> int -> int
 
@@ -115,4 +113,7 @@ val is_leader : t -> bool
 val term : t -> int
 val leader_hint : t -> int option
 val state_counts : t -> State.counts
+(** From the status snapshot, like {!is_leader}: the state machine's
+    counters as of the end of the last cycle. *)
+
 val status_json : t -> Obs.Json.t

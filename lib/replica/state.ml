@@ -1,9 +1,7 @@
 type entry = { scenario : string; nonce : int; seq : int }
 
 type t = {
-  mu : Mutex.t;
   store : (string, entry) Hashtbl.t;
-  warm : (string, string) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;
   mutable applied : int;
   mutable dedup_skips : int;
@@ -13,9 +11,7 @@ type t = {
 
 let create () =
   {
-    mu = Mutex.create ();
     store = Hashtbl.create 64;
-    warm = Hashtbl.create 64;
     seen = Hashtbl.create 64;
     applied = 0;
     dedup_skips = 0;
@@ -23,61 +19,41 @@ let create () =
     digest = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 let mix_digest d id =
   String.fold_left (fun d c -> ((d * 131) + Char.code c) land 0x3FFFFFFF) d id
 
 let apply t ~seq op ~id =
-  locked t (fun () ->
-      t.applied <- t.applied + 1;
-      match op with
-      | Command.Barrier -> `Applied
-      | Command.Put_scenario _ | Command.Warm _ ->
-          if Hashtbl.mem t.seen id then (
-            t.dedup_skips <- t.dedup_skips + 1;
-            `Duplicate)
-          else (
-            Hashtbl.replace t.seen id ();
-            t.digest <- mix_digest t.digest id;
-            (match op with
-            | Command.Put_scenario { name; scenario; nonce } ->
-                Hashtbl.replace t.store name
-                  {
-                    scenario = Probcons.Scenario.to_string scenario;
-                    nonce;
-                    seq;
-                  }
-            | Command.Warm { key; payload } ->
-                Hashtbl.replace t.warm key payload
-            | Command.Barrier -> ());
-            `Applied))
+  t.applied <- t.applied + 1;
+  match op with
+  | Command.Barrier -> `Applied
+  | Command.Put_scenario { name; scenario; nonce } ->
+      if Hashtbl.mem t.seen id then (
+        t.dedup_skips <- t.dedup_skips + 1;
+        `Duplicate)
+      else (
+        Hashtbl.replace t.seen id ();
+        t.digest <- mix_digest t.digest id;
+        Hashtbl.replace t.store name
+          { scenario = Probcons.Scenario.to_string scenario; nonce; seq };
+        `Applied)
 
-let note_missing_payload t =
-  locked t (fun () -> t.missing_payloads <- t.missing_payloads + 1)
-
-let seen t id = locked t (fun () -> Hashtbl.mem t.seen id)
-let get t name = locked t (fun () -> Hashtbl.find_opt t.store name)
-let warm_lookup t key = locked t (fun () -> Hashtbl.find_opt t.warm key)
+let note_missing_payload t = t.missing_payloads <- t.missing_payloads + 1
+let seen t id = Hashtbl.mem t.seen id
+let get t name = Hashtbl.find_opt t.store name
 
 type counts = {
   applied : int;
   store_size : int;
-  warm_size : int;
   dedup_skips : int;
   missing_payloads : int;
   digest : int;
 }
 
-let counts t =
-  locked t (fun () ->
-      {
-        applied = t.applied;
-        store_size = Hashtbl.length t.store;
-        warm_size = Hashtbl.length t.warm;
-        dedup_skips = t.dedup_skips;
-        missing_payloads = t.missing_payloads;
-        digest = t.digest;
-      })
+let counts (t : t) =
+  {
+    applied = t.applied;
+    store_size = Hashtbl.length t.store;
+    dedup_skips = t.dedup_skips;
+    missing_payloads = t.missing_payloads;
+    digest = t.digest;
+  }

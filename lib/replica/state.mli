@@ -4,8 +4,9 @@
     is a recorded no-op ([dedup_skips]), which is what makes safe
     client retry and crash-recovery re-apply (commit index restarts at
     0 after {!Raft_node.restore}) correct without distributed
-    coordination. Thread-safe: the server's loop thread applies, worker
-    lanes read. *)
+    coordination. Not thread-safe: a replica's loop thread owns it, and
+    other threads read the {!counts} that {!Node} publishes in its
+    status snapshot. *)
 
 type t
 
@@ -31,12 +32,10 @@ val seen : t -> string -> bool
 (** Has this command id already been applied? *)
 
 val get : t -> string -> entry option
-val warm_lookup : t -> string -> string option
 
 type counts = {
   applied : int;  (** Data entries applied (barriers included). *)
   store_size : int;
-  warm_size : int;
   dedup_skips : int;
   missing_payloads : int;
   digest : int;  (** Order-sensitive digest of applied command ids. *)

@@ -128,8 +128,8 @@ let handle query =
   | Wire.Ping -> Error (Wire.Internal, "ping is answered by the server")
   | Wire.Scenario_put _ | Wire.Scenario_get _ | Wire.Replica_status ->
       (* Replica-plane queries need replicated state behind the server;
-         a standalone [probcons serve] has none. The replica runtime
-         overrides the server's handler to answer these. *)
+         a standalone [probcons serve] has none. A replica answers them
+         on its server's loop, so they never reach a lane. *)
       Error
         ( Wire.Bad_request,
           "this server is not a replica (start one with probcons replicate)" )

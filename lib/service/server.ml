@@ -7,13 +7,6 @@ type reply_error = {
 type handler =
   Wire.query -> reply:((Obs.Json.t, reply_error) result -> unit) -> unit
 
-(* The default worker dispatch: the pure router, no redirect hints. *)
-let router_handler query ~reply =
-  reply
-    (match Router.handle query with
-    | Ok json -> Ok json
-    | Error (code, msg) -> Error { code; msg; hint = None })
-
 type config = {
   socket_path : string option;
   tcp_port : int option;
@@ -24,7 +17,6 @@ type config = {
   idle_timeout_seconds : float;
   max_connections : int;
   max_pipeline : int;
-  handler : handler;
 }
 
 let default_config =
@@ -38,7 +30,6 @@ let default_config =
     idle_timeout_seconds = 300.;
     max_connections = 1024;
     max_pipeline = 128;
-    handler = router_handler;
   }
 
 type plane = {
@@ -122,7 +113,7 @@ type t = {
   cache : Cache.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  completions : (unit -> unit) Queue.t;  (* run on the reactor thread *)
+  completions : (int * string) Queue.t;  (* lane replies: conn key, bytes *)
   completions_mutex : Mutex.t;
   mutable wake_open : bool;  (* under [completions_mutex] *)
   mutable reactor_thread : Thread.t option;
@@ -345,8 +336,8 @@ let reply_ok_json t conn ~id json =
   Atomic.incr t.n_ok;
   push t conn (render_ok ~id (Obs.Json.to_string json))
 
-(* A handler's answer as reply bytes, counted, and cached when the
-   query is cacheable. *)
+(* An answer as reply bytes, counted, and cached when the query is
+   cacheable. *)
 let render_result t ~id query = function
   | Ok json ->
       let rendered = Obs.Json.to_string json in
@@ -495,7 +486,8 @@ let accept_ready t listener =
   in
   go ()
 
-(* Run every closure the lanes posted, in order. *)
+(* Hand every reply the lanes posted to its connection, in order,
+   unless the connection died first. *)
 let deliver_completions t =
   let batch =
     Mutex.lock t.completions_mutex;
@@ -504,7 +496,14 @@ let deliver_completions t =
     Mutex.unlock t.completions_mutex;
     q
   in
-  Queue.iter (fun f -> f ()) batch
+  Queue.iter
+    (fun (conn_key, bytes) ->
+      match Hashtbl.find_opt t.conns conn_key with
+      | None -> ()
+      | Some conn ->
+          conn.outstanding <- conn.outstanding - 1;
+          push t conn bytes)
+    batch
 
 (* Write every connection given bytes this iteration or reported
    writable, once each. *)
@@ -699,49 +698,37 @@ let reactor_loop t =
 
 (* --- Workers ------------------------------------------------------------- *)
 
-(* The wake byte is written under the mutex that [stop] holds while it
-   closes the pipe, so a late closure is dropped, never announced on a
-   closed (or reused) descriptor. *)
-let post t f =
+(* A lane's reply, for the loop to write. The wake byte is written
+   under the mutex that [stop] holds while it closes the pipe, so a late
+   reply is dropped, never announced on a closed (or reused)
+   descriptor. *)
+let post t ~conn_key bytes =
   Mutex.lock t.completions_mutex;
   if t.wake_open then begin
-    Queue.push f t.completions;
+    Queue.push (conn_key, bytes) t.completions;
     Nonblock.wake t.wake_w
   end;
   Mutex.unlock t.completions_mutex
 
-(* Posted by a lane: hand reply bytes to their connection, unless it
-   died first. *)
-let deliver t ~conn_key bytes () =
-  match Hashtbl.find_opt t.conns conn_key with
-  | None -> ()
-  | Some conn ->
-      conn.outstanding <- conn.outstanding - 1;
-      push t conn bytes
-
-(* The handler answers through [reply], on this lane or later on
-   another thread; only the first answer counts. *)
 let process t (job : job) =
   let now = Unix.gettimeofday () in
   Obs.Metrics.observe m_queue_wait (now -. job.enqueued_at);
   if now -. job.enqueued_at > t.config.deadline_seconds then begin
     count_error t Wire.Deadline_exceeded;
-    post t
-      (deliver t ~conn_key:job.conn_key
-         (render_error ~id:(Some job.id) Wire.Deadline_exceeded
-            (Printf.sprintf "queued longer than the %gs deadline"
-               t.config.deadline_seconds)))
+    post t ~conn_key:job.conn_key
+      (render_error ~id:(Some job.id) Wire.Deadline_exceeded
+         (Printf.sprintf "queued longer than the %gs deadline"
+            t.config.deadline_seconds))
   end
   else begin
     let span = Obs.Span.start m_handle in
-    let answered = Atomic.make false in
-    t.config.handler job.query ~reply:(fun result ->
-        if Atomic.compare_and_set answered false true then begin
-          Obs.Span.stop span;
-          post t
-            (deliver t ~conn_key:job.conn_key
-               (render_result t ~id:job.id job.query result))
-        end)
+    let result =
+      Result.map_error
+        (fun (code, msg) -> { code; msg; hint = None })
+        (Router.handle job.query)
+    in
+    Obs.Span.stop span;
+    post t ~conn_key:job.conn_key (render_result t ~id:job.id job.query result)
   end
 
 let worker_loop t =

@@ -53,11 +53,10 @@
       process-wide.
     - {b Workers}: [workers] lanes hosted on one {!Parallel.Pool.map}
       call, so each lane is a real domain while nested analysis
-      parallelism degrades to sequential per lane. A lane runs the
-      {!handler}, which answers through a [reply] callback. The reply
-      renders the bytes and {!post}s their delivery to the reactor
-      through a mutex-protected queue of closures plus a wakeup pipe
-      ({!Nonblock.wake}); lanes never touch sockets.
+      parallelism degrades to sequential per lane. A lane runs
+      {!Router.handle}, renders the reply bytes and hands them to the
+      reactor through a mutex-protected completion queue plus a
+      wakeup pipe ({!Nonblock.wake}); lanes never touch sockets.
     - {b Cache}: replies for cacheable queries are memoized by
       canonical key ({!Cache}); identical requests get byte-identical
       responses whether computed or replayed.
@@ -83,17 +82,9 @@ type reply_error = {
 
 type handler =
   Wire.query -> reply:((Obs.Json.t, reply_error) result -> unit) -> unit
-(** What the worker lanes run for queries that miss the fast paths.
-    It answers by calling [reply], from the lane or later from any
-    thread; the first call counts and later ones are ignored.
-    [handle_seconds] runs from the call to the reply. Must be
-    thread-safe (lanes are domains) and deterministic for cacheable
-    queries — its [Ok] payloads are cached and replayed
-    byte-identically. *)
-
-val router_handler : handler
-(** The default: {!Router.handle} with no redirect hints, answered at
-    once. *)
+(** How a {!plane} answers the queries it owns: by calling [reply], at
+    once or later. The first call counts and later ones are ignored.
+    [handle_seconds] runs from the call to the reply. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listener path. *)
@@ -112,11 +103,6 @@ type config = {
       (** Outstanding-request cap per connection; clamped to [1 ..].
           At the cap the reactor stops reading the connection until
           replies drain — backpressure, not an error. *)
-  handler : handler;
-      (** Worker dispatch ({!router_handler} by default). The replica
-          runtime ({!Replica.Node}) substitutes a handler that warms
-          follower caches through its Raft log; everything else should
-          delegate to {!router_handler}. *)
 }
 
 val default_config : config
@@ -162,10 +148,6 @@ val start : ?plane:plane -> config -> t
 val stop : t -> unit
 (** Graceful drain as described above. Idempotent; blocks until the
     reactor thread and every worker domain has joined. *)
-
-val post : t -> (unit -> unit) -> unit
-(** Run a closure on the loop thread at its next iteration, from any
-    thread. Dropped once {!stop} has finished. *)
 
 val connection_count : t -> int
 (** Live connections in the reactor's connection table. The chaos

@@ -79,6 +79,11 @@ let test_command_codec () =
   (match Command.of_string (Command.to_string Command.Barrier) with
   | Ok Command.Barrier -> ()
   | _ -> Alcotest.fail "barrier did not round-trip");
+  (* Older segments may hold cache-warming records; they replay as
+     no-ops. *)
+  (match Command.of_string {|{"op":"warm","key":"k","payload":"{}"}|} with
+  | Ok Command.Barrier -> ()
+  | _ -> Alcotest.fail "a warm record did not decode as a barrier");
   (match Command.of_string {|{"op":"put","name":"bad name!","scenario":{}}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "invalid store name accepted")
@@ -1428,6 +1433,21 @@ let test_driver_prediction_and_artifact () =
           "restarts";
         ]
 
+(* Write one checksum-valid envelope straight to replica [dst]'s raft
+   listener, as if [src] sent it. The caller closes the socket once the
+   replica has had time to read it. *)
+let forge_envelope ~base ~src ~dst msg ~payloads =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET
+       (Unix.inet_addr_loopback, Node.raft_port (cluster_config ~base ~n:3 dst) dst));
+  let frame =
+    Service.Frame.encode ~max_payload_bytes:Replica.Transport.max_envelope_bytes
+      (Replica.Transport.envelope_to_line ~src ~dst msg ~payloads)
+  in
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
+  fd
+
 (* Sequence numbers are reused across terms, so the payloads of an
    AppendEntries from an older term, which Raft rejects, must not
    replace the bytes of the entry now at their sequence number. Each
@@ -1459,30 +1479,18 @@ let test_stale_payloads_dropped () =
         List.map
           (fun dst ->
             let src = List.find (( <> ) dst) followers in
-            let envelope =
-              Replica.Transport.envelope_to_line ~src ~dst
-                (Raft_types.Append_entries
-                   {
-                     term = 0;
-                     leader_id = src;
-                     prev_log_index = 1;
-                     prev_log_term = 0;
-                     entries =
-                       [ { Raft_types.term = 0; index = 2; command = Raft_types.Data 2 } ];
-                     leader_commit = 0;
-                   })
-                ~payloads:[ (2, stale) ]
-            in
-            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-            Unix.connect fd
-              (Unix.ADDR_INET
-                 (Unix.inet_addr_loopback, Node.raft_port (cluster_config ~base ~n:3 dst) dst));
-            let frame =
-              Service.Frame.encode
-                ~max_payload_bytes:Replica.Transport.max_envelope_bytes envelope
-            in
-            ignore (Unix.write_substring fd frame 0 (String.length frame));
-            fd)
+            forge_envelope ~base ~src ~dst
+              (Raft_types.Append_entries
+                 {
+                   term = 0;
+                   leader_id = src;
+                   prev_log_index = 1;
+                   prev_log_term = 0;
+                   entries =
+                     [ { Raft_types.term = 0; index = 2; command = Raft_types.Data 2 } ];
+                   leader_commit = 0;
+                 })
+              ~payloads:[ (2, stale) ])
           followers
       in
       Thread.delay 0.3;
@@ -1514,6 +1522,124 @@ let test_stale_payloads_dropped () =
                    counts
                  && first.State.store_size = 2
              | _ -> false)))
+
+(* Raft also rejects an AppendEntries of the current term whose previous
+   entry is not in the log, and its payloads must not replace the bytes
+   of the entry now at their sequence number either. The leader stops
+   right after the put at seq 2 is acknowledged, before a heartbeat can
+   tell the followers it committed. Each follower then gets a
+   checksum-valid AppendEntries in its own term, from the stopped
+   leader's id, whose previous entry is at index 50 and which carries
+   other bytes for seq 2. The new leader's first linearizable get
+   commits a barrier, which applies seq 2. *)
+let test_rejected_append_payloads_dropped () =
+  with_cluster ~n:3 (fun ~base ~nodes ->
+      let leader = wait_leader nodes in
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      let put id name =
+        expect_ok ("put " ^ name)
+          (Client.Multi.call multi ~id
+             (Wire.Scenario_put { name; scenario = scenario_a; nonce = 0 }))
+      in
+      ignore (put 1 "pre");
+      Alcotest.(check bool)
+        "the put goes in at seq 2" true
+        (Obs.Json.member "command_seq" (put 2 "key") = Some (Obs.Json.Int 2));
+      let old = Node.id leader in
+      (match !(nodes.(old)) with
+      | Some node ->
+          nodes.(old) := None;
+          Node.stop node
+      | None -> Alcotest.fail "leader slot empty");
+      let forged =
+        Command.to_string
+          (Command.Put_scenario { name = "key"; scenario = scenario_b; nonce = 0 })
+      in
+      let sockets =
+        List.map
+          (fun follower ->
+            let term = Node.term follower in
+            forge_envelope ~base ~src:old ~dst:(Node.id follower)
+              (Raft_types.Append_entries
+                 {
+                   term;
+                   leader_id = old;
+                   prev_log_index = 50;
+                   prev_log_term = term;
+                   entries =
+                     [ { Raft_types.term; index = 51; command = Raft_types.Data 2 } ];
+                   leader_commit = 0;
+                 })
+              ~payloads:[ (2, forged) ])
+          (live_nodes nodes)
+      in
+      Thread.delay 0.1;
+      List.iter Unix.close sockets;
+      let got =
+        expect_ok "linearizable get"
+          (Client.Multi.call ~timeout:12. multi ~id:3
+             (Wire.Scenario_get { name = "key"; linearizable = true }))
+      in
+      Alcotest.(check bool)
+        "the new leader reads the acknowledged put" true
+        (Option.map Probcons.Scenario.of_json (Obs.Json.member "scenario" got)
+        = Some (Ok scenario_a));
+      Alcotest.(check bool)
+        "at its sequence number" true
+        (Obs.Json.member "command_seq" got = Some (Obs.Json.Int 2)))
+
+(* A compute is answered as [serve] answers it and never reaches the
+   log: the leader and a follower each answer the same distinct
+   analyses, a 64-round horizon among them, with the bytes
+   [Router.handle] renders, and no replica's commit index or applied
+   count moves. *)
+let test_computes_append_nothing () =
+  with_cluster ~n:3 (fun ~base:_ ~nodes ->
+      let leader = wait_leader nodes in
+      let follower = List.find (fun n -> n != leader) (live_nodes nodes) in
+      let marks () =
+        List.map
+          (fun n -> (commit_index n, (Node.state_counts n).State.applied))
+          (live_nodes nodes)
+      in
+      let before = marks () in
+      let queries =
+        List.map
+          (fun scenario -> Wire.Analyze { scenario })
+          [
+            scenario_a;
+            scenario_b;
+            Probcons.Scenario.uniform ~protocol:"stake" ~n:14 ~p:0.01 ();
+            Probcons.Scenario.with_horizon ~rounds:64 24.
+              (Probcons.Scenario.uniform ~protocol:"raft" ~n:5 ~p:0.01 ());
+          ]
+      in
+      List.iter
+        (fun node ->
+          let c = Client.connect ~timeout:8. (Client.Tcp (Node.service_port node)) in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          List.iteri
+            (fun i query ->
+              let id = i + 1 in
+              let expected =
+                match Service.Router.handle query with
+                | Ok json -> Wire.encode_ok ~id ~payload:(Obs.Json.to_string json)
+                | Error (_, msg) -> Alcotest.failf "the router refused the query: %s" msg
+              in
+              match
+                Client.call_line c ~id (Wire.encode_request { Wire.id; query })
+              with
+              | Ok body ->
+                  Alcotest.(check string) "the reply is the router's" expected body
+              | Error (code, msg) ->
+                  Alcotest.failf "analyze failed: %s: %s" (Wire.code_string code) msg)
+            queries)
+        [ leader; follower ];
+      (* Heartbeats would carry any new commit to the followers. *)
+      Thread.delay 0.3;
+      Alcotest.(check (list (pair int int)))
+        "commit indices and applied counts unchanged" before (marks ()))
 
 (* Records that pass their checksum but are malformed do not load: the
    checksum guards against damage, the decoder against the rest. *)
@@ -1605,4 +1731,8 @@ let suite =
       test_stale_payloads_dropped;
     Alcotest.test_case "malformed segment records do not load" `Quick
       test_storage_record_decoder;
+    Alcotest.test_case "a rejected append's payloads are dropped" `Slow
+      test_rejected_append_payloads_dropped;
+    Alcotest.test_case "a replica's computes append nothing" `Slow
+      test_computes_append_nothing;
   ]
