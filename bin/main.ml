@@ -1178,8 +1178,8 @@ let replicate_cmd =
       value & opt int 47100
       & info [ "base-port" ] ~docv:"P"
           ~doc:
-            "Base of the deployment's port range (raft plane, link \
-             proxies, then service ports).")
+            "Base of the deployment's port range: replica I's raft \
+             listener at P+I, its service port at P+N+I.")
   in
   let duration_arg =
     Arg.(

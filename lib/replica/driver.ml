@@ -2,7 +2,7 @@ module FP = Faultmodel.Failure_process
 
 let schema = "probcons-repl-avail/1"
 
-let service_port ~base_port ~replicas i = base_port + replicas + (replicas * replicas) + i
+let service_port ~base_port ~replicas i = base_port + replicas + i
 
 type config = {
   replicas : int;
@@ -123,17 +123,26 @@ let artifact cfg ~windows ~writes_acked ~writes_lost ~kills ~restarts =
 
 (* ---- process management ------------------------------------------- *)
 
+(* Raised by [spawn] and turned into [run]'s error. *)
+exception Cannot_start of string
+
 let spawn cfg i =
   let argv = cfg.child_argv ~id:i in
   let log_path =
     Filename.concat cfg.state_root (Printf.sprintf "replica-%d.log" i)
   in
-  let logfd =
-    Unix.openfile log_path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close logfd with Unix.Unix_error _ -> ())
-    (fun () -> Unix.create_process argv.(0) argv Unix.stdin logfd logfd)
+  try
+    let logfd =
+      Unix.openfile log_path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close logfd with Unix.Unix_error _ -> ())
+      (fun () -> Unix.create_process argv.(0) argv Unix.stdin logfd logfd)
+  with Unix.Unix_error (err, fn, arg) ->
+    raise
+      (Cannot_start
+         (Printf.sprintf "driver: cannot start replica %d: %s %s: %s" i fn arg
+            (Unix.error_message err)))
 
 let kill_child cfg pids i ~signal =
   match pids.(i) with
@@ -213,6 +222,7 @@ let run cfg =
       done
     in
     Fun.protect ~finally:cleanup @@ fun () ->
+    try
     for i = 0 to n - 1 do
       pids.(i) <- Some (spawn cfg i)
     done;
@@ -366,4 +376,5 @@ let run cfg =
                  ~writes_lost:!lost ~kills:!kills ~restarts:!restarts)
           end
     end
+    with Cannot_start msg -> Error msg
   end

@@ -17,8 +17,8 @@ val schema : string
 
 val service_port : base_port:int -> replicas:int -> int -> int
 (** Replica [i]'s client-facing port under the deployment's port
-    layout ([base_port + n + n*n + i], above the raft and link-proxy
-    regions). *)
+    layout ([base_port + n + i], above the raft listeners at
+    [base_port + i]). *)
 
 type config = {
   replicas : int;
@@ -90,7 +90,9 @@ val run : config -> (Obs.Json.t, string) result
     acknowledged write, reap the children, return the artifact.
     [Error] before anything is spawned when the window is not positive,
     a window has no probe, or the duration is shorter than one window;
-    [Error] on startup failure (no leader within 20 s). *)
+    [Error] on startup failure: a replica that cannot be started
+    (["driver: cannot start replica I: ..."]; the replicas already
+    running are stopped) or no leader within 20 s. *)
 
 val supervise : config -> ready:(unit -> unit) -> unit
 (** Serve without measuring: spawn the [replicas] processes on this

@@ -11,7 +11,6 @@ type config = {
   seed : int;
   state_dir : string option;
   workers : int;
-  chaos : Service.Chaos.plan option;
   commit_timeout_seconds : float;
 }
 
@@ -24,7 +23,6 @@ let default_config ~id ~n ~base_port ~service_port =
     seed = 42;
     state_dir = None;
     workers = 2;
-    chaos = None;
     commit_timeout_seconds = 4.0;
   }
 
@@ -37,22 +35,14 @@ let staleness_budget_seconds = 1.0
 
 let raft_port cfg peer = cfg.base_port + peer
 
-(* Link proxies live in a flat region above the raft listeners: the
-   proxy replica [i] runs in front of its link to peer [j] listens on
-   [base + n + i*n + j]. The proxy is owned by the source process, so
-   killing a replica also kills its outbound links. *)
-let link_port cfg ~src ~dst = cfg.base_port + cfg.n + (src * cfg.n) + dst
-
-let link_plan plan ~src ~dst =
-  { plan with Service.Chaos.seed = plan.Service.Chaos.seed + (src * 97) + dst }
-
 type outcome = (Obs.Json.t, Server.reply_error) result
 
 (* One write awaiting its commit, or one linearizable read awaiting its
    read-index confirmation. Only the loop thread answers it: on apply
    or confirmation, when the leader is deposed, past its deadline, or
-   when the plane stops. *)
-type waiter = { deadline : float; reply : outcome -> unit }
+   when the plane stops. [term] is the leader's term when the waiter
+   was made: a write's entry is appended in it. *)
+type waiter = { deadline : float; term : int; reply : outcome -> unit }
 
 type status = {
   s_role : string;
@@ -86,7 +76,6 @@ type t = {
   persisted_terms : int Dessim.Vec.t;
       (* the term of every entry the segment holds *)
   mutable persisted_hard : int * int option;
-  proxies : Service.Chaos.t list;
   status_mu : Mutex.t;
   mutable status : status;
   server : Server.t option Atomic.t;  (* [None] again once stopped *)
@@ -158,9 +147,15 @@ let on_apply t (entry : Raft_types.entry) =
           | Ok op ->
               let outcome = State.apply t.state ~seq op ~id:bytes in
               let duplicate = outcome = `Duplicate in
+              (* Sequence numbers are reused across terms, but within one
+                 term only its leader assigns them, each once: (term,
+                 seq) names one command, and an entry of another term
+                 at the waiter's seq is not the waiter's. *)
               (match Hashtbl.find_opt t.waiters seq with
               | None -> ()
-              | Some w -> answer t w (reply_for_op op ~seq ~duplicate)));
+              | Some w when w.term = entry.term ->
+                  answer t w (reply_for_op op ~seq ~duplicate)
+              | Some w -> answer t w (not_leader_error t)));
           Hashtbl.remove t.waiters seq))
 
 let handle_submit t op w =
@@ -383,7 +378,11 @@ let close_plane t err =
     [ t.waiters; t.reads ]
 
 let waiter t reply =
-  { deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds; reply }
+  {
+    deadline = Unix.gettimeofday () +. t.cfg.commit_timeout_seconds;
+    term = Raft_node.current_term t.raft;
+    reply;
+  }
 
 let submit t op ~reply = handle_submit t op (waiter t reply)
 
@@ -516,29 +515,11 @@ let start (cfg : config) =
         | Error msg -> failwith ("replica " ^ string_of_int cfg.id ^ ": " ^ msg)
         | Ok (log, snapshot) -> (Some log, snapshot))
   in
-  (* Chaos proxies sit on this replica's outbound links only, so each
-     ordered pair (src, dst) has exactly one fault-injecting hop owned
-     by the source process. *)
-  let peers = List.filter (fun peer -> peer <> cfg.id) (List.init cfg.n Fun.id) in
-  let proxies =
-    match cfg.chaos with
-    | None -> []
-    | Some plan ->
-        List.map
-          (fun peer ->
-            Service.Chaos.start
-              ~plan:(link_plan plan ~src:cfg.id ~dst:peer)
-              ~listen:(Service.Client.Tcp (link_port cfg ~src:cfg.id ~dst:peer))
-              ~upstream:(Service.Client.Tcp (raft_port cfg peer)))
-          peers
-  in
   let links =
     Transport.create ~port:(raft_port cfg cfg.id)
       ~peers:
         (Array.init cfg.n (fun peer ->
-             if peer = cfg.id then None
-             else if cfg.chaos = None then Some (raft_port cfg peer)
-             else Some (link_port cfg ~src:cfg.id ~dst:peer)))
+             if peer = cfg.id then None else Some (raft_port cfg peer)))
   in
   let payloads = Hashtbl.create 256 in
   let timers = ref [] in
@@ -594,7 +575,6 @@ let start (cfg : config) =
       durable;
       persisted_terms = Dessim.Vec.create ();
       persisted_hard = (0, None);
-      proxies;
       status_mu = Mutex.create ();
       status =
         {
@@ -651,19 +631,14 @@ let start (cfg : config) =
 
 (* The server stops the plane on its loop, which answers every pending
    write while the connections can still carry the reply; the
-   raft-plane sockets, proxies and segment close after that loop has
-   exited. *)
+   raft-plane sockets and segment close after that loop has exited. *)
 let stop t =
   match Atomic.exchange t.server None with
   | None -> ()
   | Some server ->
       Server.stop server;
       Transport.close t.links;
-      List.iter Service.Chaos.stop t.proxies;
       Option.iter Storage.close t.durable
-
-let set_chaos_plan t plan =
-  List.iter (fun proxy -> Service.Chaos.set_plan proxy plan) t.proxies
 
 let id t = t.cfg.id
 let service_port t = t.cfg.service_port

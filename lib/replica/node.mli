@@ -8,7 +8,9 @@
 
     - [scenario_put] is sequenced through the Raft log and acknowledged
       only after commit and apply; followers answer [not_leader] with a
-      leader hint.
+      leader hint. Sequence numbers are reused across terms, so a
+      write waits for (term, seq): an entry of another term applied at
+      its seq answers it [not_leader].
     - plain [scenario_get] is served from local applied state when the
       replica's last contact is within the staleness budget of 1 s,
       refused with [not_leader] otherwise. A follower's last contact
@@ -57,17 +59,12 @@ type config = {
   id : int;  (** Replica id in [0..n-1]. *)
   n : int;
   base_port : int;
-      (** Raft plane: replica [i] listens on [base_port + i]; chaos
-          link proxies (when enabled) use
-          [base_port + n + src*n + dst]. *)
+      (** Raft plane: replica [i] listens on [base_port + i] and dials
+          peer [j] at [base_port + j]. *)
   service_port : int;  (** Client-facing query service port. *)
   seed : int;
   state_dir : string option;  (** [None] disables persistence. *)
   workers : int;
-  chaos : Service.Chaos.plan option;
-      (** When set, every outbound inter-replica link runs through an
-          in-process fault-injecting proxy with a per-link derived seed
-          — a fixture for the inter-replica chaos tests. *)
   commit_timeout_seconds : float;
       (** How long a write waits for its commit, and a linearizable
           read for its confirmation, before it is answered
@@ -76,8 +73,7 @@ type config = {
 
 val default_config :
   id:int -> n:int -> base_port:int -> service_port:int -> config
-(** Seed 42, no persistence, no chaos, 2 workers, 4 s commit
-    timeout. *)
+(** Seed 42, no persistence, 2 workers, 4 s commit timeout. *)
 
 val raft_port : config -> int -> int
 
@@ -93,16 +89,10 @@ val stop : t -> unit
 (** Graceful: {!Service.Server.stop}, whose drain answers new writes
     [shutting_down] and whose loop, before it closes the connections,
     answers every write still waiting [shutting_down]; then close the
-    raft-plane sockets, proxies and segment. Idempotent. A cycle that
+    raft-plane sockets and segment. Idempotent. A cycle that
     raises — a disk error, say — answers every waiting write
     [internal] and shuts the loop down the same way, closing the
     listeners and connections so clients fail over. *)
-
-val set_chaos_plan : t -> Service.Chaos.plan -> unit
-(** Swap the plan on every outbound link proxy (live connections are
-    reset so accept-time faults like blackholes take effect) — the
-    mid-append blackhole lever of the inter-replica chaos tests.
-    No-op when chaos is disabled. *)
 
 val id : t -> int
 val service_port : t -> int

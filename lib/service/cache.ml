@@ -1,27 +1,19 @@
 (* Classic LRU: hash table to intrusive doubly-linked list nodes, most
-   recently used at the head. *)
+   recently used at the head. One thread owns it (the server's reactor),
+   so nothing here locks. *)
 
 type node = {
   key : string;
   value : string;
-  (* Memo of the last fully rendered reply frame: (id, bytes).
-     Replies differ only by request id around an identical payload, so
-     an id-stable client (the common case — loadgen and pipelining
-     clients key ids by query) gets its whole reply as one slice.
-     Reactor-thread only; see the .mli. *)
-  mutable reply : (int * string) option;
   mutable prev : node option;
   mutable next : node option;
 }
-
-type entry = node
 
 type t = {
   capacity : int;
   table : (string, node) Hashtbl.t;
   mutable head : node option;  (* MRU *)
   mutable tail : node option;  (* LRU *)
-  mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -37,7 +29,6 @@ let create ?registry ~capacity () =
     table = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
-    mutex = Mutex.create ();
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -64,67 +55,45 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let find t key =
-  if t.capacity = 0 then begin
-    Obs.Metrics.incr t.m_misses;
-    locked t (fun () -> t.misses <- t.misses + 1);
-    None
-  end
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some node ->
-            unlink t node;
-            push_front t node;
-            t.hits <- t.hits + 1;
-            Obs.Metrics.incr t.m_hits;
-            Some node
-        | None ->
-            t.misses <- t.misses + 1;
-            Obs.Metrics.incr t.m_misses;
-            None)
-
-let payload (e : entry) = e.value
-
-let rendered (e : entry) ~id ~render =
-  match e.reply with
-  | Some (memo_id, bytes) when memo_id = id -> bytes
-  | _ ->
-      let bytes = render () in
-      e.reply <- Some (id, bytes);
-      bytes
-
-let add t key value =
-  if t.capacity > 0 then
-    locked t (fun () ->
-        (match Hashtbl.find_opt t.table key with
-        | Some node ->
-            (* Concurrent miss already admitted this key; values are
-               identical by construction, so only refresh recency. *)
-            unlink t node;
-            push_front t node
-        | None ->
-            if Hashtbl.length t.table >= t.capacity then begin
-              match t.tail with
-              | Some lru ->
-                  unlink t lru;
-                  Hashtbl.remove t.table lru.key;
-                  t.evictions <- t.evictions + 1;
-                  Obs.Metrics.incr t.m_evictions
-              | None -> ()
-            end;
-            let node = { key; value; reply = None; prev = None; next = None } in
-            Hashtbl.replace t.table key node;
-            push_front t node);
-        Obs.Metrics.set t.m_entries (Hashtbl.length t.table))
-
 let count_hit t =
   Obs.Metrics.incr t.m_hits;
-  locked t (fun () -> t.hits <- t.hits + 1)
+  t.hits <- t.hits + 1
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
-let stats t = locked t (fun () -> (t.hits, t.misses, t.evictions))
+let find t key =
+  match Hashtbl.find_opt t.table key with
+  | Some node ->
+      unlink t node;
+      push_front t node;
+      count_hit t;
+      Some node.value
+  | None ->
+      Obs.Metrics.incr t.m_misses;
+      t.misses <- t.misses + 1;
+      None
+
+let add t key value =
+  if t.capacity > 0 then begin
+    (match Hashtbl.find_opt t.table key with
+    | Some node ->
+        (* Two misses on one key both computed it; values are identical
+           by construction, so only refresh recency. *)
+        unlink t node;
+        push_front t node
+    | None ->
+        if Hashtbl.length t.table >= t.capacity then begin
+          match t.tail with
+          | Some lru ->
+              unlink t lru;
+              Hashtbl.remove t.table lru.key;
+              t.evictions <- t.evictions + 1;
+              Obs.Metrics.incr t.m_evictions
+          | None -> ()
+        end;
+        let node = { key; value; prev = None; next = None } in
+        Hashtbl.replace t.table key node;
+        push_front t node);
+    Obs.Metrics.set t.m_entries (Hashtbl.length t.table)
+  end
+
+let length t = Hashtbl.length t.table
+let stats t = (t.hits, t.misses, t.evictions)

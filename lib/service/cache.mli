@@ -6,27 +6,14 @@
     preserves the repo's determinism guarantee: a hit replays exactly
     what a miss computed.
 
-    A hit returns an {!entry} rather than the raw string: alongside the
-    payload, each entry memoizes the most recent {e fully rendered}
-    reply (the frame header and envelope around the payload, which
-    depend only on the request id). A client
-    that reuses its ids, as the load generator and any pipelining
-    client naturally do, therefore gets its whole reply as one
-    preassembled slice: the reactor writes it with a single syscall and
-    zero per-request assembly. An id change re-renders once and
-    replaces the memo.
-
-    All map operations are domain-safe (one mutex; the critical
-    sections are pointer swaps). Two concurrent misses on the same key
-    both compute and the second {!add} wins harmlessly — admission is
-    idempotent because values for one key are identical by
-    construction. The rendered memo is {e not} locked: it must only
-    be touched from the single reactor thread (the only writer of
-    replies). *)
+    One thread owns a cache: in {!Server}, the reactor, which looks up
+    hits and admits the payloads the worker lanes computed as it
+    delivers their replies. Nothing here locks. Two misses on the same
+    key both compute and the second {!add} only refreshes recency —
+    admission is idempotent because values for one key are identical
+    by construction. *)
 
 type t
-
-type entry
 
 val create : ?registry:Obs.Metrics.t -> capacity:int -> unit -> t
 (** [capacity <= 0] disables the cache (every lookup misses, nothing is
@@ -36,16 +23,8 @@ val create : ?registry:Obs.Metrics.t -> capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val find : t -> string -> entry option
-(** Promotes the entry to most-recently-used on a hit. *)
-
-val payload : entry -> string
-(** The rendered JSON payload this entry caches. *)
-
-val rendered : entry -> id:int -> render:(unit -> string) -> string
-(** The full reply frame for this payload and request id: the memoized
-    string when [id] matches the last request, else [render ()],
-    memoized. Reactor-thread only. *)
+val find : t -> string -> string option
+(** The payload cached under the key, promoted to most-recently-used. *)
 
 val add : t -> string -> string -> unit
 (** Insert a payload, evicting the least-recently-used entry when full.

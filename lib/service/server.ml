@@ -97,6 +97,11 @@ type job = {
   enqueued_at : float;
 }
 
+(* What a reply counts for, settled by the reactor: an answer, with the
+   canonical key and payload to admit when its query is cacheable, or
+   an error's code. *)
+type tally = Answered of (string * string) option | Failed of Wire.error_code
+
 type queue = {
   jobs : job Queue.t;
   qm : Mutex.t;
@@ -110,22 +115,24 @@ type t = {
   plane : plane option;
   listeners : Unix.file_descr list;
   queue : queue;
-  cache : Cache.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  completions : (int * string) Queue.t;  (* lane replies: conn key, bytes *)
+  completions : (int * string * tally) Queue.t;  (* conn key, bytes, tally *)
   completions_mutex : Mutex.t;
   mutable wake_open : bool;  (* under [completions_mutex] *)
   mutable reactor_thread : Thread.t option;
   mutable worker_host : Thread.t option;
-  conns : (int, conn) Hashtbl.t;  (* reactor-thread only *)
-  mutable to_flush : conn list;  (* reactor-thread only: the dirty conns *)
-  (* Raw-request fast path, reactor-thread only: exact request body
-     bytes -> full rendered reply frame. A byte-identical request names
+  (* The reactor thread owns everything below but the atomics: the
+     reply cache, the connections, the raw memo and the tallies. *)
+  cache : Cache.t;
+  conns : (int, conn) Hashtbl.t;
+  mutable to_flush : conn list;  (* the dirty conns *)
+  (* Raw-request fast path: exact request body bytes -> full rendered
+     reply frame, the one reply memo. A byte-identical request names
      the same query and id, and cacheable replies are deterministic, so
      the reply bytes can be replayed without parsing anything. Filled
-     from the cache-hit path (which guarantees the entry is cacheable
-     and already rendered); reset wholesale when full. *)
+     from the cache-hit path (which guarantees the query is cacheable);
+     reset wholesale when full. *)
   raw : (string, string) Hashtbl.t;
   mutable next_conn : int;
   n_conns : int Atomic.t;
@@ -137,14 +144,14 @@ type t = {
   read_chunk : Bytes.t;
   (* Server-local tallies for the [stats] query: available even when
      the global metrics registry is disabled. *)
-  n_requests : int Atomic.t;
-  n_ok : int Atomic.t;
-  n_error : int Atomic.t;
-  n_overload : int Atomic.t;
-  n_deadline : int Atomic.t;
-  n_loops : int Atomic.t;
-  n_write_stalls : int Atomic.t;
-  max_pipeline_seen : int Atomic.t;
+  mutable n_requests : int;
+  mutable n_ok : int;
+  mutable n_error : int;
+  mutable n_overload : int;
+  mutable n_deadline : int;
+  mutable n_loops : int;
+  mutable n_write_stalls : int;
+  mutable max_pipeline_seen : int;
 }
 
 let connection_count t = Atomic.get t.n_conns
@@ -190,9 +197,9 @@ let close_queue q =
 
 (* --- Reply rendering ----------------------------------------------------- *)
 
-(* One frame per reply: header, then [prefix payload suffix]. The
-   cache memoizes the result per id, so an id-stable client pays this
-   assembly once per cache entry and the write path gets a single
+(* One frame per reply: header, then [prefix payload suffix]. The raw
+   memo keeps a hit's result per exact request body, so a repeated
+   request pays this assembly once and the write path gets a single
    preassembled slice afterwards. *)
 let render_ok ~id payload =
   let prefix = Wire.ok_prefix ~id in
@@ -214,9 +221,9 @@ let render_error ?hint ~id code msg =
 let reactor_stats t =
   Obs.Json.Obj
     [
-      ("loop_iterations", Obs.Json.Int (Atomic.get t.n_loops));
-      ("write_backpressure_stalls", Obs.Json.Int (Atomic.get t.n_write_stalls));
-      ("max_pipeline_depth", Obs.Json.Int (Atomic.get t.max_pipeline_seen));
+      ("loop_iterations", Obs.Json.Int t.n_loops);
+      ("write_backpressure_stalls", Obs.Json.Int t.n_write_stalls);
+      ("max_pipeline_depth", Obs.Json.Int t.max_pipeline_seen);
       ("connections", Obs.Json.Int (connection_count t));
     ]
 
@@ -236,11 +243,11 @@ let stats_payload t =
       ( "requests",
         Obs.Json.Obj
           [
-            ("total", Obs.Json.Int (Atomic.get t.n_requests));
-            ("ok", Obs.Json.Int (Atomic.get t.n_ok));
-            ("error", Obs.Json.Int (Atomic.get t.n_error));
-            ("overloaded", Obs.Json.Int (Atomic.get t.n_overload));
-            ("deadline_exceeded", Obs.Json.Int (Atomic.get t.n_deadline));
+            ("total", Obs.Json.Int t.n_requests);
+            ("ok", Obs.Json.Int t.n_ok);
+            ("error", Obs.Json.Int t.n_error);
+            ("overloaded", Obs.Json.Int t.n_overload);
+            ("deadline_exceeded", Obs.Json.Int t.n_deadline);
           ] );
       ( "queue",
         Obs.Json.Obj
@@ -292,13 +299,12 @@ let ping_payload t =
 (* --- Reactor: write side ------------------------------------------------- *)
 
 (* Flush as much of [conn.out] as the kernel will take, coalescing
-   small replies (the pipelining win) and writing large ones zero-copy
-   from the reply cache. Raises [Nonblock.Closed] when the peer is
-   gone. *)
+   small replies (the pipelining win). Raises [Nonblock.Closed] when
+   the peer is gone. *)
 let flush_conn t conn =
   if not (Nonblock.flush conn.out conn.fd ~scratch:t.scratch) then begin
     Obs.Metrics.incr m_write_stalls;
-    Atomic.incr t.n_write_stalls
+    t.n_write_stalls <- t.n_write_stalls + 1
   end
 
 let mark_dirty t conn =
@@ -315,52 +321,56 @@ let push t conn bytes =
 
 (* --- Reactor: request handling ------------------------------------------ *)
 
+let count_ok t =
+  Obs.Metrics.incr m_ok;
+  t.n_ok <- t.n_ok + 1
+
 let count_error t code =
   Obs.Metrics.incr m_error;
-  Atomic.incr t.n_error;
+  t.n_error <- t.n_error + 1;
   match code with
   | Wire.Overloaded ->
       Obs.Metrics.incr m_overload;
-      Atomic.incr t.n_overload
+      t.n_overload <- t.n_overload + 1
   | Wire.Deadline_exceeded ->
       Obs.Metrics.incr m_deadline;
-      Atomic.incr t.n_deadline
+      t.n_deadline <- t.n_deadline + 1
   | _ -> ()
+
+(* Every lane and plane reply is settled here, on the reactor, before
+   it is pushed and whether or not its connection is still alive. *)
+let settle t = function
+  | Answered admit ->
+      Option.iter (fun (key, payload) -> Cache.add t.cache key payload) admit;
+      count_ok t
+  | Failed code -> count_error t code
 
 let reply_error t conn ~id code msg =
   count_error t code;
   push t conn (render_error ~id code msg)
 
 let reply_ok_json t conn ~id json =
-  Obs.Metrics.incr m_ok;
-  Atomic.incr t.n_ok;
+  count_ok t;
   push t conn (render_ok ~id (Obs.Json.to_string json))
 
-(* An answer as reply bytes, counted, and cached when the query is
-   cacheable. *)
-let render_result t ~id query = function
+(* An answer as reply bytes and the tally they count for. Lanes call it,
+   so the rendering and the canonical key stay off the reactor. *)
+let render_result ~id query = function
   | Ok json ->
-      let rendered = Obs.Json.to_string json in
-      if Wire.cacheable query then
-        Cache.add t.cache (Wire.canonical_key query) rendered;
-      Obs.Metrics.incr m_ok;
-      Atomic.incr t.n_ok;
-      render_ok ~id rendered
+      let payload = Obs.Json.to_string json in
+      let admit =
+        if Wire.cacheable query then Some (Wire.canonical_key query, payload)
+        else None
+      in
+      (render_ok ~id payload, Answered admit)
   | Error { code; msg; hint } ->
-      count_error t code;
-      render_error ?hint ~id:(Some id) code msg
+      (render_error ?hint ~id:(Some id) code msg, Failed code)
 
 let track_outstanding t conn =
   conn.outstanding <- conn.outstanding + 1;
   Obs.Metrics.observe m_pipeline_depth (float_of_int conn.outstanding);
-  let rec bump () =
-    let seen = Atomic.get t.max_pipeline_seen in
-    if
-      conn.outstanding > seen
-      && not (Atomic.compare_and_set t.max_pipeline_seen seen conn.outstanding)
-    then bump ()
-  in
-  bump ()
+  if conn.outstanding > t.max_pipeline_seen then
+    t.max_pipeline_seen <- conn.outstanding
 
 (* A plane query runs on this thread. The plane answers it now or from
    a later step, always on this thread, so the reply goes straight onto
@@ -377,7 +387,8 @@ let answer_on_loop t plane conn ~id query =
           answered := true;
           Obs.Span.stop span;
           conn.outstanding <- conn.outstanding - 1;
-          let bytes = render_result t ~id query result in
+          let bytes, tally = render_result ~id query result in
+          settle t tally;
           if Hashtbl.mem t.conns conn.key then push t conn bytes
         end)
   end
@@ -389,12 +400,11 @@ let raw_memo_capacity = 8192
 
 let handle_body t conn body =
   Obs.Metrics.incr m_requests;
-  Atomic.incr t.n_requests;
+  t.n_requests <- t.n_requests + 1;
   match Hashtbl.find_opt t.raw body with
   | Some reply ->
       Cache.count_hit t.cache;
-      Obs.Metrics.incr m_ok;
-      Atomic.incr t.n_ok;
+      count_ok t;
       push t conn reply
   | None ->
   match Wire.parse_request body with
@@ -422,17 +432,12 @@ let handle_body t conn body =
       else
         match Cache.find t.cache (Wire.canonical_key query) with
         | None -> dispatch ()
-        | Some entry ->
+        | Some payload ->
             (* Hit: reply straight off the reactor, bypassing the
-               worker lanes entirely. The memoized rendering makes the
-               whole reply one preassembled slice for id-stable
-               clients. *)
-            Obs.Metrics.incr m_ok;
-            Atomic.incr t.n_ok;
-            let bytes =
-              Cache.rendered entry ~id ~render:(fun () ->
-                  render_ok ~id (Cache.payload entry))
-            in
+               worker lanes entirely, and memoize the reply for the
+               exact request bytes. *)
+            count_ok t;
+            let bytes = render_ok ~id payload in
             if Hashtbl.length t.raw >= raw_memo_capacity then
               Hashtbl.reset t.raw;
             Hashtbl.replace t.raw body bytes;
@@ -486,8 +491,8 @@ let accept_ready t listener =
   in
   go ()
 
-(* Hand every reply the lanes posted to its connection, in order,
-   unless the connection died first. *)
+(* Settle every reply the lanes posted, then hand it to its connection,
+   in order, unless the connection died first. *)
 let deliver_completions t =
   let batch =
     Mutex.lock t.completions_mutex;
@@ -497,7 +502,8 @@ let deliver_completions t =
     q
   in
   Queue.iter
-    (fun (conn_key, bytes) ->
+    (fun (conn_key, bytes, tally) ->
+      settle t tally;
       match Hashtbl.find_opt t.conns conn_key with
       | None -> ()
       | Some conn ->
@@ -543,7 +549,7 @@ let want_read t conn =
   if throttle && not conn.throttled then begin
     conn.throttled <- true;
     Obs.Metrics.incr m_write_stalls;
-    Atomic.incr t.n_write_stalls
+    t.n_write_stalls <- t.n_write_stalls + 1
   end
   else if not throttle then conn.throttled <- false;
   not throttle
@@ -573,7 +579,7 @@ let reactor_loop t =
   in
   let rec loop () =
     Obs.Metrics.incr m_loops;
-    Atomic.incr t.n_loops;
+    t.n_loops <- t.n_loops + 1;
     let draining = Atomic.get t.draining in
     if draining then close_listeners ();
     if Atomic.get t.finishing && !flush_deadline = None then
@@ -689,23 +695,21 @@ let reactor_loop t =
     end
   in
   loop ();
-  (* Exit: every connection is closed; drop whatever completions
-     remain. *)
-  Mutex.lock t.completions_mutex;
-  Queue.clear t.completions;
-  Mutex.unlock t.completions_mutex;
+  (* Exit: every connection is closed; settle whatever completions
+     remain, and drop their bytes. *)
+  deliver_completions t;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
 
 (* --- Workers ------------------------------------------------------------- *)
 
-(* A lane's reply, for the loop to write. The wake byte is written
-   under the mutex that [stop] holds while it closes the pipe, so a late
-   reply is dropped, never announced on a closed (or reused)
-   descriptor. *)
-let post t ~conn_key bytes =
+(* A lane's reply and its tally, for the loop to settle and write. The
+   wake byte is written under the mutex that [stop] holds while it
+   closes the pipe, so a late reply is dropped, never announced on a
+   closed (or reused) descriptor. *)
+let post t ~conn_key (bytes, tally) =
   Mutex.lock t.completions_mutex;
   if t.wake_open then begin
-    Queue.push (conn_key, bytes) t.completions;
+    Queue.push (conn_key, bytes, tally) t.completions;
     Nonblock.wake t.wake_w
   end;
   Mutex.unlock t.completions_mutex
@@ -713,13 +717,12 @@ let post t ~conn_key bytes =
 let process t (job : job) =
   let now = Unix.gettimeofday () in
   Obs.Metrics.observe m_queue_wait (now -. job.enqueued_at);
-  if now -. job.enqueued_at > t.config.deadline_seconds then begin
-    count_error t Wire.Deadline_exceeded;
+  if now -. job.enqueued_at > t.config.deadline_seconds then
     post t ~conn_key:job.conn_key
-      (render_error ~id:(Some job.id) Wire.Deadline_exceeded
-         (Printf.sprintf "queued longer than the %gs deadline"
-            t.config.deadline_seconds))
-  end
+      ( render_error ~id:(Some job.id) Wire.Deadline_exceeded
+          (Printf.sprintf "queued longer than the %gs deadline"
+             t.config.deadline_seconds),
+        Failed Wire.Deadline_exceeded )
   else begin
     let span = Obs.Span.start m_handle in
     let result =
@@ -728,7 +731,7 @@ let process t (job : job) =
         (Router.handle job.query)
     in
     Obs.Span.stop span;
-    post t ~conn_key:job.conn_key (render_result t ~id:job.id job.query result)
+    post t ~conn_key:job.conn_key (render_result ~id:job.id job.query result)
   end
 
 let worker_loop t =
@@ -808,14 +811,14 @@ let start ?plane config =
       finishing = Atomic.make false;
       scratch = Bytes.create (64 * 1024);
       read_chunk = Bytes.create (64 * 1024);
-      n_requests = Atomic.make 0;
-      n_ok = Atomic.make 0;
-      n_error = Atomic.make 0;
-      n_overload = Atomic.make 0;
-      n_deadline = Atomic.make 0;
-      n_loops = Atomic.make 0;
-      n_write_stalls = Atomic.make 0;
-      max_pipeline_seen = Atomic.make 0;
+      n_requests = 0;
+      n_ok = 0;
+      n_error = 0;
+      n_overload = 0;
+      n_deadline = 0;
+      n_loops = 0;
+      n_write_stalls = 0;
+      max_pipeline_seen = 0;
     }
   in
   (* All worker lanes live inside one Pool.map call: each lane is a
@@ -823,8 +826,9 @@ let start ?plane config =
      shutdown. Inside a lane the pool's nesting guard makes any
      Analysis-level parallelism sequential, so request-level
      parallelism is the only fan-out and engine labels stay
-     deterministic. The lanes never touch sockets — they compute,
-     render, and hand bytes back to the reactor. *)
+     deterministic. The lanes never touch sockets, the cache or the
+     tallies — they compute, render, and hand bytes and a tally back to
+     the reactor. *)
   t.worker_host <-
     Some
       (Thread.create

@@ -5,13 +5,13 @@
     Architecture (one box per module):
 
     {v
-      reactor thread (select loop, owns every socket)
+      reactor thread (select loop: every socket, the cache, the tallies)
         ├─ accepts, reads, decodes wire/3 frames
         ├─ inline answers: errors, ping, stats, cache hits
         ├─ plane queries and the plane's step (a replica's Raft)
         └─ cache misses ── bounded queue ── worker lanes
                                 (Parallel.Pool domains) ── Router
-                                    └─ completions ── wakeup pipe ──▶ reactor
+                                    └─ replies + tallies ── wakeup pipe ──▶ reactor
     v}
 
     - {b Reactor}: one thread owns all sockets. Listeners and
@@ -28,9 +28,9 @@
       cache hits are answered directly on the reactor thread. Only
       cache misses — actual analyses — are dispatched to the worker
       lanes, so the clean cached path never crosses a thread boundary.
-      Replies are written from preassembled cached bytes (see
-      {!Cache.rendered}) and small replies are coalesced so one
-      syscall can carry many pipelined responses.
+      A hit's reply is memoized per exact request body, so a repeated
+      request is replayed without being parsed, and small replies are
+      coalesced so one syscall can carry many pipelined responses.
     - {b Plane}: {!start} may host a {!plane} — a replica's Raft — on
       the same loop. Its sockets join every [select], its timeout
       bounds the wait, its step runs after each [select], and the
@@ -54,12 +54,15 @@
     - {b Workers}: [workers] lanes hosted on one {!Parallel.Pool.map}
       call, so each lane is a real domain while nested analysis
       parallelism degrades to sequential per lane. A lane runs
-      {!Router.handle}, renders the reply bytes and hands them to the
-      reactor through a mutex-protected completion queue plus a
-      wakeup pipe ({!Nonblock.wake}); lanes never touch sockets.
-    - {b Cache}: replies for cacheable queries are memoized by
-      canonical key ({!Cache}); identical requests get byte-identical
-      responses whether computed or replayed.
+      {!Router.handle}, renders the reply bytes and hands them, with
+      what they count for, to the reactor through a mutex-protected
+      completion queue plus a wakeup pipe ({!Nonblock.wake}); lanes
+      never touch sockets, the cache or the tallies.
+    - {b Cache}: the reactor alone owns the {!Cache} and the [stats]
+      tallies. As it delivers a lane's or the plane's reply, even to a
+      connection that has died, it counts the reply and admits a
+      cacheable answer's payload by canonical key; identical requests
+      get byte-identical responses whether computed or replayed.
     - {b Shutdown}: {!stop} (or SIGINT/SIGTERM under {!run}) closes
       listeners, drains queued work through the lanes, answers fresh
       requests [shutting_down], stops the plane, then flushes every

@@ -681,42 +681,40 @@ let test_wire_replica_kinds () =
 
 (* ---- in-process clusters ------------------------------------------ *)
 
-let cluster_config ?chaos ?state_dir ?commit_timeout ?(workers = 2) ~base ~n i =
+let cluster_config ?state_dir ?commit_timeout ?(workers = 2) ~base ~n i =
   let cfg =
     Node.default_config ~id:i ~n ~base_port:base
       ~service_port:(Driver.service_port ~base_port:base ~replicas:n i)
   in
   {
     cfg with
-    Node.chaos;
-    state_dir =
+    Node.state_dir =
       (match state_dir with None -> None | Some root -> Some (Filename.concat root (string_of_int i)));
     workers;
     commit_timeout_seconds =
       Option.value commit_timeout ~default:cfg.Node.commit_timeout_seconds;
   }
 
-let with_cluster ?chaos ?state_dir ?commit_timeout ?workers ~n f =
+let stop_nodes nodes =
+  Array.iter
+    (fun slot ->
+      match !slot with
+      | Some node ->
+          slot := None;
+          Node.stop node
+      | None -> ())
+    nodes
+
+let with_cluster ?state_dir ?commit_timeout ?workers ~n f =
   let base = fresh_base () in
   let nodes =
     Array.init n (fun i ->
         ref
           (Some
              (Node.start
-                (cluster_config ?chaos ?state_dir ?commit_timeout ?workers ~base
-                   ~n i))))
+                (cluster_config ?state_dir ?commit_timeout ?workers ~base ~n i))))
   in
-  let stop_all () =
-    Array.iter
-      (fun slot ->
-        match !slot with
-        | Some node ->
-            slot := None;
-            Node.stop node
-        | None -> ())
-      nodes
-  in
-  Fun.protect ~finally:stop_all (fun () -> f ~base ~nodes)
+  Fun.protect ~finally:(fun () -> stop_nodes nodes) (fun () -> f ~base ~nodes)
 
 let live_nodes nodes =
   Array.to_list nodes |> List.filter_map (fun slot -> !slot)
@@ -1037,14 +1035,7 @@ let test_stop_answers_pending_write () =
            });
       Thread.delay 0.3;
       let t0 = Unix.gettimeofday () in
-      Array.iter
-        (fun slot ->
-          match !slot with
-          | Some node ->
-              slot := None;
-              Node.stop node
-          | None -> ())
-        nodes;
+      stop_nodes nodes;
       let reply = Client.recv_line_timeout c ~timeout:5. in
       let elapsed = Unix.gettimeofday () -. t0 in
       (match Option.map Wire.parse_response reply with
@@ -1289,24 +1280,60 @@ let test_thread_count () =
           Alcotest.failf "three replicas added %d OS threads (limit 10)" added)
   end
 
-(* Satellite: a seeded chaos plan black-holing every outbound link of
-   the leader mid-append must cost leadership, not consistency — a new
-   leader emerges, the retried write lands exactly once, and after the
-   link heals all replicas converge to identical state. *)
+(* A seeded chaos plan black-holing every outbound link of the leader
+   mid-append must cost leadership, not consistency — a new leader
+   emerges, the retried write lands exactly once, and after the link
+   heals all replicas converge to identical state. The proxies are the
+   test's own: replica [i]'s raft ports start at [base + i*n], so it
+   listens at offset [i] and dials peer [j] at offset [j], where a proxy
+   forwards to peer [j]'s listener. Service ports sit above the n
+   blocks. *)
 let test_chaos_blackhole_leader () =
-  let passthrough = Service.Chaos.passthrough_plan ~seed:7 () in
-  with_cluster ~chaos:passthrough ~n:3 (fun ~base ~nodes ->
+  let n = 3 and seed = 7 in
+  let passthrough = Service.Chaos.passthrough_plan ~seed () in
+  let base = fresh_base () in
+  let block i = base + (i * n) in
+  let service_port i = base + (n * n) + i in
+  let proxies =
+    Array.init n (fun src ->
+        List.filter_map
+          (fun dst ->
+            if dst = src then None
+            else
+              Some
+                (Service.Chaos.start
+                   ~plan:{ passthrough with Service.Chaos.seed = seed + (src * 97) + dst }
+                   ~listen:(Client.Tcp (block src + dst))
+                   ~upstream:(Client.Tcp (block dst + dst))))
+          (List.init n Fun.id))
+  in
+  let set_plan src plan =
+    List.iter (fun proxy -> Service.Chaos.set_plan proxy plan) proxies.(src)
+  in
+  Fun.protect ~finally:(fun () -> Array.iter (List.iter Service.Chaos.stop) proxies)
+  @@ fun () ->
+  let nodes =
+    Array.init n (fun i ->
+        ref
+          (Some
+             (Node.start
+                (Node.default_config ~id:i ~n ~base_port:(block i)
+                   ~service_port:(service_port i)))))
+  in
+  Fun.protect ~finally:(fun () -> stop_nodes nodes) (fun () ->
       let leader = wait_leader nodes in
       let leader_id = Node.id leader in
-      let multi = multi_of ~base ~n:3 () in
+      let multi =
+        Client.Multi.create ~timeout:8.
+          (List.init n (fun i -> Client.Tcp (service_port i)))
+      in
       Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
       ignore
         (expect_ok "put before the partition"
            (Client.Multi.call multi ~id:1
               (Wire.Scenario_put { name = "pre"; scenario = scenario_a; nonce = 0 })));
       (* Black-hole the leader's outbound links. *)
-      Node.set_chaos_plan leader
-        { passthrough with Service.Chaos.blackhole_p = 1.0 };
+      set_plan leader_id { passthrough with Service.Chaos.blackhole_p = 1.0 };
       ignore
         (expect_ok "put during the partition"
            (Client.Multi.call ~timeout:15. multi ~id:2
@@ -1316,7 +1343,7 @@ let test_chaos_blackhole_leader () =
         "leadership moved off the black-holed replica" true
         (Node.id new_leader <> leader_id);
       (* Heal and require full convergence with no duplicate apply. *)
-      Node.set_chaos_plan leader passthrough;
+      set_plan leader_id passthrough;
       Alcotest.(check bool)
         "replicas converge after healing" true
         (poll ~timeout:20. (fun () ->
@@ -1373,6 +1400,22 @@ let test_driver_prediction_needs_a_window () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "no window has no prediction"
 
+let driver_config =
+  {
+    Driver.replicas = 3;
+    base_port = 47100;
+    seed = 42;
+    process = markov;
+    hours_per_second = 0.125;
+    duration_seconds = 20.;
+    window_seconds = 5.;
+    probes_per_window = 6;
+    tolerance = 0.25;
+    state_root = "/tmp/unused";
+    child_argv = (fun ~id:_ -> [||]);
+    log = ignore;
+  }
+
 let test_driver_prediction_and_artifact () =
   let midpoints = [ 2.5; 7.5; 12.5; 17.5 ] in
   match
@@ -1399,24 +1442,8 @@ let test_driver_prediction_and_artifact () =
             })
           predictions
       in
-      let cfg =
-        {
-          Driver.replicas = 3;
-          base_port = 47100;
-          seed = 42;
-          process = markov;
-          hours_per_second = 0.125;
-          duration_seconds = 20.;
-          window_seconds = 5.;
-          probes_per_window = 6;
-          tolerance = 0.25;
-          state_root = "/tmp/unused";
-          child_argv = (fun ~id:_ -> [||]);
-          log = ignore;
-        }
-      in
       let j =
-        Driver.artifact cfg ~windows ~writes_acked:10 ~writes_lost:0 ~kills:3
+        Driver.artifact driver_config ~windows ~writes_acked:10 ~writes_lost:0 ~kills:3
           ~restarts:2
       in
       Alcotest.(check bool)
@@ -1683,6 +1710,78 @@ let test_storage_record_decoder () =
       ("trailing bytes", [ 2; 1 ], "x");
     ]
 
+(* Sequence numbers are reused across terms, so a write waits for its
+   (term, seq). The leader appends the put [mine] at seq 2 with both
+   followers stopped, then takes a checksum-valid AppendEntries, from a
+   stopped follower's id and one term up, that replaces index 2 with
+   another put at seq 2 and commits it: what a new leader sends the old
+   one when a partition heals. The deposed leader must not acknowledge
+   [mine] with the other command's reply. *)
+let test_deposed_leader_acks_own_write () =
+  with_cluster ~n:3 (fun ~base ~nodes ->
+      let leader = wait_leader nodes in
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      Alcotest.(check bool)
+        "the first put goes in at seq 1" true
+        (Obs.Json.member "command_seq"
+           (expect_ok "put pre"
+              (Client.Multi.call multi ~id:1
+                 (Wire.Scenario_put { name = "pre"; scenario = scenario_a; nonce = 0 })))
+        = Some (Obs.Json.Int 1));
+      let term = Node.term leader in
+      stop_followers nodes leader;
+      let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port leader)) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Client.send_line c
+        (Wire.encode_request
+           {
+             Wire.id = 2;
+             query = Wire.Scenario_put { name = "mine"; scenario = scenario_a; nonce = 0 };
+           });
+      Thread.delay 0.3;
+      let src = List.find (( <> ) (Node.id leader)) [ 0; 1; 2 ] in
+      let other =
+        Command.to_string
+          (Command.Put_scenario { name = "other"; scenario = scenario_b; nonce = 0 })
+      in
+      let socket =
+        forge_envelope ~base ~src ~dst:(Node.id leader)
+          (Raft_types.Append_entries
+             {
+               term = term + 1;
+               leader_id = src;
+               prev_log_index = 1;
+               prev_log_term = term;
+               entries =
+                 [ { Raft_types.term = term + 1; index = 2; command = Raft_types.Data 2 } ];
+               leader_commit = 2;
+             })
+          ~payloads:[ (2, other) ]
+      in
+      let reply = Client.recv_line_timeout c ~timeout:5. in
+      Unix.close socket;
+      match Option.map Wire.parse_response reply with
+      | Some (Ok { Wire.body = Error (Wire.Not_leader, _); _ }) -> ()
+      | Some _ -> Alcotest.failf "expected not_leader, got %s" (Option.get reply)
+      | None -> Alcotest.fail "the put was never answered")
+
+(* A replica that cannot be started ends the run with an error naming
+   it, not an exception. *)
+let test_driver_cannot_start () =
+  let dir = tmp_dir "probcons-driver-start" in
+  let missing = Filename.concat dir "no-such-replica" in
+  match
+    Driver.run
+      { driver_config with Driver.state_root = dir; child_argv = (fun ~id:_ -> [| missing |]) }
+  with
+  | Error msg ->
+      Alcotest.(check bool)
+        ("the error names replica 0: " ^ msg)
+        true
+        (contains msg "cannot start replica 0")
+  | Ok _ -> Alcotest.fail "a run with no replica measured something"
+
 let suite =
   [
     Alcotest.test_case "command codec" `Quick test_command_codec;
@@ -1735,4 +1834,8 @@ let suite =
       test_rejected_append_payloads_dropped;
     Alcotest.test_case "a replica's computes append nothing" `Slow
       test_computes_append_nothing;
+    Alcotest.test_case "a deposed leader acknowledges only its own write" `Slow
+      test_deposed_leader_acks_own_write;
+    Alcotest.test_case "a replica that cannot start is a run error" `Quick
+      test_driver_cannot_start;
   ]

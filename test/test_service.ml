@@ -9,10 +9,6 @@ let fresh_cache ~capacity =
   (* A private registry keeps cache metrics out of the global one. *)
   Cache.create ~registry:(Obs.Metrics.create ()) ~capacity ()
 
-(* [Cache.find] returns a rendering-capable entry; most assertions
-   only care about the payload string. *)
-let find_payload c key = Option.map Cache.payload (Cache.find c key)
-
 (* Threaded tests must not be able to hang the whole suite: run the
    body on its own thread and fail loudly if it overruns. *)
 let with_watchdog ?(timeout = 60.) f =
@@ -221,11 +217,11 @@ let test_cache_eviction_order () =
   Cache.add c "a" "1";
   Cache.add c "b" "2";
   (* Touch [a] so [b] is now least recently used. *)
-  Alcotest.(check (option string)) "a hits" (Some "1") (find_payload c "a");
+  Alcotest.(check (option string)) "a hits" (Some "1") (Cache.find c "a");
   Cache.add c "c" "3";
-  Alcotest.(check (option string)) "b evicted" None (find_payload c "b");
-  Alcotest.(check (option string)) "a survives" (Some "1") (find_payload c "a");
-  Alcotest.(check (option string)) "c present" (Some "3") (find_payload c "c");
+  Alcotest.(check (option string)) "b evicted" None (Cache.find c "b");
+  Alcotest.(check (option string)) "a survives" (Some "1") (Cache.find c "a");
+  Alcotest.(check (option string)) "c present" (Some "3") (Cache.find c "c");
   let _, _, evictions = Cache.stats c in
   Alcotest.(check int) "one eviction" 1 evictions
 
@@ -240,15 +236,15 @@ let test_cache_capacity () =
   (* The three most recent insertions survive. *)
   List.iter
     (fun k ->
-      Alcotest.(check (option string)) ("key " ^ k) (Some k) (find_payload c k))
+      Alcotest.(check (option string)) ("key " ^ k) (Some k) (Cache.find c k))
     [ "8"; "9"; "10" ]
 
 let test_cache_hit_stats () =
   let c = fresh_cache ~capacity:4 in
-  Alcotest.(check (option string)) "cold miss" None (find_payload c "k");
+  Alcotest.(check (option string)) "cold miss" None (Cache.find c "k");
   Cache.add c "k" "v";
-  Alcotest.(check (option string)) "hit" (Some "v") (find_payload c "k");
-  Alcotest.(check (option string)) "hit again" (Some "v") (find_payload c "k");
+  Alcotest.(check (option string)) "hit" (Some "v") (Cache.find c "k");
+  Alcotest.(check (option string)) "hit again" (Some "v") (Cache.find c "k");
   let hits, misses, evictions = Cache.stats c in
   Alcotest.(check int) "hits" 2 hits;
   Alcotest.(check int) "misses" 1 misses;
@@ -257,32 +253,11 @@ let test_cache_hit_stats () =
 let test_cache_disabled () =
   let c = fresh_cache ~capacity:0 in
   Cache.add c "k" "v";
-  Alcotest.(check (option string)) "never stores" None (find_payload c "k");
+  Alcotest.(check (option string)) "never stores" None (Cache.find c "k");
   Alcotest.(check int) "empty" 0 (Cache.length c);
   let hits, misses, _ = Cache.stats c in
   Alcotest.(check int) "no hits" 0 hits;
   Alcotest.(check int) "misses counted" 1 misses
-
-let test_cache_rendered_memo () =
-  let c = fresh_cache ~capacity:2 in
-  Cache.add c "k" "payload";
-  let e = Option.get (Cache.find c "k") in
-  let calls = ref 0 in
-  let render () =
-    incr calls;
-    "reply"
-  in
-  Alcotest.(check string) "renders once" "reply" (Cache.rendered e ~id:1 ~render);
-  Alcotest.(check string) "memo hit" "reply" (Cache.rendered e ~id:1 ~render);
-  Alcotest.(check int) "one render" 1 !calls;
-  (* An id change re-renders, replacing the memo... *)
-  ignore (Cache.rendered e ~id:2 ~render);
-  Alcotest.(check int) "id change re-renders" 2 !calls;
-  ignore (Cache.rendered e ~id:2 ~render);
-  Alcotest.(check int) "new memo hit" 2 !calls;
-  (* ...so going back to the old id renders again. *)
-  ignore (Cache.rendered e ~id:1 ~render);
-  Alcotest.(check int) "old id re-renders" 3 !calls
 
 let test_cache_readd () =
   let c = fresh_cache ~capacity:2 in
@@ -291,11 +266,11 @@ let test_cache_readd () =
   (* Re-adding keeps the first value but refreshes recency... *)
   Cache.add c "k" "second";
   Alcotest.(check (option string)) "first value wins" (Some "first")
-    (find_payload c "k");
+    (Cache.find c "k");
   (* ...so the next eviction takes [other], not [k]. *)
   Cache.add c "third" "t";
-  Alcotest.(check (option string)) "other evicted" None (find_payload c "other");
-  Alcotest.(check (option string)) "k survives" (Some "first") (find_payload c "k")
+  Alcotest.(check (option string)) "other evicted" None (Cache.find c "other");
+  Alcotest.(check (option string)) "k survives" (Some "first") (Cache.find c "k")
 
 (* --- Router ----------------------------------------------------------- *)
 
@@ -404,6 +379,32 @@ let base_config socket =
     cache_capacity = 64;
   }
 
+(* A negative deadline makes every dequeued job stale, so the deadline
+   path is exercised deterministically. *)
+let deadline_config socket =
+  {
+    Server.default_config with
+    Server.socket_path = Some socket;
+    workers = 1;
+    queue_depth = 4;
+    cache_capacity = 0;
+    deadline_seconds = -1.;
+  }
+
+(* Ask for [stats] and return the integer tally at each path. *)
+let tallies c ~id paths =
+  match Client.call c ~id Wire.Stats with
+  | Ok stats ->
+      List.map
+        (fun path ->
+          match
+            List.fold_left (fun j k -> Option.bind j (json_field k)) (Some stats) path
+          with
+          | Some (Obs.Json.Int n) -> n
+          | _ -> Alcotest.failf "stats payload lacks %s" (String.concat "." path))
+        paths
+  | Error (c, msg) -> Alcotest.failf "stats failed: %s (%s)" (Wire.code_string c) msg
+
 let test_e2e_server () =
   with_watchdog (fun () ->
       let socket = temp_socket () in
@@ -467,17 +468,9 @@ let test_e2e_server () =
                   Alcotest.failf "connection unusable after bad request: %s (%s)"
                     (Wire.code_string c) msg);
               (* Server-side stats confirm the cache did the repeats. *)
-              match Client.call c ~id:2 Wire.Stats with
-              | Ok stats -> (
-                  match
-                    Option.bind (json_field "cache" stats) (json_field "hits")
-                  with
-                  | Some (Obs.Json.Int hits) ->
-                      Alcotest.(check bool)
-                        "cache hits on repeated queries" true (hits > 0)
-                  | _ -> Alcotest.fail "stats payload lacks cache.hits")
-              | Error (c, msg) ->
-                  Alcotest.failf "stats failed: %s (%s)" (Wire.code_string c) msg);
+              Alcotest.(check bool)
+                "cache hits on repeated queries" true
+                (List.hd (tallies c ~id:2 [ [ "cache"; "hits" ] ]) > 0));
           (* Graceful stop: idempotent, unlinks the socket. *)
           Server.stop server;
           Server.stop server;
@@ -588,19 +581,7 @@ let test_e2e_pipelining () =
 let test_e2e_deadline () =
   with_watchdog (fun () ->
       let socket = temp_socket () in
-      (* A negative deadline makes every dequeued job stale, so the
-         deadline path is exercised deterministically. *)
-      let server =
-        Server.start
-          {
-            Server.default_config with
-            Server.socket_path = Some socket;
-            workers = 1;
-            queue_depth = 4;
-            cache_capacity = 0;
-            deadline_seconds = -1.;
-          }
-      in
+      let server = Server.start (deadline_config socket) in
       Fun.protect
         ~finally:(fun () -> Server.stop server)
         (fun () ->
@@ -628,16 +609,7 @@ let test_lane_reply_iterations () =
       let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let iterations () =
-        match Client.call c ~id:0 Wire.Stats with
-        | Ok stats -> (
-            match
-              Option.bind (json_field "reactor" stats)
-                (json_field "loop_iterations")
-            with
-            | Some (Obs.Json.Int n) -> n
-            | _ -> Alcotest.fail "stats payload lacks reactor.loop_iterations")
-        | Error (c, msg) ->
-            Alcotest.failf "stats failed: %s (%s)" (Wire.code_string c) msg
+        List.hd (tallies c ~id:0 [ [ "reactor"; "loop_iterations" ] ])
       in
       let queries = 200 in
       let before = iterations () in
@@ -698,6 +670,72 @@ let test_plane_failure () =
       | () -> Alcotest.fail "the listener still accepts"
       | exception Unix.Unix_error _ -> ())
 
+(* Every reply path counts once, and a lane's answer is in the cache
+   before its client sees it: four analyses computed on the lanes, the
+   same four as cache hits under new ids, then those exact bodies again
+   as raw-memo replays. *)
+let test_reply_paths_count_once () =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let server = Server.start (base_config socket) in
+      Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+      let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let round first_id =
+        List.iter
+          (fun k ->
+            let id = first_id + k in
+            let query = analyze ~protocol:"raft" [ (3 + (2 * k), 0.01) ] in
+            match Client.call_line c ~id (Wire.encode_request { Wire.id; query }) with
+            | Ok body ->
+                Alcotest.(check string)
+                  "the reply is the router's"
+                  (Wire.encode_ok ~id ~payload:(Obs.Json.to_string (handle_ok query)))
+                  body
+            | Error (code, msg) ->
+                Alcotest.failf "analyze failed: %s (%s)" (Wire.code_string code) msg)
+          [ 0; 1; 2; 3 ]
+      in
+      round 0;
+      round 100;
+      round 100;
+      Alcotest.(check (list int))
+        "requests total, ok, error; cache misses, hits, entries"
+        [ 13; 12; 0; 4; 8; 4 ]
+        (tallies c ~id:200
+           [
+             [ "requests"; "total" ];
+             [ "requests"; "ok" ];
+             [ "requests"; "error" ];
+             [ "cache"; "misses" ];
+             [ "cache"; "hits" ];
+             [ "cache"; "entries" ];
+           ]))
+
+(* A lane's [deadline_exceeded] reply counts once as a deadline and
+   once as an error. *)
+let test_deadline_counts_once () =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let server = Server.start (deadline_config socket) in
+      Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+      let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      (match Client.call c ~id:0 (analyze ~protocol:"raft" [ (3, 0.01) ]) with
+      | Error (Wire.Deadline_exceeded, _) -> ()
+      | Ok _ -> Alcotest.fail "expected deadline_exceeded, got ok"
+      | Error (c, msg) ->
+          Alcotest.failf "expected deadline_exceeded, got %s (%s)"
+            (Wire.code_string c) msg);
+      Alcotest.(check (list int))
+        "requests deadline_exceeded, error, ok" [ 1; 1; 0 ]
+        (tallies c ~id:1
+           [
+             [ "requests"; "deadline_exceeded" ];
+             [ "requests"; "error" ];
+             [ "requests"; "ok" ];
+           ]))
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -710,7 +748,6 @@ let suite =
     Alcotest.test_case "cache hit stats" `Quick test_cache_hit_stats;
     Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
     Alcotest.test_case "cache re-add" `Quick test_cache_readd;
-    Alcotest.test_case "cache rendered memo" `Quick test_cache_rendered_memo;
     Alcotest.test_case "router matches direct run" `Quick test_router_matches_direct;
     Alcotest.test_case "router deterministic" `Quick test_router_deterministic;
     Alcotest.test_case "router rejects stats" `Quick test_router_stats_rejected;
@@ -726,4 +763,8 @@ let suite =
       test_lane_reply_iterations;
     Alcotest.test_case "a failed plane closes the server" `Quick
       test_plane_failure;
+    Alcotest.test_case "every reply path counts once" `Quick
+      test_reply_paths_count_once;
+    Alcotest.test_case "a lane's deadline reply counts once" `Quick
+      test_deadline_counts_once;
   ]
