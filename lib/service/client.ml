@@ -23,6 +23,7 @@ type t = {
   rng : Prob.Rng.t;
   timeout : float option;  (* default per-call budget *)
   mutable fd : Unix.file_descr option;
+  mutable armed : bool;  (* [fd] may carry a socket timeout *)
   frames : Frame.decoder;
   chunk : Bytes.t;
 }
@@ -78,6 +79,7 @@ let disconnect t =
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
   t.fd <- None;
+  t.armed <- false;
   Frame.reset t.frames
 
 let reconnect t ~deadline =
@@ -97,6 +99,7 @@ let connect ?(retry_for = 0.) ?(backoff = default_backoff) ?timeout target =
       rng = Prob.Rng.create backoff.seed;
       timeout;
       fd = None;
+      armed = false;
       frames = Frame.create ();
       chunk = Bytes.create 65536;
     }
@@ -109,35 +112,41 @@ let fd_exn t =
 
 (* --- Deadline-bounded socket IO ---------------------------------------- *)
 
-(* All reads and writes go through [select] first when a deadline is
-   set, so no call ever parks in an unbounded [Unix.read]: a stalled or
-   black-holed peer becomes [Timed_out] the moment the budget runs
-   out. *)
-let wait_io fd ~readable ~deadline =
+(* The kernel bounds every wait: before each read or write with a
+   deadline, the socket's receive or send timeout is set to the time
+   left, so no call ever parks in an unbounded [Unix.read] or
+   [Unix.write], and a stalled or black-holed peer becomes [Timed_out]
+   (EAGAIN) the moment the budget runs out. A zero timeout means none,
+   and the option holds whole microseconds, so a budget under 1 ms
+   counts as spent. An operation with no deadline clears both options
+   if a call left them set. *)
+let arm t fd opt ~deadline =
   match deadline with
-  | None -> ()
   | Some d ->
-      let rec go () =
-        let remaining = d -. Unix.gettimeofday () in
-        if remaining <= 0. then raise Timed_out
-        else
-          let rs = if readable then [ fd ] else [] in
-          let ws = if readable then [] else [ fd ] in
-          match Unix.select rs ws [] remaining with
-          | [], [], _ -> raise Timed_out
-          | _ -> ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      in
-      go ()
+      let left = d -. Unix.gettimeofday () in
+      if left < 0.001 then raise Timed_out;
+      Unix.setsockopt_float fd opt left;
+      t.armed <- true
+  | None ->
+      if t.armed then begin
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.;
+        t.armed <- false
+      end
 
 let send_bytes_deadline t ~deadline s =
   let fd = fd_exn t in
   let len = String.length s in
   let rec go off =
     if off < len then begin
-      wait_io fd ~readable:false ~deadline;
-      match Unix.write_substring fd s off (len - off) with
+      arm t fd Unix.SO_SNDTIMEO ~deadline;
+      (* One write per arm: [Unix.write] would retry a partial write
+         under the same timeout, past the deadline. *)
+      match Unix.single_write_substring fd s off (len - off) with
       | k -> go (off + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          raise Timed_out
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           raise (Lost "connection reset during send")
     end
@@ -147,12 +156,15 @@ let send_bytes_deadline t ~deadline s =
 let send_body_deadline t ~deadline body =
   send_bytes_deadline t ~deadline (Frame.encode body)
 
-let read_chunk t ~deadline ~feed =
+let rec read_chunk t ~deadline ~feed =
   let fd = fd_exn t in
-  wait_io fd ~readable:true ~deadline;
+  arm t fd Unix.SO_RCVTIMEO ~deadline;
   match Unix.read fd t.chunk 0 (Bytes.length t.chunk) with
   | 0 -> raise (Lost "connection closed by server")
   | k -> feed t.chunk k
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk t ~deadline ~feed
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      raise Timed_out
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       raise (Lost "connection reset by server")
 

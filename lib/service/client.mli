@@ -4,10 +4,13 @@
     Engineered for the fault model the chaos proxy injects, not for
     healthy sockets only:
 
-    - {b Per-call deadlines.} {!call} and {!call_line} bound every
-      socket operation with [select]; a stalled, black-holed or
-      half-dead server yields a typed [Wire.Timeout] error instead of
-      parking the caller in an unbounded [Unix.read].
+    - {b Per-call deadlines.} {!call} and {!call_line} set the
+      socket's receive or send timeout to the time left before each
+      read or write, so the kernel bounds every wait; a stalled,
+      black-holed or half-dead server, or one that stops reading,
+      yields a typed [Wire.Timeout] error instead of parking the
+      caller in an unbounded [Unix.read] or [Unix.write]. A budget
+      under 1 ms counts as spent.
     - {b Jittered exponential backoff.} Connection attempts (initial
       and reconnects) sleep [initial * multiplier^k] capped at
       [max_sleep], each draw jittered from the client's own seeded

@@ -1,0 +1,187 @@
+(* A byte-at-a-time JSON parser with the grammar, trees and error
+   messages of [Obs.Json.of_string], kept only as the reference the
+   differential property in test_obs.ml compares the library's cursor
+   parser against. It decodes a [\u] escape with [int_of_string_opt],
+   which skips underscores, so it accepts ["\u0_41"] where the library
+   does not. Never link it into lib/. *)
+
+open Obs.Json
+
+exception Parse_error of int * string
+
+let parse_error i msg = raise (Parse_error (i, msg))
+
+let of_string ?(max_depth = default_max_depth) s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> parse_error !pos (Printf.sprintf "expected %C" c)
+  in
+  let skip_ws () =
+    while
+      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      advance ()
+    done
+  in
+  let literal word value =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      value
+    end
+    else parse_error !pos (Printf.sprintf "expected %s" word)
+  in
+  let add_utf8 buf code =
+    if code < 0x80 then Buffer.add_char buf (Char.chr code)
+    else if code < 0x800 then begin
+      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    end
+    else begin
+      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    end
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then parse_error !pos "unterminated string"
+      else begin
+        let c = s.[!pos] in
+        advance ();
+        match c with
+        | '"' -> Buffer.contents buf
+        | '\\' -> (
+            if !pos >= n then parse_error !pos "unterminated escape";
+            let e = s.[!pos] in
+            advance ();
+            match e with
+            | '"' | '\\' | '/' -> Buffer.add_char buf e; go ()
+            | 'b' -> Buffer.add_char buf '\b'; go ()
+            | 'f' -> Buffer.add_char buf '\012'; go ()
+            | 'n' -> Buffer.add_char buf '\n'; go ()
+            | 'r' -> Buffer.add_char buf '\r'; go ()
+            | 't' -> Buffer.add_char buf '\t'; go ()
+            | 'u' ->
+                if !pos + 4 > n then parse_error !pos "truncated \\u escape";
+                let hex = String.sub s !pos 4 in
+                pos := !pos + 4;
+                (match int_of_string_opt ("0x" ^ hex) with
+                | Some code when code < 0xD800 || code > 0xDFFF -> add_utf8 buf code
+                | Some _ -> add_utf8 buf 0xFFFD
+                | None -> parse_error !pos "invalid \\u escape");
+                go ()
+            | _ -> parse_error !pos "unknown escape")
+        | c -> Buffer.add_char buf c; go ()
+      end
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_float = ref false in
+    if peek () = Some '-' then advance ();
+    let digits () =
+      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
+        advance ()
+      done
+    in
+    digits ();
+    if peek () = Some '.' then begin
+      is_float := true;
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        is_float := true;
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
+    let text = String.sub s start (!pos - start) in
+    if !is_float then
+      match float_of_string_opt text with
+      | Some v -> Float v
+      | None -> parse_error start "malformed number"
+    else
+      match int_of_string_opt text with
+      | Some i -> Int i
+      | None -> (
+          match float_of_string_opt text with
+          | Some v -> Float v
+          | None -> parse_error start "malformed number")
+  in
+  let rec parse_value depth =
+    skip_ws ();
+    match peek () with
+    | None -> parse_error !pos "unexpected end of input"
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some '[' ->
+        if depth >= max_depth then parse_error !pos "nesting too deep";
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          List []
+        end
+        else begin
+          let items = ref [ parse_value (depth + 1) ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            items := parse_value (depth + 1) :: !items;
+            skip_ws ()
+          done;
+          expect ']';
+          List (List.rev !items)
+        end
+    | Some '{' ->
+        if depth >= max_depth then parse_error !pos "nesting too deep";
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else begin
+          let field () =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let value = parse_value (depth + 1) in
+            (key, value)
+          in
+          let fields = ref [ field () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            fields := field () :: !fields;
+            skip_ws ()
+          done;
+          expect '}';
+          Obj (List.rev !fields)
+        end
+    | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some c -> parse_error !pos (Printf.sprintf "unexpected %C" c)
+  in
+  match
+    let v = parse_value 0 in
+    skip_ws ();
+    if !pos <> n then parse_error !pos "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error (i, msg) ->
+      Error (Printf.sprintf "JSON parse error at offset %d: %s" i msg)

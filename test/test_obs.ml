@@ -170,6 +170,19 @@ let test_json_parser_rejects_garbage () =
   (match Obs.Json.of_string "{} trailing" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted");
+  (* A \u escape is exactly four hex digits (RFC 8259): OCaml's
+     integer parser skips underscores, JSON does not. *)
+  List.iter
+    (fun doc ->
+      match Obs.Json.of_string doc with
+      | Error msg ->
+          Alcotest.(check string) ("rejects " ^ doc)
+            "JSON parse error at offset 7: invalid \\u escape" msg
+      | Ok _ -> Alcotest.failf "%s accepted" doc)
+    [ {|"\u0_41"|}; {|"\u00_e"|} ];
+  (match Obs.Json.of_string {|"\u0041"|} with
+  | Ok (Obs.Json.String s) -> Alcotest.(check string) "\\u0041" "A" s
+  | Ok _ | Error _ -> Alcotest.fail "\\u0041 did not parse to \"A\"");
   match Obs.Json.of_string "{\"x\": -1.5e3, \"y\": \"\\u00e9\"}" with
   | Error msg -> Alcotest.failf "valid doc rejected: %s" msg
   | Ok doc ->
@@ -269,17 +282,22 @@ let prop_parser_never_raises =
 (* Fuzz: printing any generated tree and parsing it back yields the
    same tree. Numbers normalize Int/Float (integral floats re-parse as
    Int), so equality is up to that identification. *)
-let json_gen =
+let json_tree_gen =
   let open QCheck.Gen in
   let any_string = string_size ~gen:(char_range '\x00' '\xff') (int_bound 12) in
-  sized @@ fix (fun self n ->
+  (* Floats of every magnitude, so printing needs all 17 digits and
+     the exponent forms; non-finite ones become [Null], as printed. *)
+  let any_float =
+    oneof [ float_bound_inclusive 1e6; float; map (fun v -> v *. 1e-300) float ]
+  in
+  fix (fun self n ->
       let leaf =
         oneof
           [
             return Obs.Json.Null;
             map (fun b -> Obs.Json.Bool b) bool;
             map (fun i -> Obs.Json.Int i) int;
-            map (fun v -> Obs.Json.Float v) (float_bound_inclusive 1e6);
+            map Obs.Json.number any_float;
             map (fun s -> Obs.Json.String s) any_string;
           ]
       in
@@ -295,6 +313,8 @@ let json_gen =
               map (fun kvs -> Obs.Json.Obj kvs)
                 (list_size (int_bound 4) (pair any_string (self (n / 2)))) );
           ])
+
+let json_gen = QCheck.Gen.sized json_tree_gen
 
 let rec json_equal a b =
   let open Obs.Json in
@@ -323,6 +343,91 @@ let prop_json_roundtrip =
       | Error msg ->
           QCheck.Test.fail_reportf "rendered %S failed to parse: %s"
             (Obs.Json.to_string tree) msg)
+
+(* Differential: [Obs.Json.of_string] must accept and return exactly
+   what the byte-at-a-time reference ([Json_reference]) does — the same
+   tree, floats bit for bit, or the same error message and offset.
+   Inputs are token soups over a JSON alphabet, and printed documents
+   (17-digit floats, escaped strings, nesting) cut, spliced and
+   truncated at random. The one intended difference: the reference
+   accepts an underscore inside a \u escape, so such inputs are
+   exempt. *)
+let differential_tokens =
+  [ "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; " "; "\t"; "\n"; "\r"; "-"; "+";
+    "."; "e"; "E"; "0"; "1"; "7"; "9"; "a"; "F"; "u"; "t"; "x"; "/"; "_";
+    "\x00"; "\x1f"; "\xc3\xa9"; "true"; "false"; "null"; "tru"; "nul";
+    "\\u00e9"; "\\uD834"; "\\udfff"; "\\u0041"; "\\u0_41"; "\\u00_e";
+    "\\uzz12"; "\\u12"; "\\q"; "\\/"; "1.5e-3"; "-0"; "01"; "1."; "1e";
+    "1e+"; "-e5"; "0.1"; "1e400"; "-1e-400"; "123456789012345678";
+    "-123456789012345678"; "1234567890123456789"; "4611686018427387903";
+    "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+    "12345678901234567890123"; "0.30000000000000004"; "-2.2250738585072014e-308" ]
+
+let differential_input =
+  let open QCheck.Gen in
+  let token = oneofl differential_tokens in
+  let soup = map (String.concat "") (list_size (int_bound 30) token) in
+  let edit s =
+    let n = String.length s in
+    let* i = int_bound n in
+    let* tok = token in
+    let tail k = String.sub s k (n - k) in
+    oneofl
+      [
+        String.sub s 0 i;
+        String.sub s 0 i ^ tok ^ tail i;
+        (if i < n then String.sub s 0 i ^ tok ^ tail (i + 1) else s);
+        (if i < n then String.sub s 0 i ^ tail (i + 1) else s);
+      ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  let printed =
+    let* doc = map Obs.Json.to_string (sized_size (int_bound 12) json_tree_gen) in
+    let* k = int_bound 3 in
+    edits k doc
+  in
+  pair (opt (int_bound 4)) (frequency [ (1, soup); (2, printed) ])
+
+let rec same_tree a b =
+  let open Obs.Json in
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List x, List y -> List.length x = List.length y && List.for_all2 same_tree x y
+  | Obj x, Obj y ->
+      List.length x = List.length y
+      && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && same_tree v v') x y
+  | (Null | Bool _ | Int _ | String _), _ -> a = b
+  | (Float _ | List _ | Obj _), _ -> false
+
+let underscore_in_u_escape s =
+  let n = String.length s in
+  let rec from i =
+    i + 1 < n
+    && ((s.[i] = '\\' && s.[i + 1] = 'u'
+        && String.contains (String.sub s (i + 2) (min 4 (n - i - 2))) '_')
+       || from (i + 1))
+  in
+  from 0
+
+let prop_parser_matches_reference =
+  QCheck.Test.make ~count:10_000 ~name:"of_string agrees with the reference parser"
+    (QCheck.make
+       ~print:(fun (d, s) ->
+         Printf.sprintf "max_depth %s, %S"
+           (Option.fold ~none:"default" ~some:string_of_int d) s)
+       differential_input)
+    (fun (max_depth, s) ->
+      let show = function
+        | Ok t -> "Ok " ^ Obs.Json.to_string t
+        | Error msg -> "Error " ^ msg
+      in
+      match (Obs.Json.of_string ?max_depth s, Json_reference.of_string ?max_depth s) with
+      | Ok a, Ok b when same_tree a b -> true
+      | Error a, Error b when String.equal a b -> true
+      | _ when underscore_in_u_escape s -> true
+      | got, want ->
+          QCheck.Test.fail_reportf "of_string %S: %s, the reference: %s" s (show got)
+            (show want))
 
 (* --- Domain sharding ------------------------------------------------------- *)
 
@@ -382,4 +487,5 @@ let suite =
       test_analysis_counters_domain_invariant;
     Alcotest.test_case "disabled registry allocates nothing" `Quick
       test_disabled_registry_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_parser_matches_reference;
   ]

@@ -736,6 +736,98 @@ let test_deadline_counts_once () =
              [ "requests"; "ok" ];
            ]))
 
+(* --- Client deadlines against a test-owned peer ----------------------- *)
+
+(* A listener the test owns, with one accepted connection: [f] gets the
+   client, connected to it, and the peer's end. *)
+let with_peer f =
+  let socket = temp_socket () in
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 1;
+  let c = Client.connect (Client.Unix_path socket) in
+  let peer, _ = Unix.accept ~cloexec:true listener in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Unix.close peer)
+    (fun () -> f c peer)
+
+let expect_timeout ~within:(lo, hi) what call =
+  let t0 = Unix.gettimeofday () in
+  let result = call () in
+  let took = Unix.gettimeofday () -. t0 in
+  match result with
+  | Error (Wire.Timeout, _) ->
+      if took < lo || took > hi then
+        Alcotest.failf "%s: timed out after %.3f s, not within [%g, %g] s" what
+          took lo hi
+  | Error (code, msg) ->
+      Alcotest.failf "%s: expected timeout, got %s (%s)" what
+        (Wire.code_string code) msg
+  | Ok _ -> Alcotest.failf "%s: a peer that does not answer answered" what
+
+(* A peer that accepts and never reads fills the client's send buffer:
+   the call must still end at its deadline, with a body under Frame's
+   1 MiB bound. *)
+let test_send_deadline () =
+  with_watchdog ~timeout:20. (fun () ->
+      with_peer @@ fun c _peer ->
+      expect_timeout ~within:(0.25, 2.) "900 KB body" (fun () ->
+          Client.call_line c ~timeout:0.3 ~id:1 (String.make 900_000 ' ')))
+
+(* A zero socket timeout means none, so a budget under 1 ms must end
+   the call at once, not wait without bound. *)
+let test_sub_millisecond_budget () =
+  with_watchdog ~timeout:20. (fun () ->
+      with_peer @@ fun c _peer ->
+      expect_timeout ~within:(0., 0.1) "0.5 ms budget" (fun () ->
+          Client.call c ~timeout:0.0005 ~id:1 Wire.Ping))
+
+(* A deadline ends with its call: after [call ~timeout:0.2] succeeds,
+   [call_raw], which has none, waits for a reply sent 0.5 s later. *)
+let test_no_leftover_timeout () =
+  with_watchdog ~timeout:20. (fun () ->
+      with_peer @@ fun c peer ->
+      let answer delay =
+        let frames = Frame.create () and chunk = Bytes.create 4096 in
+        let rec next () =
+          match Frame.next frames with
+          | Ok (Some body) -> body
+          | Ok None ->
+              let k = Unix.read peer chunk 0 (Bytes.length chunk) in
+              if k = 0 then failwith "client closed";
+              Frame.feed frames chunk k;
+              next ()
+          | Error e -> failwith (Frame.error_message e)
+        in
+        match Wire.parse_request (next ()) with
+        | Ok { Wire.id; _ } ->
+            Thread.delay delay;
+            let reply = Frame.encode (Wire.encode_ok ~id ~payload:"{}") in
+            ignore (Unix.write_substring peer reply 0 (String.length reply))
+        | Error (_, _, msg) -> failwith msg
+      in
+      (* One decoder per request is enough: the client sends the next
+         request only after the previous reply. *)
+      let server = Thread.create (fun () -> answer 0.; answer 0.5) () in
+      (match Client.call c ~timeout:0.2 ~id:1 Wire.Ping with
+      | Ok _ -> ()
+      | Error (code, msg) ->
+          Alcotest.failf "the first call failed: %s (%s)" (Wire.code_string code) msg);
+      let t0 = Unix.gettimeofday () in
+      let reply = Client.call_raw c (Wire.encode_request { Wire.id = 2; query = Wire.Ping }) in
+      let took = Unix.gettimeofday () -. t0 in
+      Thread.join server;
+      Alcotest.(check (option string))
+        "the late reply arrives" (Some (Wire.encode_ok ~id:2 ~payload:"{}")) reply;
+      if took < 0.4 then Alcotest.failf "the reply came after %.3f s, not 0.5 s" took)
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -767,4 +859,10 @@ let suite =
       test_reply_paths_count_once;
     Alcotest.test_case "a lane's deadline reply counts once" `Quick
       test_deadline_counts_once;
+    Alcotest.test_case "a send that cannot finish times out" `Quick
+      test_send_deadline;
+    Alcotest.test_case "a budget under 1 ms times out at once" `Quick
+      test_sub_millisecond_budget;
+    Alcotest.test_case "no socket timeout outlives its call" `Quick
+      test_no_leftover_timeout;
   ]
