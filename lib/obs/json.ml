@@ -69,10 +69,24 @@ let parse_error i msg = raise (Parse_error (i, msg))
 
 let default_max_depth = 512
 
-(* One cursor per [of_string] call. The parser allocates per value it
-   returns, not per byte it reads: a peek is a byte, an unescaped
-   string is one [String.sub], a short integer is read in place. *)
-type cursor = { s : string; n : int; mutable pos : int; max_depth : int }
+type key = Build of string | Find of string
+type field = Absent | Found | Built of t
+
+(* One cursor per call. The parser allocates per value it returns, not
+   per byte it reads: a peek is a byte, an unescaped string is one
+   [String.sub], a short integer is read in place. With [build] off the
+   same functions only check what they pass over and return constants,
+   so a scan allocates nothing per value. [keys] names the top-level
+   members a walk reports in [found]; it is empty for [of_string]. *)
+type cursor = {
+  s : string;
+  n : int;
+  mutable pos : int;
+  max_depth : int;
+  mutable build : bool;
+  keys : key array;
+  found : field array;
+}
 
 (* The byte under the cursor, or ['\000'] past the end. No token
    starts with NUL, so only the value dispatch, which must tell "end of
@@ -135,31 +149,43 @@ let rec plain_end s n i =
   if i >= n then n
   else match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain_end s n (i + 1)
 
-(* The rest of a string that holds an escape, from the cursor, which
-   sits just after a backslash. *)
-let rec escaped_string c buf =
+(* The code point of one escape, from the cursor, which sits just
+   after its backslash. *)
+let escape c =
   if c.pos >= c.n then parse_error c.pos "unterminated escape";
   let e = String.unsafe_get c.s c.pos in
   c.pos <- c.pos + 1;
-  (match e with
-  | '"' | '\\' | '/' -> Buffer.add_char buf e
-  | 'b' -> Buffer.add_char buf '\b'
-  | 'f' -> Buffer.add_char buf '\012'
-  | 'n' -> Buffer.add_char buf '\n'
-  | 'r' -> Buffer.add_char buf '\r'
-  | 't' -> Buffer.add_char buf '\t'
+  match e with
+  | '"' | '\\' | '/' -> Char.code e
+  | 'b' -> Char.code '\b'
+  | 'f' -> Char.code '\012'
+  | 'n' -> Char.code '\n'
+  | 'r' -> Char.code '\r'
+  | 't' -> Char.code '\t'
   | 'u' ->
       if c.pos + 4 > c.n then parse_error c.pos "truncated \\u escape";
       let code = hex4 c.s c.pos in
       c.pos <- c.pos + 4;
       if code < 0 then parse_error c.pos "invalid \\u escape";
-      add_utf8 buf (if code < 0xD800 || code > 0xDFFF then code else 0xFFFD)
-  | _ -> parse_error c.pos "unknown escape");
+      if code < 0xD800 || code > 0xDFFF then code else 0xFFFD
+  | _ -> parse_error c.pos "unknown escape"
+
+(* The rest of a string that holds an escape, from the cursor, which
+   sits just after a backslash, collected into [buf] unless the
+   cursor only checks. *)
+let rec escaped_string c buf =
+  let code = escape c in
   let stop = plain_end c.s c.n c.pos in
-  Buffer.add_substring buf c.s c.pos (stop - c.pos);
+  (match buf with
+  | Some buf ->
+      add_utf8 buf code;
+      Buffer.add_substring buf c.s c.pos (stop - c.pos)
+  | None -> ());
   if stop >= c.n then parse_error c.n "unterminated string";
   c.pos <- stop + 1;
-  if String.unsafe_get c.s stop = '"' then Buffer.contents buf else escaped_string c buf
+  if String.unsafe_get c.s stop = '"' then
+    match buf with Some buf -> Buffer.contents buf | None -> ""
+  else escaped_string c buf
 
 let parse_string c =
   expect c '"';
@@ -167,12 +193,14 @@ let parse_string c =
   let stop = plain_end c.s c.n start in
   if stop >= c.n then parse_error c.n "unterminated string";
   c.pos <- stop + 1;
-  if String.unsafe_get c.s stop = '"' then String.sub c.s start (stop - start)
-  else begin
+  if String.unsafe_get c.s stop = '"' then
+    if c.build then String.sub c.s start (stop - start) else ""
+  else if c.build then begin
     let buf = Buffer.create (stop - start + 16) in
     Buffer.add_substring buf c.s start (stop - start);
-    escaped_string c buf
+    escaped_string c (Some buf)
   end
+  else escaped_string c None
 
 let rec digits_end s n i =
   if i >= n then n
@@ -185,44 +213,76 @@ let rec accumulate s i stop v =
   if i >= stop then v
   else accumulate s (i + 1) stop ((v * 10) + Char.code (String.unsafe_get s i) - 48)
 
+let malformed_number start = parse_error start "malformed number"
+
+(* A number must match RFC 8259's
+   ["-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)?"], checked before
+   anything is converted, so a valid number always converts. *)
 let parse_number c =
   let s = c.s and n = c.n in
   let start = c.pos in
   let negative = peek c = '-' in
   let first = if negative then start + 1 else start in
   let int_end = digits_end s n first in
-  c.pos <- int_end;
-  let is_float = ref false in
-  if peek c = '.' then begin
-    is_float := true;
-    c.pos <- digits_end s n (c.pos + 1)
-  end;
-  (match peek c with
-  | 'e' | 'E' ->
-      is_float := true;
-      c.pos <- c.pos + 1;
-      (match peek c with '+' | '-' -> c.pos <- c.pos + 1 | _ -> ());
-      c.pos <- digits_end s n c.pos
-  | _ -> ());
   let count = int_end - first in
-  if (not !is_float) && count >= 1 && count <= max_inplace_digits then begin
+  if count = 0 || (count > 1 && String.unsafe_get s first = '0') then
+    malformed_number start;
+  c.pos <- int_end;
+  let fraction = peek c = '.' in
+  if fraction then begin
+    c.pos <- digits_end s n (int_end + 1);
+    if c.pos = int_end + 1 then malformed_number start
+  end;
+  let exponent = match peek c with 'e' | 'E' -> true | _ -> false in
+  if exponent then begin
+    c.pos <- c.pos + 1;
+    (match peek c with '+' | '-' -> c.pos <- c.pos + 1 | _ -> ());
+    let digits = c.pos in
+    c.pos <- digits_end s n digits;
+    if c.pos = digits then malformed_number start
+  end;
+  if not c.build then Null
+  else if not (fraction || exponent) && count <= max_inplace_digits then begin
     let v = accumulate s first int_end 0 in
     Int (if negative then -v else v)
   end
   else begin
     let text = String.sub s start (c.pos - start) in
-    if !is_float then
-      match float_of_string_opt text with
-      | Some v -> Float v
-      | None -> parse_error start "malformed number"
+    if fraction || exponent then Float (float_of_string text)
     else
+      (* Integer literal too large for [int]: fall back to float. *)
       match int_of_string_opt text with
       | Some i -> Int i
-      | None -> (
-          (* Integer literal too large for [int]: fall back to float. *)
-          match float_of_string_opt text with
-          | Some v -> Float v
-          | None -> parse_error start "malformed number")
+      | None -> Float (float_of_string text)
+  end
+
+(* The first of [c.keys], from [i] on, named by the key between [start]
+   and [stop], or -1; [decoded] is that key when it holds an escape. *)
+let rec key_index c start stop decoded i =
+  if i >= Array.length c.keys then -1
+  else
+    let name = match c.keys.(i) with Build name | Find name -> name in
+    let named =
+      match decoded with
+      | Some key -> String.equal key name
+      | None -> String.length name = stop - start && word_at c.s start name 0
+    in
+    if named then i else key_index c start stop decoded (i + 1)
+
+(* The slot in [c.keys] of the key the cursor has just passed, which
+   began at [start], or -1. A key is compared in place unless it holds
+   an escape; then it is decoded first. *)
+let key_slot c start =
+  let stop = c.pos - 1 in
+  if plain_end c.s c.n start = stop then key_index c start stop None 0
+  else begin
+    let pos = c.pos and build = c.build in
+    c.pos <- start - 1;
+    c.build <- true;
+    let key = parse_string c in
+    c.pos <- pos;
+    c.build <- build;
+    key_index c start stop (Some key) 0
   end
 
 (* [depth] counts open containers. Untrusted input (wire requests)
@@ -232,7 +292,9 @@ let rec parse_value c depth =
   skip_ws c;
   if c.pos >= c.n then parse_error c.pos "unexpected end of input";
   match String.unsafe_get c.s c.pos with
-  | '"' -> String (parse_string c)
+  | '"' ->
+      let s = parse_string c in
+      if c.build then String s else Null
   | 't' -> literal c "true" (Bool true)
   | 'f' -> literal c "false" (Bool false)
   | 'n' -> literal c "null" Null
@@ -244,7 +306,9 @@ let rec parse_value c depth =
         c.pos <- c.pos + 1;
         List []
       end
-      else List (items c (depth + 1) [])
+      else
+        let l = items c (depth + 1) [] in
+        if c.build then List l else Null
   | '{' ->
       if depth >= c.max_depth then parse_error c.pos "nesting too deep";
       c.pos <- c.pos + 1;
@@ -253,12 +317,15 @@ let rec parse_value c depth =
         c.pos <- c.pos + 1;
         Obj []
       end
-      else Obj (fields c (depth + 1) [])
+      else
+        let l = fields c (depth + 1) [] in
+        if c.build then Obj l else Null
   | '-' | '0' .. '9' -> parse_number c
   | ch -> parse_error c.pos (Printf.sprintf "unexpected %C" ch)
 
 and items c depth acc =
-  let acc = parse_value c depth :: acc in
+  let v = parse_value c depth in
+  let acc = if c.build then v :: acc else acc in
   skip_ws c;
   if peek c = ',' then begin
     c.pos <- c.pos + 1;
@@ -271,10 +338,21 @@ and items c depth acc =
 
 and fields c depth acc =
   skip_ws c;
+  let start = c.pos + 1 in
   let key = parse_string c in
+  let slot = if depth = 1 && Array.length c.keys > 0 then key_slot c start else -1 in
   skip_ws c;
   expect c ':';
-  let acc = (key, parse_value c depth) :: acc in
+  let acc =
+    if slot < 0 then begin
+      let v = parse_value c depth in
+      if c.build then (key, v) :: acc else acc
+    end
+    else begin
+      take c slot depth;
+      acc
+    end
+  in
   skip_ws c;
   if peek c = ',' then begin
     c.pos <- c.pos + 1;
@@ -285,8 +363,22 @@ and fields c depth acc =
     List.rev acc
   end
 
-let of_string ?(max_depth = default_max_depth) s =
-  let c = { s; n = String.length s; pos = 0; max_depth } in
+(* A named top-level member's value, built or only found as its key
+   asks. As with [member], the first occurrence counts; later ones are
+   only checked. *)
+and take c slot depth =
+  match (c.keys.(slot), c.found.(slot)) with
+  | Build _, Absent ->
+      c.build <- true;
+      let v = parse_value c depth in
+      c.build <- false;
+      c.found.(slot) <- Built v
+  | Find _, Absent ->
+      ignore (parse_value c depth);
+      c.found.(slot) <- Found
+  | _, (Found | Built _) -> ignore (parse_value c depth)
+
+let parse c =
   match
     let v = parse_value c 0 in
     skip_ws c;
@@ -296,6 +388,23 @@ let of_string ?(max_depth = default_max_depth) s =
   | v -> Ok v
   | exception Parse_error (i, msg) ->
       Error (Printf.sprintf "JSON parse error at offset %d: %s" i msg)
+
+let cursor ?(max_depth = default_max_depth) ~build keys s =
+  {
+    s;
+    n = String.length s;
+    pos = 0;
+    max_depth;
+    build;
+    keys;
+    found = Array.make (Array.length keys) Absent;
+  }
+
+let of_string ?max_depth s = parse (cursor ?max_depth ~build:true [||] s)
+
+let members ?max_depth keys s =
+  let c = cursor ?max_depth ~build:false keys s in
+  match parse c with Ok _ -> Ok c.found | Error _ as e -> e
 
 (* --- Accessors ----------------------------------------------------- *)
 

@@ -36,7 +36,25 @@ val of_string : ?max_depth:int -> string -> (t, string) result
     carries a message with a character offset. Input nested deeper than
     [max_depth] containers is rejected with a structured [Error] rather
     than overflowing the parser's stack — safe on untrusted socket
-    input. *)
+    input. Numbers follow RFC 8259: a leading zero ([007], [-01]) or a
+    [.] with no digit before or after it ([1.], [1.e5], [-.5]) is a
+    "malformed number" at the number's offset. *)
+
+type key =
+  | Build of string  (** Build this top-level member's value. *)
+  | Find of string  (** Only report whether the member is there. *)
+
+type field = Absent | Found | Built of t
+
+val members : ?max_depth:int -> key array -> string -> (field array, string) result
+(** [members keys s] checks [s] exactly as {!of_string} does — the same
+    grammar, depth limit, [Ok]/[Error] and error message — but scans it
+    rather than building a tree: it allocates no string, list or number
+    for what it passes over. For each of [keys], which name distinct
+    members, it reports the first top-level member of that name, as
+    {!member} would find it: [Built v] for a [Build] key, [Found] for a
+    [Find] key, [Absent] when [s] is not an object or has no such
+    member. [members [||] s] is a pure validation. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] when absent or when the value is not [Obj]. *)

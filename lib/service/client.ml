@@ -23,7 +23,8 @@ type t = {
   rng : Prob.Rng.t;
   timeout : float option;  (* default per-call budget *)
   mutable fd : Unix.file_descr option;
-  mutable armed : bool;  (* [fd] may carry a socket timeout *)
+  mutable rcv_bound : float;  (* [fd]'s SO_RCVTIMEO, seconds; 0 = none *)
+  mutable snd_bound : float;  (* [fd]'s SO_SNDTIMEO *)
   frames : Frame.decoder;
   chunk : Bytes.t;
 }
@@ -79,7 +80,8 @@ let disconnect t =
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
   t.fd <- None;
-  t.armed <- false;
+  t.rcv_bound <- 0.;
+  t.snd_bound <- 0.;
   Frame.reset t.frames
 
 let reconnect t ~deadline =
@@ -99,7 +101,8 @@ let connect ?(retry_for = 0.) ?(backoff = default_backoff) ?timeout target =
       rng = Prob.Rng.create backoff.seed;
       timeout;
       fd = None;
-      armed = false;
+      rcv_bound = 0.;
+      snd_bound = 0.;
       frames = Frame.create ();
       chunk = Bytes.create 65536;
     }
@@ -112,61 +115,74 @@ let fd_exn t =
 
 (* --- Deadline-bounded socket IO ---------------------------------------- *)
 
-(* The kernel bounds every wait: before each read or write with a
-   deadline, the socket's receive or send timeout is set to the time
-   left, so no call ever parks in an unbounded [Unix.read] or
-   [Unix.write], and a stalled or black-holed peer becomes [Timed_out]
-   (EAGAIN) the moment the budget runs out. A zero timeout means none,
-   and the option holds whole microseconds, so a budget under 1 ms
-   counts as spent. An operation with no deadline clears both options
-   if a call left them set. *)
-let arm t fd opt ~deadline =
+let set_timeout t fd opt seconds =
+  Unix.setsockopt_float fd opt seconds;
+  match opt with
+  | Unix.SO_RCVTIMEO -> t.rcv_bound <- seconds
+  | Unix.SO_SNDTIMEO -> t.snd_bound <- seconds
+
+(* The kernel bounds every wait: a read or write with a deadline runs
+   under a socket timeout no longer than the time left, so no call
+   parks in an unbounded [Unix.read] or [Unix.write], and a stalled or
+   black-holed peer becomes [Timed_out] once the budget runs out. The
+   timeout is set only when the one on the socket no longer fits the
+   time left, or has just [expired] (EAGAIN) with time left, and then
+   to half the time left, so back-to-back calls with one budget set
+   none. A zero timeout means none, and the option holds whole
+   microseconds, so a budget under 1 ms counts as spent. An operation
+   with no deadline clears both options if a call left them set. *)
+let arm t fd opt ~deadline ~expired =
   match deadline with
   | Some d ->
       let left = d -. Unix.gettimeofday () in
       if left < 0.001 then raise Timed_out;
-      Unix.setsockopt_float fd opt left;
-      t.armed <- true
+      let bound =
+        match opt with Unix.SO_RCVTIMEO -> t.rcv_bound | Unix.SO_SNDTIMEO -> t.snd_bound
+      in
+      if expired || bound = 0. || bound > left then set_timeout t fd opt (left /. 2.)
   | None ->
-      if t.armed then begin
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.;
-        t.armed <- false
+      if expired then raise Timed_out;
+      if t.rcv_bound > 0. || t.snd_bound > 0. then begin
+        set_timeout t fd Unix.SO_RCVTIMEO 0.;
+        set_timeout t fd Unix.SO_SNDTIMEO 0.
       end
 
 let send_bytes_deadline t ~deadline s =
   let fd = fd_exn t in
   let len = String.length s in
-  let rec go off =
+  let rec go off ~expired =
     if off < len then begin
-      arm t fd Unix.SO_SNDTIMEO ~deadline;
-      (* One write per arm: [Unix.write] would retry a partial write
+      arm t fd Unix.SO_SNDTIMEO ~deadline ~expired;
+      (* One write per check: [Unix.write] would retry a partial write
          under the same timeout, past the deadline. *)
       match Unix.single_write_substring fd s off (len - off) with
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | k -> go (off + k) ~expired:false
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off ~expired:false
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          raise Timed_out
+          go off ~expired:true
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           raise (Lost "connection reset during send")
     end
   in
-  go 0
+  go 0 ~expired:false
 
 let send_body_deadline t ~deadline body =
   send_bytes_deadline t ~deadline (Frame.encode body)
 
-let rec read_chunk t ~deadline ~feed =
+let read_chunk t ~deadline ~feed =
   let fd = fd_exn t in
-  arm t fd Unix.SO_RCVTIMEO ~deadline;
-  match Unix.read fd t.chunk 0 (Bytes.length t.chunk) with
-  | 0 -> raise (Lost "connection closed by server")
-  | k -> feed t.chunk k
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk t ~deadline ~feed
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise Timed_out
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      raise (Lost "connection reset by server")
+  let rec go ~expired =
+    arm t fd Unix.SO_RCVTIMEO ~deadline ~expired;
+    match Unix.read fd t.chunk 0 (Bytes.length t.chunk) with
+    | 0 -> raise (Lost "connection closed by server")
+    | k -> feed t.chunk k
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ~expired:false
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        go ~expired:true
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+        raise (Lost "connection reset by server")
+  in
+  go ~expired:false
 
 (* Receive one response body. A framing violation (bad magic, bad
    version, oversized frame) means the stream can no longer be trusted:
@@ -218,28 +234,28 @@ let recv_line_timeout t ~timeout =
 
 (* --- Resilient calls --------------------------------------------------- *)
 
-(* One attempt: send, then read bodies until one parses as a response
-   carrying our id. Anything else on the stream — garbage bytes, a
-   broken envelope, a foreign id — means the connection's framing can
-   no longer be trusted, so the attempt dies as [Lost] and the retry
-   path rebuilds it from a fresh socket. The reply comes back with its
-   parse, so no caller parses it twice. *)
-let attempt_call t ~deadline ~id body =
+(* One attempt: send, then read one body, which [parse] must accept as
+   a response carrying our id. Anything else on the stream — garbage
+   bytes, a broken envelope, a foreign id — means the connection's
+   framing can no longer be trusted, so the attempt dies as [Lost] and
+   the retry path rebuilds it from a fresh socket. [parse] answers the
+   reply's id and what the caller keeps of it, so no reply is parsed
+   twice. *)
+let attempt_call t ~deadline ~id ~parse body =
   send_body_deadline t ~deadline body;
   let reply = recv_body_deadline t ~deadline in
-  match Wire.parse_response reply with
+  match parse reply with
   | Error msg -> raise (Lost ("corrupted response: " ^ msg))
-  | Ok ({ Wire.rid; _ } as response) ->
-      if rid <> Some id then
-        raise
-          (Lost
-             (Printf.sprintf "response id %s does not match request id %d"
-                (match rid with Some i -> string_of_int i | None -> "<none>")
-                id))
-      else (reply, response)
+  | Ok (Some rid, answer) when rid = id -> answer
+  | Ok (rid, _) ->
+      raise
+        (Lost
+           (Printf.sprintf "response id %s does not match request id %d"
+              (match rid with Some i -> string_of_int i | None -> "<none>")
+              id))
 
-(* [call_line]'s retry loop, answering the reply and its parse. *)
-let call_parsed ?timeout ?(max_attempts = 3) t ~id body =
+(* The retry loop shared by [call_line], [call] and [Multi.call]. *)
+let exchange ?timeout ?(max_attempts = 3) t ~id ~parse body =
   let timeout = match timeout with Some _ as s -> s | None -> t.timeout in
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
   let time_left () =
@@ -253,9 +269,9 @@ let call_parsed ?timeout ?(max_attempts = 3) t ~id body =
   let rec attempt k =
     match
       if t.fd = None then reconnect t ~deadline:(reconnect_deadline ());
-      attempt_call t ~deadline ~id body
+      attempt_call t ~deadline ~id ~parse body
     with
-    | reply -> Ok reply
+    | answer -> Ok answer
     | exception Timed_out ->
         (* The reply may still arrive later; keeping the socket would
            let a stale reply answer the next call. Poisoned — drop it. *)
@@ -280,16 +296,24 @@ let call_parsed ?timeout ?(max_attempts = 3) t ~id body =
   in
   attempt 0
 
+(* [call_line] checks the reply with [Wire.response_id], which builds
+   only its id; [call] and [Multi.call] return the payload, so they
+   parse it. *)
+let check_id reply = Result.map (fun rid -> (rid, reply)) (Wire.response_id reply)
+
+let parse_whole reply =
+  Result.map (fun (r : Wire.response) -> (r.rid, r)) (Wire.parse_response reply)
+
 let call_line ?timeout ?max_attempts t ~id body =
-  Result.map fst (call_parsed ?timeout ?max_attempts t ~id body)
+  exchange ?timeout ?max_attempts t ~id ~parse:check_id body
 
 let call ?timeout ?max_attempts t ~id query =
   match
-    call_parsed ?timeout ?max_attempts t ~id
+    exchange ?timeout ?max_attempts t ~id ~parse:parse_whole
       (Wire.encode_request { Wire.id; query })
   with
   | Error e -> Error e
-  | Ok (_, { Wire.body; _ }) -> body
+  | Ok { Wire.body; _ } -> body
 
 let close t = disconnect t
 
@@ -390,7 +414,8 @@ module Multi = struct
         | c -> (
             let body = Wire.encode_request { Wire.id; query } in
             match
-              call_parsed ?timeout:(remaining ()) ~max_attempts:1 c ~id body
+              exchange ?timeout:(remaining ()) ~max_attempts:1 c ~id ~parse:parse_whole
+                body
             with
             | Error (Wire.Timeout, msg) ->
                 (* The budget is spent; the connection is poisoned (a
@@ -402,7 +427,7 @@ module Multi = struct
                 drop m;
                 rotate m;
                 attempt (k + 1) (Wire.Connection_lost, msg)
-            | Ok (_, { Wire.body; rhint; _ }) -> (
+            | Ok { Wire.body; rhint; _ } -> (
                 match body with
                 | Ok payload -> Ok payload
                 | Error ((Wire.Not_leader, _) as e) ->

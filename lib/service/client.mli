@@ -4,13 +4,16 @@
     Engineered for the fault model the chaos proxy injects, not for
     healthy sockets only:
 
-    - {b Per-call deadlines.} {!call} and {!call_line} set the
-      socket's receive or send timeout to the time left before each
-      read or write, so the kernel bounds every wait; a stalled,
-      black-holed or half-dead server, or one that stops reading,
-      yields a typed [Wire.Timeout] error instead of parking the
-      caller in an unbounded [Unix.read] or [Unix.write]. A budget
-      under 1 ms counts as spent.
+    - {b Per-call deadlines.} Every read or write of {!call} and
+      {!call_line} waits under the socket's receive or send timeout,
+      never longer than the time left, so the kernel bounds every
+      wait; a stalled, black-holed or half-dead server, or one that
+      stops reading, yields a typed [Wire.Timeout] error instead of
+      parking the caller in an unbounded [Unix.read] or [Unix.write].
+      A timeout is set only when the one on the socket no longer fits
+      the time left, or has expired with time left, and then to half
+      the time left, so back-to-back calls with one budget make no
+      [setsockopt]. A budget under 1 ms counts as spent.
     - {b Jittered exponential backoff.} Connection attempts (initial
       and reconnects) sleep [initial * multiplier^k] capped at
       [max_sleep], each draw jittered from the client's own seeded
@@ -94,9 +97,11 @@ val call_line :
   (string, Wire.error_code * string) result
 (** [call_line t ~id body] sends [body] and returns the full validated
     response body for request [id] — the byte-identity unit the load
-    generator checks. [timeout] (default: the client's) bounds the
-    whole call including reconnects and retries ([max_attempts],
-    default 3). Errors are always typed:
+    generator checks. The reply is checked with {!Wire.response_id}:
+    the whole body must be a valid response, but only its id is built,
+    so the check's cost does not grow with the payload. [timeout]
+    (default: the client's) bounds the whole call including reconnects
+    and retries ([max_attempts], default 3). Errors are always typed:
     [Timeout] when the budget expires, [Connection_lost] when the link
     died and the retry budget ran out. Only send requests whose [id]
     matches: replies are validated against it and anything else
@@ -109,8 +114,9 @@ val call :
   id:int ->
   Wire.query ->
   (Obs.Json.t, Wire.error_code * string) result
-(** Encode, then {!call_line}'s exchange; the body comes from the same
-    parse that checked the reply's id. Transport failures surface as
+(** Encode, then {!call_line}'s exchange, checking the reply with
+    {!Wire.parse_response}; the body comes from the same parse that
+    checked the reply's id. Transport failures surface as
     [Error (Timeout, _)] / [Error (Connection_lost, _)]; server-sent
     errors keep their own codes. *)
 

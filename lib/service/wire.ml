@@ -577,28 +577,41 @@ type response = {
           [not_leader] redirect's believed-leader replica id). *)
 }
 
-let parse_response body =
-  match Obs.Json.of_string body with
+(* The one shape rule for a response: a JSON document with an "ok" or
+   an "error" member but not both, and its "id" when that is an
+   integer; as with [Obs.Json.member], the first occurrence of a key
+   counts. The walk builds what [keys] names and only checks the rest. *)
+let response_shape keys body =
+  match Obs.Json.members keys body with
   | Error msg -> Error (Printf.sprintf "bad response: %s" msg)
-  | Ok doc -> (
+  | Ok found -> (
       let rid =
-        match Obs.Json.member "id" doc with Some (Obs.Json.Int i) -> Some i | _ -> None
+        match found.(0) with Obs.Json.Built (Obs.Json.Int i) -> Some i | _ -> None
       in
-      match (Obs.Json.member "ok" doc, Obs.Json.member "error" doc) with
-      | Some payload, None -> Ok { rid; body = Ok payload; rhint = None }
-      | None, Some err ->
-          let code =
-            Option.bind
-              (Option.bind (Obs.Json.member "code" err) Obs.Json.to_string_opt)
-              code_of_string
-            |> Option.value ~default:Internal
-          in
-          let msg =
-            Option.bind (Obs.Json.member "msg" err) Obs.Json.to_string_opt
-            |> Option.value ~default:""
-          in
-          let rhint =
-            Option.bind (Obs.Json.member "hint" err) Obs.Json.to_int
-          in
-          Ok { rid; body = Error (code, msg); rhint }
-      | _ -> Error "response carries neither ok nor error")
+      match (found.(1), found.(2)) with
+      | Absent, Absent | (Found | Built _), (Found | Built _) ->
+          Error "response carries neither ok nor error"
+      | ok, error -> Ok (rid, ok, error))
+
+let id_only = Obs.Json.[| Build "id"; Find "ok"; Find "error" |]
+let whole = Obs.Json.[| Build "id"; Build "ok"; Build "error" |]
+
+let response_id body = Result.map (fun (rid, _, _) -> rid) (response_shape id_only body)
+
+let parse_response body =
+  match response_shape whole body with
+  | Error _ as e -> e
+  | Ok (rid, Built payload, _) -> Ok { rid; body = Ok payload; rhint = None }
+  | Ok (rid, _, error) ->
+      let field key =
+        match error with Obs.Json.Built err -> Obs.Json.member key err | _ -> None
+      in
+      let code =
+        Option.bind (Option.bind (field "code") Obs.Json.to_string_opt) code_of_string
+        |> Option.value ~default:Internal
+      in
+      let msg =
+        Option.bind (field "msg") Obs.Json.to_string_opt |> Option.value ~default:""
+      in
+      let rhint = Option.bind (field "hint") Obs.Json.to_int in
+      Ok { rid; body = Error (code, msg); rhint }

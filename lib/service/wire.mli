@@ -217,4 +217,13 @@ type response = {
 
 val parse_response : string -> (response, string) result
 (** Client side: [Error] only when the body is not a valid response
-    envelope at all (transport corruption). *)
+    envelope at all (transport corruption). A valid envelope is a JSON
+    document with an [ok] or an [error] member, not both; the first
+    occurrence of a key counts. *)
+
+val response_id : string -> (int option, string) result
+(** {!parse_response}'s check without the payload: [Ok rid] exactly
+    when {!parse_response} is [Ok { rid; _ }], and the same [Error]
+    otherwise. One walk checks the whole body, deep payload included,
+    but builds only the id, so what it allocates does not grow with
+    the payload. *)

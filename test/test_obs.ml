@@ -183,6 +183,22 @@ let test_json_parser_rejects_garbage () =
   (match Obs.Json.of_string {|"\u0041"|} with
   | Ok (Obs.Json.String s) -> Alcotest.(check string) "\\u0041" "A" s
   | Ok _ | Error _ -> Alcotest.fail "\\u0041 did not parse to \"A\"");
+  (* RFC 8259 numbers: no leading zero, and a '.' needs a digit on
+     each side. Wire bodies are untrusted, so a request id is no
+     exception. *)
+  List.iter
+    (fun doc ->
+      match Obs.Json.of_string doc with
+      | Error msg ->
+          Alcotest.(check string) ("rejects " ^ doc)
+            "JSON parse error at offset 0: malformed number" msg
+      | Ok _ -> Alcotest.failf "%s accepted" doc)
+    [ "007"; "-01"; "1."; "1.e5"; "-.5" ];
+  (match Service.Wire.parse_request {|{"v": 3, "id": 007, "kind": "ping"}|} with
+  | Error (None, Service.Wire.Parse_error, msg) ->
+      Alcotest.(check string) "wire id 007"
+        "JSON parse error at offset 15: malformed number" msg
+  | Error _ | Ok _ -> Alcotest.fail "a request with id 007 was not a parse error");
   match Obs.Json.of_string "{\"x\": -1.5e3, \"y\": \"\\u00e9\"}" with
   | Error msg -> Alcotest.failf "valid doc rejected: %s" msg
   | Ok doc ->
@@ -349,9 +365,10 @@ let prop_json_roundtrip =
    tree, floats bit for bit, or the same error message and offset.
    Inputs are token soups over a JSON alphabet, and printed documents
    (17-digit floats, escaped strings, nesting) cut, spliced and
-   truncated at random. The one intended difference: the reference
-   accepts an underscore inside a \u escape, so such inputs are
-   exempt. *)
+   truncated at random. The intended differences: the reference
+   accepts an underscore inside a \u escape, and numbers RFC 8259
+   forbids (a leading zero, or a '.' with no digit before or after
+   it), so inputs holding either are exempt. *)
 let differential_tokens =
   [ "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; " "; "\t"; "\n"; "\r"; "-"; "+";
     "."; "e"; "E"; "0"; "1"; "7"; "9"; "a"; "F"; "u"; "t"; "x"; "/"; "_";
@@ -409,6 +426,41 @@ let underscore_in_u_escape s =
   in
   from 0
 
+(* Whether [s] holds, outside a string, a number RFC 8259 forbids. A
+   number is scanned as both parsers scan it:
+   [-]digits[.digits][(e|E)[+-]digits]. *)
+let forbidden_number s =
+  let n = String.length s in
+  let rec digits i = if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i in
+  let rec outside i =
+    i < n
+    && match s.[i] with
+       | '"' -> inside (i + 1)
+       | '-' | '0' .. '9' -> number i
+       | _ -> outside (i + 1)
+  and inside i =
+    i < n
+    && match s.[i] with
+       | '"' -> outside (i + 1)
+       | '\\' -> inside (i + 2)
+       | _ -> inside (i + 1)
+  and number i =
+    let first = if s.[i] = '-' then i + 1 else i in
+    let int_end = digits first in
+    let leading_zero = int_end - first > 1 && s.[first] = '0' in
+    let dot = int_end < n && s.[int_end] = '.' in
+    let frac_end = if dot then digits (int_end + 1) else int_end in
+    let bare_dot = dot && (int_end = first || frac_end = int_end + 1) in
+    let exp_end =
+      if frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then
+        let j = frac_end + 1 in
+        digits (if j < n && (s.[j] = '+' || s.[j] = '-') then j + 1 else j)
+      else frac_end
+    in
+    leading_zero || bare_dot || outside (max exp_end (i + 1))
+  in
+  outside 0
+
 let prop_parser_matches_reference =
   QCheck.Test.make ~count:10_000 ~name:"of_string agrees with the reference parser"
     (QCheck.make
@@ -424,10 +476,68 @@ let prop_parser_matches_reference =
       match (Obs.Json.of_string ?max_depth s, Json_reference.of_string ?max_depth s) with
       | Ok a, Ok b when same_tree a b -> true
       | Error a, Error b when String.equal a b -> true
-      | _ when underscore_in_u_escape s -> true
+      | _ when underscore_in_u_escape s || forbidden_number s -> true
       | got, want ->
           QCheck.Test.fail_reportf "of_string %S: %s, the reference: %s" s (show got)
             (show want))
+
+(* The member walk is [of_string] without the tree: on every input the
+   same [Ok]/[Error] and message, and each member it builds is the one
+   [member] finds in the tree, floats bit for bit. The names it looks
+   for are the tree's top-level keys when it parses, and the text's
+   quoted runs otherwise, so walks that build part of a broken document
+   run too. The same inputs, wrapped into response bodies, get the same
+   verdict, message and id from [Wire.response_id] as from
+   [Wire.parse_response]. *)
+let quoted_runs s =
+  String.split_on_char '"' s |> List.filteri (fun i _ -> i mod 2 = 1)
+
+let prop_members_match_of_string =
+  QCheck.Test.make ~count:10_000 ~name:"the scan agrees with of_string"
+    (QCheck.make
+       ~print:(fun (d, s) ->
+         Printf.sprintf "max_depth %s, %S"
+           (Option.fold ~none:"default" ~some:string_of_int d) s)
+       differential_input)
+    (fun (max_depth, s) ->
+      let tree = Obs.Json.of_string ?max_depth s in
+      let names =
+        match tree with
+        | Ok (Obs.Json.Obj fields) -> List.map fst fields
+        | _ -> quoted_runs s
+      in
+      let keys =
+        List.sort_uniq String.compare ("" :: "absent" :: names)
+        |> List.mapi (fun i k -> if i mod 2 = 0 then Obs.Json.Build k else Obs.Json.Find k)
+        |> Array.of_list
+      in
+      let agrees key field t =
+        let name = match key with Obs.Json.Build k | Obs.Json.Find k -> k in
+        match (key, field, Obs.Json.member name t) with
+        | Obs.Json.Build _, Obs.Json.Built v, Some w -> same_tree v w
+        | Obs.Json.Find _, Obs.Json.Found, Some _ -> true
+        | _, Obs.Json.Absent, None -> true
+        | _ -> false
+      in
+      (match (tree, Obs.Json.members ?max_depth keys s) with
+      | Ok t, Ok found when Array.for_all2 (fun k f -> agrees k f t) keys found -> ()
+      | Error a, Error b when String.equal a b -> ()
+      | _, walk ->
+          QCheck.Test.fail_reportf "members %S: %s, of_string: %s" s
+            (match walk with Ok _ -> "Ok" | Error m -> "Error " ^ m)
+            (match tree with Ok t -> "Ok " ^ Obs.Json.to_string t | Error m -> "Error " ^ m));
+      List.for_all
+        (fun body ->
+          match (Service.Wire.response_id body, Service.Wire.parse_response body) with
+          | Ok rid, Ok r when rid = r.Service.Wire.rid -> true
+          | Error a, Error b when String.equal a b -> true
+          | _ -> QCheck.Test.fail_reportf "response_id and parse_response disagree on %S" body)
+        [
+          s;
+          {|{"v": 3, "id": 7, "ok": |} ^ s ^ "}";
+          {|{"v": 3, "id": 7, "error": |} ^ s ^ "}";
+          {|{"v": 3, "id": |} ^ s ^ {|, "ok": 1}|};
+        ])
 
 (* --- Domain sharding ------------------------------------------------------- *)
 
@@ -488,4 +598,5 @@ let suite =
     Alcotest.test_case "disabled registry allocates nothing" `Quick
       test_disabled_registry_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_parser_matches_reference;
+    QCheck_alcotest.to_alcotest prop_members_match_of_string;
   ]

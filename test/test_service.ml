@@ -210,6 +210,41 @@ let test_wire_responses () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "neither ok nor error should not decode"
 
+(* The reply check builds only the id, so what it allocates does not
+   depend on the payload: per call, as many minor words for a
+   1,000-field payload of floats and strings as for a 1-field one. The
+   least of three rounds of 1,000 calls counts, so a stray thread's
+   allocation cannot fail the test. *)
+let test_response_id_allocation () =
+  let reply fields =
+    Wire.encode_ok ~id:7
+      ~payload:
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              (List.init fields (fun i ->
+                   ( Printf.sprintf "f%d" i,
+                     match i mod 3 with
+                     | 0 -> Obs.Json.Float (float_of_int i +. 0.25)
+                     | 1 -> Obs.Json.String (Printf.sprintf "s%d" i)
+                     | _ -> Obs.Json.String (Printf.sprintf "s\"%d\"" i) )))))
+  in
+  let words body =
+    let round () =
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Wire.response_id body)
+      done;
+      (Gc.minor_words () -. before) /. 1000.
+    in
+    List.fold_left Float.min infinity [ round (); round (); round () ]
+  in
+  let small = reply 1 and large = reply 1000 in
+  (match Wire.response_id large with
+  | Ok (Some 7) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the 1,000-field reply did not check as id 7");
+  Alcotest.(check (float 0.)) "minor words per call, 1,000 fields vs 1"
+    (words small) (words large)
+
 (* --- Cache ----------------------------------------------------------- *)
 
 let test_cache_eviction_order () =
@@ -789,37 +824,40 @@ let test_sub_millisecond_budget () =
       expect_timeout ~within:(0., 0.1) "0.5 ms budget" (fun () ->
           Client.call c ~timeout:0.0005 ~id:1 Wire.Ping))
 
+(* The peer reads one request and answers it [delay] seconds later. One
+   decoder per request is enough: the client sends the next request
+   only after the previous reply. *)
+let answer peer delay =
+  let frames = Frame.create () and chunk = Bytes.create 4096 in
+  let rec next () =
+    match Frame.next frames with
+    | Ok (Some body) -> body
+    | Ok None ->
+        let k = Unix.read peer chunk 0 (Bytes.length chunk) in
+        if k = 0 then failwith "client closed";
+        Frame.feed frames chunk k;
+        next ()
+    | Error e -> failwith (Frame.error_message e)
+  in
+  match Wire.parse_request (next ()) with
+  | Ok { Wire.id; _ } ->
+      Thread.delay delay;
+      let reply = Frame.encode (Wire.encode_ok ~id ~payload:"{}") in
+      ignore (Unix.write_substring peer reply 0 (String.length reply))
+  | Error (_, _, msg) -> failwith msg
+
+let expect_ok what = function
+  | Ok _ -> ()
+  | Error (code, msg) ->
+      Alcotest.failf "%s failed: %s (%s)" what (Wire.code_string code) msg
+
 (* A deadline ends with its call: after [call ~timeout:0.2] succeeds,
    [call_raw], which has none, waits for a reply sent 0.5 s later. *)
 let test_no_leftover_timeout () =
   with_watchdog ~timeout:20. (fun () ->
       with_peer @@ fun c peer ->
-      let answer delay =
-        let frames = Frame.create () and chunk = Bytes.create 4096 in
-        let rec next () =
-          match Frame.next frames with
-          | Ok (Some body) -> body
-          | Ok None ->
-              let k = Unix.read peer chunk 0 (Bytes.length chunk) in
-              if k = 0 then failwith "client closed";
-              Frame.feed frames chunk k;
-              next ()
-          | Error e -> failwith (Frame.error_message e)
-        in
-        match Wire.parse_request (next ()) with
-        | Ok { Wire.id; _ } ->
-            Thread.delay delay;
-            let reply = Frame.encode (Wire.encode_ok ~id ~payload:"{}") in
-            ignore (Unix.write_substring peer reply 0 (String.length reply))
-        | Error (_, _, msg) -> failwith msg
-      in
-      (* One decoder per request is enough: the client sends the next
-         request only after the previous reply. *)
-      let server = Thread.create (fun () -> answer 0.; answer 0.5) () in
-      (match Client.call c ~timeout:0.2 ~id:1 Wire.Ping with
-      | Ok _ -> ()
-      | Error (code, msg) ->
-          Alcotest.failf "the first call failed: %s (%s)" (Wire.code_string code) msg);
+      let server = Thread.create (fun () -> answer peer 0.; answer peer 0.5) () in
+      expect_ok "the first call" (Client.call c ~timeout:0.2 ~id:1 Wire.Ping);
       let t0 = Unix.gettimeofday () in
       let reply = Client.call_raw c (Wire.encode_request { Wire.id = 2; query = Wire.Ping }) in
       let took = Unix.gettimeofday () -. t0 in
@@ -828,6 +866,56 @@ let test_no_leftover_timeout () =
         "the late reply arrives" (Some (Wire.encode_ok ~id:2 ~payload:"{}")) reply;
       if took < 0.4 then Alcotest.failf "the reply came after %.3f s, not 0.5 s" took)
 
+(* [call_line] checks every reply: one that is not a response to this
+   call — broken deep in its payload, holding a number RFC 8259
+   forbids, answering another id, or carrying neither ok nor error — is
+   refused like any other corruption. *)
+let test_not_a_response_refused () =
+  with_watchdog ~timeout:20. (fun () ->
+      List.iter
+        (fun reply ->
+          with_peer @@ fun c peer ->
+          let frame = Frame.encode reply in
+          ignore (Unix.write_substring peer frame 0 (String.length frame));
+          match
+            Client.call_line c ~timeout:5. ~max_attempts:1 ~id:1
+              (Wire.encode_request { Wire.id = 1; query = Wire.Ping })
+          with
+          | Error (Wire.Connection_lost, _) -> ()
+          | Error (code, msg) ->
+              Alcotest.failf "%s: %s (%s), not connection_lost" reply
+                (Wire.code_string code) msg
+          | Ok _ -> Alcotest.failf "%s accepted" reply)
+        [
+          {|{"v": 3, "id": 1, "ok": {"p": [1, 2}}|};
+          {|{"v": 3, "id": 1, "ok": {"p": 01}}|};
+          {|{"v": 3, "id": 2, "ok": {}}|};
+          {|{"v": 3, "id": 1}|};
+        ])
+
+(* The client waits under half the time left: a reply sent 0.3 s into
+   a 0.5 s budget arrives after the socket timeout first expires, and
+   the call sets it again and gets the reply. *)
+let test_late_reply_arrives () =
+  with_watchdog ~timeout:20. (fun () ->
+      with_peer @@ fun c peer ->
+      let server = Thread.create (fun () -> answer peer 0.3) () in
+      let result = Client.call c ~timeout:0.5 ~id:1 Wire.Ping in
+      Thread.join server;
+      expect_ok "a call answered after 0.3 s" result)
+
+(* A socket timeout left by a longer call does not outlast a shorter
+   deadline: after a 5 s call is answered at once, a 0.2 s call to the
+   now silent peer times out in time. *)
+let test_shorter_deadline_holds () =
+  with_watchdog ~timeout:20. (fun () ->
+      with_peer @@ fun c peer ->
+      let server = Thread.create (fun () -> answer peer 0.) () in
+      expect_ok "the 5 s call" (Client.call c ~timeout:5. ~id:1 Wire.Ping);
+      Thread.join server;
+      expect_timeout ~within:(0.15, 1.) "0.2 s budget after a 5 s one" (fun () ->
+          Client.call c ~timeout:0.2 ~id:2 Wire.Ping))
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -835,6 +923,8 @@ let suite =
     Alcotest.test_case "wire parse errors" `Quick test_wire_parse_errors;
     Alcotest.test_case "wire canonical key" `Quick test_wire_canonical_key;
     Alcotest.test_case "wire responses" `Quick test_wire_responses;
+    Alcotest.test_case "the reply check allocates nothing per payload value" `Quick
+      test_response_id_allocation;
     Alcotest.test_case "cache eviction order" `Quick test_cache_eviction_order;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
     Alcotest.test_case "cache hit stats" `Quick test_cache_hit_stats;
@@ -865,4 +955,10 @@ let suite =
       test_sub_millisecond_budget;
     Alcotest.test_case "no socket timeout outlives its call" `Quick
       test_no_leftover_timeout;
+    Alcotest.test_case "a reply that is not a response is refused" `Quick
+      test_not_a_response_refused;
+    Alcotest.test_case "a reply after half the budget still arrives" `Quick
+      test_late_reply_arrives;
+    Alcotest.test_case "a shorter deadline after a longer one holds" `Quick
+      test_shorter_deadline_holds;
   ]
