@@ -923,8 +923,6 @@ let suite =
     Alcotest.test_case "wire parse errors" `Quick test_wire_parse_errors;
     Alcotest.test_case "wire canonical key" `Quick test_wire_canonical_key;
     Alcotest.test_case "wire responses" `Quick test_wire_responses;
-    Alcotest.test_case "the reply check allocates nothing per payload value" `Quick
-      test_response_id_allocation;
     Alcotest.test_case "cache eviction order" `Quick test_cache_eviction_order;
     Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
     Alcotest.test_case "cache hit stats" `Quick test_cache_hit_stats;
@@ -961,4 +959,6 @@ let suite =
       test_late_reply_arrives;
     Alcotest.test_case "a shorter deadline after a longer one holds" `Quick
       test_shorter_deadline_holds;
+    Alcotest.test_case "the reply check allocates nothing per payload value" `Quick
+      test_response_id_allocation;
   ]
