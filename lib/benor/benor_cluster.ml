@@ -1,8 +1,6 @@
 type t = {
   engine : Dessim.Engine.t;
-  net : Benor_types.msg Dessim.Network.t;
   nodes : Benor_node.t array;
-  trace : Dessim.Trace.t;
   initial_values : int array;
 }
 
@@ -23,10 +21,8 @@ let create ?(seed = 7) ?latency ?drop_probability ?f ?common_coin ~initial_value
         in
         Benor_node.create config ~engine ~net ~trace ~initial:initial_values.(id))
   in
-  { engine; net; nodes; trace; initial_values }
+  { engine; nodes; initial_values }
 
-let engine t = t.engine
-let trace t = t.trace
 let node t i = t.nodes.(i)
 let size t = Array.length t.nodes
 
@@ -72,6 +68,3 @@ let check t ~correct =
       0 t.nodes
   in
   { agreement_ok; validity_ok; all_correct_decided; decisions; max_round }
-
-let message_stats t =
-  (Dessim.Network.messages_sent t.net, Dessim.Network.messages_delivered t.net)

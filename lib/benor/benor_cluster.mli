@@ -15,8 +15,6 @@ val create :
     maximum tolerable [(n-1)/2]. [common_coin] enables the shared
     per-round coin with the given seed. *)
 
-val engine : t -> Dessim.Engine.t
-val trace : t -> Dessim.Trace.t
 val node : t -> int -> Benor_node.t
 val size : t -> int
 
@@ -37,8 +35,3 @@ type report = {
 }
 
 val check : t -> correct:int list -> report
-
-val message_stats : t -> int * int
-(** [(sent, delivered)] network message counters — the communication
-    cost the paper's related work (probabilistic quorums, committee
-    sampling) trades against. *)

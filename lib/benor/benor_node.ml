@@ -35,10 +35,8 @@ type t = {
   mutable down : bool;
 }
 
-let id t = t.config.id
 let decision t = t.decision
 let decided_round t = t.decided_round
-let current_round t = t.round
 
 let record t tag detail =
   Dessim.Trace.record t.trace ~time:(Dessim.Engine.now t.engine) ~node:t.config.id

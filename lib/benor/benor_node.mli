@@ -42,10 +42,8 @@ val create :
 (** [initial] must be 0 or 1. The node starts its round-1 broadcast
     immediately. *)
 
-val id : t -> int
 val decision : t -> int option
 val decided_round : t -> int option
 (** Round at which the decision was reached (1-based). *)
 
-val current_round : t -> int
 val set_down : t -> bool -> unit

@@ -2,12 +2,3 @@ type msg =
   | Report of { round : int; value : int; from : int }
   | Proposal of { round : int; value : int option; from : int }
   | Decided of { value : int }
-
-let pp_msg fmt = function
-  | Report { round; value; from } ->
-      Format.fprintf fmt "Report(r=%d, v=%d, from=%d)" round value from
-  | Proposal { round; value; from } ->
-      Format.fprintf fmt "Proposal(r=%d, v=%s, from=%d)" round
-        (match value with Some v -> string_of_int v | None -> "_")
-        from
-  | Decided { value } -> Format.fprintf fmt "Decided(%d)" value

@@ -15,5 +15,3 @@ type msg =
   | Decided of { value : int }
       (** Decision announcement; receivers decide immediately, which
           keeps halted deciders from stalling the others. *)
-
-val pp_msg : Format.formatter -> msg -> unit

@@ -21,7 +21,6 @@ let set_of pred t =
   !s
 
 let correct_set = set_of (fun s -> s = Correct)
-let faulty_set = set_of (fun s -> s <> Correct)
 let byzantine_set = set_of (fun s -> s = Byzantine)
 
 let probability ~crash_probs ~byz_probs t =
@@ -69,10 +68,6 @@ let joint_count_distribution ~crash_probs ~byz_probs =
     done
   done;
   dist
-
-let iter_binary ~n ~byzantine f =
-  Quorum.Subset.iter_subsets n (fun failed ->
-      f (of_failed_subset ~n ~byzantine failed))
 
 let iter_binary_range ~n ~byzantine ~lo ~hi f =
   Quorum.Subset.iter_subsets_range n ~lo ~hi (fun failed ->
@@ -136,10 +131,3 @@ let iter_ternary ~n f =
     end
   in
   go 0
-
-let pp fmt t =
-  Array.iter
-    (fun s ->
-      Format.pp_print_char fmt
-        (match s with Correct -> '.' | Crashed -> 'x' | Byzantine -> 'B'))
-    t

@@ -21,7 +21,6 @@ val num_faulty : t -> int
 (** Crashed + Byzantine. *)
 
 val correct_set : t -> Quorum.Subset.t
-val faulty_set : t -> Quorum.Subset.t
 val byzantine_set : t -> Quorum.Subset.t
 
 val probability : crash_probs:float array -> byz_probs:float array -> t -> float
@@ -38,14 +37,11 @@ val joint_count_distribution :
     O(n^3) dynamic program. Drives the count-only fast path that
     evaluates every cell of the paper's tables. *)
 
-val iter_binary : n:int -> byzantine:bool -> (t -> unit) -> unit
-(** Enumerate all [2^n] configurations whose failures are all of one
-    kind. Raises for [n > 24]. *)
-
 val iter_binary_range :
   n:int -> byzantine:bool -> lo:int -> hi:int -> (t -> unit) -> unit
-(** The slice of {!iter_binary}'s sequence with bitmask indices in
-    [lo, hi) — one worker's share of a chunked parallel enumeration. *)
+(** The configurations whose failures are all of one kind, with
+    failed-set bitmask indices in [lo, hi) of [0, 2^n) — one worker's
+    share of a chunked parallel enumeration. Raises for [n > 24]. *)
 
 val iter_ternary : n:int -> (t -> unit) -> unit
 (** Enumerate all [3^n] configurations. Raises for [n > 13]. *)
@@ -60,5 +56,3 @@ val iter_ternary_range : n:int -> lo:int -> hi:int -> (t -> unit) -> unit
     most significant digit (0 = correct, 1 = crashed, 2 = Byzantine).
     Concatenating the slices of a partition of [0, 3^n) reproduces
     {!iter_ternary} exactly. *)
-
-val pp : Format.formatter -> t -> unit

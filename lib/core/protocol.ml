@@ -16,27 +16,4 @@ let count_predicate ~n f =
 
 let full_predicate f = { full = f; by_count = None }
 
-let lift2 op a b =
-  {
-    full = (fun config -> op (a.full config) (b.full config));
-    by_count =
-      (match (a.by_count, b.by_count) with
-      | Some fa, Some fb ->
-          Some (fun ~byz ~crashed -> op (fa ~byz ~crashed) (fb ~byz ~crashed))
-      | _, _ -> None);
-  }
-
-let pred_and a b = lift2 ( && ) a b
-let pred_or a b = lift2 ( || ) a b
-
-let pred_not a =
-  {
-    full = (fun config -> not (a.full config));
-    by_count =
-      (match a.by_count with
-      | Some f -> Some (fun ~byz ~crashed -> not (f ~byz ~crashed))
-      | None -> None);
-  }
-
 let always ~n = count_predicate ~n (fun ~byz:_ ~crashed:_ -> true)
-let never ~n = count_predicate ~n (fun ~byz:_ ~crashed:_ -> false)

@@ -30,9 +30,4 @@ val count_predicate : n:int -> (byz:int -> crashed:int -> bool) -> predicate
 
 val full_predicate : (Config.t -> bool) -> predicate
 
-val pred_and : predicate -> predicate -> predicate
-val pred_or : predicate -> predicate -> predicate
-val pred_not : predicate -> predicate
-
 val always : n:int -> predicate
-val never : n:int -> predicate

@@ -328,6 +328,8 @@ let trajectory_point ~n (hp : Analysis.horizon_point) =
       Obs.Json.Obj (("at", Obs.Json.number hp.Analysis.at) :: fields)
   | j -> j
 
+(* The canonical trajectory rendering: [protocol], [n], [horizon],
+   [rounds], [min_p_live], then [trajectory]. *)
 let horizon_payload ~protocol ~n ~horizon ~rounds points =
   let min_p_live =
     List.fold_left

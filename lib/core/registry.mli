@@ -149,17 +149,6 @@ val payload : n:int -> Analysis.result -> Obs.Json.t
 (** The one canonical result rendering: [protocol], [n], [engine],
     [p_safe], [p_live], [p_safe_live], [nines] in that order. *)
 
-val horizon_payload :
-  protocol:string ->
-  n:int ->
-  horizon:float ->
-  rounds:int ->
-  Analysis.horizon_point list ->
-  Obs.Json.t
-(** Canonical trajectory rendering: [protocol], [n], [horizon],
-    [rounds], [min_p_live], then [trajectory] — a list whose elements
-    are exactly {!payload} with the round's ["at"] prepended. *)
-
 val analyze_json :
   ?domains:int ->
   ?strategy:Analysis.strategy ->
@@ -167,5 +156,8 @@ val analyze_json :
   (Obs.Json.t, string) result
 (** [analyze] composed with {!payload} — what the service, the CLI
     [--json] mode and the bench all emit. A scenario carrying a
-    [horizon] renders {!horizon_payload} instead; either way the bytes
-    are the same across the CLI and the wire by construction. *)
+    [horizon] renders its trajectory instead: [protocol], [n],
+    [horizon], [rounds], [min_p_live], then [trajectory] — a list whose
+    elements are exactly {!payload} with the round's ["at"] prepended.
+    Either way the bytes are the same across the CLI and the wire by
+    construction. *)

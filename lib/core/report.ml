@@ -63,9 +63,6 @@ let print ?title t =
   | None -> ());
   print_string (render t)
 
-let cell_percent p = Prob.Nines.percent_string p
-let cell_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
-
 let metrics_table snapshot =
   let t =
     create ~header:[ "family"; "metric"; "kind"; "value"; "p50"; "p90"; "p99"; "max" ]

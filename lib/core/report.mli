@@ -21,11 +21,6 @@ val to_csv : t -> string
 val print : ?title:string -> t -> unit
 (** Render to stdout, with an optional underlined title. *)
 
-val cell_percent : float -> string
-(** Probability formatted the way the paper's tables print it. *)
-
-val cell_float : ?decimals:int -> float -> string
-
 val metrics_table : Obs.Metrics.snapshot -> t
 (** Pretty-printable summary of a metrics snapshot: one row per
     sample; histograms show count and p50/p90/p99/max columns. *)

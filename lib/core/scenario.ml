@@ -43,12 +43,6 @@ let effective_processes s =
           List.init count (fun _ -> Faultmodel.Failure_process.Static p))
         s.mix
 
-let is_dynamic s =
-  match s.processes with
-  | None -> false
-  | Some ps ->
-      not (List.for_all Faultmodel.Failure_process.is_static ps)
-
 (* --- Validation -------------------------------------------------------- *)
 
 let is_prob p = Float.is_finite p && p >= 0. && p <= 1.
@@ -187,7 +181,6 @@ let uniform ?byz_fraction ~protocol ~n ~p () =
 let with_protocol protocol s = remake { s with protocol }
 let with_mix mix s = remake { s with mix }
 let with_p p s = remake { s with mix = List.map (fun (c, _) -> (c, p)) s.mix }
-let with_at at s = remake { s with at = Some at }
 let with_processes processes s = remake { s with processes = Some processes }
 
 let with_horizon ?rounds horizon s =
@@ -369,4 +362,3 @@ let fleet ~byz_fraction s =
            ps)
 
 let equal (a : t) b = a = b
-let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -115,9 +115,6 @@ val effective_processes : t -> Faultmodel.Failure_process.t list
     [Static p] per mix group — the normal form every dynamic consumer
     (horizon analysis, the simulator, reliability weighting) works on. *)
 
-val is_dynamic : t -> bool
-(** True iff the scenario carries at least one non-[Static] process. *)
-
 (** {1 Transformers}
 
     Functional updates for sweeps: a grid axis is a [t -> t]. All
@@ -129,7 +126,6 @@ val with_mix : (int * float) list -> t -> t
 val with_p : float -> t -> t
 (** Replace every group's fault probability, keeping the counts. *)
 
-val with_at : float -> t -> t
 val with_processes : Faultmodel.Failure_process.t list -> t -> t
 
 val with_horizon : ?rounds:int -> float -> t -> t
@@ -178,4 +174,3 @@ val fleet : byz_fraction:float -> t -> Faultmodel.Fleet.t
     evaluation ([?at], horizons) works through the same fleet path. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -25,9 +25,6 @@ val make :
 
 val protocol : params -> Protocol.t
 
-val byz_stake_fraction : params -> Config.t -> float
-val correct_stake_fraction : params -> Config.t -> float
-
 val nakamoto_coefficient : params -> int
 (** Smallest number of nodes whose combined stake reaches the Byzantine
     bound — the usual decentralization metric: how few compromises

@@ -26,9 +26,3 @@ let pbft_node_count ~p ~n_base ~n_alt =
 
 let pbft_sweep ~ps ~n_base ~n_alt =
   List.map (fun p -> (p, pbft_node_count ~p ~n_base ~n_alt)) ps
-
-let pp_comparison fmt c =
-  Format.fprintf fmt
-    "@[<v>base: %a@ alt:  %a@ safety improvement %.1fx, liveness degradation %.2fx@]"
-    Analysis.pp_result c.base Analysis.pp_result c.alt c.safety_improvement
-    c.liveness_degradation

@@ -28,5 +28,3 @@ val pbft_node_count : p:float -> n_base:int -> n_alt:int -> comparison
 val pbft_sweep : ps:float list -> n_base:int -> n_alt:int -> (float * comparison) list
 (** The E6 sweep: safety-improvement and liveness-degradation ratios
     across fault probabilities. *)
-
-val pp_comparison : Format.formatter -> comparison -> unit

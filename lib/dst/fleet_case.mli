@@ -31,8 +31,4 @@ type t = {
 val system_name : string
 (** ["fleet"]. *)
 
-val divergence_allowance : t -> float
-(** The invariant's bound: the engine drift bound plus the scratch
-    recompute's own O(nodes eps) rounding room. *)
-
 val system : unit -> t Harness.system

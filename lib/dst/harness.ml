@@ -45,11 +45,6 @@ type 'case soak_outcome =
 let episode_seed ~seed ~episode =
   Int64.to_int (Prob.Rng.next_int64 (Prob.Rng.of_pair seed episode))
 
-let run_episode sys ~seed ~episode =
-  let eseed = episode_seed ~seed ~episode in
-  let case = sys.generate (Prob.Rng.create eseed) in
-  (case, sys.run case)
-
 let no_log (_ : string) = ()
 
 let shrink ?(max_attempts = 2000) ?(log = no_log) sys failure =

@@ -84,8 +84,6 @@ val episode_seed : seed:int -> episode:int -> int
 (** The per-episode seed: deterministic in [(seed, episode)] so a
     soak's episode [k] can be replayed alone. *)
 
-val run_episode : 'case system -> seed:int -> episode:int -> 'case * outcome
-
 val soak :
   ?shrink:bool ->
   ?max_attempts:int ->

@@ -43,5 +43,4 @@ type t = {
 val system_name : string
 (** ["replica"]. *)
 
-val run : t -> Harness.outcome
 val system : unit -> t Harness.system

@@ -42,8 +42,6 @@ val active_faults : Service.Chaos.plan -> int
 (** Fault channels with non-zero probability — the plan's contribution
     to the case's shrink unit count. *)
 
-val run : t -> Harness.outcome
-
 val system : ?seeded_bug:bool -> unit -> t Harness.system
 (** [seeded_bug] (default false) parameterizes the {e generator} only;
     decoding an artifact always reconstructs the case's own recorded

@@ -104,6 +104,9 @@ let check_violations pairs =
   | None -> Harness.Pass
   | Some (invariant, _, detail) -> fail invariant (detail ())
 
+(* Build the cluster, inject, drive, check. Invariant names:
+   ["agreement"], ["election_safety"], ["log_matching"], ["liveness"],
+   ["validity"], ["termination"] (per protocol). *)
 let run t =
   let correct = correct_nodes t in
   match t.protocol with

@@ -47,21 +47,14 @@ type t = {
   horizon : float;  (** Virtual-time bound for the run. *)
 }
 
-val protocol_name : protocol -> string
-(** ["raft" | "pbft" | "benor" | "rabia"]. *)
-
 val system_name : protocol -> string
-(** ["sim-" ^ protocol_name] — the artifact tag. *)
+(** ["sim-raft" | "sim-pbft" | "sim-benor" | "sim-rabia"] — the
+    artifact tag. *)
 
 val recovered_nodes : t -> int list
 (** Process-faulted nodes whose sampled downtime closes every outage
-    by [horizon /. 2] — the nodes {!run} adds to the liveness
+    by [horizon /. 2] — the nodes a run adds to the liveness
     obligation set. Exposed so tests can assert that a pinned repro's
     liveness really does depend on recovery. *)
-
-val run : t -> Harness.outcome
-(** Build the cluster, inject, drive, check. Invariant names:
-    ["agreement"], ["election_safety"], ["log_matching"],
-    ["liveness"], ["validity"], ["termination"] (per protocol). *)
 
 val system : protocol -> t Harness.system

@@ -101,7 +101,6 @@ let validate = function
       Ok t
 
 let static p = Static (Prob.Math_utils.clamp_prob p)
-let of_curve c = validate (Curve c)
 let markov ~fail_rate ~recover_rate = validate (Markov { fail_rate; recover_rate })
 
 let to_curve = function
@@ -311,8 +310,6 @@ let sample_downtime rng t ~horizon =
               else go back ((fail, Some back) :: acc) (n + 1)
         in
         go 0. [] 0
-
-let equal (a : t) (b : t) = a = b
 
 let pp fmt = function
   | Static p -> Format.fprintf fmt "static(%g)" p

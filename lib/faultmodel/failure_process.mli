@@ -33,7 +33,6 @@ val validate : t -> (t, string) result
 val static : float -> t
 (** [static p] with [p] clamped to [0, 1]. *)
 
-val of_curve : Fault_curve.t -> (t, string) result
 val markov : fail_rate:float -> recover_rate:float -> (t, string) result
 
 val to_curve : t -> Fault_curve.t
@@ -68,5 +67,4 @@ val sample_downtime :
     lifetime (no recovery); [Markov] alternates exponential up/down
     dwells. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

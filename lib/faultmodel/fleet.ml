@@ -38,7 +38,3 @@ let most_reliable ?at t =
     (fun a b ->
       match Float.compare probs.(a) probs.(b) with 0 -> Int.compare a b | c -> c)
     ids
-
-let pp fmt t =
-  Format.fprintf fmt "fleet of %d:@." (size t);
-  Array.iter (fun n -> Format.fprintf fmt "  %a@." Node.pp n) t.nodes

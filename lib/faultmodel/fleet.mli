@@ -33,5 +33,3 @@ val expected_failures : ?at:float -> t -> float
 val most_reliable : ?at:float -> t -> int list
 (** Node ids sorted by ascending fault probability (ties by id):
     the order reliability-aware leader election prefers. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,6 +11,3 @@ let default_horizon = 8766. (* one year, in hours *)
 let fault_probability ?(at = default_horizon) t = Fault_curve.eval t.curve at
 let byz_probability ?at t = fault_probability ?at t *. t.byz_fraction
 let crash_probability ?at t = fault_probability ?at t *. (1. -. t.byz_fraction)
-
-let pp fmt t =
-  Format.fprintf fmt "%s: %a (byz %.4f)" t.label Fault_curve.pp t.curve t.byz_fraction

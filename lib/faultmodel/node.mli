@@ -29,5 +29,3 @@ val byz_probability : ?at:float -> t -> float
 (** Probability of a Byzantine fault: [fault_probability * byz_fraction]. *)
 
 val crash_probability : ?at:float -> t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -102,8 +102,6 @@ let create cfg =
   in
   { cfg; truth; states; ticks = 0 }
 
-let config t = t.cfg
-let tick_count t = t.ticks
 let ground_truth_afr t i = t.truth.(i)
 let now t = float_of_int t.ticks *. t.cfg.tick_hours
 

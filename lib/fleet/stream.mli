@@ -51,8 +51,6 @@ type event = {
 type t
 
 val create : config -> t
-val config : t -> config
-val tick_count : t -> int
 
 val ground_truth_afr : t -> int -> float
 (** The hidden per-node {e base} AFR — tests and drift checks only;

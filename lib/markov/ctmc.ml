@@ -12,8 +12,6 @@ let add_rate t ~src ~dst rate =
   t.q.(src).(dst) <- t.q.(src).(dst) +. rate;
   t.q.(src).(src) <- t.q.(src).(src) -. rate
 
-let size t = t.n
-
 let generator t = Linalg.copy t.q
 
 let steady_state t = Linalg.solve_normalized_nullspace t.q

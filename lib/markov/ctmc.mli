@@ -16,8 +16,6 @@ val add_rate : t -> src:int -> dst:int -> float -> unit
 (** Accumulate a transition rate; diagonal entries are maintained
     automatically. Rates must be nonnegative and [src <> dst]. *)
 
-val size : t -> int
-
 val generator : t -> Linalg.matrix
 (** The generator matrix Q (rows sum to zero). *)
 

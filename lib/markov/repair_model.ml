@@ -60,5 +60,3 @@ let mttdl spec =
     if k > 0 then Ctmc.add_rate chain ~src:k ~dst:(k - 1) (float_of_int k *. spec.mu)
   done;
   Ctmc.expected_time_to_absorption chain ~absorbing:(fun k -> k >= copies) ~start:0
-
-let nines_of_availability spec = Prob.Nines.of_prob (availability spec)

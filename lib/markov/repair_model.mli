@@ -18,10 +18,6 @@ type spec = {
 val of_afr : n:int -> quorum:int -> afr:float -> mttr_hours:float -> spec
 (** Build a spec from the fleet metrics operators actually track. *)
 
-val availability_chain : spec -> Ctmc.t
-(** Birth-death chain over [0..n] failed nodes, repairs enabled
-    everywhere (for steady-state availability). *)
-
 val mttf : spec -> float
 (** Mean time, starting from an all-healthy cluster, until fewer than
     [quorum] nodes are alive — loss of liveness. Repairs operate in the
@@ -41,5 +37,3 @@ val mttdl : spec -> float
     failed holder is re-replicated at rate [mu]; data is lost when all
     holders are simultaneously failed (the RAID-style computation, with
     k = quorum copies). *)
-
-val nines_of_availability : spec -> float

@@ -56,6 +56,7 @@ type t = {
 let create ?(enabled = false) () =
   { on = Atomic.make enabled; lock = Mutex.create (); table = Hashtbl.create 64 }
 
+(* The process-global registry every library-level metric lives in. *)
 let default = create ()
 
 let set_enabled ?(registry = default) flag = Atomic.set registry.on flag
@@ -248,9 +249,6 @@ let find snapshot ~family ~name =
     (fun s -> if s.family = family && s.name = name then Some s.value else None)
     snapshot
 
-let families snapshot =
-  List.sort_uniq compare (List.map (fun s -> s.family) snapshot)
-
 (* --- JSON ---------------------------------------------------------- *)
 
 let sample_to_json { family; name; value } =
@@ -299,21 +297,6 @@ let sample_of_json json =
       | other -> Error (Printf.sprintf "unknown sample kind %S" other))
   | _ -> Error "sample without family/name/kind"
 
-let to_json snapshot = Json.List (List.map sample_to_json snapshot)
-
-let of_json json =
-  match Json.to_list json with
-  | None -> Error "snapshot is not a JSON list"
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match sample_of_json item with
-            | Ok sample -> go (sample :: acc) rest
-            | Error _ as e -> e)
-      in
-      go [] items
-
 let to_jsonl snapshot =
   String.concat ""
     (List.map (fun s -> Json.to_string (sample_to_json s) ^ "\n") snapshot)
@@ -341,10 +324,3 @@ let write_jsonl ~path snapshot =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_jsonl snapshot))
-
-let pp_value fmt = function
-  | Counter v -> Format.fprintf fmt "%d" v
-  | Gauge v -> Format.fprintf fmt "%d" v
-  | Histogram h ->
-      Format.fprintf fmt "count=%d p50=%.3g p90=%.3g p99=%.3g max=%.3g" h.count
-        h.p50 h.p90 h.p99 h.max

@@ -25,12 +25,11 @@ type t
 val create : ?enabled:bool -> unit -> t
 (** Fresh registry, disabled by default. *)
 
-val default : t
-(** The process-global registry every library-level metric lives in.
-    Disabled until {!set_enabled}; [bin/main.exe --metrics FILE]
-    switches it on. *)
-
 val set_enabled : ?registry:t -> bool -> unit
+(** Every [?registry] defaults to the process-global registry that
+    every library-level metric lives in. It is disabled until
+    [set_enabled true]; [bin/main.exe --metrics FILE] switches it on. *)
+
 val enabled : ?registry:t -> unit -> bool
 
 val reset : ?registry:t -> unit -> unit
@@ -98,18 +97,8 @@ val snapshot : ?registry:t -> unit -> snapshot
     metric family linked into the program. *)
 
 val find : snapshot -> family:string -> name:string -> value option
-val families : snapshot -> string list
-(** Sorted, without duplicates. *)
 
 (** {1 JSON encoding} *)
-
-val sample_to_json : sample -> Json.t
-val sample_of_json : Json.t -> (sample, string) result
-
-val to_json : snapshot -> Json.t
-(** A JSON list of sample objects. *)
-
-val of_json : Json.t -> (snapshot, string) result
 
 val to_jsonl : snapshot -> string
 (** JSON-lines: one sample object per line. *)
@@ -118,5 +107,3 @@ val of_jsonl : string -> (snapshot, string) result
 
 val write_jsonl : path:string -> snapshot -> unit
 (** Write {!to_jsonl} to [path] (truncating). *)
-
-val pp_value : Format.formatter -> value -> unit

@@ -18,16 +18,6 @@ val ranges : ?chunks:int -> total:int -> unit -> (int * int) array
     into [min chunks total] contiguous [(lo, hi)] half-open ranges of
     near-equal size, in ascending order. Empty when [total <= 0]. *)
 
-val map_ranges :
-  ?domains:int ->
-  ?chunks:int ->
-  total:int ->
-  (chunk:int -> lo:int -> hi:int -> 'a) ->
-  'a array
-(** Evaluate one task per range, in parallel, returning per-chunk
-    results in chunk order. [chunk] is the range's index — use it to
-    derive per-chunk RNG streams. *)
-
 val sum :
   ?domains:int -> ?chunks:int -> total:int -> (lo:int -> hi:int -> float) -> float
 (** Kahan-reduced sum of per-chunk partial sums, in chunk order. *)

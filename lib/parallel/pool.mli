@@ -13,9 +13,6 @@
     sequentially, so nested parallel code cannot oversubscribe the
     machine or exhaust the runtime's domain limit. *)
 
-val max_workers : int
-(** Hard cap on lanes (126): the OCaml runtime supports 128 domains. *)
-
 val default : unit -> int
 (** Default lane count: [PROBCONS_DOMAINS] if set and parseable,
     otherwise [max 1 (Domain.recommended_domain_count () - 1)]. *)

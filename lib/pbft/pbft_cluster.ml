@@ -54,18 +54,6 @@ let inject t plan =
     ~set_byzantine:(fun id flag -> Pbft_node.set_byzantine t.nodes.(id) flag)
     plan
 
-let partition_at t ~time group_a group_b =
-  ignore
-    (Dessim.Engine.schedule_at t.engine ~time (fun () ->
-         Dessim.Network.partition t.net group_a group_b))
-
-let heal_at t ~time =
-  ignore
-    (Dessim.Engine.schedule_at t.engine ~time (fun () -> Dessim.Network.heal t.net))
-
 let run t ~until = Dessim.Engine.run ~until t.engine
 
 let executed t i = Pbft_node.executed_commands t.nodes.(i)
-
-let message_stats t =
-  (Dessim.Network.messages_sent t.net, Dessim.Network.messages_delivered t.net)

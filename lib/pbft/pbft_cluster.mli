@@ -28,16 +28,6 @@ val submit_workload : t -> commands:int list -> start:float -> interval:float ->
 val inject : t -> Dessim.Fault_injector.plan -> unit
 (** Supports both crash and Byzantine faults. *)
 
-val partition_at : t -> time:float -> int list -> int list -> unit
-(** Schedule a network partition between the two groups. *)
-
-val heal_at : t -> time:float -> unit
-
 val run : t -> until:float -> unit
 
 val executed : t -> int -> int list
-
-val message_stats : t -> int * int
-(** [(sent, delivered)] network message counters — the communication
-    cost the paper's related work (probabilistic quorums, committee
-    sampling) trades against. *)

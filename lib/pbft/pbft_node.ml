@@ -75,7 +75,6 @@ type t = {
 }
 
 let id t = t.config.id
-let view t = t.view
 let primary_of t v = ((v mod t.config.n) + t.config.n) mod t.config.n
 let is_primary t = primary_of t t.view = t.config.id && not t.down
 let executed_commands t =

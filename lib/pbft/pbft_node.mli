@@ -45,8 +45,6 @@ val create :
   trace:Dessim.Trace.t -> t
 
 val id : t -> int
-val view : t -> int
-val is_primary : t -> bool
 val executed_commands : t -> int list
 (** Commands executed, in sequence order. *)
 

@@ -9,22 +9,3 @@ type msg =
   | New_view of { view : int; pre_prepares : (int * int) list }
   | Status of { exec_next : int; replica : int }
   | State_transfer of { entries : (int * int) list; replica : int }
-
-let pp_msg fmt = function
-  | Request { command } -> Format.fprintf fmt "Request(%d)" command
-  | Pre_prepare { view; seq; command } ->
-      Format.fprintf fmt "PrePrepare(v=%d, s=%d, cmd=%d)" view seq command
-  | Prepare { view; seq; command; replica } ->
-      Format.fprintf fmt "Prepare(v=%d, s=%d, cmd=%d, from=%d)" view seq command replica
-  | Commit { view; seq; command; replica } ->
-      Format.fprintf fmt "Commit(v=%d, s=%d, cmd=%d, from=%d)" view seq command replica
-  | View_change { new_view; replica; prepared } ->
-      Format.fprintf fmt "ViewChange(v=%d, from=%d, |P|=%d)" new_view replica
-        (List.length prepared)
-  | New_view { view; pre_prepares } ->
-      Format.fprintf fmt "NewView(v=%d, %d slots)" view (List.length pre_prepares)
-  | Status { exec_next; replica } ->
-      Format.fprintf fmt "Status(next=%d, from=%d)" exec_next replica
-  | State_transfer { entries; replica } ->
-      Format.fprintf fmt "StateTransfer(%d entries, from=%d)" (List.length entries)
-        replica

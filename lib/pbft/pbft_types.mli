@@ -26,5 +26,3 @@ type msg =
           receiver only adopts an entry once [q_vc_t] distinct replicas
           vouch for it (the checkpoint-certificate analogue: enough
           vouchers that one is correct). *)
-
-val pp_msg : Format.formatter -> msg -> unit

@@ -56,7 +56,6 @@ let create ?(drift_bound = default_drift_bound) probs =
     updates = 0;
   }
 
-let n t = Array.length t.probs
 let prob t i = t.probs.(i)
 let probs t = Array.copy t.probs
 let refresh_count t = t.refreshes

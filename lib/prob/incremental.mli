@@ -32,7 +32,6 @@ val create : ?drift_bound:float -> float array -> t
 (** Build from per-node success probabilities (clamped to [0, 1]) via
     one full DP. O(n^2). The input array is copied. *)
 
-val n : t -> int
 val prob : t -> int -> float
 (** Current probability of factor [i]. *)
 

@@ -32,7 +32,3 @@ let estimate_bool ?(trials = 100_000) rng f =
   { mean = float_of_int successes /. float_of_int trials; trials; successes; ci_low; ci_high }
 
 let within e p = p >= e.ci_low && p <= e.ci_high
-
-let pp fmt e =
-  Format.fprintf fmt "%.6f [%.6f, %.6f] (%d/%d)" e.mean e.ci_low e.ci_high e.successes
-    e.trials

@@ -21,5 +21,3 @@ val wilson_interval : successes:int -> trials:int -> float * float
 
 val within : estimate -> float -> bool
 (** [within e p] is true when [p] lies inside the 95% interval. *)
-
-val pp : Format.formatter -> estimate -> unit

@@ -17,8 +17,6 @@ let of_pair seed index =
   let jumped = Int64.add base (Int64.mul golden_gamma (Int64.of_int (index + 1))) in
   { state = mix jumped }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state

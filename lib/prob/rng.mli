@@ -18,8 +18,6 @@ val of_pair : int -> int -> t
     Monte Carlo assigns to chunks, so estimates depend only on
     [(seed, chunking)], never on domain count or scheduling. *)
 
-val copy : t -> t
-
 val split : t -> t
 (** Derive a statistically independent generator; advances [t] once. *)
 

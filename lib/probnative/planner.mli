@@ -31,9 +31,6 @@ val plan : ?at:float -> target:float -> Faultmodel.Fleet.t -> plan option
     if the minimal committee admits no flexible sizing at the target,
     majority quorums on that committee are used. *)
 
-val committee_fleet : Faultmodel.Fleet.t -> plan -> Faultmodel.Fleet.t
-(** The sub-fleet the plan runs on (committee members, re-indexed). *)
-
 type execution = {
   safe : bool;
   live : bool;

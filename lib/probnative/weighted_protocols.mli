@@ -13,6 +13,3 @@
     The entries {!Probcons.Registry.register} themselves when this
     module is linked (the library is built with [-linkall], so linking
     [probnative] suffices — the CLI, service and tests all see them). *)
-
-val raft_weighted : Probcons.Registry.entry
-val committee_weighted : Probcons.Registry.entry

@@ -45,15 +45,3 @@ let evaluate_rw ~n ~r ~w ~p =
     write_availability = availability w;
   }
 
-let pp_rw_report fmt t =
-  Format.fprintf fmt
-    "R=%d W=%d of %d: consistent=%b, reads %s, writes %s" t.r t.w t.n t.consistent
-    (Prob.Nines.percent_string t.read_availability)
-    (Prob.Nines.percent_string t.write_availability)
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>%a:@ min quorum %d, load %.4f, capacity %.2f, availability %a@]"
-    Quorum_system.pp r.system r.min_quorum r.load r.capacity
-    (Prob.Nines.pp_percent ?sig_nines:None)
-    r.availability

@@ -14,15 +14,9 @@ type report = {
   failure_probability : float;  (** 1 - availability — Naor–Wool F_p. *)
 }
 
-val evaluate : Quorum_system.t -> float array -> report
-(** Heterogeneous evaluation at the given per-node fault
-    probabilities. *)
-
 val evaluate_uniform : Quorum_system.t -> p:float -> report
 (** Classical evaluation with every node failing with probability
     [p]. *)
-
-val pp_report : Format.formatter -> report -> unit
 
 type rw_report = {
   n : int;
@@ -40,5 +34,3 @@ val evaluate_rw : n:int -> r:int -> w:int -> p:float -> rw_report
     read quorums favour read availability; the consistency condition
     then forces large, fragile write quorums — the same
     structure-vs-probability tension the paper exposes in consensus. *)
-
-val pp_rw_report : Format.formatter -> rw_report -> unit

@@ -52,8 +52,6 @@ let contains_quorum t s =
       grid_has_full_row ~rows ~cols s && grid_has_full_col ~rows ~cols s
   | Explicit { quorums; _ } -> List.exists (fun q -> Subset.subset q s) quorums
 
-let is_quorum = contains_quorum
-
 let minimal_quorums t =
   match t with
   | Threshold { n; k } ->
@@ -229,12 +227,3 @@ let uniform_strategy_load t =
     let busiest = Array.fold_left max 0 counts in
     float_of_int busiest /. float_of_int m
   end
-
-let pp fmt = function
-  | Threshold { n; k } -> Format.fprintf fmt "threshold(%d of %d)" k n
-  | Weighted { weights; threshold } ->
-      Format.fprintf fmt "weighted(threshold %d over %d nodes)" threshold
-        (Array.length weights)
-  | Grid { rows; cols } -> Format.fprintf fmt "grid(%dx%d)" rows cols
-  | Explicit { n; quorums } ->
-      Format.fprintf fmt "explicit(%d quorums over %d nodes)" (List.length quorums) n

@@ -36,11 +36,6 @@ val size : t -> int
 val contains_quorum : t -> Subset.t -> bool
 (** Does the given live-set contain at least one quorum? *)
 
-val is_quorum : t -> Subset.t -> bool
-(** Is this exact subset a quorum (a superset of some minimal
-    quorum)? Identical to {!contains_quorum}; provided for readability
-    at call sites. *)
-
 val min_quorum_size : t -> int
 
 val minimal_quorums : t -> Subset.t list
@@ -58,34 +53,24 @@ val intersects_in : t -> t -> int
     safety conditions are assertions that such minima are >= 1 (CFT) or
     large enough to contain a correct node (BFT). *)
 
-val auto_exact_max : int
-(** Node count above which {!availability} auto-selects a convolution
-    DP over 2^n subset enumeration for weighted systems (20 — the
-    enumeration path tops out around n = 24). *)
-
-val max_weight_dp : int
-(** Largest total weight the weighted DP will allocate a distribution
-    for. *)
-
 val weighted_dp : weights:int array -> threshold:int -> float array -> float
 (** The O(n*W) weight-convolution DP behind the weighted fast path,
     callable at any node count — the cross-validation surface against
-    [~exact:true] enumeration at small n. *)
+    [~exact:true] enumeration at small n. Raises [Invalid_argument] for
+    a negative weight or a total weight above 1,000,000. *)
 
 val availability : ?domains:int -> ?exact:bool -> t -> float array -> float
 (** [availability qs probs] = probability that the set of live nodes
     contains a quorum, when node [u] fails independently with
     probability [probs.(u)]. Threshold systems use the Poisson-binomial
-    count DP; weighted systems use 2^n enumeration up to
-    {!auto_exact_max} nodes and an O(n*W) DP over total live weight
-    beyond; grid/explicit systems always enumerate. [~exact:true]
-    forces subset enumeration everywhere (n <= [Subset.max_enumeration]
-    required) — the override and cross-validation surface for the DP
-    paths. *)
+    count DP; weighted systems use 2^n enumeration up to 20 nodes
+    (the enumeration path tops out around n = 24) and an O(n*W) DP
+    over total live weight beyond; grid/explicit systems always
+    enumerate. [~exact:true] forces subset enumeration everywhere
+    (n <= [Subset.max_enumeration] required) — the override and
+    cross-validation surface for the DP paths. *)
 
 val uniform_strategy_load : t -> float
 (** Load of the strategy that picks uniformly among minimal quorums
     (an upper bound on the Naor–Wool system load): the busiest node's
     access probability. *)
-
-val pp : Format.formatter -> t -> unit

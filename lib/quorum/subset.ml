@@ -60,6 +60,3 @@ let fold_subsets n ~init ~f =
   let acc = ref init in
   iter_subsets n (fun s -> acc := f !acc s);
   !acc
-
-let pp fmt s =
-  Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int (to_list s)))

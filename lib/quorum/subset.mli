@@ -43,5 +43,3 @@ val iter_ksubsets : int -> int -> (t -> unit) -> unit
 (** Apply to all size-[k] subsets of [0..n-1], in Gosper order. *)
 
 val fold_subsets : int -> init:'a -> f:('a -> t -> 'a) -> 'a
-
-val pp : Format.formatter -> t -> unit

@@ -20,9 +20,7 @@ let create ?(seed = 7) ?latency ?drop_probability ?f ~n () =
   { engine; net; nodes; trace }
 
 let engine t = t.engine
-let trace t = t.trace
 let node t i = t.nodes.(i)
-let size t = Array.length t.nodes
 
 let submit_workload t ~commands ~start ~interval =
   List.iteri

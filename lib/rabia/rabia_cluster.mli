@@ -12,9 +12,7 @@ val create :
   t
 
 val engine : t -> Dessim.Engine.t
-val trace : t -> Dessim.Trace.t
 val node : t -> int -> Rabia_node.t
-val size : t -> int
 
 val submit_workload : t -> commands:int list -> start:float -> interval:float -> unit
 (** Client broadcast: each command reaches every replica's queue. *)

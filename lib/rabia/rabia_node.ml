@@ -52,9 +52,7 @@ type t = {
   mutable down : bool;
 }
 
-let id t = t.config.id
 let committed t = Dessim.Vec.to_list t.log
-let current_slot t = t.slot
 let alive t = not t.down
 
 let record t tag detail =

@@ -45,13 +45,11 @@ val create :
   trace:Dessim.Trace.t ->
   t
 
-val id : t -> int
 val submit : t -> int -> unit
 (** Enqueue a client command (idempotent per command id). *)
 
 val committed : t -> int list
 (** Committed non-null commands, in slot order. *)
 
-val current_slot : t -> int
 val set_down : t -> bool -> unit
 val alive : t -> bool

@@ -3,17 +3,3 @@ type msg =
   | Report of { slot : int; round : int; value : int; from : int }
   | Vote of { slot : int; round : int; value : int option; from : int }
   | Decision of { slot : int; value : int; command : int option; from : int }
-
-let pp_msg fmt = function
-  | Proposal { slot; command; from } ->
-      Format.fprintf fmt "Proposal(s=%d, cmd=%d, from=%d)" slot command from
-  | Report { slot; round; value; from } ->
-      Format.fprintf fmt "Report(s=%d, r=%d, v=%d, from=%d)" slot round value from
-  | Vote { slot; round; value; from } ->
-      Format.fprintf fmt "Vote(s=%d, r=%d, v=%s, from=%d)" slot round
-        (match value with Some v -> string_of_int v | None -> "_")
-        from
-  | Decision { slot; value; command; from } ->
-      Format.fprintf fmt "Decision(s=%d, v=%d, cmd=%s, from=%d)" slot value
-        (match command with Some c -> string_of_int c | None -> "_")
-        from

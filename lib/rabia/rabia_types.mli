@@ -19,5 +19,3 @@ type msg =
   | Decision of { slot : int; value : int; command : int option; from : int }
       (** Decided outcome; carries the committed command when the
           outcome is 1 so laggards can adopt it. *)
-
-val pp_msg : Format.formatter -> msg -> unit

@@ -50,6 +50,3 @@ type msg =
   | Read_probe_reply of { term : int; follower_id : int; round : int }
       (** The echo, carrying the follower's term: a newer term deposes
           a stale leader. *)
-
-val pp_msg : Format.formatter -> msg -> unit
-val pp_command : Format.formatter -> command -> unit

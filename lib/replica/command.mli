@@ -30,18 +30,14 @@ type op =
           barrier commits, the leader's applied state is at least as
           fresh as every write acknowledged before the read began. *)
 
-val to_json : op -> Obs.Json.t
-(** Canonical: fixed field order, [nonce] omitted when 0. *)
-
 val to_string : op -> string
+(** Canonical JSON: fixed field order, [nonce] omitted when 0. *)
 
 val id : op -> string
 (** The replication command id — the canonical JSON bytes. Equal ops
     have equal ids; the dedup key for idempotent apply. *)
 
-val of_json : Obs.Json.t -> (op, string) result
+val of_string : string -> (op, string) result
 (** Total decoder; validates store names (1..64 bytes of
     [[A-Za-z0-9._-]]) and scenario contents. A ["warm"] record, the
     cache-warming op of older segments, decodes as [Barrier]. *)
-
-val of_string : string -> (op, string) result

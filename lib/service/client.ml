@@ -348,7 +348,6 @@ module Multi = struct
       conn = None;
     }
 
-  let endpoints m = Array.length m.targets
   let current m = m.pinned
 
   let drop m =

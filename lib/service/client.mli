@@ -27,10 +27,13 @@
       retried: its budget is spent, and the poisoned connection is
       dropped so a late reply can never answer a later call.
 
-    {!send_line}/{!recv_line} expose the raw blocking body transport
-    (one frame per body) so tests and the load generator can pipeline
-    many requests before collecting replies, or send deliberately
-    malformed bodies. Not thread-safe — use one client per thread. *)
+    The raw blocking body transport (one frame per body) has no
+    deadline, retry or reply check. The load generator pipelines over
+    {!send_lines} and {!recv_line_timeout}; the CLI's [call] makes one
+    round trip with {!call_raw}; {!send_line} and {!recv_line} send and
+    receive one body at a time, for tests that pipeline or send
+    deliberately malformed bodies. Not thread-safe — use one client per
+    thread. *)
 
 type target = Unix_path of string | Tcp of int
 (** [Tcp port] connects to 127.0.0.1. *)
@@ -80,8 +83,8 @@ val recv_line : t -> string option
 val call_raw : t -> string -> string option
 (** [send_line] then [recv_line], reading even when the send fails,
     so a reply sent before the server closed (the connection-cap
-    goodbye) still arrives. Blocking, no retries — the raw transport
-    for tests that pipeline or corrupt on purpose. *)
+    goodbye) still arrives. Blocking, no retries — the raw round trip
+    behind the CLI's [call], which sends any body as given. *)
 
 val recv_line_timeout : t -> timeout:float -> string option
 (** {!recv_line} bounded by a deadline [timeout] seconds out: [None]
@@ -150,7 +153,6 @@ module Multi : sig
       [Invalid_argument] on an empty endpoint list. Connections are
       opened lazily on first call. *)
 
-  val endpoints : t -> int
   val current : t -> int
   (** Index of the endpoint calls are currently pinned to. *)
 

@@ -42,8 +42,8 @@ let encode ?(max_payload_bytes = max_payload_bytes) payload =
 
 (* Incremental decoder: a flat grow-and-compact byte window plus a
    queue of completed payloads. [feed] cuts every complete frame it
-   can, so the window only ever holds one partial frame — [buffered]
-   is bounded by header + the decoder's payload limit. *)
+   can, so the window only ever holds one partial frame, bounded by
+   header + the decoder's payload limit. *)
 type decoder = {
   limit : int;
   mutable buf : Bytes.t;
@@ -68,8 +68,6 @@ let reset d =
   d.len <- 0;
   Queue.clear d.frames;
   d.err <- None
-
-let buffered d = d.len
 
 let ensure_room d extra =
   let need = d.len + extra in

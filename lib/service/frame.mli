@@ -92,9 +92,5 @@ val next : decoder -> (string option, error) result
     needed. Queued frames decoded before a trailing corruption are
     still delivered first; then the latched error. *)
 
-val buffered : decoder -> int
-(** Bytes held for an incomplete frame — the backpressure bound a
-    reader can check. *)
-
 val reset : decoder -> unit
 (** Drop buffered bytes, queued frames and any latched error. *)

@@ -149,10 +149,9 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
           match Client.call_line c ~id:slot bodies.(slot) with
           | Error (code, _) -> record_error code
           | Ok reply -> (
-              match Wire.parse_response reply with
-              | Ok { Wire.body = Ok _; _ } ->
-                  record_ok slot reply (Unix.gettimeofday () -. t0)
-              | Ok { Wire.body = Error (code, _); _ } -> record_error code
+              match Wire.response_verdict reply with
+              | Ok (_, Ok ()) -> record_ok slot reply (Unix.gettimeofday () -. t0)
+              | Ok (_, Error (code, _)) -> record_error code
               | Error _ -> record_error Wire.Parse_error)
         done)
   in
@@ -194,10 +193,11 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
     (* Steady-state fast path: on the clean cached path every reply
        for a slot is byte-identical to that slot's baseline, and ids
        render at a fixed offset ({"v": 3, "id": N, ...). Scan the id,
-       compare bytes, and skip JSON parsing entirely — the parse is
+       compare bytes, and skip the JSON walk entirely — the walk is
        pure overhead once identity holds, and the client threads share
        the runtime lock with everything else in-process. Anything
-       unexpected falls back to the full parse-and-classify path. *)
+       unexpected falls back to [Wire.response_verdict], which checks
+       the whole reply but builds only its id and an error member. *)
     let id_prefix = "{\"v\": 3, \"id\": " in
     let id_at = String.length id_prefix in
     let fast_rid reply =
@@ -239,16 +239,16 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
       | None -> lost ()
       | Some reply -> (
           if not (recv_fast reply) then
-          match Wire.parse_response reply with
-          | Ok { Wire.rid = Some rid; body; _ } -> (
+          match Wire.response_verdict reply with
+          | Ok (Some rid, verdict) -> (
               match take_inflight rid with
               | None -> lost () (* foreign id: framing untrustworthy *)
               | Some e -> (
-                  match body with
-                  | Ok _ ->
+                  match verdict with
+                  | Ok () ->
                       record_ok e.slot reply (Unix.gettimeofday () -. e.sent_at)
                   | Error (code, _) -> record_error code))
-          | Ok { Wire.rid = None; _ } | Error _ -> lost ())
+          | Ok (None, _) | Error _ -> lost ())
     in
     while keep_going !sent do
       (* Fill the window: frame every missing request into one batch
@@ -294,7 +294,6 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
       measured_start := Unix.gettimeofday ();
       Atomic.set recording true;
       Unix.sleepf (Float.max 0.01 d);
-      !measured_end |> ignore;
       measured_end := Unix.gettimeofday ();
       Atomic.set stop true);
   List.iter Thread.join threads;

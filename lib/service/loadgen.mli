@@ -39,10 +39,11 @@
 
 val query_pool : int -> Wire.query array
 (** The request corpus: [query_pool distinct] builds that many
-    pairwise-distinct analyze scenarios (encoded via
+    pairwise-distinct queries, two analyze scenarios (encoded via
     [Probcons.Scenario.to_json] — the real canonical encoder, so the
-    server's cache-key canonicalization is what gets load-tested).
-    Exposed for tests. *)
+    server's cache-key canonicalization is what gets load-tested) to
+    every fleet-controller run. The DST ["service"] system
+    ([Dst.Service_case]) builds its requests from it too. *)
 
 type result = {
   clients : int;

@@ -83,7 +83,6 @@ type request = { id : int; query : query }
    a [bad_request], not a hung worker. The fleet bound is the scenario
    layer's (one validator for CLI, wire and files); per-model bounds
    come from the registry at parse time. *)
-let max_fleet_nodes = Probcons.Scenario.max_fleet_nodes
 let max_enum_nodes = 22
 let max_threshold_nodes = 1000
 let max_markov_nodes = 64
@@ -594,18 +593,14 @@ let response_shape keys body =
       | ok, error -> Ok (rid, ok, error))
 
 let id_only = Obs.Json.[| Build "id"; Find "ok"; Find "error" |]
+let verdict = Obs.Json.[| Build "id"; Find "ok"; Build "error" |]
 let whole = Obs.Json.[| Build "id"; Build "ok"; Build "error" |]
 
-let response_id body = Result.map (fun (rid, _, _) -> rid) (response_shape id_only body)
-
-let parse_response body =
-  match response_shape whole body with
-  | Error _ as e -> e
-  | Ok (rid, Built payload, _) -> Ok { rid; body = Ok payload; rhint = None }
-  | Ok (rid, _, error) ->
-      let field key =
-        match error with Obs.Json.Built err -> Obs.Json.member key err | _ -> None
-      in
+(* The one reading of an error member: its code (unknown or missing
+   is [Internal]), message and redirect hint. *)
+let error_member = function
+  | Obs.Json.Built err ->
+      let field key = Obs.Json.member key err in
       let code =
         Option.bind (Option.bind (field "code") Obs.Json.to_string_opt) code_of_string
         |> Option.value ~default:Internal
@@ -613,5 +608,23 @@ let parse_response body =
       let msg =
         Option.bind (field "msg") Obs.Json.to_string_opt |> Option.value ~default:""
       in
-      let rhint = Option.bind (field "hint") Obs.Json.to_int in
+      (code, msg, Option.bind (field "hint") Obs.Json.to_int)
+  | Obs.Json.Absent | Obs.Json.Found -> (Internal, "", None)
+
+let response_id body = Result.map (fun (rid, _, _) -> rid) (response_shape id_only body)
+
+let response_verdict body =
+  match response_shape verdict body with
+  | Error _ as e -> e
+  | Ok (rid, Found, _) -> Ok (rid, Ok ())
+  | Ok (rid, _, error) ->
+      let code, msg, _ = error_member error in
+      Ok (rid, Error (code, msg))
+
+let parse_response body =
+  match response_shape whole body with
+  | Error _ as e -> e
+  | Ok (rid, Built payload, _) -> Ok { rid; body = Ok payload; rhint = None }
+  | Ok (rid, _, error) ->
+      let code, msg, rhint = error_member error in
       Ok { rid; body = Error (code, msg); rhint }

@@ -138,10 +138,6 @@ val protocol_version : int
 val protocol_name : string
 (** ["probcons-wire/3"] — the protocol identifier. *)
 
-val max_fleet_nodes : int
-(** Largest fleet any query may describe — re-exported from
-    {!Probcons.Scenario.max_fleet_nodes}, the single mix validator. *)
-
 val max_fleet_ctrl_nodes : int
 (** Largest fleet a [fleet_recommend]/[fleet_ingest] closed loop may
     run (256): per-tick verification is O(nodes^2). *)
@@ -227,3 +223,11 @@ val response_id : string -> (int option, string) result
     otherwise. One walk checks the whole body, deep payload included,
     but builds only the id, so what it allocates does not grow with
     the payload. *)
+
+val response_verdict :
+  string -> (int option * (unit, error_code * string) result, string) result
+(** {!parse_response} without the payload: [Ok (rid, Ok ())] exactly
+    when {!parse_response} is [Ok { rid; body = Ok _; _ }],
+    [Ok (rid, Error e)] when it is [Ok { rid; body = Error e; _ }],
+    and the same [Error] otherwise. It is {!response_id}'s walk, which
+    also builds an error member; it never builds an ok payload. *)

@@ -67,7 +67,3 @@ let pop t =
   end
 
 let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
-
-let clear t =
-  t.len <- 0;
-  t.heap <- [||]

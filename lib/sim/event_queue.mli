@@ -17,5 +17,3 @@ val pop : 'a t -> (float * 'a) option
 (** Earliest event, or [None] when empty. *)
 
 val peek_time : 'a t -> float option
-
-val clear : 'a t -> unit

@@ -108,4 +108,3 @@ let heal t = t.cut_pairs <- []
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-let size t = t.n

@@ -45,4 +45,3 @@ val heal : 'msg t -> unit
 
 val messages_sent : 'msg t -> int
 val messages_delivered : 'msg t -> int
-val size : 'msg t -> int

@@ -14,6 +14,3 @@ let filter t ~tag = List.filter (fun e -> e.tag = tag) (entries t)
 
 let count t ~tag =
   List.fold_left (fun acc e -> if e.tag = tag then acc + 1 else acc) 0 t.rev_entries
-
-let pp_entry fmt e =
-  Format.fprintf fmt "[%8.2f] node %d %s %s" e.time e.node e.tag e.detail

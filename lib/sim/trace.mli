@@ -20,4 +20,3 @@ val entries : t -> entry list
 
 val filter : t -> tag:string -> entry list
 val count : t -> tag:string -> int
-val pp_entry : Format.formatter -> entry -> unit

@@ -487,8 +487,9 @@ let prop_parser_matches_reference =
    for are the tree's top-level keys when it parses, and the text's
    quoted runs otherwise, so walks that build part of a broken document
    run too. The same inputs, wrapped into response bodies, get the same
-   verdict, message and id from [Wire.response_id] as from
-   [Wire.parse_response]. *)
+   verdict, message and id from [Wire.response_id] and
+   [Wire.response_verdict] as from [Wire.parse_response], and the same
+   error code and message from [response_verdict]. *)
 let quoted_runs s =
   String.split_on_char '"' s |> List.filteri (fun i _ -> i mod 2 = 1)
 
@@ -528,10 +529,24 @@ let prop_members_match_of_string =
             (match tree with Ok t -> "Ok " ^ Obs.Json.to_string t | Error m -> "Error " ^ m));
       List.for_all
         (fun body ->
-          match (Service.Wire.response_id body, Service.Wire.parse_response body) with
-          | Ok rid, Ok r when rid = r.Service.Wire.rid -> true
-          | Error a, Error b when String.equal a b -> true
-          | _ -> QCheck.Test.fail_reportf "response_id and parse_response disagree on %S" body)
+          let same_verdict v (r : Service.Wire.response) =
+            match (v, r.body) with
+            | Ok (), Ok _ -> true
+            | Error e, Error e' -> e = e'
+            | _ -> false
+          in
+          match
+            ( Service.Wire.response_id body,
+              Service.Wire.response_verdict body,
+              Service.Wire.parse_response body )
+          with
+          | Ok rid, Ok (rid', v), Ok r
+            when rid = r.Service.Wire.rid && rid' = r.rid && same_verdict v r ->
+              true
+          | Error a, Error b, Error c when String.equal a c && String.equal b c -> true
+          | _ ->
+              QCheck.Test.fail_reportf
+                "response_id, response_verdict and parse_response disagree on %S" body)
         [
           s;
           {|{"v": 3, "id": 7, "ok": |} ^ s ^ "}";

@@ -824,11 +824,10 @@ let test_sub_millisecond_budget () =
       expect_timeout ~within:(0., 0.1) "0.5 ms budget" (fun () ->
           Client.call c ~timeout:0.0005 ~id:1 Wire.Ping))
 
-(* The peer reads one request and answers it [delay] seconds later. One
-   decoder per request is enough: the client sends the next request
-   only after the previous reply. *)
-let answer peer delay =
-  let frames = Frame.create () and chunk = Bytes.create 4096 in
+(* The id of the next request on [peer], read through [frames]; fails
+   with "client closed" at EOF. *)
+let next_request_id peer frames =
+  let chunk = Bytes.create 4096 in
   let rec next () =
     match Frame.next frames with
     | Ok (Some body) -> body
@@ -840,11 +839,17 @@ let answer peer delay =
     | Error e -> failwith (Frame.error_message e)
   in
   match Wire.parse_request (next ()) with
-  | Ok { Wire.id; _ } ->
-      Thread.delay delay;
-      let reply = Frame.encode (Wire.encode_ok ~id ~payload:"{}") in
-      ignore (Unix.write_substring peer reply 0 (String.length reply))
+  | Ok { Wire.id; _ } -> id
   | Error (_, _, msg) -> failwith msg
+
+(* The peer reads one request and answers it [delay] seconds later. One
+   decoder per request is enough: the client sends the next request
+   only after the previous reply. *)
+let answer peer delay =
+  let id = next_request_id peer (Frame.create ()) in
+  Thread.delay delay;
+  let reply = Frame.encode (Wire.encode_ok ~id ~payload:"{}") in
+  ignore (Unix.write_substring peer reply 0 (String.length reply))
 
 let expect_ok what = function
   | Ok _ -> ()
@@ -916,6 +921,88 @@ let test_shorter_deadline_holds () =
       expect_timeout ~within:(0.15, 1.) "0.2 s budget after a 5 s one" (fun () ->
           Client.call c ~timeout:0.2 ~id:2 Wire.Ping))
 
+(* --- The load generator ---------------------------------------------- *)
+
+(* Pipelined load against a real server: every reply is ok and
+   byte-identical to its slot's first. *)
+let test_loadgen_pipelined () =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let server =
+        Server.start { Server.default_config with Server.socket_path = Some socket }
+      in
+      Fun.protect
+        ~finally:(fun () -> Server.stop server)
+        (fun () ->
+          let r =
+            Loadgen.run ~clients:2 ~requests:200 ~pipeline:8
+              ~target:(Client.Unix_path socket) ()
+          in
+          Alcotest.(check int) "ok" 400 r.Loadgen.ok;
+          Alcotest.(check int) "errors" 0 r.errors;
+          Alcotest.(check int) "mismatches" 0 r.mismatches))
+
+(* A peer that answers every request [overloaded], with its id, on each
+   connection in turn until [stop] is set. *)
+let refusing_peer socket stop =
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 4;
+  let serve conn =
+    let frames = Frame.create () in
+    try
+      while true do
+        let id = next_request_id conn frames in
+        let reply = Frame.encode (Wire.encode_error ~id:(Some id) Wire.Overloaded "busy") in
+        ignore (Unix.write_substring conn reply 0 (String.length reply))
+      done
+    with Failure _ | Unix.Unix_error _ -> ()
+  in
+  let rec loop () =
+    let conn, _ = Unix.accept ~cloexec:true listener in
+    if not (Atomic.get stop) then begin
+      Fun.protect ~finally:(fun () -> Unix.close conn) (fun () -> serve conn);
+      loop ()
+    end
+    else Unix.close conn
+  in
+  Thread.create
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close listener;
+          try Unix.unlink socket with Unix.Unix_error _ -> ())
+        loop)
+    ()
+
+(* An error reply counts as an error under its code, never as ok, on
+   the pipelined path and on the serial one. *)
+let test_loadgen_counts_errors () =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let stop = Atomic.make false in
+      let peer = refusing_peer socket stop in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          (* Wake the peer's accept so it sees [stop]. *)
+          (try Client.close (Client.connect (Client.Unix_path socket))
+           with Unix.Unix_error _ -> ());
+          Thread.join peer)
+        (fun () ->
+          List.iter
+            (fun pipeline ->
+              let r =
+                Loadgen.run ~clients:1 ~requests:50 ~pipeline
+                  ~target:(Client.Unix_path socket) ()
+              in
+              let what = Printf.sprintf "pipeline %d" pipeline in
+              Alcotest.(check int) (what ^ ": ok") 0 r.Loadgen.ok;
+              Alcotest.(check int) (what ^ ": errors") 50 r.errors;
+              Alcotest.(check (list (pair string int)))
+                (what ^ ": errors by code") [ ("overloaded", 50) ] r.errors_by_code)
+            [ 8; 1 ]))
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -961,4 +1048,8 @@ let suite =
       test_shorter_deadline_holds;
     Alcotest.test_case "the reply check allocates nothing per payload value" `Quick
       test_response_id_allocation;
+    Alcotest.test_case "pipelined loadgen: every reply ok" `Quick
+      test_loadgen_pipelined;
+    Alcotest.test_case "loadgen counts error replies by code" `Quick
+      test_loadgen_counts_errors;
   ]
