@@ -4,11 +4,11 @@ type t = {
   initial_values : int array;
 }
 
-let create ?(seed = 7) ?latency ?drop_probability ?f ?common_coin ~initial_values () =
+let create ?(seed = 7) ?drop_probability ?f ?common_coin ~initial_values () =
   let n = List.length initial_values in
   if n = 0 then invalid_arg "Benor_cluster.create: need at least one node";
   let engine = Dessim.Engine.create ~seed () in
-  let net = Dessim.Network.create ~engine ~n ?latency ?drop_probability () in
+  let net = Dessim.Network.create ~engine ~n ?drop_probability () in
   let trace = Dessim.Trace.create () in
   let initial_values = Array.of_list initial_values in
   let nodes =

@@ -4,7 +4,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?latency:Dessim.Network.latency ->
   ?drop_probability:float ->
   ?f:int ->
   ?common_coin:int ->

@@ -5,11 +5,14 @@ module IntMap = Map.Make (Int)
 let m_decisions = Obs.Metrics.counter ~family:"protocol" "benor.decisions"
 let m_rounds = Obs.Metrics.counter ~family:"protocol" "benor.rounds"
 
-type config = { id : int; n : int; f : int; max_rounds : int; common_coin : int option }
+type config = { id : int; n : int; f : int; common_coin : int option }
 
 let default_config ~id ~n =
   if n < 1 then invalid_arg "Benor_node.default_config: n must be positive";
-  { id; n; f = (n - 1) / 2; max_rounds = 1000; common_coin = None }
+  { id; n; f = (n - 1) / 2; common_coin = None }
+
+(* Safety valve for the simulator. *)
+let max_rounds = 1000
 
 type phase = Reporting | Proposing
 
@@ -63,7 +66,7 @@ let broadcast_with_self t msg =
   msg
 
 let rec start_report_phase t =
-  if t.decision = None && t.round <= t.config.max_rounds then begin
+  if t.decision = None && t.round <= max_rounds then begin
     t.phase <- Reporting;
     let msg = Report { round = t.round; value = t.value; from = t.config.id } in
     ignore (broadcast_with_self t msg);

@@ -20,7 +20,6 @@ type config = {
   id : int;
   n : int;
   f : int;  (** Crash tolerance; requires [2 * f < n]. *)
-  max_rounds : int;  (** Safety valve for the simulator (default 1000). *)
   common_coin : int option;
       (** [Some seed]: all nodes share a deterministic per-round coin
           (as a Rabia-style shared coin would provide), collapsing the
@@ -29,6 +28,8 @@ type config = {
 }
 
 val default_config : id:int -> n:int -> config
+(** [f = (n - 1) / 2], local coins. A node gives up after 1000 rounds,
+    a safety valve for the simulator. *)
 
 type t
 

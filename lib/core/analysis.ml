@@ -326,18 +326,17 @@ let run_horizon ?(strategy = Auto) ?seed ?domains ~times (protocol : Protocol.t)
       { at; result })
     times
 
-let run_correlated ?at ?(trials = 200_000) ?(seed = 42) ?domains model
-    (protocol : Protocol.t) fleet =
+let run_correlated ?(trials = 200_000) model (protocol : Protocol.t) fleet =
   let n = Faultmodel.Fleet.size fleet in
   if n <> protocol.n then
     invalid_arg "Analysis.run_correlated: fleet size mismatch";
   Obs.Metrics.incr m_runs;
   Obs.Metrics.set m_workers
-    (Parallel.Pool.effective ?domains
+    (Parallel.Pool.effective
        ~tasks:(min Parallel.Chunked.default_chunks trials) ());
   let hits =
-    mc_chunked ?domains ~trials ~seed (fun rng ->
-        let kinds = Faultmodel.Correlation.sample_kinds model fleet ?at rng in
+    mc_chunked ~trials ~seed:42 (fun rng ->
+        let kinds = Faultmodel.Correlation.sample_kinds model fleet rng in
         let config =
           Array.map
             (function
@@ -349,7 +348,7 @@ let run_correlated ?at ?(trials = 200_000) ?(seed = 42) ?domains model
         (protocol.safe.full config, protocol.live.full config))
   in
   let workers =
-    Parallel.Pool.effective ?domains
+    Parallel.Pool.effective
       ~tasks:(min Parallel.Chunked.default_chunks trials) ()
   in
   let engine =

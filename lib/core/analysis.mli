@@ -92,10 +92,7 @@ val run_horizon :
     no Byzantine mass; otherwise they recompute exactly. *)
 
 val run_correlated :
-  ?at:float ->
   ?trials:int ->
-  ?seed:int ->
-  ?domains:int ->
   Faultmodel.Correlation.t ->
   Protocol.t ->
   Faultmodel.Fleet.t ->

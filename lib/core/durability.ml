@@ -14,8 +14,8 @@ let by_descending_risk probs =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
-let quorum_for ?at fleet placement ~size =
-  let probs = Faultmodel.Fleet.fault_probs ?at fleet in
+let quorum_for fleet placement ~size =
+  let probs = Faultmodel.Fleet.fault_probs fleet in
   let n = Array.length probs in
   if size < 1 || size > n then invalid_arg "Durability: quorum size out of range";
   match placement with
@@ -49,14 +49,14 @@ let mean_product_over_ksubsets probs k =
   done;
   e.(k) /. Prob.Math_utils.choose n k
 
-let data_loss_probability ?at fleet placement ~size =
-  let probs = Faultmodel.Fleet.fault_probs ?at fleet in
+let data_loss_probability fleet placement ~size =
+  let probs = Faultmodel.Fleet.fault_probs fleet in
   match placement with
   | Random -> Prob.Math_utils.clamp_prob (mean_product_over_ksubsets probs size)
   | Worst_case | Best_case | Constrained _ ->
-      let members = quorum_for ?at fleet placement ~size in
+      let members = quorum_for fleet placement ~size in
       Prob.Math_utils.clamp_prob
         (List.fold_left (fun acc u -> acc *. probs.(u)) 1. members)
 
-let durability ?at fleet placement ~size =
-  1. -. data_loss_probability ?at fleet placement ~size
+let durability fleet placement ~size =
+  1. -. data_loss_probability fleet placement ~size

@@ -21,16 +21,15 @@ type placement =
           [reliable]; evaluated at the worst quorum satisfying the
           constraint — the paper's fault-curve-aware fix. *)
 
-val data_loss_probability :
-  ?at:float -> Faultmodel.Fleet.t -> placement -> size:int -> float
+val data_loss_probability : Faultmodel.Fleet.t -> placement -> size:int -> float
 (** Probability that every member of the placed persistence quorum
     fails (committed data is lost). For [Random] this is the exact
     average over all [C(n, size)] quorums, via elementary symmetric
     polynomials. *)
 
-val durability : ?at:float -> Faultmodel.Fleet.t -> placement -> size:int -> float
+val durability : Faultmodel.Fleet.t -> placement -> size:int -> float
 (** [1 - data_loss_probability]. *)
 
-val quorum_for : ?at:float -> Faultmodel.Fleet.t -> placement -> size:int -> int list
+val quorum_for : Faultmodel.Fleet.t -> placement -> size:int -> int list
 (** The concrete quorum the deterministic policies evaluate (raises
     [Invalid_argument] for [Random], which averages instead). *)

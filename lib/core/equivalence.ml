@@ -2,9 +2,9 @@ type equivalent = { n : int; p : float; p_safe_live : float }
 
 let raft_reliability ~n ~p = Raft_model.safe_and_live_uniform ~n ~p
 
-let min_raft_cluster ~target ~p ?(max_n = 99) ?(tolerance = 0.) () =
+let min_raft_cluster ~target ~p ?(tolerance = 0.) () =
   let rec go n =
-    if n > max_n then None
+    if n > 99 then None
     else begin
       let r = raft_reliability ~n ~p in
       if r >= target -. tolerance then Some { n; p; p_safe_live = r } else go (n + 2)
@@ -12,8 +12,8 @@ let min_raft_cluster ~target ~p ?(max_n = 99) ?(tolerance = 0.) () =
   in
   go 1
 
-let equivalents_table ~target ~ps ?max_n ?tolerance () =
-  List.map (fun p -> (p, min_raft_cluster ~target ~p ?max_n ?tolerance ())) ps
+let equivalents_table ~target ~ps ?tolerance () =
+  List.map (fun p -> (p, min_raft_cluster ~target ~p ?tolerance ())) ps
 
 let min_cluster_for ~family ~target ?(max_n = 99) () =
   let rec go n =

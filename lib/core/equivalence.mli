@@ -16,8 +16,8 @@ val raft_reliability : n:int -> p:float -> float
 (** P(safe and live) of standard Raft on [n] uniform-[p] nodes. *)
 
 val min_raft_cluster :
-  target:float -> p:float -> ?max_n:int -> ?tolerance:float -> unit -> equivalent option
-(** Smallest [n <= max_n] (default 99) whose Raft reliability reaches
+  target:float -> p:float -> ?tolerance:float -> unit -> equivalent option
+(** Smallest [n <= 99] whose Raft reliability reaches
     [target - tolerance]. Only odd sizes are considered: an even-sized
     majority cluster is never better than the odd cluster one node
     smaller. [tolerance] (default 0) expresses "equal at the quoted
@@ -28,7 +28,6 @@ val min_raft_cluster :
 val equivalents_table :
   target:float ->
   ps:float list ->
-  ?max_n:int ->
   ?tolerance:float ->
   unit ->
   (float * equivalent option) list

@@ -347,16 +347,16 @@ let horizon_payload ~protocol ~n ~horizon ~rounds points =
       ("trajectory", Obs.Json.List (List.map (trajectory_point ~n) points));
     ]
 
-let analyze_json ?domains ?strategy s =
+let analyze_json ?strategy s =
   match Scenario.horizon s with
   | None ->
-      let* r = analyze ?domains ?strategy s in
+      let* r = analyze ?strategy s in
       Ok (payload ~n:(Scenario.size s) r)
   | Some horizon ->
       let rounds =
         Option.value (Scenario.rounds s) ~default:Scenario.default_rounds
       in
-      let* points = analyze_horizon ?domains ?strategy s in
+      let* points = analyze_horizon ?strategy s in
       Ok
         (horizon_payload ~protocol:(Scenario.protocol s) ~n:(Scenario.size s)
            ~horizon ~rounds points)

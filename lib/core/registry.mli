@@ -150,7 +150,6 @@ val payload : n:int -> Analysis.result -> Obs.Json.t
     [p_safe], [p_live], [p_safe_live], [nines] in that order. *)
 
 val analyze_json :
-  ?domains:int ->
   ?strategy:Analysis.strategy ->
   Scenario.t ->
   (Obs.Json.t, string) result

@@ -1,19 +1,14 @@
-type params = {
-  stakes : float array;
-  byz_stake_bound : float;
-  live_stake_bound : float;
-}
+type params = { stakes : float array }
 
-let make ?(byz_stake_bound = 1. /. 3.) ?(live_stake_bound = 2. /. 3.) stakes =
+let byz_stake_bound = 1. /. 3.
+let live_stake_bound = 2. /. 3.
+
+let make stakes =
   if Array.length stakes = 0 then invalid_arg "Stake_model.make: empty stakes";
   Array.iter
     (fun s -> if s <= 0. then invalid_arg "Stake_model.make: stakes must be positive")
     stakes;
-  if byz_stake_bound <= 0. || byz_stake_bound > 1. then
-    invalid_arg "Stake_model.make: byz bound out of range";
-  if live_stake_bound <= 0. || live_stake_bound > 1. then
-    invalid_arg "Stake_model.make: live bound out of range";
-  { stakes; byz_stake_bound; live_stake_bound }
+  { stakes }
 
 let total params = Prob.Math_utils.kahan_sum params.stakes
 
@@ -32,18 +27,18 @@ let protocol params =
   let n = Array.length params.stakes in
   let safe =
     Protocol.full_predicate (fun config ->
-        byz_stake_fraction params config < params.byz_stake_bound)
+        byz_stake_fraction params config < byz_stake_bound)
   in
   let live =
     Protocol.full_predicate (fun config ->
-        correct_stake_fraction params config >= params.live_stake_bound)
+        correct_stake_fraction params config >= live_stake_bound)
   in
   { Protocol.name = Printf.sprintf "stake(n=%d)" n; n; safe; live }
 
 let nakamoto_coefficient params =
   let sorted = Array.copy params.stakes in
   Array.sort (fun a b -> Float.compare b a) sorted;
-  let threshold = params.byz_stake_bound *. total params in
+  let threshold = byz_stake_bound *. total params in
   let rec go i acc =
     if i >= Array.length sorted then Array.length sorted
     else begin

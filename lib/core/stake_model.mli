@@ -9,21 +9,14 @@
     the analysis engine's exact-enumeration path rather than the count
     DP. *)
 
-type params = {
-  stakes : float array;  (** Per-node stake (positive). *)
-  byz_stake_bound : float;
-      (** Safety holds while Byzantine stake fraction is strictly below
-          this bound (default 1/3). *)
-  live_stake_bound : float;
-      (** Liveness holds while correct stake fraction is at least this
-          bound (default 2/3). *)
-}
+type params = { stakes : float array  (** Per-node stake (positive). *) }
 
-val make :
-  ?byz_stake_bound:float -> ?live_stake_bound:float -> float array -> params
-(** Validates positivity of stakes and bounds within (0, 1]. *)
+val make : float array -> params
+(** Validates positivity of stakes. *)
 
 val protocol : params -> Protocol.t
+(** Safe while the Byzantine stake fraction is strictly below 1/3;
+    live while the correct stake fraction is at least 2/3. *)
 
 val nakamoto_coefficient : params -> int
 (** Smallest number of nodes whose combined stake reaches the Byzantine

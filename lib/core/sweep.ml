@@ -14,11 +14,11 @@ let timed_cell f =
    table in order. Cells force ~domains:1 on their inner analysis — the
    parallelism budget is spent across cells, and Pool makes nested
    calls sequential anyway. *)
-let grid_cells ?domains ~rows ~cols cell =
+let grid_cells ~rows ~cols cell =
   let n_rows = List.length rows and n_cols = List.length cols in
   let rows_a = Array.of_list rows and cols_a = Array.of_list cols in
   let flat =
-    Parallel.Pool.map ?domains (n_rows * n_cols) (fun i ->
+    Parallel.Pool.map (n_rows * n_cols) (fun i ->
         timed_cell (fun () -> cell rows_a.(i / n_cols) cols_a.(i mod n_cols)))
   in
   List.init n_rows (fun r ->
@@ -34,11 +34,11 @@ let run_cell s =
   | Ok r -> r
   | Error msg -> invalid_arg ("Sweep: " ^ msg)
 
-let scenario_grid ?domains ?(row_label = "scenario") ~base ~rows ~cols () =
+let scenario_grid ?(row_label = "scenario") ~base ~rows ~cols () =
   let header = row_label :: List.map fst cols in
   let t = Report.create ~header in
   let cells =
-    grid_cells ?domains ~rows ~cols (fun (_, row) (_, col) ->
+    grid_cells ~rows ~cols (fun (_, row) (_, col) ->
         match Registry.analyze ~domains:1 (col (row base)) with
         | Ok r -> pct r.Analysis.p_safe_live
         | Error _ -> "-")
@@ -54,20 +54,20 @@ let uniform_axes ~ns ~ps =
       ns,
     List.map (fun p -> (Printf.sprintf "p=%g" p, Scenario.with_p p)) ps )
 
-let raft_grid ?domains ~ns ~ps () =
+let raft_grid ~ns ~ps () =
   let rows, cols = uniform_axes ~ns ~ps in
   let base = Scenario.uniform ~protocol:"raft" ~n:3 ~p:0.01 () in
-  scenario_grid ?domains ~row_label:"N" ~base ~rows ~cols ()
+  scenario_grid ~row_label:"N" ~base ~rows ~cols ()
 
-let pbft_grid ?domains ~ns ~ps () =
+let pbft_grid ~ns ~ps () =
   let rows, cols = uniform_axes ~ns ~ps in
   let base = Scenario.uniform ~protocol:"pbft" ~n:4 ~p:0.01 () in
-  scenario_grid ?domains ~row_label:"N" ~base ~rows ~cols ()
+  scenario_grid ~row_label:"N" ~base ~rows ~cols ()
 
-let pbft_safety_liveness_grid ?domains ~ns ~p () =
+let pbft_safety_liveness_grid ~ns ~p () =
   let t = Report.create ~header:[ "N"; "safe"; "live"; "safe&live"; "safe-or-accountable" ] in
   let rows =
-    Parallel.Pool.map ?domains (List.length ns) (fun i ->
+    Parallel.Pool.map (List.length ns) (fun i ->
         timed_cell @@ fun () ->
         let n = List.nth ns i in
         let s = Scenario.uniform ~protocol:"pbft" ~n ~p () in
@@ -128,12 +128,12 @@ let table2 () =
     [ 3; 5; 7; 9 ];
   t
 
-let timeline ?domains fleet ~times =
+let timeline fleet ~times =
   let n = Faultmodel.Fleet.size fleet in
   let proto = Raft_model.protocol (Raft_model.default n) in
   let t = Report.create ~header:[ "mission time (h)"; "safe&live"; "nines" ] in
   let rows =
-    Parallel.Pool.map ?domains (List.length times) (fun i ->
+    Parallel.Pool.map (List.length times) (fun i ->
         timed_cell @@ fun () ->
         let at = List.nth times i in
         let r = Analysis.run ~at ~domains:1 proto fleet in
@@ -150,7 +150,7 @@ let timeline ?domains fleet ~times =
    round, each cell the round's P(live) from the registry's trajectory
    path — so a sweep cell and a served horizon reply are the same
    number by construction. *)
-let horizon_grid ?domains ?(row_label = "scenario") ~base ~rows () =
+let horizon_grid ~base ~rows () =
   let horizon =
     match Scenario.horizon base with
     | Some h -> h
@@ -161,12 +161,12 @@ let horizon_grid ?domains ?(row_label = "scenario") ~base ~rows () =
   in
   let times = Analysis.horizon_times ~horizon ~rounds in
   let header =
-    row_label :: List.map (fun at -> Printf.sprintf "t=%.0fh" at) times
+    "scenario" :: List.map (fun at -> Printf.sprintf "t=%.0fh" at) times
   in
   let t = Report.create ~header in
   let rows_a = Array.of_list rows in
   let cells =
-    Parallel.Pool.map ?domains (Array.length rows_a) (fun i ->
+    Parallel.Pool.map (Array.length rows_a) (fun i ->
         timed_cell @@ fun () ->
         let _, row = rows_a.(i) in
         match Registry.analyze_horizon ~domains:1 (row base) with
@@ -182,11 +182,11 @@ let horizon_grid ?domains ?(row_label = "scenario") ~base ~rows () =
     cells;
   t
 
-let min_cluster_frontier ?domains ~targets ~ps () =
+let min_cluster_frontier ~targets ~ps () =
   let header = "target" :: List.map (fun p -> Printf.sprintf "p=%g" p) ps in
   let t = Report.create ~header in
   let cells =
-    grid_cells ?domains ~rows:targets ~cols:ps (fun target p ->
+    grid_cells ~rows:targets ~cols:ps (fun target p ->
         match Equivalence.min_raft_cluster ~target ~p () with
         | Some e -> string_of_int e.Equivalence.n
         | None -> "-")

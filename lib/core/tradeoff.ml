@@ -7,9 +7,9 @@ type comparison = {
 
 let ratio num den = if den = 0. then infinity else num /. den
 
-let compare_deployments ?at (proto_base, fleet_base) (proto_alt, fleet_alt) =
-  let base = Analysis.run ?at proto_base fleet_base in
-  let alt = Analysis.run ?at proto_alt fleet_alt in
+let compare_deployments (proto_base, fleet_base) (proto_alt, fleet_alt) =
+  let base = Analysis.run proto_base fleet_base in
+  let alt = Analysis.run proto_alt fleet_alt in
   {
     base;
     alt;

@@ -19,7 +19,7 @@ type comparison = {
 }
 
 val compare_deployments :
-  ?at:float -> Protocol.t * Faultmodel.Fleet.t -> Protocol.t * Faultmodel.Fleet.t -> comparison
+  Protocol.t * Faultmodel.Fleet.t -> Protocol.t * Faultmodel.Fleet.t -> comparison
 
 val pbft_node_count : p:float -> n_base:int -> n_alt:int -> comparison
 (** Compare default-parameter PBFT at two cluster sizes under uniform

@@ -18,18 +18,18 @@ let protocol params =
   in
   { Protocol.name = Printf.sprintf "upright(n=%d,u=%d,r=%d)" n u r; n; safe; live }
 
-let compare_with_classics ?at fleet =
+let compare_with_classics fleet =
   let n = Faultmodel.Fleet.size fleet in
   let raft = Raft_model.protocol (Raft_model.default n) in
-  let entries = [ ("raft", Analysis.run ?at raft fleet) ] in
+  let entries = [ ("raft", Analysis.run raft fleet) ] in
   let entries =
     if n >= 4 then
-      entries @ [ ("pbft", Analysis.run ?at (Pbft_model.protocol (Pbft_model.default n)) fleet) ]
+      entries @ [ ("pbft", Analysis.run (Pbft_model.protocol (Pbft_model.default n)) fleet) ]
     else entries
   in
   let entries =
     match max_params ~n ~r:1 with
-    | params -> entries @ [ ("upright", Analysis.run ?at (protocol params) fleet) ]
+    | params -> entries @ [ ("upright", Analysis.run (protocol params) fleet) ]
     | exception Invalid_argument _ -> entries
   in
   entries

@@ -31,10 +31,7 @@ val protocol : params -> Protocol.t
 (** Safe iff [|Byz| <= r]; live iff [|Byz| <= r] and
     [|Byz| + |Crashed| <= u]. *)
 
-val compare_with_classics :
-  ?at:float ->
-  Faultmodel.Fleet.t ->
-  (string * Analysis.result) list
+val compare_with_classics : Faultmodel.Fleet.t -> (string * Analysis.result) list
 (** For a fleet with mixed crash/Byzantine probabilities: analyze Raft
     (CFT — Byzantine faults void safety), PBFT (full BFT — every fault
     spends the Byzantine budget) and Upright with [r = 1] on the same

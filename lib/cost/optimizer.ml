@@ -31,11 +31,10 @@ let min_cluster machine ~target ?(max_n = 99) () =
 let objective_value objective d =
   match objective with Cost -> d.hourly_cost | Carbon -> d.annual_carbon
 
-let optimize ?(objective = Cost) ?(catalog = Machine.default_catalog) ~target
-    ?max_n () =
+let optimize ?(objective = Cost) ~target () =
   List.fold_left
     (fun best machine ->
-      match min_cluster machine ~target ?max_n () with
+      match min_cluster machine ~target () with
       | None -> best
       | Some d -> (
           match best with
@@ -43,7 +42,7 @@ let optimize ?(objective = Cost) ?(catalog = Machine.default_catalog) ~target
           | Some b ->
               if objective_value objective d < objective_value objective b then Some d
               else best))
-    None catalog
+    None Machine.default_catalog
 
 let savings_vs ~baseline d =
   if d.hourly_cost = 0. then infinity else baseline.hourly_cost /. d.hourly_cost

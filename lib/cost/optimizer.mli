@@ -19,14 +19,9 @@ val min_cluster : Machine.t -> target:float -> ?max_n:int -> unit -> deployment 
 (** Smallest (odd) Raft cluster of this class reaching the target
     reliability. *)
 
-val optimize :
-  ?objective:objective ->
-  ?catalog:Machine.t list ->
-  target:float ->
-  ?max_n:int ->
-  unit ->
-  deployment option
-(** Cheapest deployment over the catalog meeting the target. *)
+val optimize : ?objective:objective -> target:float -> unit -> deployment option
+(** Cheapest deployment over {!Machine.default_catalog} meeting the
+    target, with clusters of up to 99 nodes. *)
 
 val savings_vs :
   baseline:deployment -> deployment -> float

@@ -130,7 +130,7 @@ let encode case =
        Obs.Json.Obj
          [
            ("drift_every", Obs.Json.Int s.Fleetctl.Stream.drift_every);
-           ("drift_factor", Obs.Json.number s.Fleetctl.Stream.drift_factor);
+           ("drift_factor", Obs.Json.number Fleetctl.Stream.drift_factor);
          ]);
     ops = Obs.Json.List (List.init case.ticks (fun i -> Obs.Json.Int (i + 1)));
   }

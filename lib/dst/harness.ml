@@ -47,7 +47,9 @@ let episode_seed ~seed ~episode =
 
 let no_log (_ : string) = ()
 
-let shrink ?(max_attempts = 2000) ?(log = no_log) sys failure =
+let max_attempts = 2000
+
+let shrink ?(log = no_log) sys failure =
   let attempts = ref 0 in
   let rec fixpoint current detail steps =
     let cur_size = sys.size current in
@@ -80,10 +82,7 @@ let shrink ?(max_attempts = 2000) ?(log = no_log) sys failure =
   in
   fixpoint failure.case failure.detail []
 
-let shrink_failure = shrink
-
-let soak ?(shrink = true) ?max_attempts ?(log = no_log) sys ~seed ~episodes =
-  let shrink_enabled = shrink in
+let soak ?shrink:(shrink_enabled = true) ?(log = no_log) sys ~seed ~episodes =
   let rec go episode =
     if episode >= episodes then All_passed { episodes }
     else begin
@@ -102,7 +101,7 @@ let soak ?(shrink = true) ?max_attempts ?(log = no_log) sys ~seed ~episodes =
           let failure = { episode; episode_seed = eseed; case; invariant; detail } in
           let shrunk_result =
             if shrink_enabled then begin
-              let s = shrink_failure ?max_attempts ~log sys failure in
+              let s = shrink ~log sys failure in
               let fm = sys.size s.final in
               log
                 (Printf.sprintf

@@ -86,27 +86,25 @@ val episode_seed : seed:int -> episode:int -> int
 
 val soak :
   ?shrink:bool ->
-  ?max_attempts:int ->
   ?log:(string -> unit) ->
   'case system ->
   seed:int ->
   episodes:int ->
   'case soak_outcome
 (** Run up to [episodes] seeded episodes, stopping at the first
-    invariant violation. [shrink] (default true) minimizes it;
-    [max_attempts] (default 2000) bounds total candidate executions;
-    [log] receives progress lines. *)
+    invariant violation. [shrink] (default true) minimizes it with
+    {!shrink}; [log] receives progress lines, the shrinker's
+    included. *)
 
 val shrink :
-  ?max_attempts:int ->
   ?log:(string -> unit) ->
   'case system ->
   'case failure ->
   'case shrunk
 (** Greedy fixpoint: repeatedly try [candidates], accept the first
     strictly-{!smaller} one that still fails the {e same} invariant,
-    restart from it; stop when no candidate is accepted or the
-    attempt budget runs out. *)
+    restart from it; stop when no candidate is accepted or 2000
+    candidate executions have run. *)
 
 val to_repro :
   'case system -> seed:int -> elapsed_seconds:float ->

@@ -68,12 +68,7 @@ let run case =
             in
             let c =
               Service.Client.connect ~retry_for:5. ~timeout:case.deadline
-                ~backoff:
-                  {
-                    Service.Client.default_backoff with
-                    seed = case.plan.Service.Chaos.seed;
-                  }
-                proxied
+                ~seed:case.plan.Service.Chaos.seed proxied
             in
             Fun.protect
               ~finally:(fun () -> Service.Client.close c)
@@ -101,6 +96,15 @@ let run case =
                         | Error (code, _) when List.mem code Service.Soak.allowed_codes
                           ->
                             issue (index + 1) rest
+                        | Error (code, msg)
+                          when code <> Service.Wire.Timeout
+                               && code <> Service.Wire.Connection_lost ->
+                            fail "reply_integrity"
+                              "op %d (slot %d): error reply %s (%s) to a query the \
+                               direct path answers"
+                              index slot
+                              (Service.Wire.code_string code)
+                              msg
                         | Error (code, msg) ->
                             fail "typed_errors_only"
                               "op %d (slot %d): forbidden error %s (%s) reached the \

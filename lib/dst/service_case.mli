@@ -9,9 +9,11 @@
     resilience contract:
 
     - ["reply_integrity"]: every [Ok] is byte-identical to the clean
-      direct-path reply for the same query;
-    - ["typed_errors_only"]: only {!Service.Soak.allowed_codes} may
-      surface;
+      direct-path reply for the same query, and no server error reply
+      answers a query but the pressure codes among
+      {!Service.Soak.allowed_codes};
+    - ["typed_errors_only"]: of the client's own typed errors, only
+      {!Service.Soak.allowed_codes} may surface;
     - ["call_outlives_deadline"]: no call returns later than its
       deadline plus a fixed grace;
     - ["leak_free_drain"]: after the proxy tears every connection

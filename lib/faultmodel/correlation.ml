@@ -29,8 +29,8 @@ let merge a b =
 let byz_fractions fleet =
   Array.map (fun node -> node.Node.byz_fraction) (Fleet.nodes fleet)
 
-let sample_kinds model fleet ?at rng =
-  let probs = Fleet.fault_probs ?at fleet in
+let sample_kinds model fleet rng =
+  let probs = Fleet.fault_probs fleet in
   let byz_fracs = byz_fractions fleet in
   match model with
   | Independent -> sample_kinds_independent rng probs byz_fracs
@@ -61,11 +61,11 @@ let sample_kinds model fleet ?at rng =
       let scaled = Array.map (fun p -> Prob.Math_utils.clamp_prob (p *. factor)) probs in
       sample_kinds_independent rng scaled byz_fracs
 
-let sample model fleet ?at rng =
-  Array.map (fun k -> k <> Ok) (sample_kinds model fleet ?at rng)
+let sample model fleet rng =
+  Array.map (fun k -> k <> Ok) (sample_kinds model fleet rng)
 
-let marginal_probability model fleet ?at u =
-  let probs = Fleet.fault_probs ?at fleet in
+let marginal_probability model fleet u =
+  let probs = Fleet.fault_probs fleet in
   let own = probs.(u) in
   match model with
   | Independent -> own
@@ -89,10 +89,11 @@ let marginal_probability model fleet ?at u =
       in
       Prob.Math_utils.clamp_prob acc
 
-let pairwise_correlation model fleet ?at ?(trials = 20_000) rng u v =
+let pairwise_correlation model fleet rng u v =
+  let trials = 20_000 in
   let sum_u = ref 0 and sum_v = ref 0 and sum_uv = ref 0 in
   for _ = 1 to trials do
-    let failed = sample model fleet ?at rng in
+    let failed = sample model fleet rng in
     if failed.(u) then incr sum_u;
     if failed.(v) then incr sum_v;
     if failed.(u) && failed.(v) then incr sum_uv

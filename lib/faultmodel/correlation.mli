@@ -32,22 +32,22 @@ type t =
           fault probabilities are multiplied by [factor_i] (clamped).
           Captures "bad weeks": rollout periods, workload surges. *)
 
-val sample : t -> Fleet.t -> ?at:float -> Prob.Rng.t -> bool array
+val sample : t -> Fleet.t -> Prob.Rng.t -> bool array
 (** One failure configuration; element [u] is [true] iff node [u] is
     faulty. *)
 
 type kind = Ok | Crash | Byz
 
-val sample_kinds : t -> Fleet.t -> ?at:float -> Prob.Rng.t -> kind array
+val sample_kinds : t -> Fleet.t -> Prob.Rng.t -> kind array
 (** Like {!sample} but distinguishing fault kinds: a node's own fault
     is Byzantine with the node's [byz_fraction]; a domain shock's kind
     follows its [byzantine_shock] flag. When several causes hit one
     node, Byzantine wins (it subsumes a crash). *)
 
-val marginal_probability : t -> Fleet.t -> ?at:float -> int -> float
+val marginal_probability : t -> Fleet.t -> int -> float
 (** Exact marginal fault probability of one node under the model. *)
 
-val pairwise_correlation :
-  t -> Fleet.t -> ?at:float -> ?trials:int -> Prob.Rng.t -> int -> int -> float
-(** Sampled Pearson correlation between two nodes' fault indicators —
-    0 under [Independent], positive under shocks. *)
+val pairwise_correlation : t -> Fleet.t -> Prob.Rng.t -> int -> int -> float
+(** Sampled Pearson correlation between two nodes' fault indicators
+    over 20,000 draws — 0 under [Independent], positive under
+    shocks. *)

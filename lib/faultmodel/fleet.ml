@@ -29,10 +29,10 @@ let fault_probs ?at t = Array.map (fun n -> Node.fault_probability ?at n) t.node
 let byz_probs ?at t = Array.map (fun n -> Node.byz_probability ?at n) t.nodes
 let crash_probs ?at t = Array.map (fun n -> Node.crash_probability ?at n) t.nodes
 
-let expected_failures ?at t = Prob.Math_utils.kahan_sum (fault_probs ?at t)
+let expected_failures t = Prob.Math_utils.kahan_sum (fault_probs t)
 
-let most_reliable ?at t =
-  let probs = fault_probs ?at t in
+let most_reliable t =
+  let probs = fault_probs t in
   let ids = List.init (size t) Fun.id in
   List.sort
     (fun a b ->

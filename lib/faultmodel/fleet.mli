@@ -28,8 +28,9 @@ val fault_probs : ?at:float -> t -> float array
 val byz_probs : ?at:float -> t -> float array
 val crash_probs : ?at:float -> t -> float array
 
-val expected_failures : ?at:float -> t -> float
+val expected_failures : t -> float
+(** Expected number of faulty nodes at one year. *)
 
-val most_reliable : ?at:float -> t -> int list
-(** Node ids sorted by ascending fault probability (ties by id):
-    the order reliability-aware leader election prefers. *)
+val most_reliable : t -> int list
+(** Node ids sorted by ascending fault probability at one year (ties
+    by id): the order reliability-aware leader election prefers. *)

@@ -4,10 +4,6 @@ type config = {
   ticks : int;
   quorum : int;
   target_live : float;
-  at : float;
-  replacement_afr : float;
-  drift_bound : float;
-  resize_max_nodes : int;
   verify : bool;
   dynamic : bool;
   stream : Stream.config;
@@ -20,14 +16,20 @@ let default_config ?(seed = 42) ?(ticks = 26) ?(dynamic = false) ~nodes () =
     ticks;
     quorum = (nodes / 2) + 1;
     target_live = 0.999;
-    at = 8766.;
-    replacement_afr = 0.02;
-    drift_bound = Prob.Incremental.default_drift_bound;
-    resize_max_nodes = 64;
     verify = nodes <= 256;
     dynamic;
     stream = Stream.default_config ~dynamic ~seed ~nodes ();
   }
+
+(* Horizon (hours) at which fitted curves are evaluated: one year. *)
+let at = 8766.
+
+(* AFR of the hardware swaps install. *)
+let replacement_afr = 0.02
+
+(* Fleet size cap for the dynamic-quorum search (it runs a full
+   analysis per candidate sizing). *)
+let resize_max_nodes = 64
 
 type action =
   | Resize of { q_per : int; q_vc : int; predicted_live : float }
@@ -66,9 +68,6 @@ let validate cfg =
     invalid_arg "Controller.run: quorum must be in [1, nodes]";
   if not (cfg.target_live > 0. && cfg.target_live < 1.) then
     invalid_arg "Controller.run: target_live must be in (0, 1)";
-  if cfg.at <= 0. then invalid_arg "Controller.run: horizon must be positive";
-  if cfg.replacement_afr <= 0. then
-    invalid_arg "Controller.run: replacement_afr must be positive";
   if cfg.stream.Stream.nodes <> cfg.nodes then
     invalid_arg "Controller.run: stream fleet size mismatch"
 
@@ -95,8 +94,8 @@ let run cfg =
   let stream = Stream.create cfg.stream in
   let prior =
     Faultmodel.Fault_curve.eval
-      (Faultmodel.Fault_curve.of_afr cfg.replacement_afr)
-      cfg.at
+      (Faultmodel.Fault_curve.of_afr replacement_afr)
+      at
   in
   let replacement_p = prior in
   let estimates = Array.make cfg.nodes prior in
@@ -104,9 +103,7 @@ let run cfg =
      0.5 (maximal) until a node has reported. Only consulted by the
      dynamic-mode swap policy. *)
   let uncertainty = Array.make cfg.nodes 0.5 in
-  let engine =
-    Prob.Incremental.create ~drift_bound:cfg.drift_bound estimates
-  in
+  let engine = Prob.Incremental.create estimates in
   let quorum = ref cfg.quorum in
   let recommendations = ref [] in
   let observations = ref 0 in
@@ -132,7 +129,7 @@ let run cfg =
           device_hours :=
             !device_hours +. observation.Faultmodel.Telemetry.device_hours;
           let fitted = Faultmodel.Telemetry.fit_auto observation in
-          let p = Faultmodel.Fault_curve.eval fitted cfg.at in
+          let p = Faultmodel.Fault_curve.eval fitted at in
           estimates.(node) <- p;
           let lo, hi = Faultmodel.Telemetry.afr_confidence observation in
           uncertainty.(node) <- (hi -. lo) /. 2.;
@@ -148,7 +145,7 @@ let run cfg =
     if live < cfg.target_live then begin
       (* First lever: a cheaper commit quorum from the structurally
          safe Flexible-Paxos family, if one meets the target. *)
-      (if cfg.nodes <= cfg.resize_max_nodes then
+      (if cfg.nodes <= resize_max_nodes then
          match
            Probnative.Dynamic_quorum.best_raft ~target_live:cfg.target_live
              (estimate_fleet estimates)
@@ -180,7 +177,7 @@ let run cfg =
           | Some { Probnative.Preemptive_reconfig.risk; live_before; live_after; _ } ->
               estimates.(victim) <- replacement_p;
               uncertainty.(victim) <- 0.;
-              Stream.replace stream victim ~afr:cfg.replacement_afr;
+              Stream.replace stream victim ~afr:replacement_afr;
               recommend tick live_before
                 (Swap { node = victim; estimate = risk; predicted_live = live_after }))
         (Probnative.Preemptive_reconfig.riskiest risks)

@@ -23,12 +23,6 @@ type config = {
   ticks : int;
   quorum : int;  (** Nodes that must be live; liveness = P(failures <= n - quorum). *)
   target_live : float;
-  at : float;  (** Horizon (hours) at which fitted curves are evaluated. *)
-  replacement_afr : float;  (** AFR of the hardware swaps install. *)
-  drift_bound : float;  (** Incremental-engine refresh trigger. *)
-  resize_max_nodes : int;
-      (** Fleet size cap for the dynamic-quorum search (it runs a full
-          analysis per candidate sizing). *)
   verify : bool;
       (** Check the incremental distribution against a from-scratch
           recompute every tick (O(n^2) — tests and small fleets). *)
@@ -44,9 +38,15 @@ type config = {
 
 val default_config :
   ?seed:int -> ?ticks:int -> ?dynamic:bool -> nodes:int -> unit -> config
-(** Majority quorum, 3-nines liveness target, one-year horizon, 2% AFR
-    replacements, verification on up to 256 nodes. Default seed 42,
-    26 ticks, [dynamic] off (threads through to the stream config). *)
+(** Majority quorum, 3-nines liveness target, verification on up to
+    256 nodes. Default seed 42, 26 ticks, [dynamic] off (threads
+    through to the stream config).
+
+    Every run evaluates fitted curves at a one-year horizon, refreshes
+    its engine past {!Prob.Incremental.default_drift_bound}, installs
+    2% AFR hardware on a swap, and tries a quorum resize only on fleets
+    of up to 64 nodes (the search runs a full analysis per candidate
+    sizing). *)
 
 type action =
   | Resize of { q_per : int; q_vc : int; predicted_live : float }

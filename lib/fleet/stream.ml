@@ -1,31 +1,19 @@
 type config = {
   seed : int;
   nodes : int;
-  devices_per_node : int;
-  window : float;
-  batch : int;
   drift_every : int;
-  drift_factor : float;
-  base_afr_min : float;
-  base_afr_max : float;
   dynamic : bool;
-  tick_hours : float;
 }
 
 let default_config ?(dynamic = false) ~seed ~nodes () =
-  {
-    seed;
-    nodes;
-    devices_per_node = 256;
-    window = 8766.;
-    batch = max 1 (nodes / 4);
-    drift_every = 5;
-    drift_factor = 4.;
-    base_afr_min = 0.01;
-    base_afr_max = 0.08;
-    dynamic;
-    tick_hours = 336.;
-  }
+  { seed; nodes; drift_every = 5; dynamic }
+
+let devices_per_node = 256 (* device cohort observed per node report *)
+let window = 8766. (* telemetry window per report, hours *)
+let drift_factor = 4.
+let base_afr_min = 0.01 (* ground-truth AFR range, log-uniform *)
+let base_afr_max = 0.08
+let tick_hours = 336. (* simulated hours per tick (dynamic mode) *)
 
 type event = {
   node : int;
@@ -74,16 +62,7 @@ let degrade_rate afr = afr /. degradation_scale
 
 let create cfg =
   if cfg.nodes <= 0 then invalid_arg "Stream.create: nodes must be positive";
-  if cfg.batch <= 0 || cfg.batch > cfg.nodes then
-    invalid_arg "Stream.create: batch must be in [1, nodes]";
-  if cfg.window <= 0. then invalid_arg "Stream.create: window must be positive";
-  if cfg.devices_per_node <= 0 then
-    invalid_arg "Stream.create: devices_per_node must be positive";
-  if not (cfg.base_afr_min > 0. && cfg.base_afr_max >= cfg.base_afr_min) then
-    invalid_arg "Stream.create: bad AFR range";
-  if cfg.dynamic && not (cfg.tick_hours > 0.) then
-    invalid_arg "Stream.create: tick_hours must be positive";
-  let log_min = log cfg.base_afr_min and log_max = log cfg.base_afr_max in
+  let log_min = log base_afr_min and log_max = log base_afr_max in
   let truth =
     Array.init cfg.nodes (fun i ->
         let u = Prob.Rng.float (truth_stream cfg.seed i) in
@@ -103,7 +82,7 @@ let create cfg =
   { cfg; truth; states; ticks = 0 }
 
 let ground_truth_afr t i = t.truth.(i)
-let now t = float_of_int t.ticks *. t.cfg.tick_hours
+let now t = float_of_int t.ticks *. tick_hours
 
 let max_truth_afr = 0.6
 
@@ -124,7 +103,7 @@ let effective_afr t node =
   else begin
     advance t node;
     if t.states.(node).degraded then
-      Float.min max_truth_afr (base *. t.cfg.drift_factor)
+      Float.min max_truth_afr (base *. drift_factor)
     else base
   end
 
@@ -153,17 +132,18 @@ let tick t =
   then begin
     let rng = drift_stream cfg.seed t.ticks in
     let victim = Prob.Rng.int rng cfg.nodes in
-    t.truth.(victim) <- Float.min max_truth_afr (t.truth.(victim) *. cfg.drift_factor)
+    t.truth.(victim) <- Float.min max_truth_afr (t.truth.(victim) *. drift_factor)
   end;
-  let start = (t.ticks - 1) * cfg.batch mod cfg.nodes in
-  List.init cfg.batch (fun k -> (start + k) mod cfg.nodes)
+  let batch = max 1 (cfg.nodes / 4) in
+  let start = (t.ticks - 1) * batch mod cfg.nodes in
+  List.init batch (fun k -> (start + k) mod cfg.nodes)
   |> List.sort_uniq compare
   |> List.map (fun node ->
          let rng = report_stream cfg ~tick:t.ticks ~node in
          let curve = Faultmodel.Fault_curve.of_afr (effective_afr t node) in
          let observation =
-           Faultmodel.Telemetry.observe rng curve
-             ~devices:cfg.devices_per_node ~window:cfg.window
+           Faultmodel.Telemetry.observe rng curve ~devices:devices_per_node
+             ~window
          in
          { node; observation })
 

@@ -17,31 +17,29 @@
     schedule is replaced by a first-class ground truth: each node's
     degradation is an independent two-state on/off Markov process
     ({!Faultmodel.Failure_process.Markov}) advanced in simulated time
-    ([tick_hours] per tick). A degraded node's effective AFR is its
-    base AFR times [drift_factor]; recovery brings it back — so the
-    fleet the controller chases both worsens {e and heals}, and tests
+    (336 hours, two weeks, per tick). A degraded node's effective AFR
+    is its base AFR times {!drift_factor}; recovery brings it back —
+    so the fleet the controller chases both worsens {e and heals}, and tests
     can score the controller against the exact process via
     {!ground_truth_process}. *)
 
 type config = {
   seed : int;
   nodes : int;
-  devices_per_node : int;  (** Device cohort observed per node report. *)
-  window : float;  (** Telemetry window per report, hours. *)
-  batch : int;  (** Nodes reporting per tick (round-robin). *)
   drift_every : int;  (** A degradation event every this many ticks. *)
-  drift_factor : float;  (** AFR multiplier applied to the victim. *)
-  base_afr_min : float;  (** Ground-truth AFR range, log-uniform. *)
-  base_afr_max : float;
   dynamic : bool;  (** Markov ground truth instead of step drift. *)
-  tick_hours : float;  (** Simulated hours per tick (dynamic mode). *)
 }
 
 val default_config : ?dynamic:bool -> seed:int -> nodes:int -> unit -> config
-(** 256 devices/node over a one-year window, a quarter of the fleet
-    reporting per tick, one 4x degradation every 5 ticks, AFRs
-    log-uniform in [0.01, 0.08]. [?dynamic] (default [false]) switches
-    to Markov ground truth at two weeks ([336.] hours) per tick. *)
+(** One degradation every 5 ticks. [?dynamic] (default [false])
+    switches to Markov ground truth.
+
+    Every stream draws ground-truth AFRs log-uniform in [0.01, 0.08];
+    each tick a quarter of the fleet (at least one node) reports, each
+    report observing 256 devices over a one-year window. *)
+
+val drift_factor : float
+(** 4: the AFR multiplier a degradation applies to its victim. *)
 
 type event = {
   node : int;

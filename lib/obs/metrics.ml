@@ -60,7 +60,7 @@ let create ?(enabled = false) () =
 let default = create ()
 
 let set_enabled ?(registry = default) flag = Atomic.set registry.on flag
-let enabled ?(registry = default) () = Atomic.get registry.on
+let enabled () = Atomic.get default.on
 
 let atomic_array n = Array.init n (fun _ -> Atomic.make 0)
 
@@ -143,8 +143,8 @@ let observe h v =
 
 let live h = Atomic.get h.h_on
 
-let reset ?(registry = default) () =
-  with_lock registry (fun () ->
+let reset () =
+  with_lock default (fun () ->
       Hashtbl.iter
         (fun _ metric ->
           match metric with
@@ -152,7 +152,7 @@ let reset ?(registry = default) () =
           | Reg_gauge g -> Array.iter (fun a -> Atomic.set a gauge_unset) g.g_shards
           | Reg_histogram h ->
               Array.iter (Array.iter (fun a -> Atomic.set a 0)) h.h_shards)
-        registry.table)
+        default.table)
 
 (* --- Snapshots ----------------------------------------------------- *)
 

@@ -30,10 +30,12 @@ val set_enabled : ?registry:t -> bool -> unit
     every library-level metric lives in. It is disabled until
     [set_enabled true]; [bin/main.exe --metrics FILE] switches it on. *)
 
-val enabled : ?registry:t -> unit -> bool
+val enabled : unit -> bool
+(** Whether the process-global registry is on. *)
 
-val reset : ?registry:t -> unit -> unit
-(** Zero every shard of every metric (registrations are kept). *)
+val reset : unit -> unit
+(** Zero every shard of every metric of the process-global registry
+    (registrations are kept). *)
 
 (** {1 Instruments} *)
 

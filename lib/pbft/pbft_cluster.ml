@@ -5,10 +5,9 @@ type t = {
   trace : Dessim.Trace.t;
 }
 
-let create ?(seed = 7) ?latency ?drop_probability ?q_eq ?q_per ?q_vc ?q_vc_t
-    ?request_timeout ~n () =
+let create ?(seed = 7) ?drop_probability ?q_eq ?q_per ?q_vc ?q_vc_t ~n () =
   let engine = Dessim.Engine.create ~seed () in
-  let net = Dessim.Network.create ~engine ~n ?latency ?drop_probability () in
+  let net = Dessim.Network.create ~engine ~n ?drop_probability () in
   let trace = Dessim.Trace.create () in
   let nodes =
     Array.init n (fun id ->
@@ -20,8 +19,6 @@ let create ?(seed = 7) ?latency ?drop_probability ?q_eq ?q_per ?q_vc ?q_vc_t
             q_per = Option.value q_per ~default:base.Pbft_node.q_per;
             q_vc = Option.value q_vc ~default:base.Pbft_node.q_vc;
             q_vc_t = Option.value q_vc_t ~default:base.Pbft_node.q_vc_t;
-            request_timeout =
-              Option.value request_timeout ~default:base.Pbft_node.request_timeout;
           }
         in
         Pbft_node.create config ~engine ~net ~trace)

@@ -4,13 +4,11 @@ type t
 
 val create :
   ?seed:int ->
-  ?latency:Dessim.Network.latency ->
   ?drop_probability:float ->
   ?q_eq:int ->
   ?q_per:int ->
   ?q_vc:int ->
   ?q_vc_t:int ->
-  ?request_timeout:float ->
   n:int ->
   unit ->
   t

@@ -14,10 +14,19 @@ type config = {
   q_per : int;
   q_vc : int;
   q_vc_t : int;
-  request_timeout : float;
-  byz_spam_interval : float;
-  status_interval : float;
 }
+
+(* View-change timer: how long a replica waits on a pending request
+   before suspecting the primary. *)
+let request_timeout = 500.
+
+(* Interval at which Byzantine replicas emit spurious view-change
+   votes. *)
+let byz_spam_interval = 400.
+
+(* Interval of the execution-progress gossip that drives state
+   transfer. *)
+let status_interval = 1000.
 
 let default_config ~id ~n =
   let f = (n - 1) / 3 in
@@ -28,9 +37,6 @@ let default_config ~id ~n =
     q_per = n - f;
     q_vc = n - f;
     q_vc_t = f + 1;
-    request_timeout = 500.;
-    byz_spam_interval = 400.;
-    status_interval = 1000.;
   }
 
 (* Per-(view, seq) slot. Votes are tallied per candidate command so a
@@ -139,7 +145,7 @@ let rec restart_vc_timer t =
   if Hashtbl.length t.pending > 0 && not t.down then
     t.vc_timer <-
       Some
-        (Dessim.Engine.schedule t.engine ~delay:t.config.request_timeout (fun () ->
+        (Dessim.Engine.schedule t.engine ~delay:request_timeout (fun () ->
              initiate_view_change t))
 
 and initiate_view_change t =
@@ -380,7 +386,7 @@ let rec schedule_status t =
   if not t.down then
     t.status_timer <-
       Some
-        (Dessim.Engine.schedule t.engine ~delay:t.config.status_interval (fun () ->
+        (Dessim.Engine.schedule t.engine ~delay:status_interval (fun () ->
              if not t.down then begin
                Dessim.Network.broadcast t.net ~src:t.config.id
                  (Status { exec_next = t.exec_next; replica = t.config.id });
@@ -455,7 +461,7 @@ let rec schedule_spam t =
   if t.byz && not t.down then
     t.byz_spam_timer <-
       Some
-        (Dessim.Engine.schedule t.engine ~delay:t.config.byz_spam_interval (fun () ->
+        (Dessim.Engine.schedule t.engine ~delay:byz_spam_interval (fun () ->
              if t.byz && not t.down then begin
                Obs.Metrics.incr m_byz_actions;
                (* Vote stuffing: lobby for an unnecessary view change. *)

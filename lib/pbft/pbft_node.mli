@@ -21,22 +21,18 @@ type config = {
   q_per : int;
   q_vc : int;
   q_vc_t : int;
-  request_timeout : float;
-      (** View-change timer: how long a replica waits on a pending
-          request before suspecting the primary. *)
-  byz_spam_interval : float;
-      (** Interval at which Byzantine replicas emit spurious
-          view-change votes. *)
-  status_interval : float;
-      (** Interval of the execution-progress gossip that drives state
-          transfer (the checkpoint mechanism's role): lagging replicas
-          receive committed entries and adopt them once [q_vc_t]
-          distinct peers vouch. *)
 }
 
 val default_config : id:int -> n:int -> config
 (** Castro–Liskov quorums ([f = (n-1)/3], quorums [n-f], trigger
-    [f+1]); 500ms request timeout. *)
+    [f+1]).
+
+    Every replica waits 500ms on a pending request before suspecting
+    the primary (the view-change timer). Every 1000ms it gossips its
+    execution progress, which drives state transfer (the checkpoint
+    mechanism's role): lagging replicas receive committed entries and
+    adopt them once [q_vc_t] distinct peers vouch. A Byzantine replica
+    broadcasts spurious view-change votes every 400ms. *)
 
 type t
 

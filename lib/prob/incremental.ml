@@ -1,7 +1,7 @@
 type t = {
-  mutable probs : float array;
-  mutable dist : float array;
-  mutable rest : float array; (* scratch buffer for divide-out, length n *)
+  probs : float array;
+  dist : float array;
+  rest : float array; (* scratch buffer for divide-out, length n *)
   mutable acc_drift : float;
   drift_bound : float;
   mutable refreshes : int;

@@ -13,14 +13,14 @@ let committee_of ?at fleet members =
   let result = Probcons.Analysis.run ?at (Probcons.Raft_model.protocol params) sub in
   { members; params; p_safe_live = result.Probcons.Analysis.p_safe_live }
 
-let reliability_ranked ?at ~target fleet =
-  let ranked = Faultmodel.Fleet.most_reliable ?at fleet in
+let reliability_ranked ~target fleet =
+  let ranked = Faultmodel.Fleet.most_reliable fleet in
   let n = Faultmodel.Fleet.size fleet in
   let rec go k =
     if k > n then None
     else begin
       let members = List.filteri (fun i _ -> i < k) ranked in
-      let c = committee_of ?at fleet members in
+      let c = committee_of fleet members in
       if c.p_safe_live >= target then Some c else go (k + 2)
     end
   in
@@ -64,23 +64,23 @@ let reliability_weighted ?at ~uncertainty ~target fleet =
   in
   go 1
 
-let random_committee ?at rng ~size fleet =
+let random_committee rng ~size fleet =
   let n = Faultmodel.Fleet.size fleet in
   if size > n then invalid_arg "Committee.random_committee: size exceeds fleet";
   let members = Prob.Rng.sample_without_replacement rng size n in
-  committee_of ?at fleet members
+  committee_of fleet members
 
-let vrf_committee ?at ~seed ~epoch ~size fleet =
+let vrf_committee ~seed ~epoch ~size fleet =
   (* A fresh deterministic stream per (seed, epoch) stands in for the
      VRF output: public, unpredictable before the epoch, identical at
      every replica. *)
   let stream = Prob.Rng.create ((seed * 2_147_483_647) + epoch) in
-  random_committee ?at stream ~size fleet
+  random_committee stream ~size fleet
 
-let diversified_ranked ?at ~target ~domains ~max_per_domain fleet =
+let diversified_ranked ~target ~domains ~max_per_domain fleet =
   if max_per_domain < 1 then invalid_arg "Committee.diversified_ranked: bad cap";
   let domain_of u = List.find_opt (fun members -> List.mem u members) domains in
-  let ranked = Faultmodel.Fleet.most_reliable ?at fleet in
+  let ranked = Faultmodel.Fleet.most_reliable fleet in
   (* Greedy selection in reliability order, skipping nodes whose domain
      is already at the cap; grow odd sizes until the target is met. *)
   let admissible k =
@@ -109,20 +109,21 @@ let diversified_ranked ?at ~target ~domains ~max_per_domain fleet =
       match admissible k with
       | None -> None (* caps exhausted: larger committees are impossible too *)
       | Some members ->
-          let c = committee_of ?at fleet members in
+          let c = committee_of fleet members in
           if c.p_safe_live >= target then Some c else go (k + 2)
     end
   in
   go 1
 
-let random_committee_size ?at ?(trials = 50) rng ~target fleet =
+let random_committee_size rng ~target fleet =
+  let trials = 50 in
   let n = Faultmodel.Fleet.size fleet in
   let rec go k =
     if k > n then None
     else begin
       let total = ref 0. in
       for _ = 1 to trials do
-        let c = random_committee ?at rng ~size:k fleet in
+        let c = random_committee rng ~size:k fleet in
         total := !total +. c.p_safe_live
       done;
       if !total /. float_of_int trials >= target then Some k else go (k + 2)

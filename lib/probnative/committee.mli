@@ -11,8 +11,7 @@ type committee = {
   p_safe_live : float;
 }
 
-val reliability_ranked :
-  ?at:float -> target:float -> Faultmodel.Fleet.t -> committee option
+val reliability_ranked : target:float -> Faultmodel.Fleet.t -> committee option
 (** Smallest odd committee of the {e most reliable} nodes whose
     majority-Raft reliability reaches [target]. *)
 
@@ -31,25 +30,24 @@ val reliability_weighted :
     {!reliability_ranked}. Raises [Invalid_argument] on negative or
     non-finite uncertainty. *)
 
-val random_committee :
-  ?at:float -> Prob.Rng.t -> size:int -> Faultmodel.Fleet.t -> committee
+val random_committee : Prob.Rng.t -> size:int -> Faultmodel.Fleet.t -> committee
 (** Algorand-style uniformly random committee of the given size (the
     fair/unpredictable option); reports the reliability it achieves. *)
 
 val vrf_committee :
-  ?at:float -> seed:int -> epoch:int -> size:int -> Faultmodel.Fleet.t -> committee
+  seed:int -> epoch:int -> size:int -> Faultmodel.Fleet.t -> committee
 (** Deterministic per-epoch committee, as a verifiable random function
     would provide (Algorand): every replica derives the same committee
     from the public (seed, epoch) pair with no communication, and the
     committee rotates every epoch. *)
 
 val random_committee_size :
-  ?at:float -> ?trials:int -> Prob.Rng.t -> target:float -> Faultmodel.Fleet.t -> int option
+  Prob.Rng.t -> target:float -> Faultmodel.Fleet.t -> int option
 (** Smallest odd size at which the {e expected} reliability of a random
-    committee (averaged over sampled committees) reaches the target. *)
+    committee (averaged over 50 sampled committees) reaches the
+    target. *)
 
 val diversified_ranked :
-  ?at:float ->
   target:float ->
   domains:int list list ->
   max_per_domain:int ->

@@ -4,7 +4,7 @@ type raft_choice = {
   p_safe_live : float;
 }
 
-let raft_sizings ?at fleet =
+let raft_sizings fleet =
   let n = Faultmodel.Fleet.size fleet in
   let choices = ref [] in
   (* Structural safety needs 2*q_vc > n and q_per + q_vc > n; for a
@@ -12,7 +12,7 @@ let raft_sizings ?at fleet =
   for q_vc = (n / 2) + 1 to n do
     let q_per = n - q_vc + 1 in
     let params = Probcons.Raft_model.flexible ~n ~q_per ~q_vc in
-    let result = Probcons.Analysis.run ?at (Probcons.Raft_model.protocol params) fleet in
+    let result = Probcons.Analysis.run (Probcons.Raft_model.protocol params) fleet in
     choices :=
       {
         params;
@@ -26,8 +26,8 @@ let raft_sizings ?at fleet =
     (fun a b -> Int.compare a.params.Probcons.Raft_model.q_per b.params.Probcons.Raft_model.q_per)
     !choices
 
-let best_raft ?at ~target_live fleet =
-  List.find_opt (fun c -> c.p_live >= target_live) (raft_sizings ?at fleet)
+let best_raft ~target_live fleet =
+  List.find_opt (fun c -> c.p_live >= target_live) (raft_sizings fleet)
 
 (* Uncertainty-discounted sizing: each node's effective fault
    probability is [1 - (1 - p) / (1 + uncertainty)] — its reliability
@@ -56,7 +56,7 @@ type pbft_choice = {
   p_live : float;
 }
 
-let best_pbft ?at ~target_safe ~target_live fleet =
+let best_pbft ~target_safe ~target_live fleet =
   let n = Faultmodel.Fleet.size fleet in
   let best = ref None in
   let quorum_mass p = p.Probcons.Pbft_model.q_eq + p.Probcons.Pbft_model.q_per
@@ -70,7 +70,7 @@ let best_pbft ?at ~target_safe ~target_live fleet =
              nodes; the analysis would only confirm p_safe = 0. *)
           if Probcons.Pbft_model.safe_given_byz params 0 then begin
             let result =
-              Probcons.Analysis.run ?at (Probcons.Pbft_model.protocol params) fleet
+              Probcons.Analysis.run (Probcons.Pbft_model.protocol params) fleet
             in
             let p_safe = result.Probcons.Analysis.p_safe
             and p_live = result.Probcons.Analysis.p_live in

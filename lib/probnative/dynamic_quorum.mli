@@ -13,13 +13,12 @@ type raft_choice = {
   p_safe_live : float;
 }
 
-val raft_sizings : ?at:float -> Faultmodel.Fleet.t -> raft_choice list
+val raft_sizings : Faultmodel.Fleet.t -> raft_choice list
 (** All structurally safe (q_per, q_vc) pairs with minimal total size
     ([q_per = n - q_vc + 1]), most write-friendly (smallest [q_per])
     first, each with its liveness probability for this fleet. *)
 
-val best_raft :
-  ?at:float -> target_live:float -> Faultmodel.Fleet.t -> raft_choice option
+val best_raft : target_live:float -> Faultmodel.Fleet.t -> raft_choice option
 (** The smallest-[q_per] structurally safe sizing whose liveness still
     meets the target — cheap commits, probabilistic guarantee intact. *)
 
@@ -43,7 +42,6 @@ type pbft_choice = {
 }
 
 val best_pbft :
-  ?at:float ->
   target_safe:float ->
   target_live:float ->
   Faultmodel.Fleet.t ->

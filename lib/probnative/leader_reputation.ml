@@ -1,6 +1,6 @@
-let timeout_multipliers ?at ?(spread = 2.) fleet =
+let timeout_multipliers ?(spread = 2.) fleet =
   if spread < 0. then invalid_arg "Leader_reputation.timeout_multipliers: negative spread";
-  let ranked = Faultmodel.Fleet.most_reliable ?at fleet in
+  let ranked = Faultmodel.Fleet.most_reliable fleet in
   let n = Faultmodel.Fleet.size fleet in
   let multipliers = Array.make n 1. in
   List.iteri
@@ -10,14 +10,15 @@ let timeout_multipliers ?at ?(spread = 2.) fleet =
     ranked;
   multipliers
 
-let leader_fault_probability ?at fleet ~strategy =
-  let probs = Faultmodel.Fleet.fault_probs ?at fleet in
+let leader_fault_probability fleet ~strategy =
+  let probs = Faultmodel.Fleet.fault_probs fleet in
   match strategy with
   | `Uniform ->
       Prob.Math_utils.kahan_sum probs /. float_of_int (Array.length probs)
   | `Reputation -> Array.fold_left Float.min 1. probs
 
-let expected_reelections ?(at = 8766.) fleet ~strategy ~horizon =
+let expected_reelections fleet ~strategy ~horizon =
+  let at = 8766. in
   let nodes = Faultmodel.Fleet.nodes fleet in
   let steps = 100 in
   let dt = horizon /. float_of_int steps in

@@ -6,13 +6,13 @@
     timeout: scaling a node's timeout by its reliability rank makes the
     most reliable live node overwhelmingly likely to win the race. *)
 
-val timeout_multipliers : ?at:float -> ?spread:float -> Faultmodel.Fleet.t -> float array
+val timeout_multipliers : ?spread:float -> Faultmodel.Fleet.t -> float array
 (** Per-node multipliers in [1, 1+spread] (default spread 2): the most
     reliable node gets 1, the least reliable 1+spread. Feed to
     [Raft_cluster.create ~timeout_multipliers]. *)
 
 val leader_fault_probability :
-  ?at:float -> Faultmodel.Fleet.t -> strategy:[ `Uniform | `Reputation ] -> float
+  Faultmodel.Fleet.t -> strategy:[ `Uniform | `Reputation ] -> float
 (** Probability that the elected leader suffers a fault during the
     mission window: a fault-curve-oblivious election picks uniformly
     (expected fault probability = fleet average), a reputation-based
@@ -20,7 +20,8 @@ val leader_fault_probability :
     tail-latency/reconfiguration saving the paper points at. *)
 
 val expected_reelections :
-  ?at:float -> Faultmodel.Fleet.t -> strategy:[ `Uniform | `Reputation ] -> horizon:float -> float
-(** Expected number of leader changes over a mission window: the sum
-    over time steps of the chosen leader's hazard. A coarse model — one
+  Faultmodel.Fleet.t -> strategy:[ `Uniform | `Reputation ] -> horizon:float -> float
+(** Expected number of leader changes over a mission window of
+    [horizon] hours starting at 8766 h (one year): the sum over time
+    steps of the chosen leader's hazard. A coarse model — one
     re-election per leader fault — sufficient to rank strategies. *)

@@ -12,26 +12,26 @@ let subfleet fleet members =
 
 let committee_fleet fleet plan = subfleet fleet plan.committee
 
-let plan ?at ~target fleet =
-  match Committee.reliability_ranked ?at ~target fleet with
+let plan ~target fleet =
+  match Committee.reliability_ranked ~target fleet with
   | None -> None
   | Some committee ->
       let members = committee.Committee.members in
       let sub = subfleet fleet members in
       let quorums =
-        match Dynamic_quorum.best_raft ?at ~target_live:target sub with
+        match Dynamic_quorum.best_raft ~target_live:target sub with
         | Some choice -> choice.Dynamic_quorum.params
         | None ->
             (* Fall back to majority quorums: the committee met the
                target under them by construction. *)
             Probcons.Raft_model.default (List.length members)
       in
-      let result = Probcons.Analysis.run ?at (Probcons.Raft_model.protocol quorums) sub in
+      let result = Probcons.Analysis.run (Probcons.Raft_model.protocol quorums) sub in
       Some
         {
           committee = members;
           quorums;
-          timeout_multipliers = Leader_reputation.timeout_multipliers ?at sub;
+          timeout_multipliers = Leader_reputation.timeout_multipliers sub;
           p_live = result.Probcons.Analysis.p_live;
           p_safe_live = result.Probcons.Analysis.p_safe_live;
         }
@@ -42,7 +42,7 @@ type execution = {
   leader_was_most_reliable : bool;
 }
 
-let execute ?(seed = 11) ?(commands = 10) ?(crash = []) fleet plan =
+let execute ?(seed = 11) ?(crash = []) fleet plan =
   let sub = committee_fleet fleet plan in
   let n = Faultmodel.Fleet.size sub in
   let cluster =
@@ -52,7 +52,7 @@ let execute ?(seed = 11) ?(commands = 10) ?(crash = []) fleet plan =
       ~timeout_multipliers:plan.timeout_multipliers ()
   in
   Raft_sim.Raft_cluster.inject cluster (Dessim.Fault_injector.of_failed_nodes crash);
-  let cmds = List.init commands (fun i -> 5000 + i) in
+  let cmds = List.init 10 (fun i -> 5000 + i) in
   Raft_sim.Raft_cluster.submit_workload cluster ~commands:cmds ~start:500. ~interval:100.;
   Raft_sim.Raft_cluster.run cluster ~until:60_000.;
   let correct = List.filter (fun i -> not (List.mem i crash)) (List.init n Fun.id) in

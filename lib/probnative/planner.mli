@@ -25,7 +25,7 @@ type plan = {
   p_safe_live : float;
 }
 
-val plan : ?at:float -> target:float -> Faultmodel.Fleet.t -> plan option
+val plan : target:float -> Faultmodel.Fleet.t -> plan option
 (** [None] when no committee of this fleet can meet the target. The
     quorum sizing is given one extra committee growth step to relax:
     if the minimal committee admits no flexible sizing at the target,
@@ -40,7 +40,6 @@ type execution = {
 
 val execute :
   ?seed:int ->
-  ?commands:int ->
   ?crash:int list ->
   Faultmodel.Fleet.t ->
   plan ->
@@ -48,6 +47,6 @@ val execute :
 (** Run the plan on the simulator: build a Raft cluster over the
     committee with the plan's quorum sizes and timeout multipliers,
     optionally crash the listed committee {e positions}, drive a
-    client workload, and check safety/liveness. *)
+    client workload of 10 commands, and check safety/liveness. *)
 
 val pp_plan : Format.formatter -> plan -> unit

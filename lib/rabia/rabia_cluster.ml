@@ -5,17 +5,13 @@ type t = {
   trace : Dessim.Trace.t;
 }
 
-let create ?(seed = 7) ?latency ?drop_probability ?f ~n () =
+let create ?(seed = 7) ?drop_probability ~n () =
   let engine = Dessim.Engine.create ~seed () in
-  let net = Dessim.Network.create ~engine ~n ?latency ?drop_probability () in
+  let net = Dessim.Network.create ~engine ~n ?drop_probability () in
   let trace = Dessim.Trace.create () in
   let nodes =
     Array.init n (fun id ->
-        let base = Rabia_node.default_config ~id ~n in
-        let config =
-          match f with Some f -> { base with Rabia_node.f } | None -> base
-        in
-        Rabia_node.create config ~engine ~net ~trace)
+        Rabia_node.create (Rabia_node.default_config ~id ~n) ~engine ~net ~trace)
   in
   { engine; net; nodes; trace }
 

@@ -4,9 +4,7 @@ type t
 
 val create :
   ?seed:int ->
-  ?latency:Dessim.Network.latency ->
   ?drop_probability:float ->
-  ?f:int ->
   n:int ->
   unit ->
   t

@@ -5,17 +5,18 @@ let m_commits = Obs.Metrics.counter ~family:"protocol" "rabia.commits"
 let m_null_commits = Obs.Metrics.counter ~family:"protocol" "rabia.null_commits"
 let m_decisions = Obs.Metrics.counter ~family:"protocol" "rabia.decisions"
 
-type config = {
-  id : int;
-  n : int;
-  f : int;
-  max_rounds_per_slot : int;
-  retry_interval : float;
-}
+type config = { id : int; n : int }
 
 let default_config ~id ~n =
   if n < 1 then invalid_arg "Rabia_node.default_config: n must be positive";
-  { id; n; f = (n - 1) / 2; max_rounds_per_slot = 200; retry_interval = 750. }
+  { id; n }
+
+(* Safety valve on the binary-agreement rounds of one slot. *)
+let max_rounds_per_slot = 200
+
+(* Cadence at which a node re-sends its contributions for the slot it
+   is stuck on. *)
+let retry_interval = 750.
 
 let null_command = -1
 
@@ -54,6 +55,9 @@ type t = {
 
 let committed t = Dessim.Vec.to_list t.log
 let alive t = not t.down
+
+(* Crashes tolerated: the largest [f < n/2]. *)
+let f t = (t.config.n - 1) / 2
 
 let record t tag detail =
   Dessim.Trace.record t.trace ~time:(Dessim.Engine.now t.engine) ~node:t.config.id
@@ -208,7 +212,7 @@ and note_proposal t ~slot ~command ~from =
 and check_proposals t ~slot =
   let s = slot_state t slot in
   if s.phase = Proposing && s.proposal_sent
-     && count_filled s.proposals >= t.config.n - t.config.f
+     && count_filled s.proposals >= t.config.n - f t
   then begin
     (* Majority command over the WHOLE cluster becomes the candidate. *)
     let tally = Hashtbl.create 8 in
@@ -228,7 +232,7 @@ and check_proposals t ~slot =
 
 and broadcast_report t ~slot =
   let s = slot_state t slot in
-  if s.round <= t.config.max_rounds_per_slot then begin
+  if s.round <= max_rounds_per_slot then begin
     Dessim.Network.broadcast t.net ~src:t.config.id
       (Report { slot; round = s.round; value = s.my_value; from = t.config.id });
     note_report t ~slot ~round:s.round ~value:s.my_value ~from:t.config.id
@@ -246,7 +250,7 @@ and check_reports t ~slot =
   let s = slot_state t slot in
   if s.phase = Reporting then begin
     let a = round_slots s.reports t.config.n s.round in
-    if count_filled a >= t.config.n - t.config.f then begin
+    if count_filled a >= t.config.n - f t then begin
       let counts = [| 0; 0 |] in
       Array.iter
         (function Some v when v = 0 || v = 1 -> counts.(v) <- counts.(v) + 1 | _ -> ())
@@ -275,14 +279,14 @@ and check_votes t ~slot =
   let s = slot_state t slot in
   if s.phase = Voting then begin
     let a = round_slots s.votes t.config.n s.round in
-    if count_filled a >= t.config.n - t.config.f then begin
+    if count_filled a >= t.config.n - f t then begin
       let supports = [| 0; 0 |] in
       Array.iter
         (function
           | Some (Some v) when v = 0 || v = 1 -> supports.(v) <- supports.(v) + 1
           | _ -> ())
         a;
-      let threshold = t.config.f + 1 in
+      let threshold = f t + 1 in
       if supports.(1) >= threshold then begin
         record t "decide" (Printf.sprintf "slot=%d value=1 round=%d" slot s.round);
         Obs.Metrics.incr m_decisions;
@@ -435,7 +439,6 @@ let set_down t down =
   end
 
 let create config ~engine ~net ~trace =
-  if 2 * config.f >= config.n then invalid_arg "Rabia_node.create: requires 2f < n";
   let t =
     {
       config;
@@ -456,16 +459,14 @@ let create config ~engine ~net ~trace =
     }
   in
   Dessim.Network.set_handler net config.id (fun ~src msg -> handle_message t ~src msg);
-  if config.retry_interval > 0. then begin
-    (* Staggered by id so the resends of a symmetric, fully-stuck
-       cluster do not all land in the same engine timestamp. *)
-    let rec tick () =
-      if not t.down then resend_current_slot t;
-      ignore (Dessim.Engine.schedule engine ~delay:config.retry_interval tick)
-    in
-    ignore
-      (Dessim.Engine.schedule engine
-         ~delay:(config.retry_interval +. float_of_int config.id)
-         tick)
-  end;
+  (* Staggered by id so the resends of a symmetric, fully-stuck
+     cluster do not all land in the same engine timestamp. *)
+  let rec tick () =
+    if not t.down then resend_current_slot t;
+    ignore (Dessim.Engine.schedule engine ~delay:retry_interval tick)
+  in
+  ignore
+    (Dessim.Engine.schedule engine
+       ~delay:(retry_interval +. float_of_int config.id)
+       tick);
   t

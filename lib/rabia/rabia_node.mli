@@ -20,21 +20,16 @@
 
     Tolerates [f < n/2] crashes; terminates with probability 1. *)
 
-type config = {
-  id : int;
-  n : int;
-  f : int;
-  max_rounds_per_slot : int;  (** Safety valve (default 200). *)
-  retry_interval : float;
-      (** Cadence at which a node re-sends its contributions for the
-          slot it is stuck on (default 750.; [0.] disables). The slot
-          machinery is purely message-driven, so under message loss a
-          quorum-sized participant set stalls forever without
-          retransmission; re-sends are deduplicated by receivers and
-          cannot change what gets decided. *)
-}
+type config = { id : int; n : int }
 
 val default_config : id:int -> n:int -> config
+(** Tolerates [f = (n - 1) / 2] crashes; a slot gives up after 200
+    binary-agreement rounds. Every 750ms a node re-sends its
+    contributions for the slot it is stuck on: the slot machinery is
+    purely message-driven, so under message loss a quorum-sized
+    participant set stalls forever without retransmission; re-sends
+    are deduplicated by receivers and cannot change what gets
+    decided. *)
 
 type t
 

@@ -6,10 +6,10 @@ type t = {
   trace : Dessim.Trace.t;
 }
 
-let create ?(seed = 7) ?latency ?drop_probability ?q_vote ?q_replicate
+let create ?(seed = 7) ?drop_probability ?q_vote ?q_replicate
     ?timeout_multipliers ?initial_members ~n () =
   let engine = Dessim.Engine.create ~seed () in
-  let net = Dessim.Network.create ~engine ~n ?latency ?drop_probability () in
+  let net = Dessim.Network.create ~engine ~n ?drop_probability () in
   let trace = Dessim.Trace.create () in
   (* Each node's stream is split off the root after the network's, in
      id order: a seeded run depends on that order. *)

@@ -8,7 +8,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?latency:Dessim.Network.latency ->
   ?drop_probability:float ->
   ?q_vote:int ->
   ?q_replicate:int ->

@@ -11,12 +11,13 @@ type config = {
   n : int;
   q_vote : int;
   q_replicate : int;
-  election_timeout_min : float;
-  election_timeout_max : float;
-  heartbeat_interval : float;
   timeout_multiplier : float;
   initial_members : int list option;
 }
+
+let election_timeout_min = 150.
+let election_timeout_max = 300.
+let heartbeat_interval = 50.
 
 let default_config ~id ~n =
   {
@@ -24,9 +25,6 @@ let default_config ~id ~n =
     n;
     q_vote = (n / 2) + 1;
     q_replicate = (n / 2) + 1;
-    election_timeout_min = 150.;
-    election_timeout_max = 300.;
-    heartbeat_interval = 50.;
     timeout_multiplier = 1.;
     initial_members = None;
   }
@@ -154,9 +152,8 @@ let rec reset_election_timer t =
   cancel_election_timer t;
   if is_member t then begin
     let base =
-      t.config.election_timeout_min
-      +. (Prob.Rng.float t.rng
-         *. (t.config.election_timeout_max -. t.config.election_timeout_min))
+      election_timeout_min
+      +. (Prob.Rng.float t.rng *. (election_timeout_max -. election_timeout_min))
     in
     let timeout = base *. t.config.timeout_multiplier in
     t.election_timer <- Some (t.io.after timeout (fun () -> on_election_timeout t))
@@ -213,7 +210,7 @@ and schedule_heartbeat t =
   cancel_heartbeat_timer t;
   t.heartbeat_timer <-
     Some
-      (t.io.after t.config.heartbeat_interval (fun () ->
+      (t.io.after heartbeat_interval (fun () ->
            if is_leader t then begin
              send_heartbeats t;
              schedule_heartbeat t

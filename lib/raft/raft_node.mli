@@ -24,9 +24,6 @@ type config = {
   n : int;  (** Universe size (network endpoints). *)
   q_vote : int;  (** Votes needed to become leader (|Q_vc|); static mode. *)
   q_replicate : int;  (** Replicas (incl. leader) needed to commit (|Q_per|); static mode. *)
-  election_timeout_min : float;
-  election_timeout_max : float;
-  heartbeat_interval : float;
   timeout_multiplier : float;
       (** Scales this node's election timeout; reliability-aware leader
           selection gives reliable nodes small multipliers so they win
@@ -37,8 +34,9 @@ type config = {
 }
 
 val default_config : id:int -> n:int -> config
-(** Majority quorums, timeouts 150-300ms, heartbeat 50ms, static
-    membership. *)
+(** Majority quorums, multiplier 1, static membership. Every node's
+    election timeout is drawn from 150-300ms (times its multiplier)
+    and a leader heartbeats every 50ms. *)
 
 type io = {
   now : unit -> float;  (** Stamps trace records. *)

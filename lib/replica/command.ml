@@ -25,22 +25,13 @@ let string_of j name =
   | Some (Obs.Json.String s) -> Ok s
   | _ -> Error (Printf.sprintf "command: missing string field %S" name)
 
-let valid_name name =
-  let n = String.length name in
-  n >= 1
-  && n <= Service.Wire.max_store_name_bytes
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true
-         | _ -> false)
-       name
-
 let of_json j =
   let* kind = string_of j "op" in
   match kind with
   | "put" ->
       let* name = string_of j "name" in
-      if not (valid_name name) then Error "command: invalid store name"
+      if Service.Wire.store_name_error name <> None then
+        Error "command: invalid store name"
       else
         let* scenario =
           match Obs.Json.member "scenario" j with

@@ -1,16 +1,5 @@
 type target = Unix_path of string | Tcp of int
 
-type backoff = {
-  seed : int;
-  initial : float;
-  multiplier : float;
-  max_sleep : float;
-  jitter : float;
-}
-
-let default_backoff =
-  { seed = 0; initial = 0.005; multiplier = 2.0; max_sleep = 0.5; jitter = 0.5 }
-
 (* --- Metrics ----------------------------------------------------------- *)
 
 let m_reconnects = Obs.Metrics.counter ~family:"client" "reconnects_total"
@@ -19,8 +8,7 @@ let m_retries = Obs.Metrics.counter ~family:"client" "call_retries"
 
 type t = {
   target : target;
-  backoff : backoff;
-  rng : Prob.Rng.t;
+  rng : Prob.Rng.t;  (* backoff jitter *)
   timeout : float option;  (* default per-call budget *)
   mutable fd : Unix.file_descr option;
   mutable rcv_bound : float;  (* [fd]'s SO_RCVTIMEO, seconds; 0 = none *)
@@ -40,15 +28,15 @@ let sockaddr = function
 
 (* --- Connecting with jittered exponential backoff ---------------------- *)
 
-(* Sleep grows [initial, initial*multiplier, ...] capped at [max_sleep],
-   each draw shortened by up to [jitter * sleep] from the client's own
+(* The [k]th sleep of a retry schedule: 5 ms doubling per step, capped
+   at 500 ms, each draw shortened by up to half from the caller's own
    seeded stream — deterministic per client, decorrelated across a
    fleet of clients hammering a recovering server. *)
-let backoff_sleep t attempt =
-  let b = t.backoff in
-  let base = b.initial *. (b.multiplier ** float_of_int attempt) in
-  let capped = Float.min b.max_sleep base in
-  capped *. (1. -. (b.jitter *. Prob.Rng.float t.rng))
+let backoff_sleep rng k =
+  let initial = 0.005 and multiplier = 2.0 and max_sleep = 0.5 and jitter = 0.5 in
+  let base = initial *. (multiplier ** float_of_int k) in
+  let capped = Float.min max_sleep base in
+  capped *. (1. -. (jitter *. Prob.Rng.float rng))
 
 let connect_once t ~deadline =
   let domain, addr = sockaddr t.target in
@@ -65,7 +53,7 @@ let connect_once t ~deadline =
       when Unix.gettimeofday () < deadline ->
         Unix.close fd;
         let sleep =
-          Float.min (backoff_sleep t k) (deadline -. Unix.gettimeofday ())
+          Float.min (backoff_sleep t.rng k) (deadline -. Unix.gettimeofday ())
         in
         if sleep > 0. then Unix.sleepf sleep;
         attempt (k + 1)
@@ -89,7 +77,7 @@ let reconnect t ~deadline =
   Obs.Metrics.incr m_reconnects;
   t.fd <- Some (connect_once t ~deadline)
 
-let connect ?(retry_for = 0.) ?(backoff = default_backoff) ?timeout target =
+let connect ?(retry_for = 0.) ?(seed = 0) ?timeout target =
   (* Writes to a dead peer must surface as EPIPE, not kill the
      process: same audit as the server side. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -97,8 +85,7 @@ let connect ?(retry_for = 0.) ?(backoff = default_backoff) ?timeout target =
   let t =
     {
       target;
-      backoff;
-      rng = Prob.Rng.create backoff.seed;
+      rng = Prob.Rng.create seed;
       timeout;
       fd = None;
       rcv_bound = 0.;
@@ -296,20 +283,25 @@ let exchange ?timeout ?(max_attempts = 3) t ~id ~parse body =
   in
   attempt 0
 
-(* [call_line] checks the reply with [Wire.response_id], which builds
-   only its id; [call] and [Multi.call] return the payload, so they
-   parse it. *)
-let check_id reply = Result.map (fun rid -> (rid, reply)) (Wire.response_id reply)
+(* [call_line] checks the reply with [Wire.response_verdict], which
+   builds only its id and an error member; [call] and [Multi.call]
+   return the payload, so they parse it. *)
+let check_verdict reply =
+  Result.map
+    (fun (rid, verdict) -> (rid, Result.map (fun () -> reply) verdict))
+    (Wire.response_verdict reply)
 
 let parse_whole reply =
   Result.map (fun (r : Wire.response) -> (r.rid, r)) (Wire.parse_response reply)
 
 let call_line ?timeout ?max_attempts t ~id body =
-  exchange ?timeout ?max_attempts t ~id ~parse:check_id body
+  match exchange ?timeout ?max_attempts t ~id ~parse:check_verdict body with
+  | Error e -> Error e
+  | Ok verdict -> verdict
 
-let call ?timeout ?max_attempts t ~id query =
+let call ?timeout t ~id query =
   match
-    exchange ?timeout ?max_attempts t ~id ~parse:parse_whole
+    exchange ?timeout t ~id ~parse:parse_whole
       (Wire.encode_request { Wire.id; query })
   with
   | Error e -> Error e
@@ -328,22 +320,17 @@ module Multi = struct
   type t = {
     targets : target array;
     timeout : float option;
-    backoff : backoff;
-    rng : Prob.Rng.t;
-    max_attempts : int;
+    rng : Prob.Rng.t;  (* pause jitter *)
     mutable pinned : int;
     mutable conn : client option;  (* live connection to targets.(pinned) *)
   }
 
-  let create ?(backoff = default_backoff) ?timeout ?max_attempts targets =
+  let create ?timeout targets =
     if targets = [] then invalid_arg "Client.Multi.create: no endpoints";
-    let n = List.length targets in
     {
       targets = Array.of_list targets;
       timeout;
-      backoff;
-      rng = Prob.Rng.create (backoff.seed + 0x6d75);
-      max_attempts = (match max_attempts with Some k when k > 0 -> k | _ -> 6 * n);
+      rng = Prob.Rng.create 0x6d75;
       pinned = 0;
       conn = None;
     }
@@ -368,10 +355,7 @@ module Multi = struct
     match m.conn with
     | Some c -> c
     | None ->
-        let c =
-          connect ~backoff:m.backoff ?timeout:m.timeout ~retry_for:0.05
-            m.targets.(m.pinned)
-        in
+        let c = connect ?timeout:m.timeout ~retry_for:0.05 m.targets.(m.pinned) in
         m.conn <- Some c;
         c
 
@@ -379,11 +363,7 @@ module Multi = struct
      around the ring (a healthy replica is one hop away), backing off
      when the whole deployment is unreachable or leaderless. *)
   let pause m ~deadline k =
-    let b = m.backoff in
-    let round = k / Array.length m.targets in
-    let base = b.initial *. (b.multiplier ** float_of_int round) in
-    let capped = Float.min b.max_sleep base in
-    let s = capped *. (1. -. (b.jitter *. Prob.Rng.float m.rng)) in
+    let s = backoff_sleep m.rng (k / Array.length m.targets) in
     let s =
       match deadline with
       | None -> s
@@ -400,8 +380,9 @@ module Multi = struct
     let remaining () =
       Option.map (fun d -> Float.max 0.01 (d -. Unix.gettimeofday ())) deadline
     in
+    let max_attempts = 6 * Array.length m.targets in
     let rec attempt k last_err =
-      if k >= m.max_attempts then Error last_err
+      if k >= max_attempts then Error last_err
       else if not (time_left ()) then
         Error (Wire.Timeout, "failover budget exhausted")
       else begin

@@ -15,10 +15,11 @@
       the time left, so back-to-back calls with one budget make no
       [setsockopt]. A budget under 1 ms counts as spent.
     - {b Jittered exponential backoff.} Connection attempts (initial
-      and reconnects) sleep [initial * multiplier^k] capped at
-      [max_sleep], each draw jittered from the client's own seeded
-      {!Prob.Rng} stream — deterministic per client, decorrelated
-      across a fleet retrying against a recovering server.
+      and reconnects) sleep 5 ms doubling per attempt, capped at
+      500 ms, each draw shortened by up to half from the client's own
+      seeded {!Prob.Rng} stream — deterministic per client,
+      decorrelated across a fleet retrying against a recovering
+      server.
     - {b Safe automatic retry.} Every wire query is pure and the
       server's reply cache re-answers byte-identically, so when a
       connection drops (reset, EOF, corrupted framing, foreign reply
@@ -38,34 +39,22 @@
 type target = Unix_path of string | Tcp of int
 (** [Tcp port] connects to 127.0.0.1. *)
 
-type backoff = {
-  seed : int;  (** Jitter stream; equal seeds give equal schedules. *)
-  initial : float;  (** First sleep, seconds. *)
-  multiplier : float;  (** Growth per attempt. *)
-  max_sleep : float;  (** Cap on a single sleep. *)
-  jitter : float;
-      (** Fraction of each sleep randomized away, in [0,1]: a draw
-          sleeps [s * (1 - jitter * u)] for uniform [u]. *)
-}
-
-val default_backoff : backoff
-(** 5 ms doubling to a 500 ms cap, 50% jitter, seed 0. *)
-
 type t
 
 val connect :
   ?retry_for:float ->
-  ?backoff:backoff ->
+  ?seed:int ->
   ?timeout:float ->
   target ->
   t
 (** [retry_for] (seconds, default 0): keep retrying refused/absent
     endpoints for that long before re-raising — lets tests connect to
-    a server that is still binding its socket. Retries sleep according
-    to [backoff] (default {!default_backoff}). [timeout] sets the
-    default per-call budget for {!call}/{!call_line}; omitted, calls
-    block until the server answers or the connection dies. Ignores
-    SIGPIPE process-wide (same audit as the server side). *)
+    a server that is still binding its socket. [seed] (default 0)
+    seeds the retry sleeps' jitter: equal seeds give equal schedules.
+    [timeout] sets the default per-call budget for
+    {!call}/{!call_line}; omitted, calls block until the server
+    answers or the connection dies. Ignores SIGPIPE process-wide (same
+    audit as the server side). *)
 
 val send_line : t -> string -> unit
 (** Send one request body as one frame. Blocking; raises on a dead
@@ -99,27 +88,29 @@ val call_line :
   string ->
   (string, Wire.error_code * string) result
 (** [call_line t ~id body] sends [body] and returns the full validated
-    response body for request [id] — the byte-identity unit the load
-    generator checks. The reply is checked with {!Wire.response_id}:
-    the whole body must be a valid response, but only its id is built,
-    so the check's cost does not grow with the payload. [timeout]
-    (default: the client's) bounds the whole call including reconnects
-    and retries ([max_attempts], default 3). Errors are always typed:
-    [Timeout] when the budget expires, [Connection_lost] when the link
-    died and the retry budget ran out. Only send requests whose [id]
-    matches: replies are validated against it and anything else
-    poisons the connection. *)
+    ok response body for request [id] — the byte-identity unit the
+    load generator checks. The reply is checked with
+    {!Wire.response_verdict}: the whole body must be a valid response,
+    but only its id and an error member are built, so the check's cost
+    does not grow with the payload. An error reply is
+    [Error (code, msg)] with the server's code. [timeout] (default:
+    the client's) bounds the whole call including reconnects and
+    retries ([max_attempts], default 3). Transport failures are always
+    typed: [Timeout] when the budget expires, [Connection_lost] when
+    the link died and the retry budget ran out. Only send requests
+    whose [id] matches: replies are validated against it and anything
+    else poisons the connection. *)
 
 val call :
   ?timeout:float ->
-  ?max_attempts:int ->
   t ->
   id:int ->
   Wire.query ->
   (Obs.Json.t, Wire.error_code * string) result
 (** Encode, then {!call_line}'s exchange, checking the reply with
     {!Wire.parse_response}; the body comes from the same parse that
-    checked the reply's id. Transport failures surface as
+    checked the reply's id. A dropped connection is retried as in
+    {!call_line}, up to 3 attempts. Transport failures surface as
     [Error (Timeout, _)] / [Error (Connection_lost, _)]; server-sent
     errors keep their own codes. *)
 
@@ -131,9 +122,10 @@ val close : t -> unit
     replica id). Each call is tried against a {e pinned} endpoint and
     fails over on transport errors, [not_leader] redirects (following
     the reply's leader [hint] when present), and per-replica pressure
-    ([overloaded]/[shutting_down]/[deadline_exceeded]) — with the
-    jittered-backoff pause schedule growing per full rotation, and the
-    whole dance bounded by the per-call deadline plus an attempt cap.
+    ([overloaded]/[shutting_down]/[deadline_exceeded]) — pausing on
+    {!connect}'s backoff schedule, one step per full rotation, and the
+    whole dance bounded by the per-call deadline plus a cap of
+    [6 * endpoints] attempts.
 
     Retrying writes is safe: a [Scenario_put] retried onto a new
     leader re-encodes to the same canonical bytes, which are the
@@ -142,14 +134,8 @@ val close : t -> unit
 module Multi : sig
   type t
 
-  val create :
-    ?backoff:backoff ->
-    ?timeout:float ->
-    ?max_attempts:int ->
-    target list ->
-    t
-  (** [timeout] is the default per-call budget. [max_attempts] caps
-      attempts per call (default [6 * endpoints]). Raises
+  val create : ?timeout:float -> target list -> t
+  (** [timeout] is the default per-call budget. Raises
       [Invalid_argument] on an empty endpoint list. Connections are
       opened lazily on first call. *)
 

@@ -136,8 +136,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
      error classification and retry semantics matter more than
      throughput. *)
   let serial_loop k =
-    let backoff = { Client.default_backoff with seed = k } in
-    let c = Client.connect ~retry_for:5. ~backoff ?timeout target in
+    let c = Client.connect ~retry_for:5. ~seed:k ?timeout target in
     Fun.protect
       ~finally:(fun () -> Client.close c)
       (fun () ->
@@ -147,12 +146,8 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
           incr sent;
           let t0 = Unix.gettimeofday () in
           match Client.call_line c ~id:slot bodies.(slot) with
+          | Ok reply -> record_ok slot reply (Unix.gettimeofday () -. t0)
           | Error (code, _) -> record_error code
-          | Ok reply -> (
-              match Wire.response_verdict reply with
-              | Ok (_, Ok ()) -> record_ok slot reply (Unix.gettimeofday () -. t0)
-              | Ok (_, Error (code, _)) -> record_error code
-              | Error _ -> record_error Wire.Parse_error)
         done)
   in
   (* Pipelined: keep up to [pipeline] requests outstanding on one
@@ -163,8 +158,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
      reconnect, never a hang. *)
   let pipelined_loop k =
     let recv_budget = Option.value timeout ~default:30. in
-    let backoff = { Client.default_backoff with seed = k } in
-    let connect () = Client.connect ~retry_for:5. ~backoff target in
+    let connect () = Client.connect ~retry_for:5. ~seed:k target in
     let c = ref (connect ()) in
     let window = ref [] in
     (* FIFO, oldest first *)

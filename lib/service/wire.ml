@@ -357,19 +357,22 @@ let parse_fleet_params params =
    validated at parse time like every other wire bound. *)
 let max_store_name_bytes = 64
 
+let store_name_error name =
+  let ok_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true
+    | _ -> false
+  in
+  if name = "" || String.length name > max_store_name_bytes then
+    Some (Printf.sprintf "name must be 1..%d bytes" max_store_name_bytes)
+  else if not (String.for_all ok_char name) then
+    Some "name may contain only [A-Za-z0-9._-]"
+  else None
+
 let parse_store_name params =
   match Option.bind (Obs.Json.member "name" params) Obs.Json.to_string_opt with
   | None -> bad "missing name"
-  | Some name ->
-      let ok_char = function
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true
-        | _ -> false
-      in
-      if name = "" || String.length name > max_store_name_bytes then
-        bad "name must be 1..%d bytes" max_store_name_bytes
-      else if not (String.for_all ok_char name) then
-        bad "name may contain only [A-Za-z0-9._-]"
-      else name
+  | Some name -> (
+      match store_name_error name with Some msg -> bad "%s" msg | None -> name)
 
 let parse_query ~kind ~params =
   match kind with
@@ -592,7 +595,6 @@ let response_shape keys body =
           Error "response carries neither ok nor error"
       | ok, error -> Ok (rid, ok, error))
 
-let id_only = Obs.Json.[| Build "id"; Find "ok"; Find "error" |]
 let verdict = Obs.Json.[| Build "id"; Find "ok"; Build "error" |]
 let whole = Obs.Json.[| Build "id"; Build "ok"; Build "error" |]
 
@@ -610,8 +612,6 @@ let error_member = function
       in
       (code, msg, Option.bind (field "hint") Obs.Json.to_int)
   | Obs.Json.Absent | Obs.Json.Found -> (Internal, "", None)
-
-let response_id body = Result.map (fun (rid, _, _) -> rid) (response_shape id_only body)
 
 let response_verdict body =
   match response_shape verdict body with

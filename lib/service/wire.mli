@@ -164,9 +164,9 @@ val canonical_key : query -> string
     canonical field order and number formatting. Two requests with the
     same key are guaranteed the same response payload. *)
 
-val max_store_name_bytes : int
-(** Longest scenario-store name the wire accepts (64 bytes of
-    [A-Za-z0-9._-]). *)
+val store_name_error : string -> string option
+(** The one scenario-store name rule: [None] for 1 to 64 bytes of
+    [A-Za-z0-9._-], else what is wrong with the name. *)
 
 val cacheable : query -> bool
 (** All compute queries are; [Stats], [Ping] and the replica-plane
@@ -217,17 +217,11 @@ val parse_response : string -> (response, string) result
     document with an [ok] or an [error] member, not both; the first
     occurrence of a key counts. *)
 
-val response_id : string -> (int option, string) result
-(** {!parse_response}'s check without the payload: [Ok rid] exactly
-    when {!parse_response} is [Ok { rid; _ }], and the same [Error]
-    otherwise. One walk checks the whole body, deep payload included,
-    but builds only the id, so what it allocates does not grow with
-    the payload. *)
-
 val response_verdict :
   string -> (int option * (unit, error_code * string) result, string) result
 (** {!parse_response} without the payload: [Ok (rid, Ok ())] exactly
     when {!parse_response} is [Ok { rid; body = Ok _; _ }],
     [Ok (rid, Error e)] when it is [Ok { rid; body = Error e; _ }],
-    and the same [Error] otherwise. It is {!response_id}'s walk, which
-    also builds an error member; it never builds an ok payload. *)
+    and the same [Error] otherwise. One walk checks the whole body,
+    deep payload included, but builds only the id and an error member,
+    so what it allocates does not grow with an ok payload. *)

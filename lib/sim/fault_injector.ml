@@ -48,15 +48,15 @@ let sample_outcome rng ~pb ~pc =
   else if roll < pb +. pc then Crashes
   else Stays_correct
 
-let sample_plan ?(byz_at = 0.) ?(crash_at = 0.) rng ~crash_probs ~byz_probs =
+let sample_plan rng ~crash_probs ~byz_probs =
   if Array.length crash_probs <> Array.length byz_probs then
     invalid_arg "Fault_injector.sample_plan: probability arrays differ in length";
   let plan = ref [] in
   Array.iteri
     (fun u pc ->
       match sample_outcome rng ~pb:byz_probs.(u) ~pc with
-      | Goes_byzantine -> plan := (u, Byzantine_from byz_at) :: !plan
-      | Crashes -> plan := (u, Crash_at crash_at) :: !plan
+      | Goes_byzantine -> plan := (u, Byzantine_from 0.) :: !plan
+      | Crashes -> plan := (u, Crash_at 0.) :: !plan
       | Stays_correct -> ())
     crash_probs;
   List.rev !plan

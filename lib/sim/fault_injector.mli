@@ -37,15 +37,10 @@ val of_downtime : int -> (float * float option) list -> plan
     on the fault-model library. *)
 
 val sample_plan :
-  ?byz_at:float ->
-  ?crash_at:float ->
-  Prob.Rng.t ->
-  crash_probs:float array ->
-  byz_probs:float array ->
-  plan
+  Prob.Rng.t -> crash_probs:float array -> byz_probs:float array -> plan
 (** Draw a configuration from per-node probabilities: each node
     independently becomes Byzantine (probability [byz_probs.(u)]),
-    crashes ([crash_probs.(u)]), or stays correct.
+    crashes ([crash_probs.(u)]), or stays correct, from time 0.
 
     {b Precedence}: the two outcomes are drawn from a single uniform
     roll per node with the Byzantine band first, so a node never

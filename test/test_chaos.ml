@@ -233,8 +233,7 @@ let prop_no_call_outlives_deadline =
               with_proxy ~plan ~upstream:socket (fun _proxy listen ->
                   let deadline = 0.6 in
                   let c =
-                    Client.connect ~retry_for:5. ~timeout:deadline
-                      ~backoff:{ Client.default_backoff with seed }
+                    Client.connect ~retry_for:5. ~timeout:deadline ~seed
                       (Client.Unix_path listen)
                   in
                   Fun.protect

@@ -210,12 +210,12 @@ let test_wire_responses () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "neither ok nor error should not decode"
 
-(* The reply check builds only the id, so what it allocates does not
-   depend on the payload: per call, as many minor words for a
-   1,000-field payload of floats and strings as for a 1-field one. The
-   least of three rounds of 1,000 calls counts, so a stray thread's
-   allocation cannot fail the test. *)
-let test_response_id_allocation () =
+(* The reply check builds only the id and an error member, so what it
+   allocates does not depend on an ok payload: per call, as many minor
+   words for a 1,000-field payload of floats and strings as for a
+   1-field one. The least of three rounds of 1,000 calls counts, so a
+   stray thread's allocation cannot fail the test. *)
+let test_response_verdict_allocation () =
   let reply fields =
     Wire.encode_ok ~id:7
       ~payload:
@@ -232,16 +232,16 @@ let test_response_id_allocation () =
     let round () =
       let before = Gc.minor_words () in
       for _ = 1 to 1000 do
-        ignore (Wire.response_id body)
+        ignore (Wire.response_verdict body)
       done;
       (Gc.minor_words () -. before) /. 1000.
     in
     List.fold_left Float.min infinity [ round (); round (); round () ]
   in
   let small = reply 1 and large = reply 1000 in
-  (match Wire.response_id large with
-  | Ok (Some 7) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "the 1,000-field reply did not check as id 7");
+  (match Wire.response_verdict large with
+  | Ok (Some 7, Ok ()) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the 1,000-field reply did not check as ok id 7");
   Alcotest.(check (float 0.)) "minor words per call, 1,000 fields vs 1"
     (words small) (words large)
 
@@ -1047,7 +1047,7 @@ let suite =
     Alcotest.test_case "a shorter deadline after a longer one holds" `Quick
       test_shorter_deadline_holds;
     Alcotest.test_case "the reply check allocates nothing per payload value" `Quick
-      test_response_id_allocation;
+      test_response_verdict_allocation;
     Alcotest.test_case "pipelined loadgen: every reply ok" `Quick
       test_loadgen_pipelined;
     Alcotest.test_case "loadgen counts error replies by code" `Quick

@@ -1,4 +1,5 @@
-(* Class each value a lib/ interface exports by who uses it.
+(* Class each value a lib/ interface exports by who uses it, and each
+   of its optional parameters by who passes it.
 
    Usage: dune build @check && dune exec tools/unused_exports.exe
 
@@ -7,8 +8,17 @@
    [val] of a lib/ .cmti, nested module signatures included. A use is
    a value identifier in any .cmt. Both carry the declaration's uid,
    which names its compilation unit, so two modules that share a short
-   name (Obs.Metrics and Quorum.Metrics) stay apart. Each export takes
-   the first class that fits:
+   name (Obs.Metrics and Quorum.Metrics) stay apart.
+
+   A parameter is each [?l] arrow of an export's type. A pass is an
+   application of the export's identifier whose argument [?l] sits at a
+   real location: [f ~l:v] and [f ?l:v] carry their source location,
+   while the [None] the type checker fills in for an [?l] left out of a
+   full application sits at Location.none. A wrapper that forwards
+   [?l] passes it, so deleting the wrapper's own [?l] can leave the
+   forwarded one with no caller on the next run.
+
+   Each export and each parameter takes the first class that fits:
 
    - production: another lib/ unit, bin/, tools/, examples/ or bench/
    - perfbench: perfbench/
@@ -18,14 +28,21 @@
 
    A unit's .ml and .mli draw uids from separate counters on OCaml 5.1,
    so a use inside the unit's own .ml (an implementation uid) can equal
-   the interface uid of another of its values. Such uses are matched by
-   name through the .ml's own signature, never by uid. Uses from any
-   other unit see only the .cmi, so their uids are interface uids.
+   the interface uid of another of its values. Such uses and passes are
+   matched by name through the .ml's own signature, never by uid. Uses
+   from any other unit see only the .cmi, so their uids are interface
+   uids.
 
-   Prints one file:line: line per export that is not production, the
-   failing classes (own-unit, none) first, then one line of counts per
-   class. Exits 1 when an export is own-unit or none, and 2 when the
-   build tree lacks what the classes need. *)
+   Limits: a function applied through a local alias ([let g = M.f in
+   g ~l:v ()]) is not seen to pass [?l], and the [val]s of a module type
+   (Registry.Protocol_model) are not exports. A missed pass can only
+   make a parameter look unpassed: deleting it then fails to type-check
+   at the pass, never builds a wrong program.
+
+   Prints one file:line: line per export and per parameter that is not
+   production, the failing ones first, then one line of counts per
+   class. Exits 1 when an export is own-unit or none or a parameter is
+   none, and 2 when the build tree lacks what the classes need. *)
 
 type klass = Production | Perfbench | Test_only | Own_unit | No_user
 
@@ -35,8 +52,6 @@ let klass_name = function
   | Test_only -> "test-only"
   | Own_unit -> "own-unit"
   | No_user -> "none"
-
-let failing = function Own_unit | No_user -> true | _ -> false
 
 (* The class a use from each top-level source directory gives. Each
    must hold at least one .cmt, or @check did not run. *)
@@ -72,7 +87,24 @@ let rec values prefix sg acc =
       | _ -> acc)
     acc sg
 
-type export = { unit : string; name : string; loc : Location.t }
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Tarrow (_, _, ret, _) | Tpoly (ret, _) -> optional_labels ret
+  | _ -> []
+
+(* An export when [label] is [None], else its parameter [?label]. *)
+type export = {
+  unit : string;
+  name : string;
+  label : string option;
+  loc : Location.t;
+}
+
+let failing (k, e) =
+  match (k, e.label) with
+  | No_user, _ | Own_unit, None -> true
+  | _ -> false
 
 let () =
   let root = "_build/default" in
@@ -84,14 +116,14 @@ let () =
   let interfaces = Hashtbl.create 128 in
   let implementations = ref [] in
   let read_dirs = Hashtbl.create 8 in
-  (* Uses from other units, by interface uid, and from a unit's own .ml,
-     by (unit, name). *)
-  let used = Shape.Uid.Tbl.create 4096 in
+  (* Uses (label None) and passes (Some l) from other units, by
+     interface uid, and from a unit's own .ml, by (unit, name). *)
+  let used = Hashtbl.create 4096 in
   let own = Hashtbl.create 256 in
-  let use uid k =
-    match Shape.Uid.Tbl.find_opt used uid with
+  let use key k =
+    match Hashtbl.find_opt used key with
     | Some k' when k' <= k -> ()
-    | _ -> Shape.Uid.Tbl.replace used uid k
+    | _ -> Hashtbl.replace used key k
   in
   List.iter
     (fun path ->
@@ -104,7 +136,13 @@ let () =
           Hashtbl.replace interfaces unit ();
           List.iter
             (fun (name, (vd : Types.value_description)) ->
-              exports := ({ unit; name; loc = vd.val_loc }, vd.val_uid) :: !exports)
+              List.iter
+                (fun label ->
+                  exports :=
+                    ({ unit; name; label; loc = vd.val_loc }, vd.val_uid)
+                    :: !exports)
+                (None
+                :: List.map Option.some (optional_labels vd.val_type)))
             (values "" sg.sig_type [])
       | Implementation str -> (
           Hashtbl.replace read_dirs dir ();
@@ -118,15 +156,25 @@ let () =
                 (fun (name, (vd : Types.value_description)) ->
                   Shape.Uid.Tbl.replace own_names vd.val_uid name)
                 (values "" str.str_type []);
+              let note label (vd : Types.value_description) =
+                match vd.val_uid with
+                | Item { comp_unit; _ } when comp_unit = unit -> (
+                    match Shape.Uid.Tbl.find_opt own_names vd.val_uid with
+                    | Some name -> Hashtbl.replace own (unit, name, label) ()
+                    | None -> ())
+                | uid -> use (uid, label) k
+              in
               let expr sub (e : Typedtree.expression) =
                 (match e.exp_desc with
-                | Texp_ident (_, _, vd) -> (
-                    match vd.val_uid with
-                    | Item { comp_unit; _ } when comp_unit = unit -> (
-                        match Shape.Uid.Tbl.find_opt own_names vd.val_uid with
-                        | Some name -> Hashtbl.replace own (unit, name) ()
-                        | None -> ())
-                    | uid -> use uid k)
+                | Texp_ident (_, _, vd) -> note None vd
+                | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
+                    List.iter
+                      (function
+                        | Asttypes.Optional l, Some (a : Typedtree.expression)
+                          when a.exp_loc <> Location.none ->
+                            note (Some l) vd
+                        | _ -> ())
+                      args
                 | _ -> ());
                 Tast_iterator.default_iterator.expr sub e
               in
@@ -155,15 +203,18 @@ let () =
     List.map
       (fun (e, uid) ->
         let k =
-          match Shape.Uid.Tbl.find_opt used uid with
+          match Hashtbl.find_opt used (uid, e.label) with
           | Some k -> k
-          | None -> if Hashtbl.mem own (e.unit, e.name) then Own_unit else No_user
+          | None ->
+              if Hashtbl.mem own (e.unit, e.name, e.label) then Own_unit
+              else No_user
         in
         (k, e))
       !exports
   in
-  let key (k, e) =
-    (not (failing k), e.loc.loc_start.pos_fname, e.loc.loc_start.pos_lnum)
+  let key ((_, e) as c) =
+    (not (failing c), e.loc.loc_start.pos_fname, e.loc.loc_start.pos_lnum,
+     e.label)
   in
   List.iter
     (fun (k, e) ->
@@ -173,18 +224,25 @@ let () =
           String.capitalize_ascii
             (Filename.remove_extension (Filename.basename p.pos_fname))
         in
-        Printf.printf "%s:%d: %s: %s.%s\n" p.pos_fname p.pos_lnum
-          (klass_name k) modname e.name)
+        Printf.printf "%s:%d: %s: %s.%s%s\n" p.pos_fname p.pos_lnum
+          (klass_name k) modname e.name
+          (match e.label with Some l -> " ?" ^ l | None -> ""))
     (List.sort (fun a b -> compare (key a) (key b)) classed);
-  let count k = List.length (List.filter (fun (k', _) -> k' = k) classed) in
+  let count p = List.length (List.filter p classed) in
   List.iter
-    (fun k -> Printf.printf "%s: %d\n" (klass_name k) (count k))
+    (fun k ->
+      Printf.printf "%s: %d exports, %d parameters\n" (klass_name k)
+        (count (fun (k', e) -> k' = k && e.label = None))
+        (count (fun (k', e) -> k' = k && e.label <> None)))
     [ Production; Perfbench; Test_only; Own_unit; No_user ];
-  let bad = count Own_unit + count No_user in
-  if bad > 0 then begin
+  let exports_bad = count (fun (k, e) -> failing (k, e) && e.label = None) in
+  let params_bad = count (fun (k, e) -> failing (k, e) && e.label <> None) in
+  if exports_bad + params_bad > 0 then begin
     Printf.eprintf
-      "unused_exports: %d export(s) with no user outside their own module: \
-       delete each, or drop it from its .mli\n"
-      bad;
+      "unused_exports: %d export(s) with no user outside their own module \
+       (delete each, or drop it from its .mli) and %d optional \
+       parameter(s) no caller passes (delete each; its default becomes a \
+       constant)\n"
+      exports_bad params_bad;
     exit 1
   end
