@@ -358,10 +358,5 @@ let run_correlated ?(trials = 200_000) model (protocol : Protocol.t) fleet =
 
 let pp_result fmt r =
   Format.fprintf fmt "@[<v>%s [%s]:@ safe %a, live %a, safe&live %a@]" r.protocol
-    r.engine
-    (Prob.Nines.pp_percent ?sig_nines:None)
-    r.p_safe
-    (Prob.Nines.pp_percent ?sig_nines:None)
-    r.p_live
-    (Prob.Nines.pp_percent ?sig_nines:None)
-    r.p_safe_live
+    r.engine Prob.Nines.pp_percent r.p_safe Prob.Nines.pp_percent r.p_live
+    Prob.Nines.pp_percent r.p_safe_live

@@ -13,7 +13,10 @@
       {e same} invariant still fails;
     - {!to_repro}/{!replay}: round-trip the minimal case through the
       versioned [probcons-repro/1] artifact so
-      [dune exec tools/replay.exe] re-runs it bit-for-bit.
+      [dune exec tools/replay.exe] re-runs it: bit-for-bit for the
+      simulated systems ([sim-*], [fleet], [replica]); for [service],
+      which runs on the wall clock, with the same plan, op trace and
+      invariant outcome (see {!Service_case}).
 
     Shrinking is monotone by construction: a candidate is accepted
     only when its {!measure} is lexicographically smaller — strictly
@@ -43,7 +46,8 @@ type 'case system = {
       (** Draw one episode's case — fault plan and op sequence — from
           the episode's derived RNG stream. *)
   run : 'case -> outcome;
-      (** Execute deterministically and check every invariant. *)
+      (** Execute and check every invariant: deterministically on a
+          simulator, or on the wall clock for [service]. *)
   candidates : 'case -> 'case list;
       (** Strictly-smaller reduction candidates, most aggressive
           first. The harness re-checks {!smaller} itself, so a sloppy

@@ -6,9 +6,12 @@
     per-episode seeds, the system tag, the system configuration
     ([scenario]), the fault [plan], the operation trace ([ops]), and
     the violated [invariant]. [dune exec tools/replay.exe FILE]
-    re-executes it bit-for-bit; [tools/validate_bench] checks the
-    schema (missing seed/plan/invariant fields or non-finite timings
-    reject).
+    re-executes it: bit-for-bit for the simulated systems ([sim-*],
+    [fleet], [replica]); a [service] case re-runs the same plan and op
+    trace on the wall clock, so its invariant outcome reproduces but
+    its timeouts, reconnects and proxy counters can differ.
+    [tools/validate_bench] checks the schema (missing
+    seed/plan/invariant fields or non-finite timings reject).
 
     Artifacts committed under [test/repro/] are permanent regression
     tests: [expect = `Fail] means the violation must still reproduce

@@ -20,10 +20,13 @@
       down, the server's connection table returns to zero
       ({!Service.Soak.drain}).
 
-    Replays are deterministic in practice because the proxy's fault
-    draws depend only on [(plan.seed, connection index, direction)]
-    and ops are issued serially — the PR-5 replay guarantee, now
-    carried per-case by the repro artifact. With [seeded_bug] set the
+    A replay re-runs the same plan and op trace: the proxy's fault
+    draws depend only on [(plan.seed, connection index, direction)],
+    and ops are issued serially. It is not bit-for-bit, because the
+    stack runs on the wall clock: which calls time out and reconnect,
+    and so how many connections a run opens, depends on timing. The
+    invariant outcome reproduces; timeouts, reconnects and proxy
+    counters can differ. With [seeded_bug] set the
     case re-enables the historical [id: 0] placeholder
     ({!Service.Wire.seeded_bug_id0}) so a garbage-injection fault can
     answer a healthy request — the violation the acceptance test

@@ -88,9 +88,9 @@ let fit_exponential obs =
 let fit_weibull obs =
   if obs.failures < 2 then invalid_arg "Telemetry.fit_weibull: need >= 2 failures";
   let survivors = max 0 (obs.devices - obs.failures) in
-  let censored = Array.make survivors obs.window in
   let shape, scale =
-    Prob.Distribution.weibull_fit_censored ~failures:obs.lifetimes ~censored
+    Prob.Distribution.weibull_fit_censored ~failures:obs.lifetimes
+      ~censored:[| (obs.window, survivors) |]
   in
   Fault_curve.Weibull { shape; scale }
 

@@ -33,14 +33,22 @@ val exponential_fit : float array -> float
     Raises [Invalid_argument] on an empty array. *)
 
 val weibull_fit : float array -> float * float
-(** [(shape, scale)] fitted by MLE (Newton iterations on the profile
-    likelihood). Requires at least two distinct positive samples. *)
+(** [(shape, scale)] fitted by MLE (bisection on the profile-likelihood
+    score). Requires at least two distinct positive samples. *)
 
 val weibull_fit_censored :
-  failures:float array -> censored:float array -> float * float
+  failures:float array -> censored:(float * int) array -> float * float
 (** Right-censored Weibull MLE: [failures] are observed lifetimes,
-    [censored] are survival times of units still alive when
-    observation stopped. Essential for telemetry windows shorter than
+    [censored] are [(time, count)] groups of [count] units still alive
+    when observation stopped at [time] (a fleet watched over one window
+    is one group). Essential for telemetry windows shorter than
     typical lifetimes, where the uncensored fit is badly biased toward
     short lives. With no censored units this coincides with
-    {!weibull_fit}. Requires at least two failures. *)
+    {!weibull_fit}. Requires at least two failures; raises
+    [Invalid_argument] on a nonpositive failure time, a negative count,
+    or a nonpositive time in a group of at least one unit.
+
+    A group costs one power and one log per score evaluation, whatever
+    its count, and the result is bit-identical to the fit with the
+    groups expanded to one [(time, 1)] per unit: each unit's terms are
+    still added one at a time, in the same order. *)

@@ -8,15 +8,14 @@ let to_prob k = 1. -. (10. ** -.k)
 (* The paper prints percentages with two decimals (99.97%, 99.88%) but,
    when that would round to an all-nines string, extends through the run
    of leading nines plus one significant digit of the failure
-   probability (99.9990%, 99.995%, 99.99993%). [sig_nines] is the
-   minimum number of decimals. *)
-let percent_string ?(sig_nines = 2) p =
+   probability (99.9990%, 99.995%, 99.99993%). *)
+let percent_string p =
   let p = Math_utils.clamp_prob p in
   if p = 1. then "100%"
   else if p = 0. then "0%"
   else begin
     let fail_pct = (1. -. p) *. 100. in
-    if fail_pct >= 1. then Printf.sprintf "%.*f%%" sig_nines (p *. 100.)
+    if fail_pct >= 1. then Printf.sprintf "%.2f%%" (p *. 100.)
     else begin
       (* [lead] counts the nine-digits after the decimal point of the
          percentage; keep one further digit of the failure probability.
@@ -30,12 +29,11 @@ let percent_string ?(sig_nines = 2) p =
           render (decimals + 1)
         else s ^ "%"
       in
-      render (max sig_nines (lead + 1))
+      render (max 2 (lead + 1))
     end
   end
 
-let pp_percent ?sig_nines fmt p =
-  Format.pp_print_string fmt (percent_string ?sig_nines p)
+let pp_percent fmt p = Format.pp_print_string fmt (percent_string p)
 
 let pp_nines fmt p = Format.fprintf fmt "%.1f nines" (of_prob p)
 

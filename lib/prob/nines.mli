@@ -13,13 +13,13 @@ val of_prob : float -> float
 val to_prob : float -> float
 (** Inverse of {!of_prob}: [to_prob k = 1 - 10^(-k)]. *)
 
-val pp_percent : ?sig_nines:int -> Format.formatter -> float -> unit
+val pp_percent : Format.formatter -> float -> unit
 (** Print a probability the way the paper's tables do: as a percentage
     whose leading nines are kept and whose first non-nine digit block is
-    rounded, e.g. [0.999702 -> "99.97%"], [0.9999899 -> "99.9990%"]
-    with [sig_nines] controlling digits after the nines run (default 2). *)
+    rounded, with at least two decimals, e.g. [0.999702 -> "99.97%"],
+    [0.9999899 -> "99.9990%"]. *)
 
-val percent_string : ?sig_nines:int -> float -> string
+val percent_string : float -> string
 
 val pp_nines : Format.formatter -> float -> unit
 (** Print as e.g. ["3.5 nines"]. *)

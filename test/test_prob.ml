@@ -312,6 +312,67 @@ let test_fit_input_validation () =
     (Invalid_argument "Distribution.weibull_fit: need >= 2 samples") (fun () ->
       ignore (Distribution.weibull_fit [| 1. |]))
 
+let test_censored_fit_validation () =
+  let failures = [| 10.; 20.; 30. |] in
+  let fit censored = Distribution.weibull_fit_censored ~failures ~censored in
+  Alcotest.check_raises "nonpositive censor time"
+    (Invalid_argument "Distribution.weibull_fit: nonpositive censor time") (fun () ->
+      ignore (fit [| (40., 2); (0., 3) |]));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Distribution.weibull_fit: negative censor count") (fun () ->
+      ignore (fit [| (40., -1) |]))
+
+(* Bit patterns, so that two fits agree only when every bit does. *)
+let fit_bits (shape, scale) = (Int64.bits_of_float shape, Int64.bits_of_float scale)
+
+(* [(t, n)] groups as the reference takes them: one element per unit. *)
+let expand censored =
+  Array.concat (Array.to_list (Array.map (fun (t, n) -> Array.make n t) censored))
+
+let check_fit_bits name ~failures ~censored =
+  Alcotest.(check (pair int64 int64))
+    name
+    (fit_bits (Weibull_reference.weibull_fit_censored ~failures ~censored:(expand censored)))
+    (fit_bits (Distribution.weibull_fit_censored ~failures ~censored))
+
+let test_censored_fit_empty_groups () =
+  let failures = [| 310.; 1200.; 75.; 4400.; 980. |] in
+  check_fit_bits "zero survivors" ~failures ~censored:[| (8766., 0) |];
+  check_fit_bits "no group" ~failures ~censored:[||];
+  (* A group of no units is no unit: its time is not even checked. *)
+  check_fit_bits "zero-count groups" ~failures
+    ~censored:[| (5000., 0); (8766., 240); (-1., 0) |]
+
+(* Each case draws its times log-uniformly from its own decade range
+   inside [1e-3, 1e5] h, so narrow samples (large shapes, powers that
+   overflow) and wide ones (small shapes) both occur. The reference
+   pays a power and a log per unit on every score evaluation, so group
+   sizes lean small: 1 group in 200 draws from the whole 0-20,000. *)
+let censored_fit_case =
+  let open QCheck.Gen in
+  let* lo = float_range (-3.) 5. in
+  let* hi = float_range lo 5. in
+  let time = map (fun e -> Float.min 1e5 (Float.max 1e-3 (10. ** e))) (float_range lo hi) in
+  let count =
+    frequency [ (800, int_range 0 40); (195, int_range 0 400); (5, int_range 0 20_000) ]
+  in
+  let* failures = array_size (int_range 2 40) time in
+  let* censored = array_size (int_range 0 3) (pair time count) in
+  return (failures, censored)
+
+let prop_censored_fit_matches_reference =
+  let print (failures, censored) =
+    Printf.sprintf "failures [|%s|] censored [|%s|]"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") failures)))
+      (String.concat "; "
+         (Array.to_list (Array.map (fun (t, n) -> Printf.sprintf "(%h, %d)" t n) censored)))
+  in
+  QCheck.Test.make ~count:10_000 ~name:"censored fit = per-unit reference, bit for bit"
+    (QCheck.make ~print censored_fit_case)
+    (fun (failures, censored) ->
+      fit_bits (Distribution.weibull_fit_censored ~failures ~censored)
+      = fit_bits (Weibull_reference.weibull_fit_censored ~failures ~censored:(expand censored)))
+
 let prop_binomial_sample_within_range =
   QCheck.Test.make ~count:100 ~name:"binomial sample in [0,n]"
     QCheck.(pair (int_range 1 30) (float_bound_inclusive 1.))
@@ -637,4 +698,7 @@ let suite =
     Alcotest.test_case "incremental forced refresh" `Quick test_incremental_forced_refresh;
     Alcotest.test_case "incremental drift accounting" `Quick test_incremental_drift_accounting;
     Alcotest.test_case "incremental queries" `Quick test_incremental_queries_match_reference;
+    Alcotest.test_case "censored fit validation" `Quick test_censored_fit_validation;
+    Alcotest.test_case "censored fit empty groups" `Quick test_censored_fit_empty_groups;
+    QCheck_alcotest.to_alcotest prop_censored_fit_matches_reference;
   ]

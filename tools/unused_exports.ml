@@ -12,11 +12,13 @@
 
    A parameter is each [?l] arrow of an export's type. A pass is an
    application of the export's identifier whose argument [?l] sits at a
-   real location: [f ~l:v] and [f ?l:v] carry their source location,
-   while the [None] the type checker fills in for an [?l] left out of a
-   full application sits at Location.none. A wrapper that forwards
-   [?l] passes it, so deleting the wrapper's own [?l] can leave the
-   forwarded one with no caller on the next run.
+   real location and is not the literal constructor [None]: [f ~l:v]
+   and [f ?l:v] carry their source location, while the [None] the type
+   checker fills in for an [?l] left out of a full application sits at
+   Location.none. A written-out [f ?l:None] asks for the default just
+   as leaving [?l] out does, so it passes nothing either. A wrapper
+   that forwards [?l] passes it, so deleting the wrapper's own [?l] can
+   leave the forwarded one with no caller on the next run.
 
    Each export and each parameter takes the first class that fits:
 
@@ -92,6 +94,12 @@ let rec optional_labels ty =
   | Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
   | Tarrow (_, _, ret, _) | Tpoly (ret, _) -> optional_labels ret
   | _ -> []
+
+(* [f ?l:None] asks for the default, as leaving [?l] out does. *)
+let is_none (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { Types.cstr_name = "None"; _ }, []) -> true
+  | _ -> false
 
 (* An export when [label] is [None], else its parameter [?label]. *)
 type export = {
@@ -171,7 +179,7 @@ let () =
                     List.iter
                       (function
                         | Asttypes.Optional l, Some (a : Typedtree.expression)
-                          when a.exp_loc <> Location.none ->
+                          when a.exp_loc <> Location.none && not (is_none a) ->
                             note (Some l) vd
                         | _ -> ())
                       args
