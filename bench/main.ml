@@ -204,17 +204,17 @@ let e9_probnative () =
   let fleet9 = Faultmodel.Fleet.uniform ~n:9 ~p:0.02 () in
   print_endline "  flexible Raft sizings for 9 nodes at p=2%:";
   List.iter
-    (fun (c : Probnative.Dynamic_quorum.raft_choice) ->
+    (fun (c : Probcons.Dynamic_quorum.raft_choice) ->
       Printf.printf "    qper=%d qvc=%d -> live %s\n"
         c.params.Probcons.Raft_model.q_per c.params.Probcons.Raft_model.q_vc
         (pct c.p_live))
-    (Probnative.Dynamic_quorum.raft_sizings fleet9);
+    (Probcons.Dynamic_quorum.raft_sizings fleet9);
   let big = Faultmodel.Fleet.mixed [ (4, 0.005); (10, 0.02); (6, 0.08) ] in
-  (match Probnative.Committee.reliability_ranked ~target:(Prob.Nines.to_prob 4.) big with
+  (match Probcons.Committee.reliability_ranked ~target:(Prob.Nines.to_prob 4.) big with
   | Some c ->
       Printf.printf "  ranked committee for 4 nines over 20 mixed nodes: %d members (%s)\n"
-        (List.length c.Probnative.Committee.members)
-        (pct c.Probnative.Committee.p_safe_live)
+        (List.length c.Probcons.Committee.members)
+        (pct c.Probcons.Committee.p_safe_live)
   | None -> ());
   let mixed = Faultmodel.Fleet.mixed [ (4, 0.08); (3, 0.01) ] in
   Printf.printf "  leader fault probability: oblivious %.3f vs reputation %.3f\n"

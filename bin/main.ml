@@ -428,13 +428,13 @@ let committee_cmd =
     let fleet = Faultmodel.Fleet.mixed [ (4, 0.005); (10, 0.02); (6, 0.08) ] in
     Format.printf "fleet: 4 at p=0.5%%, 10 at p=2%%, 6 at p=8%%; target %s@."
       (Prob.Nines.percent_string target);
-    (match Probnative.Committee.reliability_ranked ~target fleet with
+    (match Probcons.Committee.reliability_ranked ~target fleet with
     | Some c ->
         Format.printf "ranked committee: %d members -> %s@." (List.length c.members)
           (Prob.Nines.percent_string c.p_safe_live)
     | None -> Format.printf "no ranked committee meets the target@.");
     let rng = Prob.Rng.create seed in
-    match Probnative.Committee.random_committee_size rng ~target fleet with
+    match Probcons.Committee.random_committee_size rng ~target fleet with
     | Some size -> Format.printf "random committee size: %d@." size
     | None -> Format.printf "random committees cannot meet the target@."
   in

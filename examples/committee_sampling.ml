@@ -18,7 +18,7 @@ let () =
 
   (* Reliability-ranked committee: the smallest council of the most
      reliable nodes that meets the target. *)
-  (match Probnative.Committee.reliability_ranked ~target fleet with
+  (match Probcons.Committee.reliability_ranked ~target fleet with
   | Some c ->
       Format.printf "Ranked committee: %d members %s -> %s@."
         (List.length c.members)
@@ -29,10 +29,10 @@ let () =
   (* Random committees (Algorand-flavoured): unpredictable membership,
      slightly larger to compensate. *)
   let rng = Prob.Rng.create 2025 in
-  (match Probnative.Committee.random_committee_size rng ~target fleet with
+  (match Probcons.Committee.random_committee_size rng ~target fleet with
   | Some size ->
       Format.printf "Random committee needs ~%d members on average@." size;
-      let sample = Probnative.Committee.random_committee rng ~size fleet in
+      let sample = Probcons.Committee.random_committee rng ~size fleet in
       Format.printf "  e.g. %s -> %s@."
         ("[" ^ String.concat "," (List.map string_of_int sample.members) ^ "]")
         (Prob.Nines.percent_string sample.p_safe_live)

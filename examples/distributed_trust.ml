@@ -90,16 +90,16 @@ let () =
   Format.printf "  leader fault probability, oblivious: %.4f; reputation-based: %.4f@."
     (Probnative.Leader_reputation.leader_fault_probability tense ~strategy:`Uniform)
     (Probnative.Leader_reputation.leader_fault_probability tense ~strategy:`Reputation);
-  (match Probnative.Committee.reliability_ranked ~target:0.995 tense with
+  (match Probcons.Committee.reliability_ranked ~target:0.995 tense with
   | Some c ->
       Format.printf "  committee for 99.5%%: [%s] -> the risky org is left out@."
-        (String.concat "," (List.map string_of_int c.Probnative.Committee.members))
+        (String.concat "," (List.map string_of_int c.Probcons.Committee.members))
   | None -> Format.printf "  no committee meets the target@.");
 
   (* 4. And the platform-diversification fix, automated: cap any one
      TEE platform below the committee's fault tolerance. *)
   match
-    Probnative.Committee.diversified_ranked ~target:0.99
+    Probcons.Committee.diversified_ranked ~target:0.99
       ~domains:[ [ 0; 1; 2; 3 ]; [ 4; 5; 6 ] ]
       ~max_per_domain:2 fleet
   with
@@ -107,5 +107,5 @@ let () =
       Format.printf
         "@.Diversified committee (max 2 per platform): [%s] -> no single TEE@ \
          vulnerability can reach a quorum@."
-        (String.concat "," (List.map string_of_int c.Probnative.Committee.members))
+        (String.concat "," (List.map string_of_int c.Probcons.Committee.members))
   | None -> Format.printf "@.no diversified committee meets the target@."

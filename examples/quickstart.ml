@@ -60,7 +60,7 @@ let () =
   (* 6. Not enough nines? Resize the quorums against an explicit
      target instead of guessing. *)
   let fleet9 = Faultmodel.Fleet.uniform ~n:9 ~p:0.02 () in
-  (match Probnative.Dynamic_quorum.best_raft ~target_live:0.9999 fleet9 with
+  (match Probcons.Dynamic_quorum.best_raft ~target_live:0.9999 fleet9 with
   | Some choice ->
       Format.printf
         "@.For 9 nodes at p=2%% and a 4-nines liveness target, flexible Raft can use@.\

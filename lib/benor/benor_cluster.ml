@@ -4,7 +4,7 @@ type t = {
   initial_values : int array;
 }
 
-let create ?(seed = 7) ?drop_probability ?f ?common_coin ~initial_values () =
+let create ?(seed = 7) ?drop_probability ?common_coin ~initial_values () =
   let n = List.length initial_values in
   if n = 0 then invalid_arg "Benor_cluster.create: need at least one node";
   let engine = Dessim.Engine.create ~seed () in
@@ -13,18 +13,12 @@ let create ?(seed = 7) ?drop_probability ?f ?common_coin ~initial_values () =
   let initial_values = Array.of_list initial_values in
   let nodes =
     Array.init n (fun id ->
-        let base = Benor_node.default_config ~id ~n in
-        let config =
-          { base with
-            Benor_node.f = Option.value f ~default:base.Benor_node.f;
-            common_coin }
-        in
+        let config = { (Benor_node.default_config ~id ~n) with common_coin } in
         Benor_node.create config ~engine ~net ~trace ~initial:initial_values.(id))
   in
   { engine; nodes; initial_values }
 
 let node t i = t.nodes.(i)
-let size t = Array.length t.nodes
 
 let inject t plan =
   Dessim.Fault_injector.apply ~engine:t.engine

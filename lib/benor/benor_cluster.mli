@@ -5,17 +5,15 @@ type t
 val create :
   ?seed:int ->
   ?drop_probability:float ->
-  ?f:int ->
   ?common_coin:int ->
   initial_values:int list ->
   unit ->
   t
-(** One node per initial value (each 0 or 1); [f] defaults to the
-    maximum tolerable [(n-1)/2]. [common_coin] enables the shared
+(** One node per initial value (each 0 or 1), each tolerating the
+    maximum [(n-1)/2] crashes. [common_coin] enables the shared
     per-round coin with the given seed. *)
 
 val node : t -> int -> Benor_node.t
-val size : t -> int
 
 val inject : t -> Dessim.Fault_injector.plan -> unit
 (** Crash plans only (Ben-Or here is the crash-fault variant). *)

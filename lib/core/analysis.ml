@@ -46,41 +46,48 @@ let no_ci protocol ~engine ~p_safe ~p_live ~p_safe_live =
     ci_safe_live = None;
   }
 
-let run_count_dp (protocol : Protocol.t) ~crash_probs ~byz_probs =
+(* Sum the probability of each (byz, crashed) cell [cells] hands to
+   [add], in that order, under the protocol's count predicates,
+   Kahan-compensated. A count distribution's total mass is 1 up to
+   float rounding; dividing by the mass summed removes the drift, so
+   structurally certain predicates report exactly 1. *)
+let count_result (protocol : Protocol.t) ~engine cells =
   let safe_count, live_count =
     match (protocol.safe.by_count, protocol.live.by_count) with
     | Some s, Some l -> (s, l)
     | _ -> invalid_arg "Analysis: count engine needs count predicates"
   in
-  let dist = Config.joint_count_distribution ~crash_probs ~byz_probs in
-  let n = Array.length crash_probs in
   let open Prob.Math_utils in
   let p_safe = ref kahan_zero
   and p_live = ref kahan_zero
   and p_both = ref kahan_zero
   and mass = ref kahan_zero in
-  for b = 0 to n do
-    for c = 0 to n - b do
-      let p = dist.(b).(c) in
+  cells (fun ~byz ~crashed p ->
       if p > 0. then begin
         mass := kahan_add !mass p;
-        let safe = safe_count ~byz:b ~crashed:c in
-        let live = live_count ~byz:b ~crashed:c in
+        let safe = safe_count ~byz ~crashed in
+        let live = live_count ~byz ~crashed in
         if safe then p_safe := kahan_add !p_safe p;
         if live then p_live := kahan_add !p_live p;
         if safe && live then p_both := kahan_add !p_both p
-      end
-    done
-  done;
-  (* The DP's total mass is 1 up to float rounding; normalizing removes
-     the drift so structurally certain predicates report exactly 1. *)
+      end);
   let mass = kahan_total !mass in
   let normalize k =
     let p = kahan_total k in
     if mass > 0. then p /. mass else p
   in
-  no_ci protocol.name ~engine:"count-dp" ~p_safe:(normalize !p_safe)
+  no_ci protocol.name ~engine ~p_safe:(normalize !p_safe)
     ~p_live:(normalize !p_live) ~p_safe_live:(normalize !p_both)
+
+let run_count_dp protocol ~crash_probs ~byz_probs =
+  count_result protocol ~engine:"count-dp" (fun add ->
+      let dist = Config.joint_count_distribution ~crash_probs ~byz_probs in
+      let n = Array.length crash_probs in
+      for b = 0 to n do
+        for c = 0 to n - b do
+          add ~byz:b ~crashed:c dist.(b).(c)
+        done
+      done)
 
 (* Per-chunk Kahan-compensated partial sums over a configuration
    iterator slice. Chunk boundaries and per-chunk float order are fixed
@@ -236,37 +243,11 @@ let horizon_times ~horizon ~rounds =
   List.init rounds (fun k ->
       horizon *. float_of_int (k + 1) /. float_of_int rounds)
 
-(* Sum the count distribution under the protocol's count predicates
-   (byz fixed at 0), mass-normalized exactly like [run_count_dp]. *)
-let result_of_pmf (protocol : Protocol.t) ~engine dist =
-  let safe_count, live_count =
-    match (protocol.safe.by_count, protocol.live.by_count) with
-    | Some s, Some l -> (s, l)
-    | _ -> invalid_arg "Analysis: count engine needs count predicates"
-  in
-  let open Prob.Math_utils in
-  let p_safe = ref kahan_zero
-  and p_live = ref kahan_zero
-  and p_both = ref kahan_zero
-  and mass = ref kahan_zero in
-  Array.iteri
-    (fun c p ->
-      if p > 0. then begin
-        mass := kahan_add !mass p;
-        let safe = safe_count ~byz:0 ~crashed:c in
-        let live = live_count ~byz:0 ~crashed:c in
-        if safe then p_safe := kahan_add !p_safe p;
-        if live then p_live := kahan_add !p_live p;
-        if safe && live then p_both := kahan_add !p_both p
-      end)
-    dist;
-  let mass = kahan_total !mass in
-  let normalize k =
-    let p = kahan_total k in
-    if mass > 0. then p /. mass else p
-  in
-  no_ci protocol.name ~engine ~p_safe:(normalize !p_safe)
-    ~p_live:(normalize !p_live) ~p_safe_live:(normalize !p_both)
+(* A crash-count distribution (byz fixed at 0), summed as the count DP
+   sums its cells. *)
+let result_of_pmf protocol ~engine dist =
+  count_result protocol ~engine (fun add ->
+      Array.iteri (fun c p -> add ~byz:0 ~crashed:c p) dist)
 
 let run_horizon ?(strategy = Auto) ?seed ?domains ~times (protocol : Protocol.t)
     fleet =

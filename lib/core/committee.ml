@@ -1,6 +1,6 @@
 type committee = {
   members : int list;
-  params : Probcons.Raft_model.params;
+  params : Raft_model.params;
   p_safe_live : float;
 }
 
@@ -9,9 +9,9 @@ let committee_of ?at fleet members =
   let sub =
     Faultmodel.Fleet.of_nodes (List.map (fun u -> nodes.(u)) members)
   in
-  let params = Probcons.Raft_model.default (List.length members) in
-  let result = Probcons.Analysis.run ?at (Probcons.Raft_model.protocol params) sub in
-  { members; params; p_safe_live = result.Probcons.Analysis.p_safe_live }
+  let params = Raft_model.default (List.length members) in
+  let result = Analysis.run ?at (Raft_model.protocol params) sub in
+  { members; params; p_safe_live = result.Analysis.p_safe_live }
 
 let reliability_ranked ~target fleet =
   let ranked = Faultmodel.Fleet.most_reliable fleet in
@@ -69,13 +69,6 @@ let random_committee rng ~size fleet =
   if size > n then invalid_arg "Committee.random_committee: size exceeds fleet";
   let members = Prob.Rng.sample_without_replacement rng size n in
   committee_of fleet members
-
-let vrf_committee ~seed ~epoch ~size fleet =
-  (* A fresh deterministic stream per (seed, epoch) stands in for the
-     VRF output: public, unpredictable before the epoch, identical at
-     every replica. *)
-  let stream = Prob.Rng.create ((seed * 2_147_483_647) + epoch) in
-  random_committee stream ~size fleet
 
 let diversified_ranked ~target ~domains ~max_per_domain fleet =
   if max_per_domain < 1 then invalid_arg "Committee.diversified_ranked: bad cap";

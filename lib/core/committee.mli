@@ -7,7 +7,7 @@
 
 type committee = {
   members : int list;  (** Node ids, most reliable first. *)
-  params : Probcons.Raft_model.params;
+  params : Raft_model.params;
   p_safe_live : float;
 }
 
@@ -33,13 +33,6 @@ val reliability_weighted :
 val random_committee : Prob.Rng.t -> size:int -> Faultmodel.Fleet.t -> committee
 (** Algorand-style uniformly random committee of the given size (the
     fair/unpredictable option); reports the reliability it achieves. *)
-
-val vrf_committee :
-  seed:int -> epoch:int -> size:int -> Faultmodel.Fleet.t -> committee
-(** Deterministic per-epoch committee, as a verifiable random function
-    would provide (Algorand): every replica derives the same committee
-    from the public (seed, epoch) pair with no communication, and the
-    committee rotates every epoch. *)
 
 val random_committee_size :
   Prob.Rng.t -> target:float -> Faultmodel.Fleet.t -> int option

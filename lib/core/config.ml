@@ -10,18 +10,8 @@ let of_failed_subset ~n ~byzantine failed =
 let count status t =
   Array.fold_left (fun acc s -> if s = status then acc + 1 else acc) 0 t
 
-let num_correct = count Correct
 let num_crashed = count Crashed
 let num_byzantine = count Byzantine
-let num_faulty t = Array.length t - num_correct t
-
-let set_of pred t =
-  let s = ref Quorum.Subset.empty in
-  Array.iteri (fun u st -> if pred st then s := Quorum.Subset.add !s u) t;
-  !s
-
-let correct_set = set_of (fun s -> s = Correct)
-let byzantine_set = set_of (fun s -> s = Byzantine)
 
 let probability ~crash_probs ~byz_probs t =
   let p = ref 1. in

@@ -9,19 +9,8 @@ type status = Correct | Crashed | Byzantine
 
 type t = status array
 
-val of_failed_subset : n:int -> byzantine:bool -> Quorum.Subset.t -> t
-(** Configuration in which exactly the given subset has failed —
-    Byzantine failures when [byzantine], crashes otherwise. *)
-
-val num_correct : t -> int
 val num_crashed : t -> int
 val num_byzantine : t -> int
-
-val num_faulty : t -> int
-(** Crashed + Byzantine. *)
-
-val correct_set : t -> Quorum.Subset.t
-val byzantine_set : t -> Quorum.Subset.t
 
 val probability : crash_probs:float array -> byz_probs:float array -> t -> float
 (** Probability of this exact configuration under independent per-node

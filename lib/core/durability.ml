@@ -21,7 +21,7 @@ let quorum_for fleet placement ~size =
   match placement with
   | Worst_case -> take size (by_descending_risk probs)
   | Best_case -> take size (List.rev (by_descending_risk probs))
-  | Random -> invalid_arg "Durability.quorum_for: Random placement has no single quorum"
+  | Random -> assert false (* averaged by [data_loss_probability] *)
   | Constrained { reliable; min_reliable } ->
       if min_reliable > size then invalid_arg "Durability: min_reliable > quorum size";
       if List.length reliable < min_reliable then

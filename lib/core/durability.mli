@@ -29,7 +29,3 @@ val data_loss_probability : Faultmodel.Fleet.t -> placement -> size:int -> float
 
 val durability : Faultmodel.Fleet.t -> placement -> size:int -> float
 (** [1 - data_loss_probability]. *)
-
-val quorum_for : Faultmodel.Fleet.t -> placement -> size:int -> int list
-(** The concrete quorum the deterministic policies evaluate (raises
-    [Invalid_argument] for [Random], which averages instead). *)

@@ -8,7 +8,7 @@
     election availability for cheaper commits. *)
 
 type raft_choice = {
-  params : Probcons.Raft_model.params;
+  params : Raft_model.params;
   p_live : float;
   p_safe_live : float;
 }
@@ -34,19 +34,3 @@ val best_raft_weighted :
     count as less reliable and the chosen sizing is robust to them
     being wrong. [uncertainty = fun _ -> 0.] is exactly {!best_raft}.
     Raises [Invalid_argument] on negative or non-finite uncertainty. *)
-
-type pbft_choice = {
-  pbft : Probcons.Pbft_model.params;
-  p_safe : float;
-  p_live : float;
-}
-
-val best_pbft :
-  target_safe:float ->
-  target_live:float ->
-  Faultmodel.Fleet.t ->
-  pbft_choice option
-(** Exhaustive search over PBFT quorum 4-tuples; returns the choice
-    meeting both targets that maximizes the safety-liveness product,
-    preferring smaller quorums on ties. [None] if no sizing meets the
-    targets. *)

@@ -24,10 +24,6 @@ let evaluate ~spec ~failover_hours ~mission_hours =
   in
   { quorum_availability; failover_unavailability; availability; durability }
 
-let meets t ~availability_nines ~durability_nines =
-  t.availability >= Prob.Nines.to_prob availability_nines
-  && t.durability >= Prob.Nines.to_prob durability_nines
-
 let required_failover_hours ~spec ~availability_nines =
   let target = Prob.Nines.to_prob availability_nines in
   let quorum_availability = Markov.Repair_model.availability spec in

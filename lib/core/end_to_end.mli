@@ -35,8 +35,6 @@ val evaluate :
 (** [failover_hours] is the per-incident recovery time (election
     timeout + catch-up), e.g. [0.01] for ~36 seconds. *)
 
-val meets : t -> availability_nines:float -> durability_nines:float -> bool
-
 val required_failover_hours :
   spec:Markov.Repair_model.spec -> availability_nines:float -> float option
 (** Largest per-incident failover time compatible with the target —

@@ -12,12 +12,9 @@ let min_raft_cluster ~target ~p ?(tolerance = 0.) () =
   in
   go 1
 
-let equivalents_table ~target ~ps ?tolerance () =
-  List.map (fun p -> (p, min_raft_cluster ~target ~p ?tolerance ())) ps
-
-let min_cluster_for ~family ~target ?(max_n = 99) () =
+let min_cluster_for ~family ~target () =
   let rec go n =
-    if n > max_n then None
+    if n > 99 then None
     else begin
       match family n with
       | proto, fleet ->

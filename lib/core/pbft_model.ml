@@ -43,10 +43,6 @@ let protocol params =
     live;
   }
 
-let max_byz_safe params =
-  let rec go b = if b <= -1 then -1 else if safe_given_byz params b then b else go (b - 1) in
-  go params.n
-
 let accountable_given_byz params byz =
   let f = params.n - params.q_eq in
   byz <= 2 * f

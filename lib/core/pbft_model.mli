@@ -37,26 +37,17 @@ val default : int -> params
 
 val make : n:int -> q_eq:int -> q_per:int -> q_vc:int -> q_vc_t:int -> params
 
-val safe_given_byz : params -> int -> bool
-(** Theorem 3.1 safety at a given [|Byz|]. *)
-
-val live_given : params -> byz:int -> correct:int -> bool
-
 val protocol : params -> Protocol.t
-
-val max_byz_safe : params -> int
-(** Largest [|Byz|] the configuration can carry while remaining safe;
-    [-1] when even zero Byzantine nodes violate the structural
-    conditions. *)
-
-val accountable_given_byz : params -> int -> bool
-(** BFT forensics (Sheng et al., CCS'21 — the paper's related work on
-    analyses beyond [f] failures): when safety breaks with
-    [f < |Byz| <= 2f] culprits are identifiable from the signed quorum
-    certificates; beyond [2f] even accountability is lost. Here
-    [f = n - q_eq]. *)
+(** Theorem 3.1 as count predicates: safe iff
+    [|Byz| < 2 q_eq - n] and [|Byz| < q_per + q_vc - n]; live iff
+    [|Byz| <= q_vc - q_vc_t], [|Byz| < q_vc_t] and the correct nodes
+    reach every quorum. *)
 
 val safe_or_accountable : params -> Protocol.t
 (** Protocol whose "safe" predicate is the weaker guarantee {e safe or
     accountable} (liveness unchanged) — the quantity the forensics
-    literature argues deployments actually rely on. *)
+    literature argues deployments actually rely on. BFT forensics
+    (Sheng et al., CCS'21 — the paper's related work on analyses
+    beyond [f] failures): when safety breaks with [f < |Byz| <= 2f]
+    culprits are identifiable from the signed quorum certificates;
+    beyond [2f] even accountability is lost. Here [f = n - q_eq]. *)

@@ -23,7 +23,6 @@ val default : int -> params
 val flexible : n:int -> q_per:int -> q_vc:int -> params
 (** Flexible-Paxos-style sizing; validated to stay within [1..n]. *)
 
-val structurally_safe : params -> bool
 (** Theorem 3.2's safety conditions, which depend only on the quorum
     sizes. *)
 

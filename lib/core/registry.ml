@@ -250,27 +250,114 @@ let quorum_availability : entry =
            (Analysis.horizon_times ~horizon:h ~rounds))
   end)
 
-let builtin : entry list =
-  [ raft; pbft; pbft_forensics; upright; benor; stake; quorum_availability ]
+(* How much we distrust node [id]'s reliability estimate: the spread of
+   its failure process's marginal across the scenario's mission window
+   ([at], falling back to [horizon]). A static estimate — or a scenario
+   with no window — has zero spread, so the weighted selectors reduce
+   exactly to their unweighted forms. *)
+let uncertainty_samples = 8
 
-(* Entries registered by downstream libraries (probnative's
-   uncertainty-weighted selectors). The registry cannot depend on the
-   libraries that implement them, so they self-register at link time. *)
-let registered : entry list ref = ref []
+let uncertainty_of s =
+  let procs = Array.of_list (Scenario.effective_processes s) in
+  let window =
+    match Scenario.at s with
+    | Some at -> at
+    | None -> Option.value (Scenario.horizon s) ~default:0.
+  in
+  fun id ->
+    let p = procs.(id) in
+    if Faultmodel.Failure_process.is_static p || window <= 0. then 0.
+    else begin
+      let lo = ref infinity and hi = ref neg_infinity in
+      for k = 1 to uncertainty_samples do
+        let v =
+          Faultmodel.Failure_process.marginal p
+            (window *. float_of_int k /. float_of_int uncertainty_samples)
+        in
+        if v < !lo then lo := v;
+        if v > !hi then hi := v
+      done;
+      !hi -. !lo
+    end
 
-let all () = builtin @ !registered
+let target_nines s = quorum_or s "target_nines" 3
 
-let names () = List.map (fun ((module M) : entry) -> M.name) (all ())
+let target_of s =
+  let nines = target_nines s in
+  if nines < 1 || nines > 12 then
+    errf "target_nines must be in [1, 12] (got %d)" nines
+  else Ok (Prob.Nines.to_prob (float_of_int nines))
 
-let register ((module M) : entry) =
-  if List.exists (fun ((module E) : entry) -> String.equal E.name M.name) (all ())
-  then
-    invalid_arg
-      (Printf.sprintf "Registry.register: protocol %S already registered" M.name)
-  else registered := !registered @ [ (module M : Protocol_model) ]
+(* Both weighted entries pick their structure from the fleet at the
+   scenario's [at] (mission start when absent): the choice is part of
+   the model, so a horizon trajectory shows how one chosen
+   configuration ages, not a per-round re-selection. *)
+let raft_weighted =
+  model ~name:"raft-weighted"
+    ~doc:"Flexible Raft sized by uncertainty-weighted liveness target"
+    ~byz:0.0 ~quorum_keys:[ "target_nines" ]
+    ~protocol_of:(fun s ->
+      let* target_live = target_of s in
+      match
+        Dynamic_quorum.best_raft_weighted ?at:(Scenario.at s)
+          ~uncertainty:(uncertainty_of s) ~target_live
+          (Scenario.fleet ~byz_fraction:0.0 s)
+      with
+      | Some choice -> Ok (Raft_model.protocol choice.Dynamic_quorum.params)
+      | None ->
+          errf
+            "no structurally safe Raft sizing of this %d-node fleet meets \
+             %d-nines liveness under uncertainty weighting"
+            (Scenario.size s) (target_nines s))
+    ()
+
+(* Only committee members' votes count, so the predicate has no count
+   fast path: analysis runs on the enumeration engine, capped like the
+   stake model. *)
+let committee_protocol ~n (c : Committee.committee) =
+  let members = c.Committee.members in
+  let quorum = (List.length members / 2) + 1 in
+  let live cfg =
+    List.length (List.filter (fun id -> cfg.(id) = Config.Correct) members)
+    >= quorum
+  in
+  {
+    Protocol.name =
+      Printf.sprintf "committee(%d of %d)" (List.length members) n;
+    n;
+    safe = Protocol.always ~n;
+    live = Protocol.full_predicate live;
+  }
+
+let committee_weighted =
+  model ~name:"committee-weighted"
+    ~doc:"Smallest committee meeting the target, uncertainty-discounted"
+    ~byz:0.0 ~max_nodes:22 ~quorum_keys:[ "target_nines" ]
+    ~protocol_of:(fun s ->
+      let* target = target_of s in
+      match
+        Committee.reliability_weighted ?at:(Scenario.at s)
+          ~uncertainty:(uncertainty_of s) ~target
+          (Scenario.fleet ~byz_fraction:0.0 s)
+      with
+      | Some c -> Ok (committee_protocol ~n:(Scenario.size s) c)
+      | None ->
+          errf
+            "no committee of this %d-node fleet meets %d-nines reliability \
+             under uncertainty weighting"
+            (Scenario.size s) (target_nines s))
+    ()
+
+let entries : entry list =
+  [ raft; pbft; pbft_forensics; upright; benor; stake; quorum_availability;
+    raft_weighted; committee_weighted ]
+
+let all () = entries
+
+let names () = List.map (fun ((module M) : entry) -> M.name) entries
 
 let find name =
-  List.find_opt (fun ((module M) : entry) -> String.equal M.name name) (all ())
+  List.find_opt (fun ((module M) : entry) -> String.equal M.name name) entries
 
 let dispatch : 'a. Scenario.t -> (entry -> 'a) -> ((string -> 'a) -> 'a) =
  fun s found missing ->

@@ -8,8 +8,8 @@
     protocol's name, its documentation, its per-model defaults (the
     crash/Byzantine split, node-count bound, quorum-override keys) and
     the function from a {!Scenario} to an analysis result. The CLI, the
-    query service, sweeps and the bench all dispatch through {!find} —
-    adding a protocol is one entry in {!all}.
+    query service, sweeps and the bench all dispatch through it by name —
+    adding a protocol is one entry in {!all}, a static list.
 
     Payloads: {!analyze_json} is the {e single} renderer of analysis
     results, so a CLI [analyze --json], a service reply, and a bench
@@ -72,55 +72,16 @@ type entry = (module Protocol_model)
 
 val all : unit -> entry list
 (** raft, pbft, pbft-forensics, upright, benor, stake,
-    quorum-availability — in that order — followed by any
-    {!register}ed entries in registration order. *)
+    quorum-availability, raft-weighted, committee-weighted — in that
+    order. The two weighted entries size their structure with
+    {!Dynamic_quorum.best_raft_weighted} and
+    {!Committee.reliability_weighted}; each takes one quorum override,
+    [target_nines] (default 3), and derives node [id]'s uncertainty from
+    the spread of its failure process's marginal across the scenario's
+    mission window, so a static fleet, or a scenario with no
+    [at]/[horizon], reduces to the unweighted selectors. *)
 
 val names : unit -> string list
-val find : string -> entry option
-
-val register : entry -> unit
-(** Add a protocol model implemented outside this library (the
-    uncertainty-weighted selectors live in [probnative], which depends
-    on this library — so they register themselves at link time rather
-    than appear in the builtin list). Raises [Invalid_argument] on a
-    duplicate name. *)
-
-(** {2 Building blocks for external entries}
-
-    What the builtin entries are made of, exported so a {!register}ed
-    model validates and analyzes exactly like a builtin one. *)
-
-val check_common :
-  name:string ->
-  max_nodes:int ->
-  quorum_keys:string list ->
-  ?stakes_ok:bool ->
-  Scenario.t ->
-  (unit, string) result
-(** Fleet-size bound, unknown quorum-override keys, stakes
-    applicability — the shared validation every entry runs first. *)
-
-val quorum_or : Scenario.t -> string -> int -> int
-(** The scenario's override for a quorum key, or the default. *)
-
-val analyze_predicate :
-  default_byz:float ->
-  ?domains:int ->
-  ?strategy:Analysis.strategy ->
-  Scenario.t ->
-  Protocol.t ->
-  (Analysis.result, string) result
-(** Run the analysis engine on a validated predicate model with the
-    scenario's fleet (resolving [byz_fraction] against the entry
-    default) — the body of every builtin [analyze]. *)
-
-val analyze_predicate_horizon :
-  default_byz:float ->
-  ?domains:int ->
-  ?strategy:Analysis.strategy ->
-  Scenario.t ->
-  Protocol.t ->
-  (Analysis.horizon_point list, string) result
 
 val validate : Scenario.t -> (unit, string) result
 (** Dispatch on the scenario's protocol name; unknown names are an

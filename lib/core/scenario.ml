@@ -27,7 +27,6 @@ let byz_fraction s = s.byz_fraction
 let quorums s = s.quorums
 let quorum s key = List.assoc_opt key s.quorums
 let stakes s = s.stakes
-let processes s = s.processes
 let at s = s.at
 let seed s = s.seed
 let horizon s = s.horizon
@@ -175,13 +174,11 @@ let remake s =
        ?processes:s.processes ?at:s.at ?seed:s.seed ?horizon:s.horizon
        ?rounds:s.rounds ~protocol:s.protocol ~mix:s.mix ())
 
-let uniform ?byz_fraction ~protocol ~n ~p () =
-  unsafe (make ?byz_fraction ~protocol ~mix:[ (n, p) ] ())
+let uniform ~protocol ~n ~p () = unsafe (make ~protocol ~mix:[ (n, p) ] ())
 
 let with_protocol protocol s = remake { s with protocol }
 let with_mix mix s = remake { s with mix }
 let with_p p s = remake { s with mix = List.map (fun (c, _) -> (c, p)) s.mix }
-let with_processes processes s = remake { s with processes = Some processes }
 
 let with_horizon ?rounds horizon s =
   remake { s with horizon = Some horizon; rounds }

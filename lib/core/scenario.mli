@@ -30,12 +30,6 @@ type t
 val max_fleet_nodes : int
 (** 200 — cap on the total node count of the mix. *)
 
-val max_quorum_value : int
-(** 1000 — cap on any quorum-override value (models tighten further). *)
-
-val max_quorum_overrides : int
-(** 8 — cap on the number of quorum overrides. *)
-
 val max_rounds : int
 (** 64 — cap on horizon-trajectory rounds. *)
 
@@ -64,8 +58,9 @@ val make :
     - [byz_fraction]: finite in [0,1] — the fraction of each node's
       fault probability that is Byzantine rather than crash. [None]
       means "use the protocol's registry default";
-    - [quorums]: per-protocol quorum-size overrides (e.g. [("q_vc", 4)]
-      for Raft, [("u", 2)] for Upright); keys deduplicated-checked and
+    - [quorums]: at most 8 per-protocol quorum-size overrides (e.g.
+      [("q_vc", 4)] for Raft, [("u", 2)] for Upright), each value in
+      [0, 1000] (models tighten further); keys deduplicated-checked and
       stored sorted so the encoding is canonical;
     - [stakes]: per-node stakes (positive, finite), meaningful only for
       the stake protocol;
@@ -83,8 +78,7 @@ val make :
     - [rounds]: trajectory resolution in [1, {!max_rounds}]; only
       meaningful (and only accepted) with [horizon]. *)
 
-val uniform :
-  ?byz_fraction:float -> protocol:string -> n:int -> p:float -> unit -> t
+val uniform : protocol:string -> n:int -> p:float -> unit -> t
 (** [uniform ~protocol ~n ~p ()] — the paper's §3 setting as a scenario.
     Raises [Invalid_argument] on invalid inputs (trusted-caller
     convenience over {!make}). *)
@@ -101,7 +95,6 @@ val quorum : t -> string -> int option
 (** Lookup one override. *)
 
 val stakes : t -> float list option
-val processes : t -> Faultmodel.Failure_process.t list option
 val at : t -> float option
 val seed : t -> int option
 val horizon : t -> float option
@@ -125,8 +118,6 @@ val with_protocol : string -> t -> t
 val with_mix : (int * float) list -> t -> t
 val with_p : float -> t -> t
 (** Replace every group's fault probability, keeping the counts. *)
-
-val with_processes : Faultmodel.Failure_process.t list -> t -> t
 
 val with_horizon : ?rounds:int -> float -> t -> t
 (** Set the trajectory horizon (and optionally its resolution). *)

@@ -23,6 +23,3 @@ let pbft_node_count ~p ~n_base ~n_alt =
       Faultmodel.Fleet.uniform ~byz_fraction:1. ~n ~p () )
   in
   compare_deployments (deployment n_base) (deployment n_alt)
-
-let pbft_sweep ~ps ~n_base ~n_alt =
-  List.map (fun p -> (p, pbft_node_count ~p ~n_base ~n_alt)) ps

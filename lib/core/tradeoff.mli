@@ -24,7 +24,3 @@ val compare_deployments :
 val pbft_node_count : p:float -> n_base:int -> n_alt:int -> comparison
 (** Compare default-parameter PBFT at two cluster sizes under uniform
     Byzantine fault probability [p]. *)
-
-val pbft_sweep : ps:float list -> n_base:int -> n_alt:int -> (float * comparison) list
-(** The E6 sweep: safety-improvement and liveness-degradation ratios
-    across fault probabilities. *)

@@ -40,7 +40,6 @@ let default_catalog =
     };
   ]
 
-let fleet t n = Faultmodel.Fleet.uniform ~n ~p:t.fault_probability ()
 
 let cluster_hourly_cost t n = t.hourly_cost *. float_of_int n
 

@@ -27,9 +27,6 @@ val default_catalog : t list
     (2%), old-generation (4%), spot (8%). Spot is 10x cheaper than
     premium, matching the paper's E3 arithmetic. *)
 
-val fleet : t -> int -> Faultmodel.Fleet.t
-(** A uniform fleet of [n] nodes of this class. *)
-
 val cluster_hourly_cost : t -> int -> float
 val cluster_annual_carbon : t -> int -> float
 

@@ -18,9 +18,9 @@ let deployment_of machine n =
     annual_carbon = Machine.cluster_annual_carbon machine n;
   }
 
-let min_cluster machine ~target ?(max_n = 99) () =
+let min_cluster machine ~target () =
   let rec go n =
-    if n > max_n then None
+    if n > 99 then None
     else begin
       let d = deployment_of machine n in
       if d.reliability >= target then Some d else go (n + 2)

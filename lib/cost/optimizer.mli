@@ -15,9 +15,9 @@ type deployment = {
 
 type objective = Cost | Carbon
 
-val min_cluster : Machine.t -> target:float -> ?max_n:int -> unit -> deployment option
-(** Smallest (odd) Raft cluster of this class reaching the target
-    reliability. *)
+val min_cluster : Machine.t -> target:float -> unit -> deployment option
+(** Smallest (odd) Raft cluster of this class, of at most 99 nodes,
+    reaching the target reliability. *)
 
 val optimize : ?objective:objective -> target:float -> unit -> deployment option
 (** Cheapest deployment over {!Machine.default_catalog} meeting the

@@ -49,7 +49,7 @@ let no_log (_ : string) = ()
 
 let max_attempts = 2000
 
-let shrink ?(log = no_log) sys failure =
+let shrink ~log sys failure =
   let attempts = ref 0 in
   let rec fixpoint current detail steps =
     let cur_size = sys.size current in

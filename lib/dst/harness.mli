@@ -101,14 +101,15 @@ val soak :
     included. *)
 
 val shrink :
-  ?log:(string -> unit) ->
+  log:(string -> unit) ->
   'case system ->
   'case failure ->
   'case shrunk
 (** Greedy fixpoint: repeatedly try [candidates], accept the first
     strictly-{!smaller} one that still fails the {e same} invariant,
     restart from it; stop when no candidate is accepted or 2000
-    candidate executions have run. *)
+    candidate executions have run. [log] receives a line per accepted
+    reduction. *)
 
 val to_repro :
   'case system -> seed:int -> elapsed_seconds:float ->

@@ -19,9 +19,9 @@ let expand name =
   else if List.mem name names then Ok [ name ]
   else unknown name
 
-let find ?seeded_bug name =
+let find ~seeded_bug name =
   if name = Service_case.system_name then
-    Ok (Packed (Service_case.system ?seeded_bug ()))
+    Ok (Packed (Service_case.system ~seeded_bug ()))
   else if name = Fleet_case.system_name then Ok (Packed (Fleet_case.system ()))
   else if name = Replica_case.system_name then
     Ok (Packed (Replica_case.system ()))
@@ -34,12 +34,12 @@ let find ?seeded_bug name =
 
 type finding = { repro : Repro.t; faults : int; ops : int }
 
-let soak ?seeded_bug ?(shrink = true) ?(log = ignore) system ~seed ~episodes =
+let soak ?(seeded_bug = false) ?(shrink = true) ?(log = ignore) system ~seed ~episodes =
   let t0 = Unix.gettimeofday () in
   let rec go = function
     | [] -> Ok None
     | name :: rest -> (
-        match find ?seeded_bug name with
+        match find ~seeded_bug name with
         | Error _ as e -> e
         | Ok (Packed sys) -> (
             log (Printf.sprintf "%s: %d episodes from seed %d" name episodes seed);
@@ -75,15 +75,7 @@ let over_bounds ?max_faults ?max_ops f =
     [ ("faults", f.faults, max_faults); ("ops", f.ops, max_ops) ]
 
 let replay (repro : Repro.t) =
-  match find repro.Repro.system with
+  match find ~seeded_bug:false repro.Repro.system with
   | Error _ ->
       Error (Printf.sprintf "artifact names unknown system %S" repro.Repro.system)
   | Ok (Packed sys) -> Harness.replay sys repro
-
-let replay_file path =
-  match Repro.read ~path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Ok repro -> (
-      match replay repro with
-      | Ok msg -> Ok (Printf.sprintf "%s: %s" path msg)
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))

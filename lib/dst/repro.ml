@@ -19,7 +19,6 @@ type t = {
 }
 
 let schema = "probcons-repro/1"
-let with_expect expect t = { t with expect }
 
 let expect_string = function `Fail -> "fail" | `Pass -> "pass"
 

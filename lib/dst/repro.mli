@@ -45,18 +45,10 @@ type t = {
   elapsed_seconds : float;  (** Wall time of the failing soak. *)
 }
 
-val schema : string
-(** ["probcons-repro/1"]. *)
-
-val with_expect : expect -> t -> t
-(** Flip the expectation — how a fixed bug's artifact becomes a
-    must-now-pass regression test. *)
-
-val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
-(** Total: wrong schema tag, missing seed/plan/invariant/ops fields,
-    or non-finite timings are [Error]s. *)
+(** Total: a schema tag other than ["probcons-repro/1"], missing
+    seed/plan/invariant/ops fields, or non-finite timings are
+    [Error]s. *)
 
-val of_string : string -> (t, string) result
 val write : path:string -> t -> unit
 val read : path:string -> (t, string) result

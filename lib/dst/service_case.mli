@@ -43,10 +43,6 @@ type t = {
 val system_name : string
 (** ["service"]. *)
 
-val active_faults : Service.Chaos.plan -> int
-(** Fault channels with non-zero probability — the plan's contribution
-    to the case's shrink unit count. *)
-
 val system : ?seeded_bug:bool -> unit -> t Harness.system
 (** [seeded_bug] (default false) parameterizes the {e generator} only;
     decoding an artifact always reconstructs the case's own recorded

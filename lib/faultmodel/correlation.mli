@@ -32,14 +32,10 @@ type t =
           fault probabilities are multiplied by [factor_i] (clamped).
           Captures "bad weeks": rollout periods, workload surges. *)
 
-val sample : t -> Fleet.t -> Prob.Rng.t -> bool array
-(** One failure configuration; element [u] is [true] iff node [u] is
-    faulty. *)
-
 type kind = Ok | Crash | Byz
 
 val sample_kinds : t -> Fleet.t -> Prob.Rng.t -> kind array
-(** Like {!sample} but distinguishing fault kinds: a node's own fault
+(** One failure configuration, distinguishing fault kinds: a node's own fault
     is Byzantine with the node's [byz_fraction]; a domain shock's kind
     follows its [byzantine_shock] flag. When several causes hit one
     node, Byzantine wins (it subsumes a crash). *)

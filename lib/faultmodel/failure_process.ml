@@ -310,9 +310,3 @@ let sample_downtime rng t ~horizon =
               else go back ((fail, Some back) :: acc) (n + 1)
         in
         go 0. [] 0
-
-let pp fmt = function
-  | Static p -> Format.fprintf fmt "static(%g)" p
-  | Curve c -> Format.fprintf fmt "curve(%a)" Fault_curve.pp c
-  | Markov { fail_rate; recover_rate } ->
-      Format.fprintf fmt "markov(fail=%g/h, recover=%g/h)" fail_rate recover_rate

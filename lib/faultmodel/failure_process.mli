@@ -66,5 +66,3 @@ val sample_downtime :
     recovery, [(fail, None)] is permanent. [Static]/[Curve] sample one
     lifetime (no recovery); [Markov] alternates exponential up/down
     dwells. *)
-
-val pp : Format.formatter -> t -> unit

@@ -61,7 +61,6 @@ let of_afr afr =
   if afr >= 1. then Exponential { rate = 1e3 }
   else Exponential { rate = -.Float.log1p (-.afr) /. hours_per_year }
 
-let afr curve = eval curve hours_per_year
 
 let rec hazard_rate curve t =
   match curve with
@@ -84,14 +83,3 @@ let window_probability curve ~start ~duration =
   let survival = 1. -. p_start in
   if survival <= 0. then 1.
   else Prob.Math_utils.clamp_prob ((p_end -. p_start) /. survival)
-
-let rec pp fmt = function
-  | Constant p -> Format.fprintf fmt "constant(%g)" p
-  | Exponential { rate } -> Format.fprintf fmt "exp(rate=%g/h)" rate
-  | Weibull { shape; scale } -> Format.fprintf fmt "weibull(k=%g, lambda=%g)" shape scale
-  | Bathtub { t1; t2; _ } -> Format.fprintf fmt "bathtub(t1=%g, t2=%g)" t1 t2
-  | Empirical points -> Format.fprintf fmt "empirical(%d points)" (Array.length points)
-  | Scaled { factor; curve } -> Format.fprintf fmt "%g*%a" factor pp curve
-  | Shifted { offset; curve } -> Format.fprintf fmt "%a@@+%gh" pp curve offset
-  | Markov_onoff { fail_rate; recover_rate } ->
-      Format.fprintf fmt "markov(fail=%g/h, recover=%g/h)" fail_rate recover_rate

@@ -53,10 +53,6 @@ val of_afr : float -> t
     4% AFR the paper quotes for servers) into the exponential curve
     with that one-year failure probability. *)
 
-val afr : t -> float
-(** Fault probability over one year (8766 h) — the storage community's
-    AFR metric, recovered from any curve. *)
-
 val hazard_rate : t -> float -> float
 (** Instantaneous failure rate at time [t] (numerically differentiated
     for shapes without a closed form). *)
@@ -64,5 +60,3 @@ val hazard_rate : t -> float -> float
 val window_probability : t -> start:float -> duration:float -> float
 (** Probability of failing during [start, start+duration] conditioned
     on being alive at [start]: drives preemptive reconfiguration. *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,7 +29,6 @@ let fault_probs ?at t = Array.map (fun n -> Node.fault_probability ?at n) t.node
 let byz_probs ?at t = Array.map (fun n -> Node.byz_probability ?at n) t.nodes
 let crash_probs ?at t = Array.map (fun n -> Node.crash_probability ?at n) t.nodes
 
-let expected_failures t = Prob.Math_utils.kahan_sum (fault_probs t)
 
 let most_reliable t =
   let probs = fault_probs t in

@@ -28,9 +28,6 @@ val fault_probs : ?at:float -> t -> float array
 val byz_probs : ?at:float -> t -> float array
 val crash_probs : ?at:float -> t -> float array
 
-val expected_failures : t -> float
-(** Expected number of faulty nodes at one year. *)
-
 val most_reliable : t -> int list
 (** Node ids sorted by ascending fault probability at one year (ties
     by id): the order reliability-aware leader election prefers. *)

@@ -59,13 +59,6 @@ let observe rng curve ~devices ~window =
     window;
   }
 
-let afr_of_observation obs =
-  if obs.device_hours <= 0. then 0.
-  else begin
-    let rate = float_of_int obs.failures /. obs.device_hours in
-    Prob.Math_utils.clamp_prob (-.Float.expm1 (-.rate *. hours_per_year))
-  end
-
 let afr_confidence obs =
   if obs.device_hours <= 0. then (0., 1.)
   else begin
@@ -92,11 +85,6 @@ let fit_weibull obs =
     Prob.Distribution.weibull_fit_censored ~failures:obs.lifetimes
       ~censored:[| (obs.window, survivors) |]
   in
-  Fault_curve.Weibull { shape; scale }
-
-let fit_weibull_uncensored obs =
-  if obs.failures < 2 then invalid_arg "Telemetry.fit_weibull: need >= 2 failures";
-  let shape, scale = Prob.Distribution.weibull_fit obs.lifetimes in
   Fault_curve.Weibull { shape; scale }
 
 let log_likelihood curve lifetimes =

@@ -25,27 +25,14 @@ val observe : Prob.Rng.t -> Fault_curve.t -> devices:int -> window:float -> obse
     lifetimes beyond the window are right-censored into
     [device_hours]. *)
 
-val afr_of_observation : observation -> float
-(** Point AFR estimate: failures per device-year, converted to a
-    one-year failure probability. *)
-
 val afr_confidence : observation -> float * float
 (** 95% interval on the AFR (normal approximation to the Poisson
     count, clamped to [0, 1]). *)
 
-val fit_exponential : observation -> Fault_curve.t
-(** Censoring-aware exponential MLE: rate = failures / device-hours. *)
-
-val fit_weibull : observation -> Fault_curve.t
-(** Censoring-aware Weibull MLE: surviving devices enter the
-    likelihood as right-censored at the window, so short monitoring
-    windows no longer bias the shape toward infant mortality.
-    Requires >= 2 failures. *)
-
-val fit_weibull_uncensored : observation -> Fault_curve.t
-(** The naive fit on failed devices only — kept for comparison; badly
-    biased when the window censors most lifetimes. *)
-
 val fit_auto : observation -> Fault_curve.t
-(** Picks exponential vs Weibull by the uncensored log-likelihood;
-    falls back to exponential when there are too few failures. *)
+(** Picks between two censoring-aware MLEs by the uncensored
+    log-likelihood, falling back to the exponential with fewer than 5
+    failures: the exponential's rate is failures / device-hours; the
+    Weibull enters surviving devices in the likelihood as
+    right-censored at the window, so short monitoring windows no
+    longer bias the shape toward infant mortality. *)

@@ -82,7 +82,7 @@ let estimate_fleet estimates =
 (* Dynamic-mode swap ranking: the negated reliability-weighted score
    [(1 - estimate) / (1 + uncertainty)], so the riskiest node is the
    one with the lowest score — the same scoring
-   {!Probnative.Committee.reliability_weighted} uses. A node that looks
+   {!Probcons.Committee.reliability_weighted} uses. A node that looks
    bad {e or} that we cannot trust ranks first; under time-varying
    ground truth a stale confident estimate is exactly as dangerous as a
    fresh bad one. *)
@@ -147,17 +147,17 @@ let run cfg =
          safe Flexible-Paxos family, if one meets the target. *)
       (if cfg.nodes <= resize_max_nodes then
          match
-           Probnative.Dynamic_quorum.best_raft ~target_live:cfg.target_live
+           Probcons.Dynamic_quorum.best_raft ~target_live:cfg.target_live
              (estimate_fleet estimates)
          with
-         | Some choice when choice.Probnative.Dynamic_quorum.params.Probcons.Raft_model.q_per <> !quorum ->
-             let params = choice.Probnative.Dynamic_quorum.params in
+         | Some choice when choice.Probcons.Dynamic_quorum.params.Probcons.Raft_model.q_per <> !quorum ->
+             let params = choice.Probcons.Dynamic_quorum.params in
              recommend tick live
                (Resize
                   {
                     q_per = params.Probcons.Raft_model.q_per;
                     q_vc = params.Probcons.Raft_model.q_vc;
-                    predicted_live = choice.Probnative.Dynamic_quorum.p_live;
+                    predicted_live = choice.Probcons.Dynamic_quorum.p_live;
                   });
              quorum := params.Probcons.Raft_model.q_per
          | _ -> ());

@@ -6,7 +6,7 @@
     live Poisson-binomial failure distribution as an O(n)
     {!Prob.Incremental} batch update, and checks the fleet's liveness
     probability against its target. When the guarantee slips it first
-    tries a quorum resize ({!Probnative.Dynamic_quorum.best_raft});
+    tries a quorum resize ({!Probcons.Dynamic_quorum.best_raft});
     when no structurally safe sizing restores the target it recommends
     — and applies — a preemptive swap of the riskiest node under the
     §4 swap rule {!Probnative.Preemptive_reconfig.decide}, which

@@ -2,13 +2,6 @@ type matrix = float array array
 
 let make rows cols = Array.make_matrix rows cols 0.
 
-let identity n =
-  let m = make n n in
-  for i = 0 to n - 1 do
-    m.(i).(i) <- 1.
-  done;
-  m
-
 let copy m = Array.map Array.copy m
 
 let transpose m =
@@ -18,14 +11,6 @@ let transpose m =
     let cols = Array.length m.(0) in
     Array.init cols (fun j -> Array.init rows (fun i -> m.(i).(j)))
   end
-
-let mat_vec m v =
-  Array.map
-    (fun row ->
-      let acc = ref 0. in
-      Array.iteri (fun j x -> acc := !acc +. (x *. v.(j))) row;
-      !acc)
-    m
 
 let solve a b =
   let n = Array.length b in

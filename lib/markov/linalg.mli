@@ -8,10 +8,7 @@ type matrix = float array array
 (** Row-major; [m.(i).(j)]. *)
 
 val make : int -> int -> matrix
-val identity : int -> matrix
 val copy : matrix -> matrix
-val transpose : matrix -> matrix
-val mat_vec : matrix -> float array -> float array
 
 val solve : matrix -> float array -> float array
 (** [solve a b] returns [x] with [a x = b]. Raises [Failure] on a

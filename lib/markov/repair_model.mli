@@ -23,11 +23,9 @@ val mttf : spec -> float
     [quorum] nodes are alive — loss of liveness. Repairs operate in the
     transient states. *)
 
-val mttr_cluster : spec -> float
-(** Mean time from quorum-loss back to a quorum. *)
-
 val mtbf : spec -> float
-(** MTTF + cluster MTTR. *)
+(** MTTF plus the cluster's MTTR, the mean time from quorum loss back
+    to a quorum. *)
 
 val availability : spec -> float
 (** Steady-state fraction of time a quorum is alive. *)

@@ -67,7 +67,9 @@ exception Parse_error of int * string
 
 let parse_error i msg = raise (Parse_error (i, msg))
 
-let default_max_depth = 512
+(* Container-nesting limit: deeper input is a parse error, not a stack
+   overflow. *)
+let max_depth = 512
 
 type key = Build of string | Find of string
 type field = Absent | Found | Built of t
@@ -82,7 +84,6 @@ type cursor = {
   s : string;
   n : int;
   mutable pos : int;
-  max_depth : int;
   mutable build : bool;
   keys : key array;
   found : field array;
@@ -299,7 +300,7 @@ let rec parse_value c depth =
   | 'f' -> literal c "false" (Bool false)
   | 'n' -> literal c "null" Null
   | '[' ->
-      if depth >= c.max_depth then parse_error c.pos "nesting too deep";
+      if depth >= max_depth then parse_error c.pos "nesting too deep";
       c.pos <- c.pos + 1;
       skip_ws c;
       if peek c = ']' then begin
@@ -310,7 +311,7 @@ let rec parse_value c depth =
         let l = items c (depth + 1) [] in
         if c.build then List l else Null
   | '{' ->
-      if depth >= c.max_depth then parse_error c.pos "nesting too deep";
+      if depth >= max_depth then parse_error c.pos "nesting too deep";
       c.pos <- c.pos + 1;
       skip_ws c;
       if peek c = '}' then begin
@@ -389,21 +390,20 @@ let parse c =
   | exception Parse_error (i, msg) ->
       Error (Printf.sprintf "JSON parse error at offset %d: %s" i msg)
 
-let cursor ?(max_depth = default_max_depth) ~build keys s =
+let cursor ~build keys s =
   {
     s;
     n = String.length s;
     pos = 0;
-    max_depth;
     build;
     keys;
     found = Array.make (Array.length keys) Absent;
   }
 
-let of_string ?max_depth s = parse (cursor ?max_depth ~build:true [||] s)
+let of_string s = parse (cursor ~build:true [||] s)
 
-let members ?max_depth keys s =
-  let c = cursor ?max_depth ~build:false keys s in
+let members keys s =
+  let c = cursor ~build:false keys s in
   match parse c with Ok _ -> Ok c.found | Error _ as e -> e
 
 (* --- Accessors ----------------------------------------------------- *)

@@ -28,13 +28,10 @@ val to_string : t -> string
     so any OCaml string —
     arbitrary bytes included — renders to valid JSON and round-trips. *)
 
-val default_max_depth : int
-(** Default container-nesting limit for {!of_string} (512). *)
-
-val of_string : ?max_depth:int -> string -> (t, string) result
+val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed). [Error]
     carries a message with a character offset. Input nested deeper than
-    [max_depth] containers is rejected with a structured [Error] rather
+    512 containers is rejected with a structured [Error] rather
     than overflowing the parser's stack — safe on untrusted socket
     input. Numbers follow RFC 8259: a leading zero ([007], [-01]) or a
     [.] with no digit before or after it ([1.], [1.e5], [-.5]) is a
@@ -46,7 +43,7 @@ type key =
 
 type field = Absent | Found | Built of t
 
-val members : ?max_depth:int -> key array -> string -> (field array, string) result
+val members : key array -> string -> (field array, string) result
 (** [members keys s] checks [s] exactly as {!of_string} does — the same
     grammar, depth limit, [Ok]/[Error] and error message — but scans it
     rather than building a tree: it allocates no string, list or number

@@ -59,7 +59,7 @@ let create ?(enabled = false) () =
 (* The process-global registry every library-level metric lives in. *)
 let default = create ()
 
-let set_enabled ?(registry = default) flag = Atomic.set registry.on flag
+let set_enabled flag = Atomic.set default.on flag
 let enabled () = Atomic.get default.on
 
 let atomic_array n = Array.init n (fun _ -> Atomic.make 0)

@@ -25,10 +25,11 @@ type t
 val create : ?enabled:bool -> unit -> t
 (** Fresh registry, disabled by default. *)
 
-val set_enabled : ?registry:t -> bool -> unit
-(** Every [?registry] defaults to the process-global registry that
-    every library-level metric lives in. It is disabled until
-    [set_enabled true]; [bin/main.exe --metrics FILE] switches it on. *)
+val set_enabled : bool -> unit
+(** Switch the process-global registry, which every [?registry] below
+    defaults to and every library-level metric lives in. It is disabled
+    until [set_enabled true]; [bin/main.exe --metrics FILE] switches it
+    on. *)
 
 val enabled : unit -> bool
 (** Whether the process-global registry is on. *)
@@ -102,10 +103,9 @@ val find : snapshot -> family:string -> name:string -> value option
 
 (** {1 JSON encoding} *)
 
-val to_jsonl : snapshot -> string
-(** JSON-lines: one sample object per line. *)
-
 val of_jsonl : string -> (snapshot, string) result
+(** Parse what {!write_jsonl} writes. *)
 
 val write_jsonl : path:string -> snapshot -> unit
-(** Write {!to_jsonl} to [path] (truncating). *)
+(** Write the snapshot to [path] (truncating) as JSON lines: one sample
+    object per line. *)

@@ -6,22 +6,14 @@
     regime consensus deployments live in. These bounds make that
     looseness measurable against the exact binomial tail. *)
 
-val hoeffding_tail_ge : n:int -> p:float -> k:int -> float
-(** Hoeffding upper bound on P(X >= k), X ~ Binomial(n, p):
-    [exp (-2 n (k/n - p)^2)] for [k/n > p], else 1. *)
-
-val chernoff_kl_tail_ge : n:int -> p:float -> k:int -> float
-(** The tightest exponential (Chernoff–Cramér) bound:
-    [exp (-n KL(k/n || p))] for [k/n > p], else 1. *)
-
-val kl_bernoulli : float -> float -> float
-(** [kl_bernoulli a p] = KL divergence between Bernoulli(a) and
-    Bernoulli(p), in nats. *)
-
 type comparison = {
   exact : float;
   chernoff : float;
+      (** The tightest exponential (Chernoff–Cramér) bound:
+          [exp (-n KL(k/n || p))] for [k/n > p], else 1. *)
   hoeffding : float;
+      (** Hoeffding's bound: [exp (-2 n (k/n - p)^2)] for [k/n > p],
+          else 1. *)
   chernoff_ratio : float;  (** chernoff / exact — 1.0 would be tight. *)
   hoeffding_ratio : float;
 }

@@ -48,8 +48,6 @@ let binomial_sample rng ~n ~p =
   done;
   !count
 
-let exponential_survival ~rate t = exp (-.rate *. t)
-
 let weibull_survival ~shape ~scale t =
   if t <= 0. then 1. else exp (-.((t /. scale) ** shape))
 
@@ -139,5 +137,3 @@ let weibull_fit_censored ~failures ~censored =
   in
   let scale = (sxk /. df) ** (1. /. shape) in
   (shape, scale)
-
-let weibull_fit samples = weibull_fit_censored ~failures:samples ~censored:[||]

@@ -16,9 +16,6 @@ val binomial_tail_ge : n:int -> p:float -> int -> float
 
 val binomial_sample : Rng.t -> n:int -> p:float -> int
 
-val exponential_survival : rate:float -> float -> float
-(** [exponential_survival ~rate t] = P(lifetime > t) = exp (-rate*t). *)
-
 val weibull_survival : shape:float -> scale:float -> float -> float
 (** P(lifetime > t) = exp (-(t/scale)^shape). [shape < 1] models infant
     mortality, [shape > 1] wear-out — the two ends of the bathtub. *)
@@ -32,10 +29,6 @@ val exponential_fit : float array -> float
 (** Maximum-likelihood rate for i.i.d. exponential lifetimes (1/mean).
     Raises [Invalid_argument] on an empty array. *)
 
-val weibull_fit : float array -> float * float
-(** [(shape, scale)] fitted by MLE (bisection on the profile-likelihood
-    score). Requires at least two distinct positive samples. *)
-
 val weibull_fit_censored :
   failures:float array -> censored:(float * int) array -> float * float
 (** Right-censored Weibull MLE: [failures] are observed lifetimes,
@@ -43,8 +36,9 @@ val weibull_fit_censored :
     when observation stopped at [time] (a fleet watched over one window
     is one group). Essential for telemetry windows shorter than
     typical lifetimes, where the uncensored fit is badly biased toward
-    short lives. With no censored units this coincides with
-    {!weibull_fit}. Requires at least two failures; raises
+    short lives. With no censored units it is the plain MLE:
+    [(shape, scale)] by bisection on the profile-likelihood score.
+    Requires at least two failures; raises
     [Invalid_argument] on a nonpositive failure time, a negative count,
     or a nonpositive time in a group of at least one unit.
 

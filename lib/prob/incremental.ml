@@ -169,17 +169,6 @@ let cdf_le t k =
     Math_utils.clamp_prob (Math_utils.kahan_total !acc)
   end
 
-let tail_ge t k =
-  let size = Array.length t.probs in
-  if k <= 0 then 1.
-  else begin
-    let acc = ref Math_utils.kahan_zero in
-    for i = max 0 k to size do
-      acc := Math_utils.kahan_add !acc t.dist.(i)
-    done;
-    Math_utils.clamp_prob (Math_utils.kahan_total !acc)
-  end
-
 let expectation t =
   let acc = ref Math_utils.kahan_zero in
   Array.iteri (fun k p -> acc := Math_utils.kahan_add !acc (float_of_int k *. p)) t.dist;

@@ -68,9 +68,6 @@ val pmf : t -> float array
 val cdf_le : t -> int -> float
 (** P(successes <= k). O(k). *)
 
-val tail_ge : t -> int -> float
-(** P(successes >= k). O(n - k). *)
-
 val expectation : t -> float
 
 val sup_distance_from_scratch : t -> float

@@ -22,8 +22,6 @@ let kahan_sum a =
   done;
   kahan_total !acc
 
-let kahan_sum_list l = kahan_sum (Array.of_list l)
-
 (* Exact log-factorials up to 255, then Stirling's series with the
    1/(12n) - 1/(360n^3) correction, which is accurate to ~1e-12 there. *)
 let log_factorial_table =
@@ -34,8 +32,7 @@ let log_factorial_table =
   t
 
 let log_factorial n =
-  if n < 0 then invalid_arg "Math_utils.log_factorial: negative argument"
-  else if n < 256 then log_factorial_table.(n)
+  if n < 256 then log_factorial_table.(n)
   else
     let x = float_of_int n in
     ((x +. 0.5) *. log x) -. x
@@ -74,7 +71,3 @@ let logsumexp a =
   end
 
 let clamp_prob p = if Float.is_nan p then 0. else Float.max 0. (Float.min 1. p)
-
-let approx_equal ?(tol = 1e-9) a b =
-  let diff = Float.abs (a -. b) in
-  diff <= tol || diff <= tol *. Float.max (Float.abs a) (Float.abs b)

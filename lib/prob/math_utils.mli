@@ -21,15 +21,10 @@ val kahan_total : kahan -> float
 val kahan_sum : float array -> float
 (** Compensated summation; accurate for long sums of small terms. *)
 
-val kahan_sum_list : float list -> float
-
-val log_factorial : int -> float
-(** [log_factorial n] is [log (n!)]. Exact table below 256, Stirling with
-    correction terms above. Raises [Invalid_argument] for negative [n]. *)
-
 val log_choose : int -> int -> float
-(** [log_choose n k] is [log (n choose k)]; [neg_infinity] when [k < 0]
-    or [k > n]. *)
+(** [log_choose n k] is [log (n choose k)], from exact log-factorials
+    below 256 and Stirling's series with correction terms above;
+    [neg_infinity] when [n < 0], [k < 0] or [k > n]. *)
 
 val choose : int -> int -> float
 (** [choose n k] = binomial coefficient as a float; [0.] outside range. *)
@@ -42,6 +37,3 @@ val logsumexp : float array -> float
 
 val clamp_prob : float -> float
 (** Clamp to [0, 1], mapping NaN to 0. *)
-
-val approx_equal : ?tol:float -> float -> float -> bool
-(** Relative-or-absolute comparison with default tolerance 1e-9. *)

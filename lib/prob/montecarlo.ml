@@ -1,11 +1,3 @@
-type estimate = {
-  mean : float;
-  trials : int;
-  successes : int;
-  ci_low : float;
-  ci_high : float;
-}
-
 let z95 = 1.959963984540054
 
 let wilson_interval ~successes ~trials =
@@ -21,14 +13,3 @@ let wilson_interval ~successes ~trials =
     in
     (Math_utils.clamp_prob (center -. margin), Math_utils.clamp_prob (center +. margin))
   end
-
-let estimate_bool ?(trials = 100_000) rng f =
-  let successes = ref 0 in
-  for _ = 1 to trials do
-    if f rng then incr successes
-  done;
-  let successes = !successes in
-  let ci_low, ci_high = wilson_interval ~successes ~trials in
-  { mean = float_of_int successes /. float_of_int trials; trials; successes; ci_low; ci_high }
-
-let within e p = p >= e.ci_low && p <= e.ci_high

@@ -30,11 +30,6 @@ let cdf_le probs k =
     Math_utils.clamp_prob !acc
   end
 
-let tail_ge probs k =
-  if k <= 0 then 1. else Math_utils.clamp_prob (1. -. cdf_le probs (k - 1))
-
-let expectation probs = Math_utils.kahan_sum probs
-
 let sum_over probs pred =
   let dist = pmf probs in
   let acc = ref 0. in

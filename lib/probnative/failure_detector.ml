@@ -1,14 +1,14 @@
 type t = {
-  window : int;
   intervals : float Queue.t;
   mutable last_heartbeat : float option;
   mutable sum : float;
   mutable sum_sq : float;
 }
 
-let create ?(window = 128) () =
-  if window < 2 then invalid_arg "Failure_detector.create: window too small";
-  { window; intervals = Queue.create (); last_heartbeat = None; sum = 0.; sum_sq = 0. }
+let window = 128
+
+let create () =
+  { intervals = Queue.create (); last_heartbeat = None; sum = 0.; sum_sq = 0. }
 
 let heartbeat t ~now =
   (match t.last_heartbeat with
@@ -18,15 +18,13 @@ let heartbeat t ~now =
       Queue.push interval t.intervals;
       t.sum <- t.sum +. interval;
       t.sum_sq <- t.sum_sq +. (interval *. interval);
-      if Queue.length t.intervals > t.window then begin
+      if Queue.length t.intervals > window then begin
         let evicted = Queue.pop t.intervals in
         t.sum <- t.sum -. evicted;
         t.sum_sq <- t.sum_sq -. (evicted *. evicted)
       end
   | None -> ());
   t.last_heartbeat <- Some now
-
-let samples t = Queue.length t.intervals
 
 let mean_interval t =
   let n = Queue.length t.intervals in

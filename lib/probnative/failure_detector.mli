@@ -9,8 +9,8 @@
 
 type t
 
-val create : ?window:int -> unit -> t
-(** [window] (default 128) bounds the history of inter-arrival times. *)
+val create : unit -> t
+(** A detector that keeps the last 128 inter-arrival times. *)
 
 val heartbeat : t -> now:float -> unit
 (** Record a heartbeat arrival. Times must be non-decreasing. *)
@@ -23,6 +23,3 @@ val phi : t -> now:float -> float
 
 val suspect : ?threshold:float -> t -> now:float -> bool
 (** [threshold] defaults to 8 (a one-in-10^8 false positive). *)
-
-val mean_interval : t -> float option
-val samples : t -> int

@@ -13,14 +13,14 @@ let subfleet fleet members =
 let committee_fleet fleet plan = subfleet fleet plan.committee
 
 let plan ~target fleet =
-  match Committee.reliability_ranked ~target fleet with
+  match Probcons.Committee.reliability_ranked ~target fleet with
   | None -> None
   | Some committee ->
-      let members = committee.Committee.members in
+      let members = committee.Probcons.Committee.members in
       let sub = subfleet fleet members in
       let quorums =
-        match Dynamic_quorum.best_raft ~target_live:target sub with
-        | Some choice -> choice.Dynamic_quorum.params
+        match Probcons.Dynamic_quorum.best_raft ~target_live:target sub with
+        | Some choice -> choice.Probcons.Dynamic_quorum.params
         | None ->
             (* Fall back to majority quorums: the committee met the
                target under them by construction. *)

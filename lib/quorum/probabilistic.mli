@@ -7,13 +7,10 @@
     5-node view-change trigger quorum at p=1% contains a correct node
     with ten nines — is the [contains_correct] computation here. *)
 
-val disjoint_probability : n:int -> k1:int -> k2:int -> float
-(** Probability that two independent uniformly random subsets of sizes
-    [k1] and [k2] of an [n]-universe are disjoint:
-    C(n-k1, k2) / C(n, k2). *)
-
 val intersection_probability : n:int -> k1:int -> k2:int -> float
-(** 1 - {!disjoint_probability}. *)
+(** Probability that two independent uniformly random subsets of sizes
+    [k1] and [k2] of an [n]-universe intersect: one minus their
+    disjointness, C(n-k1, k2) / C(n, k2). *)
 
 val epsilon_intersecting_size : n:int -> epsilon:float -> int
 (** Smallest [k] such that two random [k]-subsets intersect with

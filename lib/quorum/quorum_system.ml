@@ -119,12 +119,6 @@ let intersects_in a b =
       let qa = minimal_quorums a and qb = minimal_quorums b in
       if qa = [] || qb = [] then 0 else pairwise_min_overlap qa qb
 
-let self_intersecting t =
-  match t with
-  | Threshold { n; k } -> 2 * k > n
-  | Grid _ -> true
-  | Weighted _ | Explicit _ -> intersects_in t t >= 1
-
 let auto_exact_max = 20
 let max_weight_dp = 1_000_000
 

@@ -43,10 +43,6 @@ val minimal_quorums : t -> Subset.t list
     universes too large to enumerate (n > 24 for threshold-like
     systems). *)
 
-val self_intersecting : t -> bool
-(** Every pair of quorums shares at least one node — the classical
-    quorum-system consistency requirement. *)
-
 val intersects_in : t -> t -> int
 (** [intersects_in a b] = the minimum overlap between any quorum of [a]
     and any quorum of [b] (0 when some pair is disjoint). The paper's

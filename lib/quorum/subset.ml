@@ -12,8 +12,6 @@ let cardinal s =
   go s 0
 
 let inter = ( land )
-let union = ( lor )
-let diff a b = a land lnot b
 let subset a b = a land lnot b = 0
 let of_list l = List.fold_left add empty l
 

@@ -14,8 +14,6 @@ val add : t -> int -> t
 val remove : t -> int -> t
 val cardinal : t -> int
 val inter : t -> t -> t
-val union : t -> t -> t
-val diff : t -> t -> t
 val subset : t -> t -> bool
 (** [subset a b] iff every element of [a] is in [b]. *)
 

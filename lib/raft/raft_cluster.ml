@@ -130,11 +130,6 @@ let remove_server t server =
       let proposal = List.filter (fun u -> u <> server) (Raft_node.members node) in
       Raft_node.submit_config node proposal
 
-let transfer_leadership t target =
-  match current_leader t with
-  | None -> false
-  | Some leader -> Raft_node.transfer_leadership t.nodes.(leader) target
-
 let retire_at t ~time server =
   ignore
     (Dessim.Engine.schedule_at t.engine ~time (fun () -> set_down t server true))

@@ -61,11 +61,6 @@ val add_server : t -> int -> bool
 val remove_server : t -> int -> bool
 (** Ask the current leader to remove a member (never itself). *)
 
-val transfer_leadership : t -> int -> bool
-(** Ask the current leader to hand off to the given member (must be
-    caught up). Combine with {!remove_server} to rotate the leader
-    out of the configuration. *)
-
 val retire_at : t -> time:float -> int -> unit
 (** Administratively power a node off at the given time — the
     operator's step after a removal commits, which also keeps the

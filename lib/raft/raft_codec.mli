@@ -65,10 +65,6 @@ val read : cursor -> (cursor -> 'a) -> ('a, string) result
 
 (** {1 The seal} *)
 
-val crc32 : string -> pos:int -> len:int -> int
-(** CRC-32 as zlib computes it (reflected polynomial 0xEDB88320) of
-    [len] bytes from [pos]. *)
-
 val seal : (Buffer.t -> unit) -> string
 (** The bytes the writer adds, behind a little-endian u32 CRC-32 of
     them. *)

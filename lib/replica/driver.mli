@@ -12,9 +12,6 @@
     [tools/validate_bench] gates in CI, including an end-of-run
     read-back proving no acknowledged write was lost. *)
 
-val schema : string
-(** ["probcons-repl-avail/1"]. *)
-
 val service_port : base_port:int -> replicas:int -> int -> int
 (** Replica [i]'s client-facing port under the deployment's port
     layout ([base_port + n + i], above the raft listeners at

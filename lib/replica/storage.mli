@@ -7,7 +7,8 @@
     sealed by {!Raft_sim.Raft_codec.seal}, as the raft plane frames an
     envelope:
 
-    - a header frame whose body is the schema string;
+    - a header frame whose body is the schema string,
+      ["probcons-replica-durable/3"];
     - then one frame per {!record}: a tag word (0 hard state, 1 entry,
       2 truncate), then a hard state's term and vote (-1 for none), an
       entry in {!Raft_sim.Raft_codec}'s layout followed by its
@@ -41,9 +42,6 @@
     - any other bad frame, and any checksum-valid record that is
       malformed or does not replay (an entry off the end of the log, a
       truncate past it), is an error. *)
-
-val schema : string
-(** ["probcons-replica-durable/3"]. *)
 
 type snapshot = {
   term : int;

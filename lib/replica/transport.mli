@@ -26,10 +26,6 @@
     for 50 ms, and Raft's retries re-carry the state. A frame is never
     cut short on a connection that stays open. *)
 
-val max_envelope_bytes : int
-(** The raft plane's frame bound (4 MB): {!send} refuses a larger
-    envelope, and a connection announcing one is closed. *)
-
 val envelope_to_line :
   src:int ->
   dst:int ->
@@ -78,8 +74,9 @@ val service :
 val send : t -> dst:int -> string -> unit
 (** Frame one envelope onto [dst]'s link; nothing is written until
     {!flush}. Refused and counted in {!dropped} when it is
-    empty, over {!max_envelope_bytes}, or would grow the link's backlog
-    past two such envelopes; dropped when the link failed under 50 ms
+    empty, over the raft plane's frame bound (4,000,000 bytes; a
+    connection announcing a larger frame is closed), or would grow the
+    link's backlog past two such envelopes; dropped when the link failed under 50 ms
     ago. *)
 
 val flush : t -> unit

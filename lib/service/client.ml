@@ -185,39 +185,31 @@ let recv_body_deadline t ~deadline =
   in
   go ()
 
-(* --- Raw blocking framing (tests, pipelining, loadgen) ------------------ *)
+(* --- Raw frames (the CLI's call, pipelining loops, tests) --------------- *)
 
-let send_line t body = send_body_deadline t ~deadline:None body
-
-(* Batched pipelined send: every body framed into one buffer, written
-   with (usually) a single syscall. This is what makes deep pipelines
-   pay off — the per-request cost on the send side drops to a blit. *)
-let send_lines t bodies =
+(* Every body framed into one buffer and written with (usually) a
+   single syscall. This is what makes deep pipelines pay off — the
+   per-request cost on the send side drops to a blit. *)
+let send t bodies =
   match bodies with
   | [] -> ()
-  | [ body ] -> send_line t body
+  | [ body ] -> send_body_deadline t ~deadline:None body
   | _ ->
       let buf = Buffer.create 4096 in
       List.iter (fun body -> Buffer.add_string buf (Frame.encode body)) bodies;
       send_bytes_deadline t ~deadline:None (Buffer.contents buf)
 
-let recv_line t =
-  match recv_body_deadline t ~deadline:None with
+let recv ?timeout t =
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+  match recv_body_deadline t ~deadline with
   | body -> Some body
-  | exception Lost _ -> None
+  | exception (Timed_out | Lost _) -> None
 
 (* A peer may answer and close before reading the request — the
    connection-cap goodbye — so a failed send still reads what came. *)
 let call_raw t body =
-  (try send_line t body with Lost _ -> ());
-  recv_line t
-
-let recv_line_timeout t ~timeout =
-  match
-    recv_body_deadline t ~deadline:(Some (Unix.gettimeofday () +. timeout))
-  with
-  | body -> Some body
-  | exception (Timed_out | Lost _) -> None
+  (try send t [ body ] with Lost _ -> ());
+  recv t
 
 (* --- Resilient calls --------------------------------------------------- *)
 

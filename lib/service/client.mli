@@ -28,12 +28,10 @@
       retried: its budget is spent, and the poisoned connection is
       dropped so a late reply can never answer a later call.
 
-    The raw blocking body transport (one frame per body) has no
-    deadline, retry or reply check. The load generator pipelines over
-    {!send_lines} and {!recv_line_timeout}; the CLI's [call] makes one
-    round trip with {!call_raw}; {!send_line} and {!recv_line} send and
-    receive one body at a time, for tests that pipeline or send
-    deliberately malformed bodies. Not thread-safe — use one client per
+    The raw frame transport ({!send}, {!recv}) has no retry or reply
+    check. The load generator pipelines over it; the CLI's [call]
+    makes one round trip with {!call_raw}; tests send deliberately
+    malformed bodies through it. Not thread-safe — use one client per
     thread. *)
 
 type target = Unix_path of string | Tcp of int
@@ -56,29 +54,22 @@ val connect :
     answers or the connection dies. Ignores SIGPIPE process-wide (same
     audit as the server side). *)
 
-val send_line : t -> string -> unit
-(** Send one request body as one frame. Blocking; raises on a dead
-    connection. *)
+val send : t -> string list -> unit
+(** Send the bodies, one frame each, in one batched write with
+    (usually) one syscall — the pipelined send path. Blocking; raises
+    on a dead connection. *)
 
-val send_lines : t -> string list -> unit
-(** Send many request bodies as one batch of frames with (usually) one
-    syscall — the pipelined send path. Blocking; raises on a dead
-    connection. *)
-
-val recv_line : t -> string option
+val recv : ?timeout:float -> t -> string option
 (** Next response body (a frame payload), or [None] on
-    EOF/reset/corrupted framing. Blocking. *)
+    EOF/reset/corrupted framing, and on expiry when [timeout] bounds
+    the wait to that many seconds — the receive for pipelining loops
+    that must never hang. Without [timeout] it blocks. *)
 
 val call_raw : t -> string -> string option
-(** [send_line] then [recv_line], reading even when the send fails,
-    so a reply sent before the server closed (the connection-cap
-    goodbye) still arrives. Blocking, no retries — the raw round trip
-    behind the CLI's [call], which sends any body as given. *)
-
-val recv_line_timeout : t -> timeout:float -> string option
-(** {!recv_line} bounded by a deadline [timeout] seconds out: [None]
-    on expiry as well as on EOF/reset/corrupted framing. The raw
-    receive for pipelining loops that must never hang. *)
+(** {!send} then {!recv}, reading even when the send fails, so a reply
+    sent before the server closed (the connection-cap goodbye) still
+    arrives. Blocking, no retries — the raw round trip behind the
+    CLI's [call], which sends any body as given. *)
 
 val call_line :
   ?timeout:float ->

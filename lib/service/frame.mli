@@ -36,9 +36,6 @@
 val magic : char
 (** [0xFB]. *)
 
-val version : int
-(** [3]. *)
-
 val header_bytes : int
 (** [6]. *)
 

@@ -229,7 +229,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
       | _ -> false
     in
     let recv_one () =
-      match Client.recv_line_timeout !c ~timeout:recv_budget with
+      match Client.recv ~timeout:recv_budget !c with
       | None -> lost ()
       | Some reply -> (
           if not (recv_fast reply) then
@@ -261,7 +261,7 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
         let stamped =
           List.rev_map (fun e -> { e with sent_at = now }) !entries
         in
-        match Client.send_lines !c (List.rev !batch) with
+        match Client.send !c (List.rev !batch) with
         | () -> window := !window @ stamped
         | exception _ -> lost ()
       end;

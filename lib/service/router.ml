@@ -38,7 +38,7 @@ let availability ~system ~probs =
 let committee ~target_nines ~groups =
   let fleet = fleet_of_groups ~byz_fraction:0.0 groups in
   let target = Prob.Nines.to_prob target_nines in
-  match Probnative.Committee.reliability_ranked ~target fleet with
+  match Probcons.Committee.reliability_ranked ~target fleet with
   | None -> Obs.Json.Obj [ ("found", Obs.Json.Bool false) ]
   | Some c ->
       Obs.Json.Obj
@@ -54,7 +54,7 @@ let committee ~target_nines ~groups =
 let quorum_size ~target_live_nines ~groups =
   let fleet = fleet_of_groups ~byz_fraction:0.0 groups in
   let target_live = Prob.Nines.to_prob target_live_nines in
-  match Probnative.Dynamic_quorum.best_raft ~target_live fleet with
+  match Probcons.Dynamic_quorum.best_raft ~target_live fleet with
   | None -> Obs.Json.Obj [ ("found", Obs.Json.Bool false) ]
   | Some c ->
       Obs.Json.Obj

@@ -43,7 +43,9 @@ type system =
 type probs = Uniform of float | Per_node of float list
 
 (** Fleet-controller run parameters in normal form: [nodes] is
-    required on the wire; [ticks], [seed] and [target_nines] default to
+    required on the wire and at most 256 (per-tick verification is
+    O(nodes^2)), [ticks] at most 128; [ticks], [seed] and
+    [target_nines] default to
     the CLI's defaults (26, 42, 3.0) and an explicit majority [quorum]
     normalizes to [None], so shorthand and spelled-out requests share
     one cache entry. [dynamic] (default [false]) switches the run to
@@ -138,15 +140,7 @@ val protocol_version : int
 val protocol_name : string
 (** ["probcons-wire/3"] — the protocol identifier. *)
 
-val max_fleet_ctrl_nodes : int
-(** Largest fleet a [fleet_recommend]/[fleet_ingest] closed loop may
-    run (256): per-tick verification is O(nodes^2). *)
-
-val max_fleet_ticks : int
-(** Longest fleet-controller run the wire accepts (128 ticks). *)
-
 val code_string : error_code -> string
-val code_of_string : string -> error_code option
 
 type request = { id : int; query : query }
 

@@ -10,12 +10,11 @@ type t = {
   queue : event Event_queue.t;
   rng : Prob.Rng.t;
   mutable executed : int;
-  mutable stopped : bool;
 }
 
 let create ?(seed = 1) () =
   { clock = 0.; queue = Event_queue.create (); rng = Prob.Rng.create seed;
-    executed = 0; stopped = false }
+    executed = 0 }
 
 let now t = t.clock
 let rng t = t.rng
@@ -34,9 +33,8 @@ let schedule t ~delay callback =
 let cancel event = event.cancelled <- true
 
 let run ?(until = infinity) ?(max_events = 10_000_000) t =
-  t.stopped <- false;
   let rec loop () =
-    if (not t.stopped) && t.executed < max_events then begin
+    if t.executed < max_events then begin
       match Event_queue.peek_time t.queue with
       | None -> ()
       | Some time when time > until -> ()
@@ -55,7 +53,3 @@ let run ?(until = infinity) ?(max_events = 10_000_000) t =
     end
   in
   loop ()
-
-let events_executed t = t.executed
-
-let stop t = t.stopped <- true

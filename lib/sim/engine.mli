@@ -32,8 +32,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     [max_events] callbacks (default 10 million — a runaway-protocol
     backstop), or when no events remain. Events scheduled during the
     run are processed too. *)
-
-val events_executed : t -> int
-
-val stop : t -> unit
-(** Make [run] return after the current callback. *)

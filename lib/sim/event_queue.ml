@@ -8,7 +8,6 @@ type 'a t = {
 
 let create () = { heap = [||]; len = 0; next_seq = 0 }
 
-let is_empty t = t.len = 0
 let size t = t.len
 
 let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

@@ -89,10 +89,6 @@ let set_down t i down =
   check_node t i;
   t.down.(i) <- down
 
-let is_down t i =
-  check_node t i;
-  t.down.(i)
-
 let partition t group_a group_b =
   List.iter
     (fun a ->

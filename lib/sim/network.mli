@@ -35,8 +35,6 @@ val set_down : 'msg t -> int -> bool -> unit
 (** Mark a node crashed/recovered. Messages already in flight to a
     down node are dropped at delivery time. *)
 
-val is_down : 'msg t -> int -> bool
-
 val partition : 'msg t -> int list -> int list -> unit
 (** Cut connectivity between the two groups (both directions). *)
 

@@ -10,7 +10,5 @@ let record t ~time ~node ~tag ~detail =
 
 let entries t = List.rev t.rev_entries
 
-let filter t ~tag = List.filter (fun e -> e.tag = tag) (entries t)
-
 let count t ~tag =
   List.fold_left (fun acc e -> if e.tag = tag then acc + 1 else acc) 0 t.rev_entries

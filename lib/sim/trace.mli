@@ -18,5 +18,4 @@ val record : t -> time:float -> node:int -> tag:string -> detail:string -> unit
 val entries : t -> entry list
 (** In chronological (recording) order. *)
 
-val filter : t -> tag:string -> entry list
 val count : t -> tag:string -> int

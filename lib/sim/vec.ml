@@ -20,19 +20,8 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
 let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Vec.truncate";
   t.len <- n
 
-let last t = if t.len = 0 then None else Some t.data.(t.len - 1)
-
 let to_list t = List.init t.len (fun i -> t.data.(i))
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done

@@ -11,10 +11,7 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
 val truncate : 'a t -> int -> unit
 (** Keep the first [n] elements; raises if [n] exceeds the length. *)
 
-val last : 'a t -> 'a option
 val to_list : 'a t -> 'a list
-val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -11,7 +11,10 @@ exception Parse_error of int * string
 
 let parse_error i msg = raise (Parse_error (i, msg))
 
-let of_string ?(max_depth = default_max_depth) s =
+(* [Obs.Json]'s container-nesting limit. *)
+let max_depth = 512
+
+let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in

@@ -5,8 +5,8 @@ open Benor_sim
 
 let all n = List.init n Fun.id
 
-let run ?(seed = 7) ?f ?(crash = []) ?(until = 1e7) initial_values =
-  let cluster = Benor_cluster.create ~seed ?f ~initial_values () in
+let run ?(seed = 7) ?(crash = []) ?(until = 1e7) initial_values =
+  let cluster = Benor_cluster.create ~seed ~initial_values () in
   if crash <> [] then
     Benor_cluster.inject cluster (Dessim.Fault_injector.of_failed_nodes ~at:1. crash);
   Benor_cluster.run cluster ~until;
@@ -75,10 +75,16 @@ let test_byzantine_injection_rejected () =
       Benor_cluster.run cluster ~until:10.)
 
 let test_config_validation () =
+  let engine = Dessim.Engine.create () in
+  let net = Dessim.Network.create ~engine ~n:3 () in
+  let config = { (Benor_node.default_config ~id:0 ~n:3) with Benor_node.f = 2 } in
   Alcotest.check_raises "2f < n" (Invalid_argument "Benor_node.create: requires 2f < n")
-    (fun () -> ignore (run ~f:2 [ 0; 1; 0 ]));
-  let cluster = Benor_cluster.create ~seed:1 ~initial_values:[ 1 ] () in
-  Alcotest.(check int) "singleton ok" 1 (Benor_cluster.size cluster)
+    (fun () ->
+      ignore
+        (Benor_node.create config ~engine ~net ~trace:(Dessim.Trace.create ())
+           ~initial:0));
+  let _, report = run ~seed:1 [ 1 ] in
+  Alcotest.(check int) "singleton ok" 1 (List.length report.Benor_cluster.decisions)
 
 let prop_agreement_and_validity_always =
   QCheck.Test.make ~count:15 ~name:"random inputs and crashes: agreement + validity"

@@ -46,11 +46,10 @@ let test_frame_linear_cost () =
   (* Reassembly must stay linear in bytes received however the stream
      is split: a [pending ^ chunk] decoder would take minutes here — a
      4 MB frame (the raft plane's bound) fed in 512-byte chunks. *)
-  let d = Frame.create ~max_payload_bytes:Replica.Transport.max_envelope_bytes () in
+  let bound = 4_000_000 in
+  let d = Frame.create ~max_payload_bytes:bound () in
   let frame =
-    Bytes.of_string
-      (Frame.encode ~max_payload_bytes:Replica.Transport.max_envelope_bytes
-         (String.make Replica.Transport.max_envelope_bytes 'x'))
+    Bytes.of_string (Frame.encode ~max_payload_bytes:bound (String.make bound 'x'))
   in
   let t0 = Unix.gettimeofday () in
   let off = ref 0 in
@@ -65,8 +64,7 @@ let test_frame_linear_cost () =
   done;
   (match Frame.next d with
   | Ok (Some body) ->
-      Alcotest.(check int) "payload length" Replica.Transport.max_envelope_bytes
-        (String.length body)
+      Alcotest.(check int) "payload length" bound (String.length body)
   | _ -> Alcotest.fail "frame did not complete");
   Alcotest.(check bool) "decoded once" true (Frame.next d = Ok None);
   Alcotest.(check bool) "linear-time assembly" true
@@ -348,7 +346,7 @@ let test_idle_timeout () =
                     (Wire.code_string code) msg);
               (* Now go silent: the server must close us, not wait
                  forever on a dead peer. *)
-              (match Client.recv_line c with
+              (match Client.recv c with
               | None -> ()
               | Some line -> Alcotest.failf "unexpected line on idle: %s" line);
               Alcotest.(check int) "idle connection released" 0
@@ -386,7 +384,7 @@ let test_max_connections () =
               Fun.protect
                 ~finally:(fun () -> Client.close c2)
                 (fun () ->
-                  expect_overloaded (Client.recv_line c2));
+                  expect_overloaded (Client.recv c2));
               (* A client that sends first, as `probcons call` does,
                  still reads the goodbye when the server has closed
                  before the send (given time to, here). *)

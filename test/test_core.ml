@@ -11,18 +11,20 @@ let check_float ?(eps = 1e-9) name expected actual =
 
 let test_config_counts () =
   let config = [| Config.Correct; Config.Crashed; Config.Byzantine; Config.Correct |] in
-  Alcotest.(check int) "correct" 2 (Config.num_correct config);
   Alcotest.(check int) "crashed" 1 (Config.num_crashed config);
-  Alcotest.(check int) "byz" 1 (Config.num_byzantine config);
-  Alcotest.(check int) "faulty" 2 (Config.num_faulty config);
-  Alcotest.(check int) "correct set" (Quorum.Subset.of_list [ 0; 3 ])
-    (Config.correct_set config);
-  Alcotest.(check int) "byz set" (Quorum.Subset.of_list [ 2 ]) (Config.byzantine_set config)
+  Alcotest.(check int) "byz" 1 (Config.num_byzantine config)
 
+(* The binary enumeration builds configuration [mask] from its failed
+   subset: failed-set bitmask 2 on three nodes fails node 1 alone. *)
 let test_config_of_failed_subset () =
-  let config = Config.of_failed_subset ~n:3 ~byzantine:true (Quorum.Subset.of_list [ 1 ]) in
-  Alcotest.(check bool) "node 1 byz" true (config.(1) = Config.Byzantine);
-  Alcotest.(check bool) "node 0 correct" true (config.(0) = Config.Correct)
+  let configs = ref [] in
+  Config.iter_binary_range ~n:3 ~byzantine:true ~lo:2 ~hi:3 (fun c ->
+      configs := Array.copy c :: !configs);
+  match !configs with
+  | [ config ] ->
+      Alcotest.(check bool) "node 1 byz" true (config.(1) = Config.Byzantine);
+      Alcotest.(check bool) "node 0 correct" true (config.(0) = Config.Correct)
+  | l -> Alcotest.failf "expected one configuration, got %d" (List.length l)
 
 let test_config_probability () =
   let crash_probs = [| 0.1; 0.2 |] and byz_probs = [| 0.05; 0. |] in
@@ -89,19 +91,24 @@ let test_config_sample_distribution () =
 
 (* --- Raft model --------------------------------------------------------- *)
 
+(* A structurally safe Raft is safe with every node correct. *)
+let structurally_safe (p : Raft_model.params) =
+  (Raft_model.protocol p).Protocol.safe.Protocol.full
+    (Array.make p.Raft_model.n Config.Correct)
+
 let test_raft_default_quorums () =
   let p = Raft_model.default 5 in
   Alcotest.(check int) "qper" 3 p.Raft_model.q_per;
   Alcotest.(check int) "qvc" 3 p.Raft_model.q_vc;
-  Alcotest.(check bool) "structurally safe" true (Raft_model.structurally_safe p)
+  Alcotest.(check bool) "structurally safe" true (structurally_safe p)
 
 let test_raft_structural_safety_conditions () =
   Alcotest.(check bool) "small qvc unsafe" false
-    (Raft_model.structurally_safe (Raft_model.flexible ~n:5 ~q_per:5 ~q_vc:2));
+    (structurally_safe (Raft_model.flexible ~n:5 ~q_per:5 ~q_vc:2));
   Alcotest.(check bool) "small sum unsafe" false
-    (Raft_model.structurally_safe (Raft_model.flexible ~n:5 ~q_per:1 ~q_vc:3));
+    (structurally_safe (Raft_model.flexible ~n:5 ~q_per:1 ~q_vc:3));
   Alcotest.(check bool) "flexible safe" true
-    (Raft_model.structurally_safe (Raft_model.flexible ~n:5 ~q_per:2 ~q_vc:4))
+    (structurally_safe (Raft_model.flexible ~n:5 ~q_per:2 ~q_vc:4))
 
 let test_raft_byzantine_voids_safety () =
   let proto = Raft_model.protocol (Raft_model.default 3) in
@@ -112,7 +119,9 @@ let test_raft_byzantine_voids_safety () =
 
 let test_raft_liveness_threshold () =
   let proto = Raft_model.protocol (Raft_model.default 5) in
-  let mk failed = Config.of_failed_subset ~n:5 ~byzantine:false (Quorum.Subset.of_list failed) in
+  let mk failed =
+    Array.init 5 (fun u -> if List.mem u failed then Config.Crashed else Config.Correct)
+  in
   Alcotest.(check bool) "2 crashed live" true (proto.Protocol.live.Protocol.full (mk [ 0; 1 ]));
   Alcotest.(check bool) "3 crashed dead" false
     (proto.Protocol.live.Protocol.full (mk [ 0; 1; 2 ]))
@@ -142,24 +151,37 @@ let test_pbft_default_params () =
   Alcotest.check_raises "n too small" (Invalid_argument "Pbft_model.default: PBFT needs n >= 4")
     (fun () -> ignore (Pbft_model.default 3))
 
+(* Theorem 3.1 at given counts, read through the model's count
+   predicates. *)
+let by_count (pred : Protocol.predicate) =
+  match pred.Protocol.by_count with
+  | Some f -> f
+  | None -> Alcotest.fail "PBFT predicates are count predicates"
+
+let safe_given_byz p byz =
+  by_count (Pbft_model.protocol p).Protocol.safe ~byz ~crashed:0
+
+let live_given p ~byz ~correct =
+  by_count (Pbft_model.protocol p).Protocol.live ~byz
+    ~crashed:(p.Pbft_model.n - byz - correct)
+
 let test_pbft_safety_thresholds () =
   let p = Pbft_model.default 4 in
-  Alcotest.(check bool) "0 byz safe" true (Pbft_model.safe_given_byz p 0);
-  Alcotest.(check bool) "1 byz safe" true (Pbft_model.safe_given_byz p 1);
-  Alcotest.(check bool) "2 byz unsafe" false (Pbft_model.safe_given_byz p 2);
-  Alcotest.(check int) "max byz safe" 1 (Pbft_model.max_byz_safe p)
+  Alcotest.(check bool) "0 byz safe" true (safe_given_byz p 0);
+  Alcotest.(check bool) "1 byz safe" true (safe_given_byz p 1);
+  Alcotest.(check bool) "2 byz unsafe" false (safe_given_byz p 2)
 
 let test_pbft_liveness_conditions () =
   let p = Pbft_model.default 4 in
-  Alcotest.(check bool) "all correct live" true (Pbft_model.live_given p ~byz:0 ~correct:4);
+  Alcotest.(check bool) "all correct live" true (live_given p ~byz:0 ~correct:4);
   Alcotest.(check bool) "1 byz 3 correct live" true
-    (Pbft_model.live_given p ~byz:1 ~correct:3);
+    (live_given p ~byz:1 ~correct:3);
   Alcotest.(check bool) "1 crash 3 correct live" true
-    (Pbft_model.live_given p ~byz:0 ~correct:3);
+    (live_given p ~byz:0 ~correct:3);
   Alcotest.(check bool) "2 correct short of quorum" false
-    (Pbft_model.live_given p ~byz:0 ~correct:2);
+    (live_given p ~byz:0 ~correct:2);
   (* 2 byz exceed the trigger margin q_vc - q_vc_t = 1. *)
-  Alcotest.(check bool) "2 byz not live" false (Pbft_model.live_given p ~byz:2 ~correct:2)
+  Alcotest.(check bool) "2 byz not live" false (live_given p ~byz:2 ~correct:2)
 
 let test_pbft_crashes_do_not_break_safety () =
   let proto = Pbft_model.protocol (Pbft_model.default 4) in
@@ -172,7 +194,7 @@ let test_pbft_safety_monotone_in_byz () =
   let p = Pbft_model.default 8 in
   let previous = ref true in
   for byz = 0 to 8 do
-    let now = Pbft_model.safe_given_byz p byz in
+    let now = safe_given_byz p byz in
     if now && not !previous then Alcotest.fail "safety not monotone";
     previous := now
   done
@@ -340,10 +362,7 @@ let test_durability_validation () =
   let fleet = Faultmodel.Fleet.uniform ~n:3 ~p:0.1 () in
   Alcotest.check_raises "size too large"
     (Invalid_argument "Durability: quorum size out of range") (fun () ->
-      ignore (Durability.quorum_for fleet Durability.Worst_case ~size:4));
-  Alcotest.check_raises "random has no quorum"
-    (Invalid_argument "Durability.quorum_for: Random placement has no single quorum")
-    (fun () -> ignore (Durability.quorum_for fleet Durability.Random ~size:2))
+      ignore (Durability.durability fleet Durability.Worst_case ~size:4))
 
 (* --- Tradeoff (E6) --------------------------------------------------------- *)
 
@@ -373,7 +392,11 @@ let test_tradeoff_sweep_range () =
   (* For small p the ratio of unsafeties is ~ (6 p^2) / (10 p^3) =
      0.6 / p; the paper's quoted 42-60x band is this ratio across
      p in [1%, ~1.4%]. *)
-  let sweep = Tradeoff.pbft_sweep ~ps:[ 0.01; 0.0125; 0.014 ] ~n_base:4 ~n_alt:5 in
+  let sweep =
+    List.map
+      (fun p -> (p, Tradeoff.pbft_node_count ~p ~n_base:4 ~n_alt:5))
+      [ 0.01; 0.0125; 0.014 ]
+  in
   Alcotest.(check int) "three points" 3 (List.length sweep);
   List.iter
     (fun (p, c) ->
@@ -568,10 +591,14 @@ let test_sweep_horizon_grid () =
     | Ok s -> s
     | Error msg -> Alcotest.fail msg
   in
-  let static s =
-    Scenario.with_processes
-      (List.init 3 (fun _ -> Faultmodel.Failure_process.Static 0.02))
-      s
+  let static _ =
+    match
+      Scenario.make
+        ~processes:(List.init 3 (fun _ -> Faultmodel.Failure_process.Static 0.02))
+        ~horizon:8766. ~rounds:3 ~protocol:"raft" ~mix:[ (3, 0.02) ] ()
+    with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
   in
   let table =
     Sweep.horizon_grid ~base
@@ -646,12 +673,13 @@ let test_equivalence_unreachable () =
     (Equivalence.min_raft_cluster ~target:0.999999 ~p:0.4 () = None)
 
 let test_equivalence_table () =
-  let table =
-    Equivalence.equivalents_table ~target:0.9997 ~ps:[ 0.01; 0.02; 0.08 ]
-      ~tolerance:5e-5 ()
-  in
   let sizes =
-    List.map (function _, Some e -> e.Equivalence.n | _, None -> -1) table
+    List.map
+      (fun p ->
+        match Equivalence.min_raft_cluster ~target:0.9997 ~p ~tolerance:5e-5 () with
+        | Some e -> e.Equivalence.n
+        | None -> -1)
+      [ 0.01; 0.02; 0.08 ]
   in
   (* Cluster size must grow as nodes get flakier. *)
   Alcotest.(check (list int)) "3,5,9" [ 3; 5; 9 ] sizes
@@ -661,7 +689,7 @@ let test_min_cluster_for_generic_family () =
     ( Pbft_model.protocol (Pbft_model.default n),
       Faultmodel.Fleet.uniform ~byz_fraction:1.0 ~n ~p:0.01 () )
   in
-  match Equivalence.min_cluster_for ~family ~target:0.999 ~max_n:10 () with
+  match Equivalence.min_cluster_for ~family ~target:0.999 () with
   | Some e -> Alcotest.(check bool) "found small pbft" true (e.Equivalence.n >= 4)
   | None -> Alcotest.fail "family search must succeed"
 
@@ -726,12 +754,17 @@ let test_end_to_end_composition () =
     (exp (-87_660. /. mttdl))
     t.End_to_end.durability
 
+(* An SLO of [a] availability nines and [d] durability nines. *)
+let meets (t : End_to_end.t) ~availability_nines ~durability_nines =
+  t.End_to_end.availability >= Prob.Nines.to_prob availability_nines
+  && t.End_to_end.durability >= Prob.Nines.to_prob durability_nines
+
 let test_end_to_end_meets () =
   let t = End_to_end.evaluate ~spec:e2e_spec ~failover_hours:0.01 ~mission_hours:8766. in
   Alcotest.(check bool) "meets modest SLO" true
-    (End_to_end.meets t ~availability_nines:4. ~durability_nines:4.);
+    (meets t ~availability_nines:4. ~durability_nines:4.);
   Alcotest.(check bool) "fails absurd SLO" false
-    (End_to_end.meets t ~availability_nines:15. ~durability_nines:4.)
+    (meets t ~availability_nines:15. ~durability_nines:4.)
 
 let test_end_to_end_slow_recovery_kills_availability () =
   (* The paper: a live protocol with intolerably slow recovery misses
@@ -739,9 +772,9 @@ let test_end_to_end_slow_recovery_kills_availability () =
   let fast = End_to_end.evaluate ~spec:e2e_spec ~failover_hours:0.01 ~mission_hours:8766. in
   let slow = End_to_end.evaluate ~spec:e2e_spec ~failover_hours:100. ~mission_hours:8766. in
   Alcotest.(check bool) "fast meets 4 nines" true
-    (End_to_end.meets fast ~availability_nines:4. ~durability_nines:1.);
+    (meets fast ~availability_nines:4. ~durability_nines:1.);
   Alcotest.(check bool) "slow misses 4 nines" false
-    (End_to_end.meets slow ~availability_nines:4. ~durability_nines:1.);
+    (meets slow ~availability_nines:4. ~durability_nines:1.);
   (* Durability is unaffected by failover speed. *)
   check_float ~eps:1e-15 "durability unchanged" fast.End_to_end.durability
     slow.End_to_end.durability
@@ -857,9 +890,12 @@ let test_schema_custom_protocol () =
 let test_forensics_thresholds () =
   let params = Pbft_model.default 7 in
   (* f = 2: safe through byz=2, accountable through byz=4, lost at 5. *)
-  Alcotest.(check bool) "byz=2 accountable" true (Pbft_model.accountable_given_byz params 2);
-  Alcotest.(check bool) "byz=4 accountable" true (Pbft_model.accountable_given_byz params 4);
-  Alcotest.(check bool) "byz=5 lost" false (Pbft_model.accountable_given_byz params 5)
+  let safe_or_accountable byz =
+    by_count (Pbft_model.safe_or_accountable params).Protocol.safe ~byz ~crashed:0
+  in
+  Alcotest.(check bool) "byz=2 accountable" true (safe_or_accountable 2);
+  Alcotest.(check bool) "byz=4 accountable" true (safe_or_accountable 4);
+  Alcotest.(check bool) "byz=5 lost" false (safe_or_accountable 5)
 
 let test_forensics_probability_dominates_safety () =
   let params = Pbft_model.default 4 in

@@ -108,7 +108,7 @@ let prop_steps_same_invariant =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let failure = syn_failure seed in
-      let shrunk = Dst.Harness.shrink syn_system failure in
+      let shrunk = Dst.Harness.shrink ~log:ignore syn_system failure in
       List.for_all
         (fun step ->
           match syn_run step with
@@ -122,7 +122,7 @@ let prop_monotone =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let failure = syn_failure seed in
-      let shrunk = Dst.Harness.shrink syn_system failure in
+      let shrunk = Dst.Harness.shrink ~log:ignore syn_system failure in
       let chain = failure.Dst.Harness.case :: shrunk.Dst.Harness.steps in
       let rec decreasing = function
         | a :: (b :: _ as rest) ->
@@ -136,8 +136,8 @@ let prop_shrink_deterministic =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let failure = syn_failure seed in
-      let a = Dst.Harness.shrink syn_system failure in
-      let b = Dst.Harness.shrink syn_system failure in
+      let a = Dst.Harness.shrink ~log:ignore syn_system failure in
+      let b = Dst.Harness.shrink ~log:ignore syn_system failure in
       a.Dst.Harness.final = b.Dst.Harness.final
       && a.Dst.Harness.attempts = b.Dst.Harness.attempts)
 
@@ -148,21 +148,36 @@ let prop_minimal_has_seven =
     (fun seed ->
       let failure = syn_failure seed in
       QCheck.assume (failure.Dst.Harness.invariant = "has_seven");
-      let shrunk = Dst.Harness.shrink syn_system failure in
+      let shrunk = Dst.Harness.shrink ~log:ignore syn_system failure in
       shrunk.Dst.Harness.final.faults = [ 7 ]
       && shrunk.Dst.Harness.final.ops = [])
+
+(* An artifact's bytes and what [read] makes of them, through the file
+   codec [probcons dst --repro] writes with. *)
+let with_repro_file repro f =
+  let path = Filename.temp_file "probcons-repro" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Dst.Repro.write ~path repro;
+      f path)
+
+let repro_file repro =
+  with_repro_file repro (fun path -> In_channel.with_open_bin path In_channel.input_all)
+
+let repro_round_trip repro = with_repro_file repro (fun path -> Dst.Repro.read ~path)
 
 let prop_repro_roundtrip =
   QCheck.Test.make ~count:60 ~name:"repro artifact JSON round-trips"
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let failure = syn_failure seed in
-      let shrunk = Dst.Harness.shrink syn_system failure in
+      let shrunk = Dst.Harness.shrink ~log:ignore syn_system failure in
       let repro =
         Dst.Harness.to_repro syn_system ~seed ~elapsed_seconds:0.5 failure
           (Some shrunk)
       in
-      match Dst.Repro.of_string (Obs.Json.to_string (Dst.Repro.to_json repro)) with
+      match repro_round_trip repro with
       | Error msg -> QCheck.Test.fail_reportf "round-trip failed: %s" msg
       | Ok back ->
           back = repro
@@ -172,12 +187,16 @@ let prop_repro_roundtrip =
 
 let base_repro () =
   let failure = syn_failure 1 in
-  let shrunk = Dst.Harness.shrink syn_system failure in
+  let shrunk = Dst.Harness.shrink ~log:ignore syn_system failure in
   Dst.Harness.to_repro syn_system ~seed:1 ~elapsed_seconds:0.25 failure
     (Some shrunk)
 
 let rejects name mutate () =
-  let doc = Dst.Repro.to_json (base_repro ()) in
+  let doc =
+    match Obs.Json.of_string (repro_file (base_repro ())) with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.fail msg
+  in
   let fields = match doc with Obs.Json.Obj f -> f | _ -> assert false in
   match Dst.Repro.of_json (Obs.Json.Obj (mutate fields)) with
   | Ok _ -> Alcotest.failf "decoder accepted a %s artifact" name
@@ -199,12 +218,14 @@ let repro_rejections () =
   rejects "negative elapsed" (set "elapsed_seconds" (Obs.Json.Float (-1.))) ();
   rejects "bad expect" (set "expect" (Obs.Json.String "maybe")) ()
 
+(* Flipping a found failure's expectation to [`Pass] turns it into a
+   regression test; while the bug still reproduces, that test fails. *)
 let with_expect_flips () =
   let r = base_repro () in
-  let flipped = Dst.Repro.with_expect `Pass r in
-  Alcotest.(check bool) "expect flipped" true (flipped.Dst.Repro.expect = `Pass);
-  Alcotest.(check string)
-    "rest unchanged" r.Dst.Repro.invariant flipped.Dst.Repro.invariant
+  Alcotest.(check bool) "found failure replays" true
+    (Result.is_ok (Dst.Harness.replay syn_system r));
+  Alcotest.(check bool) "flipped expectation fails while the bug stays" false
+    (Result.is_ok (Dst.Harness.replay syn_system { r with Dst.Repro.expect = `Pass }))
 
 (* --- Simulator systems -------------------------------------------------- *)
 
@@ -301,11 +322,11 @@ let seeded_bug_found_shrunk_replayed () =
           detail;
         }
       in
-      let shrunk = Dst.Harness.shrink service failure in
+      let shrunk = Dst.Harness.shrink ~log:ignore service failure in
       let final = shrunk.Dst.Harness.final in
       Alcotest.(check bool)
         "within 3 faults" true
-        (Dst.Service_case.active_faults final.Dst.Service_case.plan <= 3);
+        (service.Dst.Harness.faults final <= 3);
       Alcotest.(check bool)
         "within 10 ops" true
         (List.length final.Dst.Service_case.ops <= 10);
@@ -426,9 +447,9 @@ let corpus_files () =
 let corpus_replays () =
   List.iter
     (fun path ->
-      match Dst.Registry.replay_file path with
+      match Result.bind (Dst.Repro.read ~path) Dst.Registry.replay with
       | Ok _ -> ()
-      | Error msg -> Alcotest.failf "corpus artifact diverged: %s" msg)
+      | Error msg -> Alcotest.failf "corpus artifact %s diverged: %s" path msg)
     (corpus_files ())
 
 let corpus_validates () =
@@ -440,10 +461,12 @@ let corpus_validates () =
           ~finally:(fun () -> close_in ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      match Dst.Repro.of_string contents with
+      match Result.bind (Obs.Json.of_string contents) Dst.Repro.of_json with
       | Ok r ->
-          Alcotest.(check string)
-            (path ^ " schema") Dst.Repro.schema "probcons-repro/1";
+          Alcotest.(check bool)
+            (path ^ " schema") true
+            (Result.map (Obs.Json.member "schema") (Obs.Json.of_string contents)
+            = Ok (Some (Obs.Json.String "probcons-repro/1")));
           if r.Dst.Repro.shrunk_units > r.Dst.Repro.original_units then
             Alcotest.failf "%s: shrunk larger than original" path
       | Error msg -> Alcotest.failf "%s: %s" path msg)
@@ -453,7 +476,7 @@ let corpus_validates () =
 
 (* The [dst --max-shrunk-*] bounds count through each case's system. *)
 let counts_of (repro : Dst.Repro.t) =
-  match Dst.Registry.find repro.Dst.Repro.system with
+  match Dst.Registry.find ~seeded_bug:false repro.Dst.Repro.system with
   | Error msg -> Alcotest.fail msg
   | Ok (Dst.Registry.Packed sys) -> (
       match sys.Dst.Harness.decode repro.Dst.Repro.parts with

@@ -8,6 +8,9 @@ let check_float ?(eps = 1e-9) name expected actual =
 
 let hours_per_year = 8766.
 
+let curve_string c =
+  Obs.Json.to_string (Faultmodel.Failure_process.to_json (Faultmodel.Failure_process.Curve c))
+
 (* --- Fault_curve ---------------------------------------------------- *)
 
 let test_constant_clamp () =
@@ -26,7 +29,7 @@ let test_afr_roundtrip () =
   List.iter
     (fun afr ->
       check_float ~eps:1e-12 (Printf.sprintf "afr %g" afr) afr
-        (Fault_curve.afr (Fault_curve.of_afr afr)))
+        (Fault_curve.eval (Fault_curve.of_afr afr) hours_per_year))
     [ 0.01; 0.04; 0.08; 0.5 ]
 
 let test_bathtub_piecewise () =
@@ -123,7 +126,8 @@ let test_fleet_uniform () =
   let fleet = Fleet.uniform ~n:5 ~p:0.02 () in
   Alcotest.(check int) "size" 5 (Fleet.size fleet);
   Array.iter (fun p -> check_float "prob" 0.02 p) (Fleet.fault_probs fleet);
-  check_float ~eps:1e-12 "expected failures" 0.1 (Fleet.expected_failures fleet)
+  check_float ~eps:1e-12 "expected failures" 0.1
+    (Prob.Math_utils.kahan_sum (Fleet.fault_probs fleet))
 
 let test_fleet_mixed_order () =
   let fleet = Fleet.mixed [ (2, 0.08); (3, 0.01) ] in
@@ -183,7 +187,7 @@ let test_domain_sampling_matches_marginal () =
   let trials = 40_000 in
   let hits = ref 0 in
   for _ = 1 to trials do
-    if (Correlation.sample model fleet rng).(0) then incr hits
+    if (Correlation.sample_kinds model fleet rng).(0) <> Correlation.Ok then incr hits
   done;
   let empirical = float_of_int !hits /. float_of_int trials in
   let expected = Correlation.marginal_probability model fleet 0 in
@@ -215,7 +219,7 @@ let test_mixture_marginal () =
   let trials = 40_000 in
   let hits = ref 0 in
   for _ = 1 to trials do
-    if (Correlation.sample model fleet rng).(0) then incr hits
+    if (Correlation.sample_kinds model fleet rng).(0) <> Correlation.Ok then incr hits
   done;
   Alcotest.(check bool) "sampling agrees" true
     (Float.abs ((float_of_int !hits /. float_of_int trials) -. 0.2) < 0.015)
@@ -238,7 +242,7 @@ let test_afr_estimation_accuracy () =
   let truth = 0.08 in
   let curve = Fault_curve.of_afr truth in
   let obs = Telemetry.observe rng curve ~devices:20_000 ~window:hours_per_year in
-  let estimate = Telemetry.afr_of_observation obs in
+  let estimate = Fault_curve.eval (Telemetry.fit_auto obs) hours_per_year in
   Alcotest.(check bool) "estimate within 10% relative" true
     (Float.abs (estimate -. truth) /. truth < 0.1);
   let low, high = Telemetry.afr_confidence obs in
@@ -251,7 +255,7 @@ let test_fit_exponential_censored () =
   let rate = 1e-5 in
   let curve = Fault_curve.Exponential { rate } in
   let obs = Telemetry.observe rng curve ~devices:50_000 ~window:2000. in
-  match Telemetry.fit_exponential obs with
+  match Telemetry.fit_auto obs with
   | Fault_curve.Exponential { rate = fitted } ->
       Alcotest.(check bool) "rate within 15%" true
         (Float.abs (fitted -. rate) /. rate < 0.15)
@@ -267,7 +271,7 @@ let test_fit_auto_prefers_weibull_when_aging () =
   | Fault_curve.Weibull { shape; _ } ->
       Alcotest.(check bool) "shape recovered" true (Float.abs (shape -. 3.) < 0.3)
   | other ->
-      Alcotest.failf "expected weibull, got %a" Fault_curve.pp other)
+      Alcotest.failf "expected weibull, got %s" (curve_string other))
 
 let test_fit_auto_prefers_exponential_when_memoryless () =
   let rng = Prob.Rng.create 45 in
@@ -275,7 +279,7 @@ let test_fit_auto_prefers_exponential_when_memoryless () =
   let obs = Telemetry.observe rng curve ~devices:3000 ~window:30_000. in
   match Telemetry.fit_auto obs with
   | Fault_curve.Exponential _ -> ()
-  | other -> Alcotest.failf "expected exponential, got %a" Fault_curve.pp other
+  | other -> Alcotest.failf "expected exponential, got %s" (curve_string other)
 
 let test_sample_lifetime_constant_curve () =
   let rng = Prob.Rng.create 46 in
@@ -322,7 +326,7 @@ let test_censored_weibull_fit () =
   let obs = Telemetry.observe rng truth ~devices:20_000 ~window:8_000. in
   Alcotest.(check bool) "mostly censored" true
     (obs.Telemetry.failures < obs.Telemetry.devices / 2);
-  (match Telemetry.fit_weibull obs with
+  (match Telemetry.fit_auto obs with
   | Fault_curve.Weibull { shape; scale } ->
       Alcotest.(check bool)
         (Printf.sprintf "shape %.2f ~ 3" shape)
@@ -332,14 +336,12 @@ let test_censored_weibull_fit () =
         (Printf.sprintf "scale %.0f ~ 20000" scale)
         true
         (Float.abs (scale -. 20_000.) /. 20_000. < 0.1)
-  | other -> Alcotest.failf "expected weibull, got %a" Fault_curve.pp other);
+  | other -> Alcotest.failf "expected weibull, got %s" (curve_string other));
   (* The uncensored fit underestimates the scale dramatically. *)
-  match Telemetry.fit_weibull_uncensored obs with
-  | Fault_curve.Weibull { scale; _ } ->
-      Alcotest.(check bool)
-        (Printf.sprintf "naive scale %.0f is biased low" scale)
-        true (scale < 12_000.)
-  | other -> Alcotest.failf "expected weibull, got %a" Fault_curve.pp other
+  let _, scale = Prob.Distribution.weibull_fit_censored ~failures:obs.Telemetry.lifetimes ~censored:[||] in
+  Alcotest.(check bool)
+    (Printf.sprintf "naive scale %.0f is biased low" scale)
+    true (scale < 12_000.)
 
 let test_censored_fit_reduces_to_uncensored () =
   (* Long window (nothing censored): both fits coincide. *)
@@ -347,11 +349,12 @@ let test_censored_fit_reduces_to_uncensored () =
   let truth = Fault_curve.Weibull { shape = 2.; scale = 1_000. } in
   let obs = Telemetry.observe rng truth ~devices:5_000 ~window:1e7 in
   Alcotest.(check int) "all failed" obs.Telemetry.devices obs.Telemetry.failures;
-  match (Telemetry.fit_weibull obs, Telemetry.fit_weibull_uncensored obs) with
-  | Fault_curve.Weibull a, Fault_curve.Weibull b ->
-      check_float ~eps:1e-6 "same shape" b.shape a.shape;
-      check_float ~eps:1e-3 "same scale" b.scale a.scale
-  | _ -> Alcotest.fail "expected weibull fits"
+  match Telemetry.fit_auto obs with
+  | Fault_curve.Weibull a ->
+      let shape, scale = Prob.Distribution.weibull_fit_censored ~failures:obs.Telemetry.lifetimes ~censored:[||] in
+      check_float ~eps:1e-6 "same shape" shape a.shape;
+      check_float ~eps:1e-3 "same scale" scale a.scale
+  | other -> Alcotest.failf "expected weibull, got %s" (curve_string other)
 
 (* --- End-to-end telemetry pipeline ------------------------------------- *)
 
@@ -365,7 +368,7 @@ let test_telemetry_to_analysis_pipeline () =
   let truth_flaky = Fault_curve.of_afr 0.08 in
   let fit truth =
     let obs = Telemetry.observe rng truth ~devices:30_000 ~window:hours_per_year in
-    Telemetry.fit_exponential obs
+    Telemetry.fit_auto obs
   in
   let fitted_reliable = fit truth_reliable and fitted_flaky = fit truth_flaky in
   let fleet_of reliable flaky =

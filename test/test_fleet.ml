@@ -115,7 +115,7 @@ let test_stream_ground_truth_process () =
   | Faultmodel.Failure_process.Curve _ -> ()
   | p ->
       Alcotest.failf "static stream truth must be a curve, got %s"
-        (Format.asprintf "%a" Faultmodel.Failure_process.pp p));
+        (Obs.Json.to_string (Faultmodel.Failure_process.to_json p)));
   let dynamic =
     Stream.create (Stream.default_config ~dynamic:true ~seed:5 ~nodes:3 ())
   in
@@ -125,7 +125,7 @@ let test_stream_ground_truth_process () =
         (fail_rate > 0. && recover_rate > 0.)
   | p ->
       Alcotest.failf "dynamic stream truth must be markov, got %s"
-        (Format.asprintf "%a" Faultmodel.Failure_process.pp p)
+        (Obs.Json.to_string (Faultmodel.Failure_process.to_json p))
 
 (* --- Controller ----------------------------------------------------- *)
 
@@ -269,11 +269,8 @@ let test_wire_bounds () =
   in
   reject {|{}|};
   reject {|{"nodes": 0}|};
-  reject
-    (Printf.sprintf {|{"nodes": %d}|} (Service.Wire.max_fleet_ctrl_nodes + 1));
-  reject
-    (Printf.sprintf {|{"nodes": 9, "ticks": %d}|}
-       (Service.Wire.max_fleet_ticks + 1));
+  reject {|{"nodes": 257}|};
+  reject {|{"nodes": 9, "ticks": 129}|};
   reject {|{"nodes": 9, "quorum": 10}|};
   reject {|{"nodes": 9, "target_nines": 13}|}
 
@@ -445,8 +442,8 @@ let test_dst_fleet_dynamic_codec () =
 
 let test_dst_fleet_registered () =
   Alcotest.(check bool) "fleet is a registry name" true
-    (List.mem "fleet" Dst.Registry.names);
-  match Dst.Registry.find "fleet" with
+    (Dst.Registry.expand "fleet" = Ok [ "fleet" ]);
+  match Dst.Registry.find ~seeded_bug:false "fleet" with
   | Ok (Dst.Registry.Packed sys) ->
       Alcotest.(check string) "system tag" "fleet" sys.Dst.Harness.name
   | Error msg -> Alcotest.fail msg

@@ -39,7 +39,7 @@ let test_header_layout () =
   let f = Frame.encode "abc" in
   Alcotest.(check int) "total length" (Frame.header_bytes + 3) (String.length f);
   Alcotest.(check char) "magic" Frame.magic f.[0];
-  Alcotest.(check int) "version byte" Frame.version (Char.code f.[1]);
+  Alcotest.(check char) "version byte" '\x03' f.[1];
   (* u32 big-endian length *)
   Alcotest.(check int) "length prefix" 3
     ((Char.code f.[2] lsl 24) lor (Char.code f.[3] lsl 16)
@@ -102,7 +102,7 @@ let test_bad_version () =
 let test_zero_length () =
   let b = Bytes.create Frame.header_bytes in
   Bytes.set b 0 Frame.magic;
-  Bytes.set b 1 (Char.chr Frame.version);
+  Bytes.set b 1 '\x03';
   Bytes.set_int32_be b 2 0l;
   let frames, err = decode_chunked ~chunk:4096 (Bytes.to_string b) in
   Alcotest.(check (list string)) "no frames" [] frames;
@@ -112,7 +112,7 @@ let test_zero_length () =
 let test_oversized () =
   let b = Bytes.create Frame.header_bytes in
   Bytes.set b 0 Frame.magic;
-  Bytes.set b 1 (Char.chr Frame.version);
+  Bytes.set b 1 '\x03';
   Bytes.set_int32_be b 2 (Int32.of_int (Frame.max_payload_bytes + 1));
   let frames, err = decode_chunked ~chunk:4096 (Bytes.to_string b) in
   Alcotest.(check (list string)) "no frames" [] frames;

@@ -32,14 +32,9 @@ let test_solve_singular () =
 
 let test_matrix_helpers () =
   let m = [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let t = Linalg.transpose m in
-  check_float "transpose" 3. t.(0).(1);
-  let v = Linalg.mat_vec m [| 1.; 1. |] in
-  check_float "mat_vec" 3. v.(0);
-  check_float "mat_vec row 2" 7. v.(1);
-  let id = Linalg.identity 3 in
-  check_float "identity diag" 1. id.(1).(1);
-  check_float "identity off" 0. id.(0).(1);
+  let z = Linalg.make 2 3 in
+  Alcotest.(check int) "make rows" 2 (Array.length z);
+  check_float "make zero" 0. z.(1).(2);
   let c = Linalg.copy m in
   c.(0).(0) <- 99.;
   check_float "copy is deep" 1. m.(0).(0)
@@ -187,7 +182,7 @@ let test_repair_single_node () =
   (* n=1, quorum=1: MTTF = 1/lambda, availability = mu/(lambda+mu). *)
   let spec = { Repair_model.n = 1; quorum = 1; lambda = 0.01; mu = 1. } in
   check_float ~eps:1e-9 "mttf" 100. (Repair_model.mttf spec);
-  check_float ~eps:1e-9 "mttr" 1. (Repair_model.mttr_cluster spec);
+  check_float ~eps:1e-9 "mttr = 1/mu" 1. (Repair_model.mtbf spec -. Repair_model.mttf spec);
   check_float ~eps:1e-9 "availability" (1. /. 1.01) (Repair_model.availability spec)
 
 let test_repair_mttdl_raid1_closed_form () =
@@ -222,9 +217,13 @@ let test_repair_of_afr () =
       ignore (Repair_model.of_afr ~n:3 ~quorum:2 ~afr:1.5 ~mttr_hours:24.))
 
 let test_repair_mtbf_identity () =
-  let spec = { Repair_model.n = 3; quorum = 2; lambda = 1e-3; mu = 0.1 } in
+  (* n=3, quorum=2: quorum is lost at 2 failures. From there a repair
+     (2 mu) restores it, or a third failure (lambda) waits for one of
+     three repairs (3 mu) first: MTTR = (3 mu + lambda) / (6 mu^2). *)
+  let lambda = 1e-3 and mu = 0.1 in
+  let spec = { Repair_model.n = 3; quorum = 2; lambda; mu } in
   check_float ~eps:1e-6 "mtbf = mttf + mttr"
-    (Repair_model.mttf spec +. Repair_model.mttr_cluster spec)
+    (Repair_model.mttf spec +. (((3. *. mu) +. lambda) /. (6. *. mu *. mu)))
     (Repair_model.mtbf spec)
 
 let test_repair_mttdl_exceeds_mttf () =

@@ -185,7 +185,8 @@ let test_leadership_transfer () =
          | Some leader ->
              old_leader := leader;
              target := List.find (fun u -> u <> leader) [ 0; 1; 2 ];
-             accepted := Raft_cluster.transfer_leadership c !target
+             accepted :=
+               Raft_node.transfer_leadership (Raft_cluster.node c leader) !target
          | None -> ()));
   Raft_cluster.run c ~until:10_000.;
   Alcotest.(check bool) "transfer accepted" true !accepted;
@@ -208,7 +209,7 @@ let test_transfer_then_remove_old_leader () =
          | Some leader ->
              old_leader := leader;
              ignore
-               (Raft_cluster.transfer_leadership c
+               (Raft_node.transfer_leadership (Raft_cluster.node c leader)
                   (List.find (fun u -> u <> leader) [ 0; 1; 2; 3 ]))
          | None -> ()));
   let removed = ref false in

@@ -15,6 +15,11 @@ module Raft_types = Raft_sim.Raft_types
 
 let port_counter = ref 0
 
+(* The raft plane's frame bound, and the two artifact schema tags. *)
+let max_envelope_bytes = 4_000_000
+let storage_schema = "probcons-replica-durable/3"
+let driver_schema = "probcons-repl-avail/1"
+
 (* Blocks of 30 ports below the kernel's ephemeral range (32768 and
    up), so no client socket an earlier test left in TIME_WAIT holds one
    of them. *)
@@ -238,14 +243,9 @@ let test_transport_envelope_rejects () =
     line;
   (* Re-checksummed bodies: what the checksum cannot catch. *)
   let sealed words tail =
-    let buf = Buffer.create 64 in
-    List.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) words;
-    Buffer.add_string buf tail;
-    let body = Buffer.contents buf in
-    let crc = Bytes.create 4 in
-    Bytes.set_int32_le crc 0
-      (Int32.of_int (Raft_codec.crc32 body ~pos:0 ~len:(String.length body)));
-    Bytes.to_string crc ^ body
+    Raft_codec.seal (fun buf ->
+        List.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) words;
+        Buffer.add_string buf tail)
   in
   (match Transport.envelope_of_line (sealed [ 1; 0; 4; 7; 0 ] "") with
   | Ok (1, 0, Raft_types.Timeout_now { term = 7 }, []) -> ()
@@ -308,7 +308,7 @@ let test_transport_oversized () =
       (Raft_types.Timeout_now { term = 1 }) ~payloads:[]
   in
   Transport.send sender ~dst:0
-    (String.make (Transport.max_envelope_bytes + 1) 'x');
+    (String.make (max_envelope_bytes + 1) 'x');
   Alcotest.(check int) "oversized envelope counted" 1 (Transport.dropped sender);
   Transport.send sender ~dst:0 (envelope 0);
   Alcotest.(check bool) "the link still carries envelopes" true
@@ -320,9 +320,9 @@ let test_transport_oversized () =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let header = Bytes.create Service.Frame.header_bytes in
   Bytes.set header 0 Service.Frame.magic;
-  Bytes.set header 1 (Char.chr Service.Frame.version);
+  Bytes.set header 1 '\x03';
   Bytes.set_int32_be header 2
-    (Int32.of_int (Transport.max_envelope_bytes + 1));
+    (Int32.of_int (max_envelope_bytes + 1));
   ignore (Unix.write fd header 0 (Bytes.length header));
   Alcotest.(check bool) "the announcing peer's connection ends" true
     (poll ~timeout:5. (fun () ->
@@ -478,7 +478,7 @@ let test_storage_crash_cut () =
   let header = written file in
   Alcotest.(check string)
     "header frame: a wire/3 frame header, a CRC-32, then the schema string"
-    ("\xFB\x03\x00\x00\x00\x1E" ^ String.sub header 6 4 ^ Storage.schema)
+    ("\xFB\x03\x00\x00\x00\x1E" ^ String.sub header 6 4 ^ storage_schema)
     header;
   Alcotest.(check int32)
     "header CRC-32, as zlib computes it" 0xc97c3428l
@@ -1027,16 +1027,18 @@ let test_stop_answers_pending_write () =
       stop_followers nodes leader;
       let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port leader)) in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      Client.send_line c
-        (Wire.encode_request
-           {
-             Wire.id = 1;
-             query = Wire.Scenario_put { name = "b"; scenario = scenario_b; nonce = 0 };
-           });
+      Client.send c
+        [
+          Wire.encode_request
+            {
+              Wire.id = 1;
+              query = Wire.Scenario_put { name = "b"; scenario = scenario_b; nonce = 0 };
+            };
+        ];
       Thread.delay 0.3;
       let t0 = Unix.gettimeofday () in
       stop_nodes nodes;
-      let reply = Client.recv_line_timeout c ~timeout:5. in
+      let reply = Client.recv ~timeout:5. c in
       let elapsed = Unix.gettimeofday () -. t0 in
       (match Option.map Wire.parse_response reply with
       | Some (Ok { Wire.body = Error (Wire.Shutting_down, _); _ }) -> ()
@@ -1219,7 +1221,7 @@ let test_writes_skip_full_queue () =
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let analyses = 80 in
       let put_id = analyses in
-      Client.send_lines c
+      Client.send c
         (List.init analyses (fun i ->
              Wire.encode_request
                {
@@ -1243,7 +1245,7 @@ let test_writes_skip_full_queue () =
           ]);
       let put = ref None in
       for _ = 0 to analyses do
-        match Client.recv_line_timeout c ~timeout:30. with
+        match Client.recv ~timeout:30. c with
         | None -> Alcotest.fail "the connection ended before every reply"
         | Some line -> (
             match Wire.parse_response line with
@@ -1448,7 +1450,7 @@ let test_driver_prediction_and_artifact () =
       in
       Alcotest.(check bool)
         "artifact carries the schema" true
-        (Obs.Json.member "schema" j = Some (Obs.Json.String Driver.schema));
+        (Obs.Json.member "schema" j = Some (Obs.Json.String driver_schema));
       List.iter
         (fun field ->
           Alcotest.(check bool)
@@ -1469,7 +1471,7 @@ let forge_envelope ~base ~src ~dst msg ~payloads =
     (Unix.ADDR_INET
        (Unix.inet_addr_loopback, Node.raft_port (cluster_config ~base ~n:3 dst) dst));
   let frame =
-    Service.Frame.encode ~max_payload_bytes:Replica.Transport.max_envelope_bytes
+    Service.Frame.encode ~max_payload_bytes:max_envelope_bytes
       (Replica.Transport.envelope_to_line ~src ~dst msg ~payloads)
   in
   ignore (Unix.write_substring fd frame 0 (String.length frame));
@@ -1679,7 +1681,7 @@ let test_storage_record_decoder () =
            Buffer.add_string buf tail))
   in
   let load words tail =
-    write_file (Storage.path ~dir) (frame [] Storage.schema ^ frame words tail);
+    write_file (Storage.path ~dir) (frame [] storage_schema ^ frame words tail);
     Storage.load ~dir
   in
   Alcotest.(check bool)
@@ -1733,12 +1735,14 @@ let test_deposed_leader_acks_own_write () =
       stop_followers nodes leader;
       let c = Client.connect ~timeout:5. (Client.Tcp (Node.service_port leader)) in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      Client.send_line c
-        (Wire.encode_request
-           {
-             Wire.id = 2;
-             query = Wire.Scenario_put { name = "mine"; scenario = scenario_a; nonce = 0 };
-           });
+      Client.send c
+        [
+          Wire.encode_request
+            {
+              Wire.id = 2;
+              query = Wire.Scenario_put { name = "mine"; scenario = scenario_a; nonce = 0 };
+            };
+        ];
       Thread.delay 0.3;
       let src = List.find (( <> ) (Node.id leader)) [ 0; 1; 2 ] in
       let other =
@@ -1759,7 +1763,7 @@ let test_deposed_leader_acks_own_write () =
              })
           ~payloads:[ (2, other) ]
       in
-      let reply = Client.recv_line_timeout c ~timeout:5. in
+      let reply = Client.recv ~timeout:5. c in
       Unix.close socket;
       match Option.map Wire.parse_response reply with
       | Some (Ok { Wire.body = Error (Wire.Not_leader, _); _ }) -> ()

@@ -41,14 +41,14 @@ let test_make_bounds () =
   expect_error "protocol too long"
     (make ~protocol:(String.make 65 'a') [ (4, 0.1) ]);
   expect_error "quorum value bound"
-    (make ~quorums:[ ("q_vc", Scenario.max_quorum_value + 1) ] [ (4, 0.1) ]);
+    (make ~quorums:[ ("q_vc", 1001) ] [ (4, 0.1) ]);
   expect_error "quorum value negative"
     (make ~quorums:[ ("q_vc", -1) ] [ (4, 0.1) ]);
   expect_error "duplicate quorum key"
     (make ~quorums:[ ("q_vc", 3); ("q_vc", 4) ] [ (4, 0.1) ]);
   expect_error "too many quorum overrides"
     (make
-       ~quorums:(List.init (Scenario.max_quorum_overrides + 1)
+       ~quorums:(List.init 9
                    (fun i -> (Printf.sprintf "k%d" i, 1)))
        [ (4, 0.1) ]);
   expect_error "non-positive stake" (make ~stakes:[ 1.0; 0.0 ] [ (2, 0.1) ]);
@@ -136,7 +136,7 @@ let test_process_fields () =
     (Scenario.horizon s);
   Alcotest.(check (option int)) "rounds" (Some 4) (Scenario.rounds s);
   Alcotest.(check int) "processes kept" 3
-    (List.length (Option.get (Scenario.processes s)));
+    (List.length (Scenario.effective_processes s));
   (* All three kinds survive the canonical encoding, value and bytes. *)
   let s' = ok_exn (Scenario.of_string (Scenario.to_string s)) in
   Alcotest.(check bool) "roundtrip equal" true (Scenario.equal s s');
@@ -224,7 +224,7 @@ let test_scenario_files () =
   List.iter
     (fun (file, kind) ->
       let s = scenario_file file in
-      let processes = Option.get (Scenario.processes s) in
+      let processes = Scenario.effective_processes s in
       Alcotest.(check int)
         (file ^ " process per node")
         (Scenario.size s) (List.length processes);
@@ -330,7 +330,7 @@ let test_string_roundtrip =
 (* --- Registry -------------------------------------------------------- *)
 
 let analyze_name ?byz_fraction ?(n = 5) name =
-  let s = Scenario.uniform ?byz_fraction ~protocol:name ~n ~p:0.01 () in
+  let s = scenario ?byz_fraction ~protocol:name [ (n, 0.01) ] in
   match Registry.analyze s with
   | Ok r -> r
   | Error msg -> Alcotest.failf "%s: %s" name msg
@@ -383,7 +383,7 @@ let test_registry_rejects () =
        (scenario ~stakes:[ 1.; 1.; 1. ] ~protocol:"raft" [ (3, 0.01) ]));
   expect_error "enumeration cap"
     (Registry.validate (Scenario.uniform ~protocol:"stake" ~n:30 ~p:0.01 ()));
-  Alcotest.(check bool) "find unknown" true (Registry.find "paxos" = None);
+  Alcotest.(check bool) "find unknown" false (List.mem "paxos" (Registry.names ()));
   Alcotest.(check int) "nine entries" 9 (List.length (Registry.names ()))
 
 let test_registry_byz_default () =

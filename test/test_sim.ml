@@ -14,7 +14,7 @@ let test_queue_ordering () =
   Alcotest.(check string) "first" "a" (pop ());
   Alcotest.(check string) "second" "b" (pop ());
   Alcotest.(check string) "third" "c" (pop ());
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
+  Alcotest.(check bool) "empty" true (Event_queue.pop q = None)
 
 let test_queue_fifo_ties () =
   let q = Event_queue.create () in
@@ -65,7 +65,7 @@ let test_engine_executes_in_order () =
   Engine.run engine;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log);
   Alcotest.(check (float 0.)) "clock at last event" 20. (Engine.now engine);
-  Alcotest.(check int) "three executed" 3 (Engine.events_executed engine)
+  Alcotest.(check int) "three executed" 3 (List.length !log)
 
 let test_engine_nested_scheduling () =
   let engine = Engine.create () in
@@ -97,17 +97,6 @@ let test_engine_until () =
   Engine.run engine;
   Alcotest.(check int) "late event after resume" 2 !hits
 
-let test_engine_stop () =
-  let engine = Engine.create () in
-  let hits = ref 0 in
-  ignore
-    (Engine.schedule engine ~delay:1. (fun () ->
-         incr hits;
-         Engine.stop engine));
-  ignore (Engine.schedule engine ~delay:2. (fun () -> incr hits));
-  Engine.run engine;
-  Alcotest.(check int) "stopped after first" 1 !hits
-
 let test_engine_negative_delay () =
   let engine = Engine.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: negative delay")
@@ -127,22 +116,29 @@ let test_engine_determinism () =
   Alcotest.(check bool) "same seed same draws" true (run 3 = run 3);
   Alcotest.(check bool) "different seeds differ" true (run 3 <> run 4)
 
+(* A protocol that schedules its next step forever. *)
+let runaway engine =
+  let executed = ref 0 in
+  let rec loop () =
+    incr executed;
+    ignore (Engine.schedule engine ~delay:1. loop)
+  in
+  ignore (Engine.schedule engine ~delay:1. loop);
+  executed
+
 let test_engine_max_events_backstop () =
   let engine = Engine.create () in
-  let rec loop () = ignore (Engine.schedule engine ~delay:1. loop) in
-  loop ();
+  let executed = runaway engine in
   Engine.run ~max_events:1000 engine;
-  Alcotest.(check int) "bounded" 1000 (Engine.events_executed engine)
+  Alcotest.(check int) "bounded" 1000 !executed
 
 (* Without [max_events], [run] stops a runaway protocol after 10
    million events. *)
 let test_engine_default_backstop () =
   let engine = Engine.create () in
-  let rec loop () = ignore (Engine.schedule engine ~delay:1. loop) in
-  loop ();
+  let executed = runaway engine in
   Engine.run engine;
-  Alcotest.(check int) "run stops at its backstop" 10_000_000
-    (Engine.events_executed engine)
+  Alcotest.(check int) "run stops at its backstop" 10_000_000 !executed
 
 (* --- Network ---------------------------------------------------------------- *)
 
@@ -177,7 +173,6 @@ let test_network_down_node_drops () =
   Network.send net ~src:0 ~dst:1 ();
   Engine.run engine;
   Alcotest.(check int) "dropped" 0 !received;
-  Alcotest.(check bool) "is_down" true (Network.is_down net 1);
   (* Sender down drops too. *)
   Network.set_down net 1 false;
   Network.set_down net 0 true;
@@ -272,21 +267,15 @@ let test_network_validation () =
 let test_vec_operations () =
   let v = Vec.create () in
   Alcotest.(check int) "empty" 0 (Vec.length v);
-  Alcotest.(check (option int)) "no last" None (Vec.last v);
   for i = 0 to 20 do
     Vec.push v i
   done;
   Alcotest.(check int) "length" 21 (Vec.length v);
   Alcotest.(check int) "get" 7 (Vec.get v 7);
-  Alcotest.(check (option int)) "last" (Some 20) (Vec.last v);
-  Vec.set v 0 99;
-  Alcotest.(check int) "set" 99 (Vec.get v 0);
+  Alcotest.(check int) "last" 20 (Vec.get v (Vec.length v - 1));
   Vec.truncate v 5;
   Alcotest.(check int) "truncated" 5 (Vec.length v);
-  Alcotest.(check (list int)) "to_list" [ 99; 1; 2; 3; 4 ] (Vec.to_list v);
-  let sum = ref 0 in
-  Vec.iteri (fun i x -> sum := !sum + i + x) v;
-  Alcotest.(check int) "iteri" (10 + 99 + 1 + 2 + 3 + 4) !sum;
+  Alcotest.(check (list int)) "to_list" [ 0; 1; 2; 3; 4 ] (Vec.to_list v);
   Alcotest.check_raises "oob" (Invalid_argument "Vec: index out of bounds") (fun () ->
       ignore (Vec.get v 5));
   Alcotest.check_raises "bad truncate" (Invalid_argument "Vec.truncate") (fun () ->
@@ -385,7 +374,7 @@ let test_trace_recording () =
   Trace.record trace ~time:3. ~node:0 ~tag:"commit" ~detail:"b";
   Alcotest.(check int) "three entries" 3 (List.length (Trace.entries trace));
   Alcotest.(check int) "two commits" 2 (Trace.count trace ~tag:"commit");
-  Alcotest.(check int) "filter" 1 (List.length (Trace.filter trace ~tag:"crash"));
+  Alcotest.(check int) "one crash" 1 (Trace.count trace ~tag:"crash");
   match Trace.entries trace with
   | first :: _ -> Alcotest.(check (float 0.)) "chronological" 1. first.Trace.time
   | [] -> Alcotest.fail "entries missing"
@@ -400,7 +389,6 @@ let suite =
     Alcotest.test_case "engine nested" `Quick test_engine_nested_scheduling;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine until/resume" `Quick test_engine_until;
-    Alcotest.test_case "engine stop" `Quick test_engine_stop;
     Alcotest.test_case "engine validation" `Quick test_engine_negative_delay;
     Alcotest.test_case "engine determinism" `Quick test_engine_determinism;
     Alcotest.test_case "engine max events" `Quick test_engine_max_events_backstop;

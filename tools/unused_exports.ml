@@ -41,10 +41,31 @@
    make a parameter look unpassed: deleting it then fails to type-check
    at the pass, never builds a wrong program.
 
+   A test-only export or parameter must be on the allowlist,
+   tools/unused_exports.allow, which this tool reads from the current
+   directory (the repository root under dune exec). Blank lines and
+   lines starting with # are comments. Every other line is one entry:
+
+     Module.value test/file.ml
+     Module.value ?label test/file.ml
+
+   where Module is the interface's file name, capitalized, and
+   Module.value is printed as below (Pbft_cluster.create ?q_eq). The
+   test file is the one that covers the value, and must name it:
+   contain the text Module.value and, for a parameter, ~label or
+   ?label. An entry is stale when no test-only export or parameter has
+   its name (the value is gone, or now has a production or perfbench
+   user), or when its test file is missing or does not name the value.
+   One entry covers every test-only item of its name, should two
+   modules of one name each export it.
+
    Prints one file:line: line per export and per parameter that is not
-   production, the failing ones first, then one line of counts per
-   class. Exits 1 when an export is own-unit or none or a parameter is
-   none, and 2 when the build tree lacks what the classes need. *)
+   production and one allowlist:line: line per stale entry, the failing
+   ones first, then one line of counts per class. Exits 1 when an export
+   is own-unit or none, a parameter is own-unit or none, a test-only
+   export or parameter has no allowlist entry, or an entry is stale or
+   malformed; and 2 when the build tree lacks what the classes need or
+   the allowlist is missing. *)
 
 type klass = Production | Perfbench | Test_only | Own_unit | No_user
 
@@ -109,10 +130,71 @@ type export = {
   loc : Location.t;
 }
 
-let failing (k, e) =
-  match (k, e.label) with
-  | No_user, _ | Own_unit, None -> true
-  | _ -> false
+let allow_path = "tools/unused_exports.allow"
+
+(* How the log names an export or parameter: Module.value ?label. *)
+let name value label =
+  match label with Some l -> value ^ " ?" ^ l | None -> value
+
+let display e =
+  let modname =
+    String.capitalize_ascii
+      (Filename.remove_extension (Filename.basename e.loc.loc_start.pos_fname))
+  in
+  name (modname ^ "." ^ e.name) e.label
+
+(* One allowlist line: Module.value, the label of a parameter entry,
+   and the test file. *)
+type entry = { line : int; value : string; param : string option; file : string }
+
+(* The entries, and each malformed line as [Error (line, text)]. *)
+let read_allowlist () =
+  In_channel.with_open_text allow_path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i text ->
+         let line = i + 1 and text = String.trim text in
+         let label l =
+           if String.length l > 1 && l.[0] = '?' then
+             Some (String.sub l 1 (String.length l - 1))
+           else None
+         in
+         if text = "" || text.[0] = '#' then None
+         else
+           Some
+             (match List.filter (( <> ) "") (String.split_on_char ' ' text) with
+             | [ value; file ] when String.contains value '.' ->
+                 Ok { line; value; param = None; file }
+             | [ value; l; file ] when String.contains value '.' && label l <> None ->
+                 Ok { line; value; param = label l; file }
+             | _ -> Error (line, text)))
+  |> List.filter_map Fun.id
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i j = j = m || (s.[i + j] = sub.[j] && at i (j + 1)) in
+  let rec go i = i + m <= n && (at i 0 || go (i + 1)) in
+  go 0
+
+(* Why an entry is stale, if it is: a test-only value must have its
+   name, and its test file must name the value and pass the label. *)
+let entry_problem ~test_only e =
+  if not (List.mem (name e.value e.param) test_only) then
+    Some "no test-only export or parameter of this name"
+  else if not (Sys.file_exists e.file) then Some (e.file ^ " does not exist")
+  else
+    let text = In_channel.with_open_bin e.file In_channel.input_all in
+    if not (contains text e.value) then Some (e.file ^ " does not name " ^ e.value)
+    else
+      match e.param with
+      | Some l when not (contains text ("~" ^ l) || contains text ("?" ^ l)) ->
+          Some (Printf.sprintf "%s does not pass ~%s" e.file l)
+      | _ -> None
+
+let failing ~allowed (k, e) =
+  match k with
+  | No_user | Own_unit -> true
+  | Test_only -> not (allowed (display e))
+  | Production | Perfbench -> false
 
 let () =
   let root = "_build/default" in
@@ -220,21 +302,47 @@ let () =
         (k, e))
       !exports
   in
+  if not (Sys.file_exists allow_path) then begin
+    prerr_endline ("unused_exports: no " ^ allow_path);
+    exit 2
+  end;
+  let entries = read_allowlist () in
+  let test_only =
+    List.filter_map
+      (fun (k, e) -> if k = Test_only then Some (display e) else None)
+      classed
+  in
+  let stale =
+    List.filter_map
+      (function
+        | Error (line, text) -> Some (line, "malformed entry: " ^ text)
+        | Ok e ->
+            Option.map
+              (fun why ->
+                (e.line, Printf.sprintf "stale: %s (%s)" (name e.value e.param) why))
+              (entry_problem ~test_only e))
+      entries
+  in
+  let allowed n =
+    List.exists
+      (function Ok e -> String.equal (name e.value e.param) n | Error _ -> false)
+      entries
+  in
+  let failing = failing ~allowed in
   let key ((_, e) as c) =
     (not (failing c), e.loc.loc_start.pos_fname, e.loc.loc_start.pos_lnum,
      e.label)
   in
   List.iter
-    (fun (k, e) ->
+    (fun (line, msg) -> Printf.printf "%s:%d: %s\n" allow_path line msg)
+    stale;
+  List.iter
+    (fun ((k, e) as c) ->
       if k <> Production then
         let p = e.loc.loc_start in
-        let modname =
-          String.capitalize_ascii
-            (Filename.remove_extension (Filename.basename p.pos_fname))
-        in
-        Printf.printf "%s:%d: %s: %s.%s%s\n" p.pos_fname p.pos_lnum
-          (klass_name k) modname e.name
-          (match e.label with Some l -> " ?" ^ l | None -> ""))
+        Printf.printf "%s:%d: %s%s: %s\n" p.pos_fname p.pos_lnum (klass_name k)
+          (if k = Test_only && failing c then " (not on the allowlist)" else "")
+          (display e))
     (List.sort (fun a b -> compare (key a) (key b)) classed);
   let count p = List.length (List.filter p classed) in
   List.iter
@@ -243,14 +351,14 @@ let () =
         (count (fun (k', e) -> k' = k && e.label = None))
         (count (fun (k', e) -> k' = k && e.label <> None)))
     [ Production; Perfbench; Test_only; Own_unit; No_user ];
-  let exports_bad = count (fun (k, e) -> failing (k, e) && e.label = None) in
-  let params_bad = count (fun (k, e) -> failing (k, e) && e.label <> None) in
-  if exports_bad + params_bad > 0 then begin
+  let unused = count (fun (k, _) -> k = Own_unit || k = No_user) in
+  let unlisted = count (fun ((k, _) as c) -> k = Test_only && failing c) in
+  if unused + unlisted + List.length stale > 0 then begin
     Printf.eprintf
-      "unused_exports: %d export(s) with no user outside their own module \
-       (delete each, or drop it from its .mli) and %d optional \
-       parameter(s) no caller passes (delete each; its default becomes a \
-       constant)\n"
-      exports_bad params_bad;
+      "unused_exports: %d export(s) or parameter(s) with no user outside \
+       their own module (delete each export, or drop it from its .mli; a \
+       parameter goes and its default becomes a constant), %d test-only \
+       one(s) not on %s, and %d stale or malformed entries there\n"
+      unused unlisted allow_path (List.length stale);
     exit 1
   end
