@@ -7,8 +7,10 @@
 
     - {b Count DP}: when both predicates expose a count form, the joint
       (Byzantine, crashed) count distribution is computed by dynamic
-      program — O(n^3), heterogeneous fleets included. Every cell of
-      the paper's Tables 1 and 2 evaluates through this path.
+      program ({!Config.joint_count_distribution}) — O(n^2) when every
+      fault is of one kind, about n^3/6 cells for a mixed fleet,
+      heterogeneous fleets included. Every cell of the paper's Tables
+      1 and 2 evaluates through this path.
     - {b Exact enumeration}: node-identity-dependent predicates, up to
       [2^24] binary or [3^13] ternary configurations.
     - {b Monte Carlo}: anything larger, and all correlated models;

@@ -22,9 +22,17 @@ val sample : crash_probs:float array -> byz_probs:float array -> Prob.Rng.t -> t
 val joint_count_distribution :
   crash_probs:float array -> byz_probs:float array -> float array array
 (** [d.(b).(c)] = P(exactly [b] Byzantine and [c] crashed nodes) — the
-    two-type generalization of the Poisson binomial, computed by an
-    O(n^3) dynamic program. Drives the count-only fast path that
-    evaluates every cell of the paper's tables. *)
+    two-type generalization of the Poisson binomial, computed by a
+    dynamic program over the cells reachable after each node. It is
+    O(n^2) when no node has one of the two fault kinds (a crash-only or
+    all-Byzantine fleet) and walks about n^3/6 cells for a mixed one;
+    {!count_dp_cells} gives the exact count. Drives the count-only fast
+    path that evaluates every cell of the paper's tables. *)
+
+val count_dp_cells : n:int -> mixed:bool -> int
+(** How many cells {!joint_count_distribution} updates over [n] nodes:
+    [n(n+3)/2] when every node's faults are of one kind ([mixed =
+    false]), [sum_{u<n} (u+2)(u+3)/2] when both kinds occur. *)
 
 val iter_binary_range :
   n:int -> byzantine:bool -> lo:int -> hi:int -> (t -> unit) -> unit

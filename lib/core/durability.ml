@@ -14,10 +14,7 @@ let by_descending_risk probs =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
-let quorum_for fleet placement ~size =
-  let probs = Faultmodel.Fleet.fault_probs fleet in
-  let n = Array.length probs in
-  if size < 1 || size > n then invalid_arg "Durability: quorum size out of range";
+let quorum_for probs placement ~size =
   match placement with
   | Worst_case -> take size (by_descending_risk probs)
   | Best_case -> take size (List.rev (by_descending_risk probs))
@@ -51,10 +48,12 @@ let mean_product_over_ksubsets probs k =
 
 let data_loss_probability fleet placement ~size =
   let probs = Faultmodel.Fleet.fault_probs fleet in
+  if size < 1 || size > Array.length probs then
+    invalid_arg "Durability: quorum size out of range";
   match placement with
   | Random -> Prob.Math_utils.clamp_prob (mean_product_over_ksubsets probs size)
   | Worst_case | Best_case | Constrained _ ->
-      let members = quorum_for fleet placement ~size in
+      let members = quorum_for probs placement ~size in
       Prob.Math_utils.clamp_prob
         (List.fold_left (fun acc u -> acc *. probs.(u)) 1. members)
 

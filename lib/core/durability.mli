@@ -25,7 +25,8 @@ val data_loss_probability : Faultmodel.Fleet.t -> placement -> size:int -> float
 (** Probability that every member of the placed persistence quorum
     fails (committed data is lost). For [Random] this is the exact
     average over all [C(n, size)] quorums, via elementary symmetric
-    polynomials. *)
+    polynomials. Raises [Invalid_argument] when [size] is outside
+    [1, n], whatever the placement. *)
 
 val durability : Faultmodel.Fleet.t -> placement -> size:int -> float
 (** [1 - data_loss_probability]. *)

@@ -6,6 +6,7 @@ module type Protocol_model = sig
   val quorum_keys : string list
   val protocol_of : Scenario.t -> (Protocol.t, string) result
   val validate : Scenario.t -> (unit, string) result
+  val count_dp_cells : Scenario.t -> int option
 
   val analyze :
     ?domains:int ->
@@ -80,9 +81,11 @@ let analyze_predicate_horizon ~default_byz ?domains ?strategy s proto =
 
 (* Builds a standard entry from its defaults plus a scenario-to-model
    function; the closed-over [protocol_of] already performs the
-   model-specific parameter validation. *)
+   model-specific parameter validation. A [counted] model's default
+   strategy is one count-DP pass over the fleet and nothing costlier. *)
 let model ~name ~doc ~byz ?(max_nodes = Scenario.max_fleet_nodes)
-    ?(stakes_ok = false) ~quorum_keys ~protocol_of () : entry =
+    ?(stakes_ok = false) ?(counted = false) ~quorum_keys ~protocol_of () :
+    entry =
   (module struct
     let name = name
     let doc = doc
@@ -96,6 +99,13 @@ let model ~name ~doc ~byz ?(max_nodes = Scenario.max_fleet_nodes)
 
     let validate s = Result.map ignore (protocol_of s)
 
+    let count_dp_cells s =
+      if counted && Scenario.horizon s = None then
+        let f = Option.value (Scenario.byz_fraction s) ~default:byz in
+        Some
+          (Config.count_dp_cells ~n:(Scenario.size s) ~mixed:(f > 0. && f < 1.))
+      else None
+
     let analyze ?domains ?strategy s =
       let* proto = protocol_of s in
       analyze_predicate ~default_byz:byz ?domains ?strategy s proto
@@ -107,7 +117,7 @@ let model ~name ~doc ~byz ?(max_nodes = Scenario.max_fleet_nodes)
 
 let raft =
   model ~name:"raft" ~doc:"Crash-fault Raft (Theorem 3.2)" ~byz:0.0
-    ~quorum_keys:[ "q_per"; "q_vc" ]
+    ~counted:true ~quorum_keys:[ "q_per"; "q_vc" ]
     ~protocol_of:(fun s ->
       let n = Scenario.size s in
       wrap (fun () ->
@@ -132,13 +142,13 @@ let pbft_keys = [ "q_eq"; "q_per"; "q_vc"; "q_vc_t" ]
 
 let pbft =
   model ~name:"pbft" ~doc:"Byzantine-fault PBFT (Theorem 3.1)" ~byz:1.0
-    ~quorum_keys:pbft_keys
+    ~counted:true ~quorum_keys:pbft_keys
     ~protocol_of:(fun s -> Result.map Pbft_model.protocol (pbft_params s))
     ()
 
 let pbft_forensics =
   model ~name:"pbft-forensics"
-    ~doc:"PBFT counting safe-or-accountable as safe" ~byz:1.0
+    ~doc:"PBFT counting safe-or-accountable as safe" ~byz:1.0 ~counted:true
     ~quorum_keys:pbft_keys
     ~protocol_of:(fun s ->
       Result.map Pbft_model.safe_or_accountable (pbft_params s))
@@ -148,7 +158,7 @@ let upright =
   (* The paper's mixed-fault setting: most faults crash, a sliver
      (mercurial cores, TEE compromises) is Byzantine. *)
   model ~name:"upright" ~doc:"Dual-threshold Upright (u total, r Byzantine)"
-    ~byz:0.0025
+    ~byz:0.0025 ~counted:true
     ~quorum_keys:[ "u"; "r" ]
     ~protocol_of:(fun s ->
       let n = Scenario.size s in
@@ -162,7 +172,7 @@ let upright =
 
 let benor =
   model ~name:"benor" ~doc:"Crash-fault Ben-Or randomized consensus" ~byz:0.0
-    ~quorum_keys:[ "f" ]
+    ~counted:true ~quorum_keys:[ "f" ]
     ~protocol_of:(fun s ->
       let n = Scenario.size s in
       wrap (fun () ->
@@ -205,6 +215,7 @@ let quorum_availability : entry =
       if k < 1 || k > n then errf "quorum must be in [1, %d]" n else Ok (n, k)
 
     let validate s = Result.map ignore (check s)
+    let count_dp_cells _ = None
 
     let result_at ?domains ?strategy ~n ~k fleet at =
       let probs =
@@ -383,6 +394,9 @@ let analyze_horizon ?domains ?strategy s =
 
 let protocol_of s =
   dispatch s (fun (module M) -> M.protocol_of s) (fun msg -> Error msg)
+
+let count_dp_cells s =
+  dispatch s (fun (module M) -> M.count_dp_cells s) (fun _ -> None)
 
 let fleet_of s =
   dispatch s

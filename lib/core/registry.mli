@@ -48,6 +48,15 @@ module type Protocol_model = sig
   (** Full scenario-against-model validation without running anything:
       node bound, quorum keys and values, stakes applicability. *)
 
+  val count_dp_cells : Scenario.t -> int option
+  (** When {!analyze} with the default strategy is one count-DP pass
+      over the fleet, the cells that pass walks
+      ({!Config.count_dp_cells}), judged from the scenario alone: its
+      size, and its effective [byz_fraction] (0 or 1 is one fault kind,
+      anything between is two). [None] for a horizon scenario and for
+      a model that runs any other engine or searches for a structure
+      first. *)
+
   val analyze :
     ?domains:int ->
     ?strategy:Analysis.strategy ->
@@ -102,6 +111,10 @@ val analyze_horizon :
     protocol; requires the scenario to carry a [horizon]. *)
 
 val protocol_of : Scenario.t -> (Protocol.t, string) result
+
+val count_dp_cells : Scenario.t -> int option
+(** Dispatch {!Protocol_model.count_dp_cells}; [None] for an unknown
+    protocol. *)
 
 val fleet_of : Scenario.t -> (Faultmodel.Fleet.t, string) result
 (** The scenario's fleet with the model-resolved [byz_fraction]. *)

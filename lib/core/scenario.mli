@@ -25,7 +25,9 @@ type t
 (** {1 Bounds}
 
     Shared with the wire layer: every scenario must analyze quickly,
-    so fleets are capped where the count-DP engine stays O(n³). *)
+    so fleets are capped where the count-DP engine, O(n²) for one
+    fault kind and about n³/6 cells for a mixed fleet, stays in the
+    tens of milliseconds. *)
 
 val max_fleet_nodes : int
 (** 200 — cap on the total node count of the mix. *)

@@ -46,6 +46,15 @@ type plane = {
    bound that keeps a slow consumer from buffering the world. *)
 let out_high_watermark = 256 * 1024
 
+(* The count-DP cells the loop spends per iteration answering cache
+   misses itself. A lane round trip costs the loop two wake-ups and a
+   thread hand-off, about 100 us on a 2-vCPU host; an analysis this
+   size takes about 20 us to compute and render there, so answering it
+   on the loop is cheaper than sending it away. The bound is per
+   iteration, so a pipelined burst of small analyses cannot hold the
+   loop: past it, that iteration's misses go to the lanes. *)
+let loop_cell_budget = 512
+
 (* --- Metrics ----------------------------------------------------------- *)
 
 let m_connections = Obs.Metrics.counter ~family:"service" "connections_total"
@@ -149,6 +158,8 @@ type t = {
   mutable n_error : int;
   mutable n_overload : int;
   mutable n_deadline : int;
+  mutable n_on_loop : int;  (* cache misses the loop answered itself *)
+  mutable cells_left : int;  (* of [loop_cell_budget], this iteration *)
   mutable n_loops : int;
   mutable n_write_stalls : int;
   mutable max_pipeline_seen : int;
@@ -248,6 +259,7 @@ let stats_payload t =
             ("error", Obs.Json.Int t.n_error);
             ("overloaded", Obs.Json.Int t.n_overload);
             ("deadline_exceeded", Obs.Json.Int t.n_deadline);
+            ("on_loop", Obs.Json.Int t.n_on_loop);
           ] );
       ( "queue",
         Obs.Json.Obj
@@ -353,8 +365,7 @@ let reply_ok_json t conn ~id json =
   count_ok t;
   push t conn (render_ok ~id (Obs.Json.to_string json))
 
-(* An answer as reply bytes and the tally they count for. Lanes call it,
-   so the rendering and the canonical key stay off the reactor. *)
+(* An answer as reply bytes and the tally they count for. *)
 let render_result ~id query = function
   | Ok json ->
       let payload = Obs.Json.to_string json in
@@ -365,6 +376,24 @@ let render_result ~id query = function
       (render_ok ~id payload, Answered admit)
   | Error { code; msg; hint } ->
       (render_error ?hint ~id:(Some id) code msg, Failed code)
+
+(* The one compute path: a lane and the loop both answer a cache miss
+   here, so either sends the same bytes and makes the same tally. *)
+let compute ~id query =
+  let span = Obs.Span.start m_handle in
+  let result =
+    Result.map_error
+      (fun (code, msg) -> { code; msg; hint = None })
+      (Router.handle query)
+  in
+  Obs.Span.stop span;
+  render_result ~id query result
+
+(* The cells a cache miss would cost the loop: only an analysis whose
+   default strategy is one count-DP pass has a cost known up front. *)
+let loop_cells = function
+  | Wire.Analyze { scenario } -> Probcons.Registry.count_dp_cells scenario
+  | _ -> None
 
 let track_outstanding t conn =
   conn.outstanding <- conn.outstanding + 1;
@@ -393,9 +422,33 @@ let answer_on_loop t plane conn ~id query =
         end)
   end
 
-(* One parsed request body. Errors, [ping], [stats], cache hits and the
-   plane's queries are answered on the reactor thread; only cache
-   misses are dispatched to the worker lanes. *)
+(* A cache miss: answered here while this iteration's cell budget
+   covers it, otherwise queued for a lane. *)
+let answer_miss t conn ~id query =
+  if Atomic.get t.draining then
+    reply_error t conn ~id:(Some id) Wire.Shutting_down "server draining"
+  else
+    match loop_cells query with
+    | Some cells when cells <= t.cells_left ->
+        t.cells_left <- t.cells_left - cells;
+        t.n_on_loop <- t.n_on_loop + 1;
+        let bytes, tally = compute ~id query in
+        settle t tally;
+        push t conn bytes
+    | _ -> (
+        let job =
+          { conn_key = conn.key; id; query; enqueued_at = Unix.gettimeofday () }
+        in
+        match try_push t.queue job with
+        | Ok () -> track_outstanding t conn
+        | Error Wire.Overloaded ->
+            reply_error t conn ~id:(Some id) Wire.Overloaded
+              (Printf.sprintf "request queue full (%d deep)" t.queue.capacity)
+        | Error code -> reply_error t conn ~id:(Some id) code "server draining")
+
+(* One parsed request body. Errors, [ping], [stats], cache hits, the
+   plane's queries and small analyses are answered on the reactor
+   thread; every other cache miss is dispatched to the worker lanes. *)
 let raw_memo_capacity = 8192
 
 let handle_body t conn body =
@@ -413,25 +466,13 @@ let handle_body t conn body =
   | Ok { Wire.id; query = Wire.Stats } ->
       reply_ok_json t conn ~id (stats_payload t)
   | Ok { Wire.id; query } -> (
-      let dispatch () =
-        let job =
-          { conn_key = conn.key; id; query; enqueued_at = Unix.gettimeofday () }
-        in
-        match try_push t.queue job with
-        | Ok () -> track_outstanding t conn
-        | Error Wire.Overloaded ->
-            reply_error t conn ~id:(Some id) Wire.Overloaded
-              (Printf.sprintf "request queue full (%d deep)" t.queue.capacity)
-        | Error code ->
-            reply_error t conn ~id:(Some id) code "server draining"
-      in
       match t.plane with
       | Some plane when plane.owns query -> answer_on_loop t plane conn ~id query
       | _ ->
-      if not (Wire.cacheable query) then dispatch ()
+      if not (Wire.cacheable query) then answer_miss t conn ~id query
       else
         match Cache.find t.cache (Wire.canonical_key query) with
-        | None -> dispatch ()
+        | None -> answer_miss t conn ~id query
         | Some payload ->
             (* Hit: reply straight off the reactor, bypassing the
                worker lanes entirely, and memoize the reply for the
@@ -580,6 +621,7 @@ let reactor_loop t =
   let rec loop () =
     Obs.Metrics.incr m_loops;
     t.n_loops <- t.n_loops + 1;
+    t.cells_left <- loop_cell_budget;
     let draining = Atomic.get t.draining in
     if draining then close_listeners ();
     if Atomic.get t.finishing && !flush_deadline = None then
@@ -723,16 +765,7 @@ let process t (job : job) =
           (Printf.sprintf "queued longer than the %gs deadline"
              t.config.deadline_seconds),
         Failed Wire.Deadline_exceeded )
-  else begin
-    let span = Obs.Span.start m_handle in
-    let result =
-      Result.map_error
-        (fun (code, msg) -> { code; msg; hint = None })
-        (Router.handle job.query)
-    in
-    Obs.Span.stop span;
-    post t ~conn_key:job.conn_key (render_result ~id:job.id job.query result)
-  end
+  else post t ~conn_key:job.conn_key (compute ~id:job.id job.query)
 
 let worker_loop t =
   let rec go () =
@@ -816,6 +849,8 @@ let start ?plane config =
       n_error = 0;
       n_overload = 0;
       n_deadline = 0;
+      n_on_loop = 0;
+      cells_left = loop_cell_budget;
       n_loops = 0;
       n_write_stalls = 0;
       max_pipeline_seen = 0;

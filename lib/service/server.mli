@@ -8,6 +8,7 @@
       reactor thread (select loop: every socket, the cache, the tallies)
         ├─ accepts, reads, decodes wire/3 frames
         ├─ inline answers: errors, ping, stats, cache hits
+        ├─ small analyses (count DP within the loop's cell budget)
         ├─ plane queries and the plane's step (a replica's Raft)
         └─ cache misses ── bounded queue ── worker lanes
                                 (Parallel.Pool domains) ── Router
@@ -25,9 +26,14 @@
       written at the end of that iteration, so none waits for another
       [select].
     - {b Inline fast path}: parse errors, [ping], [stats] and reply
-      cache hits are answered directly on the reactor thread. Only
-      cache misses — actual analyses — are dispatched to the worker
-      lanes, so the clean cached path never crosses a thread boundary.
+      cache hits are answered directly on the reactor thread, so the
+      clean cached path never crosses a thread boundary. So is a cache
+      miss for an [analyze] whose default strategy is one count-DP
+      pass over at most what is left of the loop's per-iteration
+      budget of 512 cells ({!Probcons.Registry.count_dp_cells}): it
+      costs less than the lane round trip it saves. Past the budget,
+      and for every other miss, the query goes to the worker lanes.
+      [stats] counts the loop's answers as [requests.on_loop].
       A hit's reply is memoized per exact request body, so a repeated
       request is replayed without being parsed, and small replies are
       coalesced so one syscall can carry many pipelined responses.
@@ -54,15 +60,17 @@
     - {b Workers}: [workers] lanes hosted on one {!Parallel.Pool.map}
       call, so each lane is a real domain while nested analysis
       parallelism degrades to sequential per lane. A lane runs
-      {!Router.handle}, renders the reply bytes and hands them, with
-      what they count for, to the reactor through a mutex-protected
-      completion queue plus a wakeup pipe ({!Nonblock.wake}); lanes
-      never touch sockets, the cache or the tallies.
+      {!Router.handle} and renders the reply bytes through the helper
+      the loop's own answers use, then hands them, with what they
+      count for, to the reactor through a mutex-protected completion
+      queue plus a wakeup pipe ({!Nonblock.wake}); lanes never touch
+      sockets, the cache or the tallies.
     - {b Cache}: the reactor alone owns the {!Cache} and the [stats]
-      tallies. As it delivers a lane's or the plane's reply, even to a
-      connection that has died, it counts the reply and admits a
-      cacheable answer's payload by canonical key; identical requests
-      get byte-identical responses whether computed or replayed.
+      tallies. As it delivers a lane's, the loop's or the plane's
+      reply, even to a connection that has died, it counts the reply
+      and admits a cacheable answer's payload by canonical key;
+      identical requests get byte-identical responses whether computed
+      or replayed.
     - {b Shutdown}: {!stop} (or SIGINT/SIGTERM under {!run}) closes
       listeners, drains queued work through the lanes, answers fresh
       requests [shutting_down], stops the plane, then flushes every

@@ -78,7 +78,8 @@ type request = { id : int; query : query }
 (* --- Validation bounds ------------------------------------------------ *)
 
 (* Every query must terminate quickly on the worker: fleets are capped
-   where the count-DP engine stays O(n^3), and subset-enumerating
+   where the count-DP engine (O(n^2) for one fault kind, about n^3/6
+   cells for a mixed fleet) stays fast, and subset-enumerating
    quorum systems where 2^n stays interactive. Out-of-bounds params are
    a [bad_request], not a hung worker. The fleet bound is the scenario
    layer's (one validator for CLI, wire and files); per-model bounds

@@ -422,6 +422,12 @@ let base_config socket =
     cache_capacity = 64;
   }
 
+(* A query the reactor loop never answers itself: only analyses whose
+   count DP fits the loop's cell budget are, so this one always waits
+   in the queue for a lane. *)
+let lane_query =
+  Wire.Availability { system = Wire.Majority 3; probs = Wire.Uniform 0.01 }
+
 (* A negative deadline makes every dequeued job stale, so the deadline
    path is exercised deterministically. *)
 let deadline_config socket =
@@ -631,9 +637,7 @@ let test_e2e_deadline () =
           Fun.protect
             ~finally:(fun () -> Client.close c)
             (fun () ->
-              match
-                Client.call c ~id:0 (analyze ~protocol:"raft" [ (3, 0.01) ])
-              with
+              match Client.call c ~id:0 lane_query with
               | Error (Wire.Deadline_exceeded, _) -> ()
               | Ok _ -> Alcotest.fail "expected deadline_exceeded, got ok"
               | Error (c, msg) ->
@@ -713,9 +717,10 @@ let test_plane_failure () =
       | exception Unix.Unix_error _ -> ())
 
 (* Every reply path counts once, and a lane's answer is in the cache
-   before its client sees it: four analyses computed on the lanes, the
-   same four as cache hits under new ids, then those exact bodies again
-   as raw-memo replays. *)
+   before its client sees it: four analyses computed on the lanes (horizon
+   trajectories, which the loop never answers itself), the same four as
+   cache hits under new ids, then those exact bodies again as raw-memo
+   replays. *)
 let test_reply_paths_count_once () =
   with_watchdog (fun () ->
       let socket = temp_socket () in
@@ -727,7 +732,14 @@ let test_reply_paths_count_once () =
         List.iter
           (fun k ->
             let id = first_id + k in
-            let query = analyze ~protocol:"raft" [ (3 + (2 * k), 0.01) ] in
+            let query =
+              Wire.Analyze
+                {
+                  scenario =
+                    Probcons.Scenario.with_horizon 8760.
+                      (scenario ~protocol:"raft" [ (3 + (2 * k), 0.01) ]);
+                }
+            in
             match Client.call_line c ~id (Wire.encode_request { Wire.id; query }) with
             | Ok body ->
                 Alcotest.(check string)
@@ -763,7 +775,7 @@ let test_deadline_counts_once () =
       Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
       let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      (match Client.call c ~id:0 (analyze ~protocol:"raft" [ (3, 0.01) ]) with
+      (match Client.call c ~id:0 lane_query with
       | Error (Wire.Deadline_exceeded, _) -> ()
       | Ok _ -> Alcotest.fail "expected deadline_exceeded, got ok"
       | Error (c, msg) ->
@@ -1010,6 +1022,129 @@ let test_loadgen_counts_errors () =
                 (what ^ ": errors by code") [ ("overloaded", 50) ] r.errors_by_code)
             [ 8; 1 ]))
 
+(* --- Small analyses on the loop ------------------------------------------ *)
+
+(* The loop answers a cache miss itself when its count DP walks at most
+   512 cells in that iteration: a one-kind fleet of up to 30 nodes
+   (495 cells), or a mixed one of up to 12 (454). One node more is 527
+   and 559 cells. *)
+let at_budget =
+  [
+    analyze ~protocol:"raft" [ (30, 0.01) ];
+    analyze ~protocol:"upright" [ (12, 0.02) ];
+  ]
+
+let over_budget =
+  [
+    analyze ~protocol:"raft" [ (31, 0.01) ];
+    analyze ~protocol:"upright" [ (13, 0.02) ];
+  ]
+
+let request_tallies =
+  [
+    [ "reactor"; "loop_iterations" ];
+    [ "requests"; "on_loop" ];
+    [ "cache"; "misses" ];
+    [ "cache"; "hits" ];
+  ]
+
+(* Send [query] under [id] and check the reply is the router's bytes. *)
+let expect_router_reply c ~id query =
+  match Client.call_line c ~id (Wire.encode_request { Wire.id; query }) with
+  | Ok body ->
+      Alcotest.(check string)
+        "the reply is the router's"
+        (Wire.encode_ok ~id ~payload:(Obs.Json.to_string (handle_ok query)))
+        body
+  | Error (code, msg) ->
+      Alcotest.failf "analyze failed: %s (%s)" (Wire.code_string code) msg
+
+let with_server config f =
+  with_watchdog (fun () ->
+      let socket = temp_socket () in
+      let server = Server.start (config socket) in
+      Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+      let c = Client.connect ~retry_for:5. (Client.Unix_path socket) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () -> f c)
+
+(* A miss within the budget is read, computed and written in one loop
+   iteration, then counts as a miss answered on the loop; asked again,
+   it is a cache hit. Each [stats] request takes an iteration of its
+   own. *)
+let test_small_analysis_on_loop () =
+  with_server base_config @@ fun c ->
+  List.iteri
+    (fun k query ->
+      let before = tallies c ~id:(10 * k) request_tallies in
+      expect_router_reply c ~id:((10 * k) + 1) query;
+      let missed = tallies c ~id:((10 * k) + 2) request_tallies in
+      expect_router_reply c ~id:((10 * k) + 3) query;
+      let hit = tallies c ~id:((10 * k) + 4) request_tallies in
+      let delta a b = List.map2 ( - ) b a in
+      Alcotest.(check (list int))
+        "loop iterations, on_loop, cache misses, hits after the miss"
+        [ 2; 1; 1; 0 ] (delta before missed);
+      Alcotest.(check (list int))
+        "loop iterations, on_loop, cache misses, hits after the hit"
+        [ 2; 0; 0; 1 ] (delta missed hit))
+    at_budget
+
+(* One node over the budget, a miss goes to a lane, with the same bytes. *)
+let test_over_budget_to_lane () =
+  with_server base_config @@ fun c ->
+  List.iteri
+    (fun k query ->
+      let before = tallies c ~id:(10 * k) request_tallies in
+      expect_router_reply c ~id:((10 * k) + 1) query;
+      match List.map2 ( - ) (tallies c ~id:((10 * k) + 2) request_tallies) before with
+      | [ _; on_loop; misses; _ ] ->
+          Alcotest.(check (list int)) "on_loop, cache misses" [ 0; 1 ] [ on_loop; misses ]
+      | _ -> assert false)
+    over_budget
+
+(* A pipelined burst of small analyses: the loop answers what one
+   budget covers per iteration and queues the rest for the lanes, and
+   every request is answered exactly once. *)
+let test_pipelined_small_analyses () =
+  with_server
+    (fun socket ->
+      { (base_config socket) with Server.queue_depth = 256; max_pipeline = 256 })
+  @@ fun c ->
+  let n = 64 in
+  let queries =
+    Array.init n (fun i ->
+        analyze ~protocol:(if i mod 2 = 0 then "raft" else "pbft")
+          [ (15, 0.001 +. (float_of_int i *. 1e-4)) ])
+  in
+  Client.send c
+    (Array.to_list
+       (Array.mapi (fun id query -> Wire.encode_request { Wire.id; query }) queries));
+  let seen = Array.make n 0 in
+  for _ = 1 to n do
+    match Client.recv c with
+    | None -> Alcotest.fail "connection died mid-pipeline"
+    | Some reply -> (
+        match Wire.parse_response reply with
+        | Ok { Wire.rid = Some rid; body = Ok _; _ } when rid >= 0 && rid < n ->
+            Alcotest.(check string)
+              (Printf.sprintf "id %d is the router's reply" rid)
+              (Wire.encode_ok ~id:rid
+                 ~payload:(Obs.Json.to_string (handle_ok queries.(rid))))
+              reply;
+            seen.(rid) <- seen.(rid) + 1
+        | _ -> Alcotest.failf "bad pipelined reply: %s" reply)
+  done;
+  Array.iteri
+    (fun i k -> Alcotest.(check int) (Printf.sprintf "id %d answered once" i) 1 k)
+    seen;
+  match tallies c ~id:n [ [ "requests"; "on_loop" ]; [ "cache"; "misses" ] ] with
+  | [ on_loop; misses ] ->
+      Alcotest.(check int) "every request a miss" n misses;
+      if on_loop < 1 || on_loop >= n then
+        Alcotest.failf "%d of %d answered on the loop: expected some, not all"
+          on_loop n
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -1059,4 +1194,10 @@ let suite =
       test_loadgen_pipelined;
     Alcotest.test_case "loadgen counts error replies by code" `Quick
       test_loadgen_counts_errors;
+    Alcotest.test_case "a small analysis is answered on the loop" `Quick
+      test_small_analysis_on_loop;
+    Alcotest.test_case "an analysis over the cell budget goes to a lane" `Quick
+      test_over_budget_to_lane;
+    Alcotest.test_case "pipelined small analyses: each answered once" `Quick
+      test_pipelined_small_analyses;
   ]
