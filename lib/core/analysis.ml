@@ -29,10 +29,12 @@ type result = {
   ci_safe_live : (float * float) option;
 }
 
-(* "enumeration-binary/8d": the engine name records how many domains
-   produced the numbers (no suffix when sequential). *)
-let engine_tag ~workers base =
-  if workers > 1 then Printf.sprintf "%s/%dd" base workers else base
+(* The lanes a chunked engine runs [tasks] over; recorded, never part
+   of a result, so a payload does not depend on the host. *)
+let record_workers ?domains ~tasks () =
+  Obs.Metrics.set m_workers
+    (Parallel.Pool.effective ?domains
+       ~tasks:(min Parallel.Chunked.default_chunks tasks) ())
 
 let no_ci protocol ~engine ~p_safe ~p_live ~p_safe_live =
   {
@@ -79,15 +81,30 @@ let count_result (protocol : Protocol.t) ~engine cells =
   no_ci protocol.name ~engine ~p_safe:(normalize !p_safe)
     ~p_live:(normalize !p_live) ~p_safe_live:(normalize !p_both)
 
+let all_zero probs = Array.for_all (fun p -> p = 0.) probs
+
+(* A fleet with one fault kind puts its mass on one row (or column)
+   of the (byz, crashed) table: that kind's Poisson binomial. Only a
+   mixed fleet needs the joint table. Cells are summed in the table's
+   row order either way. *)
 let run_count_dp protocol ~crash_probs ~byz_probs =
   count_result protocol ~engine:"count-dp" (fun add ->
-      let dist = Config.joint_count_distribution ~crash_probs ~byz_probs in
-      let n = Array.length crash_probs in
-      for b = 0 to n do
-        for c = 0 to n - b do
-          add ~byz:b ~crashed:c dist.(b).(c)
-        done
-      done)
+      if all_zero byz_probs then
+        Array.iteri
+          (fun c p -> add ~byz:0 ~crashed:c p)
+          (Prob.Poisson_binomial.pmf crash_probs)
+      else if all_zero crash_probs then
+        Array.iteri
+          (fun b p -> add ~byz:b ~crashed:0 p)
+          (Prob.Poisson_binomial.pmf byz_probs)
+      else
+        let dist = Config.joint_count_distribution ~crash_probs ~byz_probs in
+        let n = Array.length crash_probs in
+        for b = 0 to n do
+          for c = 0 to n - b do
+            add ~byz:b ~crashed:c dist.(b).(c)
+          done
+        done)
 
 (* Per-chunk Kahan-compensated partial sums over a configuration
    iterator slice. Chunk boundaries and per-chunk float order are fixed
@@ -111,14 +128,13 @@ let eval_range (protocol : Protocol.t) ~crash_probs ~byz_probs iter_range ~lo ~h
 
 let run_enumeration ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs =
   let n = Array.length crash_probs in
-  let all_zero a = Array.for_all (fun p -> p = 0.) a in
   let binary =
     if all_zero byz_probs && n <= Quorum.Subset.max_enumeration then Some false
     else if all_zero crash_probs && n <= Quorum.Subset.max_enumeration then
       Some true
     else None
   in
-  let total, base_engine, iter_range =
+  let total, engine, iter_range =
     match binary with
     | Some byzantine ->
         ( Quorum.Subset.full n + 1,
@@ -129,18 +145,12 @@ let run_enumeration ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs =
           "enumeration-ternary",
           fun ~lo ~hi f -> Config.iter_ternary_range ~n ~lo ~hi f )
   in
-  let workers =
-    Parallel.Pool.effective ?domains
-      ~tasks:(min Parallel.Chunked.default_chunks total) ()
-  in
-  Obs.Metrics.set m_workers workers;
+  record_workers ?domains ~tasks:total ();
   let p_safe, p_live, p_both =
     Parallel.Chunked.sum3 ?domains ~total (fun ~chunk:_ ~lo ~hi ->
         eval_range protocol ~crash_probs ~byz_probs iter_range ~lo ~hi)
   in
-  no_ci protocol.name
-    ~engine:(engine_tag ~workers base_engine)
-    ~p_safe ~p_live ~p_safe_live:p_both
+  no_ci protocol.name ~engine ~p_safe ~p_live ~p_safe_live:p_both
 
 let mc_result (protocol : Protocol.t) ~engine ~trials (safe_hits, live_hits, both_hits)
     =
@@ -180,26 +190,20 @@ let mc_chunked ?domains ~trials ~seed sample_outcome =
 
 let run_monte_carlo ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs
     ~trials ~seed =
-  Obs.Metrics.set m_workers
-    (Parallel.Pool.effective ?domains
-       ~tasks:(min Parallel.Chunked.default_chunks trials) ());
+  record_workers ?domains ~tasks:trials ();
   let hits =
     mc_chunked ?domains ~trials ~seed (fun rng ->
         let config = Config.sample ~crash_probs ~byz_probs rng in
         (protocol.safe.full config, protocol.live.full config))
   in
-  let workers =
-    Parallel.Pool.effective ?domains
-      ~tasks:(min Parallel.Chunked.default_chunks trials) ()
-  in
-  let engine = engine_tag ~workers (Printf.sprintf "monte-carlo(%d)" trials) in
-  mc_result protocol ~engine ~trials hits
+  mc_result protocol
+    ~engine:(Printf.sprintf "monte-carlo(%d)" trials)
+    ~trials hits
 
 (* The one strategy dispatch, shared by [run] (which derives the
    probability vectors from a fleet) and [run_horizon] (which re-enters
-   it per round on marginals it controls) — so a horizon point computed
-   "the exact way" is bit-identical to a standalone [run] at that
-   mission time. *)
+   it per round on the marginals it compares) — so every horizon point
+   is bit-identical to a standalone [run] at that mission time. *)
 let run_on_probs ?(strategy = Auto) ?(seed = 42) ?domains
     (protocol : Protocol.t) ~crash_probs ~byz_probs =
   Obs.Metrics.incr m_runs;
@@ -215,8 +219,7 @@ let run_on_probs ?(strategy = Auto) ?(seed = 42) ?domains
   | Auto ->
       if has_counts then run_count_dp protocol ~crash_probs ~byz_probs
       else if n <= 13 || (n <= Quorum.Subset.max_enumeration
-                          && (Array.for_all (fun p -> p = 0.) byz_probs
-                             || Array.for_all (fun p -> p = 0.) crash_probs))
+                          && (all_zero byz_probs || all_zero crash_probs))
       then run_enumeration ?domains protocol ~crash_probs ~byz_probs
       else
         run_monte_carlo ?domains protocol ~crash_probs ~byz_probs ~trials:200_000
@@ -243,37 +246,16 @@ let horizon_times ~horizon ~rounds =
   List.init rounds (fun k ->
       horizon *. float_of_int (k + 1) /. float_of_int rounds)
 
-(* A crash-count distribution (byz fixed at 0), summed as the count DP
-   sums its cells. *)
-let result_of_pmf protocol ~engine dist =
-  count_result protocol ~engine (fun add ->
-      Array.iteri (fun c p -> add ~byz:0 ~crashed:c p) dist)
-
-let run_horizon ?(strategy = Auto) ?seed ?domains ~times (protocol : Protocol.t)
-    fleet =
+let run_horizon ?strategy ?seed ~times (protocol : Protocol.t) fleet =
   let n = Faultmodel.Fleet.size fleet in
   if n <> protocol.n then
     invalid_arg
       (Printf.sprintf "Analysis.run_horizon: fleet size %d but protocol expects %d"
          n protocol.n);
-  let has_counts =
-    protocol.safe.by_count <> None && protocol.live.by_count <> None
-  in
-  let all_zero a = Array.for_all (fun p -> p = 0.) a in
-  (* Incremental fast path: under Auto with count predicates and no
-     Byzantine mass, later rounds reuse the previous round's
-     Poisson-binomial distribution via O(n)-per-changed-node
-     divide-out/multiply-in (PR 8) instead of the O(n^2) scratch DP.
-     Round one is always computed by the exact shared dispatch, so a
-     [Static]-only trajectory is bit-identical to [Analysis.run] at
-     every round (the marginals never change and every round reuses the
-     round-one result verbatim). *)
-  let engine = ref None in
-  let prev : (float array * float array * result) option ref = ref None in
-  let exact ~crash_probs ~byz_probs =
-    engine := None;
-    run_on_probs ~strategy ?seed ?domains protocol ~crash_probs ~byz_probs
-  in
+  (* Every round is the dispatch [run] makes, so each point equals
+     [run ~at] bit for bit; a round whose marginals equal the previous
+     round's reuses that round's result. *)
+  let prev = ref None in
   List.map
     (fun at ->
       let crash_probs = Faultmodel.Fleet.crash_probs ~at fleet in
@@ -281,27 +263,8 @@ let run_horizon ?(strategy = Auto) ?seed ?domains ~times (protocol : Protocol.t)
       let result =
         match !prev with
         | Some (pc, pb, r) when pc = crash_probs && pb = byz_probs -> r
-        | stale ->
-            let fast_ok =
-              strategy = Auto && has_counts && all_zero byz_probs
-              && stale <> None
-            in
-            if not fast_ok then exact ~crash_probs ~byz_probs
-            else begin
-              (match !engine with
-              | Some eng ->
-                  let updates = ref [] in
-                  Array.iteri
-                    (fun i p ->
-                      if Prob.Incremental.prob eng i <> p then
-                        updates := (i, p) :: !updates)
-                    crash_probs;
-                  Prob.Incremental.update_batch eng (List.rev !updates)
-              | None -> engine := Some (Prob.Incremental.create crash_probs));
-              let eng = Option.get !engine in
-              result_of_pmf protocol ~engine:"incremental-pb"
-                (Prob.Incremental.pmf eng)
-            end
+        | _ ->
+            run_on_probs ?strategy ?seed protocol ~crash_probs ~byz_probs
       in
       prev := Some (crash_probs, byz_probs, result);
       { at; result })
@@ -312,9 +275,7 @@ let run_correlated ?(trials = 200_000) model (protocol : Protocol.t) fleet =
   if n <> protocol.n then
     invalid_arg "Analysis.run_correlated: fleet size mismatch";
   Obs.Metrics.incr m_runs;
-  Obs.Metrics.set m_workers
-    (Parallel.Pool.effective
-       ~tasks:(min Parallel.Chunked.default_chunks trials) ());
+  record_workers ~tasks:trials ();
   let hits =
     mc_chunked ~trials ~seed:42 (fun rng ->
         let kinds = Faultmodel.Correlation.sample_kinds model fleet rng in
@@ -328,14 +289,9 @@ let run_correlated ?(trials = 200_000) model (protocol : Protocol.t) fleet =
         in
         (protocol.safe.full config, protocol.live.full config))
   in
-  let workers =
-    Parallel.Pool.effective
-      ~tasks:(min Parallel.Chunked.default_chunks trials) ()
-  in
-  let engine =
-    engine_tag ~workers (Printf.sprintf "monte-carlo-correlated(%d)" trials)
-  in
-  mc_result protocol ~engine ~trials hits
+  mc_result protocol
+    ~engine:(Printf.sprintf "monte-carlo-correlated(%d)" trials)
+    ~trials hits
 
 let pp_result fmt r =
   Format.fprintf fmt "@[<v>%s [%s]:@ safe %a, live %a, safe&live %a@]" r.protocol

@@ -5,12 +5,14 @@
     the failure configurations the model classifies as safe (resp.
     live). Three engines, picked automatically:
 
-    - {b Count DP}: when both predicates expose a count form, the joint
+    - {b Count DP}: when both predicates expose a count form, the
       (Byzantine, crashed) count distribution is computed by dynamic
-      program ({!Config.joint_count_distribution}) — O(n^2) when every
-      fault is of one kind, about n^3/6 cells for a mixed fleet,
-      heterogeneous fleets included. Every cell of the paper's Tables
-      1 and 2 evaluates through this path.
+      program — the Poisson binomial of the one fault kind
+      ({!Prob.Poisson_binomial.pmf}, O(n^2)) when every fault is of one
+      kind, the joint table ({!Config.joint_count_distribution}, about
+      n^3/6 cells) for a mixed fleet, heterogeneous fleets included.
+      Every cell of the paper's Tables 1 and 2 evaluates through this
+      path.
     - {b Exact enumeration}: node-identity-dependent predicates, up to
       [2^24] binary or [3^13] ternary configurations.
     - {b Monte Carlo}: anything larger, and all correlated models;
@@ -23,7 +25,8 @@
     [(seed, chunk)]), and partials are reduced in chunk order — so
     exact engines are bit-identical and Monte Carlo estimates
     seed-reproducible across any [?domains] setting, including
-    sequential. The default lane count honours [PROBCONS_DOMAINS]. *)
+    sequential. The default lane count honours [PROBCONS_DOMAINS]; it
+    changes no field of a result, the [engine] label included. *)
 
 type strategy =
   | Auto
@@ -53,9 +56,8 @@ val run :
 (** [at] is the mission time at which fault curves are evaluated
     (default one year). [domains] caps the parallel lanes used by the
     enumeration and Monte-Carlo engines (default: the {!Parallel.Pool}
-    default; [0]/[1] force sequential); results are identical for every
-    value. When parallel lanes were used, the [engine] string records
-    it, e.g. ["enumeration-binary/8d"]. Raises [Invalid_argument] when
+    default; [0]/[1] force sequential); results, [engine] included, are
+    identical for every value. Raises [Invalid_argument] when
     the fleet size does not match the protocol's [n], or when a forced
     strategy cannot handle the instance. *)
 
@@ -74,24 +76,17 @@ val horizon_times : horizon:float -> rounds:int -> float list
 val run_horizon :
   ?strategy:strategy ->
   ?seed:int ->
-  ?domains:int ->
   times:float list ->
   Protocol.t ->
   Faultmodel.Fleet.t ->
   horizon_point list
 (** Per-round availability trajectory: for each time in [times]
     (ascending), evaluate the fleet's crash/Byzantine marginals at that
-    mission time and analyze them. The first round always goes through
-    the same strategy dispatch as {!run}, so it is bit-identical to
-    [run ~at]; a round whose marginals are unchanged from the previous
-    round reuses the previous result verbatim — in particular a fleet
-    of constant curves ([Static] processes) yields a trajectory of
-    results each bit-identical to [run]. Rounds whose marginals did
-    change take the incremental Poisson-binomial fast path (engine
-    ["incremental-pb"], O(n) per changed node, PR 8's
-    divide-out/multiply-in with its 1e-9 drift contract) when the
-    strategy is [Auto], both predicates have count forms and there is
-    no Byzantine mass; otherwise they recompute exactly. *)
+    mission time and analyze them through the same strategy dispatch as
+    {!run}, so every point is bit-identical to [run ~at], [engine]
+    included. A round whose marginals are unchanged from the previous
+    round reuses the previous result verbatim, so a fleet of constant
+    curves ([Static] processes) is analyzed once. *)
 
 val run_correlated :
   ?trials:int ->

@@ -41,11 +41,6 @@ let joint_count_distribution ~crash_probs ~byz_probs =
     invalid_arg "Config.joint_count_distribution: length mismatch";
   let dist = Array.make_matrix (n + 1) (n + 1) 0. in
   dist.(0).(0) <- 1.;
-  (* A fault kind no node has leaves its counts at 0, so the walk stays
-     on the other kind's row or column. Every cell it skips holds 0. *)
-  let absent probs = Array.for_all (fun p -> p = 0.) probs in
-  let no_byz = absent byz_probs in
-  let no_crash = (not no_byz) && absent crash_probs in
   for u = 0 to n - 1 do
     let pb = byz_probs.(u) and pc = crash_probs.(u) in
     let pcorrect = 1. -. pb -. pc in
@@ -54,9 +49,9 @@ let joint_count_distribution ~crash_probs ~byz_probs =
     let pcorrect = Float.max 0. pcorrect in
     (* After node u only cells with b + c <= u + 1 are reachable. Walk
        counts downward so node u contributes exactly once. *)
-    for b = (if no_byz then 0 else u + 1) downto 0 do
+    for b = u + 1 downto 0 do
       let row = dist.(b) and below = dist.(max 0 (b - 1)) in
-      for c = (if no_crash then 0 else u + 1 - b) downto 0 do
+      for c = u + 1 - b downto 0 do
         let from_same = if b <= u && c <= u then row.(c) *. pcorrect else 0. in
         let from_byz = if b > 0 then below.(c) *. pb else 0. in
         let from_crash = if c > 0 then row.(c - 1) *. pc else 0. in
@@ -66,8 +61,9 @@ let joint_count_distribution ~crash_probs ~byz_probs =
   done;
   dist
 
-(* The cells the walk above updates: node u takes u + 2 on one kind's
-   row or column, or the (u + 2)(u + 3)/2 of the triangle b + c <= u + 1. *)
+(* The cells one count-DP pass updates for node u: u + 2 in the
+   Poisson binomial of a one-kind fleet, the (u + 2)(u + 3)/2 of the
+   triangle b + c <= u + 1 in the walk above for a mixed one. *)
 let count_dp_cells ~n ~mixed =
   if mixed then ((n + 1) * (n + 2) * (n + 3) / 6) - 1 else n * (n + 3) / 2
 

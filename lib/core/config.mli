@@ -23,16 +23,17 @@ val joint_count_distribution :
   crash_probs:float array -> byz_probs:float array -> float array array
 (** [d.(b).(c)] = P(exactly [b] Byzantine and [c] crashed nodes) — the
     two-type generalization of the Poisson binomial, computed by a
-    dynamic program over the cells reachable after each node. It is
-    O(n^2) when no node has one of the two fault kinds (a crash-only or
-    all-Byzantine fleet) and walks about n^3/6 cells for a mixed one;
-    {!count_dp_cells} gives the exact count. Drives the count-only fast
-    path that evaluates every cell of the paper's tables. *)
+    dynamic program over the cells reachable after each node, about
+    n^3/6 of them. The count engine uses it for a fleet with both fault
+    kinds; a one-kind fleet's counts are {!Prob.Poisson_binomial.pmf}
+    of that kind's probabilities. Raises when a node's crash and
+    Byzantine probabilities sum past 1. *)
 
 val count_dp_cells : n:int -> mixed:bool -> int
-(** How many cells {!joint_count_distribution} updates over [n] nodes:
-    [n(n+3)/2] when every node's faults are of one kind ([mixed =
-    false]), [sum_{u<n} (u+2)(u+3)/2] when both kinds occur. *)
+(** How many cells one count-DP pass over [n] nodes updates:
+    [n(n+3)/2] for {!Prob.Poisson_binomial.pmf} when every node's
+    faults are of one kind ([mixed = false]), [sum_{u<n} (u+2)(u+3)/2]
+    for {!joint_count_distribution} when both kinds occur. *)
 
 val iter_binary_range :
   n:int -> byzantine:bool -> lo:int -> hi:int -> (t -> unit) -> unit

@@ -11,18 +11,3 @@ let min_raft_cluster ~target ~p ?(tolerance = 0.) () =
     end
   in
   go 1
-
-let min_cluster_for ~family ~target () =
-  let rec go n =
-    if n > 99 then None
-    else begin
-      match family n with
-      | proto, fleet ->
-          let r = Analysis.run proto fleet in
-          if r.Analysis.p_safe_live >= target then
-            Some { n; p = nan; p_safe_live = r.Analysis.p_safe_live }
-          else go (n + 1)
-      | exception Invalid_argument _ -> go (n + 1)
-    end
-  in
-  go 1

@@ -25,12 +25,3 @@ val min_raft_cluster :
     1% — holds at its two-decimal rounding (99.9686% vs 99.9702%), i.e.
     with a tolerance of half a unit in the last printed digit. *)
 
-val min_cluster_for :
-  family:(int -> Protocol.t * Faultmodel.Fleet.t) ->
-  target:float ->
-  unit ->
-  equivalent option
-(** Generic search over any indexed family of deployments of at most
-    99 nodes; [p] in the
-    result echoes the family index as a float-free marker (set to
-    [nan]). *)

@@ -15,7 +15,6 @@ module type Protocol_model = sig
     (Analysis.result, string) result
 
   val analyze_horizon :
-    ?domains:int ->
     ?strategy:Analysis.strategy ->
     Scenario.t ->
     (Analysis.horizon_point list, string) result
@@ -68,14 +67,14 @@ let horizon_spec s =
   | Some h -> Ok (h, Option.value (Scenario.rounds s) ~default:Scenario.default_rounds)
   | None -> Error "scenario has no horizon"
 
-let analyze_predicate_horizon ~default_byz ?domains ?strategy s proto =
+let analyze_predicate_horizon ~default_byz ?strategy s proto =
   let* h, rounds = horizon_spec s in
   let byz_fraction =
     Option.value (Scenario.byz_fraction s) ~default:default_byz
   in
   let fleet = Scenario.fleet ~byz_fraction s in
   wrap (fun () ->
-      Analysis.run_horizon ?strategy ?seed:(Scenario.seed s) ?domains
+      Analysis.run_horizon ?strategy ?seed:(Scenario.seed s)
         ~times:(Analysis.horizon_times ~horizon:h ~rounds)
         proto fleet)
 
@@ -110,9 +109,9 @@ let model ~name ~doc ~byz ?(max_nodes = Scenario.max_fleet_nodes)
       let* proto = protocol_of s in
       analyze_predicate ~default_byz:byz ?domains ?strategy s proto
 
-    let analyze_horizon ?domains ?strategy s =
+    let analyze_horizon ?strategy s =
       let* proto = protocol_of s in
-      analyze_predicate_horizon ~default_byz:byz ?domains ?strategy s proto
+      analyze_predicate_horizon ~default_byz:byz ?strategy s proto
   end)
 
 let raft =
@@ -247,7 +246,7 @@ let quorum_availability : entry =
       let fleet = Scenario.fleet ~byz_fraction:default_byz_fraction s in
       Ok (result_at ?domains ?strategy ~n ~k fleet (Scenario.at s))
 
-    let analyze_horizon ?domains ?strategy s =
+    let analyze_horizon ?strategy s =
       let* n, k = check s in
       let* h, rounds = horizon_spec s in
       let fleet = Scenario.fleet ~byz_fraction:default_byz_fraction s in
@@ -256,7 +255,7 @@ let quorum_availability : entry =
            (fun at ->
              {
                Analysis.at;
-               result = result_at ?domains ?strategy ~n ~k fleet (Some at);
+               result = result_at ?strategy ~n ~k fleet (Some at);
              })
            (Analysis.horizon_times ~horizon:h ~rounds))
   end)
@@ -387,9 +386,9 @@ let analyze ?domains ?strategy s =
     (fun (module M) -> M.analyze ?domains ?strategy s)
     (fun msg -> Error msg)
 
-let analyze_horizon ?domains ?strategy s =
+let analyze_horizon ?strategy s =
   dispatch s
-    (fun (module M) -> M.analyze_horizon ?domains ?strategy s)
+    (fun (module M) -> M.analyze_horizon ?strategy s)
     (fun msg -> Error msg)
 
 let protocol_of s =

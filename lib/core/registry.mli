@@ -69,7 +69,6 @@ module type Protocol_model = sig
       to exact subset enumeration). *)
 
   val analyze_horizon :
-    ?domains:int ->
     ?strategy:Analysis.strategy ->
     Scenario.t ->
     (Analysis.horizon_point list, string) result
@@ -103,7 +102,6 @@ val analyze :
   (Analysis.result, string) result
 
 val analyze_horizon :
-  ?domains:int ->
   ?strategy:Analysis.strategy ->
   Scenario.t ->
   (Analysis.horizon_point list, string) result

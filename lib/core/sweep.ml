@@ -146,42 +146,6 @@ let timeline fleet ~times =
   Array.iter (Report.add_row t) rows;
   t
 
-(* Time-axis grid: one row per scenario variant, one column per horizon
-   round, each cell the round's P(live) from the registry's trajectory
-   path — so a sweep cell and a served horizon reply are the same
-   number by construction. *)
-let horizon_grid ~base ~rows () =
-  let horizon =
-    match Scenario.horizon base with
-    | Some h -> h
-    | None -> invalid_arg "Sweep.horizon_grid: base scenario has no horizon"
-  in
-  let rounds =
-    Option.value (Scenario.rounds base) ~default:Scenario.default_rounds
-  in
-  let times = Analysis.horizon_times ~horizon ~rounds in
-  let header =
-    "scenario" :: List.map (fun at -> Printf.sprintf "t=%.0fh" at) times
-  in
-  let t = Report.create ~header in
-  let rows_a = Array.of_list rows in
-  let cells =
-    Parallel.Pool.map (Array.length rows_a) (fun i ->
-        timed_cell @@ fun () ->
-        let _, row = rows_a.(i) in
-        match Registry.analyze_horizon ~domains:1 (row base) with
-        | Ok points ->
-            List.map
-              (fun (hp : Analysis.horizon_point) ->
-                pct hp.Analysis.result.Analysis.p_live)
-              points
-        | Error _ -> List.map (fun _ -> "-") times)
-  in
-  Array.iteri
-    (fun i row -> Report.add_row t (fst rows_a.(i) :: row))
-    cells;
-  t
-
 let min_cluster_frontier ~targets ~ps () =
   let header = "target" :: List.map (fun p -> Printf.sprintf "p=%g" p) ps in
   let t = Report.create ~header in

@@ -58,15 +58,3 @@ val timeline : Faultmodel.Fleet.t -> times:float list -> Report.t
 (** Raft safe-and-live probability of the fleet at each mission time —
     the operator's view of time-dependent fault curves (bathtubs,
     wear-out): reliability is not a number but a trajectory. *)
-
-val horizon_grid :
-  base:Scenario.t ->
-  rows:(string * (Scenario.t -> Scenario.t)) list ->
-  unit ->
-  Report.t
-(** Time-axis grid over scenarios: rows are labelled transformers of
-    [base] (which must carry a [horizon]); columns are the horizon's
-    rounds; cells are P(live) at that round via
-    {!Registry.analyze_horizon} — dynamic failure processes sweep along
-    the time axis through the same path the service serves. Raises
-    [Invalid_argument] when [base] has no horizon. *)

@@ -18,9 +18,6 @@ type comparison = {
       (** unliveness(alt) / unliveness(base): the liveness price paid. *)
 }
 
-val compare_deployments :
-  Protocol.t * Faultmodel.Fleet.t -> Protocol.t * Faultmodel.Fleet.t -> comparison
-
 val pbft_node_count : p:float -> n_base:int -> n_alt:int -> comparison
 (** Compare default-parameter PBFT at two cluster sizes under uniform
     Byzantine fault probability [p]. *)

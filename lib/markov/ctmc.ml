@@ -40,34 +40,6 @@ let expected_time_to_absorption t ~absorbing ~start =
     | exception Failure _ -> infinity
   end
 
-let absorption_probability t ~absorbing_a ~absorbing_b ~start =
-  if absorbing_a start then 1.
-  else if absorbing_b start then 0.
-  else begin
-    let transient = ref [] in
-    for i = t.n - 1 downto 0 do
-      if not (absorbing_a i || absorbing_b i) then transient := i :: !transient
-    done;
-    let transient = Array.of_list !transient in
-    let index = Array.make t.n (-1) in
-    Array.iteri (fun k i -> index.(i) <- k) transient;
-    let m = Array.length transient in
-    (* sum_{j transient} Q_ij u_j = - sum_{j in A} Q_ij. *)
-    let a = Linalg.make m m and b = Array.make m 0. in
-    for k = 0 to m - 1 do
-      let i = transient.(k) in
-      for kj = 0 to m - 1 do
-        a.(k).(kj) <- t.q.(i).(transient.(kj))
-      done;
-      for j = 0 to t.n - 1 do
-        if absorbing_a j then b.(k) <- b.(k) -. t.q.(i).(j)
-      done
-    done;
-    match Linalg.solve a b with
-    | u -> Prob.Math_utils.clamp_prob u.(index.(start))
-    | exception Failure _ -> 0.
-  end
-
 let transient t ~p0 ~t:horizon =
   if Array.length p0 <> t.n then
     invalid_arg "Ctmc.transient: initial distribution size mismatch";

@@ -28,10 +28,6 @@ val expected_time_to_absorption : t -> absorbing:(int -> bool) -> start:int -> f
     unreachable. Solves the standard linear system over transient
     states. *)
 
-val absorption_probability :
-  t -> absorbing_a:(int -> bool) -> absorbing_b:(int -> bool) -> start:int -> float
-(** Probability of hitting set A before set B. *)
-
 val transient : t -> p0:float array -> t:float -> float array
 (** [transient chain ~p0 ~t] is the state distribution at time [t]
     starting from distribution [p0], computed by uniformization

@@ -41,13 +41,6 @@ let binomial_tail_ge ~n ~p k =
     else Math_utils.clamp_prob (1. -. binomial_cdf ~n ~p (k - 1))
   end
 
-let binomial_sample rng ~n ~p =
-  let count = ref 0 in
-  for _ = 1 to n do
-    if Rng.bool rng p then incr count
-  done;
-  !count
-
 let weibull_survival ~shape ~scale t =
   if t <= 0. then 1. else exp (-.((t /. scale) ** shape))
 
@@ -58,13 +51,6 @@ let weibull_hazard ~shape ~scale t =
 let weibull_sample rng ~shape ~scale =
   let u = Rng.float rng in
   scale *. ((-.Float.log1p (-.u)) ** (1. /. shape))
-
-let exponential_fit samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Distribution.exponential_fit: empty sample";
-  let mean = Math_utils.kahan_sum samples /. float_of_int n in
-  if mean <= 0. then invalid_arg "Distribution.exponential_fit: nonpositive mean";
-  1. /. mean
 
 (* [acc +. x +. ... +. x] with [n] terms [x], added one at a time: the
    bits a sum over [n] units of the same value [x] would give. *)

@@ -14,8 +14,6 @@ val binomial_cdf : n:int -> p:float -> int -> float
 val binomial_tail_ge : n:int -> p:float -> int -> float
 (** P(X >= k); summed from the smaller side for accuracy. *)
 
-val binomial_sample : Rng.t -> n:int -> p:float -> int
-
 val weibull_survival : shape:float -> scale:float -> float -> float
 (** P(lifetime > t) = exp (-(t/scale)^shape). [shape < 1] models infant
     mortality, [shape > 1] wear-out — the two ends of the bathtub. *)
@@ -24,10 +22,6 @@ val weibull_hazard : shape:float -> scale:float -> float -> float
 (** Instantaneous failure rate at time [t]. *)
 
 val weibull_sample : Rng.t -> shape:float -> scale:float -> float
-
-val exponential_fit : float array -> float
-(** Maximum-likelihood rate for i.i.d. exponential lifetimes (1/mean).
-    Raises [Invalid_argument] on an empty array. *)
 
 val weibull_fit_censored :
   failures:float array -> censored:(float * int) array -> float * float

@@ -49,25 +49,4 @@ let choose n k =
   else if k = 0 || k = n then 1.
   else exp (log_choose n k)
 
-let log1mexp x =
-  (* log (1 - e^x) for x < 0; split at log 2 per Maechler's note. *)
-  if x >= 0. then nan
-  else if x > -.Float.log 2. then log (-.Float.expm1 x)
-  else Float.log1p (-.exp x)
-
-let logsumexp a =
-  let n = Array.length a in
-  if n = 0 then neg_infinity
-  else begin
-    let m = Array.fold_left max neg_infinity a in
-    if m = neg_infinity then neg_infinity
-    else begin
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. exp (a.(i) -. m)
-      done;
-      m +. log !acc
-    end
-  end
-
 let clamp_prob p = if Float.is_nan p then 0. else Float.max 0. (Float.min 1. p)

@@ -29,11 +29,5 @@ val log_choose : int -> int -> float
 val choose : int -> int -> float
 (** [choose n k] = binomial coefficient as a float; [0.] outside range. *)
 
-val log1mexp : float -> float
-(** [log1mexp x] computes [log (1 - exp x)] accurately for [x < 0]. *)
-
-val logsumexp : float array -> float
-(** Numerically stable [log (sum_i (exp a_i))]. *)
-
 val clamp_prob : float -> float
 (** Clamp to [0, 1], mapping NaN to 0. *)

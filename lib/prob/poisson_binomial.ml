@@ -7,8 +7,9 @@ let pmf probs =
     let q = 1. -. p in
     (* Convolve with (1-p, p); walk downward so each trial is used once.
        Unsafe accesses: the loop runs over [1, i+1] with i < n and the
-       array has length n+1, and this O(n^2) kernel is the fleet-scale
-       recompute baseline, where bounds checks are a measurable tax. *)
+       array has length n+1, and this O(n^2) kernel is the count engine's
+       one-kind path and the fleet-scale recompute baseline, where
+       bounds checks are a measurable tax. *)
     for k = i + 1 downto 1 do
       Array.unsafe_set dist k
         ((Array.unsafe_get dist k *. q) +. (Array.unsafe_get dist (k - 1) *. p))
@@ -29,9 +30,3 @@ let cdf_le probs k =
     done;
     Math_utils.clamp_prob !acc
   end
-
-let sum_over probs pred =
-  let dist = pmf probs in
-  let acc = ref 0. in
-  Array.iteri (fun k p -> if pred k then acc := !acc +. p) dist;
-  Math_utils.clamp_prob !acc

@@ -13,7 +13,3 @@ val pmf : float array -> float array
 
 val cdf_le : float array -> int -> float
 (** P(successes <= k). *)
-
-val sum_over : float array -> (int -> bool) -> float
-(** [sum_over probs pred] = P(pred holds of the success count):
-    [sum_{k : pred k} pmf(k)]. *)

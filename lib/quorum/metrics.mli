@@ -17,20 +17,3 @@ type report = {
 val evaluate_uniform : Quorum_system.t -> p:float -> report
 (** Classical evaluation with every node failing with probability
     [p]. *)
-
-type rw_report = {
-  n : int;
-  r : int;  (** Read quorum size. *)
-  w : int;  (** Write quorum size. *)
-  consistent : bool;  (** [r + w > n]: reads see the latest write. *)
-  write_serial : bool;  (** [2 w > n]: writes are totally ordered. *)
-  read_availability : float;
-  write_availability : float;
-}
-
-val evaluate_rw : n:int -> r:int -> w:int -> p:float -> rw_report
-(** Classic read/write quorum replication: the read-vs-write
-    availability trade-off at uniform node fault probability [p]. Small
-    read quorums favour read availability; the consistency condition
-    then forces large, fragile write quorums — the same
-    structure-vs-probability tension the paper exposes in consensus. *)

@@ -31,6 +31,3 @@ let quorum_size_for_correct ~p ~target =
     let k = int_of_float (Float.ceil (log (1. -. target) /. log p)) in
     max 1 k
   end
-
-let expected_intersection ~n ~k1 ~k2 =
-  float_of_int (k1 * k2) /. float_of_int n

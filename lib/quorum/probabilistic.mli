@@ -26,6 +26,3 @@ val quorum_size_for_correct : p:float -> target:float -> int
     view-change trigger quorum really needs to be (the paper: 5 nodes
     at p=1% already give ten nines, vs the f-threshold model's 34 of
     100). *)
-
-val expected_intersection : n:int -> k1:int -> k2:int -> float
-(** Expected overlap of two independent random subsets: k1*k2/n. *)

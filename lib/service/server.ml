@@ -856,12 +856,15 @@ let start ?plane config =
       max_pipeline_seen = 0;
     }
   in
-  (* All worker lanes live inside one Pool.map call: each lane is a
-     real domain running [worker_loop] until the queue drains at
-     shutdown. Inside a lane the pool's nesting guard makes any
-     Analysis-level parallelism sequential, so request-level
-     parallelism is the only fan-out and engine labels stay
-     deterministic. The lanes never touch sockets, the cache or the
+  (* All worker lanes live inside one Pool.map call on a host thread:
+     the host runs lane 0 and each further lane is a domain of its own,
+     every lane running [worker_loop] until the queue drains at
+     shutdown. With two or more lanes the pool's nesting guard makes
+     any Analysis-level parallelism inside a lane sequential, so
+     request-level parallelism is the only fan-out. A one-lane server's
+     lane runs on the host thread without the guard, so its analyses
+     may fan out over the default domain count; no payload records how
+     many domains ran. The lanes never touch sockets, the cache or the
      tallies — they compute, render, and hand bytes and a tally back to
      the reactor. *)
   t.worker_host <-

@@ -29,18 +29,17 @@ let joint_count_distribution ~crash_probs ~byz_probs =
   done;
   dist
 
-(* [Analysis.run ~strategy:Count_dp] over the table above: cells in row
-   order, zero cells skipped, Kahan-compensated, normalized by the mass
-   summed. Returns (p_safe, p_live, p_safe_live). *)
-let analyze (protocol : Probcons.Protocol.t) ~crash_probs ~byz_probs =
+(* [Analysis.run ~strategy:Count_dp] over a table of the walk above:
+   cells in row order, zero cells skipped, Kahan-compensated, normalized
+   by the mass summed. Returns (p_safe, p_live, p_safe_live). *)
+let analyze (protocol : Probcons.Protocol.t) dist =
   let safe_count, live_count =
     match (protocol.safe.by_count, protocol.live.by_count) with
     | Some s, Some l -> (s, l)
     | _ -> invalid_arg "Count_dp_reference.analyze: needs count predicates"
   in
   let open Prob.Math_utils in
-  let dist = joint_count_distribution ~crash_probs ~byz_probs in
-  let n = Array.length crash_probs in
+  let n = Array.length dist - 1 in
   let p_safe = ref kahan_zero
   and p_live = ref kahan_zero
   and p_both = ref kahan_zero

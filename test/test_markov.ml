@@ -110,18 +110,6 @@ let test_ctmc_absorption_unreachable () =
     (Ctmc.expected_time_to_absorption chain ~absorbing:(fun s -> s = 2) ~start:0
      = infinity)
 
-let test_ctmc_absorption_probability_race () =
-  (* From 0: exit to A at rate 3, to B at rate 1 -> P(A first) = 3/4. *)
-  let chain = Ctmc.create 3 in
-  Ctmc.add_rate chain ~src:0 ~dst:1 3.;
-  Ctmc.add_rate chain ~src:0 ~dst:2 1.;
-  check_float ~eps:1e-12 "race" 0.75
-    (Ctmc.absorption_probability chain ~absorbing_a:(fun s -> s = 1)
-       ~absorbing_b:(fun s -> s = 2) ~start:0);
-  check_float "already in A" 1.
-    (Ctmc.absorption_probability chain ~absorbing_a:(fun s -> s = 1)
-       ~absorbing_b:(fun s -> s = 2) ~start:1)
-
 let test_ctmc_simulation_agrees_with_absorption () =
   let chain = Ctmc.create 2 in
   Ctmc.add_rate chain ~src:0 ~dst:1 0.5;
@@ -256,7 +244,6 @@ let suite =
     Alcotest.test_case "absorption two-state" `Quick test_ctmc_absorption_time_two_state;
     Alcotest.test_case "absorption pure death" `Quick test_ctmc_absorption_time_pure_death;
     Alcotest.test_case "absorption unreachable" `Quick test_ctmc_absorption_unreachable;
-    Alcotest.test_case "absorption race" `Quick test_ctmc_absorption_probability_race;
     Alcotest.test_case "simulation agrees" `Slow test_ctmc_simulation_agrees_with_absorption;
     Alcotest.test_case "transient two-state closed form" `Quick
       test_ctmc_transient_two_state_closed_form;

@@ -81,19 +81,6 @@ let test_choose_basics () =
 let test_log_choose_out_of_range () =
   Alcotest.(check bool) "neg_infinity" true (Math_utils.log_choose 3 5 = neg_infinity)
 
-let test_logsumexp () =
-  check_float "empty" neg_infinity (Math_utils.logsumexp [||]);
-  check_float ~eps:1e-12 "two equal" (log 2.) (Math_utils.logsumexp [| 0.; 0. |]);
-  check_float ~eps:1e-12 "dominated"
-    (log (1. +. exp (-50.)))
-    (Math_utils.logsumexp [| 0.; -50. |]);
-  check_float "all -inf" neg_infinity
-    (Math_utils.logsumexp [| neg_infinity; neg_infinity |])
-
-let test_log1mexp () =
-  check_float ~eps:1e-12 "log(1-e^-1)" (log (1. -. exp (-1.))) (Math_utils.log1mexp (-1.));
-  check_float ~eps:1e-12 "tiny x" (log (-.Float.expm1 (-1e-10))) (Math_utils.log1mexp (-1e-10))
-
 let test_clamp_prob () =
   check_float "below" 0. (Math_utils.clamp_prob (-0.5));
   check_float "above" 1. (Math_utils.clamp_prob 1.5);
@@ -116,14 +103,6 @@ let prop_pascal =
       approx_equal ~tol:1e-9
         (Math_utils.choose n k)
         (Math_utils.choose (n - 1) (k - 1) +. Math_utils.choose (n - 1) k))
-
-let prop_logsumexp_bounds =
-  QCheck.Test.make ~count:200 ~name:"logsumexp >= max element"
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 20) (float_range (-50.) 50.))
-    (fun l ->
-      let a = Array.of_list l in
-      let m = Array.fold_left max neg_infinity a in
-      Math_utils.logsumexp a >= m -. 1e-9)
 
 (* --- Nines --------------------------------------------------------- *)
 
@@ -294,12 +273,6 @@ let test_weibull_hazard_shapes () =
   Alcotest.(check bool) "infant decreasing" true (h_infant 10. > h_infant 100.);
   Alcotest.(check bool) "wearout increasing" true (h_wearout 10. < h_wearout 100.)
 
-let test_exponential_fit_recovers_rate () =
-  let rng = Rng.create 11 in
-  let samples = Array.init 20_000 (fun _ -> Rng.exponential rng 0.01) in
-  let rate = Distribution.exponential_fit samples in
-  Alcotest.(check bool) "rate within 3%" true (Float.abs (rate -. 0.01) < 3e-4)
-
 let test_weibull_fit_recovers_parameters () =
   let rng = Rng.create 12 in
   let samples =
@@ -310,9 +283,6 @@ let test_weibull_fit_recovers_parameters () =
   Alcotest.(check bool) "scale close" true (Float.abs (scale -. 500.) < 15.)
 
 let test_fit_input_validation () =
-  Alcotest.check_raises "empty exponential"
-    (Invalid_argument "Distribution.exponential_fit: empty sample") (fun () ->
-      ignore (Distribution.exponential_fit [||]));
   Alcotest.check_raises "weibull one sample"
     (Invalid_argument "Distribution.weibull_fit: need >= 2 samples") (fun () ->
       ignore (Distribution.weibull_fit_censored ~failures:[| 1. |] ~censored:[||]))
@@ -378,14 +348,6 @@ let prop_censored_fit_matches_reference =
       fit_bits (Distribution.weibull_fit_censored ~failures ~censored)
       = fit_bits (Weibull_reference.weibull_fit_censored ~failures ~censored:(expand censored)))
 
-let prop_binomial_sample_within_range =
-  QCheck.Test.make ~count:100 ~name:"binomial sample in [0,n]"
-    QCheck.(pair (int_range 1 30) (float_bound_inclusive 1.))
-    (fun (n, p) ->
-      let rng = Rng.create (n + int_of_float (p *. 1000.)) in
-      let k = Distribution.binomial_sample rng ~n ~p in
-      k >= 0 && k <= n)
-
 (* --- Poisson binomial ------------------------------------------------ *)
 
 let test_poisson_binomial_uniform_is_binomial () =
@@ -444,11 +406,6 @@ let test_cdf_tail_edges () =
   check_float "cdf(2)" 1. (Poisson_binomial.cdf_le probs 2);
   check_float "cdf(0)" 0.25 (Poisson_binomial.cdf_le probs 0);
   check_float "cdf(1)" 0.75 (Poisson_binomial.cdf_le probs 1)
-
-let test_sum_over () =
-  let probs = [| 0.5; 0.5 |] in
-  check_float ~eps:1e-12 "even counts" 0.5
-    (Poisson_binomial.sum_over probs (fun k -> k mod 2 = 0))
 
 (* --- Tail bounds ------------------------------------------------------ *)
 
@@ -645,12 +602,9 @@ let suite =
     Alcotest.test_case "log_factorial negative" `Quick test_log_factorial_negative;
     Alcotest.test_case "choose basics" `Quick test_choose_basics;
     Alcotest.test_case "log_choose out of range" `Quick test_log_choose_out_of_range;
-    Alcotest.test_case "logsumexp" `Quick test_logsumexp;
-    Alcotest.test_case "log1mexp" `Quick test_log1mexp;
     Alcotest.test_case "clamp_prob" `Quick test_clamp_prob;
     QCheck_alcotest.to_alcotest prop_choose_symmetry;
     QCheck_alcotest.to_alcotest prop_pascal;
-    QCheck_alcotest.to_alcotest prop_logsumexp_bounds;
     Alcotest.test_case "nines roundtrip" `Quick test_nines_roundtrip;
     Alcotest.test_case "nines edges" `Quick test_nines_edges;
     Alcotest.test_case "percent_string paper cells" `Quick test_percent_string_paper_cells;
@@ -670,17 +624,14 @@ let suite =
     Alcotest.test_case "binomial deep tail" `Quick test_binomial_deep_tail;
     Alcotest.test_case "weibull shape 1 = exponential" `Quick test_weibull_shape_one_is_exponential;
     Alcotest.test_case "weibull hazard shapes" `Quick test_weibull_hazard_shapes;
-    Alcotest.test_case "exponential fit" `Slow test_exponential_fit_recovers_rate;
     Alcotest.test_case "weibull fit" `Slow test_weibull_fit_recovers_parameters;
     Alcotest.test_case "fit input validation" `Quick test_fit_input_validation;
-    QCheck_alcotest.to_alcotest prop_binomial_sample_within_range;
     Alcotest.test_case "poisson-binomial uniform = binomial" `Quick
       test_poisson_binomial_uniform_is_binomial;
     Alcotest.test_case "poisson-binomial mass" `Quick test_poisson_binomial_sums_to_one;
     Alcotest.test_case "poisson-binomial expectation" `Quick test_poisson_binomial_expectation;
     QCheck_alcotest.to_alcotest prop_poisson_binomial_matches_enumeration;
     Alcotest.test_case "cdf/tail edges" `Quick test_cdf_tail_edges;
-    Alcotest.test_case "sum_over" `Quick test_sum_over;
     Alcotest.test_case "kl bernoulli" `Quick test_kl_bernoulli;
     Alcotest.test_case "bounds dominate exact" `Quick test_bounds_dominate_exact;
     Alcotest.test_case "bounds loose at cluster scale" `Quick

@@ -743,8 +743,8 @@ let test_weighted_prefers_trusted_node () =
           ~target:0.9 fleet))
 
 (* The weighted entries' payloads, byte for byte, on a static fleet
-   and on the Markov fleet with [at] above. The engine tag loses its
-   "/Nd" domain suffix, which PROBCONS_DOMAINS sets. *)
+   and on the Markov fleet with [at] above, whatever PROBCONS_DOMAINS
+   says. *)
 let test_weighted_registry_payload_bytes () =
   let process =
     match Faultmodel.Failure_process.markov ~fail_rate:0.2 ~recover_rate:1.5 with
@@ -762,26 +762,7 @@ let test_weighted_registry_payload_bytes () =
     | Error e -> Alcotest.fail e
   in
   let static name = Probcons.Scenario.uniform ~protocol:name ~n:5 ~p:0.01 () in
-  let sequential s =
-    match String.index_opt s '/' with
-    | Some i when i + 1 < String.length s && s.[String.length s - 1] = 'd' ->
-        String.sub s 0 i
-    | _ -> s
-  in
-  let bytes s =
-    match Probcons.Registry.analyze_json s with
-    | Ok (Obs.Json.Obj fields) ->
-        Ok
-          (Obs.Json.to_string
-             (Obs.Json.Obj
-                (List.map
-                   (function
-                     | "engine", Obs.Json.String e -> ("engine", Obs.Json.String (sequential e))
-                     | f -> f)
-                   fields)))
-    | Ok j -> Ok (Obs.Json.to_string j)
-    | Error e -> Error e
-  in
+  let bytes s = Result.map Obs.Json.to_string (Probcons.Registry.analyze_json s) in
   List.iter
     (fun (label, s, want) ->
       Alcotest.(check (result string string)) label want (bytes s))

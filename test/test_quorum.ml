@@ -284,25 +284,6 @@ let test_metrics_report () =
   check_float ~eps:1e-9 "capacity is 1/load" (1. /. report.Metrics.load)
     report.Metrics.capacity
 
-let test_rw_quorums () =
-  let report = Metrics.evaluate_rw ~n:5 ~r:2 ~w:4 ~p:0.1 in
-  Alcotest.(check bool) "consistent" true report.Metrics.consistent;
-  Alcotest.(check bool) "write serial" true report.Metrics.write_serial;
-  (* Read needs >= 2 live, write >= 4 live. *)
-  check_float ~eps:1e-12 "read availability"
-    (Prob.Distribution.binomial_cdf ~n:5 ~p:0.1 3)
-    report.Metrics.read_availability;
-  check_float ~eps:1e-12 "write availability"
-    (Prob.Distribution.binomial_cdf ~n:5 ~p:0.1 1)
-    report.Metrics.write_availability;
-  Alcotest.(check bool) "reads more available" true
-    (report.Metrics.read_availability > report.Metrics.write_availability);
-  (* The inconsistent corner is representable and flagged. *)
-  let loose = Metrics.evaluate_rw ~n:5 ~r:2 ~w:2 ~p:0.1 in
-  Alcotest.(check bool) "inconsistent flagged" false loose.Metrics.consistent;
-  Alcotest.check_raises "bad sizes" (Invalid_argument "Metrics.evaluate_rw") (fun () ->
-      ignore (Metrics.evaluate_rw ~n:3 ~r:4 ~w:1 ~p:0.1))
-
 (* --- Probabilistic quorums ----------------------------------------------- *)
 
 let brute_force_disjoint n k1 k2 =
@@ -350,10 +331,6 @@ let test_quorum_size_for_correct () =
     (Probabilistic.quorum_size_for_correct ~p:0.01 ~target:(1. -. 1e-10));
   Alcotest.(check int) "p=0 -> 1" 1
     (Probabilistic.quorum_size_for_correct ~p:0. ~target:0.999999)
-
-let test_expected_intersection () =
-  check_float ~eps:1e-12 "k1 k2 / n" 2.5
-    (Probabilistic.expected_intersection ~n:10 ~k1:5 ~k2:5)
 
 (* --- Dependent formation -------------------------------------------------- *)
 
@@ -458,13 +435,11 @@ let suite =
     Alcotest.test_case "uniform strategy load" `Quick test_uniform_strategy_load;
     QCheck_alcotest.to_alcotest prop_threshold_availability_monotone_in_p;
     Alcotest.test_case "metrics report" `Quick test_metrics_report;
-    Alcotest.test_case "read/write quorums" `Quick test_rw_quorums;
     Alcotest.test_case "disjoint vs brute force" `Quick test_disjoint_probability_bruteforce;
     Alcotest.test_case "disjoint edges" `Quick test_disjoint_edges;
     Alcotest.test_case "epsilon intersecting size" `Quick test_epsilon_intersecting_size;
     Alcotest.test_case "contains_correct (E4)" `Quick test_contains_correct_e4;
     Alcotest.test_case "quorum size for correct" `Quick test_quorum_size_for_correct;
-    Alcotest.test_case "expected intersection" `Quick test_expected_intersection;
     Alcotest.test_case "formation independent baseline" `Quick
       test_formation_independent_baseline;
     Alcotest.test_case "formation p=0 baseline" `Quick
