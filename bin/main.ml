@@ -288,16 +288,16 @@ let protocols_cmd =
           ~header:[ "name"; "byz-default"; "max-n"; "quorum keys"; "description" ]
       in
       List.iter
-        (fun ((module M) : Probcons.Registry.entry) ->
+        (fun (e : Probcons.Registry.entry) ->
           Probcons.Report.add_row t
             [
-              M.name;
-              Printf.sprintf "%g" M.default_byz_fraction;
-              string_of_int M.max_nodes;
-              (match M.quorum_keys with
+              e.name;
+              Printf.sprintf "%g" e.default_byz_fraction;
+              string_of_int e.max_nodes;
+              (match e.quorum_keys with
               | [] -> "-"
               | keys -> String.concat "," keys);
-              M.doc;
+              e.doc;
             ])
         (Probcons.Registry.all ());
       Probcons.Report.print ~title:"Protocol registry" t

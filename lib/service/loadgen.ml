@@ -184,55 +184,10 @@ let run ?(clients = 4) ?(requests = 200) ?(distinct = 8) ?timeout ?duration
       in
       go [] !window
     in
-    (* Steady-state fast path: on the clean cached path every reply
-       for a slot is byte-identical to that slot's baseline, and ids
-       render at a fixed offset ({"v": 3, "id": N, ...). Scan the id,
-       compare bytes, and skip the JSON walk entirely — the walk is
-       pure overhead once identity holds, and the client threads share
-       the runtime lock with everything else in-process. Anything
-       unexpected falls back to [Wire.response_verdict], which checks
-       the whole reply but builds only its id and an error member. *)
-    let id_prefix = "{\"v\": 3, \"id\": " in
-    let id_at = String.length id_prefix in
-    let fast_rid reply =
-      let len = String.length reply in
-      if len > id_at && String.sub reply 0 id_at = id_prefix then begin
-        let i = ref id_at and n = ref 0 in
-        while !i < len && reply.[!i] >= '0' && reply.[!i] <= '9' do
-          n := (!n * 10) + (Char.code reply.[!i] - Char.code '0');
-          incr i
-        done;
-        if !i > id_at then Some !n else None
-      end
-      else None
-    in
-    let recv_fast reply =
-      match fast_rid reply with
-      | Some rid when rid >= 0 && rid < distinct -> (
-          (* Unsynchronized read of [expected]: slots are written once
-             and then stable; a stale [None] just takes the slow
-             path. *)
-          match expected.(rid) with
-          | Some first when String.equal first reply -> (
-              match take_inflight rid with
-              | Some e ->
-                  (* Byte-equal to an ok baseline: it is an ok reply,
-                     and identity already held, so skip the re-check. *)
-                  if Atomic.get recording then begin
-                    Atomic.incr ok;
-                    Obs.Metrics.observe m_latency
-                      (Unix.gettimeofday () -. e.sent_at)
-                  end;
-                  true
-              | None -> false)
-          | _ -> false)
-      | _ -> false
-    in
     let recv_one () =
       match Client.recv ~timeout:recv_budget !c with
       | None -> lost ()
       | Some reply -> (
-          if not (recv_fast reply) then
           match Wire.response_verdict reply with
           | Ok (Some rid, verdict) -> (
               match take_inflight rid with

@@ -138,8 +138,9 @@ let handle query =
          byz_fraction default (overridable per scenario), the model's
          own bounds, and the registry's single payload renderer — the
          same bytes [probcons analyze --json] prints. Wire already
-         validated the scenario at parse time, so an [Error] here is a
-         registry-level rejection surfaced as [Bad_request]. *)
+         validated the scenario at parse time, so an [Error] here is
+         what only running it finds (such as a weighted entry's
+         search that meets no target), surfaced as [Bad_request]. *)
       match Probcons.Registry.analyze_json scenario with
       | Ok payload -> Ok payload
       | Error msg -> Error (Wire.Bad_request, msg)

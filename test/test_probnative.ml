@@ -668,6 +668,25 @@ let test_weighted_registry_overrides () =
       Alcotest.(check bool) "unattainable target names the protocol" true
         (String.length msg > 0)
   | Ok _ -> Alcotest.fail "9 nines from a p=0.01 fleet of 5 accepted");
+  (* Validation checks the target and runs no search: an unattainable
+     one validates, and its analysis is the error. *)
+  let unmet = ok (mk ~target:(Some 9) "raft-weighted") in
+  Alcotest.(check (result unit string)) "unattainable target validates" (Ok ())
+    (Probcons.Registry.validate unmet);
+  let unmet_msg =
+    "no structurally safe Raft sizing of this 5-node fleet meets 9-nines \
+     liveness under uncertainty weighting"
+  in
+  Alcotest.(check (result string string)) "its analysis is the error"
+    (Error unmet_msg)
+    (Result.map
+       (fun r -> r.Probcons.Analysis.protocol)
+       (Probcons.Registry.analyze unmet));
+  (* The search runs before the horizon is read: with no horizon, the
+     trajectory still reports the unmet target. *)
+  Alcotest.(check (result int string)) "its trajectory is the same error"
+    (Error unmet_msg)
+    (Result.map List.length (Probcons.Registry.analyze_horizon unmet));
   (* Round-trip through the scenario JSON codec. *)
   let json =
     Probcons.Scenario.to_json (ok (mk ~target:(Some 4) "committee-weighted"))

@@ -370,7 +370,22 @@ let test_registry_quorum_availability () =
   let r = analyze_name "quorum-availability" in
   Alcotest.(check string) "synthetic engine" "quorum-availability"
     (r.Analysis.engine);
-  Alcotest.(check (float 0.)) "pure availability" 1.0 r.Analysis.p_safe
+  Alcotest.(check (float 0.)) "pure availability" 1.0 r.Analysis.p_safe;
+  (* A threshold has no predicate form, whatever its overrides: an
+     out-of-range quorum is a validation error, but protocol_of still
+     names the missing form. *)
+  let bad_quorum =
+    scenario ~quorums:[ ("quorum", 0) ] ~protocol:"quorum-availability"
+      [ (5, 0.01) ]
+  in
+  Alcotest.(check (result unit string)) "quorum range checked"
+    (Error "quorum must be in [1, 5]") (Registry.validate bad_quorum);
+  List.iter
+    (fun s ->
+      Alcotest.(check (result string string)) "no predicate form"
+        (Error "quorum-availability has no predicate form")
+        (Result.map (fun p -> p.Protocol.name) (Registry.protocol_of s)))
+    [ Scenario.uniform ~protocol:"quorum-availability" ~n:5 ~p:0.01 (); bad_quorum ]
 
 let test_registry_rejects () =
   expect_error "unknown protocol"

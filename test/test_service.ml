@@ -1145,6 +1145,47 @@ let test_pipelined_small_analyses () =
           on_loop n
   | _ -> assert false
 
+(* Parsing checks a scenario and runs nothing: a weighted entry's sizing
+   search waits for the lane that analyzes the scenario, so the reactor
+   that parses it never pays for it. A target that no sizing meets
+   still parses; its analysis is the error. *)
+let test_parse_runs_no_analysis () =
+  let runs () =
+    match
+      Obs.Metrics.find (Obs.Metrics.snapshot ()) ~family:"analysis" ~name:"runs"
+    with
+    | Some (Obs.Metrics.Counter v) -> v
+    | _ -> Alcotest.fail "no analysis.runs counter"
+  in
+  let parses what query =
+    match Wire.parse_request (Wire.encode_request { Wire.id = 1; query }) with
+    | Ok _ -> ()
+    | Error (_, code, msg) ->
+        Alcotest.failf "%s: %s: %s" what (Wire.code_string code) msg
+  in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  List.iter
+    (fun (what, query) ->
+      let before = runs () in
+      parses what query;
+      Alcotest.(check int) (what ^ ": analysis.runs unmoved") before (runs ()))
+    [
+      ("200-node raft-weighted", analyze ~protocol:"raft-weighted" [ (200, 0.01) ]);
+      ( "22-node committee-weighted",
+        analyze ~protocol:"committee-weighted" [ (22, 0.01) ] );
+    ];
+  parses "an unmet target stored"
+    (Wire.Scenario_put
+       {
+         name = "unmet";
+         scenario =
+           scenario ~quorums:[ ("target_nines", 9) ] ~protocol:"raft-weighted"
+             [ (5, 0.01) ];
+         nonce = 0;
+       })
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -1200,4 +1241,6 @@ let suite =
       test_over_budget_to_lane;
     Alcotest.test_case "pipelined small analyses: each answered once" `Quick
       test_pipelined_small_analyses;
+    Alcotest.test_case "parsing runs no analysis" `Quick
+      test_parse_runs_no_analysis;
   ]

@@ -36,10 +36,9 @@
    uids.
 
    Limits: a function applied through a local alias ([let g = M.f in
-   g ~l:v ()]) is not seen to pass [?l], and the [val]s of a module type
-   (Registry.Protocol_model) are not exports. A missed pass can only
-   make a parameter look unpassed: deleting it then fails to type-check
-   at the pass, never builds a wrong program.
+   g ~l:v ()]) is not seen to pass [?l]. A missed pass can only make a
+   parameter look unpassed: deleting it then fails to type-check at the
+   pass, never builds a wrong program.
 
    A test-only export or parameter must be on the allowlist,
    tools/unused_exports.allow, which this tool reads from the current
