@@ -1112,9 +1112,9 @@ let fleet_cmd =
     (cmd_info "fleet"
        ~doc:
          "Run the fleet controller: stream seeded synthetic telemetry, refit \
-          per-node fault curves, track the live failure distribution with \
-          O(n) incremental updates, and emit quorum-resize / preemptive-swap \
-          recommendations whenever the liveness target slips.")
+          per-node fault curves, count the fleet's failure distribution each \
+          tick, and emit quorum-resize / preemptive-swap recommendations \
+          whenever the liveness target slips.")
     (with_metrics
        Term.(
          const run $ nodes_arg $ ticks_arg $ seed_arg $ quorum_arg

@@ -21,19 +21,47 @@ let config case =
     cfg with
     Fleetctl.Controller.quorum = case.quorum;
     target_live = Prob.Nines.to_prob case.target_nines;
-    verify = true;
   }
-
-(* The scratch recompute the divergence check compares against carries
-   its own rounding (an uncompensated O(n) convolution per
-   coefficient), so the invariant allows the engine's drift bound plus
-   that O(n eps) room. *)
-let divergence_allowance case =
-  Prob.Incremental.default_drift_bound
-  +. (16. *. float_of_int case.nodes *. epsilon_float)
 
 let fail invariant fmt =
   Printf.ksprintf (fun detail -> Harness.Fail { invariant; detail }) fmt
+
+(* Why a run breaks the controller's own rules, if it does: a lever
+   pulled at or above the target, a swap that does not raise liveness,
+   a resize that predicts less than the target, or a final quorum
+   other than the nodes the last resize needs live (the configured
+   quorum if it never resized). *)
+let inconsistency ~target_live ~quorum (o : Fleetctl.Controller.outcome) =
+  let open Fleetctl.Controller in
+  let broken { tick; p_live; action } =
+    match action with
+    | _ when p_live >= target_live ->
+        Some
+          (Printf.sprintf "tick %d fired at p_live %.17g, target %.17g" tick p_live
+             target_live)
+    | Swap { node; predicted_live; _ } when predicted_live <= p_live ->
+        Some
+          (Printf.sprintf "tick %d: swapping node %d predicts %.17g, fired at %.17g" tick
+             node predicted_live p_live)
+    | Resize { q_per; q_vc; predicted_live } when predicted_live < target_live ->
+        Some
+          (Printf.sprintf "tick %d: resize to (%d, %d) predicts %.17g, target %.17g" tick
+             q_per q_vc predicted_live target_live)
+    | Swap _ | Resize _ -> None
+  in
+  let needed =
+    List.fold_left
+      (fun q r ->
+        match r.action with Resize { q_per; q_vc; _ } -> max q_per q_vc | Swap _ -> q)
+      quorum o.recommendations
+  in
+  match List.find_map broken o.recommendations with
+  | Some _ as detail -> detail
+  | None when o.final_quorum <> needed ->
+      Some
+        (Printf.sprintf "final quorum %d, but the last resize needs %d nodes live"
+           o.final_quorum needed)
+  | None -> None
 
 let run case =
   let cfg = config case in
@@ -46,15 +74,13 @@ let run case =
       "two runs of (seed %d, %d nodes, %d ticks) rendered different payloads \
        (%d vs %d bytes)"
       case.seed case.nodes case.ticks (String.length a) (String.length b)
-  else begin
-    let allowed = divergence_allowance case in
-    if first.Fleetctl.Controller.max_divergence > allowed then
-      fail "incremental_divergence"
-        "incremental distribution drifted %.3e from scratch recompute \
-         (allowed %.3e) over %d ticks"
-        first.Fleetctl.Controller.max_divergence allowed case.ticks
-    else Harness.Pass
-  end
+  else
+    match
+      inconsistency ~target_live:cfg.Fleetctl.Controller.target_live ~quorum:case.quorum
+        first
+    with
+    | Some detail -> Harness.Fail { invariant = "recommendations_consistent"; detail }
+    | None -> Harness.Pass
 
 (* --- Generation -------------------------------------------------------- *)
 
@@ -71,8 +97,8 @@ let generate rng =
   in
   let target_nines = 1. +. (Prob.Rng.float rng *. 4.) in
   (* A third of the soak runs against the Markov ground-truth
-     processes: determinism and divergence invariants must hold
-     whether the fleet drifts by steps or by process. *)
+     processes: both invariants must hold whether the fleet drifts by
+     steps or by process. *)
   let dynamic = Prob.Rng.bool rng (1. /. 3.) in
   { nodes; ticks; seed; quorum; target_nines; dynamic }
 

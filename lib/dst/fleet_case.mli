@@ -6,10 +6,11 @@
     - ["deterministic_recommendations"]: two runs of the same config
       render byte-identical canonical payloads — the property the wire
       cache and the replayable-recommendation guarantee rest on;
-    - ["incremental_divergence"]: with per-tick verification on, the
-      incremental failure distribution never drifts from a from-scratch
-      recompute past the engine's drift bound (plus an O(n eps) scratch
-      rounding allowance).
+    - ["recommendations_consistent"]: every recommendation fired below
+      the target, every swap predicts more than the liveness it fired
+      at, every resize predicts at least the target, and the run ends
+      on the [max q_per q_vc] of its last resize (the configured
+      quorum if it never resized).
 
     Shrinking drops ticks and nodes; the op trace in a repro artifact
     is the tick sequence. A third of generated cases run with

@@ -4,7 +4,6 @@ type config = {
   ticks : int;
   quorum : int;
   target_live : float;
-  verify : bool;
   dynamic : bool;
   stream : Stream.config;
 }
@@ -16,7 +15,6 @@ let default_config ?(seed = 42) ?(ticks = 26) ?(dynamic = false) ~nodes () =
     ticks;
     quorum = (nodes / 2) + 1;
     target_live = 0.999;
-    verify = nodes <= 256;
     dynamic;
     stream = Stream.default_config ~dynamic ~seed ~nodes ();
   }
@@ -46,9 +44,6 @@ type outcome = {
   observations : int;
   failures_seen : int;
   device_hours : float;
-  engine_updates : int;
-  engine_refreshes : int;
-  max_divergence : float;
 }
 
 (* --- metrics -------------------------------------------------------- *)
@@ -56,7 +51,6 @@ type outcome = {
 let m_update_seconds = Obs.Metrics.histogram ~family:"fleet" "update_seconds"
 let m_ticks = Obs.Metrics.counter ~family:"fleet" "ticks"
 let m_observations = Obs.Metrics.counter ~family:"fleet" "observations"
-let m_refreshes = Obs.Metrics.counter ~family:"fleet" "refreshes"
 let m_recommendations = Obs.Metrics.counter ~family:"fleet" "recommendations"
 
 (* --- the loop ------------------------------------------------------- *)
@@ -103,45 +97,33 @@ let run cfg =
      0.5 (maximal) until a node has reported. Only consulted by the
      dynamic-mode swap policy. *)
   let uncertainty = Array.make cfg.nodes 0.5 in
-  let engine = Prob.Incremental.create estimates in
   let quorum = ref cfg.quorum in
   let recommendations = ref [] in
   let observations = ref 0 in
   let failures_seen = ref 0 in
   let device_hours = ref 0. in
-  let max_divergence = ref 0. in
-  let p_live () = Prob.Incremental.cdf_le engine (cfg.nodes - !quorum) in
+  let p_live () = Prob.Poisson_binomial.cdf_le estimates (cfg.nodes - !quorum) in
   let recommend tick live action =
     Obs.Metrics.incr m_recommendations;
     recommendations := { tick; p_live = live; action } :: !recommendations
   in
   for tick = 1 to cfg.ticks do
     Obs.Metrics.incr m_ticks;
-    let events = Stream.tick stream in
-    (* Refit every reporting node and fold the new estimates in as one
-       O(n)-per-factor incremental batch. *)
-    let updates =
-      List.map
-        (fun { Stream.node; observation } ->
-          incr observations;
-          Obs.Metrics.incr m_observations;
-          failures_seen := !failures_seen + observation.Faultmodel.Telemetry.failures;
-          device_hours :=
-            !device_hours +. observation.Faultmodel.Telemetry.device_hours;
-          let fitted = Faultmodel.Telemetry.fit_auto observation in
-          let p = Faultmodel.Fault_curve.eval fitted at in
-          estimates.(node) <- p;
-          let lo, hi = Faultmodel.Telemetry.afr_confidence observation in
-          uncertainty.(node) <- (hi -. lo) /. 2.;
-          (node, p))
-        events
-    in
-    let refreshes_before = Prob.Incremental.refresh_count engine in
-    Obs.Span.time m_update_seconds (fun () ->
-        Prob.Incremental.update_batch engine updates);
-    Obs.Metrics.add m_refreshes
-      (Prob.Incremental.refresh_count engine - refreshes_before);
-    let live = p_live () in
+    (* Refit every reporting node; the tick then counts the whole fleet
+       once. *)
+    List.iter
+      (fun { Stream.node; observation } ->
+        incr observations;
+        Obs.Metrics.incr m_observations;
+        failures_seen := !failures_seen + observation.Faultmodel.Telemetry.failures;
+        device_hours :=
+          !device_hours +. observation.Faultmodel.Telemetry.device_hours;
+        let fitted = Faultmodel.Telemetry.fit_auto observation in
+        estimates.(node) <- Faultmodel.Fault_curve.eval fitted at;
+        let lo, hi = Faultmodel.Telemetry.afr_confidence observation in
+        uncertainty.(node) <- (hi -. lo) /. 2.)
+      (Stream.tick stream);
+    let live = Obs.Span.time m_update_seconds p_live in
     if live < cfg.target_live then begin
       (* First lever: a cheaper commit quorum from the structurally
          safe Flexible-Paxos family, if one meets the target. *)
@@ -150,26 +132,28 @@ let run cfg =
            Probcons.Dynamic_quorum.best_raft ~target_live:cfg.target_live
              (estimate_fleet estimates)
          with
-         | Some choice when choice.Probcons.Dynamic_quorum.params.Probcons.Raft_model.q_per <> !quorum ->
-             let params = choice.Probcons.Dynamic_quorum.params in
-             recommend tick live
-               (Resize
-                  {
-                    q_per = params.Probcons.Raft_model.q_per;
-                    q_vc = params.Probcons.Raft_model.q_vc;
-                    predicted_live = choice.Probcons.Dynamic_quorum.p_live;
-                  });
-             quorum := params.Probcons.Raft_model.q_per
+         | Some
+             {
+               Probcons.Dynamic_quorum.params = { Probcons.Raft_model.q_per; q_vc; _ };
+               p_live = predicted_live;
+               _;
+             }
+           when max q_per q_vc <> !quorum ->
+             (* The sizing is live while [max q_per q_vc] nodes are up
+                (the rule {!Probcons.Raft_model.protocol} scored it
+                by), so that is the quorum later ticks count. *)
+             recommend tick live (Resize { q_per; q_vc; predicted_live });
+             quorum := max q_per q_vc
          | _ -> ());
       (* Second lever: preemptively swap the riskiest node, by the §4
-         swap rule on the engine itself. *)
+         swap rule over the fleet's estimates. *)
       let risks =
         if cfg.dynamic then weighted_risk estimates uncertainty else estimates
       in
       Option.iter
         (fun victim ->
           match
-            Probnative.Preemptive_reconfig.decide engine
+            Probnative.Preemptive_reconfig.decide estimates
               ~tolerated:(cfg.nodes - !quorum) ~target_live:cfg.target_live
               ~victim ~replacement:replacement_p
           with
@@ -181,24 +165,17 @@ let run cfg =
               recommend tick live_before
                 (Swap { node = victim; estimate = risk; predicted_live = live_after }))
         (Probnative.Preemptive_reconfig.riskiest risks)
-    end;
-    if cfg.verify then
-      max_divergence :=
-        Float.max !max_divergence
-          (Prob.Incremental.sup_distance_from_scratch engine)
+    end
   done;
   {
     config = cfg;
     recommendations = List.rev !recommendations;
     final_quorum = !quorum;
     final_p_live = p_live ();
-    final_expected_failures = Prob.Incremental.expectation engine;
+    final_expected_failures = Prob.Math_utils.kahan_sum estimates;
     observations = !observations;
     failures_seen = !failures_seen;
     device_hours = !device_hours;
-    engine_updates = Prob.Incremental.update_count engine;
-    engine_refreshes = Prob.Incremental.refresh_count engine;
-    max_divergence = !max_divergence;
   }
 
 (* --- rendering ------------------------------------------------------ *)
@@ -236,9 +213,6 @@ let base_fields o =
     ("observations", Obs.Json.Int o.observations);
     ("failures_seen", Obs.Json.Int o.failures_seen);
     ("device_hours", Obs.Json.number o.device_hours);
-    ("engine_updates", Obs.Json.Int o.engine_updates);
-    ("engine_refreshes", Obs.Json.Int o.engine_refreshes);
-    ("max_divergence", Obs.Json.number o.max_divergence);
   ]
 
 let payload o =
@@ -277,9 +251,6 @@ let pp_outcome fmt o =
   Format.fprintf fmt
     "fleet: %d nodes, %d ticks, %d observations (%d device failures)@."
     o.config.nodes o.config.ticks o.observations o.failures_seen;
-  Format.fprintf fmt
-    "engine: %d incremental updates, %d refreshes, max divergence %.3e@."
-    o.engine_updates o.engine_refreshes o.max_divergence;
   List.iter
     (fun r ->
       Format.fprintf fmt "tick %3d: p_live %.6f -> %a@." r.tick r.p_live

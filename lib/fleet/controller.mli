@@ -2,16 +2,15 @@
 
     Each tick the controller pulls a batch of telemetry from a seeded
     {!Stream}, refits the reporting nodes' fault curves
-    ({!Faultmodel.Telemetry.fit_auto}), folds the new estimates into a
-    live Poisson-binomial failure distribution as an O(n)
-    {!Prob.Incremental} batch update, and checks the fleet's liveness
-    probability against its target. When the guarantee slips it first
-    tries a quorum resize ({!Probcons.Dynamic_quorum.best_raft});
-    when no structurally safe sizing restores the target it recommends
-    — and applies — a preemptive swap of the riskiest node under the
-    §4 swap rule {!Probnative.Preemptive_reconfig.decide}, which
-    predicts the replacement's effect on the incremental engine itself
-    (two O(n) passes, no recompute).
+    ({!Faultmodel.Telemetry.fit_auto}), counts the fleet's estimates
+    once ({!Prob.Poisson_binomial.cdf_le}, O(n^2)), and checks the
+    liveness probability against its target. When the guarantee slips
+    it first tries a quorum resize
+    ({!Probcons.Dynamic_quorum.best_raft}); when no structurally safe
+    sizing restores the target it recommends — and applies — a
+    preemptive swap of the riskiest node under the §4 swap rule
+    {!Probnative.Preemptive_reconfig.decide}, which counts the
+    estimates with the replacement in place.
 
     Runs are pure functions of the config: same seed, same
     recommendations, bit for bit. {!payload} is the one canonical JSON
@@ -23,9 +22,6 @@ type config = {
   ticks : int;
   quorum : int;  (** Nodes that must be live; liveness = P(failures <= n - quorum). *)
   target_live : float;
-  verify : bool;
-      (** Check the incremental distribution against a from-scratch
-          recompute every tick (O(n^2) — tests and small fleets). *)
   dynamic : bool;
       (** Time-varying ground truth: the stream runs its Markov
           degradation processes and the swap policy scores nodes by
@@ -38,12 +34,10 @@ type config = {
 
 val default_config :
   ?seed:int -> ?ticks:int -> ?dynamic:bool -> nodes:int -> unit -> config
-(** Majority quorum, 3-nines liveness target, verification on up to
-    256 nodes. Default seed 42, 26 ticks, [dynamic] off (threads
-    through to the stream config).
+(** Majority quorum, 3-nines liveness target. Default seed 42, 26
+    ticks, [dynamic] off (threads through to the stream config).
 
-    Every run evaluates fitted curves at a one-year horizon, refreshes
-    its engine past {!Prob.Incremental.default_drift_bound}, installs
+    Every run evaluates fitted curves at a one-year horizon, installs
     2% AFR hardware on a swap, and tries a quorum resize only on fleets
     of up to 64 nodes (the search runs a full analysis per candidate
     sizing). *)
@@ -51,10 +45,11 @@ val default_config :
 type action =
   | Resize of { q_per : int; q_vc : int; predicted_live : float }
       (** Adopt this structurally safe Raft sizing; liveness tracking
-          switches to the new commit quorum. *)
+          switches to the [max q_per q_vc] nodes it needs live. *)
   | Swap of { node : int; estimate : float; predicted_live : float }
       (** Replace the named node (its fitted fault probability is
-          [estimate]); applied to stream and engine immediately. *)
+          [estimate]); applied to the stream and the estimates
+          immediately. *)
 
 type recommendation = { tick : int; p_live : float; action : action }
 
@@ -62,16 +57,13 @@ type outcome = {
   config : config;
   recommendations : recommendation list;
   final_quorum : int;
+      (** Nodes that must be live at the end: [max q_per q_vc] of the
+          last resize, or [config.quorum] if there was none. *)
   final_p_live : float;
   final_expected_failures : float;
   observations : int;  (** Telemetry reports consumed. *)
   failures_seen : int;  (** Device failures across all reports. *)
   device_hours : float;  (** Observed uptime across all reports. *)
-  engine_updates : int;
-  engine_refreshes : int;
-  max_divergence : float;
-      (** Largest incremental-vs-scratch pmf distance seen at any
-          verified tick; 0 when [verify] is off. *)
 }
 
 val run : config -> outcome

@@ -125,7 +125,7 @@ let multiply_in ~dist ~rest ~size p =
   done;
   dist.(size) <- Float.max 0. (p *. rest.(size - 1))
 
-let apply_update t i p_new =
+let update t i p_new =
   let size = Array.length t.probs in
   if i < 0 || i >= size then invalid_arg "Incremental.update: index out of range";
   let p_new = Math_utils.clamp_prob p_new in
@@ -143,18 +143,9 @@ let apply_update t i p_new =
     let amp = amplification ~size p_old in
     t.acc_drift <-
       (t.acc_drift *. amp) +. (4. *. epsilon_float *. amp) +. epsilon_float;
-    t.updates <- t.updates + 1
+    t.updates <- t.updates + 1;
+    if t.acc_drift > t.drift_bound then refresh t
   end
-
-let check_drift t = if t.acc_drift > t.drift_bound then refresh t
-
-let update t i p_new =
-  apply_update t i p_new;
-  check_drift t
-
-let update_batch t changes =
-  List.iter (fun (i, p) -> apply_update t i p) changes;
-  check_drift t
 
 let pmf t = Array.copy t.dist
 
@@ -168,14 +159,3 @@ let cdf_le t k =
     done;
     Math_utils.clamp_prob (Math_utils.kahan_total !acc)
   end
-
-let expectation t =
-  let acc = ref Math_utils.kahan_zero in
-  Array.iteri (fun k p -> acc := Math_utils.kahan_add !acc (float_of_int k *. p)) t.dist;
-  Math_utils.kahan_total !acc
-
-let sup_distance_from_scratch t =
-  let scratch = Poisson_binomial.pmf t.probs in
-  let worst = ref 0. in
-  Array.iteri (fun k p -> worst := Float.max !worst (Float.abs (p -. scratch.(k)))) t.dist;
-  !worst

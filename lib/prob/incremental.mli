@@ -1,15 +1,18 @@
 (** Incremental Poisson-binomial engine.
 
     {!Poisson_binomial.pmf} recomputes the whole success-count
-    distribution in O(n*k) on every change — fine for a one-shot
-    analysis, hopeless for a fleet controller tracking millions of
-    nodes whose fault curves drift continuously. This engine maintains
-    the distribution as a polynomial product [Π_i ((1-p_i) + p_i x)]
-    and supports replacing one factor in O(n): divide the old factor
-    out of the coefficient vector (a stable two-term recurrence, run
-    in the direction that keeps the amplification ratio at most 1),
-    then multiply the new factor in with Neumaier-compensated
-    arithmetic.
+    distribution in O(n^2) on every change. This engine maintains the
+    distribution as a polynomial product [Π_i ((1-p_i) + p_i x)] and
+    replaces one factor in O(n): divide the old factor out of the
+    coefficient vector (a stable two-term recurrence, run in the
+    direction that keeps the amplification ratio at most 1), then
+    multiply the new factor in with Neumaier-compensated arithmetic.
+    That pays only when few factors change between reads: the fleet
+    controller and horizon trajectories move enough nodes per step that
+    one {!Poisson_binomial.pmf} is cheaper, so they count from scratch
+    and no production path uses the engine. It stays as the divide-out
+    per-node importance needs (liveness with one node held up, then
+    down, in O(n) per node).
 
     Divide-out is the ill-conditioned step: it both introduces fresh
     rounding and amplifies whatever error the coefficient vector
@@ -23,14 +26,12 @@
 
 type t
 
-val default_drift_bound : float
-(** [1e-9] — comfortably above per-update error for realistic fault
-    probabilities (so refreshes are rare) and far below any
-    probability a quorum decision would act on. *)
-
 val create : ?drift_bound:float -> float array -> t
 (** Build from per-node success probabilities (clamped to [0, 1]) via
-    one full DP. O(n^2). The input array is copied. *)
+    one full DP. O(n^2). The input array is copied. [drift_bound]
+    defaults to [1e-9]: comfortably above per-update error for
+    realistic fault probabilities (so refreshes are rare) and far below
+    any probability a quorum decision would act on. *)
 
 val prob : t -> int -> float
 (** Current probability of factor [i]. *)
@@ -43,10 +44,6 @@ val update : t -> int -> float -> unit
     (clamped). O(n), or O(n^2) on the updates that trip the drift
     refresh. No-op when [p] equals the current value. *)
 
-val update_batch : t -> (int * float) list -> unit
-(** Apply updates in order; drift is checked once at the end, so a
-    batch triggers at most one refresh. *)
-
 val refresh : t -> unit
 (** Force the full from-scratch DP now and reset the drift account. *)
 
@@ -54,7 +51,7 @@ val refresh_count : t -> int
 (** Full DP recomputes so far, the initial {!create} excluded. *)
 
 val update_count : t -> int
-(** Factor replacements applied so far (batched ones included). *)
+(** Factor replacements applied so far. *)
 
 val drift : t -> float
 (** Current accumulated conditioning-error bound (reset by refresh). *)
@@ -67,10 +64,3 @@ val pmf : t -> float array
 
 val cdf_le : t -> int -> float
 (** P(successes <= k). O(k). *)
-
-val expectation : t -> float
-
-val sup_distance_from_scratch : t -> float
-(** Max |pmf_k - scratch_k| against a fresh {!Poisson_binomial.pmf} of
-    the current factors — the divergence the drift bound caps. O(n^2);
-    for tests and invariant checks. *)

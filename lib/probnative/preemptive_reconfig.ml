@@ -21,18 +21,14 @@ let riskiest ?(eligible = fun _ -> true) risks =
 
 type decision = { victim : int; risk : float; live_before : float; live_after : float }
 
-let decide engine ~tolerated ~target_live ~victim ~replacement =
-  let live_before = Prob.Incremental.cdf_le engine tolerated in
-  let risk = Prob.Incremental.prob engine victim in
+let decide risks ~tolerated ~target_live ~victim ~replacement =
+  let live_before = Prob.Poisson_binomial.cdf_le risks tolerated in
+  let risk = risks.(victim) in
   if live_before >= target_live || risk <= replacement then None
   else begin
-    (* Predict the swap with the engine itself: replace the factor,
-       read the distribution, and put it back if liveness did not rise. *)
-    Prob.Incremental.update engine victim replacement;
-    let live_after = Prob.Incremental.cdf_le engine tolerated in
+    let swapped = Array.copy risks in
+    swapped.(victim) <- replacement;
+    let live_after = Prob.Poisson_binomial.cdf_le swapped tolerated in
     if live_after > live_before then Some { victim; risk; live_before; live_after }
-    else begin
-      Prob.Incremental.update engine victim risk;
-      None
-    end
+    else None
   end

@@ -113,7 +113,7 @@ let run ?(seed = 5) ~universe ~initial_members ~target_live ~review_interval ~ho
                 let spare = spares_alive.(best) in
                 let n = Array.length members in
                 match
-                  Preemptive_reconfig.decide (Prob.Incremental.create risks)
+                  Preemptive_reconfig.decide risks
                     ~tolerated:(n - ((n / 2) + 1)) ~target_live ~victim
                     ~replacement:(risk_of spare)
                 with

@@ -119,9 +119,6 @@ let intersects_in a b =
       let qa = minimal_quorums a and qb = minimal_quorums b in
       if qa = [] || qb = [] then 0 else pairwise_min_overlap qa qb
 
-let auto_exact_max = 20
-let max_weight_dp = 1_000_000
-
 let enumerate_availability ?domains t probs =
   let n = size t in
   if n > Subset.max_enumeration then
@@ -145,67 +142,15 @@ let enumerate_availability ?domains t probs =
   in
   Prob.Math_utils.clamp_prob total
 
-(* Convolution DP over total live weight — the weighted analogue of
-   the Poisson-binomial count DP. O(n * W) time and O(W) space where
-   W = sum of weights, against O(2^n) for subset enumeration. *)
-let weighted_dp ~weights ~threshold probs =
-  let n = Array.length weights in
-  let total_weight = Array.fold_left ( + ) 0 weights in
-  if Array.exists (fun w -> w < 0) weights then
-    invalid_arg "Quorum_system.availability: negative weight";
-  if total_weight > max_weight_dp then
-    invalid_arg "Quorum_system.availability: total weight too large for DP";
-  let dist = Array.make (total_weight + 1) 0. in
-  let comp = Array.make (total_weight + 1) 0. in
-  dist.(0) <- 1.;
-  let top = ref 0 in
-  for i = 0 to n - 1 do
-    let w = weights.(i) in
-    let p_live = 1. -. Prob.Math_utils.clamp_prob probs.(i) in
-    let q = 1. -. p_live in
-    if w = 0 then ()
-    else begin
-      top := !top + w;
-      for v = !top downto w do
-        let a = q *. (dist.(v) +. comp.(v)) in
-        let b = p_live *. (dist.(v - w) +. comp.(v - w)) in
-        let s = a +. b in
-        let c = if Float.abs a >= Float.abs b then a -. s +. b else b -. s +. a in
-        dist.(v) <- s;
-        comp.(v) <- c
-      done;
-      for v = w - 1 downto 0 do
-        dist.(v) <- q *. (dist.(v) +. comp.(v));
-        comp.(v) <- 0.
-      done
-    end
-  done;
-  let acc = ref Prob.Math_utils.kahan_zero in
-  for v = max 0 threshold to total_weight do
-    acc := Prob.Math_utils.kahan_add !acc (dist.(v) +. comp.(v))
-  done;
-  Prob.Math_utils.clamp_prob (Prob.Math_utils.kahan_total !acc)
-
 let availability ?domains ?(exact = false) t probs =
   let n = size t in
   if Array.length probs <> n then
     invalid_arg "Quorum_system.availability: wrong probability vector length";
   match t with
-  | Threshold { k; _ } ->
-      if exact then enumerate_availability ?domains t probs
-      else
-        (* Live set contains a quorum iff at most n-k nodes failed. *)
-        Prob.Poisson_binomial.cdf_le probs (n - k)
-  | Weighted { weights; threshold } ->
-      (* 2^n enumeration tops out around n = 24; above [auto_exact_max]
-         the weight DP takes over automatically (both agree to well
-         under 1e-12 — see the cross-validation property test). *)
-      if exact || (n <= auto_exact_max && n <= Subset.max_enumeration) then
-        enumerate_availability ?domains t probs
-      else weighted_dp ~weights ~threshold probs
-  | Grid _ | Explicit _ ->
-      (* Structural quorum predicates have no convolution form; these
-         are always exact enumeration. *)
+  | Threshold { k; _ } when not exact ->
+      (* Live set contains a quorum iff at most n-k nodes failed. *)
+      Prob.Poisson_binomial.cdf_le probs (n - k)
+  | Threshold _ | Weighted _ | Grid _ | Explicit _ ->
       enumerate_availability ?domains t probs
 
 let uniform_strategy_load t =

@@ -49,22 +49,14 @@ val intersects_in : t -> t -> int
     safety conditions are assertions that such minima are >= 1 (CFT) or
     large enough to contain a correct node (BFT). *)
 
-val weighted_dp : weights:int array -> threshold:int -> float array -> float
-(** The O(n*W) weight-convolution DP behind the weighted fast path,
-    callable at any node count — the cross-validation surface against
-    [~exact:true] enumeration at small n. Raises [Invalid_argument] for
-    a negative weight or a total weight above 1,000,000. *)
-
 val availability : ?domains:int -> ?exact:bool -> t -> float array -> float
 (** [availability qs probs] = probability that the set of live nodes
     contains a quorum, when node [u] fails independently with
     probability [probs.(u)]. Threshold systems use the Poisson-binomial
-    count DP; weighted systems use 2^n enumeration up to 20 nodes
-    (the enumeration path tops out around n = 24) and an O(n*W) DP
-    over total live weight beyond; grid/explicit systems always
-    enumerate. [~exact:true] forces subset enumeration everywhere
-    (n <= [Subset.max_enumeration] required) — the override and
-    cross-validation surface for the DP paths. *)
+    count DP; every other system enumerates all 2^n failure sets, so
+    it raises [Invalid_argument] above [Subset.max_enumeration] nodes.
+    [~exact:true] enumerates a threshold system too — the
+    cross-validation surface for its count DP. *)
 
 val uniform_strategy_load : t -> float
 (** Load of the strategy that picks uniformly among minimal quorums

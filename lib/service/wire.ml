@@ -89,9 +89,9 @@ let max_threshold_nodes = 1000
 let max_markov_nodes = 64
 let max_nines = 12.
 
-(* Fleet-controller runs are the most expensive cacheable queries: the
-   per-tick verification recompute is O(nodes^2), so the wire caps the
-   closed loop at sizes where a cold run stays well under a second. *)
+(* Fleet-controller runs are the most expensive cacheable queries: each
+   tick counts the fleet in O(nodes^2), so the wire caps the closed
+   loop at sizes where a cold run stays well under a second. *)
 let max_fleet_ctrl_nodes = 256
 let max_fleet_ticks = 128
 

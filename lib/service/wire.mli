@@ -43,8 +43,8 @@ type system =
 type probs = Uniform of float | Per_node of float list
 
 (** Fleet-controller run parameters in normal form: [nodes] is
-    required on the wire and at most 256 (per-tick verification is
-    O(nodes^2)), [ticks] at most 128; [ticks], [seed] and
+    required on the wire and at most 256 (each tick counts the fleet
+    in O(nodes^2)), [ticks] at most 128; [ticks], [seed] and
     [target_nines] default to
     the CLI's defaults (26, 42, 3.0) and an explicit majority [quorum]
     normalizes to [None], so shorthand and spelled-out requests share
@@ -80,8 +80,8 @@ type query =
           like any other compute query. *)
   | Fleet_ingest of fleet_params
       (** Telemetry-and-refit summary of the same run (observation
-          counts, engine update/refresh counts, final distribution
-          stats) without the recommendation stream. *)
+          counts, final liveness and expected failures) without the
+          recommendation stream. *)
   | Scenario_put of { name : string; scenario : Probcons.Scenario.t; nonce : int }
       (** Store a named scenario in the replicated scenario registry.
           In a replicated deployment ({!Replica}) the put is sequenced

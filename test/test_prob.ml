@@ -508,9 +508,8 @@ let prop_incremental_matches_scratch =
       let t = Incremental.create ~drift_bound:1e-13 probs in
       List.iter (fun (i, p) -> Incremental.update t i p) updates;
       let scratch = Poisson_binomial.pmf (Incremental.probs t) in
-      sup_distance (Incremental.pmf t) scratch <= 1e-12
-      && Incremental.sup_distance_from_scratch t
-         <= Incremental.drift_bound t +. 1e-13)
+      let distance = sup_distance (Incremental.pmf t) scratch in
+      distance <= 1e-12 && distance <= Incremental.drift_bound t +. 1e-13)
 
 let prop_incremental_inverse_law =
   (* Divide-out then multiply-in of the same factor is the identity:
@@ -543,9 +542,7 @@ let test_incremental_edge_factors () =
   Incremental.update t 4 0.5;
   let scratch = Poisson_binomial.pmf (Incremental.probs t) in
   Alcotest.(check bool) "matches scratch after 0/1 toggles" true
-    (sup_distance (Incremental.pmf t) scratch <= 1e-12);
-  check_float ~eps:1e-12 "expectation" (1. +. 0.3 +. 0.25 +. 0.5)
-    (Incremental.expectation t)
+    (sup_distance (Incremental.pmf t) scratch <= 1e-12)
 
 let test_incremental_forced_refresh () =
   (* drift_bound = 0 forces a full-DP refresh after every effective
@@ -571,14 +568,14 @@ let test_incremental_drift_accounting () =
   Incremental.update t 0 0.4;
   Alcotest.(check int) "no-op update skipped" 1 (Incremental.update_count t);
   let before = Incremental.drift t in
-  Incremental.update_batch t [ (1, 0.9); (2, 0.); (3, 1.) ];
-  Alcotest.(check int) "batch counted" 4 (Incremental.update_count t);
-  Alcotest.(check bool) "batch accrues drift" true (Incremental.drift t > before);
+  List.iter (fun (i, p) -> Incremental.update t i p) [ (1, 0.9); (2, 0.); (3, 1.) ];
+  Alcotest.(check int) "updates counted" 4 (Incremental.update_count t);
+  Alcotest.(check bool) "updates accrue drift" true (Incremental.drift t > before);
   Incremental.refresh t;
   check_float ~eps:0. "refresh resets drift" 0. (Incremental.drift t);
   Alcotest.(check int) "refresh counted" 1 (Incremental.refresh_count t);
   check_float ~eps:0. "divergence after refresh" 0.
-    (Incremental.sup_distance_from_scratch t)
+    (sup_distance (Incremental.pmf t) (Poisson_binomial.pmf (Incremental.probs t)))
 
 let test_incremental_queries_match_reference () =
   let probs = [| 0.1; 0.5; 0.9; 0.02; 0.7 |] in
@@ -589,8 +586,8 @@ let test_incremental_queries_match_reference () =
       (Poisson_binomial.cdf_le probs k)
       (Incremental.cdf_le t k)
   done;
-  check_float ~eps:1e-14 "expectation" (Math_utils.kahan_sum probs)
-    (Incremental.expectation t)
+  check_float ~eps:1e-14 "pmf" 0.
+    (sup_distance (Incremental.pmf t) (Poisson_binomial.pmf probs))
 
 let suite =
   [

@@ -251,33 +251,25 @@ let test_window_liveness_basics () =
 
 let test_decide_swap_rule () =
   let risks = [| 0.3; 0.05; 0.05; 0.05; 0.2 |] in
+  let original = Array.copy risks in
   (* Five nodes, majority quorum: liveness = P(failures <= 2). *)
   let tolerated = 2 in
-  let engine = Prob.Incremental.create risks in
-  let untouched label f =
-    let updates = Prob.Incremental.update_count engine
-    and probs = Prob.Incremental.probs engine
-    and pmf = Prob.Incremental.pmf engine in
-    Alcotest.(check bool) (label ^ ": no swap") true (f () = None);
-    Alcotest.(check int) (label ^ ": no update") updates
-      (Prob.Incremental.update_count engine);
-    Alcotest.(check (array (float 0.))) (label ^ ": same factors") probs
-      (Prob.Incremental.probs engine);
-    Alcotest.(check (array (float 0.))) (label ^ ": same pmf") pmf
-      (Prob.Incremental.pmf engine)
+  let untouched label decision =
+    Alcotest.(check bool) (label ^ ": no swap") true (decision = None);
+    Alcotest.(check (array (float 0.))) (label ^ ": input untouched") original risks
   in
-  let live = Prob.Incremental.cdf_le engine tolerated in
-  untouched "target met" (fun () ->
-      Preemptive_reconfig.decide engine ~tolerated ~target_live:live ~victim:0
-        ~replacement:0.01);
-  untouched "replacement as risky" (fun () ->
-      Preemptive_reconfig.decide engine ~tolerated ~target_live:0.9999 ~victim:0
-        ~replacement:0.3);
-  untouched "replacement riskier" (fun () ->
-      Preemptive_reconfig.decide engine ~tolerated ~target_live:0.9999 ~victim:1
-        ~replacement:0.2);
+  let live = Prob.Poisson_binomial.cdf_le risks tolerated in
+  untouched "target met"
+    (Preemptive_reconfig.decide risks ~tolerated ~target_live:live ~victim:0
+       ~replacement:0.01);
+  untouched "replacement as risky"
+    (Preemptive_reconfig.decide risks ~tolerated ~target_live:0.9999 ~victim:0
+       ~replacement:0.3);
+  untouched "replacement riskier"
+    (Preemptive_reconfig.decide risks ~tolerated ~target_live:0.9999 ~victim:1
+       ~replacement:0.2);
   match
-    Preemptive_reconfig.decide engine ~tolerated ~target_live:0.9999
+    Preemptive_reconfig.decide risks ~tolerated ~target_live:0.9999
       ~victim:(Option.get (Preemptive_reconfig.riskiest risks))
       ~replacement:0.01
   with
@@ -288,21 +280,23 @@ let test_decide_swap_rule () =
       Alcotest.(check (float 0.)) "live before" live d.Preemptive_reconfig.live_before;
       Alcotest.(check bool) "swap strictly raises liveness" true
         (d.Preemptive_reconfig.live_after > live);
-      Alcotest.(check (float 0.)) "swap stays applied" 0.01
-        (Prob.Incremental.prob engine 0);
-      Alcotest.(check (float 0.)) "engine holds the predicted liveness"
+      Alcotest.(check (array (float 0.))) "the caller applies the swap" original risks;
+      let swapped = Array.copy risks in
+      swapped.(0) <- 0.01;
+      Alcotest.(check (float 0.)) "predicted liveness is the swapped fleet's"
+        (Prob.Poisson_binomial.cdf_le swapped tolerated)
         d.Preemptive_reconfig.live_after
-        (Prob.Incremental.cdf_le engine tolerated)
 
 let test_decide_reverts_useless_swap () =
   (* Three certain failures already exceed the two tolerated: no swap
-     of a fourth node can restore liveness, so the trial is undone. *)
-  let engine = Prob.Incremental.create [| 1.; 1.; 1.; 0.5; 0.5 |] in
+     of a fourth node can restore liveness, and the input is left as
+     it was. *)
+  let risks = [| 1.; 1.; 1.; 0.5; 0.5 |] in
   Alcotest.(check bool) "no swap" true
-    (Preemptive_reconfig.decide engine ~tolerated:2 ~target_live:0.9 ~victim:3
+    (Preemptive_reconfig.decide risks ~tolerated:2 ~target_live:0.9 ~victim:3
        ~replacement:0.1
     = None);
-  Alcotest.(check (float 0.)) "factor restored" 0.5 (Prob.Incremental.prob engine 3)
+  Alcotest.(check (array (float 0.))) "input untouched" [| 1.; 1.; 1.; 0.5; 0.5 |] risks
 
 let test_riskiest () =
   Alcotest.(check (option int)) "first maximum" (Some 1)
